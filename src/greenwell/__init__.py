@@ -9,8 +9,8 @@ cross-checked against an independent finite-difference Sturm-bisection
 eigensolver.
 """
 
-from . import cli, model, oracle, resolvent, specfun, spectrum
+from . import model, oracle, resolvent, specfun, spectrum
 
 __version__ = "0.1.0"
 
-__all__ = ["cli", "model", "oracle", "resolvent", "specfun", "spectrum", "__version__"]
+__all__ = ["model", "oracle", "resolvent", "specfun", "spectrum", "__version__"]

@@ -194,11 +194,16 @@ def cmd_green_grid(cfg, stream):
     xs = [xmin + (xmax - xmin) * i / (n - 1) for i in range(n)]
     green = _green_for(fam)
     rows = []
-    for x in xs:
-        xps = xs if cfg.xp is None else [cfg.xp]
-        for xp in xps:
-            g = green(x, xp, cfg.energy, fam)
-            rows.append((x, xp, g))
+    # one memo per request: each decaying solution is evaluated once per abscissa
+    resolvent.open_solution_memo()
+    try:
+        for x in xs:
+            xps = xs if cfg.xp is None else [cfg.xp]
+            for xp in xps:
+                g = green(x, xp, cfg.energy, fam)
+                rows.append((x, xp, g))
+    finally:
+        resolvent.release_solution_memo()
     _emit(cfg, ("x", "xp", "value"), rows, stream)
     return EXIT_OK
 

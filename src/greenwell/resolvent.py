@@ -20,6 +20,19 @@ oracle.  Its plain truncation tail decays like 1/sqrt(n_terms), far too
 slow for tight cross-checks, so `tail=True` completes the sum with a
 quadrature of the Mehler-kernel generating function minus the summed
 polynomial part; the completed value is accurate to ~1e-10.
+
+Each closed form is G = u(x>) v(x<) / W(E): decaying solutions u, v at
+one energy times constants of that energy alone.  One solution object
+per kind (HO Weber, |x| Airy, HO+|x| Weber) does the energy-only work
+(Gamma prefactor, Airy values at -rho, the HO+|x| denominator and
+matching coefficients) once, and is a dict from (scaled) abscissa to
+solution values.  Between open_solution_memo() and
+release_solution_memo() (one green-grid request) the objects are kept
+in a memo keyed by kind and energy arguments, (energy, scales) or rho,
+so each solution is evaluated once per abscissa.  Outside that scope
+every call builds its objects afresh.  The memo is process-global and
+not thread-safe.  Values are bit-identical either way, and the pole and
+resonance checks run on every call.
 """
 
 from __future__ import annotations
@@ -43,6 +56,8 @@ __all__ = [
     "to_tilde",
     "linear_solution_pair",
     "hoabs_solution_pair",
+    "open_solution_memo",
+    "release_solution_memo",
 ]
 
 _HO_POLE_RADIUS = 1e-9
@@ -79,6 +94,32 @@ def to_tilde(g: GreenEval, scales: PhysicalScales) -> GreenEval:
                      "G_TILDE", g.x_lt, g.x_gt)
 
 
+_memo = None  # {(kind, *args): solution object} between open and release
+
+
+def open_solution_memo():
+    """Keep the decaying solutions of every energy until release_solution_memo()."""
+    global _memo
+    _memo = {}
+
+
+def release_solution_memo():
+    """Drop the memo; later calls build their solutions afresh."""
+    global _memo
+    _memo = None
+
+
+def _solutions(kind, *args):
+    """The `kind` solution object for `args`, from the memo when one is held."""
+    if _memo is None:
+        return kind(*args)
+    key = (kind, *args)
+    sol = _memo.get(key)
+    if sol is None:
+        sol = _memo[key] = kind(*args)
+    return sol
+
+
 def _check_ho_pole(eps, radius=_HO_POLE_RADIUS):
     k = round(eps - 0.5)
     if k >= 0 and abs(eps - (k + 0.5)) < radius:
@@ -91,21 +132,32 @@ def _check_ho_pole(eps, radius=_HO_POLE_RADIUS):
 # ----------------------------------------------------------------------
 
 
+class _HoSolutions(dict):
+    """D_{eps-1/2}(z) at one energy, by argument z: u(x) = D(mu x), v(x) = D(-mu x)."""
+
+    def __init__(self, energy, scales):
+        s = scales
+        w = s.omega1
+        eps = energy / (s.hbar * w)
+        self.mu = math.sqrt(2.0 * s.mass * w / s.hbar)
+        self.nu = eps - 0.5
+        self.pref = math.sqrt(s.mass / (math.pi * w * s.hbar ** 3)) / sf.rgamma(0.5 - eps)
+
+    def __missing__(self, z):
+        d = self[z] = sf.pcf_d(self.nu, z).value
+        return d
+
+
 def green_ho(x: float, xp: float, energy: float, scales: PhysicalScales) -> GreenEval:
     """G_ho = sqrt(m/(pi w hbar^3)) Gamma(1/2 - eps) D_{eps-1/2}(mu x>) D_{eps-1/2}(-mu x<)."""
-    s = scales
-    w = s.omega1
-    eps = energy / (s.hbar * w)
-    _check_ho_pole(eps)
-    mu = math.sqrt(2.0 * s.mass * w / s.hbar)
+    _check_ho_pole(energy / (scales.hbar * scales.omega1))
+    d = _solutions(_HoSolutions, energy, scales)
     lo, hi = (x, xp) if x <= xp else (xp, x)
-    nu = eps - 0.5
     # group the D product first: IEEE multiplication commutes, so the
     # parity map (x, x') -> (-x', -x), which swaps the two factors,
     # reproduces the value bit-exactly
-    dprod = sf.pcf_d(nu, mu * hi).value * sf.pcf_d(nu, -mu * lo).value
-    val = math.sqrt(s.mass / (math.pi * w * s.hbar ** 3)) / sf.rgamma(0.5 - eps) * dprod
-    return GreenEval(val, "G", lo, hi)
+    dprod = d[d.mu * hi] * d[-d.mu * lo]
+    return GreenEval(d.pref * dprod, "G", lo, hi)
 
 
 def _series_terms(y, yp, n_terms):
@@ -248,6 +300,31 @@ def green_ho_stark(x, xp, energy, scales) -> GreenEval:
 # ----------------------------------------------------------------------
 
 
+class _LinearSolutions(dict):
+    """(u, u', v, v') of w'' = (|t| - rho) w at one rho, by t."""
+
+    def __init__(self, rho):
+        a0, ap0, b0, bp0 = (r.value for r in sf.airy_all(-rho))
+        self.rho, self.a0, self.ap0 = rho, a0, ap0
+        self.alpha = math.pi * (a0 * bp0 + ap0 * b0)
+        self.beta = -2.0 * math.pi * a0 * ap0
+
+    def __missing__(self, t):
+        alpha, beta = self.alpha, self.beta
+        if t >= 0.0:
+            ai, aip, bi, bip = (r.value for r in sf.airy_all(t - self.rho))
+            u, up = ai, aip
+            v = alpha * ai + beta * bi
+            vp = alpha * aip + beta * bip
+        else:
+            ai, aip, bi, bip = (r.value for r in sf.airy_all(-t - self.rho))
+            u = alpha * ai + beta * bi
+            up = -(alpha * aip + beta * bip)
+            v, vp = ai, -aip
+        pair = self[t] = (u, up, v, vp)
+        return pair
+
+
 def linear_solution_pair(t, rho):
     """Decaying solutions of w'' = (|t| - rho) w in the scaled variable t.
 
@@ -256,20 +333,7 @@ def linear_solution_pair(t, rho):
     t < 0 it is continued as alpha Ai(-t - rho) + beta Bi(-t - rho)
     with the matching coefficients fixed at t = 0.
     """
-    a0, ap0, b0, bp0 = (r.value for r in sf.airy_all(-rho))
-    alpha = math.pi * (a0 * bp0 + ap0 * b0)
-    beta = -2.0 * math.pi * a0 * ap0
-    if t >= 0.0:
-        ai, aip, bi, bip = (r.value for r in sf.airy_all(t - rho))
-        u, up = ai, aip
-        v = alpha * ai + beta * bi
-        vp = alpha * aip + beta * bip
-    else:
-        ai, aip, bi, bip = (r.value for r in sf.airy_all(-t - rho))
-        u = alpha * ai + beta * bi
-        up = -(alpha * aip + beta * bip)
-        v, vp = ai, -aip
-    return u, up, v, vp
+    return _LinearSolutions(rho)[t]
 
 
 def _check_linear_pole(a0, ap0, radius=_LINEAR_POLE_RADIUS):
@@ -293,15 +357,14 @@ def green_linear(x, xp, energy, scales) -> GreenEval:
     k = (2.0 * s.mass / s.hbar ** 2) ** (1.0 / 3.0)
     rho = energy / s.alpha1 ** 2 * k
     zeta = s.alpha1 * k
-    a0 = sf.airy_ai(-rho).value
-    ap0 = sf.airy_ai_prime(-rho).value
-    _check_linear_pole(a0, ap0)
+    sol = _solutions(_LinearSolutions, rho)
+    _check_linear_pole(sol.a0, sol.ap0)
     lo, hi = (x, xp) if x <= xp else (xp, x)
-    u_hi = linear_solution_pair(zeta * hi, rho)[0]
-    v_lo = linear_solution_pair(zeta * lo, rho)[2]
+    u_hi = sol[zeta * hi][0]
+    v_lo = sol[zeta * lo][2]
     # G = -(2m/hbar^2) G~,  G~ = -u(x>) v(x<) / W,  W = -2 zeta Ai Ai';
     # the grouped product keeps the parity swap bit-exact
-    val = -(2.0 * s.mass / s.hbar ** 2) * (u_hi * v_lo) / (2.0 * zeta * a0 * ap0)
+    val = -(2.0 * s.mass / s.hbar ** 2) * (u_hi * v_lo) / (2.0 * zeta * sol.a0 * sol.ap0)
     return GreenEval(val, "G", lo, hi)
 
 
@@ -310,51 +373,60 @@ def green_linear(x, xp, energy, scales) -> GreenEval:
 # ----------------------------------------------------------------------
 
 
-def hoabs_solution_pair(x, energy, scales):
-    """(psi1, psi1', psi2, psi2') for V = m w^2 x^2/2 + alpha^3 |x|.
+class _HoAbsSolutions(dict):
+    """(psi1, psi1') of V = m w^2 x^2/2 + alpha^3 |x| at one energy, by x.
 
     psi1 decays at +inf: D_{sigma-1/2}(mu x + mu phi) for x >= 0.  For
     x < 0 the potential branch is the parabola centered at x = +phi, so
     psi1 is continued there in the always-independent even/odd Weber
-    basis of z = mu (x - phi).  psi2(x) = psi1(-x) by parity.
+    basis of z = mu (x - phi), as A E(z) + B O(z).
     """
-    s = scales
-    w = s.omega1
-    mu = math.sqrt(2.0 * s.mass * w / s.hbar)
-    phi = s.alpha1 ** 3 / (s.mass * w * w)
-    eps = energy / (s.hbar * w)
-    sigma = eps + (0.5 * mu * phi) ** 2
-    nu = sigma - 0.5
 
-    def psi1(t):
-        if t >= 0.0:
-            z = mu * t + mu * phi
-            d = sf.pcf_d(nu, z).value
-            # D'(z) = (z/2) D(z) - D_{nu+1}(z)
-            dp = 0.5 * z * d - sf.pcf_d(nu + 1.0, z).value
-            return d, mu * dp
-        # x < 0: solutions of the left branch are functions of z = mu (t - phi)
-        z0 = -mu * phi
-        e0, ep0, o0, op0, _ = sf.weber_even_odd(nu, z0)
-        d0 = sf.pcf_d(nu, mu * phi).value
-        dp0 = 0.5 * (mu * phi) * d0 - sf.pcf_d(nu + 1.0, mu * phi).value
-        # match A e + B o to (value, derivative/mu) of psi1 at t = 0
+    def __init__(self, energy, scales):
+        s = scales
+        w = s.omega1
+        self.mu = mu = math.sqrt(2.0 * s.mass * w / s.hbar)
+        self.phi = phi = s.alpha1 ** 3 / (s.mass * w * w)
+        eps = energy / (s.hbar * w)
+        sigma = eps + (0.5 * mu * phi) ** 2
+        self.nu = nu = sigma - 0.5
+        mu_phi = mu * phi
+        d0 = sf.pcf_d(nu, mu_phi).value
+        d1 = sf.pcf_d(nu + 1.0, mu_phi).value
+        # the denominator d0 * even vanishes on the odd (d0) and even states
+        self.d0, self.even = d0, mu_phi * d0 - 2.0 * d1
+        # match A E + B O to (value, derivative/mu) of psi1 at x = 0,
+        # where D'(z) = (z/2) D(z) - D_{nu+1}(z)
+        dp0 = 0.5 * mu_phi * d0 - d1
+        e0, ep0, o0, op0, _ = sf.weber_even_odd(nu, -mu_phi)
         det = e0 * op0 - o0 * ep0
-        A = (d0 * op0 - o0 * dp0) / det
-        B = (e0 * dp0 - d0 * ep0) / det
-        z = mu * (t - phi)
-        ev, evp, ov, ovp, _ = sf.weber_even_odd(nu, z)
-        return A * ev + B * ov, mu * (A * evp + B * ovp)
+        self.A = (d0 * op0 - o0 * dp0) / det
+        self.B = (e0 * dp0 - d0 * ep0) / det
 
-    v1, v1p = psi1(x)
-    v2, v2p = psi1(-x)
+    def __missing__(self, t):
+        mu, nu = self.mu, self.nu
+        if t >= 0.0:
+            z = mu * t + mu * self.phi
+            d = sf.pcf_d(nu, z).value
+            dp = 0.5 * z * d - sf.pcf_d(nu + 1.0, z).value
+            psi = self[t] = (d, mu * dp)
+            return psi
+        ev, evp, ov, ovp, _ = sf.weber_even_odd(nu, mu * (t - self.phi))
+        A, B = self.A, self.B
+        psi = self[t] = (A * ev + B * ov, mu * (A * evp + B * ovp))
+        return psi
+
+
+def hoabs_solution_pair(x, energy, scales):
+    """(psi1, psi1', psi2, psi2') for V = m w^2 x^2/2 + alpha^3 |x|.
+
+    psi1 decays at +inf (see _HoAbsSolutions); psi2(x) = psi1(-x) by
+    parity.
+    """
+    psi = _HoAbsSolutions(energy, scales)
+    v1, v1p = psi[x]
+    v2, v2p = psi[-x]
     return v1, v1p, v2, -v2p
-
-
-def _hoabs_denominator(nu, mu_phi):
-    d0 = sf.pcf_d(nu, mu_phi).value
-    d1 = sf.pcf_d(nu + 1.0, mu_phi).value
-    return d0, mu_phi * d0 - 2.0 * d1
 
 
 def green_ho_plus_abs(x, xp, energy, scales) -> GreenEval:
@@ -368,22 +440,16 @@ def green_ho_plus_abs(x, xp, energy, scales) -> GreenEval:
     defining equation (H - E) G = delta.
     """
     s = scales
-    w = s.omega1
-    mu = math.sqrt(2.0 * s.mass * w / s.hbar)
-    phi = s.alpha1 ** 3 / (s.mass * w * w)
-    eps = energy / (s.hbar * w)
-    sigma = eps + (0.5 * mu * phi) ** 2
-    nu = sigma - 0.5
-    d0, even = _hoabs_denominator(nu, mu * phi)
-    den = d0 * even
+    psi = _solutions(_HoAbsSolutions, energy, scales)
+    den = psi.d0 * psi.even
     if abs(den) < _LINEAR_POLE_RADIUS:
-        parity = "odd" if abs(d0) < abs(even) else "even"
+        parity = "odd" if abs(psi.d0) < abs(psi.even) else "even"
         raise NearPoleError("energy within the exclusion radius of a pole "
                             f"({parity} state)", parity=parity)
     lo, hi = (x, xp) if x <= xp else (xp, x)
-    p1 = hoabs_solution_pair(hi, energy, scales)[0]
-    p2 = hoabs_solution_pair(lo, energy, scales)[2]
-    val = -(2.0 * s.mass / (mu * s.hbar ** 2)) * (p1 * p2) / den
+    p1 = psi[hi][0]
+    p2 = psi[-lo][0]  # psi2(x<) = psi1(-x<)
+    val = -(2.0 * s.mass / (psi.mu * s.hbar ** 2)) * (p1 * p2) / den
     return GreenEval(val, "G", lo, hi)
 
 

@@ -284,10 +284,11 @@ def pcf_d(nu: float, z: float) -> EvalResult:
     that regime switches to Miller-normalized upward recurrence in nu.
     Accuracy is ~1e-10 relative over the figure window |z| <= 10 with
     moderate nu; est_abs_error reports the cancellation honestly
-    everywhere else.
+    everywhere else.  The domain is |z| <= 20, where the Kummer argument
+    z^2/2 stays within kummer_m's |z| <= 200, and |nu| <= 60.
     """
-    if abs(z) > 30.0:
-        raise DomainError(f"pcf_d restricted to |z| <= 30, got z = {z}")
+    if abs(z) > 20.0:
+        raise DomainError(f"pcf_d restricted to |z| <= 20, got z = {z}")
     if abs(nu) > 60.0:
         raise DomainError(f"pcf_d restricted to |nu| <= 60, got nu = {nu}")
     if z > 0.0 and nu < 1.0 and not (nu >= 0.0 and nu == math.floor(nu)):

@@ -1,9 +1,16 @@
 """CLI contract: exit codes, determinism, config handling, output formats."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from greenwell import cli
+import pytest
+
+from greenwell import cli, model, resolvent, specfun
 
 
 def run(argv):
@@ -115,6 +122,115 @@ def test_green_grid_fixed_xp():
     lines = out.strip().split("\n")[1:]
     assert len(lines) == 5
     assert all(l.split(",")[1] == "0.3" for l in lines)
+
+
+# sha256 of the green-grid bytes on -2:2:9 (x = 0 and q = +-0.5 on the grid),
+# recorded before the per-request solution memo existed
+GRID_SHA256 = [
+    ("HO", "2.3",
+     "4c7fc06ed176885f5a5be49734055e9163635f326e46e9126dc2255040cafcef",
+     "fafb29321df963915e1e5088d3bfeebb26ef81cbed7e1681c53e1d6543ab9bbd"),
+    ("HO_STARK", "2.3",
+     "0ee166d0b07745b7947e2b5902fe1c9ff9b6ce97c7054d168de3753f960547ca",
+     "a8bd65817ab84cdb02c92a864803c89f1776c43cfb700f6ef1061a30b198ca45"),
+    ("LINEAR_ABS", "1.7",
+     "ac1cb88dd48ef644200acce8867afc620fe83ab464734f982233d1fd851d8bb7",
+     "14ad5ae10fc2ac804882f6ee2f23112935ff64d7032db29df4091d896ab3b45e"),
+    ("HO_PLUS_ABS", "2.3",
+     "5dd2b97827e3508c982d6e27737c000810e51a12296acd5e1ddeb954b2775c7a",
+     "1b48b754c594a226ae94eb95bcb0190d7f1fecd4d61786e1bb5f8e8cfab65348"),
+    ('{"tag": "DELTA_DECORATED", "base": "HO", "scales": {"delta_position": -0.5}}', "2.3",
+     "1abf2d461b0184b5922505efb73cb0c8716f4eaf07c694ef58b908f5b5d7b57d",
+     "6edc13205cc27d9715c6cbe522a02f74717d25ad5c8095edb822a3aa403ae7ad"),
+    ("DELTA_DECORATED(LINEAR_ABS)", "1.7",
+     "146e0cf4b304593eeb1eeb8e4cafd5b0baf2a14fbde6bb55e02714b02873adf3",
+     "c2898a38612f2adcbaf8cc39230396b16b7781df5029a0a2aa812004e4ab8e36"),
+]
+
+
+@pytest.mark.parametrize("family,energy,csv_sha,json_sha", GRID_SHA256)
+def test_green_grid_bytes_pinned(family, energy, csv_sha, json_sha):
+    for fmt, sha in (("csv", csv_sha), ("json", json_sha)):
+        code, out = run(["green-grid", "--family", family, "--energy", energy,
+                         "--grid=-2:2:9", "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, fmt
+
+
+def _count_calls(monkeypatch, name):
+    """A one-element list counting the calls made to specfun.<name>."""
+    calls = [0]
+    original = getattr(specfun, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+    monkeypatch.setattr(specfun, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family,name,per_abscissa,per_energy", [
+    ("HO", "pcf_d", 2, 0),
+    ("LINEAR_ABS", "airy_all", 1, 1),
+])
+def test_green_grid_evaluates_each_solution_once_per_abscissa(
+        monkeypatch, family, name, per_abscissa, per_energy):
+    n = 9
+    calls = _count_calls(monkeypatch, name)
+    code, _ = run(["green-grid", "--family", family, "--energy", "1.7", f"--grid=-2:2:{n}"])
+    assert code == 0
+    assert 0 < calls[0] <= per_abscissa * n + per_energy
+
+
+DEC_HO_SCALES = model.default_family(model.DELTA_DECORATED, base=model.HO).scales
+
+
+def _on_resonance_family():
+    """DELTA_DECORATED(HO) with the spike strength that makes E = 2.3 a
+    decorated bound state: 1 + a G0(q, q; 2.3) = 0."""
+    q = DEC_HO_SCALES.delta_position
+    strength = -1.0 / resolvent.green_ho(q, q, 2.3, DEC_HO_SCALES).value
+    return json.dumps({"tag": "DELTA_DECORATED", "base": "HO",
+                       "scales": {"delta_strength": strength}})
+
+
+def test_green_grid_poles_exit_two_for_every_family():
+    for family, energy in (("LINEAR_ABS", "2.338107410459767"),     # Ai(-rho) = 0
+                           ("LINEAR_ABS", "1.018792971647471"),     # Ai'(-rho) = 0
+                           ("HO_PLUS_ABS", "2.537195530803947"),    # odd level
+                           (_on_resonance_family(), "2.3")):
+        code, _ = run(["green-grid", "--family", family, "--energy", energy,
+                       "--grid=-1:1:5"])
+        assert code == 2, family
+
+
+def test_green_grid_failure_releases_the_memo(monkeypatch):
+    argv = ["green-grid", "--family", _on_resonance_family(), "--energy", "2.3",
+            "--grid=-1:1:5"]
+    calls = _count_calls(monkeypatch, "pcf_d")
+    made = []
+    for _ in range(2):
+        before = calls[0]
+        assert run(argv)[0] == 2
+        made.append(calls[0] - before)
+    assert made[0] == made[1] > 0
+    # a library call after the request finds no memo left behind
+    scales = model.family_from_dict(json.loads(argv[2])).scales
+    q = scales.delta_position
+    before = calls[0]
+    resolvent.green_ho(q, q, 2.3, scales)
+    assert calls[0] - before == 2
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    src = str(Path(model.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "greenwell.cli",
+         "levels", "--family", "HO", "--window", "0:3"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("index,parity,eps")
 
 
 # ----------------------------------------------------------------------

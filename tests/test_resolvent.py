@@ -391,3 +391,46 @@ def test_decorated_on_resonance_error():
     root = spectrum.find_roots(chi, window=(-3.0, 2.0), step=0.01).roots[0].value
     with pytest.raises((OnResonanceError, NearPoleError)):
         rv.green_decorated(0.2, 0.4, root, HO, fam.scales)
+
+
+# ----------------------------------------------------------------------
+# per-request solution memo
+# ----------------------------------------------------------------------
+
+DEC_HO_FAM = default_family(DELTA_DECORATED, base=HO, delta_position=-0.5)
+DEC_LIN_FAM = default_family(DELTA_DECORATED, base=LINEAR_ABS)   # q = 0.5
+
+
+@pytest.mark.parametrize("green,fam,energy", [
+    (rv.green_ho, HO_FAM, 2.3),
+    (rv.green_ho_stark, STARK_FAM, 2.3),
+    (rv.green_linear, LIN_FAM, 1.7),
+    (rv.green_ho_plus_abs, HOABS_FAM, 2.3),
+    (lambda x, xp, e, s: rv.green_decorated(x, xp, e, HO, s), DEC_HO_FAM, 2.3),
+    (lambda x, xp, e, s: rv.green_decorated(x, xp, e, LINEAR_ABS, s), DEC_LIN_FAM, 1.7),
+], ids=["HO", "HO_STARK", "LINEAR_ABS", "HO_PLUS_ABS", "DEC_HO", "DEC_LINEAR_ABS"])
+def test_solution_memo_never_changes_a_value(green, fam, energy):
+    # the CLI's grid: x = 0, both signs and the delta position q on it
+    n = 9
+    xs = [-2.0 + 4.0 * i / (n - 1) for i in range(n)]
+    assert 0.0 in xs and -0.5 in xs and 0.5 in xs
+
+    def rows(xps, memo):
+        out = []
+        if memo:
+            rv.open_solution_memo()
+        try:
+            # two energies in one scope: the memo must key on the energy
+            for e in (energy, energy + 0.25):
+                for x in xs:
+                    for xp in xps:
+                        if not memo:
+                            rv.release_solution_memo()
+                        out.append(green(x, xp, e, fam.scales).value.hex())
+        finally:
+            rv.release_solution_memo()
+        return out
+
+    # the full grid, an off-grid column and a -0.0 column (one dict key with +0.0)
+    for xps in (xs, [0.3], [-0.0]):
+        assert rows(xps, memo=True) == rows(xps, memo=False)

@@ -246,6 +246,9 @@ def test_pcf_integer_order_hermite_reduction():
 def test_pcf_domain_errors():
     with pytest.raises(sf.DomainError):
         sf.pcf_d(0.5, 31.0)
+    # the documented domain is the enforced one: pcf_d itself rejects |z| > 20
+    with pytest.raises(sf.DomainError, match="pcf_d restricted to"):
+        sf.pcf_d(0.5, 20.5)
     with pytest.raises(sf.DomainError):
         sf.pcf_d(61.0, 1.0)
 
