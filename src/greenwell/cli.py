@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from . import model, oracle, resolvent, spectrum
 from .model import DELTA_DECORATED, HO, LINEAR_ABS
@@ -46,10 +46,28 @@ def _fmt(x):
     return str(x)
 
 
+_TYPES = {"str": str, "dict": dict, "tuple": tuple, "float": (int, float), "int": int}
+
+
+def _admits(annotation, value):
+    """True when `value` has a type named in `annotation` (e.g. "float | None");
+    a bool is not a number."""
+    names = annotation.split(" | ")
+    if value is None or isinstance(value, bool):
+        return ("None" if value is None else "bool") in names
+    return any(isinstance(value, _TYPES[n]) for n in names if n in _TYPES)
+
+
+def _finite(values, n):
+    """True when `values` holds n finite numbers."""
+    return len(values) == n and all(
+        _admits("float", v) and math.isfinite(v) for v in values)
+
+
 @dataclass
 class RunConfig:
     command: str
-    family: dict = field(default_factory=lambda: {"tag": "HO"})
+    family: dict | None = None         # None: HO; for verify, every family
     window: tuple | None = None
     step: float = 0.005
     param: str | None = None           # sweep parameter name
@@ -64,69 +82,52 @@ class RunConfig:
     allow_breaks: bool = False
 
     def validate(self):
-        if self.command not in ("levels", "sweep", "green-grid", "table1", "verify"):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _admits(f.type, value):
+                raise UsageError(f"config field {f.name!r} must be {f.type}, got {value!r}")
+        if self.command not in _COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise UsageError(f"format must be csv or json, got {self.format!r}")
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise UsageError("step must be a positive finite number")
-        if self.window is not None:
-            lo, hi = self.window
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise UsageError(f"window must be lo:hi with lo < hi, got {self.window}")
-        if self.sweep_range is not None:
-            a, b, s = self.sweep_range
-            if not all(math.isfinite(v) for v in (a, b, s)) or s <= 0 or b < a:
-                raise UsageError(f"range must be from:to:step with step > 0, got {self.sweep_range}")
-        xmin, xmax, n = self.grid
-        if not (math.isfinite(xmin) and math.isfinite(xmax) and xmin < xmax and int(n) >= 2):
+        if self.window is not None and not (
+                _finite(self.window, 2) and self.window[0] < self.window[1]):
+            raise UsageError(f"window must be lo:hi with lo < hi, got {self.window}")
+        if self.sweep_range is not None and not (
+                _finite(self.sweep_range, 3) and self.sweep_range[2] > 0
+                and self.sweep_range[1] >= self.sweep_range[0]):
+            raise UsageError(f"range must be from:to:step with step > 0, got {self.sweep_range}")
+        if not (_finite(self.grid, 3) and self.grid[0] < self.grid[1] and int(self.grid[2]) >= 2):
             raise UsageError(f"grid must be xmin:xmax:n with n >= 2, got {self.grid}")
         if not math.isfinite(self.energy):
             raise UsageError("energy must be finite")
+        if self.xp is not None and not math.isfinite(self.xp):
+            raise UsageError("xp must be finite")
         if not (1 <= self.k_levels <= 20):
             raise UsageError("k must be in 1..20")
+        if self.n_oracle != 0 and self.n_oracle < 100:
+            raise UsageError("n-oracle must be 0 (the per-family default) or at least 100")
+        if self.family is None and self.command != "verify":
+            self.family = {"tag": HO}
         return self
 
     def to_dict(self):
-        d = {
-            "command": self.command,
-            "family": self.family,
-            "step": self.step,
-            "grid": list(self.grid),
-            "energy": self.energy,
-            "k_levels": self.k_levels,
-            "n_oracle": self.n_oracle,
-            "format": self.format,
-            "allow_breaks": self.allow_breaks,
-        }
-        if self.window is not None:
-            d["window"] = list(self.window)
-        if self.param is not None:
-            d["param"] = self.param
-        if self.sweep_range is not None:
-            d["sweep_range"] = list(self.sweep_range)
-        if self.xp is not None:
-            d["xp"] = self.xp
-        if self.out is not None:
-            d["out"] = self.out
-        return d
+        """The config as JSON data: None fields omitted, tuples as lists."""
+        return {f.name: list(v) if isinstance(v, tuple) else v
+                for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
     @classmethod
     def from_dict(cls, d):
-        if not isinstance(d, dict) or "command" not in d:
+        """Inverse of to_dict; null stands for the field's default."""
+        if not isinstance(d, dict) or d.get("command") is None:
             raise UsageError("config must be an object with a 'command' field")
-        kw = {}
-        for key in ("command", "family", "step", "energy", "k_levels", "n_oracle",
-                    "format", "allow_breaks", "param", "out", "xp"):
-            if key in d:
-                kw[key] = d[key]
-        if "window" in d and d["window"] is not None:
-            kw["window"] = tuple(d["window"])
-        if "sweep_range" in d and d["sweep_range"] is not None:
-            kw["sweep_range"] = tuple(d["sweep_range"])
-        if "grid" in d:
-            kw["grid"] = tuple(d["grid"])
-        return cls(**kw).validate()
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise UsageError(f"unknown config fields: {sorted(unknown)}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in d.items() if v is not None}).validate()
 
 
 # ----------------------------------------------------------------------
@@ -181,9 +182,7 @@ def cmd_sweep(cfg, stream):
                      + ", ".join(_fmt(v) for v in result.breaks)
                      + " (rerun with --allow-breaks)\n")
         return EXIT_NUMERICAL
-    header = ("param_value", "root_index", "eps")
-    rows = [(v, i, e) for (v, i, e) in result.rows]
-    _emit(cfg, header, rows, stream)
+    _emit(cfg, ("param_value", "root_index", "eps"), result.rows, stream)
     return EXIT_OK
 
 
@@ -244,26 +243,19 @@ def cmd_table1(cfg, stream):
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-# verification defaults per family: (base kwargs, n_default, level tol, e_max)
-_SMOOTH_N = 4000
-_DELTA_N = 8000
+def _verify_rule(fam):
+    """(oracle grid points, level tolerance) for checking `fam`."""
+    if fam.tag == DELTA_DECORATED:
+        return 8000, 5e-3
+    return 4000, 2e-3
 
 
-def _verify_plan():
-    return [
-        ("HO", model.default_family(HO), _SMOOTH_N, 2e-3),
-        ("HO_STARK", model.default_family(model.HO_STARK), _SMOOTH_N, 2e-3),
-        ("HO_ASYM", model.default_family(model.HO_ASYM), _SMOOTH_N, 2e-3),
-        ("LINEAR_ABS", model.default_family(LINEAR_ABS), _SMOOTH_N, 2e-3),
-        ("LINEAR_ASYM", model.default_family(model.LINEAR_ASYM), _SMOOTH_N, 2e-3),
-        ("HALF_HO_HALF_LINEAR", model.default_family(model.HALF_HO_HALF_LINEAR),
-         _SMOOTH_N, 2e-3),
-        ("HO_PLUS_ABS", model.default_family(model.HO_PLUS_ABS), _SMOOTH_N, 2e-3),
-        ("DELTA_DECORATED(HO)", model.default_family(DELTA_DECORATED, base=HO),
-         _DELTA_N, 5e-3),
-        ("DELTA_DECORATED(LINEAR_ABS)",
-         model.default_family(DELTA_DECORATED, base=LINEAR_ABS), _DELTA_N, 5e-3),
-    ]
+def _default_families():
+    """The nine wells `verify` checks when no family is given."""
+    return ([model.default_family(tag) for tag in (
+        HO, model.HO_STARK, model.HO_ASYM, LINEAR_ABS, model.LINEAR_ASYM,
+        model.HALF_HO_HALF_LINEAR, model.HO_PLUS_ABS)]
+        + [model.default_family(DELTA_DECORATED, base=base) for base in (HO, LINEAR_ABS)])
 
 
 def _to_dimensionless_energy(fam, energy):
@@ -295,7 +287,7 @@ def oracle_levels(fam, k, n_points):
 def verify_family(fam, k=5, n_points=None):
     """(closed-form levels, oracle levels, max |diff|) for one family."""
     if n_points is None:
-        n_points = _DELTA_N if fam.tag == DELTA_DECORATED else _SMOOTH_N
+        n_points = _verify_rule(fam)[0]
     orc, res = oracle_levels(fam, k, n_points)
     closed = res.values()[:k]
     if len(closed) < k:
@@ -307,19 +299,16 @@ def verify_family(fam, k=5, n_points=None):
 
 
 def cmd_verify(cfg, stream):
-    plan = _verify_plan()
-    if cfg.family and cfg.family.get("tag") and cfg.family != {"tag": "HO"}:
-        fam = model.family_from_dict(cfg.family)
-        name = fam.tag if fam.base is None else f"{fam.tag}({fam.base})"
-        tol = 5e-3 if fam.tag == DELTA_DECORATED else 2e-3
-        n = cfg.n_oracle or (_DELTA_N if fam.tag == DELTA_DECORATED else _SMOOTH_N)
-        plan = [(name, fam, n, tol)]
+    families = (_default_families() if cfg.family is None
+                else [model.family_from_dict(cfg.family)])
     all_ok = True
-    for name, fam, n_def, tol in plan:
+    for fam in families:
+        n_def, tol = _verify_rule(fam)
         n = cfg.n_oracle or n_def
         closed, orc, worst = verify_family(fam, k=cfg.k_levels, n_points=n)
         ok = worst <= tol
         all_ok = all_ok and ok
+        name = fam.tag if fam.base is None else f"{fam.tag}({fam.base})"
         stream.write(f"{name}: max level error {_fmt(worst)} "
                      f"(tol {_fmt(tol)}, n={n}) {'ok' if ok else 'MISMATCH'}\n")
     return EXIT_OK if all_ok else EXIT_MISMATCH
@@ -338,26 +327,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_pair(text, name):
+def _parse_numbers(text, name, form, n_int=False):
+    """Colon-separated numbers in the given form (e.g. "lo:hi"); with
+    n_int the last one is an integer."""
     parts = text.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"{name} must be lo:hi, got {text!r}")
     try:
-        return (float(parts[0]), float(parts[1]))
+        if len(parts) != form.count(":") + 1:
+            raise ValueError
+        values = [float(v) for v in parts]
+        if n_int:
+            values[-1] = int(parts[-1])
     except ValueError:
-        raise UsageError(f"{name} must be numeric lo:hi, got {text!r}") from None
-
-
-def _parse_triple(text, name, n_int=False):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"{name} must be a:b:c, got {text!r}")
-    try:
-        a, b = float(parts[0]), float(parts[1])
-        c = int(parts[2]) if n_int else float(parts[2])
-    except ValueError:
-        raise UsageError(f"{name} must be numeric a:b:c, got {text!r}") from None
-    return (a, b, c)
+        raise UsageError(f"{name} must be numeric {form}, got {text!r}") from None
+    return tuple(values)
 
 
 def _parse_family(text):
@@ -391,11 +373,18 @@ def _apply_set(cfg_dict, assignment):
     target[parts[-1]] = value
 
 
+_FLAG_PARSERS = {
+    "family": _parse_family,
+    "window": lambda text: _parse_numbers(text, "--window", "lo:hi"),
+    "sweep_range": lambda text: _parse_numbers(text, "--range", "from:to:step"),
+    "grid": lambda text: _parse_numbers(text, "--grid", "xmin:xmax:n", n_int=True),
+}
+
+
 def build_config(argv):
     parser = _Parser(prog="greenwell",
                      description="Bound states and Green functions of 1-d confining wells")
-    parser.add_argument("command",
-                        choices=["levels", "sweep", "green-grid", "table1", "verify"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config field (dotted paths allowed)")
@@ -416,7 +405,7 @@ def build_config(argv):
                         help="print the resolved config as JSON and exit")
     ns = parser.parse_args(argv)
 
-    cfg_dict = {"command": ns.command}
+    cfg_dict = {}
     if ns.config:
         try:
             with open(ns.config, encoding="utf-8") as fh:
@@ -427,34 +416,13 @@ def build_config(argv):
             raise UsageError(f"config JSON invalid: {exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
-        loaded["command"] = ns.command
         cfg_dict = loaded
-    if ns.family:
-        cfg_dict["family"] = _parse_family(ns.family)
-    if ns.window:
-        cfg_dict["window"] = _parse_pair(ns.window, "--window")
-    if ns.step is not None:
-        cfg_dict["step"] = ns.step
-    if ns.param:
-        cfg_dict["param"] = ns.param
-    if ns.sweep_range:
-        cfg_dict["sweep_range"] = _parse_triple(ns.sweep_range, "--range")
-    if ns.grid:
-        cfg_dict["grid"] = _parse_triple(ns.grid, "--grid", n_int=True)
-    if ns.energy is not None:
-        cfg_dict["energy"] = ns.energy
-    if ns.xp is not None:
-        cfg_dict["xp"] = ns.xp
-    if ns.k_levels is not None:
-        cfg_dict["k_levels"] = ns.k_levels
-    if ns.n_oracle is not None:
-        cfg_dict["n_oracle"] = ns.n_oracle
-    if ns.out:
-        cfg_dict["out"] = ns.out
-    if ns.format:
-        cfg_dict["format"] = ns.format
-    if ns.allow_breaks is not None:
-        cfg_dict["allow_breaks"] = ns.allow_breaks
+    # every config field has a flag of the same dest; flags override the
+    # config file, --set overrides both
+    for f in fields(RunConfig):
+        value = getattr(ns, f.name)
+        if value not in (None, ""):
+            cfg_dict[f.name] = _FLAG_PARSERS[f.name](value) if f.name in _FLAG_PARSERS else value
     for assignment in ns.set:
         _apply_set(cfg_dict, assignment)
     return RunConfig.from_dict(cfg_dict), ns.dump_config
@@ -474,18 +442,11 @@ def main(argv=None, stream=None):
     stream = stream if stream is not None else sys.stdout
     try:
         cfg, dump = build_config(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except model.FamilyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if dump:
-        stream.write(json.dumps(cfg.to_dict(), indent=1, sort_keys=True) + "\n")
-        return EXIT_OK
-    try:
+        if dump:
+            stream.write(json.dumps(cfg.to_dict(), indent=1, sort_keys=True) + "\n")
+            return EXIT_OK
         return _COMMANDS[cfg.command](cfg, stream)
-    except (UsageError, model.FamilyError) as exc:
+    except (UsageError, model.FamilyError, spectrum.SweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (resolvent.NearPoleError, resolvent.OnResonanceError,

@@ -38,17 +38,16 @@ __all__ = [
     "CharacteristicFunction",
     "Root",
     "SpectrumResult",
+    "SweepError",
     "SweepResult",
     "chi_ho",
     "chi_ho_stark",
     "levels_ho_stark",
     "chi_asym_ho",
-    "chi_linear",
     "chi_linear_even",
     "chi_linear_odd",
     "chi_asym_linear",
     "chi_half_half",
-    "chi_ho_plus_abs",
     "chi_ho_plus_abs_even",
     "chi_ho_plus_abs_odd",
     "chi_delta_ho",
@@ -106,12 +105,6 @@ def chi_linear_even(rho: float) -> float:
 def chi_linear_odd(rho: float) -> float:
     """Odd states of the |x| well: zeros of Ai(-rho)."""
     return sf.airy_ai(-rho).value
-
-
-def chi_linear(rho: float) -> float:
-    """Product form, vanishing on the merged (alternating) spectrum."""
-    ai, aip, _, _ = sf.airy_all(-rho)
-    return ai.value * aip.value
 
 
 def chi_asym_linear(rho: float, beta: float) -> float:
@@ -174,12 +167,6 @@ def chi_ho_plus_abs_even(eps: float, dmap) -> float:
             - 2.0 * sf.pcf_d(sigma + 0.5, mu_phi).value)
 
 
-def chi_ho_plus_abs(eps: float, dmap) -> float:
-    """Product of the even and odd factors (simple zeros; the factors
-    never vanish together for mu phi > 0)."""
-    return chi_ho_plus_abs_odd(eps, dmap) * chi_ho_plus_abs_even(eps, dmap)
-
-
 def chi_delta_ho(eps: float, tau: float, p: float) -> float:
     """Delta-decorated oscillator condition G(q,q;E) = -1/a, pole-cleared:
 
@@ -238,19 +225,19 @@ class SpectrumResult:
 
 @dataclass(frozen=True)
 class CharacteristicFunction:
-    """A pole-free scan target.
+    """The pole-free scan targets of one family.
 
-    fn maps the dimensionless energy to a real value; factors, when
-    present, are (parity_label, callable) pairs scanned separately so
-    roots come back parity-labeled.  var names the energy variable
+    factors are (parity_label, callable) pairs, each mapping the
+    dimensionless energy to a real value and scanned separately, so
+    roots come back parity-labeled; a family with a single condition
+    has one factor with parity None.  var names the energy variable
     ('eps' or 'rho').  validator, when present, marks degenerate roots.
     """
 
     family: str
     var: str
-    fn: object
     window: tuple
-    factors: tuple = ()
+    factors: tuple
     validator: object = None
 
 
@@ -263,56 +250,45 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
     domain |t| <= 25 binds (large beta or xi).
     """
     tag = family.tag
+    d = dimensionless(family, 0.0)
     if tag == HO:
-        return CharacteristicFunction(tag, "eps", chi_ho, (1e-6, 12.0))
+        return CharacteristicFunction(tag, "eps", (1e-6, 12.0), ((None, chi_ho),))
     if tag == HO_STARK:
-        dmap = dimensionless(family, 0.0)
-        shift = (0.5 * dmap.mu * dmap.phi) ** 2
+        shift = (0.5 * d.mu * d.phi) ** 2
         return CharacteristicFunction(
-            tag, "eps", lambda e: chi_ho_stark(e, dmap), (-shift - 1.0, 12.0))
+            tag, "eps", (-shift - 1.0, 12.0), ((None, lambda e: chi_ho_stark(e, d)),))
     if tag == HO_ASYM:
-        dmap = dimensionless(family, 0.0)
-        lam = dmap.lam
         return CharacteristicFunction(
-            tag, "eps", lambda e: chi_asym_ho(e, lam), (1e-6, 12.0))
+            tag, "eps", (1e-6, 12.0), ((None, lambda e: chi_asym_ho(e, d.lam)),))
     if tag == LINEAR_ABS:
         return CharacteristicFunction(
-            tag, "rho", chi_linear, (1e-6, 12.0),
-            factors=(("even", chi_linear_even), ("odd", chi_linear_odd)))
+            tag, "rho", (1e-6, 12.0), (("even", chi_linear_even), ("odd", chi_linear_odd)))
     if tag == LINEAR_ASYM:
-        dmap = dimensionless(family, 0.0)
-        beta = dmap.beta
         # both rho and rho beta^2 must stay inside the Airy domain
-        top = min(12.0, 24.5 / max(1.0, beta * beta))
+        top = min(12.0, 24.5 / max(1.0, d.beta * d.beta))
         return CharacteristicFunction(
-            tag, "rho", lambda r: chi_asym_linear(r, beta), (1e-6, top),
-            validator=lambda r: _asym_linear_degenerate(r, beta))
+            tag, "rho", (1e-6, top), ((None, lambda r: chi_asym_linear(r, d.beta)),),
+            validator=lambda r: _asym_linear_degenerate(r, d.beta))
     if tag == HALF_HO_HALF_LINEAR:
-        dmap = dimensionless(family, 0.0)
-        xi = dmap.xi
-        scales = family.scales
-        top = min(12.0, 24.5 / (xi * xi))  # Airy argument is xi^2 eps
+        top = min(12.0, 24.5 / (d.xi * d.xi))  # Airy argument is xi^2 eps
         return CharacteristicFunction(
-            tag, "eps", lambda e: chi_half_half(e, xi, scales), (1e-6, top))
+            tag, "eps", (1e-6, top),
+            ((None, lambda e: chi_half_half(e, d.xi, family.scales)),))
     if tag == HO_PLUS_ABS:
-        dmap = dimensionless(family, 0.0)
+        # the factors never vanish together for mu phi > 0
         return CharacteristicFunction(
-            tag, "eps", lambda e: chi_ho_plus_abs(e, dmap), (1e-6, 12.0),
-            factors=(("even", lambda e: chi_ho_plus_abs_even(e, dmap)),
-                     ("odd", lambda e: chi_ho_plus_abs_odd(e, dmap))))
+            tag, "eps", (1e-6, 12.0),
+            (("even", lambda e: chi_ho_plus_abs_even(e, d)),
+             ("odd", lambda e: chi_ho_plus_abs_odd(e, d))))
     if tag == DELTA_DECORATED and family.base == HO:
-        dmap = dimensionless(family, 0.0)
-        tau, p = dmap.tau, dmap.p
         return CharacteristicFunction(
-            "DELTA_DECORATED(HO)", "eps",
-            lambda e: chi_delta_ho(e, tau, p), (-50.0, 12.0))
+            "DELTA_DECORATED(HO)", "eps", (-50.0, 12.0),
+            ((None, lambda e: chi_delta_ho(e, d.tau, d.p)),))
     if tag == DELTA_DECORATED and family.base == LINEAR_ABS:
-        dmap = dimensionless(family, 0.0)
-        eta = dmap.eta
-        zq = dmap.zeta * family.scales.delta_position
+        zq = d.zeta * family.scales.delta_position
         return CharacteristicFunction(
-            "DELTA_DECORATED(LINEAR_ABS)", "rho",
-            lambda r: chi_delta_linear(r, eta, zq), (-24.0, 12.0))
+            "DELTA_DECORATED(LINEAR_ABS)", "rho", (-24.0, 12.0),
+            ((None, lambda r: chi_delta_linear(r, d.eta, zq)),))
     raise ValueError(f"no characteristic function for family {tag!r}")
 
 
@@ -335,7 +311,7 @@ def _bisect(fn, lo, hi, f_lo, f_hi):
     return lo, hi, f_lo, f_hi
 
 
-def _scan_one(fn, window, step, parity=None):
+def _scan_one(fn, window, step, parity):
     lo, hi = window
     out = []
     x_prev = lo
@@ -361,7 +337,8 @@ def _scan_one(fn, window, step, parity=None):
 
 
 def find_roots(chi: CharacteristicFunction, window=None, step=0.005) -> SpectrumResult:
-    """All sign-change roots of `chi` in the window at scan resolution `step`.
+    """All sign-change roots of `chi`'s factors in the window at scan
+    resolution `step`, in increasing order.
 
     Brackets are refined by bisection to width <= 2.5e-13; the stored
     residual is |chi(root)| normalized by the detection-bracket scale.
@@ -373,12 +350,9 @@ def find_roots(chi: CharacteristicFunction, window=None, step=0.005) -> Spectrum
     win = tuple(window) if window is not None else chi.window
     if not (win[0] < win[1]):
         raise ValueError(f"empty window {win}")
-    if chi.factors:
-        raw = []
-        for parity, fn in chi.factors:
-            raw.extend(_scan_one(fn, win, step, parity))
-    else:
-        raw = _scan_one(chi.fn, win, step)
+    raw = []
+    for parity, fn in chi.factors:
+        raw.extend(_scan_one(fn, win, step, parity))
     raw.sort(key=lambda t: t[0])
     roots = []
     for i, (val, bracket, residual, parity) in enumerate(raw):
@@ -404,24 +378,40 @@ def flag_missing(result: SpectrumResult, reference_values, tol=1e-3):
 # parameter sweeps
 # ----------------------------------------------------------------------
 
-# sweep parameter -> (family tag, function(family, value) -> family)
+
+class SweepError(ValueError):
+    """A sweep parameter that does not fit the family, or a value outside
+    the parameter's domain."""
+
+
+def _positive(name, value):
+    if not value > 0.0:
+        raise SweepError(f"sweep values of {name!r} must be > 0, got {value}")
+
+
+# sweep parameter -> (family tag, base tag, function(family, value) -> family)
 
 
 def _sweep_lam(fam, lam):
+    _positive("lam", lam)
     return with_scales(fam, omega2=fam.scales.omega1 / lam)
 
 
 def _sweep_beta(fam, beta):
+    _positive("beta", beta)
     return with_scales(fam, alpha2=fam.scales.alpha1 / beta)
 
 
 def _sweep_xi(fam, xi):
+    _positive("xi", xi)
     s = fam.scales
     a1 = (2.0 * s.mass * s.hbar * s.omega1 ** 3) ** (1.0 / 6.0) / xi
     return with_scales(fam, alpha1=a1)
 
 
 def _sweep_muphi(fam, t):
+    if not t >= 0.0:
+        raise SweepError(f"sweep values of 'muphi' must be >= 0, got {t}")
     s = fam.scales
     mu = math.sqrt(2.0 * s.mass * s.omega1 / s.hbar)
     a1 = (t / mu * s.mass * s.omega1 ** 2) ** (1.0 / 3.0)
@@ -466,22 +456,25 @@ def sweep(family: PotentialFamily, param_name: str, values, window=None,
     (curves of these families do not cross); a change of the in-window
     root count is recorded in `breaks` and the curves re-indexed from
     the new count.  Rows come back ordered by (param_value, root_index)
-    regardless of internal evaluation order.
+    regardless of internal evaluation order.  Raises SweepError, before
+    any scan, when the parameter does not fit the family or a value lies
+    outside its domain.
     """
     try:
         tag_req, base_req, apply = SWEEP_PARAMS[param_name]
     except KeyError:
-        raise ValueError(f"unknown sweep parameter {param_name!r}") from None
+        raise SweepError(f"unknown sweep parameter {param_name!r}; "
+                         f"one of {sorted(SWEEP_PARAMS)}") from None
     if family.tag != tag_req or (base_req is not None and family.base != base_req):
-        raise ValueError(
+        raise SweepError(
             f"sweep parameter {param_name!r} applies to {tag_req}"
             + (f"({base_req})" if base_req else "") + f", not {family.tag}")
+    points = [(v, apply(family, v)) for v in values]
     rows = []
     breaks = []
     results = []
     prev_count = None
-    for v in values:
-        fam_v = apply(family, v)
+    for v, fam_v in points:
         chi = build_chi(fam_v)
         res = find_roots(chi, window=window, step=step)
         if prev_count is not None and len(res.roots) != prev_count:

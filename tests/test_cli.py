@@ -61,6 +61,33 @@ def test_family_json_inline():
     assert eps == [0.5, 1.5, 2.5]
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the CLI bytes, recorded before the config fields, the verify
+# rule and the root-finding scan were each stated once
+LEVELS_SHA256 = [
+    ("HO", "d4af82dd609d0282324f7111ddb79b95ccd6daf01a9ae4d0145ed4b21bc84bbc"),
+    ("HO_STARK", "4fe5e9abc652745af943f4615f6d6341fc8bf7e21ec83e4fa036ba9104d02f03"),
+    ("HO_ASYM", "5f1327a525344222d119a9fd9099782db5658ce327aecb105a6e0d6aa5e1c556"),
+    ("LINEAR_ABS", "1b7156306a3ec8354f447ccd51e4e38dcbf1374fbc3e73e349007c07b67098b9"),
+    ("LINEAR_ASYM", "809efc0d45c833ef4d1dc1aa961c206339da5f4cb1777af9fbc10ccf62402800"),
+    ("HALF_HO_HALF_LINEAR", "402202f7ca5eef6b573d95fb933ff8c1ea40e2859d14a1b23db110e570e42cb0"),
+    ("HO_PLUS_ABS", "3bc5ab28205b321ffecece15730dcb8383fe8b2b1c85586774c98f6a06a3b588"),
+    ("DELTA_DECORATED(HO)", "917b2ebb2550f000f721875a364751bab880fcc57493d73be6b6aa78bd195703"),
+    ("DELTA_DECORATED(LINEAR_ABS)",
+     "ae71bc76ca9b6db9c6097ceeb0673cced2a42caf7a0787f4006d9a95f42460d1"),
+]
+
+
+@pytest.mark.parametrize("family,sha", LEVELS_SHA256)
+def test_levels_bytes_pinned(family, sha):
+    code, out = run(["levels", "--family", family])
+    assert code == 0
+    assert _sha256(out) == sha
+
+
 # ----------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------
@@ -90,6 +117,13 @@ def test_sweep_break_exit_two_without_flag():
 def test_sweep_requires_param():
     code, _ = run(["sweep", "--family", "HO_ASYM", "--range", "0.5:1:0.5"])
     assert code == 1
+
+
+def test_sweep_bytes_pinned():
+    code, out = run(["sweep", "--family", "HO_PLUS_ABS", "--param", "muphi",
+                     "--range", "0.5:1.5:0.25", "--window", "0:5", "--allow-breaks"])
+    assert code == 0
+    assert _sha256(out) == "126209fea027f3d39b9e5105ed8d8818cde1c5aca883dff91153af475f77807f"
 
 
 # ----------------------------------------------------------------------
@@ -243,18 +277,43 @@ def test_table1_passes():
     assert code == 0
     assert "PASS" in out
     assert out.count("\n") == 12  # header + 10 rows + verdict
+    assert _sha256(out) == "157ac0f4a1205425f3c347873628ed13a18f9a2da570ac778ef46788e2c4d357"
 
 
 def test_verify_single_family_small_grid():
     code, out = run(["verify", "--family", "HO", "--n-oracle", "1000", "--k", "3"])
     assert code == 0
-    assert "HO: max level error" in out and "ok" in out
+    assert out.count("\n") == 1
+    assert out.startswith("HO: max level error") and "ok" in out
 
 
 def test_verify_delta_family_small_grid():
     code, out = run(["verify", "--family", "DELTA_DECORATED(HO)",
                      "--n-oracle", "2000", "--k", "3"])
     assert code == 0
+
+
+VERIFY_NAMES = ["HO", "HO_STARK", "HO_ASYM", "LINEAR_ABS", "LINEAR_ASYM",
+                "HALF_HO_HALF_LINEAR", "HO_PLUS_ABS", "DELTA_DECORATED(HO)",
+                "DELTA_DECORATED(LINEAR_ABS)"]
+
+
+def test_verify_dump_config_omits_family_only_without_family():
+    code, out = run(["verify", "--dump-config"])
+    assert code == 0
+    assert json.loads(out) == {"allow_breaks": False, "command": "verify", "energy": 2.0,
+                               "format": "csv", "grid": [-3.0, 3.0, 61], "k_levels": 5,
+                               "n_oracle": 0, "step": 0.005}
+    code, out = run(["verify", "--family", "HO", "--dump-config"])
+    assert code == 0
+    assert json.loads(out)["family"] == {"tag": "HO"}
+
+
+def test_verify_without_family_checks_every_family():
+    code, out = run(["verify"])
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == VERIFY_NAMES
+    assert _sha256(out) == "492e5e2b5dca72590a2c13f196fe58e2b3dfe6c24096f7b32b55f1d54c584476"
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +337,48 @@ def test_dump_config_round_trip(tmp_path):
     _, direct = run(args[:-1])
     _, via_config = run(["levels", "--config", str(cfg_path)])
     assert direct == via_config
+
+
+# --dump-config bytes for every flag, --config and --set; "CFG" stands for
+# a config file written by the test
+DUMP_CONFIG_SHA256 = [
+    (["levels"], "6badfb52df1a77bb608837f8c24566d691ee484a79febe5f25c7ab0b719aa683"),
+    (["levels", "--family", "LINEAR_ABS", "--window=-1:5", "--step", "0.01",
+      "--format", "json", "--out", "rows.json"],
+     "e295886451ffe238e5df50d938b285233c12ffaee3b08702a8fe724758f3fd0d"),
+    (["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "0.2:3:0.05",
+      "--allow-breaks"],
+     "81933f54adf2a9cf4803fb03cf9a94e84f62104cbe00c041be35c76af855eb65"),
+    (["green-grid", "--family", "DELTA_DECORATED(HO)", "--energy", "2.3",
+      "--grid=-4:4:81", "--xp", "0.3"],
+     "5924cf18ee2a89346a092dc327f6365caa84a2f3d4978d7fa1dac242c85b4226"),
+    (["verify", "--family", "HO", "--k", "3", "--n-oracle", "1000"],
+     "e51ecf4170872bbb0c145e19bb2b73508ce2e88e3c003fe43d8a87516fa09d48"),
+    (["verify", "--family", "DELTA_DECORATED(LINEAR_ABS)"],
+     "993bc121910fbc4c3d0f66876030370f5e1711f6b5f24cd9d4b24409398cd8d8"),
+    (["table1"], "f6ad54c642a2d071dab374eb403a084adf577aef49de6cfd1f4153a83171f591"),
+    (["levels", "--config", "CFG"],
+     "b652f8a66d7e5df924c94fbe5b77c4c907fc0d945af7d02c2fe69a730908f68a"),
+    (["levels", "--config", "CFG", "--family", "HO_STARK",
+      "--set", "family.scales.alpha1=0.5", "--set", "k_levels=4"],
+     "a8ae35b6fdee8b0c9fd1989c561addcfd94396c424b590389ce03123bec45cec"),
+    (["green-grid", "--family", '{"tag": "HO_ASYM", "scales": {"omega2": 2}}',
+      "--set", "grid=[-1, 1, 5]", "--set", "energy=3"],
+     "146d017e79d547fbf0832c534d3f803f3d125fbdf9f25b7c3883307df9437c67"),
+]
+
+
+@pytest.mark.parametrize("argv,sha", DUMP_CONFIG_SHA256,
+                         ids=[" ".join(argv)[:40] for argv, _ in DUMP_CONFIG_SHA256])
+def test_dump_config_bytes_pinned(tmp_path, argv, sha):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "command": "sweep", "family": {"tag": "HO", "scales": {"omega1": 2.0}},
+        "window": [0, 5], "step": 0.01, "format": "json"}))
+    argv = [str(cfg_path) if a == "CFG" else a for a in argv]
+    code, out = run(argv + ["--dump-config"])
+    assert code == 0
+    assert _sha256(out) == sha
 
 
 def test_set_overrides():
@@ -315,6 +416,40 @@ def test_json_format():
     assert code == 0
     rows = json.loads(out)
     assert [float(r["eps"]) for r in rows] == [0.5, 1.5]
+
+
+def test_null_means_the_field_default():
+    code, out = run(["levels", "--set", "step=null", "--set", "grid=null",
+                     "--set", "family=null", "--dump-config"])
+    assert code == 0
+    assert out == run(["levels", "--dump-config"])[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["levels", "--set", "k_levels=x"],
+    ["levels", "--set", "k_levels=true"],
+    ["levels", "--set", "step=[1]"],
+    ["levels", "--set", "allow_breaks=1"],
+    ["levels", "--set", "window=[0]"],
+    ["levels", "--set", 'grid=[0, 1, "a"]'],
+    ["levels", "--set", "command=null"],
+    ["levels", "--set", "windw=[0,3]"],
+    ["verify", "--family", "HO", "--n-oracle", "99"],
+    ["verify", "--family", "HO", "--n-oracle", "-1"],
+    ["sweep", "--family", "HO", "--param", "lam", "--range", "0.5:1:0.5"],
+    ["sweep", "--family", "HO_ASYM", "--param", "nope", "--range", "0.5:1:0.5"],
+    ["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "0:0.1:0.05"],
+    ["sweep", "--family", "LINEAR_ASYM", "--param", "beta", "--range=-1:1:0.5"],
+    ["sweep", "--family", "HALF_HO_HALF_LINEAR", "--param", "xi", "--range", "0:1:0.5"],
+    ["sweep", "--family", "HO_PLUS_ABS", "--param", "muphi", "--range=-1:0:0.5"],
+    ["green-grid", "--family", "HO", "--energy", "2.3", "--grid=0:1:3", "--xp", "nan"],
+], ids=lambda argv: " ".join(argv))
+def test_config_and_usage_errors_exit_one(capsys, argv):
+    code, out = run(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_usage_error_paths():

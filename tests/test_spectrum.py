@@ -388,17 +388,19 @@ def test_chi_pole_free_dense_sampling(fam):
     chi = sp.build_chi(fam)
     lo, hi = chi.window
     n = 10000
-    prev = None
-    for i in range(n + 1):
-        x = lo + (hi - lo) * i / n
-        v = chi.fn(x)
-        assert math.isfinite(v), (fam.tag, x)
-        # heuristic continuity: values above 1e6 may not jump by 10x
-        # between adjacent samples
-        if prev is not None and abs(v) > 1e6 and abs(prev) > 1e6:
-            ratio = abs(v) / abs(prev)
-            assert 0.1 < ratio < 10.0, (fam.tag, x)
-        prev = v
+    # every scan target find_roots reads, one parity factor at a time
+    for parity, fn in chi.factors:
+        prev = None
+        for i in range(n + 1):
+            x = lo + (hi - lo) * i / n
+            v = fn(x)
+            assert math.isfinite(v), (fam.tag, parity, x)
+            # heuristic continuity: values above 1e6 may not jump by 10x
+            # between adjacent samples
+            if prev is not None and abs(v) > 1e6 and abs(prev) > 1e6:
+                ratio = abs(v) / abs(prev)
+                assert 0.1 < ratio < 10.0, (fam.tag, parity, x)
+            prev = v
 
 
 def test_flag_missing_reports_reference_gaps():
