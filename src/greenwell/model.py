@@ -34,7 +34,6 @@ __all__ = [
     "DELTA_DECORATED",
     "FAMILY_TAGS",
     "QUADRATIC_TAGS",
-    "LINEAR_TAGS",
     "PhysicalScales",
     "PotentialFamily",
     "DimensionlessMap",
@@ -62,8 +61,6 @@ FAMILY_TAGS = frozenset({
 })
 # families whose natural energy variable is eps = E/(hbar w1)
 QUADRATIC_TAGS = frozenset({HO, HO_STARK, HO_ASYM, HALF_HO_HALF_LINEAR, HO_PLUS_ABS})
-# families whose natural energy variable is rho = (E/a1^2)(2m/hbar^2)^(1/3)
-LINEAR_TAGS = frozenset({LINEAR_ABS, LINEAR_ASYM})
 
 # per-family required scale fields (beyond hbar, mass)
 _REQUIRED = {

@@ -15,6 +15,7 @@ Richardson check in the test-suite guards the systematic error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import DELTA_DECORATED, PotentialFamily, potential_value
@@ -126,14 +127,9 @@ def eigenvalue_count_below(op: TridiagonalOperator, x: float) -> int:
     """Number of eigenvalues of `op` strictly below x (Sturm sign count)."""
     offsq = op.off * op.off
     count = 0
-    d = 1.0
-    first = True
+    d = math.inf  # offsq / d is 0 on the first row
     for a in op.diag:
-        if first:
-            d = a - x
-            first = False
-        else:
-            d = (a - x) - offsq / d
+        d = (a - x) - offsq / d
         if d == 0.0:
             d = -1e-300
         if d < 0.0:

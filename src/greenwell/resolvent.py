@@ -21,18 +21,22 @@ slow for tight cross-checks, so `tail=True` completes the sum with a
 quadrature of the Mehler-kernel generating function minus the summed
 polynomial part; the completed value is accurate to ~1e-10.
 
-Each closed form is G = u(x>) v(x<) / W(E): decaying solutions u, v at
-one energy times constants of that energy alone.  One solution object
-per kind (HO Weber, |x| Airy, HO+|x| Weber) does the energy-only work
-(Gamma prefactor, Airy values at -rho, the HO+|x| denominator and
-matching coefficients) once, and is a dict from (scaled) abscissa to
-solution values.  Between open_solution_memo() and
-release_solution_memo() (one green-grid request) the objects are kept
-in a memo keyed by kind and energy arguments, (energy, scales) or rho,
-so each solution is evaluated once per abscissa.  Outside that scope
-every call builds its objects afresh.  The memo is process-global and
-not thread-safe.  Values are bit-identical either way, and the pole and
-resonance checks run on every call.
+One kernel builds every closed form, G = num u(x>) v(x<) / den: u and
+v decay at +inf and -inf, num and den depend on the energy alone, and
+den carries the Wronskian, whose zeros are the bound states.  A
+solution object per kind (HO Weber, |x| Airy, HO+|x| Weber) supplies
+them.  It does the energy-only work (Gamma prefactor, Airy values at
+-rho, the HO+|x| denominator and matching coefficients) and its pole
+check once, when it is built, and is a dict from (scaled) abscissa to
+solution values.  green(x, x', E, family) dispatches by family.
+
+Between open_solution_memo() and release_solution_memo() (one
+green-grid request) these objects are kept in a memo keyed by (kind,
+energy, scales), so each solution is evaluated once per abscissa.  A
+build that fails its pole check is never stored, so every call at a
+pole raises.  Outside that scope every call builds its objects afresh.
+The memo is process-global and not thread-safe; values are
+bit-identical either way.
 """
 
 from __future__ import annotations
@@ -41,12 +45,14 @@ import math
 from dataclasses import dataclass
 
 from . import specfun as sf
-from .model import HO, LINEAR_ABS, PhysicalScales
+from .model import DELTA_DECORATED, HO, HO_PLUS_ABS, HO_STARK, LINEAR_ABS
+from .model import FamilyError, PhysicalScales
 
 __all__ = [
     "GreenEval",
     "NearPoleError",
     "OnResonanceError",
+    "green",
     "green_ho",
     "green_ho_series",
     "green_ho_stark",
@@ -55,7 +61,6 @@ __all__ = [
     "green_decorated",
     "to_tilde",
     "linear_solution_pair",
-    "hoabs_solution_pair",
     "open_solution_memo",
     "release_solution_memo",
 ]
@@ -69,8 +74,6 @@ _RESONANCE_RADIUS = 1e-12
 class GreenEval:
     value: float
     convention: str  # "G" or "G_TILDE"
-    x_lt: float
-    x_gt: float
 
 
 class NearPoleError(ArithmeticError):
@@ -90,11 +93,10 @@ def to_tilde(g: GreenEval, scales: PhysicalScales) -> GreenEval:
     """Convert a G-convention evaluation to G~ = -(hbar^2/2m) G."""
     if g.convention != "G":
         return g
-    return GreenEval(-(scales.hbar ** 2 / (2.0 * scales.mass)) * g.value,
-                     "G_TILDE", g.x_lt, g.x_gt)
+    return GreenEval(-(scales.hbar ** 2 / (2.0 * scales.mass)) * g.value, "G_TILDE")
 
 
-_memo = None  # {(kind, *args): solution object} between open and release
+_memo = None  # {(kind, energy, scales): solution object} between open and release
 
 
 def open_solution_memo():
@@ -109,22 +111,29 @@ def release_solution_memo():
     _memo = None
 
 
-def _solutions(kind, *args):
-    """The `kind` solution object for `args`, from the memo when one is held."""
+def _green(kind, x, xp, energy, scales) -> GreenEval:
+    """G = num u(x>) v(x<) / den from the `kind` solutions at this energy,
+    taken from the memo when one is held (a failed build is not stored)."""
     if _memo is None:
-        return kind(*args)
-    key = (kind, *args)
-    sol = _memo.get(key)
-    if sol is None:
-        sol = _memo[key] = kind(*args)
-    return sol
+        sol = kind(energy, scales)
+    else:
+        key = (kind, energy, scales)
+        sol = _memo.get(key)
+        if sol is None:
+            sol = _memo[key] = kind(energy, scales)
+    lo, hi = (x, xp) if x <= xp else (xp, x)
+    # group the solution product first: IEEE multiplication commutes, so
+    # the parity map (x, x') -> (-x', -x), which swaps the two factors,
+    # reproduces the value bit-exactly
+    return GreenEval(sol.num * (sol.u(hi) * sol.v(lo)) / sol.den, "G")
 
 
-def _check_ho_pole(eps, radius=_HO_POLE_RADIUS):
-    k = round(eps - 0.5)
-    if k >= 0 and abs(eps - (k + 0.5)) < radius:
-        raise NearPoleError(
-            f"eps = {eps} within {radius:g} of bound state n = {k}", index=int(k))
+def _check_pole(odd, even, what):
+    """NearPoleError when odd * even, the factored Wronskian, is within
+    the exclusion radius; the smaller factor names the parity."""
+    if abs(odd * even) < _LINEAR_POLE_RADIUS:
+        parity = "odd" if abs(odd) < abs(even) else "even"
+        raise NearPoleError(f"{what} ({parity} state)", parity=parity)
 
 
 # ----------------------------------------------------------------------
@@ -135,29 +144,34 @@ def _check_ho_pole(eps, radius=_HO_POLE_RADIUS):
 class _HoSolutions(dict):
     """D_{eps-1/2}(z) at one energy, by argument z: u(x) = D(mu x), v(x) = D(-mu x)."""
 
+    den = 1.0
+
     def __init__(self, energy, scales):
         s = scales
         w = s.omega1
         eps = energy / (s.hbar * w)
+        k = round(eps - 0.5)
+        if k >= 0 and abs(eps - (k + 0.5)) < _HO_POLE_RADIUS:
+            raise NearPoleError(
+                f"eps = {eps} within {_HO_POLE_RADIUS:g} of bound state n = {k}", index=k)
         self.mu = math.sqrt(2.0 * s.mass * w / s.hbar)
         self.nu = eps - 0.5
-        self.pref = math.sqrt(s.mass / (math.pi * w * s.hbar ** 3)) / sf.rgamma(0.5 - eps)
+        self.num = math.sqrt(s.mass / (math.pi * w * s.hbar ** 3)) / sf.rgamma(0.5 - eps)
 
     def __missing__(self, z):
         d = self[z] = sf.pcf_d(self.nu, z).value
         return d
 
+    def u(self, x):
+        return self[self.mu * x]
+
+    def v(self, x):
+        return self[-self.mu * x]
+
 
 def green_ho(x: float, xp: float, energy: float, scales: PhysicalScales) -> GreenEval:
     """G_ho = sqrt(m/(pi w hbar^3)) Gamma(1/2 - eps) D_{eps-1/2}(mu x>) D_{eps-1/2}(-mu x<)."""
-    _check_ho_pole(energy / (scales.hbar * scales.omega1))
-    d = _solutions(_HoSolutions, energy, scales)
-    lo, hi = (x, xp) if x <= xp else (xp, x)
-    # group the D product first: IEEE multiplication commutes, so the
-    # parity map (x, x') -> (-x', -x), which swaps the two factors,
-    # reproduces the value bit-exactly
-    dprod = d[d.mu * hi] * d[-d.mu * lo]
-    return GreenEval(d.pref * dprod, "G", lo, hi)
+    return _green(_HoSolutions, x, xp, energy, scales)
 
 
 def _series_terms(y, yp, n_terms):
@@ -280,7 +294,7 @@ def green_ho_series(x, xp, energy, scales, n_terms=500, tail=False) -> GreenEval
         acc += _series_tail(y, yp, eps, a_terms)
     pref = math.sqrt(s.mass / (w * s.hbar ** 3)) / math.sqrt(math.pi)
     val = pref * math.exp(-0.5 * (y * y + yp * yp)) * acc
-    return GreenEval(val, "G", lo, hi)
+    return GreenEval(val, "G")
 
 
 def green_ho_stark(x, xp, energy, scales) -> GreenEval:
@@ -290,9 +304,7 @@ def green_ho_stark(x, xp, energy, scales) -> GreenEval:
     mu = math.sqrt(2.0 * s.mass * w / s.hbar)
     phi = s.alpha1 ** 3 / (s.mass * w * w)
     shift = s.hbar * w * (0.5 * mu * phi) ** 2
-    inner = green_ho(x + phi, xp + phi, energy + shift, scales)
-    lo, hi = (x, xp) if x <= xp else (xp, x)
-    return GreenEval(inner.value, "G", lo, hi)
+    return green_ho(x + phi, xp + phi, energy + shift, scales)
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +312,7 @@ def green_ho_stark(x, xp, energy, scales) -> GreenEval:
 # ----------------------------------------------------------------------
 
 
-class _LinearSolutions(dict):
+class _AirySolutions(dict):
     """(u, u', v, v') of w'' = (|t| - rho) w at one rho, by t."""
 
     def __init__(self, rho):
@@ -333,15 +345,27 @@ def linear_solution_pair(t, rho):
     t < 0 it is continued as alpha Ai(-t - rho) + beta Bi(-t - rho)
     with the matching coefficients fixed at t = 0.
     """
-    return _LinearSolutions(rho)[t]
+    return _AirySolutions(rho)[t]
 
 
-def _check_linear_pole(a0, ap0, radius=_LINEAR_POLE_RADIUS):
-    if abs(a0 * ap0) < radius:
-        parity = "odd" if abs(a0) < abs(ap0) else "even"
-        raise NearPoleError(
-            f"rho within the exclusion radius of an Airy-zero pole ({parity} state)",
-            parity=parity)
+class _LinearSolutions(_AirySolutions):
+    """The |x| well at one energy: the Airy pair at t = zeta x, with
+    G = -(2m/hbar^2) G~,  G~ = -u(x>) v(x<) / W,  W = -2 zeta Ai(-rho) Ai'(-rho)."""
+
+    def __init__(self, energy, scales):
+        s = scales
+        k = (2.0 * s.mass / s.hbar ** 2) ** (1.0 / 3.0)
+        super().__init__(energy / s.alpha1 ** 2 * k)
+        _check_pole(self.a0, self.ap0, "rho within the exclusion radius of an Airy-zero pole")
+        self.zeta = s.alpha1 * k
+        self.num = -(2.0 * s.mass / s.hbar ** 2)
+        self.den = 2.0 * self.zeta * self.a0 * self.ap0
+
+    def u(self, x):
+        return self[self.zeta * x][0]
+
+    def v(self, x):
+        return self[self.zeta * x][2]
 
 
 def green_linear(x, xp, energy, scales) -> GreenEval:
@@ -353,19 +377,7 @@ def green_linear(x, xp, energy, scales) -> GreenEval:
     when x and x' straddle the origin; same-side pairs use the properly
     continued left/right-decaying solutions.
     """
-    s = scales
-    k = (2.0 * s.mass / s.hbar ** 2) ** (1.0 / 3.0)
-    rho = energy / s.alpha1 ** 2 * k
-    zeta = s.alpha1 * k
-    sol = _solutions(_LinearSolutions, rho)
-    _check_linear_pole(sol.a0, sol.ap0)
-    lo, hi = (x, xp) if x <= xp else (xp, x)
-    u_hi = sol[zeta * hi][0]
-    v_lo = sol[zeta * lo][2]
-    # G = -(2m/hbar^2) G~,  G~ = -u(x>) v(x<) / W,  W = -2 zeta Ai Ai';
-    # the grouped product keeps the parity swap bit-exact
-    val = -(2.0 * s.mass / s.hbar ** 2) * (u_hi * v_lo) / (2.0 * zeta * sol.a0 * sol.ap0)
-    return GreenEval(val, "G", lo, hi)
+    return _green(_LinearSolutions, x, xp, energy, scales)
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +391,8 @@ class _HoAbsSolutions(dict):
     psi1 decays at +inf: D_{sigma-1/2}(mu x + mu phi) for x >= 0.  For
     x < 0 the potential branch is the parabola centered at x = +phi, so
     psi1 is continued there in the always-independent even/odd Weber
-    basis of z = mu (x - phi), as A E(z) + B O(z).
+    basis of z = mu (x - phi), as A E(z) + B O(z).  By parity
+    u = psi1 and v(x) = psi1(-x).
     """
 
     def __init__(self, energy, scales):
@@ -394,7 +407,10 @@ class _HoAbsSolutions(dict):
         d0 = sf.pcf_d(nu, mu_phi).value
         d1 = sf.pcf_d(nu + 1.0, mu_phi).value
         # the denominator d0 * even vanishes on the odd (d0) and even states
-        self.d0, self.even = d0, mu_phi * d0 - 2.0 * d1
+        even = mu_phi * d0 - 2.0 * d1
+        _check_pole(d0, even, "energy within the exclusion radius of a pole")
+        self.num = -(2.0 * s.mass / (mu * s.hbar ** 2))
+        self.den = d0 * even
         # match A E + B O to (value, derivative/mu) of psi1 at x = 0,
         # where D'(z) = (z/2) D(z) - D_{nu+1}(z)
         dp0 = 0.5 * mu_phi * d0 - d1
@@ -416,17 +432,11 @@ class _HoAbsSolutions(dict):
         psi = self[t] = (A * ev + B * ov, mu * (A * evp + B * ovp))
         return psi
 
+    def u(self, x):
+        return self[x][0]
 
-def hoabs_solution_pair(x, energy, scales):
-    """(psi1, psi1', psi2, psi2') for V = m w^2 x^2/2 + alpha^3 |x|.
-
-    psi1 decays at +inf (see _HoAbsSolutions); psi2(x) = psi1(-x) by
-    parity.
-    """
-    psi = _HoAbsSolutions(energy, scales)
-    v1, v1p = psi[x]
-    v2, v2p = psi[-x]
-    return v1, v1p, v2, -v2p
+    def v(self, x):
+        return self[-x][0]
 
 
 def green_ho_plus_abs(x, xp, energy, scales) -> GreenEval:
@@ -439,32 +449,17 @@ def green_ho_plus_abs(x, xp, energy, scales) -> GreenEval:
     pairs use the continued solutions.  Overall sign fixed by the
     defining equation (H - E) G = delta.
     """
-    s = scales
-    psi = _solutions(_HoAbsSolutions, energy, scales)
-    den = psi.d0 * psi.even
-    if abs(den) < _LINEAR_POLE_RADIUS:
-        parity = "odd" if abs(psi.d0) < abs(psi.even) else "even"
-        raise NearPoleError("energy within the exclusion radius of a pole "
-                            f"({parity} state)", parity=parity)
-    lo, hi = (x, xp) if x <= xp else (xp, x)
-    p1 = psi[hi][0]
-    p2 = psi[-lo][0]  # psi2(x<) = psi1(-x<)
-    val = -(2.0 * s.mass / (psi.mu * s.hbar ** 2)) * (p1 * p2) / den
-    return GreenEval(val, "G", lo, hi)
+    return _green(_HoAbsSolutions, x, xp, energy, scales)
+
+
+# the closed forms by family tag, (x, x', E, scales) -> GreenEval
+_BASE_GREEN = {HO: green_ho, HO_STARK: green_ho_stark, LINEAR_ABS: green_linear,
+               HO_PLUS_ABS: green_ho_plus_abs}
 
 
 # ----------------------------------------------------------------------
 # Dirac-delta decoration
 # ----------------------------------------------------------------------
-
-_BASE_GREEN = {}
-
-
-def _base_green(tag):
-    try:
-        return _BASE_GREEN[tag]
-    except KeyError:
-        raise ValueError(f"green_decorated base must be HO or LINEAR_ABS, got {tag!r}") from None
 
 
 def green_decorated(x, xp, energy, base_family, scales) -> GreenEval:
@@ -475,7 +470,9 @@ def green_decorated(x, xp, energy, base_family, scales) -> GreenEval:
     whose denominator vanishes exactly on the decorated bound states
     G0(q,q) = -1/a.
     """
-    g0 = _base_green(base_family)
+    if base_family not in (HO, LINEAR_ABS):
+        raise ValueError(f"green_decorated base must be HO or LINEAR_ABS, got {base_family!r}")
+    g0 = _BASE_GREEN[base_family]
     a = scales.delta_strength
     q = scales.delta_position
     if a is None or q is None:
@@ -488,8 +485,18 @@ def green_decorated(x, xp, energy, base_family, scales) -> GreenEval:
     lo, hi = (x, xp) if x <= xp else (xp, x)
     base = g0(lo, hi, energy, scales).value
     val = base - a * g0(lo, q, energy, scales).value * g0(q, hi, energy, scales).value / den
-    return GreenEval(val, "G", lo, hi)
+    return GreenEval(val, "G")
 
 
-_BASE_GREEN[HO] = green_ho
-_BASE_GREEN[LINEAR_ABS] = green_linear
+def green(x, xp, energy, family) -> GreenEval:
+    """G(x, x'; E) of a model.PotentialFamily by its closed form.
+
+    Raises model.FamilyError for a family without one (HO_ASYM,
+    LINEAR_ASYM, HALF_HO_HALF_LINEAR).
+    """
+    if family.tag == DELTA_DECORATED:
+        return green_decorated(x, xp, energy, family.base, family.scales)
+    closed_form = _BASE_GREEN.get(family.tag)
+    if closed_form is None:
+        raise FamilyError(f"no closed-form Green function for family {family.tag!r}")
+    return closed_form(x, xp, energy, family.scales)

@@ -41,7 +41,6 @@ __all__ = [
     "SweepError",
     "SweepResult",
     "chi_ho",
-    "chi_ho_stark",
     "levels_ho_stark",
     "chi_asym_ho",
     "chi_linear_even",
@@ -70,12 +69,6 @@ _BRACKET_WIDTH = 2.5e-13
 def chi_ho(eps: float) -> float:
     """Zero exactly at eps = n + 1/2 (reciprocal-Gamma form)."""
     return sf.rgamma(0.5 - eps)
-
-
-def chi_ho_stark(eps: float, dmap) -> float:
-    """Shifted-oscillator condition: zero at eps = n + 1/2 - (mu phi/2)^2."""
-    shift = (0.5 * dmap.mu * dmap.phi) ** 2
-    return sf.rgamma(0.5 - (eps + shift))
 
 
 def levels_ho_stark(n: int, dmap) -> float:
@@ -230,12 +223,10 @@ class CharacteristicFunction:
     factors are (parity_label, callable) pairs, each mapping the
     dimensionless energy to a real value and scanned separately, so
     roots come back parity-labeled; a family with a single condition
-    has one factor with parity None.  var names the energy variable
-    ('eps' or 'rho').  validator, when present, marks degenerate roots.
+    has one factor with parity None.  validator, when present, marks
+    degenerate roots.
     """
 
-    family: str
-    var: str
     window: tuple
     factors: tuple
     validator: object = None
@@ -252,43 +243,41 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
     tag = family.tag
     d = dimensionless(family, 0.0)
     if tag == HO:
-        return CharacteristicFunction(tag, "eps", (1e-6, 12.0), ((None, chi_ho),))
+        return CharacteristicFunction((1e-6, 12.0), ((None, chi_ho),))
     if tag == HO_STARK:
+        # the shifted oscillator: zero at eps = n + 1/2 - (mu phi/2)^2
         shift = (0.5 * d.mu * d.phi) ** 2
         return CharacteristicFunction(
-            tag, "eps", (-shift - 1.0, 12.0), ((None, lambda e: chi_ho_stark(e, d)),))
+            (-shift - 1.0, 12.0), ((None, lambda e: chi_ho(e + shift)),))
     if tag == HO_ASYM:
         return CharacteristicFunction(
-            tag, "eps", (1e-6, 12.0), ((None, lambda e: chi_asym_ho(e, d.lam)),))
+            (1e-6, 12.0), ((None, lambda e: chi_asym_ho(e, d.lam)),))
     if tag == LINEAR_ABS:
         return CharacteristicFunction(
-            tag, "rho", (1e-6, 12.0), (("even", chi_linear_even), ("odd", chi_linear_odd)))
+            (1e-6, 12.0), (("even", chi_linear_even), ("odd", chi_linear_odd)))
     if tag == LINEAR_ASYM:
         # both rho and rho beta^2 must stay inside the Airy domain
         top = min(12.0, 24.5 / max(1.0, d.beta * d.beta))
         return CharacteristicFunction(
-            tag, "rho", (1e-6, top), ((None, lambda r: chi_asym_linear(r, d.beta)),),
+            (1e-6, top), ((None, lambda r: chi_asym_linear(r, d.beta)),),
             validator=lambda r: _asym_linear_degenerate(r, d.beta))
     if tag == HALF_HO_HALF_LINEAR:
         top = min(12.0, 24.5 / (d.xi * d.xi))  # Airy argument is xi^2 eps
         return CharacteristicFunction(
-            tag, "eps", (1e-6, top),
-            ((None, lambda e: chi_half_half(e, d.xi, family.scales)),))
+            (1e-6, top), ((None, lambda e: chi_half_half(e, d.xi, family.scales)),))
     if tag == HO_PLUS_ABS:
         # the factors never vanish together for mu phi > 0
         return CharacteristicFunction(
-            tag, "eps", (1e-6, 12.0),
+            (1e-6, 12.0),
             (("even", lambda e: chi_ho_plus_abs_even(e, d)),
              ("odd", lambda e: chi_ho_plus_abs_odd(e, d))))
     if tag == DELTA_DECORATED and family.base == HO:
         return CharacteristicFunction(
-            "DELTA_DECORATED(HO)", "eps", (-50.0, 12.0),
-            ((None, lambda e: chi_delta_ho(e, d.tau, d.p)),))
+            (-50.0, 12.0), ((None, lambda e: chi_delta_ho(e, d.tau, d.p)),))
     if tag == DELTA_DECORATED and family.base == LINEAR_ABS:
         zq = d.zeta * family.scales.delta_position
         return CharacteristicFunction(
-            "DELTA_DECORATED(LINEAR_ABS)", "rho", (-24.0, 12.0),
-            ((None, lambda r: chi_delta_linear(r, d.eta, zq)),))
+            (-24.0, 12.0), ((None, lambda r: chi_delta_linear(r, d.eta, zq)),))
     raise ValueError(f"no characteristic function for family {tag!r}")
 
 

@@ -443,6 +443,14 @@ def test_null_means_the_field_default():
     ["sweep", "--family", "HALF_HO_HALF_LINEAR", "--param", "xi", "--range", "0:1:0.5"],
     ["sweep", "--family", "HO_PLUS_ABS", "--param", "muphi", "--range=-1:0:0.5"],
     ["green-grid", "--family", "HO", "--energy", "2.3", "--grid=0:1:3", "--xp", "nan"],
+    # values outside a documented special-function domain
+    ["levels", "--family", "LINEAR_ABS", "--window", "0:30"],
+    ["levels", "--family", "DELTA_DECORATED(HO)", "--window=-60:0"],
+    ["green-grid", "--family", "HO", "--energy", "2.3", "--grid=0:20:3", "--xp", "0"],
+    # families without a closed-form Green function
+    ["green-grid", "--family", "HO_ASYM", "--grid=-1:1:3"],
+    ["green-grid", "--family", "LINEAR_ASYM", "--grid=-1:1:3"],
+    ["green-grid", "--family", "HALF_HO_HALF_LINEAR", "--grid=-1:1:3"],
 ], ids=lambda argv: " ".join(argv))
 def test_config_and_usage_errors_exit_one(capsys, argv):
     code, out = run(argv)

@@ -136,6 +136,32 @@ def test_linear_near_pole_reports_parity():
     assert exc.value.parity == "even"
 
 
+@pytest.mark.parametrize("green,fam,pole,regular,attr,expected", [
+    (rv.green_ho, HO_FAM, 2.5, 2.3, "index", 2),
+    (rv.green_linear, LIN_FAM, 1.018792971647471, 1.7, "parity", "even"),   # Ai'(-rho) = 0
+    (rv.green_ho_plus_abs, HOABS_FAM, 2.537195530803947, 2.3, "parity", "odd"),
+], ids=["HO", "LINEAR_ABS", "HO_PLUS_ABS"])
+def test_pole_raises_on_every_call_inside_a_memo_scope(green, fam, pole, regular, attr, expected):
+    # the pole check runs when a solution object is built, and a failed
+    # build is never memoized, so no later call can return a value
+    cold = green(0.3, -0.8, regular, fam.scales).value.hex()
+    rv.open_solution_memo()
+    try:
+        for x, xp in ((0.1, 0.4), (0.1, 0.4), (-0.6, 0.2)):
+            with pytest.raises(NearPoleError) as exc:
+                green(x, xp, pole, fam.scales)
+            assert getattr(exc.value, attr) == expected
+        assert green(0.3, -0.8, regular, fam.scales).value.hex() == cold
+    finally:
+        rv.release_solution_memo()
+
+
+def test_linear_solution_pair_has_no_pole_check():
+    # a solution pair, not a Green function: finite at an Airy-zero rho
+    pair = rv.linear_solution_pair(0.3, 1.018792971647471)
+    assert len(pair) == 4 and all(math.isfinite(v) for v in pair)
+
+
 # ----------------------------------------------------------------------
 # jump conditions:  d/dx G~ jumps by exactly 1 across x = x'
 # ----------------------------------------------------------------------
@@ -415,7 +441,10 @@ def test_solution_memo_never_changes_a_value(green, fam, energy):
     xs = [-2.0 + 4.0 * i / (n - 1) for i in range(n)]
     assert 0.0 in xs and -0.5 in xs and 0.5 in xs
 
-    def rows(xps, memo):
+    def by_family(x, xp, e, scales):
+        return rv.green(x, xp, e, fam)
+
+    def rows(xps, memo, green=green):
         out = []
         if memo:
             rv.open_solution_memo()
@@ -432,5 +461,8 @@ def test_solution_memo_never_changes_a_value(green, fam, energy):
         return out
 
     # the full grid, an off-grid column and a -0.0 column (one dict key with +0.0)
+    # the family dispatch gives the per-family function's bits
     for xps in (xs, [0.3], [-0.0]):
-        assert rows(xps, memo=True) == rows(xps, memo=False)
+        cold = rows(xps, memo=False)
+        assert rows(xps, memo=True) == cold
+        assert rows(xps, memo=True, green=by_family) == cold
