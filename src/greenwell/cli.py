@@ -254,14 +254,20 @@ def _from_dimensionless_energy(fam, value):
     return value * s.alpha1 ** 2 / (2.0 * s.mass / s.hbar ** 2) ** (1.0 / 3.0)
 
 
+def _well_name(fam):
+    return fam.tag if fam.base is None else f"{fam.tag}({fam.base})"
+
+
 def oracle_levels(fam, k, n_points):
-    """First k dimensionless levels from the finite-difference oracle."""
+    """First k dimensionless levels from the finite-difference oracle,
+    and the first k closed-form roots; raises ArithmeticError, before
+    the oracle runs, when the default window holds fewer than k."""
     chi = spectrum.build_chi(fam)
-    res = spectrum.find_roots(chi, step=0.005)
-    if res.roots:
-        e_top = _from_dimensionless_energy(fam, res.values()[min(k, len(res.roots)) - 1])
-    else:
-        e_top = 10.0
+    res = spectrum.find_roots(chi, step=0.005, limit=k)
+    if len(res.roots) < k:
+        raise ArithmeticError(
+            f"only {len(res.roots)} closed-form roots in window for {_well_name(fam)}")
+    e_top = _from_dimensionless_energy(fam, res.values()[-1])
     grid = oracle.auto_grid(fam, e_max=e_top, n_points=n_points)
     op = oracle.discretize(fam, grid, e_max=e_top)
     eigs = oracle.lowest_eigenvalues(op, k)
@@ -273,10 +279,7 @@ def verify_family(fam, k=5, n_points=None):
     if n_points is None:
         n_points = _verify_rule(fam)[0]
     orc, res = oracle_levels(fam, k, n_points)
-    closed = res.values()[:k]
-    if len(closed) < k:
-        raise ArithmeticError(
-            f"only {len(closed)} closed-form roots in window for {fam.tag}")
+    closed = res.values()
     diffs = [abs(c - o) for c, o in zip(closed, orc)]
     return closed, orc, max(diffs)
 
@@ -291,8 +294,7 @@ def cmd_verify(cfg, stream):
         closed, orc, worst = verify_family(fam, k=cfg.k_levels, n_points=n)
         ok = worst <= tol
         all_ok = all_ok and ok
-        name = fam.tag if fam.base is None else f"{fam.tag}({fam.base})"
-        stream.write(f"{name}: max level error {_fmt(worst)} "
+        stream.write(f"{_well_name(fam)}: max level error {_fmt(worst)} "
                      f"(tol {_fmt(tol)}, n={n}) {'ok' if ok else 'MISMATCH'}\n")
     return EXIT_OK if all_ok else EXIT_MISMATCH
 

@@ -123,8 +123,14 @@ def discretize(family: PotentialFamily, grid: GridSpec, e_max: float = 0.0) -> T
     return TridiagonalOperator(tuple(diag), tuple([-0.5 * c] * (n - 1)), grid)
 
 
-def eigenvalue_count_below(op: TridiagonalOperator, x: float) -> int:
-    """Number of eigenvalues of `op` strictly below x (Sturm sign count)."""
+def eigenvalue_count_below(op: TridiagonalOperator, x: float, cap: int | None = None) -> int:
+    """Number of eigenvalues of `op` strictly below x (Sturm sign count).
+
+    With a cap (>= 0) the count stops at the cap-th negative pivot and
+    returns min(number, cap): enough to decide whether the number
+    reaches the cap, without walking the remaining rows.
+    """
+    limit = op.n if cap is None else cap
     offsq = op.off * op.off
     count = 0
     d = math.inf  # offsq / d is 0 on the first row
@@ -134,7 +140,9 @@ def eigenvalue_count_below(op: TridiagonalOperator, x: float) -> int:
             d = -1e-300
         if d < 0.0:
             count += 1
-    return count
+            if count >= limit:
+                break
+    return min(count, limit)
 
 
 def _gershgorin(op):
@@ -147,7 +155,9 @@ def lowest_eigenvalues(op: TridiagonalOperator, k: int, tol: float = 1e-10):
     """The k smallest eigenvalues, each bisected to absolute width `tol`.
 
     Deterministic: pure bisection on the Sturm count, no iteration order
-    dependence.  k is capped at 50 by contract.
+    dependence.  Each count for the j-th eigenvalue is capped at j, which
+    decides the same bisection step as the full count.  k is capped at
+    50 by contract.
     """
     if not (1 <= k <= 50):
         raise ValueError(f"k must be in 1..50, got {k}")
@@ -160,7 +170,7 @@ def lowest_eigenvalues(op: TridiagonalOperator, k: int, tol: float = 1e-10):
             lo = out[-1] - tol
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if eigenvalue_count_below(op, mid) >= j:
+            if eigenvalue_count_below(op, mid, cap=j) >= j:
                 hi = mid
             else:
                 lo = mid

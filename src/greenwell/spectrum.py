@@ -7,7 +7,13 @@ functions are cleared with the entire reciprocal-Gamma, so every
 function here is finite and smooth across its scan window.
 
 Root finding is deliberately simple and robust: scan at a fixed step,
-bracket every sign change, refine by bisection.  Tangential
+bracket every sign change, refine by bisection.  The factors of a
+family are scanned lazily and merged in increasing order, so a caller
+that needs only the lowest k levels (`limit`) stops each factor's scan
+at most one root past them.  A default-window scan of a delta-decorated
+well starts at the well's energy floor, the free-delta bound
+E >= -m a^2 / (2 hbar^2) (E > 0 for a >= 0), not at the window's low
+edge: no level lies below it.  Tangential
 (non-sign-changing) roots are not detected; the only known candidates
 are parameter-limit coincidences (e.g. the two factor families of a
 symmetric well merging at beta = 1), which are handled by the parent
@@ -16,6 +22,8 @@ family's characteristic function instead.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -224,12 +232,14 @@ class CharacteristicFunction:
     dimensionless energy to a real value and scanned separately, so
     roots come back parity-labeled; a family with a single condition
     has one factor with parity None.  validator, when present, marks
-    degenerate roots.
+    degenerate roots.  floor is a lower bound on every root; a
+    default-window scan starts there.
     """
 
     window: tuple
     factors: tuple
     validator: object = None
+    floor: float = -math.inf
 
 
 def build_chi(family: PotentialFamily) -> CharacteristicFunction:
@@ -238,7 +248,10 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
     Default windows span (0, 12] in the natural energy variable, widened
     downward for families whose spectrum can start below zero (Stark
     shift, attractive delta) and capped wherever the Airy-argument
-    domain |t| <= 25 binds (large beta or xi).
+    domain |t| <= 25 binds (large beta or xi).  The delta-decorated
+    wells carry their energy floor: H >= T + a delta + min V with
+    min V = 0 for both bases, so E >= -m a^2 / (2 hbar^2) when a < 0
+    (the free-delta bound state) and E > 0 otherwise.
     """
     tag = family.tag
     d = dimensionless(family, 0.0)
@@ -271,13 +284,18 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
             (1e-6, 12.0),
             (("even", lambda e: chi_ho_plus_abs_even(e, d)),
              ("odd", lambda e: chi_ho_plus_abs_odd(e, d))))
-    if tag == DELTA_DECORATED and family.base == HO:
+    if tag == DELTA_DECORATED:
+        s = family.scales
+        a = s.delta_strength
+        lowest = dimensionless(family, -s.mass * a * a / (2.0 * s.hbar ** 2) if a < 0.0 else 0.0)
+        if family.base == HO:
+            return CharacteristicFunction(
+                (-50.0, 12.0), ((None, lambda e: chi_delta_ho(e, d.tau, d.p)),),
+                floor=lowest.eps)
+        zq = d.zeta * s.delta_position
         return CharacteristicFunction(
-            (-50.0, 12.0), ((None, lambda e: chi_delta_ho(e, d.tau, d.p)),))
-    if tag == DELTA_DECORATED and family.base == LINEAR_ABS:
-        zq = d.zeta * family.scales.delta_position
-        return CharacteristicFunction(
-            (-24.0, 12.0), ((None, lambda r: chi_delta_linear(r, d.eta, zq)),))
+            (-24.0, 12.0), ((None, lambda r: chi_delta_linear(r, d.eta, zq)),),
+            floor=lowest.rho)
     raise ValueError(f"no characteristic function for family {tag!r}")
 
 
@@ -300,51 +318,66 @@ def _bisect(fn, lo, hi, f_lo, f_hi):
     return lo, hi, f_lo, f_hi
 
 
-def _scan_one(fn, window, step, parity):
+def _scan_one(fn, window, step, parity, floor):
+    """Yield (root, bracket, residual, parity) in increasing order, scanning
+    the lattice lo + i*step of `window` from its last point at or below
+    `floor` (from lo when none is)."""
     lo, hi = window
-    out = []
-    x_prev = lo
-    f_prev = fn(lo)
-    if not math.isfinite(f_prev):
-        raise ValueError(f"characteristic function not finite at {lo}")
     n_steps = max(1, int(math.ceil((hi - lo) / step)))
-    for i in range(1, n_steps + 1):
+    start = 0
+    if floor > lo:
+        # the same expression as the scan below, so every later point is too
+        start = min(int((floor - lo) / step), n_steps)
+        while start > 0 and min(lo + start * step, hi) > floor:
+            start -= 1
+        while start < n_steps and min(lo + (start + 1) * step, hi) <= floor:
+            start += 1
+    x_prev = min(lo + start * step, hi) if start else lo
+    f_prev = fn(x_prev)
+    if not math.isfinite(f_prev):
+        raise ValueError(f"characteristic function not finite at {x_prev}")
+    for i in range(start + 1, n_steps + 1):
         x = min(lo + i * step, hi)
         f = fn(x)
         if not math.isfinite(f):
             raise ValueError(f"characteristic function not finite at {x}")
         if f == 0.0:
-            out.append((x, (x - 0.5 * _BRACKET_WIDTH, x + 0.5 * _BRACKET_WIDTH),
-                        0.0, parity))
+            yield (x, (x - 0.5 * _BRACKET_WIDTH, x + 0.5 * _BRACKET_WIDTH), 0.0, parity)
         elif f_prev != 0.0 and (f_prev < 0.0) != (f < 0.0):
             scale = max(abs(f_prev), abs(f), 1e-300)
             b_lo, b_hi, _, _ = _bisect(fn, x_prev, x, f_prev, f)
             root = 0.5 * (b_lo + b_hi)
-            out.append((root, (b_lo, b_hi), abs(fn(root)) / scale, parity))
+            yield (root, (b_lo, b_hi), abs(fn(root)) / scale, parity)
         x_prev, f_prev = x, f
-    return out
 
 
-def find_roots(chi: CharacteristicFunction, window=None, step=0.005) -> SpectrumResult:
-    """All sign-change roots of `chi`'s factors in the window at scan
-    resolution `step`, in increasing order.
+def find_roots(chi: CharacteristicFunction, window=None, step=0.005,
+               limit=None) -> SpectrumResult:
+    """The sign-change roots of `chi`'s factors in the window at scan
+    resolution `step`, in increasing order: all of them, or the lowest
+    `limit`.
 
     Brackets are refined by bisection to width <= 2.5e-13; the stored
     residual is |chi(root)| normalized by the detection-bracket scale.
     Tangential roots (no sign change at resolution `step`) are not
-    found.
+    found.  The factors are scanned lazily and merged by root value
+    (ties keep factor order), so with `limit` each factor is scanned to
+    at most one root past the lowest `limit`.  Without `window` the scan
+    covers `chi.window` from the last point of its step lattice at or
+    below `chi.floor`; every point, bracket and residual is the one a
+    scan of the whole window gives.  An explicit window is scanned in
+    full.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     win = tuple(window) if window is not None else chi.window
     if not (win[0] < win[1]):
         raise ValueError(f"empty window {win}")
-    raw = []
-    for parity, fn in chi.factors:
-        raw.extend(_scan_one(fn, win, step, parity))
-    raw.sort(key=lambda t: t[0])
+    floor = chi.floor if window is None else -math.inf
+    scans = [_scan_one(fn, win, step, parity, floor) for parity, fn in chi.factors]
+    merged = itertools.islice(heapq.merge(*scans, key=lambda t: t[0]), limit)
     roots = []
-    for i, (val, bracket, residual, parity) in enumerate(raw):
+    for i, (val, bracket, residual, parity) in enumerate(merged):
         degenerate = bool(chi.validator(val)) if chi.validator is not None else False
         roots.append(Root(i, val, bracket, residual, parity, degenerate))
     return SpectrumResult(roots, win, step)

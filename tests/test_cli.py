@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from greenwell import cli, model, resolvent, specfun
+from greenwell import cli, model, oracle, resolvent, specfun
 
 
 def run(argv):
@@ -296,6 +297,59 @@ def test_verify_delta_family_small_grid():
 VERIFY_NAMES = ["HO", "HO_STARK", "HO_ASYM", "LINEAR_ABS", "LINEAR_ASYM",
                 "HALF_HO_HALF_LINEAR", "HO_PLUS_ABS", "DELTA_DECORATED(HO)",
                 "DELTA_DECORATED(LINEAR_ABS)"]
+
+
+# (exit code, sha256 of stdout) for delta wells whose ground state lies near
+# the free-delta energy floor, recorded before default-window scans started
+# at that floor: window-less levels, then verify --k 6 --n-oracle 1000
+_TAU_1_2 = -1.2 * math.sqrt(math.pi)      # tau = -1.2
+FLOOR_WELLS_SHA256 = [
+    ({"tag": "DELTA_DECORATED", "base": "HO",
+      "scales": {"delta_strength": _TAU_1_2, "delta_position": 0.0}},
+     (0, "97ded3ee85fbb1fedd065d1a8c0566c6c6a06c46e0eeaffd668e48d41e2edc01"),
+     (0, "90592148a826951b41854a4a0bede7cd746e7cc4d1a244339e60eb229866a9a3")),
+    ({"tag": "DELTA_DECORATED", "base": "HO",
+      "scales": {"delta_strength": _TAU_1_2, "delta_position": 0.7}},
+     (0, "eacf9bf54f2531bdcd16e9361658a185e955086b2c6c843b56bb5750a093f87c"),
+     (0, "2d170188e216d31baf26433e33626287f2e1cb986bb5e17bebc9b08c6abbba1c")),
+    ({"tag": "DELTA_DECORATED", "base": "LINEAR_ABS", "scales": {"delta_strength": -1.6}},
+     (0, "1ee153d1ba581ca97377c301b62b849c18d727b8e1efdb5a327a971acb23dce6"),
+     (3, "0e408021a499874a24895509a0445e6b156f2051df14d43d0b296bf6e83437f4")),
+]
+
+
+@pytest.mark.parametrize("fd,levels_pin,verify_pin", FLOOR_WELLS_SHA256,
+                         ids=["HO p=0", "HO q=0.7", "LINEAR_ABS"])
+def test_floor_wells_bytes_pinned(fd, levels_pin, verify_pin):
+    family = ["--family", json.dumps(fd)]
+    for argv, pin in ((["levels"], levels_pin),
+                      (["verify", "--k", "6", "--n-oracle", "1000"], verify_pin)):
+        code, out = run(argv + family)
+        assert (code, _sha256(out)) == pin, argv
+
+
+def test_verify_short_window_fails_before_the_oracle(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(oracle, "lowest_eigenvalues", lambda *args: calls.append(args))
+    code, out = run(["verify", "--family", "DELTA_DECORATED(HO)", "--k", "20"])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert "only 12 closed-form roots in window for DELTA_DECORATED(HO)" in err
+    assert calls == []
+
+
+def test_default_window_decorated_linear_well_beyond_unit_zeta_q():
+    # zeta q = 1.5: scanning from the old window edge rho = -24 needed
+    # Ai(zeta q - rho) at 25.5, outside |x| <= 25, and exited 1; the scan
+    # now starts at the energy floor rho = -eta^2 = -0.64
+    fd = json.dumps({"tag": "DELTA_DECORATED", "base": "LINEAR_ABS",
+                     "scales": {"delta_strength": -1.6, "delta_position": 1.5}})
+    code, out = run(["levels", "--family", fd])
+    assert (code, _sha256(out)) == (
+        0, "38a3701c251d0ac1328a85296bd6bc9ab1bacd24a81d5ec2e4b287f5fabab6fc")
+    assert out.splitlines()[1].startswith("0,,0.610718391829,")
+    code, out = run(["verify", "--family", fd, "--k", "4", "--n-oracle", "2000"])
+    assert code == 0 and out.endswith(" ok\n")
 
 
 def test_verify_dump_config_omits_family_only_without_family():

@@ -136,3 +136,50 @@ def test_grid_spec_validation():
         GridSpec(-1.0, 500)
     with pytest.raises(ValueError):
         lowest_eigenvalues(box_operator(), 51)
+
+
+def _decorated_operator():
+    fam = default_family(DELTA_DECORATED, base=HO)
+    return discretize(fam, GridSpec(7.0, 1200), e_max=12.0)
+
+
+CAP_OPERATORS = [("box", lambda: box_operator(1.0, 300), (-1.0, 160.0)),
+                 ("decorated", _decorated_operator, (-3.0, 12.0))]
+
+
+@pytest.mark.parametrize("name,make,span", CAP_OPERATORS, ids=[c[0] for c in CAP_OPERATORS])
+def test_capped_sturm_count_is_min_of_full_count_and_cap(name, make, span):
+    op = make()
+    lo, hi = span
+    seen = set()
+    for i in range(41):
+        x = lo + (hi - lo) * i / 40
+        full = eigenvalue_count_below(op, x)
+        seen.add(full)
+        for cap in range(0, 14):
+            assert eigenvalue_count_below(op, x, cap) == min(full, cap), (x, cap)
+    assert min(seen) == 0 and max(seen) > 10
+
+
+def _full_count_bisection(op, k, tol=1e-10):
+    """lowest_eigenvalues' bisection, with uncapped Sturm counts."""
+    lo0 = min(op.diag) - 2.0 * abs(op.off)
+    hi0 = max(op.diag) + 2.0 * abs(op.off)
+    out = []
+    for j in range(1, k + 1):
+        lo, hi = (out[-1] - tol if out else lo0), hi0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if eigenvalue_count_below(op, mid) >= j:
+                hi = mid
+            else:
+                lo = mid
+        out.append(0.5 * (lo + hi))
+    return out
+
+
+@pytest.mark.parametrize("name,make,span", CAP_OPERATORS, ids=[c[0] for c in CAP_OPERATORS])
+def test_lowest_eigenvalues_equal_full_count_bisection(name, make, span):
+    op = make()
+    got = lowest_eigenvalues(op, 6)
+    assert [e.hex() for e in got] == [e.hex() for e in _full_count_bisection(op, 6)]

@@ -1,5 +1,6 @@
 """Characteristic functions, root scanning, sweeps, and their oracle checks."""
 
+import dataclasses
 import math
 
 import pytest
@@ -401,6 +402,83 @@ def test_chi_pole_free_dense_sampling(fam):
                 ratio = abs(v) / abs(prev)
                 assert 0.1 < ratio < 10.0, (fam.tag, parity, x)
             prev = v
+
+
+def _bits(roots):
+    """Every field of every root, floats as float.hex."""
+    return [(r.index, r.value.hex(), r.bracket[0].hex(), r.bracket[1].hex(),
+             r.residual.hex(), r.parity, r.degenerate) for r in roots]
+
+
+def _counted(chi):
+    """`chi` with every factor call counted in calls[0]."""
+    calls = [0]
+
+    def wrap(fn):
+        def counted(x):
+            calls[0] += 1
+            return fn(x)
+        return counted
+    return dataclasses.replace(
+        chi, factors=tuple((parity, wrap(fn)) for parity, fn in chi.factors)), calls
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.tag + (f".{f.base}" if f.base else ""))
+def test_limit_keeps_the_lowest_roots(fam):
+    step = 0.02  # the merge and the cut do not depend on the scan step
+    chi, calls = _counted(sp.build_chi(fam))
+    full = _bits(sp.find_roots(chi, step=step).roots)
+    all_calls = calls[0]
+    assert len(full) >= 3
+    for k in range(1, len(full) + 2):
+        calls[0] = 0
+        assert _bits(sp.find_roots(chi, step=step, limit=k).roots) == full[:k], k
+        if k == 1:
+            assert calls[0] < all_calls
+
+
+# delta-decorated wells whose energy floor is checked: tau x p for the
+# oscillator, a x zeta q for the |x| well, and one off-default set of
+# scales each, where eps, rho and E differ
+FLOOR_FAMILIES = (
+    [default_family(DELTA_DECORATED, base=HO, delta_strength=tau * math.sqrt(math.pi),
+                    delta_position=p / math.sqrt(2.0))
+     for tau in (-3.0, -2.0, -1.2, 0.0, 2.0) for p in (0.0, 0.7, 2.0)]
+    + [default_family(DELTA_DECORATED, base=HO, hbar=0.8, mass=1.5, omega1=2.0,
+                      delta_strength=-1.5, delta_position=0.3)]
+    + [default_family(DELTA_DECORATED, base=LINEAR_ABS, delta_strength=a, delta_position=zq)
+       for a in (-6.0, -1.6, 0.0, 2.0) for zq in (0.0, 0.5, 1.0)]
+    + [default_family(DELTA_DECORATED, base=LINEAR_ABS, hbar=1.2, mass=0.7, alpha1=1.3,
+                      delta_strength=-2.0, delta_position=0.4)])
+
+
+def _floor_id(fam):
+    d = dimensionless(fam, 0.0)
+    if fam.base == HO:
+        return f"HO-tau{d.tau:.3g}-p{d.p:.3g}"
+    return f"LINEAR_ABS-eta{d.eta:.3g}-zq{d.zeta * fam.scales.delta_position:.3g}"
+
+
+@pytest.mark.parametrize("fam", FLOOR_FAMILIES, ids=_floor_id)
+def test_energy_floor_bounds_the_spectrum_and_keeps_every_bit(fam):
+    step = 0.05  # the start point lies on the scan lattice at any step
+    d = dimensionless(fam, 0.0)
+    chi, calls = _counted(sp.build_chi(fam))
+    # E >= -m a^2 / (2 hbar^2) for a < 0, E > 0 otherwise, in the natural
+    # variable: eps >= -pi tau^2 / 2, rho >= -eta^2
+    if fam.base == HO:
+        expected = -0.5 * math.pi * d.tau ** 2 if d.tau < 0.0 else 0.0
+    else:
+        expected = -d.eta ** 2 if d.eta < 0.0 else 0.0
+    assert chi.floor == pytest.approx(expected, rel=1e-12, abs=0.0)
+    whole = sp.find_roots(chi, window=chi.window, step=step)
+    whole_calls = calls[0]
+    calls[0] = 0
+    from_floor = sp.find_roots(chi, step=step)
+    assert whole.roots and chi.floor < whole.roots[0].value
+    assert _bits(from_floor.roots) == _bits(whole.roots)
+    assert from_floor.scan_window == chi.window
+    assert calls[0] < whole_calls
 
 
 def test_flag_missing_reports_reference_gaps():
