@@ -31,8 +31,8 @@ check once, when it is built, and is a dict from (scaled) abscissa to
 solution values.  green(x, x', E, family) dispatches by family.
 
 Between open_solution_memo() and release_solution_memo() (one
-green-grid request) these objects are kept in a memo keyed by (kind,
-energy, scales), so each solution is evaluated once per abscissa.  A
+green-grid request) these objects are kept in a memo keyed by scales,
+then (kind, energy), so each solution is evaluated once per abscissa.  A
 build that fails its pole check is never stored, so every call at a
 pole raises.  Outside that scope every call builds its objects afresh.
 The memo is process-global and not thread-safe; values are
@@ -96,31 +96,45 @@ def to_tilde(g: GreenEval, scales: PhysicalScales) -> GreenEval:
     return GreenEval(-(scales.hbar ** 2 / (2.0 * scales.mass)) * g.value, "G_TILDE")
 
 
-_memo = None  # {(kind, energy, scales): solution object} between open and release
+_memo = None  # {scales: {(kind, energy): solution object}} between open and release
+# (scales, _memo[scales]) of the latest call.  A grid passes one scales
+# object to every call, so an identity test finds its solutions without
+# hashing the dataclass per point; this pair keeps the object alive, so
+# no other object can share its identity.
+_last = (None, None)
 
 
 def open_solution_memo():
     """Keep the decaying solutions of every energy until release_solution_memo()."""
-    global _memo
+    global _memo, _last
     _memo = {}
+    _last = (None, None)
 
 
 def release_solution_memo():
     """Drop the memo; later calls build their solutions afresh."""
-    global _memo
+    global _memo, _last
     _memo = None
+    _last = (None, None)
 
 
 def _green(kind, x, xp, energy, scales) -> GreenEval:
     """G = num u(x>) v(x<) / den from the `kind` solutions at this energy,
     taken from the memo when one is held (a failed build is not stored)."""
+    global _last
     if _memo is None:
         sol = kind(energy, scales)
     else:
-        key = (kind, energy, scales)
-        sol = _memo.get(key)
+        last_scales, sols = _last
+        if scales is not last_scales:
+            sols = _memo.get(scales)
+            if sols is None:
+                sols = _memo[scales] = {}
+            _last = (scales, sols)
+        key = (kind, energy)
+        sol = sols.get(key)
         if sol is None:
-            sol = _memo[key] = kind(energy, scales)
+            sol = sols[key] = kind(energy, scales)
     lo, hi = (x, xp) if x <= xp else (xp, x)
     # group the solution product first: IEEE multiplication commutes, so
     # the parity map (x, x') -> (-x', -x), which swaps the two factors,

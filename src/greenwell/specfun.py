@@ -12,6 +12,9 @@ Design notes:
   * D_nu is evaluated through the even/odd Kummer fundamental system of
     Weber's equation.  This representation is entire in z and avoids the
     connection formulas an asymptotic approach would need for z < 0.
+    Its z-odd term changes sign exactly with z, so pcf_d_pair(nu, z)
+    returns D_nu(z) and D_nu(-z) from one pair of Kummer series and one
+    pair of rgamma values, bit for bit what two pcf_d calls give.
   * Airy functions use the Maclaurin series for |x| <= 7 and asymptotic
     expansions beyond.  Inside the series region a compensated
     double-double accumulation is switched on for x > 4, where the
@@ -19,6 +22,17 @@ Design notes:
     the exponentially small Ai against the large Bi.
   * Functions returning EvalResult report est_abs_error, an upper bound
     on the absolute error built from truncation plus rounding terms.
+  * The hot loops (the Kummer series, the Lanczos sum, the Airy
+    Maclaurin series) are written for the interpreter: constants bound
+    to locals, abs() spelled as a comparison, the Lanczos sum unrolled,
+    the exact integer factors of the Airy terms taken from a table.
+    They do the same floating-point operations in the same order as the
+    plain series, so every value and estimate is bit-identical to it;
+    tests/test_specfun.py pins them against verbatim copies of the plain
+    loops.  Reordering a sum, fusing a product or changing a stopping
+    test changes the last bits and fails those tests.
+  * A non-finite argument raises DomainError at once in rgamma, gamma,
+    kummer_m, weber_even_odd, pcf_d, pcf_d_pair and airy_all.
 
 All functions are pure and hold no mutable state.
 """
@@ -37,6 +51,7 @@ __all__ = [
     "rgamma",
     "kummer_m",
     "pcf_d",
+    "pcf_d_pair",
     "weber_even_odd",
     "airy_ai",
     "airy_ai_prime",
@@ -49,6 +64,7 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 _SQRT_PI = 1.7724538509055160273
 _SQRT_2PI = 2.5066282746310005024
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -98,10 +114,15 @@ _LANCZOS_C = (
 
 
 def _gamma_lanczos(x):
-    # requires x >= 0.5
-    acc = _LANCZOS_C[0]
-    for i in range(1, 15):
-        acc += _LANCZOS_C[i] / (x - 1.0 + i)
+    # requires x >= 0.5; the sum C_0 + sum_i C_i / ((x - 1) + i), unrolled
+    # in its left-to-right order
+    c = _LANCZOS_C
+    xm = x - 1.0
+    acc = (c[0] + c[1] / (xm + 1.0) + c[2] / (xm + 2.0) + c[3] / (xm + 3.0)
+           + c[4] / (xm + 4.0) + c[5] / (xm + 5.0) + c[6] / (xm + 6.0)
+           + c[7] / (xm + 7.0) + c[8] / (xm + 8.0) + c[9] / (xm + 9.0)
+           + c[10] / (xm + 10.0) + c[11] / (xm + 11.0) + c[12] / (xm + 12.0)
+           + c[13] / (xm + 13.0) + c[14] / (xm + 14.0))
     t = x + _LANCZOS_G - 0.5
     return _SQRT_2PI * t ** (x - 0.5) * math.exp(-t) * acc
 
@@ -116,7 +137,7 @@ def _sinpi(x):
 
 def rgamma(x: float) -> float:
     """Reciprocal Gamma 1/Gamma(x), entire; exactly 0 at 0, -1, -2, ..."""
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise DomainError(f"rgamma argument must be finite, got {x}")
     if x >= 0.5:
         return 1.0 / _gamma_lanczos(x)
@@ -126,6 +147,8 @@ def rgamma(x: float) -> float:
 
 def gamma(x: float) -> float:
     """Gamma(x).  Raises PoleError at non-positive integers (tol 1e-12)."""
+    if not math.isfinite(x):
+        raise DomainError(f"gamma argument must be finite, got {x}")
     if x <= 0.5 and abs(x - round(x)) <= 1e-12 and round(x) <= 0:
         raise PoleError(f"gamma pole at x = {round(x)}")
     return 1.0 / rgamma(x)
@@ -144,31 +167,35 @@ def kummer_m(a: float, b: float, z: float) -> EvalResult:
     Stops when two consecutive terms are below eps * |partial sum|.
     est_abs_error combines the last-term magnitude with a rounding bound
     eps * sum(|terms|), which also tracks cancellation for z < 0.
+    Non-finite arguments raise DomainError.
     """
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
+        raise DomainError(f"kummer_m arguments must be finite, got a = {a}, b = {b}, z = {z}")
     if b <= 0.5 and abs(b - round(b)) <= 1e-12 and round(b) <= 0:
         raise PoleError(f"kummer_m requires b not a non-positive integer, got b = {b}")
     if abs(z) > 200.0:
         raise DomainError(f"kummer_m series restricted to |z| <= 200, got z = {z}")
-    term = 1.0
-    total = 1.0
+    eps = _EPS
+    term = total = abs_sum = 1.0
     comp = 0.0  # Kahan compensation
-    abs_sum = 1.0
-    small_streak = 0
-    n = 0
-    while n < _KUMMER_MAX_TERMS:
-        term *= (a + n) * z / ((b + n) * (n + 1.0))
+    small = False  # the previous term was already below eps * |partial sum|
+    n = 0.0  # a float counter: a + n, b + n and n + 1.0 round as with an int n
+    for _ in range(_KUMMER_MAX_TERMS):
+        n1 = n + 1.0
+        term *= (a + n) * z / ((b + n) * n1)
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        abs_sum += abs(term)
-        n += 1
-        if abs(term) <= _EPS * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
+        mag = term if term >= 0.0 else -term
+        abs_sum += mag
+        n = n1
+        if mag <= eps * (t if t >= 0.0 else -t):
+            if small:
                 break
+            small = True
         else:
-            small_streak = 0
+            small = False
     else:
         raise ConvergenceError(
             f"kummer_m({a}, {b}, {z}) did not converge in {_KUMMER_MAX_TERMS} terms"
@@ -191,7 +218,10 @@ def weber_even_odd(nu: float, z: float):
     and est bounds the absolute error of the four values jointly.
     These two solutions are independent for every nu, which makes them
     the safe basis for continuing piecewise-parabolic problems.
+    Non-finite arguments raise DomainError.
     """
+    if not (math.isfinite(nu) and math.isfinite(z)):
+        raise DomainError(f"weber_even_odd arguments must be finite, got nu = {nu}, z = {z}")
     w = 0.5 * z * z
     g = math.exp(-0.25 * z * z)
     m1 = kummer_m(-0.5 * nu, 0.5, w)
@@ -209,7 +239,14 @@ def weber_even_odd(nu: float, z: float):
     return even, even_p, odd, odd_p, est
 
 
-def _pcf_series(nu, z):
+def _pcf_terms(nu, z):
+    """The two-term Kummer form of D_nu(z) as (pref, t1, t2, est), with
+    D_nu(z) = pref * (t1 - t2).
+
+    Negating z leaves pref, t1 and est unchanged bit for bit (they see z
+    only through z*z and |z|) and negates t2 exactly, so
+    D_nu(-z) = pref * (t1 - (-t2)).
+    """
     w = 0.5 * z * z
     m1 = kummer_m(-0.5 * nu, 0.5, w)
     m2 = kummer_m(0.5 * (1.0 - nu), 1.5, w)
@@ -217,14 +254,18 @@ def _pcf_series(nu, z):
     r2 = rgamma(-0.5 * nu)
     pref = 2.0 ** (0.5 * nu) * math.exp(-0.25 * z * z) * _SQRT_PI
     t1 = r1 * m1.value
-    t2 = math.sqrt(2.0) * z * r2 * m2.value
-    value = pref * (t1 - t2)
+    t2 = _SQRT2 * z * r2 * m2.value
     est = pref * (
         abs(r1) * m1.est_abs_error
-        + math.sqrt(2.0) * abs(z) * abs(r2) * m2.est_abs_error
+        + _SQRT2 * abs(z) * abs(r2) * m2.est_abs_error
         + 16.0 * _EPS * (abs(t1) + abs(t2))
     )
-    return EvalResult(value, est)
+    return pref, t1, t2, est
+
+
+def _pcf_series(nu, z):
+    pref, t1, t2, est = _pcf_terms(nu, z)
+    return EvalResult(pref * (t1 - t2), est)
 
 
 def _pcf_miller(nu, z):
@@ -273,6 +314,26 @@ def _pcf_miller(nu, z):
     return EvalResult(value, est)
 
 
+def _pcf_check(nu, z, name):
+    """DomainError unless D_nu(z)'s arguments are finite and in its domain."""
+    if not (math.isfinite(nu) and math.isfinite(z)):
+        raise DomainError(f"{name} arguments must be finite, got nu = {nu}, z = {z}")
+    if abs(z) > 20.0:
+        raise DomainError(f"{name} restricted to |z| <= 20, got z = {z}")
+    if abs(nu) > 60.0:
+        raise DomainError(f"{name} restricted to |nu| <= 60, got nu = {nu}")
+
+
+def _pcf_takes_miller(nu, z):
+    """True when pcf_d(nu, z) takes the Miller route."""
+    if z > 0.0 and nu < 1.0 and not (nu >= 0.0 and nu == math.floor(nu)):
+        # nonneg integer orders terminate exactly; everything else below
+        # the anchor band goes through Miller once cancellation bites
+        cancel_exp = 0.5 * z * z + z * math.sqrt(max(0.0, -2.0 * nu))
+        return cancel_exp > 10.0
+    return False
+
+
 def pcf_d(nu: float, z: float) -> EvalResult:
     """Parabolic cylinder D_nu(z).
 
@@ -285,19 +346,28 @@ def pcf_d(nu: float, z: float) -> EvalResult:
     Accuracy is ~1e-10 relative over the figure window |z| <= 10 with
     moderate nu; est_abs_error reports the cancellation honestly
     everywhere else.  The domain is |z| <= 20, where the Kummer argument
-    z^2/2 stays within kummer_m's |z| <= 200, and |nu| <= 60.
+    z^2/2 stays within kummer_m's |z| <= 200, and |nu| <= 60; non-finite
+    arguments raise DomainError too.
     """
-    if abs(z) > 20.0:
-        raise DomainError(f"pcf_d restricted to |z| <= 20, got z = {z}")
-    if abs(nu) > 60.0:
-        raise DomainError(f"pcf_d restricted to |nu| <= 60, got nu = {nu}")
-    if z > 0.0 and nu < 1.0 and not (nu >= 0.0 and nu == math.floor(nu)):
-        # nonneg integer orders terminate exactly; everything else below
-        # the anchor band goes through Miller once cancellation bites
-        cancel_exp = 0.5 * z * z + z * math.sqrt(max(0.0, -2.0 * nu))
-        if cancel_exp > 10.0:
-            return _pcf_miller(nu, z)
+    _pcf_check(nu, z, "pcf_d")
+    if _pcf_takes_miller(nu, z):
+        return _pcf_miller(nu, z)
     return _pcf_series(nu, z)
+
+
+def pcf_d_pair(nu: float, z: float):
+    """(pcf_d(nu, z), pcf_d(nu, -z)), equal to those two calls bit for bit.
+
+    When neither sign takes the Miller route, both come from one Kummer
+    pair: the two series, the two rgamma values and the prefactor are
+    shared, and only the sign of the z-odd term differs.  Otherwise this
+    is the two pcf_d calls.  The domain is pcf_d's.
+    """
+    _pcf_check(nu, z, "pcf_d_pair")
+    if _pcf_takes_miller(nu, abs(z)):
+        return pcf_d(nu, z), pcf_d(nu, -z)
+    pref, t1, t2, est = _pcf_terms(nu, z)
+    return EvalResult(pref * (t1 - t2), est), EvalResult(pref * (t1 - (-t2)), est)
 
 
 # ----------------------------------------------------------------------
@@ -386,6 +456,12 @@ def _airy_series_dd(x):
     return f, g, fp, gp
 
 
+# (3k, (3k)(3k - 1), 3k + 1, (3k)(3k + 1)) for k = 1..79: small integers,
+# so each entry is exact and equals the product the series would form
+_AIRY_K = tuple((3.0 * k, (3.0 * k) * (3.0 * k - 1.0), 3.0 * k + 1.0,
+                 (3.0 * k) * (3.0 * k + 1.0)) for k in range(1, 80))
+
+
 def _airy_series(x):
     """Plain-double Maclaurin evaluation; also returns |term| sums."""
     x3 = x * x * x
@@ -394,16 +470,19 @@ def _airy_series(x):
     f, g = tf, tg
     fp, gp = 0.0, 1.0
     sf, sg = 1.0, abs(x)
-    for k in range(1, 80):
-        tf = tf * x3 / ((3.0 * k) * (3.0 * k - 1.0))
-        tg = tg * x3 / ((3.0 * k) * (3.0 * k + 1.0))
+    tol = _EPS * 0.01
+    for k3, df, k3p, dg in _AIRY_K:
+        tf = tf * x3 / df
+        tg = tg * x3 / dg
         f += tf
         g += tg
-        fp += tf * (3.0 * k) / x
-        gp += tg * (3.0 * k + 1.0) / x
-        sf += abs(tf)
-        sg += abs(tg)
-        if abs(tf) < _EPS * 0.01 * sf and abs(tg) < _EPS * 0.01 * max(sg, 1.0):
+        fp += tf * k3 / x
+        gp += tg * k3p / x
+        af = tf if tf >= 0.0 else -tf
+        ag = tg if tg >= 0.0 else -tg
+        sf += af
+        sg += ag
+        if af < tol * sf and ag < tol * (sg if sg >= 1.0 else 1.0):
             break
     return f, g, fp, gp, sf, sg
 
@@ -421,6 +500,12 @@ def _asym_uv(max_k=60):
 
 
 _ASYM_U, _ASYM_V = _asym_uv()
+# (u_k, sign_k v_k, sign_k, k even) with sign_k = (-1)^(k // 2), for the
+# oscillatory sums; sign_k v_k is exact, so (sign_k v_k) zeta^-k is the
+# product the plain loop forms
+_ASYM_NEG_K = tuple((_ASYM_U[k], s * _ASYM_V[k], s, k % 2 == 0)
+                    for k in range(len(_ASYM_U))
+                    for s in (-1.0 if (k // 2) & 1 else 1.0,))
 
 
 def _asym_sums(zeta, signed):
@@ -481,22 +566,21 @@ def _airy_asym_neg(x):
     prev = math.inf
     trunc = 0.0
     zp = 1.0  # zeta^-k
-    for k in range(len(_ASYM_U)):
-        tu = _ASYM_U[k] * zp
-        if abs(tu) >= prev:
-            trunc = abs(tu)
+    for u, sv, sign, even in _ASYM_NEG_K:
+        tu = u * zp
+        mag = tu if tu >= 0.0 else -tu
+        if mag >= prev:
+            trunc = mag
             break
-        sign = -1.0 if (k // 2) & 1 else 1.0
-        if k % 2 == 0:
+        if even:
             pu += sign * tu
-            pv += sign * _ASYM_V[k] * zp
+            pv += sv * zp
         else:
             qu += sign * tu
-            qv += sign * _ASYM_V[k] * zp
-        prev = abs(tu)
-        trunc = abs(tu)
+            qv += sv * zp
+        prev = trunc = mag
         zp /= zeta
-        if abs(tu) < 1e-18:
+        if mag < 1e-18:
             break
     ai = (c * pu + s * qu) / (_SQRT_PI * q)
     bi = (-s * pu + c * qu) / (_SQRT_PI * q)

@@ -98,14 +98,39 @@ def chi_asym_ho(eps: float, lam: float) -> float:
             + math.sqrt(lam) * sf.rgamma(0.25 - 0.5 * eps) * sf.rgamma(0.75 - 0.5 * lam * eps))
 
 
-def chi_linear_even(rho: float) -> float:
-    """Even states of the |x| well: zeros of Ai'(-rho)."""
-    return sf.airy_ai_prime(-rho).value
+def _shared(memo, energy, compute, *args):
+    """compute(energy, *args), taken from `memo` when the other factor of
+    a parity pair stored it there.
+
+    The first factor to reach an energy stores its value and the second
+    takes it out, so the memo holds only values one factor still owes
+    the other.  A failed evaluation raises before anything is stored.
+    Without a memo this is compute(energy, *args).
+    """
+    if memo is None:
+        return compute(energy, *args)
+    value = memo.pop(energy, None)
+    if value is None:
+        value = memo[energy] = compute(energy, *args)
+    return value
 
 
-def chi_linear_odd(rho: float) -> float:
-    """Odd states of the |x| well: zeros of Ai(-rho)."""
-    return sf.airy_ai(-rho).value
+def _ai_pair(rho):
+    """(Ai(-rho), Ai'(-rho)), which both |x| factors need."""
+    ai, aip, _, _ = sf.airy_all(-rho)
+    return ai.value, aip.value
+
+
+def chi_linear_even(rho: float, memo=None) -> float:
+    """Even states of the |x| well: zeros of Ai'(-rho).  `memo` is the
+    one build_chi shares with chi_linear_odd."""
+    return _shared(memo, rho, _ai_pair)[1]
+
+
+def chi_linear_odd(rho: float, memo=None) -> float:
+    """Odd states of the |x| well: zeros of Ai(-rho).  `memo` is the
+    one build_chi shares with chi_linear_even."""
+    return _shared(memo, rho, _ai_pair)[0]
 
 
 def chi_asym_linear(rho: float, beta: float) -> float:
@@ -154,17 +179,23 @@ def chi_half_half(eps: float, xi: float, scales) -> float:
             - math.sqrt(2.0) * unit * xi * ai.value * sf.rgamma(0.25 - 0.5 * eps))
 
 
-def chi_ho_plus_abs_odd(eps: float, dmap) -> float:
-    """Odd factor D_{sigma-1/2}(mu phi) = 0, as a function of eps."""
-    sigma = eps + (0.5 * dmap.mu * dmap.phi) ** 2
-    return sf.pcf_d(sigma - 0.5, dmap.mu * dmap.phi).value
+def _d_lower(eps, mu_phi):
+    """D_{sigma-1/2}(mu phi), sigma = eps + (mu phi / 2)^2: both HO+|x| factors need it."""
+    return sf.pcf_d(eps + (0.5 * mu_phi) ** 2 - 0.5, mu_phi).value
 
 
-def chi_ho_plus_abs_even(eps: float, dmap) -> float:
-    """Even factor mu phi D_{sigma-1/2}(mu phi) - 2 D_{sigma+1/2}(mu phi) = 0."""
+def chi_ho_plus_abs_odd(eps: float, dmap, memo=None) -> float:
+    """Odd factor D_{sigma-1/2}(mu phi) = 0, as a function of eps.  `memo`
+    is the one build_chi shares with chi_ho_plus_abs_even."""
+    return _shared(memo, eps, _d_lower, dmap.mu * dmap.phi)
+
+
+def chi_ho_plus_abs_even(eps: float, dmap, memo=None) -> float:
+    """Even factor mu phi D_{sigma-1/2}(mu phi) - 2 D_{sigma+1/2}(mu phi) = 0.
+    `memo` is the one build_chi shares with chi_ho_plus_abs_odd."""
     mu_phi = dmap.mu * dmap.phi
     sigma = eps + (0.5 * mu_phi) ** 2
-    return (mu_phi * sf.pcf_d(sigma - 0.5, mu_phi).value
+    return (mu_phi * _shared(memo, eps, _d_lower, mu_phi)
             - 2.0 * sf.pcf_d(sigma + 0.5, mu_phi).value)
 
 
@@ -173,9 +204,8 @@ def chi_delta_ho(eps: float, tau: float, p: float) -> float:
 
     tau D_{eps-1/2}(p) D_{eps-1/2}(-p) + 1/Gamma(1/2 - eps) = 0.
     """
-    nu = eps - 0.5
-    return (tau * sf.pcf_d(nu, p).value * sf.pcf_d(nu, -p).value
-            + sf.rgamma(0.5 - eps))
+    d_plus, d_minus = sf.pcf_d_pair(eps - 0.5, p)
+    return tau * d_plus.value * d_minus.value + sf.rgamma(0.5 - eps)
 
 
 def chi_delta_linear(rho: float, eta: float, zeta_q: float) -> float:
@@ -252,6 +282,14 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
     wells carry their energy floor: H >= T + a delta + min V with
     min V = 0 for both bases, so E >= -m a^2 / (2 hbar^2) when a < 0
     (the free-delta bound state) and E > 0 otherwise.
+
+    The two parity factors of LINEAR_ABS and HO_PLUS_ABS need the same
+    special-function values at each energy (Ai and Ai' at -rho, and
+    D_{sigma-1/2}(mu phi)).  Each such pair shares one memo, keyed by
+    the energy and living as long as the CharacteristicFunction: the
+    factor that reaches a scan point first stores the value and the
+    other takes it out, so every factor still calls its chi_* function
+    once per evaluation and returns the bits that call gives alone.
     """
     tag = family.tag
     d = dimensionless(family, 0.0)
@@ -266,8 +304,10 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
         return CharacteristicFunction(
             (1e-6, 12.0), ((None, lambda e: chi_asym_ho(e, d.lam)),))
     if tag == LINEAR_ABS:
+        memo = {}
         return CharacteristicFunction(
-            (1e-6, 12.0), (("even", chi_linear_even), ("odd", chi_linear_odd)))
+            (1e-6, 12.0), (("even", lambda r: chi_linear_even(r, memo)),
+                           ("odd", lambda r: chi_linear_odd(r, memo))))
     if tag == LINEAR_ASYM:
         # both rho and rho beta^2 must stay inside the Airy domain
         top = min(12.0, 24.5 / max(1.0, d.beta * d.beta))
@@ -280,10 +320,11 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
             (1e-6, top), ((None, lambda e: chi_half_half(e, d.xi, family.scales)),))
     if tag == HO_PLUS_ABS:
         # the factors never vanish together for mu phi > 0
+        memo = {}
         return CharacteristicFunction(
             (1e-6, 12.0),
-            (("even", lambda e: chi_ho_plus_abs_even(e, d)),
-             ("odd", lambda e: chi_ho_plus_abs_odd(e, d))))
+            (("even", lambda e: chi_ho_plus_abs_even(e, d, memo)),
+             ("odd", lambda e: chi_ho_plus_abs_odd(e, d, memo))))
     if tag == DELTA_DECORATED:
         s = family.scales
         a = s.delta_strength

@@ -466,3 +466,27 @@ def test_solution_memo_never_changes_a_value(green, fam, energy):
         cold = rows(xps, memo=False)
         assert rows(xps, memo=True) == cold
         assert rows(xps, memo=True, green=by_family) == cold
+
+
+def test_solution_memo_hashes_the_scales_once_per_request(monkeypatch):
+    # a grid passes one scales object to every call; the memo finds its
+    # solutions by identity instead of hashing the dataclass per point
+    fam = DEC_HO_FAM
+    hashes = []
+    original = type(fam.scales).__hash__
+    monkeypatch.setattr(type(fam.scales), "__hash__",
+                        lambda self: hashes.append(1) or original(self))
+    xs = [-2.0 + 0.5 * i for i in range(9)]
+    cold = [rv.green(x, xp, 2.3, fam).value.hex() for x in xs for xp in xs]
+    rv.open_solution_memo()
+    try:
+        hashes.clear()
+        warm = [rv.green(x, xp, 2.3, fam).value.hex() for x in xs for xp in xs]
+        # an equal but distinct scales object shares the solutions
+        twin = model.with_scales(fam)
+        assert twin.scales == fam.scales and twin.scales is not fam.scales
+        warm_twin = [rv.green(x, xp, 2.3, twin).value.hex() for x in xs for xp in xs]
+    finally:
+        rv.release_solution_memo()
+    assert warm == cold == warm_twin
+    assert len(hashes) <= 4

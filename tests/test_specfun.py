@@ -185,6 +185,11 @@ def test_kummer_bad_b():
 def test_kummer_domain():
     with pytest.raises(sf.DomainError):
         sf.kummer_m(1.0, 1.5, 201.0)
+    # non-finite arguments fail at once, not after the term budget
+    for a, b, z in ((0.5, 0.5, math.nan), (0.5, math.nan, 1.0), (math.nan, 0.5, 1.0),
+                    (0.5, 0.5, math.inf), (0.5, -math.inf, 1.0), (math.inf, 1.5, 1.0)):
+        with pytest.raises(sf.DomainError, match="kummer_m arguments must be finite"):
+            sf.kummer_m(a, b, z)
 
 
 # ----------------------------------------------------------------------
@@ -251,6 +256,19 @@ def test_pcf_domain_errors():
         sf.pcf_d(0.5, 20.5)
     with pytest.raises(sf.DomainError):
         sf.pcf_d(61.0, 1.0)
+    # non-finite arguments fail at once in every Weber entry point
+    bad = ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf))
+    for nu, z in bad:
+        with pytest.raises(sf.DomainError, match="pcf_d arguments must be finite"):
+            sf.pcf_d(nu, z)
+        with pytest.raises(sf.DomainError, match="pcf_d_pair arguments must be finite"):
+            sf.pcf_d_pair(nu, z)
+        with pytest.raises(sf.DomainError, match="weber_even_odd arguments must be finite"):
+            sf.weber_even_odd(nu, z)
+    with pytest.raises(sf.DomainError, match="pcf_d_pair restricted to"):
+        sf.pcf_d_pair(0.5, -20.5)
+    with pytest.raises(sf.DomainError, match="gamma argument must be finite"):
+        sf.gamma(-math.inf)
 
 
 def test_weber_basis_wronskian_and_reduction():
@@ -358,3 +376,224 @@ def test_hermite_validation():
         sf.hermite_h(-1, 0.0)
     with pytest.raises(ValueError):
         sf.hermite_h(2001, 0.0)
+
+
+# ----------------------------------------------------------------------
+# The tightened kernels keep every bit
+# ----------------------------------------------------------------------
+#
+# Verbatim copies of the plain loops the kernels replace.  The kernels
+# must do the same floating-point operations in the same order, so they
+# are compared by float.hex, value and error estimate alike.
+
+
+def ref_kummer_m(a, b, z):
+    term = 1.0
+    total = 1.0
+    comp = 0.0  # Kahan compensation
+    abs_sum = 1.0
+    small_streak = 0
+    n = 0
+    while n < 10000:
+        term *= (a + n) * z / ((b + n) * (n + 1.0))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        abs_sum += abs(term)
+        n += 1
+        if abs(term) <= EPS * abs(total):
+            small_streak += 1
+            if small_streak >= 2:
+                break
+        else:
+            small_streak = 0
+    else:
+        raise sf.ConvergenceError
+    est = 2.0 * abs(term) + 16.0 * EPS * abs_sum
+    return sf.EvalResult(total, est)
+
+
+def ref_gamma_lanczos(x):
+    acc = sf._LANCZOS_C[0]
+    for i in range(1, 15):
+        acc += sf._LANCZOS_C[i] / (x - 1.0 + i)
+    t = x + sf._LANCZOS_G - 0.5
+    return sf._SQRT_2PI * t ** (x - 0.5) * math.exp(-t) * acc
+
+
+def ref_rgamma(x):
+    if x >= 0.5:
+        return 1.0 / ref_gamma_lanczos(x)
+    return ref_gamma_lanczos(1.0 - x) * sf._sinpi(x) / math.pi
+
+
+def ref_pcf_series(nu, z):
+    w = 0.5 * z * z
+    m1 = ref_kummer_m(-0.5 * nu, 0.5, w)
+    m2 = ref_kummer_m(0.5 * (1.0 - nu), 1.5, w)
+    r1 = ref_rgamma(0.5 * (1.0 - nu))
+    r2 = ref_rgamma(-0.5 * nu)
+    pref = 2.0 ** (0.5 * nu) * math.exp(-0.25 * z * z) * sf._SQRT_PI
+    t1 = r1 * m1.value
+    t2 = math.sqrt(2.0) * z * r2 * m2.value
+    value = pref * (t1 - t2)
+    est = pref * (
+        abs(r1) * m1.est_abs_error
+        + math.sqrt(2.0) * abs(z) * abs(r2) * m2.est_abs_error
+        + 16.0 * EPS * (abs(t1) + abs(t2))
+    )
+    return sf.EvalResult(value, est)
+
+
+def ref_airy_series(x):
+    x3 = x * x * x
+    tf = 1.0
+    tg = x
+    f, g = tf, tg
+    fp, gp = 0.0, 1.0
+    sf_, sg = 1.0, abs(x)
+    for k in range(1, 80):
+        tf = tf * x3 / ((3.0 * k) * (3.0 * k - 1.0))
+        tg = tg * x3 / ((3.0 * k) * (3.0 * k + 1.0))
+        f += tf
+        g += tg
+        fp += tf * (3.0 * k) / x
+        gp += tg * (3.0 * k + 1.0) / x
+        sf_ += abs(tf)
+        sg += abs(tg)
+        if abs(tf) < EPS * 0.01 * sf_ and abs(tg) < EPS * 0.01 * max(sg, 1.0):
+            break
+    return f, g, fp, gp, sf_, sg
+
+
+def ref_airy_asym_neg(x):
+    t = -x
+    zeta = 2.0 / 3.0 * t ** 1.5
+    q = t ** 0.25
+    theta = zeta - 0.25 * math.pi
+    c, s = math.cos(theta), math.sin(theta)
+    pu = qu = pv = qv = 0.0
+    prev = math.inf
+    trunc = 0.0
+    zp = 1.0  # zeta^-k
+    for k in range(len(sf._ASYM_U)):
+        tu = sf._ASYM_U[k] * zp
+        if abs(tu) >= prev:
+            trunc = abs(tu)
+            break
+        sign = -1.0 if (k // 2) & 1 else 1.0
+        if k % 2 == 0:
+            pu += sign * tu
+            pv += sign * sf._ASYM_V[k] * zp
+        else:
+            qu += sign * tu
+            qv += sign * sf._ASYM_V[k] * zp
+        prev = abs(tu)
+        trunc = abs(tu)
+        zp /= zeta
+        if abs(tu) < 1e-18:
+            break
+    ai = (c * pu + s * qu) / (sf._SQRT_PI * q)
+    bi = (-s * pu + c * qu) / (sf._SQRT_PI * q)
+    aip = q / sf._SQRT_PI * (s * pv - c * qv)
+    bip = q / sf._SQRT_PI * (c * pv + s * qv)
+    rel = 2.0 * trunc + (4.0 + 2.0 * zeta) * EPS
+    return (ai, aip, bi, bip, rel)
+
+
+def bits(r):
+    """float.hex of a value and its estimate, or of every float in a tuple."""
+    if isinstance(r, sf.EvalResult):
+        return (r.value.hex(), r.est_abs_error.hex())
+    if isinstance(r, tuple):
+        return tuple(bits(v) for v in r)
+    return float(r).hex()
+
+
+def grid(lo, hi, n):
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def test_kummer_series_keeps_every_bit():
+    # z of both signs up to the domain edge, the b = 1/2, 3/2, 5/2 of the
+    # Weber functions, b just off the poles at 0 and -2, integer a
+    # (terminating series) and fractional a
+    zs = grid(-200.0, 200.0, 161) + grid(-3.0, 3.0, 61) + [1e-300, -1e-12]
+    bs = (0.5, 1.5, 2.5, 1.0, 0.37, 1e-9, -1e-6, -2.0 + 3e-12, -1.9999, 7.25)
+    as_ = (-7.0, -3.5, -0.5, 0.0, 0.31, 1.0, 2.25, -12.8, 9.6)
+    checked = 0
+    for a in as_:
+        for b in bs:
+            for z in zs:
+                try:
+                    want = ref_kummer_m(a, b, z)
+                except sf.ConvergenceError:
+                    with pytest.raises(sf.ConvergenceError):
+                        sf.kummer_m(a, b, z)
+                    continue
+                assert bits(sf.kummer_m(a, b, z)) == bits(want), (a, b, z)
+                checked += 1
+    assert checked > 0.9 * len(as_) * len(bs) * len(zs)
+
+
+def test_lanczos_and_rgamma_keep_every_bit():
+    xs = grid(0.5, 60.0, 2001) + [0.5 + 1e-15, 1.0, 2.0, 12.5]
+    for x in xs:
+        assert bits(sf._gamma_lanczos(x)) == bits(ref_gamma_lanczos(x)), x
+    # both sides of the reflection cut, integer and half-integer x
+    ys = grid(-59.5, 59.5, 4001) + [n + d for n in range(-59, 60) for d in (0.0, 0.5)]
+    ys += [0.5 - 1e-16, -1e-300]
+    for y in ys:
+        assert bits(sf.rgamma(y)) == bits(ref_rgamma(y)), y
+
+
+def test_airy_series_keeps_every_bit():
+    # both sides of the double-double cut (4) and of the series cut (7)
+    xs = [x for x in grid(-8.0, 8.0, 3201) if x != 0.0]
+    xs += [3.999, 4.0, 4.001, 6.999, 7.0, 7.001, -6.999, -7.0, -7.001, 1e-8, -1e-8]
+    for x in xs:
+        assert bits(sf._airy_series(x)) == bits(ref_airy_series(x)), x
+
+
+def test_airy_asym_neg_keeps_every_bit():
+    # from just past the series cut to the domain edge
+    for x in grid(-25.0, -7.0, 3601) + [-7.000001, -24.999]:
+        assert bits(sf._airy_asym_neg(x)) == bits(ref_airy_asym_neg(x)), x
+
+
+NUS = (grid(-12.0, 12.0, 49) + [float(n) for n in range(-4, 13)]
+       + [-7.3, -12.25, -31.7, -50.2, 0.999, 1e-9, 59.0])
+ZS = grid(-9.0, 9.0, 73) + [0.0, -0.0, 12.7, -12.7, 20.0, -20.0]
+
+
+def test_pcf_series_keeps_every_bit():
+    # integer and half-integer orders included; _pcf_series is also the
+    # Miller route's anchor
+    for nu in NUS:
+        for z in ZS:
+            assert bits(sf._pcf_series(nu, z)) == bits(ref_pcf_series(nu, z)), (nu, z)
+
+
+def test_pcf_d_pair_equals_two_calls_on_every_route():
+    routes = set()
+    for nu in NUS:
+        for z in ZS:
+            routes.add((sf._pcf_takes_miller(nu, z), sf._pcf_takes_miller(nu, -z)))
+            pair = sf.pcf_d_pair(nu, z)
+            assert bits(pair) == bits((sf.pcf_d(nu, z), sf.pcf_d(nu, -z))), (nu, z)
+    # series on both sides, and Miller on the positive side of either order
+    assert routes == {(False, False), (True, False), (False, True)}
+
+
+def test_pcf_d_pair_shares_the_kummer_pair(monkeypatch):
+    calls = {"kummer_m": 0, "rgamma": 0}
+    for name in calls:
+        fn = getattr(sf, name)
+
+        def counting(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sf, name, counting)
+    sf.pcf_d_pair(0.7, 1.3)
+    assert calls == {"kummer_m": 2, "rgamma": 2}

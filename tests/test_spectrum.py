@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from greenwell import model, oracle, spectrum as sp
+from greenwell import model, oracle, specfun as sf, spectrum as sp
 from greenwell.model import (
     DELTA_DECORATED,
     HALF_HO_HALF_LINEAR,
@@ -264,6 +264,96 @@ def test_hoabs_roots_increase_with_muphi():
             for a, b in zip(prev, vals):
                 assert b > a
         prev = vals
+
+
+def _plain_factors(fam):
+    """The parity factors as they read without a shared memo."""
+    if fam.tag == LINEAR_ABS:
+        return {"even": lambda r: sf.airy_ai_prime(-r).value,
+                "odd": lambda r: sf.airy_ai(-r).value}
+    d = dimensionless(fam, 0.0)
+
+    def odd(e):
+        sigma = e + (0.5 * d.mu * d.phi) ** 2
+        return sf.pcf_d(sigma - 0.5, d.mu * d.phi).value
+
+    def even(e):
+        mu_phi = d.mu * d.phi
+        sigma = e + (0.5 * mu_phi) ** 2
+        return mu_phi * sf.pcf_d(sigma - 0.5, mu_phi).value - 2.0 * sf.pcf_d(sigma + 0.5, mu_phi).value
+    return {"even": even, "odd": odd}
+
+
+PARITY_FAMILIES = [default_family(LINEAR_ABS), default_family(HO_PLUS_ABS),
+                   default_family(HO_PLUS_ABS, alpha1=2.0)]
+
+
+@pytest.mark.parametrize("first", ["even", "odd"])
+@pytest.mark.parametrize("fam", PARITY_FAMILIES, ids=["LINEAR_ABS", "HO_PLUS_ABS", "HO_PLUS_ABS.a2"])
+def test_parity_memo_keeps_every_bit(fam, first):
+    chi = sp.build_chi(fam)
+    shared = dict(chi.factors)
+    plain = _plain_factors(fam)
+    order = (first, "odd" if first == "even" else "even")
+    energies = [0.013 + 0.37 * i for i in range(32)] + [1.018792971647471, 2.338107410459767]
+    for e in energies:
+        for parity in order:
+            assert shared[parity](e).hex() == plain[parity](e).hex(), (e, parity)
+    # one factor alone, twice at one energy, then the other
+    for parity in order + order[:1]:
+        assert shared[parity](5.55).hex() == plain[parity](5.55).hex()
+    # the roots a memo-sharing scan finds are those of the plain factors
+    plain_chi = sp.CharacteristicFunction(chi.window, tuple(plain.items()))
+    for w in ((0.0, 6.0), None):
+        assert sp.find_roots(chi, window=w) == sp.find_roots(plain_chi, window=w)
+
+
+@pytest.mark.parametrize("fam,shared_fn,plain,shared", [
+    (default_family(LINEAR_ABS), "airy_all", 2, 1),
+    (default_family(HO_PLUS_ABS), "pcf_d", 3, 2),
+], ids=["LINEAR_ABS", "HO_PLUS_ABS"])
+def test_parity_memo_shares_one_call_per_energy(monkeypatch, fam, shared_fn, plain, shared):
+    calls = []
+    fn = getattr(sf, shared_fn)
+    monkeypatch.setattr(sf, shared_fn, lambda *a: calls.append(a) or fn(*a))
+    factors = dict(sp.build_chi(fam).factors)
+    for e in (0.7, 3.1):
+        for parity in ("even", "odd"):
+            factors[parity](e)
+    assert len(calls) == 2 * shared
+    calls.clear()
+    for e in (0.7, 3.1):
+        for parity in ("even", "odd"):
+            factors[parity](e)
+    # the first pass left nothing behind: the values are computed afresh
+    assert len(calls) == 2 * shared
+    d = dimensionless(fam, 0.0)
+    memo_less = {LINEAR_ABS: (sp.chi_linear_even, sp.chi_linear_odd),
+                 HO_PLUS_ABS: (lambda e: sp.chi_ho_plus_abs_even(e, d),
+                               lambda e: sp.chi_ho_plus_abs_odd(e, d))}[fam.tag]
+    calls.clear()
+    for f in memo_less:
+        f(0.7)
+    assert len(calls) == plain
+
+
+def test_parity_memo_never_stores_a_failure():
+    memo = {}
+    # -rho beyond the Airy domain, and an order beyond pcf_d's
+    with pytest.raises(sf.DomainError):
+        sp.chi_linear_even(30.0, memo)
+    with pytest.raises(sf.DomainError):
+        sp.chi_linear_odd(30.0, memo)
+    d = dimensionless(default_family(HO_PLUS_ABS), 0.0)
+    for factor in (sp.chi_ho_plus_abs_odd, sp.chi_ho_plus_abs_even):
+        with pytest.raises(sf.DomainError):
+            factor(70.0, d, memo)
+    assert memo == {}
+    # a stored value is taken out by the other factor
+    sp.chi_linear_odd(2.0, memo)
+    assert list(memo) == [2.0]
+    sp.chi_linear_even(2.0, memo)
+    assert memo == {}
 
 
 # ----------------------------------------------------------------------
