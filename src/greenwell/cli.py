@@ -192,16 +192,8 @@ def cmd_green_grid(cfg, stream):
     xmin, xmax, n = cfg.grid
     n = int(n)
     xs = [xmin + (xmax - xmin) * i / (n - 1) for i in range(n)]
-    rows = []
-    # one memo per request: each decaying solution is evaluated once per abscissa
-    resolvent.open_solution_memo()
-    try:
-        for x in xs:
-            xps = xs if cfg.xp is None else [cfg.xp]
-            for xp in xps:
-                rows.append((x, xp, resolvent.green(x, xp, cfg.energy, fam).value))
-    finally:
-        resolvent.release_solution_memo()
+    xps = xs if cfg.xp is None else [cfg.xp]
+    rows = [(x, xp, resolvent.green(x, xp, cfg.energy, fam).value) for x in xs for xp in xps]
     _emit(cfg, ("x", "xp", "value"), rows, stream)
     return EXIT_OK
 

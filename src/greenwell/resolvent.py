@@ -30,13 +30,17 @@ them.  It does the energy-only work (Gamma prefactor, Airy values at
 check once, when it is built, and is a dict from (scaled) abscissa to
 solution values.  green(x, x', E, family) dispatches by family.
 
-Between open_solution_memo() and release_solution_memo() (one
-green-grid request) these objects are kept in a memo keyed by scales,
-then (kind, energy), so each solution is evaluated once per abscissa.  A
-build that fails its pole check is never stored, so every call at a
-pole raises.  Outside that scope every call builds its objects afresh.
-The memo is process-global and not thread-safe; values are
-bit-identical either way.
+The module keeps the solution object of its latest successful build,
+with the kind, energy and scales it was built for.  A call reuses it
+when the kind and the scales object are the same (by identity) and the
+energy compares equal (so +0.0 and -0.0 share one build); any other
+call builds afresh and replaces it.  A green-grid request, or a library
+loop over abscissae at one energy with one family, so evaluates each
+decaying solution once per abscissa; the four base calls of a decorated
+well share that one build.  A build that fails its pole check is never
+kept, so every call at a pole raises.  The cache is one tuple, read and
+replaced whole, so racing threads at worst build twice.  Values are
+bit-identical with or without the cache.
 """
 
 from __future__ import annotations
@@ -61,8 +65,6 @@ __all__ = [
     "green_decorated",
     "to_tilde",
     "linear_solution_pair",
-    "open_solution_memo",
-    "release_solution_memo",
 ]
 
 _HO_POLE_RADIUS = 1e-9
@@ -96,45 +98,20 @@ def to_tilde(g: GreenEval, scales: PhysicalScales) -> GreenEval:
     return GreenEval(-(scales.hbar ** 2 / (2.0 * scales.mass)) * g.value, "G_TILDE")
 
 
-_memo = None  # {scales: {(kind, energy): solution object}} between open and release
-# (scales, _memo[scales]) of the latest call.  A grid passes one scales
-# object to every call, so an identity test finds its solutions without
-# hashing the dataclass per point; this pair keeps the object alive, so
-# no other object can share its identity.
-_last = (None, None)
-
-
-def open_solution_memo():
-    """Keep the decaying solutions of every energy until release_solution_memo()."""
-    global _memo, _last
-    _memo = {}
-    _last = (None, None)
-
-
-def release_solution_memo():
-    """Drop the memo; later calls build their solutions afresh."""
-    global _memo, _last
-    _memo = None
-    _last = (None, None)
+# (kind, energy, scales, solution) of the latest successful build.
+# Holding the scales keeps that object alive, so no other object can
+# take its identity.
+_latest = (None, None, None, None)
 
 
 def _green(kind, x, xp, energy, scales) -> GreenEval:
     """G = num u(x>) v(x<) / den from the `kind` solutions at this energy,
-    taken from the memo when one is held (a failed build is not stored)."""
-    global _last
-    if _memo is None:
+    reusing the latest build when kind, energy and scales match it."""
+    global _latest
+    last_kind, last_energy, last_scales, sol = _latest
+    if not (kind is last_kind and scales is last_scales and energy == last_energy):
         sol = kind(energy, scales)
-    else:
-        last_scales, sols = _last
-        if scales is not last_scales:
-            sols = _memo.get(scales)
-            if sols is None:
-                sols = _memo[scales] = {}
-            _last = (scales, sols)
-        key = (kind, energy)
-        sol = sols.get(key)
-        if sol is None:
-            sol = sols[key] = kind(energy, scales)
+        _latest = (kind, energy, scales, sol)
     lo, hi = (x, xp) if x <= xp else (xp, x)
     # group the solution product first: IEEE multiplication commutes, so
     # the parity map (x, x') -> (-x', -x), which swaps the two factors,
@@ -164,6 +141,8 @@ class _HoSolutions(dict):
         s = scales
         w = s.omega1
         eps = energy / (s.hbar * w)
+        if not math.isfinite(eps):
+            raise sf.DomainError(f"HO resolvent needs a finite eps, got eps = {eps}")
         k = round(eps - 0.5)
         if k >= 0 and abs(eps - (k + 0.5)) < _HO_POLE_RADIUS:
             raise NearPoleError(
@@ -287,6 +266,9 @@ def green_ho_series(x, xp, energy, scales, n_terms=500, tail=False) -> GreenEval
     """
     if not (1 <= n_terms <= 2000):
         raise ValueError(f"n_terms must be in 1..2000, got {n_terms}")
+    if not (math.isfinite(x) and math.isfinite(xp) and math.isfinite(energy)):
+        raise sf.DomainError(
+            f"series resolvent arguments must be finite, got x = {x}, x' = {xp}, E = {energy}")
     s = scales
     w = s.omega1
     eps = energy / (s.hbar * w)

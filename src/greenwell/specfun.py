@@ -32,7 +32,7 @@ Design notes:
     loops.  Reordering a sum, fusing a product or changing a stopping
     test changes the last bits and fails those tests.
   * A non-finite argument raises DomainError at once in rgamma, gamma,
-    kummer_m, weber_even_odd, pcf_d, pcf_d_pair and airy_all.
+    kummer_m, weber_even_odd, pcf_d, pcf_d_pair, airy_all and hermite_h.
 
 All functions are pure and hold no mutable state.
 """
@@ -678,6 +678,8 @@ def hermite_h(n: int, x: float) -> float:
         raise ValueError(f"hermite_h order must be a non-negative integer, got {n}")
     if n > 2000:
         raise ValueError(f"hermite_h order limited to 2000, got {n}")
+    if not math.isfinite(x):
+        raise DomainError(f"hermite_h argument must be finite, got {x}")
     if n == 0:
         return 1.0
     hm, h = 1.0, 2.0 * x

@@ -247,7 +247,6 @@ class Root:
 class SpectrumResult:
     roots: list
     scan_window: tuple
-    scan_step: float
     suspected_missing: list = field(default_factory=list)
 
     def values(self):
@@ -421,7 +420,7 @@ def find_roots(chi: CharacteristicFunction, window=None, step=0.005,
     for i, (val, bracket, residual, parity) in enumerate(merged):
         degenerate = bool(chi.validator(val)) if chi.validator is not None else False
         roots.append(Root(i, val, bracket, residual, parity, degenerate))
-    return SpectrumResult(roots, win, step)
+    return SpectrumResult(roots, win)
 
 
 def flag_missing(result: SpectrumResult, reference_values, tol=1e-3):
@@ -505,15 +504,13 @@ SWEEP_PARAMS = {
 
 @dataclass
 class SweepResult:
-    param_name: str
     rows: list          # (param_value, root_index, energy_value)
     breaks: list        # parameter values where the in-window root count changed
-    results: list       # (param_value, SpectrumResult) in parameter order
 
 
 def sweep(family: PotentialFamily, param_name: str, values, window=None,
           step=0.005) -> SweepResult:
-    """SpectrumResult per parameter value, with index-continuity assembly.
+    """The roots at each parameter value as rows, with index-continuity assembly.
 
     Roots of adjacent parameter values are matched in sorted order
     (curves of these families do not cross); a change of the in-window
@@ -535,7 +532,6 @@ def sweep(family: PotentialFamily, param_name: str, values, window=None,
     points = [(v, apply(family, v)) for v in values]
     rows = []
     breaks = []
-    results = []
     prev_count = None
     for v, fam_v in points:
         chi = build_chi(fam_v)
@@ -543,7 +539,6 @@ def sweep(family: PotentialFamily, param_name: str, values, window=None,
         if prev_count is not None and len(res.roots) != prev_count:
             breaks.append(v)
         prev_count = len(res.roots)
-        results.append((v, res))
         for r in res.roots:
             rows.append((v, r.index, r.value))
-    return SweepResult(param_name, rows, breaks, results)
+    return SweepResult(rows, breaks)

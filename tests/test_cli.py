@@ -217,6 +217,30 @@ def test_green_grid_evaluates_each_solution_once_per_abscissa(
     assert 0 < calls[0] <= per_abscissa * n + per_energy
 
 
+@pytest.mark.parametrize("family,energy", [
+    ("HO", "2.3"), ("HO_STARK", "2.3"), ("LINEAR_ABS", "1.7"), ("HO_PLUS_ABS", "2.3"),
+    ('{"tag": "DELTA_DECORATED", "base": "HO"}', "2.3"),
+    ('{"tag": "DELTA_DECORATED", "base": "LINEAR_ABS"}', "1.7"),
+], ids=["HO", "HO_STARK", "LINEAR_ABS", "HO_PLUS_ABS", "DEC_HO", "DEC_LINEAR_ABS"])
+def test_green_grid_builds_one_solution_object_per_request(monkeypatch, family, energy):
+    # every point of a request shares one (kind, energy, scales) build: the
+    # four base calls of a decorated well and the shifted Stark call too
+    built = []
+    for kind in (resolvent._HoSolutions, resolvent._LinearSolutions,
+                 resolvent._HoAbsSolutions):
+        def counted(self, *args, _init=kind.__init__):
+            built.append(type(self))
+            _init(self, *args)
+        monkeypatch.setattr(kind, "__init__", counted)
+    for column in ([], ["--xp", "0.3"]):
+        for _ in range(2):
+            built.clear()
+            code, _ = run(["green-grid", "--family", family, "--energy", energy,
+                           "--grid=-2:2:9", *column])
+            assert code == 0
+            assert len(built) == 1, (column, built)
+
+
 DEC_HO_SCALES = model.default_family(model.DELTA_DECORATED, base=model.HO).scales
 
 
@@ -239,7 +263,8 @@ def test_green_grid_poles_exit_two_for_every_family():
         assert code == 2, family
 
 
-def test_green_grid_failure_releases_the_memo(monkeypatch):
+def test_green_grid_failure_repeats_and_leaves_no_solutions_behind(monkeypatch):
+    # two identical failing requests make the same special-function calls
     argv = ["green-grid", "--family", _on_resonance_family(), "--energy", "2.3",
             "--grid=-1:1:5"]
     calls = _count_calls(monkeypatch, "pcf_d")
@@ -249,7 +274,7 @@ def test_green_grid_failure_releases_the_memo(monkeypatch):
         assert run(argv)[0] == 2
         made.append(calls[0] - before)
     assert made[0] == made[1] > 0
-    # a library call after the request finds no memo left behind
+    # a library call after the request builds its solutions afresh
     scales = model.family_from_dict(json.loads(argv[2])).scales
     q = scales.delta_position
     before = calls[0]

@@ -4,12 +4,13 @@ All finite-difference comparisons evaluate the closed form at the
 grid-snapped coordinates, so only discretization error enters.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from conftest import fd_green_probe, rel_err
-from greenwell import model, resolvent as rv
+from greenwell import model, resolvent as rv, specfun as sf
 from greenwell.model import (
     DELTA_DECORATED,
     HO,
@@ -143,17 +144,14 @@ def test_linear_near_pole_reports_parity():
 ], ids=["HO", "LINEAR_ABS", "HO_PLUS_ABS"])
 def test_pole_raises_on_every_call_inside_a_memo_scope(green, fam, pole, regular, attr, expected):
     # the pole check runs when a solution object is built, and a failed
-    # build is never memoized, so no later call can return a value
-    cold = green(0.3, -0.8, regular, fam.scales).value.hex()
-    rv.open_solution_memo()
-    try:
-        for x, xp in ((0.1, 0.4), (0.1, 0.4), (-0.6, 0.2)):
-            with pytest.raises(NearPoleError) as exc:
-                green(x, xp, pole, fam.scales)
-            assert getattr(exc.value, attr) == expected
-        assert green(0.3, -0.8, regular, fam.scales).value.hex() == cold
-    finally:
-        rv.release_solution_memo()
+    # build is never kept, so no later call with the same scales object
+    # can return a value; a cold call passes a fresh copy of the scales
+    cold = green(0.3, -0.8, regular, dataclasses.replace(fam.scales)).value.hex()
+    for x, xp in ((0.1, 0.4), (0.1, 0.4), (-0.6, 0.2)):
+        with pytest.raises(NearPoleError) as exc:
+            green(x, xp, pole, fam.scales)
+        assert getattr(exc.value, attr) == expected
+    assert green(0.3, -0.8, regular, fam.scales).value.hex() == cold
 
 
 def test_linear_solution_pair_has_no_pole_check():
@@ -420,7 +418,7 @@ def test_decorated_on_resonance_error():
 
 
 # ----------------------------------------------------------------------
-# per-request solution memo
+# the latest solution object
 # ----------------------------------------------------------------------
 
 DEC_HO_FAM = default_family(DELTA_DECORATED, base=HO, delta_position=-0.5)
@@ -440,53 +438,60 @@ def test_solution_memo_never_changes_a_value(green, fam, energy):
     n = 9
     xs = [-2.0 + 4.0 * i / (n - 1) for i in range(n)]
     assert 0.0 in xs and -0.5 in xs and 0.5 in xs
+    energies = (energy, energy + 0.25)
 
-    def by_family(x, xp, e, scales):
-        return rv.green(x, xp, e, fam)
+    def points(xps, alternate):
+        # energy by energy (each build serves a whole grid), or both
+        # energies at every point (each call must rebuild)
+        if alternate:
+            return [(x, xp, e) for x in xs for xp in xps for e in energies]
+        return [(x, xp, e) for e in energies for x in xs for xp in xps]
 
-    def rows(xps, memo, green=green):
-        out = []
-        if memo:
-            rv.open_solution_memo()
-        try:
-            # two energies in one scope: the memo must key on the energy
-            for e in (energy, energy + 0.25):
-                for x in xs:
-                    for xp in xps:
-                        if not memo:
-                            rv.release_solution_memo()
-                        out.append(green(x, xp, e, fam.scales).value.hex())
-        finally:
-            rv.release_solution_memo()
-        return out
-
-    # the full grid, an off-grid column and a -0.0 column (one dict key with +0.0)
-    # the family dispatch gives the per-family function's bits
+    # the full grid, an off-grid column and a -0.0 column (one build with +0.0)
     for xps in (xs, [0.3], [-0.0]):
-        cold = rows(xps, memo=False)
-        assert rows(xps, memo=True) == cold
-        assert rows(xps, memo=True, green=by_family) == cold
+        for alternate in (False, True):
+            pts = points(xps, alternate)
+            # a fresh scales object per call: every value built afresh
+            cold = [green(x, xp, e, dataclasses.replace(fam.scales)).value.hex()
+                    for x, xp, e in pts]
+            assert [green(x, xp, e, fam.scales).value.hex() for x, xp, e in pts] == cold
+            # the family dispatch gives the per-family function's bits
+            assert [rv.green(x, xp, e, fam).value.hex() for x, xp, e in pts] == cold
 
 
 def test_solution_memo_hashes_the_scales_once_per_request(monkeypatch):
-    # a grid passes one scales object to every call; the memo finds its
-    # solutions by identity instead of hashing the dataclass per point
+    # a grid passes one scales object to every call; the cache matches
+    # it by identity instead of hashing the dataclass per point
     fam = DEC_HO_FAM
     hashes = []
     original = type(fam.scales).__hash__
     monkeypatch.setattr(type(fam.scales), "__hash__",
                         lambda self: hashes.append(1) or original(self))
     xs = [-2.0 + 0.5 * i for i in range(9)]
-    cold = [rv.green(x, xp, 2.3, fam).value.hex() for x in xs for xp in xs]
-    rv.open_solution_memo()
-    try:
-        hashes.clear()
-        warm = [rv.green(x, xp, 2.3, fam).value.hex() for x in xs for xp in xs]
-        # an equal but distinct scales object shares the solutions
-        twin = model.with_scales(fam)
-        assert twin.scales == fam.scales and twin.scales is not fam.scales
-        warm_twin = [rv.green(x, xp, 2.3, twin).value.hex() for x in xs for xp in xs]
-    finally:
-        rv.release_solution_memo()
+    cold = [rv.green(x, xp, 2.3, model.with_scales(fam)).value.hex() for x in xs for xp in xs]
+    hashes.clear()
+    warm = [rv.green(x, xp, 2.3, fam).value.hex() for x in xs for xp in xs]
+    # an equal but distinct scales object gives the same bits
+    twin = model.with_scales(fam)
+    assert twin.scales == fam.scales and twin.scales is not fam.scales
+    warm_twin = [rv.green(x, xp, 2.3, twin).value.hex() for x in xs for xp in xs]
     assert warm == cold == warm_twin
     assert len(hashes) <= 4
+
+
+def test_non_finite_arguments_raise_domain_error():
+    nan, inf = math.nan, math.inf
+    for x, xp, e in ((nan, 0.0, 2.3), (0.0, inf, 2.3), (0.1, 0.2, nan), (0.1, 0.2, -inf)):
+        with pytest.raises(sf.DomainError, match="series resolvent arguments must be finite"):
+            rv.green_ho_series(x, xp, e, HO_FAM.scales)
+    # a non-finite energy fails the HO build, not round() in its pole check
+    ho_calls = (rv.green_ho, rv.green_ho_stark,
+                lambda x, xp, e, s: rv.green_decorated(x, xp, e, HO, s))
+    for e in (nan, inf, -inf):
+        for green, fam in zip(ho_calls, (HO_FAM, STARK_FAM, DEC_HO_FAM)):
+            with pytest.raises(sf.DomainError, match="HO resolvent needs a finite eps"):
+                green(0.1, 0.2, e, fam.scales)
+        with pytest.raises(sf.DomainError, match="airy functions restricted to"):
+            rv.green_linear(0.1, 0.2, e, LIN_FAM.scales)
+        with pytest.raises(sf.DomainError, match="pcf_d arguments must be finite"):
+            rv.green_ho_plus_abs(0.1, 0.2, e, HOABS_FAM.scales)

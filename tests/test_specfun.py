@@ -376,6 +376,9 @@ def test_hermite_validation():
         sf.hermite_h(-1, 0.0)
     with pytest.raises(ValueError):
         sf.hermite_h(2001, 0.0)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(sf.DomainError, match="hermite_h argument must be finite"):
+            sf.hermite_h(3, x)
 
 
 # ----------------------------------------------------------------------
