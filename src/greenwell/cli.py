@@ -3,8 +3,8 @@ the composite-well reference table, and closed-form-vs-oracle
 verification, all with deterministic CSV/JSON output.
 
 Exit codes: 0 success, 1 usage/config error (including a value outside
-a documented special-function domain), 2 numerical failure, 3
-verification mismatch.
+a documented special-function domain and an --out path that cannot be
+opened), 2 numerical failure, 3 verification mismatch.
 
 Floats are always formatted with 12 significant digits ('%.12g'), so a
 fixed configuration yields byte-identical output.
@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 from . import model, oracle, resolvent, spectrum
 from .model import DELTA_DECORATED, HO, LINEAR_ABS
@@ -136,19 +137,58 @@ class RunConfig:
 # ----------------------------------------------------------------------
 
 
+def _column(values, csv):
+    """(template field, cells) for one column of a table: a column of
+    floats is formatted by the row template, any other column is
+    turned into its CSV or JSON text here, once per value."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return ("%.12g" if csv else '"%.12g"'), values
+    if csv:
+        if any(issubclass(k, float) for k in kinds):
+            return "%s", list(map(_fmt, values))
+        return "%s", values
+    if kinds == {str}:
+        return "%s", list(map(encode_basestring_ascii, values))
+    return "%s", [json.dumps(_fmt(v) if isinstance(v, float) else v) for v in values]
+
+
+def _layout(template, parts):
+    """One text per row: `template` filled with the row's cells."""
+    return [template % cells for cells in zip(*(c for _, c in parts))]
+
+
 def _emit(cfg, header, rows, stream):
-    """Write rows as CSV (default) or JSON with fixed float formatting."""
+    """Write a table to `cfg.out`, or to `stream` when no path is set.
+
+    CSV: the header line, then one line per row.  JSON: an array with one
+    object per row, keys sorted, one-space indent, and `[]` for an empty
+    table.  Floats have 12 significant digits ('%.12g'; JSON strings);
+    other values print as str() in CSV and as JSON numbers or strings.
+
+    Each row is laid out by one '%' template over its columns' cells,
+    so no row builds a dict or runs the pure-Python JSON indent encoder.
+    An output path that cannot be opened is a UsageError."""
+    columns = list(zip(*rows))
     if cfg.format == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        parts = [_column(c, True) for c in columns]
+        template = ",".join(f for f, _ in parts) + "\n"
+        text = ",".join(header) + "\n" + "".join(_layout(template, parts))
     else:
-        payload = [dict(zip(header, [(_fmt(v) if isinstance(v, float) else v)
-                                     for v in row])) for row in rows]
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        # as in dict(zip(header, row)), a repeated key keeps its last column
+        keyed = sorted({h: i for i, h in enumerate(header)}.items()) if columns else []
+        parts = [_column(columns[i], False) for _, i in keyed]
+        template = " {\n" + ",\n".join(
+            f"  {json.dumps(h).replace('%', '%%')}: {f}"
+            for (h, _), (f, _) in zip(keyed, parts)) + "\n }"
+        objects = _layout(template, parts)
+        text = "[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(cfg.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out: {exc}") from None
+        with fh:
             fh.write(text)
     else:
         stream.write(text)
@@ -191,9 +231,13 @@ def cmd_green_grid(cfg, stream):
     fam = model.family_from_dict(cfg.family)
     xmin, xmax, n = cfg.grid
     n = int(n)
-    xs = [xmin + (xmax - xmin) * i / (n - 1) for i in range(n)]
-    xps = xs if cfg.xp is None else [cfg.xp]
-    rows = [(x, xp, resolvent.green(x, xp, cfg.energy, fam).value) for x in xs for xp in xps]
+    # each grid abscissa is formatted once, by position, for all the rows
+    # it appears in; a fixed xp is its own cell, which _emit formats like
+    # any value (-0.0 as -0, an integer from a config as a JSON number)
+    xs = [(x, _fmt(x)) for x in (xmin + (xmax - xmin) * i / (n - 1) for i in range(n))]
+    xps = xs if cfg.xp is None else [(cfg.xp, cfg.xp)]
+    rows = [(x_cell, xp_cell, resolvent.green(x, xp, cfg.energy, fam).value)
+            for x, x_cell in xs for xp, xp_cell in xps]
     _emit(cfg, ("x", "xp", "value"), rows, stream)
     return EXIT_OK
 

@@ -192,6 +192,40 @@ def test_green_grid_bytes_pinned(family, energy, csv_sha, json_sha):
         assert hashlib.sha256(out.encode()).hexdigest() == sha, fmt
 
 
+# sha256 of README-size grids and of an xp = -0 column, recorded before
+# the row templates replaced the JSON indent encoder
+GRID_BYTES_SHA256 = [
+    (["--family", "LINEAR_ABS", "--energy", "2.3", "--grid=-4:4:81"],
+     "84aba58c7a123b916255fbfdba102d99942eea4e704b5352ef9bd6b835bbbe50",
+     "586426593f91dc7fa47994f3ad011c3ee81f54eab5014c6129f76d5b3099696e"),
+    (["--family", "DELTA_DECORATED(HO)", "--energy", "2.3", "--grid=-4:4:81"],
+     "378a5ab79ded61506d17a980fe076fb0a5bd838f1dae3b5b34ddd11021f37540",
+     "0bd4b8dc80b9cd8930d101e655036abe8618f00b344e4788868370b3546e595b"),
+    (["--family", "HO", "--energy", "2.3", "--grid=-2:2:9", "--xp=-0"],
+     "19d4004f54215043eb9ba3509b4b86bf3340d5f6a06ef88949fb45b9ddf11540",
+     "205445f7d5f9009e84865cb5b0b316d57137d3577a58968dc38e4d46a74b6e53"),
+]
+
+
+@pytest.mark.parametrize("argv,csv_sha,json_sha", GRID_BYTES_SHA256,
+                         ids=["LINEAR_ABS-81", "DEC_HO-81", "HO-xp-0"])
+def test_green_grid_readme_size_and_negative_zero_bytes_pinned(argv, csv_sha, json_sha):
+    for fmt, sha in (("csv", csv_sha), ("json", json_sha)):
+        code, out = run(["green-grid", *argv, "--format", fmt])
+        assert code == 0
+        assert _sha256(out) == sha, fmt
+    if "--xp=-0" in argv:
+        # -0.0 == 0.0, so an abscissa keyed by value would print as 0
+        assert {row["xp"] for row in json.loads(out)} == {"-0"}
+
+
+def test_green_grid_integer_xp_stays_a_json_number():
+    code, out = run(["green-grid", "--family", "HO", "--energy", "2.3", "--grid=-1:1:3",
+                     "--set", "xp=0", "--format", "json"])
+    assert code == 0
+    assert [row["xp"] for row in json.loads(out)] == [0, 0, 0]
+
+
 def _count_calls(monkeypatch, name):
     """A one-element list counting the calls made to specfun.<name>."""
     calls = [0]
@@ -495,6 +529,78 @@ def test_json_format():
     assert code == 0
     rows = json.loads(out)
     assert [float(r["eps"]) for r in rows] == [0.5, 1.5]
+
+
+def test_out_path_that_cannot_be_opened_exits_one(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    code, out = run(["levels", "--family", "HO", "--window", "0:2",
+                     "--out", str(missing / "rows.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write --out:") and str(missing) in err
+    assert not missing.exists()
+
+
+def _fmt(x):
+    if isinstance(x, float):
+        return f"{x:.12g}"
+    return str(x)
+
+
+def _reference_emit(cfg, header, rows, stream):
+    """cli._emit as it was before the row templates, verbatim: a dict per
+    row and the json indent encoder."""
+    if cfg.format == "csv":
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(_fmt(v) for v in row))
+        text = "\n".join(lines) + "\n"
+    else:
+        payload = [dict(zip(header, [(_fmt(v) if isinstance(v, float) else v)
+                                     for v in row])) for row in rows]
+        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    if cfg.out:
+        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        stream.write(text)
+
+
+EMIT_TABLES = {
+    # ints, strings that need JSON escapes, and a column that mixes types
+    "mixed": (("index", "parity", "note", "eps", "mixed"), [
+        (0, "", "plain", 0.5, 1),
+        (-7, "even", 'say "hi"', -0.0, 2.5),
+        (12345678901234567890, "odd", "back\\slash", 1e22, "text"),
+        (3, "even", "tab\tbell\x07", float("nan"), 1.0 / 3.0),
+        (4, "", "psi \u03c8 caf\u00e9 \U0001d6d9", float("inf"), ""),
+    ]),
+    "floats": (("value",), [(v,) for v in (
+        -0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e22,
+        123456789012.5, -1.2345678901234e-300, 2.0 / 3.0)]),
+    # a key with '%' and a repeated key, which keeps its last column
+    "keys": (("b", "50%", "a", "b"), [(1, 2.0, "x", 3), (4, -5.0, "y", 6)]),
+    "empty": (("x", "xp", "value"), []),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("table", EMIT_TABLES)
+def test_emit_matches_the_dict_and_json_encoder_reference(tmp_path, fmt, table):
+    header, rows = EMIT_TABLES[table]
+    cfg = cli.RunConfig("levels", format=fmt)
+    want, got = io.StringIO(), io.StringIO()
+    _reference_emit(cfg, header, rows, want)
+    cli._emit(cfg, header, rows, got)
+    assert got.getvalue() == want.getvalue()
+    if not rows:
+        assert got.getvalue() == ("x,xp,value\n" if fmt == "csv" else "[]\n")
+    # --out gets the same bytes as the stream
+    cfg.out = str(tmp_path / f"table.{fmt}")
+    cli._emit(cfg, header, rows, None)
+    with open(cfg.out, encoding="utf-8", newline="") as fh:
+        assert fh.read() == want.getvalue()
 
 
 def test_null_means_the_field_default():
