@@ -2,6 +2,10 @@
 the composite-well reference table, and closed-form-vs-oracle
 verification, all with deterministic CSV/JSON output.
 
+Each command returns (exit code, text); `main` alone writes the text,
+to the --out file or to stdout, so a run's output holds its complete
+result or nothing.  Errors, curve breaks included, go to stderr.
+
 Exit codes: 0 success, 1 usage/config error (including a value outside
 a documented special-function domain and an --out path that cannot be
 opened), 2 numerical failure, 3 verification mismatch.
@@ -158,8 +162,8 @@ def _layout(template, parts):
     return [template % cells for cells in zip(*(c for _, c in parts))]
 
 
-def _emit(cfg, header, rows, stream):
-    """Write a table to `cfg.out`, or to `stream` when no path is set.
+def _table(cfg, header, rows):
+    """A table as text in `cfg.format`.
 
     CSV: the header line, then one line per row.  JSON: an array with one
     object per row, keys sorted, one-space indent, and `[]` for an empty
@@ -167,31 +171,20 @@ def _emit(cfg, header, rows, stream):
     other values print as str() in CSV and as JSON numbers or strings.
 
     Each row is laid out by one '%' template over its columns' cells,
-    so no row builds a dict or runs the pure-Python JSON indent encoder.
-    An output path that cannot be opened is a UsageError."""
+    so no row builds a dict or runs the pure-Python JSON indent encoder."""
     columns = list(zip(*rows))
     if cfg.format == "csv":
         parts = [_column(c, True) for c in columns]
         template = ",".join(f for f, _ in parts) + "\n"
-        text = ",".join(header) + "\n" + "".join(_layout(template, parts))
-    else:
-        # as in dict(zip(header, row)), a repeated key keeps its last column
-        keyed = sorted({h: i for i, h in enumerate(header)}.items()) if columns else []
-        parts = [_column(columns[i], False) for _, i in keyed]
-        template = " {\n" + ",\n".join(
-            f"  {json.dumps(h).replace('%', '%%')}: {f}"
-            for (h, _), (f, _) in zip(keyed, parts)) + "\n }"
-        objects = _layout(template, parts)
-        text = "[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n"
-    if cfg.out:
-        try:
-            fh = open(cfg.out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise UsageError(f"cannot write --out: {exc}") from None
-        with fh:
-            fh.write(text)
-    else:
-        stream.write(text)
+        return ",".join(header) + "\n" + "".join(_layout(template, parts))
+    # as in dict(zip(header, row)), a repeated key keeps its last column
+    keyed = sorted({h: i for i, h in enumerate(header)}.items()) if columns else []
+    parts = [_column(columns[i], False) for _, i in keyed]
+    template = " {\n" + ",\n".join(
+        f"  {json.dumps(h).replace('%', '%%')}: {f}"
+        for (h, _), (f, _) in zip(keyed, parts)) + "\n }"
+    objects = _layout(template, parts)
+    return "[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n"
 
 
 # ----------------------------------------------------------------------
@@ -199,18 +192,17 @@ def _emit(cfg, header, rows, stream):
 # ----------------------------------------------------------------------
 
 
-def cmd_levels(cfg, stream):
+def cmd_levels(cfg):
     fam = model.family_from_dict(cfg.family)
     chi = spectrum.build_chi(fam)
     res = spectrum.find_roots(chi, window=cfg.window, step=cfg.step)
     header = ("index", "parity", "eps", "residual", "bracket_lo", "bracket_hi")
     rows = [(r.index, r.parity or "", r.value, r.residual, r.bracket[0], r.bracket[1])
             for r in res.roots]
-    _emit(cfg, header, rows, stream)
-    return EXIT_OK
+    return EXIT_OK, _table(cfg, header, rows)
 
 
-def cmd_sweep(cfg, stream):
+def cmd_sweep(cfg):
     if cfg.param is None or cfg.sweep_range is None:
         raise UsageError("sweep requires --param and --range from:to:step")
     fam = model.family_from_dict(cfg.family)
@@ -219,37 +211,32 @@ def cmd_sweep(cfg, stream):
     values = [a + i * s for i in range(n)]
     result = spectrum.sweep(fam, cfg.param, values, window=cfg.window, step=cfg.step)
     if result.breaks and not cfg.allow_breaks:
-        stream.write(f"curve break at {cfg.param} = "
-                     + ", ".join(_fmt(v) for v in result.breaks)
-                     + " (rerun with --allow-breaks)\n")
-        return EXIT_NUMERICAL
-    _emit(cfg, ("param_value", "root_index", "eps"), result.rows, stream)
-    return EXIT_OK
+        raise ArithmeticError(f"curve break at {cfg.param} = "
+                              + ", ".join(_fmt(v) for v in result.breaks)
+                              + " (rerun with --allow-breaks)")
+    return EXIT_OK, _table(cfg, ("param_value", "root_index", "eps"), result.rows)
 
 
-def cmd_green_grid(cfg, stream):
+def cmd_green_grid(cfg):
     fam = model.family_from_dict(cfg.family)
     xmin, xmax, n = cfg.grid
     n = int(n)
     # each grid abscissa is formatted once, by position, for all the rows
-    # it appears in; a fixed xp is its own cell, which _emit formats like
+    # it appears in; a fixed xp is its own cell, which _table formats like
     # any value (-0.0 as -0, an integer from a config as a JSON number)
     xs = [(x, _fmt(x)) for x in (xmin + (xmax - xmin) * i / (n - 1) for i in range(n))]
     xps = xs if cfg.xp is None else [(cfg.xp, cfg.xp)]
     rows = [(x_cell, xp_cell, resolvent.green(x, xp, cfg.energy, fam).value)
             for x, x_cell in xs for xp, xp_cell in xps]
-    _emit(cfg, ("x", "xp", "value"), rows, stream)
-    return EXIT_OK
+    return EXIT_OK, _table(cfg, ("x", "xp", "value"), rows)
 
 
-def cmd_table1(cfg, stream):
+def cmd_table1(cfg):
     fam = model.default_family(model.HALF_HO_HALF_LINEAR)  # xi = sqrt(2)
     chi = spectrum.build_chi(fam)
-    res = spectrum.find_roots(chi, window=(1e-6, 5.5), step=0.005)
-    got = res.values()[:10]
+    got = spectrum.find_roots(chi, window=(1e-6, 5.5), step=0.005, limit=10).values()
     if len(got) < 10:
-        stream.write(f"found only {len(got)} levels in the scan window\n")
-        return EXIT_NUMERICAL
+        raise ArithmeticError(f"found only {len(got)} levels in the scan window")
     ok = True
     lines = [("index", "computed", "reference", "abs_diff")]
     for i, (c, ref) in enumerate(zip(got, TABLE1_REFERENCE)):
@@ -257,10 +244,10 @@ def cmd_table1(cfg, stream):
         ok = ok and d <= 5e-5
         lines.append((i, _fmt(c), _fmt(ref), _fmt(d)))
     width = [max(len(str(r[j])) for r in lines) for j in range(4)]
-    for r in lines:
-        stream.write("  ".join(str(v).rjust(width[j]) for j, v in enumerate(r)) + "\n")
-    stream.write("table check: " + ("PASS" if ok else "FAIL") + "\n")
-    return EXIT_OK if ok else EXIT_MISMATCH
+    text = "".join("  ".join(str(v).rjust(width[j]) for j, v in enumerate(r)) + "\n"
+                   for r in lines)
+    text += "table check: " + ("PASS" if ok else "FAIL") + "\n"
+    return (EXIT_OK if ok else EXIT_MISMATCH), text
 
 
 def _verify_rule(fam):
@@ -320,19 +307,20 @@ def verify_family(fam, k=5, n_points=None):
     return closed, orc, max(diffs)
 
 
-def cmd_verify(cfg, stream):
+def cmd_verify(cfg):
     families = (_default_families() if cfg.family is None
                 else [model.family_from_dict(cfg.family)])
     all_ok = True
+    lines = []
     for fam in families:
         n_def, tol = _verify_rule(fam)
         n = cfg.n_oracle or n_def
         closed, orc, worst = verify_family(fam, k=cfg.k_levels, n_points=n)
         ok = worst <= tol
         all_ok = all_ok and ok
-        stream.write(f"{_well_name(fam)}: max level error {_fmt(worst)} "
+        lines.append(f"{_well_name(fam)}: max level error {_fmt(worst)} "
                      f"(tol {_fmt(tol)}, n={n}) {'ok' if ok else 'MISMATCH'}\n")
-    return EXIT_OK if all_ok else EXIT_MISMATCH
+    return (EXIT_OK if all_ok else EXIT_MISMATCH), "".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -466,7 +454,16 @@ def main(argv=None, stream=None):
         if dump:
             stream.write(json.dumps(cfg.to_dict(), indent=1, sort_keys=True) + "\n")
             return EXIT_OK
-        return _COMMANDS[cfg.command](cfg, stream)
+        code, text = _COMMANDS[cfg.command](cfg)
+        if cfg.out:
+            try:
+                with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write --out: {exc}") from None
+        else:
+            stream.write(text)
+        return code
     # a value outside a documented special-function domain is a usage error
     except (UsageError, model.FamilyError, spectrum.SweepError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

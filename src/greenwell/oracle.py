@@ -66,16 +66,12 @@ class TridiagonalOperator:
     constant off-diagonal -hbar^2/(2 m h^2)."""
 
     diag: tuple
-    offdiag: tuple  # length n-1, all equal
+    off: float
     grid: GridSpec
 
     @property
     def n(self):
         return len(self.diag)
-
-    @property
-    def off(self):
-        return self.offdiag[0]
 
     def node(self, i):
         return self.grid.node(i)
@@ -120,7 +116,7 @@ def discretize(family: PotentialFamily, grid: GridSpec, e_max: float = 0.0) -> T
         if not (0 <= i_q < n):
             raise WallError(f"delta position {q} outside the grid")
         diag[i_q] += s.delta_strength / h
-    return TridiagonalOperator(tuple(diag), tuple([-0.5 * c] * (n - 1)), grid)
+    return TridiagonalOperator(tuple(diag), -0.5 * c, grid)
 
 
 def eigenvalue_count_below(op: TridiagonalOperator, x: float, cap: int | None = None) -> int:

@@ -382,7 +382,7 @@ def green_linear(x, xp, energy, scales) -> GreenEval:
 
 
 class _HoAbsSolutions(dict):
-    """(psi1, psi1') of V = m w^2 x^2/2 + alpha^3 |x| at one energy, by x.
+    """psi1 of V = m w^2 x^2/2 + alpha^3 |x| at one energy, by x.
 
     psi1 decays at +inf: D_{sigma-1/2}(mu x + mu phi) for x >= 0.  For
     x < 0 the potential branch is the parabola centered at x = +phi, so
@@ -416,23 +416,19 @@ class _HoAbsSolutions(dict):
         self.B = (e0 * dp0 - d0 * ep0) / det
 
     def __missing__(self, t):
-        mu, nu = self.mu, self.nu
+        mu = self.mu
         if t >= 0.0:
-            z = mu * t + mu * self.phi
-            d = sf.pcf_d(nu, z).value
-            dp = 0.5 * z * d - sf.pcf_d(nu + 1.0, z).value
-            psi = self[t] = (d, mu * dp)
+            psi = self[t] = sf.pcf_d(self.nu, mu * t + mu * self.phi).value
             return psi
-        ev, evp, ov, ovp, _ = sf.weber_even_odd(nu, mu * (t - self.phi))
-        A, B = self.A, self.B
-        psi = self[t] = (A * ev + B * ov, mu * (A * evp + B * ovp))
+        ev, _, ov, _, _ = sf.weber_even_odd(self.nu, mu * (t - self.phi))
+        psi = self[t] = self.A * ev + self.B * ov
         return psi
 
     def u(self, x):
-        return self[x][0]
+        return self[x]
 
     def v(self, x):
-        return self[-x][0]
+        return self[-x]
 
 
 def green_ho_plus_abs(x, xp, energy, scales) -> GreenEval:

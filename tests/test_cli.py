@@ -105,12 +105,16 @@ def test_sweep_rows_and_ordering():
     assert keys == sorted(keys)
 
 
-def test_sweep_break_exit_two_without_flag():
+def test_sweep_break_exit_two_without_flag(tmp_path, capsys):
     args = ["sweep", "--family", "HO_ASYM", "--param", "lam",
             "--range", "0.4:0.8:0.2", "--window", "0:4", "--step", "0.01"]
-    code, out = run(args)
-    assert code == 2
-    assert "break" in out
+    path = tmp_path / "rows.csv"
+    for out_flag in ([], ["--out", str(path)]):
+        code, out = run(args + out_flag)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: curve break at lam = 0.8")
+    assert not path.exists()
     code2, out2 = run(args + ["--allow-breaks"])
     assert code2 == 0
 
@@ -241,6 +245,7 @@ def _count_calls(monkeypatch, name):
 @pytest.mark.parametrize("family,name,per_abscissa,per_energy", [
     ("HO", "pcf_d", 2, 0),
     ("LINEAR_ABS", "airy_all", 1, 1),
+    ("HO_PLUS_ABS", "pcf_d", 1, 2),
 ])
 def test_green_grid_evaluates_each_solution_once_per_abscissa(
         monkeypatch, family, name, per_abscissa, per_energy):
@@ -587,20 +592,66 @@ EMIT_TABLES = {
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("table", EMIT_TABLES)
-def test_emit_matches_the_dict_and_json_encoder_reference(tmp_path, fmt, table):
+def test_emit_matches_the_dict_and_json_encoder_reference(fmt, table):
     header, rows = EMIT_TABLES[table]
     cfg = cli.RunConfig("levels", format=fmt)
-    want, got = io.StringIO(), io.StringIO()
+    want = io.StringIO()
     _reference_emit(cfg, header, rows, want)
-    cli._emit(cfg, header, rows, got)
-    assert got.getvalue() == want.getvalue()
+    got = cli._table(cfg, header, rows)
+    assert got == want.getvalue()
     if not rows:
-        assert got.getvalue() == ("x,xp,value\n" if fmt == "csv" else "[]\n")
-    # --out gets the same bytes as the stream
-    cfg.out = str(tmp_path / f"table.{fmt}")
-    cli._emit(cfg, header, rows, None)
-    with open(cfg.out, encoding="utf-8", newline="") as fh:
-        assert fh.read() == want.getvalue()
+        assert got == ("x,xp,value\n" if fmt == "csv" else "[]\n")
+
+
+_DEC_LINEAR_ABS = json.dumps(FLOOR_WELLS_SHA256[2][0])
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    (["levels", "--family", "HO", "--window", "0:4", "--format", "json"], 0),
+    (["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "0.8:1.2:0.2",
+      "--window", "0:3", "--step", "0.01"], 0),
+    (["green-grid", "--family", "LINEAR_ABS", "--energy", "1.7", "--grid=-2:2:9"], 0),
+    (["table1"], 0),
+    (["verify", "--family", "HO", "--k", "1", "--n-oracle", "1000"], 0),
+    (["verify", "--family", _DEC_LINEAR_ABS, "--k", "6", "--n-oracle", "1000"], 3),
+], ids=["levels", "sweep", "green-grid", "table1", "verify", "verify-mismatch"])
+def test_out_gets_exactly_the_bytes_stdout_would(tmp_path, argv, exit_code):
+    code, want = run(argv)
+    assert code == exit_code and want
+    path = tmp_path / "result.txt"
+    code, out = run(argv + ["--out", str(path)])
+    assert (code, out) == (exit_code, "")
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == want
+
+
+def test_verify_failing_on_a_later_well_leaves_stdout_empty(monkeypatch, capsys):
+    # the first four wells pass; the fifth raises
+    original = cli.verify_family
+    passed = []
+
+    def verify_family(fam, k, n_points):
+        if len(passed) == 4:
+            raise ArithmeticError(f"no levels for {cli._well_name(fam)}")
+        closed, orc, worst = original(fam, k=k, n_points=n_points)
+        passed.append(worst)
+        return closed, orc, worst
+    monkeypatch.setattr(cli, "verify_family", verify_family)
+    code, out = run(["verify", "--k", "1", "--n-oracle", "1000"])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err == f"numerical failure: no levels for {VERIFY_NAMES[4]}\n"
+    assert len(passed) == 4 and max(passed) <= 2e-3
+
+
+def test_table1_short_of_ten_levels_leaves_stdout_empty(monkeypatch, capsys):
+    original = cli.spectrum.find_roots
+    monkeypatch.setattr(cli.spectrum, "find_roots",
+                        lambda chi, **kw: original(chi, **{**kw, "window": (1e-6, 2.0)}))
+    code, out = run(["table1"])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: found only 3 levels in the scan window")
 
 
 def test_null_means_the_field_default():

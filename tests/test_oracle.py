@@ -24,12 +24,12 @@ def box_operator(L=1.0, n=200):
     """V = 0 between hard walls: analytic discrete spectrum available."""
     h = 2.0 * L / (n + 1)
     c = 1.0 / (h * h)  # hbar = m = 1
-    return TridiagonalOperator(tuple([c] * n), tuple([-0.5 * c] * (n - 1)), GridSpec(L, n))
+    return TridiagonalOperator(tuple([c] * n), -0.5 * c, GridSpec(L, n))
 
 
 def test_two_by_two_analytic():
     # grid metadata is irrelevant to the pure eigenvalue solve
-    op = TridiagonalOperator((2.0, 2.0), (-1.0,), GridSpec(1.0, 100))
+    op = TridiagonalOperator((2.0, 2.0), -1.0, GridSpec(1.0, 100))
     eigs = lowest_eigenvalues(op, 2)
     assert eigs[0] == pytest.approx(1.0, abs=1e-10)
     assert eigs[1] == pytest.approx(3.0, abs=1e-10)
