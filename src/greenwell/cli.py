@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
@@ -96,6 +97,8 @@ class RunConfig:
             raise UsageError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise UsageError(f"format must be csv or json, got {self.format!r}")
+        if self.format == "json" and self.command in ("table1", "verify"):
+            raise UsageError(f"{self.command} prints a text report; format json does not apply")
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise UsageError("step must be a positive finite number")
         if self.window is not None and not (
@@ -446,6 +449,17 @@ _COMMANDS = {
 }
 
 
+def _check_out(path):
+    """UsageError, before any work, when `path` is a directory or its
+    directory does not exist; the file itself is neither created nor
+    truncated here."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write --out: {path!r} is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"cannot write --out: no directory {folder!r}")
+
+
 def main(argv=None, stream=None):
     argv = sys.argv[1:] if argv is None else argv
     stream = stream if stream is not None else sys.stdout
@@ -454,6 +468,8 @@ def main(argv=None, stream=None):
         if dump:
             stream.write(json.dumps(cfg.to_dict(), indent=1, sort_keys=True) + "\n")
             return EXIT_OK
+        if cfg.out:
+            _check_out(cfg.out)
         code, text = _COMMANDS[cfg.command](cfg)
         if cfg.out:
             try:

@@ -72,6 +72,9 @@ _REQUIRED = {
     HALF_HO_HALF_LINEAR: ("omega1", "alpha1"),
     HO_PLUS_ABS: ("omega1", "alpha1"),
 }
+# the required scales that may be 0; the family divides by every other one.
+# alpha1 = 0 is the plain oscillator, where the muphi sweep starts
+_MAY_BE_ZERO = {(HO_STARK, "alpha1"), (HO_PLUS_ABS, "alpha1")}
 
 
 class FamilyError(ValueError):
@@ -124,15 +127,15 @@ class PotentialFamily:
                 raise FamilyError("DELTA_DECORATED requires base HO or LINEAR_ABS")
             if self.scales.delta_strength is None or self.scales.delta_position is None:
                 raise FamilyError("DELTA_DECORATED requires delta_strength and delta_position")
-            for name in _REQUIRED[self.base]:
-                if getattr(self.scales, name) is None:
-                    raise FamilyError(f"{self.tag}({self.base}) requires scale {name}")
-        else:
-            if self.base is not None:
-                raise FamilyError("base is only meaningful for DELTA_DECORATED")
-            for name in _REQUIRED[self.tag]:
-                if getattr(self.scales, name) is None:
-                    raise FamilyError(f"{self.tag} requires scale {name}")
+        elif self.base is not None:
+            raise FamilyError("base is only meaningful for DELTA_DECORATED")
+        well = self.tag if self.base is None else f"{self.tag}({self.base})"
+        for name in _REQUIRED[self.smooth_tag]:
+            value = getattr(self.scales, name)
+            if value is None:
+                raise FamilyError(f"{well} requires scale {name}")
+            if value == 0.0 and (self.smooth_tag, name) not in _MAY_BE_ZERO:
+                raise FamilyError(f"{well} divides by scale {name}, so it must be > 0")
 
     @property
     def smooth_tag(self):

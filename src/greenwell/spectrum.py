@@ -7,13 +7,13 @@ functions are cleared with the entire reciprocal-Gamma, so every
 function here is finite and smooth across its scan window.
 
 Root finding is deliberately simple and robust: scan at a fixed step,
-bracket every sign change, refine by bisection.  The factors of a
-family are scanned lazily and merged in increasing order, so a caller
-that needs only the lowest k levels (`limit`) stops each factor's scan
-at most one root past them.  A default-window scan of a delta-decorated
-well starts at the well's energy floor, the free-delta bound
-E >= -m a^2 / (2 hbar^2) (E > 0 for a >= 0), not at the window's low
-edge: no level lies below it.  Tangential
+bracket every sign change, refine by bisection.  All factors of a
+family are scanned in lockstep, every factor evaluated at each lattice
+point, so a caller that needs only the lowest k levels (`limit`) stops
+every factor at the lattice cell that holds the k-th level.  A
+default-window scan of a delta-decorated well starts at the well's
+energy floor, the free-delta bound E >= -m a^2 / (2 hbar^2) (E > 0 for
+a >= 0), not at the window's low edge: no level lies below it.  Tangential
 (non-sign-changing) roots are not detected; the only known candidates
 are parameter-limit coincidences (e.g. the two factor families of a
 symmetric well merging at beta = 1), which are handled by the parent
@@ -22,8 +22,6 @@ family's characteristic function instead.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -98,39 +96,30 @@ def chi_asym_ho(eps: float, lam: float) -> float:
             + math.sqrt(lam) * sf.rgamma(0.25 - 0.5 * eps) * sf.rgamma(0.75 - 0.5 * lam * eps))
 
 
-def _shared(memo, energy, compute, *args):
-    """compute(energy, *args), taken from `memo` when the other factor of
-    a parity pair stored it there.
-
-    The first factor to reach an energy stores its value and the second
-    takes it out, so the memo holds only values one factor still owes
-    the other.  A failed evaluation raises before anything is stored.
-    Without a memo this is compute(energy, *args).
-    """
-    if memo is None:
-        return compute(energy, *args)
-    value = memo.pop(energy, None)
-    if value is None:
-        value = memo[energy] = compute(energy, *args)
-    return value
+# (rho, (Ai(-rho), Ai'(-rho))) of the latest _ai_pair call
+_ai_latest = (None, None)
 
 
 def _ai_pair(rho):
-    """(Ai(-rho), Ai'(-rho)), which both |x| factors need."""
-    ai, aip, _, _ = sf.airy_all(-rho)
-    return ai.value, aip.value
+    """(Ai(-rho), Ai'(-rho)), which both |x| factors need.  The latest
+    value is kept, so the second factor at a scan point reuses it."""
+    global _ai_latest
+    last_rho, pair = _ai_latest
+    if rho != last_rho:
+        ai, aip, _, _ = sf.airy_all(-rho)
+        pair = (ai.value, aip.value)
+        _ai_latest = (rho, pair)
+    return pair
 
 
-def chi_linear_even(rho: float, memo=None) -> float:
-    """Even states of the |x| well: zeros of Ai'(-rho).  `memo` is the
-    one build_chi shares with chi_linear_odd."""
-    return _shared(memo, rho, _ai_pair)[1]
+def chi_linear_even(rho: float) -> float:
+    """Even states of the |x| well: zeros of Ai'(-rho)."""
+    return _ai_pair(rho)[1]
 
 
-def chi_linear_odd(rho: float, memo=None) -> float:
-    """Odd states of the |x| well: zeros of Ai(-rho).  `memo` is the
-    one build_chi shares with chi_linear_even."""
-    return _shared(memo, rho, _ai_pair)[0]
+def chi_linear_odd(rho: float) -> float:
+    """Odd states of the |x| well: zeros of Ai(-rho)."""
+    return _ai_pair(rho)[0]
 
 
 def chi_asym_linear(rho: float, beta: float) -> float:
@@ -179,24 +168,32 @@ def chi_half_half(eps: float, xi: float, scales) -> float:
             - math.sqrt(2.0) * unit * xi * ai.value * sf.rgamma(0.25 - 0.5 * eps))
 
 
+# (eps, mu phi, D_{sigma-1/2}(mu phi)) of the latest _d_lower call
+_d_latest = (None, None, None)
+
+
 def _d_lower(eps, mu_phi):
-    """D_{sigma-1/2}(mu phi), sigma = eps + (mu phi / 2)^2: both HO+|x| factors need it."""
-    return sf.pcf_d(eps + (0.5 * mu_phi) ** 2 - 0.5, mu_phi).value
+    """D_{sigma-1/2}(mu phi), sigma = eps + (mu phi / 2)^2: both HO+|x| factors
+    need it.  The latest value is kept, so the second factor at a scan
+    point reuses it."""
+    global _d_latest
+    last_eps, last_mu_phi, value = _d_latest
+    if not (eps == last_eps and mu_phi == last_mu_phi):
+        value = sf.pcf_d(eps + (0.5 * mu_phi) ** 2 - 0.5, mu_phi).value
+        _d_latest = (eps, mu_phi, value)
+    return value
 
 
-def chi_ho_plus_abs_odd(eps: float, dmap, memo=None) -> float:
-    """Odd factor D_{sigma-1/2}(mu phi) = 0, as a function of eps.  `memo`
-    is the one build_chi shares with chi_ho_plus_abs_even."""
-    return _shared(memo, eps, _d_lower, dmap.mu * dmap.phi)
+def chi_ho_plus_abs_odd(eps: float, dmap) -> float:
+    """Odd factor D_{sigma-1/2}(mu phi) = 0, as a function of eps."""
+    return _d_lower(eps, dmap.mu * dmap.phi)
 
 
-def chi_ho_plus_abs_even(eps: float, dmap, memo=None) -> float:
-    """Even factor mu phi D_{sigma-1/2}(mu phi) - 2 D_{sigma+1/2}(mu phi) = 0.
-    `memo` is the one build_chi shares with chi_ho_plus_abs_odd."""
+def chi_ho_plus_abs_even(eps: float, dmap) -> float:
+    """Even factor mu phi D_{sigma-1/2}(mu phi) - 2 D_{sigma+1/2}(mu phi) = 0."""
     mu_phi = dmap.mu * dmap.phi
     sigma = eps + (0.5 * mu_phi) ** 2
-    return (mu_phi * _shared(memo, eps, _d_lower, mu_phi)
-            - 2.0 * sf.pcf_d(sigma + 0.5, mu_phi).value)
+    return mu_phi * _d_lower(eps, mu_phi) - 2.0 * sf.pcf_d(sigma + 0.5, mu_phi).value
 
 
 def chi_delta_ho(eps: float, tau: float, p: float) -> float:
@@ -281,14 +278,6 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
     wells carry their energy floor: H >= T + a delta + min V with
     min V = 0 for both bases, so E >= -m a^2 / (2 hbar^2) when a < 0
     (the free-delta bound state) and E > 0 otherwise.
-
-    The two parity factors of LINEAR_ABS and HO_PLUS_ABS need the same
-    special-function values at each energy (Ai and Ai' at -rho, and
-    D_{sigma-1/2}(mu phi)).  Each such pair shares one memo, keyed by
-    the energy and living as long as the CharacteristicFunction: the
-    factor that reaches a scan point first stores the value and the
-    other takes it out, so every factor still calls its chi_* function
-    once per evaluation and returns the bits that call gives alone.
     """
     tag = family.tag
     d = dimensionless(family, 0.0)
@@ -303,10 +292,8 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
         return CharacteristicFunction(
             (1e-6, 12.0), ((None, lambda e: chi_asym_ho(e, d.lam)),))
     if tag == LINEAR_ABS:
-        memo = {}
         return CharacteristicFunction(
-            (1e-6, 12.0), (("even", lambda r: chi_linear_even(r, memo)),
-                           ("odd", lambda r: chi_linear_odd(r, memo))))
+            (1e-6, 12.0), (("even", chi_linear_even), ("odd", chi_linear_odd)))
     if tag == LINEAR_ASYM:
         # both rho and rho beta^2 must stay inside the Airy domain
         top = min(12.0, 24.5 / max(1.0, d.beta * d.beta))
@@ -319,11 +306,9 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
             (1e-6, top), ((None, lambda e: chi_half_half(e, d.xi, family.scales)),))
     if tag == HO_PLUS_ABS:
         # the factors never vanish together for mu phi > 0
-        memo = {}
         return CharacteristicFunction(
-            (1e-6, 12.0),
-            (("even", lambda e: chi_ho_plus_abs_even(e, d, memo)),
-             ("odd", lambda e: chi_ho_plus_abs_odd(e, d, memo))))
+            (1e-6, 12.0), (("even", lambda e: chi_ho_plus_abs_even(e, d)),
+                           ("odd", lambda e: chi_ho_plus_abs_odd(e, d))))
     if tag == DELTA_DECORATED:
         s = family.scales
         a = s.delta_strength
@@ -332,7 +317,7 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
             return CharacteristicFunction(
                 (-50.0, 12.0), ((None, lambda e: chi_delta_ho(e, d.tau, d.p)),),
                 floor=lowest.eps)
-        zq = d.zeta * s.delta_position
+        zq = d.zeta * abs(s.delta_position)  # the |x| well is even in q
         return CharacteristicFunction(
             (-24.0, 12.0), ((None, lambda r: chi_delta_linear(r, d.eta, zq)),),
             floor=lowest.rho)
@@ -358,37 +343,15 @@ def _bisect(fn, lo, hi, f_lo, f_hi):
     return lo, hi, f_lo, f_hi
 
 
-def _scan_one(fn, window, step, parity, floor):
-    """Yield (root, bracket, residual, parity) in increasing order, scanning
-    the lattice lo + i*step of `window` from its last point at or below
-    `floor` (from lo when none is)."""
-    lo, hi = window
-    n_steps = max(1, int(math.ceil((hi - lo) / step)))
-    start = 0
-    if floor > lo:
-        # the same expression as the scan below, so every later point is too
-        start = min(int((floor - lo) / step), n_steps)
-        while start > 0 and min(lo + start * step, hi) > floor:
-            start -= 1
-        while start < n_steps and min(lo + (start + 1) * step, hi) <= floor:
-            start += 1
-    x_prev = min(lo + start * step, hi) if start else lo
-    f_prev = fn(x_prev)
-    if not math.isfinite(f_prev):
-        raise ValueError(f"characteristic function not finite at {x_prev}")
-    for i in range(start + 1, n_steps + 1):
-        x = min(lo + i * step, hi)
+def _values(fns, x):
+    """Every function of `fns` at x, in order; ValueError when one is not finite."""
+    values = []
+    for fn in fns:
         f = fn(x)
         if not math.isfinite(f):
             raise ValueError(f"characteristic function not finite at {x}")
-        if f == 0.0:
-            yield (x, (x - 0.5 * _BRACKET_WIDTH, x + 0.5 * _BRACKET_WIDTH), 0.0, parity)
-        elif f_prev != 0.0 and (f_prev < 0.0) != (f < 0.0):
-            scale = max(abs(f_prev), abs(f), 1e-300)
-            b_lo, b_hi, _, _ = _bisect(fn, x_prev, x, f_prev, f)
-            root = 0.5 * (b_lo + b_hi)
-            yield (root, (b_lo, b_hi), abs(fn(root)) / scale, parity)
-        x_prev, f_prev = x, f
+        values.append(f)
+    return values
 
 
 def find_roots(chi: CharacteristicFunction, window=None, step=0.005,
@@ -400,24 +363,58 @@ def find_roots(chi: CharacteristicFunction, window=None, step=0.005,
     Brackets are refined by bisection to width <= 2.5e-13; the stored
     residual is |chi(root)| normalized by the detection-bracket scale.
     Tangential roots (no sign change at resolution `step`) are not
-    found.  The factors are scanned lazily and merged by root value
-    (ties keep factor order), so with `limit` each factor is scanned to
-    at most one root past the lowest `limit`.  Without `window` the scan
-    covers `chi.window` from the last point of its step lattice at or
-    below `chi.floor`; every point, bracket and residual is the one a
-    scan of the whole window gives.  An explicit window is scanned in
-    full.
+    found.  One loop walks the lattice lo + i*step: at each point it
+    evaluates every factor in factor order, then bisects each factor's
+    sign change in the cell just closed, so the two parity factors of a
+    symmetric well are called one after the other at each point and
+    share the special-function value both need.  With `limit` the loop
+    stops after the cell that holds the `limit`-th root, since every
+    later root lies above it.  Roots are ordered by one stable sort on
+    value, so ties keep factor order.  Without `window` the scan covers
+    `chi.window` from the last lattice point at or below `chi.floor`;
+    every point, bracket and residual is the one a scan of the whole
+    window gives.  An explicit window is scanned from its low edge.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     win = tuple(window) if window is not None else chi.window
-    if not (win[0] < win[1]):
+    lo, hi = win
+    if not (lo < hi):
         raise ValueError(f"empty window {win}")
     floor = chi.floor if window is None else -math.inf
-    scans = [_scan_one(fn, win, step, parity, floor) for parity, fn in chi.factors]
-    merged = itertools.islice(heapq.merge(*scans, key=lambda t: t[0]), limit)
+    n_steps = max(1, int(math.ceil((hi - lo) / step)))
+    start = 0
+    if floor > lo:
+        # the same expression as the scan below, so every later point is too
+        start = min(int((floor - lo) / step), n_steps)
+        while start > 0 and min(lo + start * step, hi) > floor:
+            start -= 1
+        while start < n_steps and min(lo + (start + 1) * step, hi) <= floor:
+            start += 1
+    fns = [fn for _, fn in chi.factors]
+    x_prev = min(lo + start * step, hi) if start else lo
+    f_prevs = _values(fns, x_prev)
+    found = []  # (value, bracket, residual, parity), cell by cell in factor order
+    for i in range(start + 1, n_steps + 1):
+        x = min(lo + i * step, hi)
+        fs = _values(fns, x)
+        for j, f in enumerate(fs):
+            f_prev = f_prevs[j]
+            if f == 0.0:
+                found.append((x, (x - 0.5 * _BRACKET_WIDTH, x + 0.5 * _BRACKET_WIDTH), 0.0,
+                              chi.factors[j][0]))
+            elif f_prev != 0.0 and (f_prev < 0.0) != (f < 0.0):
+                parity, fn = chi.factors[j]
+                scale = max(abs(f_prev), abs(f), 1e-300)
+                b_lo, b_hi, _, _ = _bisect(fn, x_prev, x, f_prev, f)
+                root = 0.5 * (b_lo + b_hi)
+                found.append((root, (b_lo, b_hi), abs(fn(root)) / scale, parity))
+        if limit is not None and len(found) >= limit:
+            break
+        x_prev, f_prevs = x, fs
+    found.sort(key=lambda t: t[0])
     roots = []
-    for i, (val, bracket, residual, parity) in enumerate(merged):
+    for i, (val, bracket, residual, parity) in enumerate(found[:limit]):
         degenerate = bool(chi.validator(val)) if chi.validator is not None else False
         roots.append(Root(i, val, bracket, residual, parity, degenerate))
     return SpectrumResult(roots, win)

@@ -416,6 +416,44 @@ def test_default_window_decorated_linear_well_beyond_unit_zeta_q():
     assert code == 0 and out.endswith(" ok\n")
 
 
+def test_decorated_linear_well_levels_depend_only_on_abs_q():
+    # the |x| well is even, so q and -q give the same levels; a negative
+    # q used to end in an uncaught ValueError from chi_delta_linear
+    def family(q):
+        return json.dumps({"tag": "DELTA_DECORATED", "base": "LINEAR_ABS",
+                           "scales": {"delta_position": q}})
+    code, out = run(["levels", "--family", family(-0.5)])
+    assert code == 0 and out.count("\n") > 1
+    assert (code, out) == run(["levels", "--family", family(0.5)])
+    code, out = run(["verify", "--family", family(-0.5), "--k", "3", "--n-oracle", "1000"])
+    assert code == 0 and out.endswith(" ok\n")
+
+
+# alpha1 = 0 stays valid for HO_STARK and HO_PLUS_ABS, the plain
+# oscillator where the muphi sweep starts (tests/test_spectrum.py)
+@pytest.mark.parametrize("fd", [
+    {"tag": "LINEAR_ABS", "scales": {"alpha1": 0}},
+    {"tag": "LINEAR_ASYM", "scales": {"alpha1": 0}},
+    {"tag": "HALF_HO_HALF_LINEAR", "scales": {"alpha1": 0}},
+    {"tag": "DELTA_DECORATED", "base": "LINEAR_ABS", "scales": {"alpha1": 0}},
+    {"tag": "LINEAR_ASYM", "scales": {"alpha2": 0}},
+    {"tag": "HO", "scales": {"omega1": 0}},
+    {"tag": "HO_STARK", "scales": {"omega1": 0}},
+    {"tag": "HO_ASYM", "scales": {"omega1": 0}},
+    {"tag": "HALF_HO_HALF_LINEAR", "scales": {"omega1": 0}},
+    {"tag": "HO_PLUS_ABS", "scales": {"omega1": 0}},
+    {"tag": "DELTA_DECORATED", "base": "HO", "scales": {"omega1": 0}},
+    {"tag": "HO_ASYM", "scales": {"omega2": 0}},
+], ids=json.dumps)
+def test_zero_scale_the_family_divides_by_exits_one(capsys, fd):
+    code, out = run(["levels", "--family", json.dumps(fd)])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "must be > 0" in err
+    with pytest.raises(model.FamilyError):
+        model.family_from_dict(fd)
+
+
 def test_verify_dump_config_omits_family_only_without_family():
     code, out = run(["verify", "--dump-config"])
     assert code == 0
@@ -545,6 +583,19 @@ def test_out_path_that_cannot_be_opened_exits_one(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: cannot write --out:") and str(missing) in err
     assert not missing.exists()
+
+
+def test_out_is_checked_before_the_command_runs(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setitem(cli._COMMANDS, "levels", lambda cfg: calls.append(cfg))
+    for out_path, reason in ((tmp_path / "missing" / "rows.csv", "no directory"),
+                             (tmp_path, "is a directory")):
+        code, out = run(["levels", "--out", str(out_path)])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write --out:") and reason in err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def _fmt(x):
@@ -679,6 +730,9 @@ def test_null_means_the_field_default():
     ["sweep", "--family", "HALF_HO_HALF_LINEAR", "--param", "xi", "--range", "0:1:0.5"],
     ["sweep", "--family", "HO_PLUS_ABS", "--param", "muphi", "--range=-1:0:0.5"],
     ["green-grid", "--family", "HO", "--energy", "2.3", "--grid=0:1:3", "--xp", "nan"],
+    # text reports that have no JSON form
+    ["table1", "--format", "json"],
+    ["verify", "--family", "HO", "--format", "json"],
     # values outside a documented special-function domain
     ["levels", "--family", "LINEAR_ABS", "--window", "0:30"],
     ["levels", "--family", "DELTA_DECORATED(HO)", "--window=-60:0"],

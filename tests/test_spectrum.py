@@ -308,52 +308,39 @@ def test_parity_memo_keeps_every_bit(fam, first):
         assert sp.find_roots(chi, window=w) == sp.find_roots(plain_chi, window=w)
 
 
-@pytest.mark.parametrize("fam,shared_fn,plain,shared", [
-    (default_family(LINEAR_ABS), "airy_all", 2, 1),
-    (default_family(HO_PLUS_ABS), "pcf_d", 3, 2),
+@pytest.mark.parametrize("fam,shared_fn,latest", [
+    (default_family(LINEAR_ABS), "airy_all", "_ai_latest"),
+    (default_family(HO_PLUS_ABS), "pcf_d", "_d_latest"),
 ], ids=["LINEAR_ABS", "HO_PLUS_ABS"])
-def test_parity_memo_shares_one_call_per_energy(monkeypatch, fam, shared_fn, plain, shared):
+def test_parity_factors_share_one_call_per_lattice_point(monkeypatch, fam, shared_fn, latest):
     calls = []
     fn = getattr(sf, shared_fn)
     monkeypatch.setattr(sf, shared_fn, lambda *a: calls.append(a) or fn(*a))
-    factors = dict(sp.build_chi(fam).factors)
-    for e in (0.7, 3.1):
-        for parity in ("even", "odd"):
-            factors[parity](e)
-    assert len(calls) == 2 * shared
-    calls.clear()
-    for e in (0.7, 3.1):
-        for parity in ("even", "odd"):
-            factors[parity](e)
-    # the first pass left nothing behind: the values are computed afresh
-    assert len(calls) == 2 * shared
-    d = dimensionless(fam, 0.0)
-    memo_less = {LINEAR_ABS: (sp.chi_linear_even, sp.chi_linear_odd),
-                 HO_PLUS_ABS: (lambda e: sp.chi_ho_plus_abs_even(e, d),
-                               lambda e: sp.chi_ho_plus_abs_odd(e, d))}[fam.tag]
-    calls.clear()
-    for f in memo_less:
-        f(0.7)
-    assert len(calls) == plain
+    chi, evals = _counted(sp.build_chi(fam))
+    lo, hi, step = 0.0, 6.0, 0.01
+    assert sp.find_roots(chi, window=(lo, hi), step=step).roots
+    points = math.ceil((hi - lo) / step) + 1
+    # the second factor at a lattice point reuses the first one's value;
+    # every bisection and residual energy is computed once; the even
+    # HO+|x| factor also calls pcf_d for D_{sigma+1/2}
+    upper = sum(p == "even" for p, _ in evals) if fam.tag == HO_PLUS_ABS else 0
+    assert len(calls) == len(evals) - points + upper
+    # one cached value, that of the energy evaluated last
+    assert getattr(sp, latest)[0] == evals[-1][1]
 
 
-def test_parity_memo_never_stores_a_failure():
-    memo = {}
-    # -rho beyond the Airy domain, and an order beyond pcf_d's
-    with pytest.raises(sf.DomainError):
-        sp.chi_linear_even(30.0, memo)
-    with pytest.raises(sf.DomainError):
-        sp.chi_linear_odd(30.0, memo)
+def test_failed_factor_call_leaves_the_cache_as_it_was():
     d = dimensionless(default_family(HO_PLUS_ABS), 0.0)
-    for factor in (sp.chi_ho_plus_abs_odd, sp.chi_ho_plus_abs_even):
+    sp.chi_linear_odd(2.0)
+    sp.chi_ho_plus_abs_odd(2.0, d)
+    before = (sp._ai_latest, sp._d_latest)
+    # -rho beyond the Airy domain, and an order beyond pcf_d's
+    for call in (lambda: sp.chi_linear_even(30.0), lambda: sp.chi_linear_odd(30.0),
+                 lambda: sp.chi_ho_plus_abs_odd(70.0, d),
+                 lambda: sp.chi_ho_plus_abs_even(70.0, d)):
         with pytest.raises(sf.DomainError):
-            factor(70.0, d, memo)
-    assert memo == {}
-    # a stored value is taken out by the other factor
-    sp.chi_linear_odd(2.0, memo)
-    assert list(memo) == [2.0]
-    sp.chi_linear_even(2.0, memo)
-    assert memo == {}
+            call()
+        assert sp._ai_latest is before[0] and sp._d_latest is before[1]
 
 
 # ----------------------------------------------------------------------
@@ -501,30 +488,34 @@ def _bits(roots):
 
 
 def _counted(chi):
-    """`chi` with every factor call counted in calls[0]."""
-    calls = [0]
+    """`chi` with every factor call recorded in `calls` as (parity, x)."""
+    calls = []
 
-    def wrap(fn):
+    def wrap(parity, fn):
         def counted(x):
-            calls[0] += 1
+            calls.append((parity, x))
             return fn(x)
         return counted
     return dataclasses.replace(
-        chi, factors=tuple((parity, wrap(fn)) for parity, fn in chi.factors)), calls
+        chi, factors=tuple((parity, wrap(parity, fn)) for parity, fn in chi.factors)), calls
 
 
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.tag + (f".{f.base}" if f.base else ""))
 def test_limit_keeps_the_lowest_roots(fam):
-    step = 0.02  # the merge and the cut do not depend on the scan step
+    step = 0.02  # the order and the cut do not depend on the scan step
     chi, calls = _counted(sp.build_chi(fam))
     full = _bits(sp.find_roots(chi, step=step).roots)
-    all_calls = calls[0]
+    all_calls = len(calls)
     assert len(full) >= 3
     for k in range(1, len(full) + 2):
-        calls[0] = 0
-        assert _bits(sp.find_roots(chi, step=step, limit=k).roots) == full[:k], k
+        calls.clear()
+        roots = sp.find_roots(chi, step=step, limit=k).roots
+        assert _bits(roots) == full[:k], k
         if k == 1:
-            assert calls[0] < all_calls
+            assert len(calls) < all_calls
+        if k <= len(full):
+            # every factor stops at the lattice cell that holds the k-th root
+            assert max(x for _, x in calls) <= roots[k - 1].value + step, k
 
 
 # delta-decorated wells whose energy floor is checked: tau x p for the
@@ -562,13 +553,13 @@ def test_energy_floor_bounds_the_spectrum_and_keeps_every_bit(fam):
         expected = -d.eta ** 2 if d.eta < 0.0 else 0.0
     assert chi.floor == pytest.approx(expected, rel=1e-12, abs=0.0)
     whole = sp.find_roots(chi, window=chi.window, step=step)
-    whole_calls = calls[0]
-    calls[0] = 0
+    whole_calls = len(calls)
+    calls.clear()
     from_floor = sp.find_roots(chi, step=step)
     assert whole.roots and chi.floor < whole.roots[0].value
     assert _bits(from_floor.roots) == _bits(whole.roots)
     assert from_floor.scan_window == chi.window
-    assert calls[0] < whole_calls
+    assert len(calls) < whole_calls
 
 
 def test_flag_missing_reports_reference_gaps():
