@@ -108,8 +108,10 @@ class RunConfig:
                 _finite(self.sweep_range, 3) and self.sweep_range[2] > 0
                 and self.sweep_range[1] >= self.sweep_range[0]):
             raise UsageError(f"range must be from:to:step with step > 0, got {self.sweep_range}")
-        if not (_finite(self.grid, 3) and self.grid[0] < self.grid[1] and int(self.grid[2]) >= 2):
-            raise UsageError(f"grid must be xmin:xmax:n with n >= 2, got {self.grid}")
+        if not (_finite(self.grid, 3) and self.grid[0] < self.grid[1]
+                and self.grid[2] == int(self.grid[2]) >= 2):
+            raise UsageError(
+                f"grid must be xmin:xmax:n with a whole number n >= 2, got {self.grid}")
         if not math.isfinite(self.energy):
             raise UsageError("energy must be finite")
         if self.xp is not None and not math.isfinite(self.xp):

@@ -72,8 +72,11 @@ _LINEAR_POLE_RADIUS = 1e-10
 _RESONANCE_RADIUS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GreenEval:
+    """One Green-function value; slotted like specfun.EvalResult, so it
+    compares by value and is neither frozen nor hashable."""
+
     value: float
     convention: str  # "G" or "G_TILDE"
 
@@ -112,11 +115,14 @@ def _green(kind, x, xp, energy, scales) -> GreenEval:
     if not (kind is last_kind and scales is last_scales and energy == last_energy):
         sol = kind(energy, scales)
         _latest = (kind, energy, scales, sol)
-    lo, hi = (x, xp) if x <= xp else (xp, x)
-    # group the solution product first: IEEE multiplication commutes, so
-    # the parity map (x, x') -> (-x', -x), which swaps the two factors,
-    # reproduces the value bit-exactly
-    return GreenEval(sol.num * (sol.u(hi) * sol.v(lo)) / sol.den, "G")
+    # u(x>) v(x<), the solution product grouped first: IEEE multiplication
+    # commutes, so the parity map (x, x') -> (-x', -x), which swaps the
+    # two factors, reproduces the value bit-exactly
+    if x <= xp:
+        uv = sol.u(xp) * sol.v(x)
+    else:
+        uv = sol.u(x) * sol.v(xp)
+    return GreenEval(sol.num * uv / sol.den, "G")
 
 
 def _check_pole(odd, even, what):
@@ -474,7 +480,10 @@ def green_decorated(x, xp, energy, base_family, scales) -> GreenEval:
     if abs(den) < _RESONANCE_RADIUS:
         raise OnResonanceError(
             f"1 + a G(q,q) = {den:g}: E = {energy} is a decorated bound state")
-    lo, hi = (x, xp) if x <= xp else (xp, x)
+    if x <= xp:
+        lo, hi = x, xp
+    else:
+        lo, hi = xp, x
     base = g0(lo, hi, energy, scales).value
     val = base - a * g0(lo, q, energy, scales).value * g0(q, hi, energy, scales).value / den
     return GreenEval(val, "G")

@@ -67,9 +67,13 @@ _SQRT_2PI = 2.5066282746310005024
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EvalResult:
-    """A value together with a claimed upper bound on its absolute error."""
+    """A value together with a claimed upper bound on its absolute error.
+
+    Slotted, not frozen: a frozen __init__ sets each field through
+    object.__setattr__, which costs more than the arithmetic behind most
+    values.  Instances compare by value and are not hashable."""
 
     value: float
     est_abs_error: float

@@ -138,18 +138,6 @@ def chi_asym_linear(rho: float, beta: float) -> float:
     return a1.value * a2p.value + beta * a2.value * a1p.value
 
 
-def _asym_linear_degenerate(rho, beta):
-    """True when both determinant terms vanish individually (coincident
-    zeros of the two factors); such roots deserve an oracle cross-check
-    and are flagged rather than silently reported."""
-    a1, a1p, _, _ = sf.airy_all(-rho)
-    a2, a2p, _, _ = sf.airy_all(-rho * beta * beta)
-    t1 = a1.value * a2p.value
-    t2 = beta * a2.value * a1p.value
-    scale = (abs(a1.value) + abs(a1p.value)) * (abs(a2.value) + abs(a2p.value))
-    return max(abs(t1), abs(t2)) < 1e-9 * max(scale, 1e-30)
-
-
 def chi_half_half(eps: float, xi: float, scales) -> float:
     """Composite half-oscillator/half-linear condition:
 
@@ -237,7 +225,6 @@ class Root:
     bracket: tuple
     residual: float       # |chi(value)| / local scan scale
     parity: str | None = None
-    degenerate: bool = False
 
 
 @dataclass
@@ -257,14 +244,12 @@ class CharacteristicFunction:
     factors are (parity_label, callable) pairs, each mapping the
     dimensionless energy to a real value and scanned separately, so
     roots come back parity-labeled; a family with a single condition
-    has one factor with parity None.  validator, when present, marks
-    degenerate roots.  floor is a lower bound on every root; a
-    default-window scan starts there.
+    has one factor with parity None.  floor is a lower bound on every
+    root; a default-window scan starts there.
     """
 
     window: tuple
     factors: tuple
-    validator: object = None
     floor: float = -math.inf
 
 
@@ -298,8 +283,7 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
         # both rho and rho beta^2 must stay inside the Airy domain
         top = min(12.0, 24.5 / max(1.0, d.beta * d.beta))
         return CharacteristicFunction(
-            (1e-6, top), ((None, lambda r: chi_asym_linear(r, d.beta)),),
-            validator=lambda r: _asym_linear_degenerate(r, d.beta))
+            (1e-6, top), ((None, lambda r: chi_asym_linear(r, d.beta)),))
     if tag == HALF_HO_HALF_LINEAR:
         top = min(12.0, 24.5 / (d.xi * d.xi))  # Airy argument is xi^2 eps
         return CharacteristicFunction(
@@ -413,10 +397,8 @@ def find_roots(chi: CharacteristicFunction, window=None, step=0.005,
             break
         x_prev, f_prevs = x, fs
     found.sort(key=lambda t: t[0])
-    roots = []
-    for i, (val, bracket, residual, parity) in enumerate(found[:limit]):
-        degenerate = bool(chi.validator(val)) if chi.validator is not None else False
-        roots.append(Root(i, val, bracket, residual, parity, degenerate))
+    roots = [Root(i, val, bracket, residual, parity)
+             for i, (val, bracket, residual, parity) in enumerate(found[:limit])]
     return SpectrumResult(roots, win)
 
 

@@ -730,6 +730,9 @@ def test_null_means_the_field_default():
     ["sweep", "--family", "HALF_HO_HALF_LINEAR", "--param", "xi", "--range", "0:1:0.5"],
     ["sweep", "--family", "HO_PLUS_ABS", "--param", "muphi", "--range=-1:0:0.5"],
     ["green-grid", "--family", "HO", "--energy", "2.3", "--grid=0:1:3", "--xp", "nan"],
+    # a grid count that is not a whole number, from a config and from the flag
+    ["green-grid", "--set", "grid=[-1,1,3.7]", "--xp", "0"],
+    ["green-grid", "--grid=-1:1:3.7", "--xp", "0"],
     # text reports that have no JSON form
     ["table1", "--format", "json"],
     ["verify", "--family", "HO", "--format", "json"],
@@ -748,6 +751,12 @@ def test_config_and_usage_errors_exit_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+def test_whole_number_grid_count_from_a_config_is_the_flag_grid():
+    flag = run(["green-grid", "--grid=-1:1:3", "--xp", "0"])
+    assert flag[0] == 0
+    assert run(["green-grid", "--set", "grid=[-1,1,3.0]", "--xp", "0"]) == flag
 
 
 def test_usage_error_paths():

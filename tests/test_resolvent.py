@@ -495,3 +495,77 @@ def test_non_finite_arguments_raise_domain_error():
             rv.green_linear(0.1, 0.2, e, LIN_FAM.scales)
         with pytest.raises(sf.DomainError, match="pcf_d arguments must be finite"):
             rv.green_ho_plus_abs(0.1, 0.2, e, HOABS_FAM.scales)
+
+
+# ----------------------------------------------------------------------
+# the kernel's argument order and the result records
+# ----------------------------------------------------------------------
+
+
+def _green_before(kind, x, xp, energy, scales):
+    """resolvent._green before it picked u(x>) and v(x<) by one branch:
+    the same arithmetic verbatim, without the latest-build cache (which
+    never changes a value, see test_solution_memo_never_changes_a_value)."""
+    sol = kind(energy, scales)
+    lo, hi = (x, xp) if x <= xp else (xp, x)
+    return rv.GreenEval(sol.num * (sol.u(hi) * sol.v(lo)) / sol.den, "G")
+
+
+def _green_decorated_before(x, xp, energy, base_family, scales):
+    """resolvent.green_decorated before it ordered its arguments by one
+    branch, verbatim."""
+    if base_family not in (HO, LINEAR_ABS):
+        raise ValueError(f"green_decorated base must be HO or LINEAR_ABS, got {base_family!r}")
+    g0 = rv._BASE_GREEN[base_family]
+    a = scales.delta_strength
+    q = scales.delta_position
+    if a is None or q is None:
+        raise ValueError("decorated resolvent requires delta_strength and delta_position")
+    gqq = g0(q, q, energy, scales).value
+    den = 1.0 + a * gqq
+    if abs(den) < rv._RESONANCE_RADIUS:
+        raise OnResonanceError(
+            f"1 + a G(q,q) = {den:g}: E = {energy} is a decorated bound state")
+    lo, hi = (x, xp) if x <= xp else (xp, x)
+    base = g0(lo, hi, energy, scales).value
+    val = base - a * g0(lo, q, energy, scales).value * g0(q, hi, energy, scales).value / den
+    return rv.GreenEval(val, "G")
+
+
+# the decorated wells with q on the grid below (-0.5, 0.5) and off it
+@pytest.mark.parametrize("fam,energy", [
+    (HO_FAM, 2.3),
+    (STARK_FAM, 2.3),
+    (LIN_FAM, 1.7),
+    (HOABS_FAM, 2.3),
+    (DEC_HO_FAM, 2.3),
+    (DEC_LIN_FAM, 1.7),
+    (default_family(DELTA_DECORATED, base=HO, delta_position=2.75), 2.3),
+    (default_family(DELTA_DECORATED, base=LINEAR_ABS, delta_position=-2.75), 1.7),
+], ids=["HO", "HO_STARK", "LINEAR_ABS", "HO_PLUS_ABS", "DEC_HO_q_on", "DEC_LINEAR_ABS_q_on",
+        "DEC_HO_q_off", "DEC_LINEAR_ABS_q_off"])
+def test_branch_ordered_kernel_keeps_every_bit(monkeypatch, fam, energy):
+    # x < x', x > x' and x = x', with both zeros, as a full grid
+    xs = (-1.5, -0.5, -0.0, 0.0, 0.3, 0.5, 1.25)
+    pts = [(x, xp) for x in xs for xp in xs]
+    after = [rv.green(x, xp, energy, fam).value.hex() for x, xp in pts]
+    monkeypatch.setattr(rv, "_green", _green_before)
+    monkeypatch.setattr(rv, "green_decorated", _green_decorated_before)
+    before = [rv.green(x, xp, energy, fam).value.hex() for x, xp in pts]
+    assert after == before
+
+
+@pytest.mark.parametrize("cls,args,names,text", [
+    (sf.EvalResult, (1.5, 2e-16), ["value", "est_abs_error"],
+     "EvalResult(value=1.5, est_abs_error=2e-16)"),
+    (rv.GreenEval, (-0.25, "G"), ["value", "convention"],
+     "GreenEval(value=-0.25, convention='G')"),
+])
+def test_result_records_are_slotted_value_records(cls, args, names, text):
+    record = cls(*args)
+    # slotted (no per-instance dict) and not frozen, so not hashable
+    assert not hasattr(record, "__dict__")
+    assert not cls.__dataclass_params__.frozen and cls.__hash__ is None
+    assert [f.name for f in dataclasses.fields(cls)] == names
+    assert record == cls(*args) and record != cls(args[0] + 1.0, args[1])
+    assert repr(record) == text

@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 tools/request_hashes.py SEED [SEED ...] [--workload NAME ...]
+    python3 tools/request_hashes.py SEED [SEED ...] [--workload NAME ...] [--dump DIR]
 
 For each seed, builds every request of every timed round of the
 benchmark workloads (`perfbench/workloads.py`, with the round counts
@@ -18,6 +18,12 @@ bytes, so `diff` of two runs checks a "same bytes" claim.  The
 program's error messages still go to stderr.  `--workload` (repeatable)
 restricts the run to the named workloads; the default is all three, and
 the lines of a workload do not depend on which others run.
+
+`--dump DIR` also writes the hashed bytes of each request, its exit
+code on the first line and its output after it, to `DIR/<workload>/<seed>/<request
+id>`, so the sha256 of that file is the hash printed for the request.
+`tools/drift.py OLD_DIR NEW_DIR` compares two dumps number by number.
+DIR must be empty or not exist yet.
 """
 
 from __future__ import annotations
@@ -35,11 +41,11 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 
-def request_hash(code, output):
-    """sha256 of an exit code and a CLI text or an FD column."""
+def request_bytes(code, output):
+    """An exit code and a CLI text or an FD column, as the bytes hashed."""
     if not isinstance(output, str):
         output = "\n".join(float(v).hex() for v in output)
-    return hashlib.sha256(f"{code}\n{output}".encode()).hexdigest()
+    return f"{code}\n{output}".encode()
 
 
 def main(argv=None):
@@ -47,15 +53,24 @@ def main(argv=None):
     parser.add_argument("seeds", nargs="+", type=int, metavar="SEED")
     parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS,
                         help="hash only this workload's requests (repeatable; default all)")
+    parser.add_argument("--dump", type=Path, metavar="DIR",
+                        help="also write each request's exit code and output under DIR")
     args = parser.parse_args(argv)
+    if args.dump is not None and args.dump.exists() and (
+            not args.dump.is_dir() or any(args.dump.iterdir())):
+        parser.error(f"--dump {args.dump} must be an empty directory or not exist")
     chosen = [w for w in workloads.WORKLOADS if args.workload is None or w in args.workload]
     gw = run.load_program()
     for seed in args.seeds:
         for workload in chosen:
             for index in range(run.rounds_for(workload, run.RUN_SECONDS)):
                 for req in workloads.make_round(gw, workload, seed, index):
-                    code, output = run.call(gw, req)
-                    print(workload, seed, req.rid, request_hash(code, output), flush=True)
+                    data = request_bytes(*run.call(gw, req))
+                    print(workload, seed, req.rid, hashlib.sha256(data).hexdigest(), flush=True)
+                    if args.dump is not None:
+                        path = args.dump / workload / str(seed) / req.rid
+                        path.parent.mkdir(parents=True, exist_ok=True)
+                        path.write_bytes(data)
     return 0
 
 
