@@ -132,9 +132,9 @@ def eigenvalue_count_below(op: TridiagonalOperator, x: float, cap: int | None = 
     d = math.inf  # offsq / d is 0 on the first row
     for a in op.diag:
         d = (a - x) - offsq / d
-        if d == 0.0:
-            d = -1e-300
-        if d < 0.0:
+        if d <= 0.0:
+            if d == 0.0:  # counted as negative; the next row divides by it
+                d = -1e-300
             count += 1
             if count >= limit:
                 break

@@ -10,7 +10,11 @@ Root finding is deliberately simple and robust: scan at a fixed step,
 bracket every sign change, refine by bisection.  All factors of a
 family are scanned in lockstep, every factor evaluated at each lattice
 point, so a caller that needs only the lowest k levels (`limit`) stops
-every factor at the lattice cell that holds the k-th level.  A
+every factor at the lattice cell that holds the k-th level.  A sweep
+scans its first parameter value; later values find the same cells by
+certified continuation (see `sweep`): an FD Sturm count says how many
+levels the window holds, and the lattice is searched near the levels
+predicted from the values before until that many cells are found.  A
 default-window scan of a delta-decorated well starts at the well's
 energy floor, the free-delta bound E >= -m a^2 / (2 hbar^2) (E > 0 for
 a >= 0), not at the window's low edge: no level lies below it.  Tangential
@@ -22,9 +26,11 @@ family's characteristic function instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
+from . import oracle
 from . import specfun as sf
 from .model import (
     DELTA_DECORATED,
@@ -37,6 +43,7 @@ from .model import (
     LINEAR_ASYM,
     PotentialFamily,
     dimensionless,
+    potential_value,
     with_scales,
 )
 
@@ -338,6 +345,68 @@ def _values(fns, x):
     return values
 
 
+@dataclass(frozen=True)
+class _Lattice:
+    """The scan lattice of a window: point i is lo for i = 0 and
+    min(lo + i*step, hi) otherwise, and the scan walks the cells
+    (point i-1, point i] for i = start+1 .. n_steps."""
+
+    window: tuple
+    lo: float
+    hi: float
+    step: float
+    start: int
+    n_steps: int
+
+    def point(self, i):
+        return min(self.lo + i * self.step, self.hi) if i else self.lo
+
+    def cell(self, e):
+        """The index of the cell that holds energy e, within start+1 .. n_steps."""
+        return min(max(int(math.ceil((e - self.lo) / self.step)), self.start + 1), self.n_steps)
+
+
+def _lattice(chi, window, step):
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    win = tuple(window) if window is not None else chi.window
+    lo, hi = win
+    if not (lo < hi):
+        raise ValueError(f"empty window {win}")
+    floor = chi.floor if window is None else -math.inf
+    n_steps = max(1, int(math.ceil((hi - lo) / step)))
+    start = 0
+    if floor > lo:
+        # the same expression as the scan below, so every later point is too
+        start = min(int((floor - lo) / step), n_steps)
+        while start > 0 and min(lo + start * step, hi) > floor:
+            start -= 1
+        while start < n_steps and min(lo + (start + 1) * step, hi) <= floor:
+            start += 1
+    return _Lattice(win, lo, hi, step, start, n_steps)
+
+
+def _cell_root(factor, x_prev, x, f_prev, f):
+    """(value, bracket, residual, parity) of the root in a sign-change
+    cell (x_prev, x] of one factor: bisected to _BRACKET_WIDTH, with
+    |chi(root)| normalized by the larger cell-end value."""
+    parity, fn = factor
+    scale = max(abs(f_prev), abs(f), 1e-300)
+    b_lo, b_hi, _, _ = _bisect(fn, x_prev, x, f_prev, f)
+    root = 0.5 * (b_lo + b_hi)
+    return root, (b_lo, b_hi), abs(fn(root)) / scale, parity
+
+
+def _result(found, win, limit=None):
+    """The SpectrumResult of (value, bracket, residual, parity) tuples
+    listed cell by cell in factor order: one stable sort on value, so
+    ties keep that order."""
+    found.sort(key=lambda t: t[0])
+    roots = [Root(i, val, bracket, residual, parity)
+             for i, (val, bracket, residual, parity) in enumerate(found[:limit])]
+    return SpectrumResult(roots, win)
+
+
 def find_roots(chi: CharacteristicFunction, window=None, step=0.005,
                limit=None) -> SpectrumResult:
     """The sign-change roots of `chi`'s factors in the window at scan
@@ -359,24 +428,10 @@ def find_roots(chi: CharacteristicFunction, window=None, step=0.005,
     every point, bracket and residual is the one a scan of the whole
     window gives.  An explicit window is scanned from its low edge.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    win = tuple(window) if window is not None else chi.window
-    lo, hi = win
-    if not (lo < hi):
-        raise ValueError(f"empty window {win}")
-    floor = chi.floor if window is None else -math.inf
-    n_steps = max(1, int(math.ceil((hi - lo) / step)))
-    start = 0
-    if floor > lo:
-        # the same expression as the scan below, so every later point is too
-        start = min(int((floor - lo) / step), n_steps)
-        while start > 0 and min(lo + start * step, hi) > floor:
-            start -= 1
-        while start < n_steps and min(lo + (start + 1) * step, hi) <= floor:
-            start += 1
+    lat = _lattice(chi, window, step)
+    lo, hi, start, n_steps = lat.lo, lat.hi, lat.start, lat.n_steps
     fns = [fn for _, fn in chi.factors]
-    x_prev = min(lo + start * step, hi) if start else lo
+    x_prev = lat.point(start)
     f_prevs = _values(fns, x_prev)
     found = []  # (value, bracket, residual, parity), cell by cell in factor order
     for i in range(start + 1, n_steps + 1):
@@ -388,18 +443,11 @@ def find_roots(chi: CharacteristicFunction, window=None, step=0.005,
                 found.append((x, (x - 0.5 * _BRACKET_WIDTH, x + 0.5 * _BRACKET_WIDTH), 0.0,
                               chi.factors[j][0]))
             elif f_prev != 0.0 and (f_prev < 0.0) != (f < 0.0):
-                parity, fn = chi.factors[j]
-                scale = max(abs(f_prev), abs(f), 1e-300)
-                b_lo, b_hi, _, _ = _bisect(fn, x_prev, x, f_prev, f)
-                root = 0.5 * (b_lo + b_hi)
-                found.append((root, (b_lo, b_hi), abs(fn(root)) / scale, parity))
+                found.append(_cell_root(chi.factors[j], x_prev, x, f_prev, f))
         if limit is not None and len(found) >= limit:
             break
         x_prev, f_prevs = x, fs
-    found.sort(key=lambda t: t[0])
-    roots = [Root(i, val, bracket, residual, parity)
-             for i, (val, bracket, residual, parity) in enumerate(found[:limit])]
-    return SpectrumResult(roots, win)
+    return _result(found, lat.window, limit)
 
 
 def flag_missing(result: SpectrumResult, reference_values, tol=1e-3):
@@ -487,9 +535,246 @@ class SweepResult:
     breaks: list        # parameter values where the in-window root count changed
 
 
+# The level-count certificate: an FD operator of _CERT_POINTS points
+# whose walls sit where V reaches _CERT_WALL natural energy units above
+# the window top, and a margin of _CERT_MARGIN natural units around each
+# window edge.  tests/test_spectrum.py checks that every FD level of
+# each sweep family lies within _CERT_MARGIN / 5 of its closed-form
+# level on this grid, at the default and the benchmark windows.
+_CERT_POINTS = 1500
+_CERT_MARGIN = 0.1
+_CERT_WALL = 10.0
+# inward strides of _CERT_MARGIN tried for each end of the counted part
+_CERT_TRIES = 4
+
+
+def _energy_unit(family):
+    """Physical energy per unit of the family's natural energy variable."""
+    d = dimensionless(family, 1.0)
+    return 1.0 / (d.eps if d.eps is not None else d.rho)
+
+
+def _cert_operator(family, top):
+    """The certificate's FD operator for levels up to `top` (natural
+    units).  The walls are found in natural units, so the grid is the
+    same for every choice of scales with the same dimensionless
+    parameters; oracle.WallError when the oracle's own wall rule,
+    V >= E + 10 in physical units, asks for more (energy unit < 1)."""
+    unit = _energy_unit(family)
+    target = (top + _CERT_WALL) * unit
+
+    def below(x):
+        return min(potential_value(family, -x), potential_value(family, x)) < target
+
+    wall = 1.0
+    while below(wall):
+        wall *= 2.0
+    inside = 0.0
+    while wall - inside > 1e-9 * wall:
+        mid = 0.5 * (inside + wall)
+        if below(mid):
+            inside = mid
+        else:
+            wall = mid
+    return oracle.discretize(family, oracle.GridSpec(wall, _CERT_POINTS), e_max=top * unit)
+
+
+class _LevelCount:
+    """The number of levels in an inner part (point i_lo, point i_hi] of
+    the scan domain, from FD Sturm counts.  Each end is the lattice
+    point nearest to its window edge, at most _CERT_TRIES - 1 strides of
+    _CERT_MARGIN in, with no FD level within _CERT_MARGIN of it, so every
+    FD level counted stands for a closed-form level on the same side of
+    that point.  The strips between the ends and the window edges hold
+    what a scan of their cells finds."""
+
+    def __init__(self, op, unit, i_lo, i_hi, below_lo, count):
+        self.op, self.unit = op, unit
+        self.i_lo, self.i_hi = i_lo, i_hi
+        self.below_lo = below_lo  # FD levels below point i_lo
+        self.count = count  # levels in (point i_lo, point i_hi]
+
+    @classmethod
+    def build(cls, family, lat):
+        """The count for `family` on lattice `lat`, or None when no end is
+        clear of FD levels or the FD grid cannot be built."""
+        try:
+            op = _cert_operator(family, lat.hi + _CERT_MARGIN)
+        except oracle.WallError:
+            return None
+        unit = _energy_unit(family)
+
+        def below(i):  # FD levels below point i, or None when one lies within the margin
+            low, high = (oracle.eigenvalue_count_below(op, (lat.point(i) + d) * unit)
+                         for d in (-_CERT_MARGIN, _CERT_MARGIN))
+            return low if low == high else None
+
+        stride = max(1, round(_CERT_MARGIN / lat.step))
+        ends = []
+        for edge, inward in ((lat.start, stride), (lat.n_steps, -stride)):
+            for k in range(_CERT_TRIES):
+                i = edge + k * inward
+                n = below(i) if lat.start <= i <= lat.n_steps else None
+                if n is not None:
+                    ends.append((i, n))
+                    break
+            else:
+                return None
+        (i_lo, n_lo), (i_hi, n_hi) = ends
+        if i_lo >= i_hi:
+            return None
+        return cls(op, unit, i_lo, i_hi, n_lo, n_hi - n_lo)
+
+    def inner(self, lat, roots):
+        """The roots that lie in the counted part of the lattice."""
+        x_lo, x_hi = lat.point(self.i_lo), lat.point(self.i_hi)
+        return [r for r in roots if x_lo < r.value <= x_hi]
+
+    def _near(self, e):
+        """(FD levels below e - tol, below e + tol), tol = _CERT_MARGIN / 5:
+        the FD error the tests bound."""
+        tol = _CERT_MARGIN / 5
+        return tuple(oracle.eigenvalue_count_below(self.op, (e + d) * self.unit)
+                     for d in (-tol, tol))
+
+    def agrees_at_ends(self, lat, roots):
+        """Whether the lowest and the highest root of the counted part lie
+        within the tested FD error of the first and the last FD level
+        counted there.  The count assumes that error; this checks it
+        where a miscount would show first, so that outside the tested
+        families, scales and windows a count is not trusted blindly."""
+        inner = self.inner(lat, roots)
+        first = self.below_lo
+        return not inner or (self._near(inner[0].value) == (first, first + 1)
+                             and self._near(inner[-1].value) == (first + self.count - 1,
+                                                                 first + self.count))
+
+    def agrees_with_each(self, roots):
+        """Whether every root lies within the tested FD error of some FD
+        level: then a count that differs from the roots' does not come
+        from an FD grid too coarse for its margin."""
+        return all(low < high for low, high in (self._near(r.value) for r in roots))
+
+
+class _Rescan(Exception):
+    """The continuation met a point the scan treats specially: scan instead."""
+
+
+def _continued(chi, lat, cert, guesses):
+    """The find_roots result on lattice `lat`, found without a full scan,
+    or None when continuation does not find the certified cells.
+
+    The strips outside the counted part are walked cell by cell, as the
+    scan walks them.  Inside it, for each predicted level of factor j in
+    guesses[j], the sign-change cell nearest to it is searched, out to
+    halfway to the neighbouring guesses; then the rest of the counted
+    part is walked in from both ends until `cert.count` distinct cells
+    are found.  Each cell holds a level, so `cert.count` cells are all
+    the cells the scan finds there, and bisecting them as find_roots
+    does gives the same roots.  A lattice point where a factor is
+    exactly 0 or not finite, which the scan handles on its own terms,
+    gives None, and so does an evaluation that fails: the scan then
+    fails or not as before.  Every lattice value is computed once.
+    """
+    fns = [fn for _, fn in chi.factors]
+    known = [{} for _ in fns]  # lattice index -> factor value, per factor
+
+    def value(j, i):
+        f = known[j].get(i)
+        if f is None:
+            f = fns[j](lat.point(i))
+            if f == 0.0 or not math.isfinite(f):
+                raise _Rescan
+            known[j][i] = f
+        return f
+
+    def changes(j, i):
+        return (value(j, i - 1) < 0.0) != (value(j, i) < 0.0)
+
+    first, last = cert.i_lo + 1, cert.i_hi  # the counted cells
+    factors = range(len(fns))
+    try:
+        strips = itertools.chain(range(lat.start + 1, first), range(last + 1, lat.n_steps + 1))
+        outer = {(j, i) for i in strips for j in factors if changes(j, i)}
+        cells = set()  # (factor, index of the cell's upper end) in the counted part
+        for j, levels in enumerate(guesses):
+            levels = sorted(levels)
+            for k, e in enumerate(levels):
+                i0 = min(max(lat.cell(e), first), last)
+                a = max(first, min(i0, lat.cell(0.5 * (levels[k - 1] + e)) + 1)) if k else first
+                b = (min(last, max(i0, lat.cell(0.5 * (e + levels[k + 1]))))
+                     if k + 1 < len(levels) else last)
+                near = (i for d in range(max(i0 - a, b - i0) + 1) for i in (i0 - d, i0 + d)
+                        if a <= i <= b)
+                found = next((i for i in near if changes(j, i)), None)
+                if found is not None:
+                    cells.add((j, found))
+        # then the rest of the counted part, walked in from both ends
+        inward = (i for k in range((last - first) // 2 + 1) for i in (first + k, last - k))
+        for i in inward:
+            if len(cells) >= cert.count:
+                break
+            cells.update((j, i) for j in factors if (j, i) not in cells and changes(j, i))
+        if len(cells) != cert.count:
+            return None
+        found = [_cell_root(chi.factors[j], lat.point(i - 1), lat.point(i), known[j][i - 1],
+                            known[j][i])
+                 for j, i in sorted(cells | outer, key=lambda c: (c[1], c[0]))]
+    except (_Rescan, ValueError, ArithmeticError):
+        return None
+    return _result(found, lat.window)
+
+
+def _predict(history, v, n_factors):
+    """Each factor's levels at parameter value v, extrapolated linearly
+    from the last two values (the last value's levels when there is one).
+    Where a factor gained or lost levels between them, its two lists are
+    paired at the index shift that pairs the nearest levels, and an
+    unpaired level moves as its nearest paired one."""
+    guesses = []
+    for j in range(n_factors):
+        v1, now = history[-1][0], history[-1][1][j]
+        if len(history) < 2 or history[0][0] == v1:
+            guesses.append(now)
+            continue
+        v0, before = history[0][0], history[0][1][j]
+        gained = len(now) - len(before)
+
+        def moves(shift):  # now[i] - before[i - shift], None where unpaired
+            return [e1 - before[i - shift] if 0 <= i - shift < len(before) else None
+                    for i, e1 in enumerate(now)]
+        shift = min(range(min(gained, 0), max(gained, 0) + 1),
+                    key=lambda s: sum(abs(d) for d in moves(s) if d is not None))
+        moved = moves(shift)
+        paired = [i for i, d in enumerate(moved) if d is not None]
+        # an unpaired level moves as its nearest paired one
+        moved = [d if d is not None else
+                 (moved[min(paired, key=lambda p: abs(p - i))] if paired else 0.0)
+                 for i, d in enumerate(moved)]
+        t = (v - v1) / (v1 - v0)
+        guesses.append([e1 + d * t for e1, d in zip(now, moved)])
+    return guesses
+
+
 def sweep(family: PotentialFamily, param_name: str, values, window=None,
           step=0.005) -> SweepResult:
     """The roots at each parameter value as rows, with index-continuity assembly.
+
+    Each value's roots are the ones find_roots(build_chi(...), window,
+    step) gives, bit for bit.  The first value is scanned in full.  Later
+    values are found by certified continuation.  FD Sturm counts with a
+    margin (_LevelCount) give the number N of levels between two lattice
+    points at or just inside the window edges; the strips outside them
+    are walked cell by cell, and between them the scan lattice is
+    searched for the sign-change cells nearest to the levels predicted
+    from the last two values, then walked in from both ends for levels
+    that entered.  N distinct cells there are the scan's cells, bisected
+    as the scan bisects them.  A value is scanned in full when it has no
+    certificate (FD levels near both window edges, or an FD grid that
+    cannot be built), when a lattice value is exactly 0, or when
+    continuation does not find N cells.  Where a scan finds another
+    number of roots than a certificate gives, levels are lost (roots
+    closer than `step`), and ArithmeticError names the parameter value.
 
     Roots of adjacent parameter values are matched in sorted order
     (curves of these families do not cross); a change of the in-window
@@ -512,12 +797,30 @@ def sweep(family: PotentialFamily, param_name: str, values, window=None,
     rows = []
     breaks = []
     prev_count = None
+    history = []  # (value, levels of each factor) of the last two values
     for v, fam_v in points:
         chi = build_chi(fam_v)
-        res = find_roots(chi, window=window, step=step)
+        lat = _lattice(chi, window, step)
+        cert = _LevelCount.build(fam_v, lat)
+        res = None
+        if history and cert is not None:
+            res = _continued(chi, lat, cert, _predict(history, v, len(chi.factors)))
+            if res is not None and not cert.agrees_at_ends(lat, res.roots):
+                res = None
+        if res is None:
+            res = find_roots(chi, window=window, step=step)
+            if cert is not None:
+                got = len(cert.inner(lat, res.roots))
+                if got != cert.count and cert.agrees_with_each(res.roots):
+                    raise ArithmeticError(
+                        f"sweep at {param_name} = {v:.12g}: the scan found {got} level(s) "
+                        f"where the FD count certifies {cert.count}")
         if prev_count is not None and len(res.roots) != prev_count:
             breaks.append(v)
         prev_count = len(res.roots)
+        parities = [parity for parity, _ in chi.factors]
+        levels = [[r.value for r in res.roots if r.parity == parity] for parity in parities]
+        history = (history + [(v, levels)])[-2:]
         for r in res.roots:
             rows.append((v, r.index, r.value))
     return SweepResult(rows, breaks)

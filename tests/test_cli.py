@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from greenwell import cli, model, oracle, resolvent, specfun
+from greenwell import cli, model, oracle, resolvent, specfun, spectrum
 
 
 def run(argv):
@@ -129,6 +129,46 @@ def test_sweep_bytes_pinned():
                      "--range", "0.5:1.5:0.25", "--window", "0:5", "--allow-breaks"])
     assert code == 0
     assert _sha256(out) == "126209fea027f3d39b9e5105ed8d8818cde1c5aca883dff91153af475f77807f"
+
+
+# sha256 of the README sweeps, recorded before sweeps found levels by
+# certified continuation
+README_TAU = ["sweep", "--family", "DELTA_DECORATED(HO)", "--param", "tau",
+              "--range=-1.2:1.2:0.05"]
+README_LAM = ["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "0.2:3.0:0.05",
+              "--allow-breaks"]
+
+
+def test_readme_tau_sweep_keeps_its_bytes_with_a_fifth_of_the_chi_calls(monkeypatch):
+    calls = []
+    chi = spectrum.chi_delta_ho
+    monkeypatch.setattr(spectrum, "chi_delta_ho", lambda *a: calls.append(a) or chi(*a))
+    code, out = run(README_TAU)
+    assert (code, _sha256(out)) == (
+        0, "dc3fe8a330751d0f175be05b5ecb0bc5aa780c696f208a7775cf50ed7cce4059")
+    # each of the 49 values was a full rescan: 142,679 calls
+    assert 0 < len(calls) <= 142679 / 5
+
+
+def test_readme_lam_sweep_bytes_pinned():
+    code, out = run(README_LAM)
+    assert (code, _sha256(out)) == (
+        0, "ac0ebd1f8def0cea001ea07a6b7b56805af4aa808f6ebc71850480aad58e9514")
+
+
+def test_sweep_that_loses_levels_in_one_cell_exits_two(capsys):
+    # HO levels 0.5, 1.5 and 2.5 share the one lattice cell of --step 5;
+    # the FD count certifies three, so the sweep stops instead of
+    # printing one level per value
+    code, out = run(["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "1:1.05:0.05",
+                     "--window", "0:3", "--step", "5"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: sweep at lam = 1: the scan found 1 level(s) where the FD count "
+        "certifies 3")
+    # levels keeps its scan (ROADMAP item 5)
+    code, out = run(["levels", "--family", "HO", "--window", "0:3", "--step", "5"])
+    assert code == 0 and len(out.splitlines()) == 2
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from greenwell import model, oracle
+from greenwell import model, oracle, spectrum
 from greenwell.model import DELTA_DECORATED, HO, LINEAR_ABS, default_family
 from greenwell.oracle import (
     GridSpec,
@@ -183,3 +183,53 @@ def test_lowest_eigenvalues_equal_full_count_bisection(name, make, span):
     op = make()
     got = lowest_eigenvalues(op, 6)
     assert [e.hex() for e in got] == [e.hex() for e in _full_count_bisection(op, 6)]
+
+
+def _count_before_the_row_trim(op, x, cap=None):
+    """eigenvalue_count_below as it was before the one-test row: verbatim."""
+    limit = op.n if cap is None else cap
+    offsq = op.off * op.off
+    count = 0
+    d = math.inf  # offsq / d is 0 on the first row
+    for a in op.diag:
+        d = (a - x) - offsq / d
+        if d == 0.0:
+            d = -1e-300
+        if d < 0.0:
+            count += 1
+            if count >= limit:
+                break
+    return min(count, limit)
+
+
+def _verify_operator(fam, k=6, n=1000):
+    """The operator `greenwell verify --k k --n-oracle n` builds for fam."""
+    from greenwell import cli
+    res = spectrum.find_roots(spectrum.build_chi(fam), step=0.005, limit=k)
+    e_top = cli._from_dimensionless_energy(fam, res.values()[-1])
+    return discretize(fam, oracle.auto_grid(fam, e_max=e_top, n_points=n), e_max=e_top)
+
+
+@pytest.mark.parametrize("name", ["HO", "HO_ASYM", "LINEAR_ASYM", "HO_PLUS_ABS",
+                                  "DELTA_DECORATED(HO)", "DELTA_DECORATED(LINEAR_ABS)",
+                                  "zero-pivot"])
+def test_sturm_row_trim_keeps_every_count(name):
+    if name == "zero-pivot":
+        # at x = 2 the first pivot is exactly 0, then -1e-300 divides the
+        # next row; at x = 1 and x = 3 rows hit 0 after a nonzero pivot
+        op = TridiagonalOperator((2.0, 2.0, 3.0, 2.0), -1.0, GridSpec(1.0, 100))
+        xs = [1.0, 2.0, 3.0, 0.0, 4.0, 5.5]
+    else:
+        tag, _, base = name.rstrip(")").partition("(")
+        op = _verify_operator(default_family(tag, base=base or None))
+        lo, hi = min(op.diag) - 2.0 * abs(op.off), max(op.diag) + 2.0 * abs(op.off)
+        # the bisection midpoints of the lowest levels, and the diagonal values
+        xs = [lo + (hi - lo) * 2.0 ** -i for i in range(1, 60)] + list(op.diag[:50])
+        xs += [e + d for e in lowest_eigenvalues(op, 6) for d in (-1e-9, 0.0, 1e-9)]
+    for x in xs:
+        for cap in (None, 0, 1, 3, 6):
+            assert eigenvalue_count_below(op, x, cap) == _count_before_the_row_trim(op, x, cap)
+    if name == "zero-pivot":
+        assert [eigenvalue_count_below(op, x) for x in xs] == [
+            _count_before_the_row_trim(op, x) for x in xs]
+        assert any(2.0 - x == 0.0 for x in xs)

@@ -631,3 +631,181 @@ def test_sweep_rejects_mismatched_parameter():
         sp.sweep(default_family(HO), "lam", [0.5])
     with pytest.raises(ValueError):
         sp.sweep(default_family(HO_ASYM), "nope", [0.5])
+
+
+# ----------------------------------------------------------------------
+# sweeps by certified continuation
+# ----------------------------------------------------------------------
+
+
+def _per_value_scans(family, param, values, window, step):
+    """sweep's rows and breaks, rebuilt from one find_roots scan per value."""
+    apply = sp.SWEEP_PARAMS[param][2]
+    rows, breaks, before = [], [], None
+    for v in values:
+        roots = sp.find_roots(sp.build_chi(apply(family, v)), window=window, step=step).roots
+        if before is not None and len(roots) != before:
+            breaks.append(v)
+        before = len(roots)
+        rows += [(v, r.index, r.value) for r in roots]
+    return rows, breaks
+
+
+def _hex_rows(rows):
+    return [(float(v).hex(), i, e.hex()) for v, i, e in rows]
+
+
+def _steps(a, b, n):
+    return [a + (b - a) * i / (n - 1) for i in range(n)]
+
+
+# (family, param, values, window, step, scans at most): every range moves
+# levels through an edge of its window, ascending or descending
+SWEEP_CASES = {
+    "lam-default": (default_family(HO_ASYM), "lam", _steps(0.2, 3.0, 15), None, 0.005, 2),
+    "lam-down": (default_family(HO_ASYM), "lam", _steps(3.0, 0.4, 14), (0.0, 6.0), 0.005, 5),
+    "beta": (default_family(LINEAR_ASYM), "beta", _steps(0.3, 2.1, 7), (1e-6, 5.5), 0.01, 4),
+    "beta-default": (default_family(LINEAR_ASYM), "beta", _steps(0.4, 1.2, 9), None, 0.01, 2),
+    "xi": (default_family(HALF_HO_HALF_LINEAR), "xi", _steps(1.8, 0.6, 9), (1e-6, 7.5), 0.01,
+           2),
+    "xi-default": (default_family(HALF_HO_HALF_LINEAR), "xi", _steps(1.2, 1.7, 6), None,
+                   0.005, 4),
+    "muphi": (default_family(HO_PLUS_ABS), "muphi", _steps(0.0, 2.2, 12), (0.0, 9.0), 0.01, 3),
+    "muphi-down": (default_family(HO_PLUS_ABS), "muphi", _steps(1.95, 0.8, 6), (0.0, 6.0),
+                   0.005, 1),
+    # the ground state crosses eps = 0 as tau crosses 0, entering from below
+    "tau-through-0": (_delta_fam(-1.0, 0.5), "tau", _steps(-1.2, 1.2, 13), (0.0, 3.0), 0.005,
+                      3),
+    "tau-down": (_delta_fam(1.0, 0.5), "tau", _steps(1.2, -1.2, 13), (0.0, 3.0), 0.005, 3),
+    # default window: scanned from the energy floor, which moves with tau
+    "tau-default": (_delta_fam(-1.0, 0.5), "tau", _steps(-1.2, 1.2, 9), None, 0.01, 3),
+    "tau-workload": (_delta_fam(-1.0, 0.7), "tau", _steps(0.3, 0.45, 4), (-3.0, 6.0), 0.005, 1),
+    "p": (_delta_fam(-1.0, 0.5), "p", _steps(0.0, 4.0, 9), None, 0.01, 3),
+    # p = 0: odd base levels are exact zeros on the lattice, so those
+    # values are scanned in full
+    "p-zero": (_delta_fam(1.0, 0.0), "p", _steps(0.0, 0.3, 4) + _steps(0.2, 0.0, 3),
+               (0.0, 4.0), 0.01, 2),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_sweep_gives_the_rows_and_breaks_of_per_value_scans(case, monkeypatch):
+    family, param, values, window, step, most = SWEEP_CASES[case]
+    want_rows, want_breaks = _per_value_scans(family, param, values, window, step)
+    scans = []
+    find_roots = sp.find_roots
+    monkeypatch.setattr(sp, "find_roots", lambda *a, **k: scans.append(a) or find_roots(*a, **k))
+    got = sp.sweep(family, param, values, window=window, step=step)
+    assert _hex_rows(got.rows) == _hex_rows(want_rows)
+    assert got.breaks == want_breaks
+    # the first value is always scanned; continuation finds most others.
+    # Values without a certificate (dense levels at both ends: beta, xi)
+    # and exact lattice zeros (lam = 1, tau = 0, p = 0) are scanned too
+    assert 1 <= len(scans) <= most
+    if case == "p-zero":
+        assert len(scans) == 2  # p = 0 is scanned on the way back as well
+
+
+def _node_centred_delta(family, top):
+    """`family` with its delta moved halfway between two nodes of the
+    certificate's FD grid, nearest to where it was."""
+    op = sp._cert_operator(family, top)
+    h, wall = op.grid.h, op.grid.half_width
+    i = int((family.scales.delta_position + wall) / h) - 1
+    return model.with_scales(family, delta_position=op.node(i) + 0.5 * h)
+
+
+def _workload_families():
+    """Every sweep family over its README, acceptance and benchmark ranges."""
+    out = []
+    for lam in (0.2, 0.5, 1.0, 2.0, 3.0):
+        out.append(("lam", sp._sweep_lam(default_family(HO_ASYM), lam)))
+    for beta in (0.3, 0.6, 1.0, 1.5, 2.1):
+        out.append(("beta", sp._sweep_beta(default_family(LINEAR_ASYM), beta)))
+    for xi in (0.6, 1.2, 1.5, 1.8):
+        out.append(("xi", sp._sweep_xi(default_family(HALF_HO_HALF_LINEAR), xi)))
+    for muphi in (0.0, 0.8, 1.5, 2.2):
+        out.append(("muphi", sp._sweep_muphi(default_family(HO_PLUS_ABS), muphi)))
+    for tau in (-1.2, -0.5, 0.5, 1.2):
+        out.append(("tau", _delta_fam(tau, 0.5)))
+    for p in (0.0, 0.3, 0.8, 2.0, 4.0):
+        out.append(("p", _delta_fam(-1.2, p)))
+    return out
+
+
+@pytest.mark.parametrize("window_top", ["default", 6.0])
+@pytest.mark.parametrize("param,family", _workload_families(),
+                         ids=[f"{p}{i}" for i, (p, _) in enumerate(_workload_families())])
+def test_certificate_fd_levels_lie_within_a_fifth_of_the_margin(param, family, window_top):
+    chi = sp.build_chi(family)
+    # a benchmark window, or the default one where that is lower (beta = 2.1)
+    top = chi.window[1] if window_top == "default" else min(window_top, chi.window[1])
+    if family.tag == DELTA_DECORATED:
+        family = _node_centred_delta(family, top + sp._CERT_MARGIN)
+        chi = sp.build_chi(family)
+    op = sp._cert_operator(family, top + sp._CERT_MARGIN)
+    assert op.n == sp._CERT_POINTS
+    unit = sp._energy_unit(family)
+    low = max(chi.window[0], chi.floor - 1.0)
+    levels = sp.find_roots(chi, window=(low, top + sp._CERT_MARGIN)).values()
+    assert len(levels) >= 3
+    tol = sp._CERT_MARGIN / 5
+    # the k-th FD level lies within tol of the k-th closed-form level
+    for k, e in enumerate(levels):
+        assert oracle.eigenvalue_count_below(op, (e - tol) * unit) == k, (k, e)
+        assert oracle.eigenvalue_count_below(op, (e + tol) * unit) == k + 1, (k, e)
+
+
+def test_certificate_grid_is_the_same_in_natural_units_at_any_scale():
+    lam = 0.7
+    one = sp._sweep_lam(default_family(HO_ASYM), lam)
+    scaled = sp._sweep_lam(default_family(HO_ASYM, hbar=1.5, mass=2.0, omega1=3.0), lam)
+    ops = [sp._cert_operator(f, 6.1) for f in (one, scaled)]
+    units = [sp._energy_unit(f) for f in (one, scaled)]
+    xs = [0.25 * i for i in range(30)]
+    assert ([oracle.eigenvalue_count_below(ops[0], x * units[0]) for x in xs]
+            == [oracle.eigenvalue_count_below(ops[1], x * units[1]) for x in xs])
+    # an energy unit below 1 would need walls wider than the natural ones
+    small = sp._sweep_lam(default_family(HO_ASYM, omega1=0.5), lam)
+    with pytest.raises(oracle.WallError):
+        sp._cert_operator(small, 6.1)
+    assert sp.sweep(small, "lam", [0.7, 0.75], window=(0.0, 3.0)).rows == sp.sweep(
+        small, "lam", [0.7, 0.75], window=(0.0, 3.0), step=0.005).rows
+
+
+def test_sweep_raises_where_the_scan_finds_fewer_levels_than_the_count():
+    # HO levels 0.5, 1.5 and 2.5 share the one lattice cell of --step 5
+    fam = default_family(HO_ASYM)
+    with pytest.raises(ArithmeticError, match=r"lam = 1: the scan found 1 level"):
+        sp.sweep(fam, "lam", [1.0, 1.05], window=(0.0, 3.0), step=5.0)
+    # levels keeps its scan as it is
+    assert len(roots_of(sp._sweep_lam(fam, 1.0), window=(0.0, 3.0), step=5.0).roots) == 1
+
+
+@pytest.mark.parametrize("case", ["lam-default", "beta-default", "xi"])
+def test_an_fd_grid_too_coarse_for_the_margin_is_not_trusted(case, monkeypatch):
+    # 100 points put some FD levels more than the margin off, so some
+    # counts are wrong.  Checking the roots against the FD levels rejects
+    # those counts: the rows stay those of per-value scans, and no count
+    # contradicts a scan
+    family, param, values, window, step, _ = SWEEP_CASES[case]
+    monkeypatch.setattr(sp, "_CERT_POINTS", 100)
+    want_rows, want_breaks = _per_value_scans(family, param, values, window, step)
+    got = sp.sweep(family, param, values, window=window, step=step)
+    assert (_hex_rows(got.rows), got.breaks) == (_hex_rows(want_rows), want_breaks)
+
+
+def test_roots_that_do_not_pair_with_the_counted_fd_levels_are_rejected():
+    fam = default_family(HO_ASYM)
+    chi = sp.build_chi(fam)
+    lat = sp._lattice(chi, (0.0, 6.0), 0.005)
+    cert = sp._LevelCount.build(fam, lat)
+    roots = cert.inner(lat, sp.find_roots(chi, window=(0.0, 6.0)).roots)
+    assert cert.count == len(roots) > 3 and cert.agrees_at_ends(lat, roots)
+    # continuation that missed the top or the bottom level is not trusted,
+    # though each root left still lies next to an FD level
+    for fewer in (roots[:-1], roots[1:]):
+        assert not cert.agrees_at_ends(lat, fewer)
+        assert cert.agrees_with_each(fewer)
+    shifted = [dataclasses.replace(r, value=r.value + 0.05) for r in roots]
+    assert not cert.agrees_with_each(shifted)

@@ -2,6 +2,7 @@
 the number-by-number report of what changed between two of them."""
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -143,3 +144,68 @@ def test_ulps_count_adjacent_doubles_across_zero():
     assert drift.ordered(0.0) == drift.ordered(-0.0) == 0
     assert drift.ordered(5e-324) == 1 and drift.ordered(-5e-324) == -1
     assert drift.ordered(1.0 + 2.0 ** -52) - drift.ordered(1.0) == 1
+
+
+# ----------------------------------------------------------------------
+# the pinned group: README examples and the argvs tests/test_cli.py pins
+# ----------------------------------------------------------------------
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+import test_cli  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _pinned_argvs():
+    return [argv for _, argv in request_hashes.PINNED_ARGVS]
+
+
+def test_pinned_group_holds_every_readme_example():
+    import shlex
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line.split("#")[0])[1:] for line in block.splitlines()
+                if line.split()[1] in ("levels", "sweep", "green-grid")
+                and "--config" not in line]
+    assert len(examples) == 5
+    for argv in examples:
+        assert argv in _pinned_argvs(), argv
+
+
+def test_pinned_group_holds_every_pinned_cli_argv(tmp_path, capsys):
+    pins = [(["levels", "--family", family], sha) for family, sha in test_cli.LEVELS_SHA256]
+    pins += [(["green-grid", "--family", family, "--energy", energy, "--grid=-2:2:9",
+               "--format", fmt], sha)
+             for family, energy, csv_sha, json_sha in test_cli.GRID_SHA256
+             for fmt, sha in (("csv", csv_sha), ("json", json_sha))]
+    pins += [(["green-grid", *argv, "--format", fmt], sha)
+             for argv, csv_sha, json_sha in test_cli.GRID_BYTES_SHA256
+             for fmt, sha in (("csv", csv_sha), ("json", json_sha))]
+    pins += [(argv + ["--family", json.dumps(fd)], pin[1])
+             for fd, levels_pin, verify_pin in test_cli.FLOOR_WELLS_SHA256
+             for argv, pin in ((["levels"], levels_pin),
+                               (["verify", "--k", "6", "--n-oracle", "1000"], verify_pin))]
+    pins += [(argv + ["--dump-config"], sha) for argv, sha in test_cli.DUMP_CONFIG_SHA256]
+    pins += [(test_cli.README_TAU, None), (test_cli.README_LAM, None)]
+    assert request_hashes.main(["0", "--workload", "pinned", "--dump", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[:2] for line in lines] == [["pinned", "-"]] * len(lines)
+    rids = {tuple(argv): rid for rid, argv in zip(
+        (line.split(" ")[2] for line in lines), _pinned_argvs())}
+    for argv, sha in pins:
+        rid = rids[tuple(argv)]
+        _, _, out = (tmp_path / "pinned" / "-" / rid).read_text().partition("\n")
+        if sha is not None:
+            # the dumped output is the one the test pins
+            assert hashlib.sha256(out.encode()).hexdigest() == sha, argv
+
+
+def test_pinned_group_follows_the_workloads(one_round, monkeypatch, capsys):
+    monkeypatch.setattr(request_hashes, "PINNED_ARGVS", request_hashes.PINNED_ARGVS[:2])
+    assert request_hashes.main(["11", "--workload", "pinned", "--workload", "green_grid"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[:2] for line in lines[-2:]] == [["pinned", "-"]] * 2
+    assert {line.split(" ")[0] for line in lines[:-2]} == {"green_grid"}
+    assert [line.split(" ")[2] for line in lines[-2:]] == [
+        "pin.00.levels.README-HO", "pin.01.levels.README-DEC_HO"]
