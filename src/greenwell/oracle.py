@@ -109,7 +109,8 @@ def discretize(family: PotentialFamily, grid: GridSpec, e_max: float = 0.0) -> T
     h = grid.h
     c = s.hbar ** 2 / (s.mass * h * h)
     n = grid.n_points
-    diag = [c + potential_value(family, grid.node(i)) for i in range(n)]
+    # GridSpec.node's expression, with h bound once
+    diag = [c + potential_value(family, -L + (i + 1) * h) for i in range(n)]
     if family.tag == DELTA_DECORATED:
         q = s.delta_position
         i_q = int(round((q + L) / h)) - 1

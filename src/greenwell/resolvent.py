@@ -30,17 +30,27 @@ them.  It does the energy-only work (Gamma prefactor, Airy values at
 check once, when it is built, and is a dict from (scaled) abscissa to
 solution values.  green(x, x', E, family) dispatches by family.
 
-The module keeps the solution object of its latest successful build,
-with the kind, energy and scales it was built for.  A call reuses it
-when the kind and the scales object are the same (by identity) and the
-energy compares equal (so +0.0 and -0.0 share one build); any other
-call builds afresh and replaces it.  A green-grid request, or a library
-loop over abscissae at one energy with one family, so evaluates each
-decaying solution once per abscissa; the four base calls of a decorated
-well share that one build.  A build that fails its pole check is never
-kept, so every call at a pole raises.  The cache is one tuple, read and
-replaced whole, so racing threads at worst build twice.  Values are
-bit-identical with or without the cache.
+The |x| and HO+|x| matching values at x = 0 are those wells' parity
+factors too, so spectrum's characteristic functions read them from the
+same objects: the Airy pair at one rho (Ai(-rho), Ai'(-rho)), which has
+no pole check because a scan evaluates it next to its roots, and
+_HoAbsFactors, which holds D_{sigma-1/2}(mu phi) and computes
+D_{sigma+1/2}(mu phi) when the even factor is first asked for.  Each
+condition is written once, here.
+
+The module keeps the latest object it built through _kept, with the
+kind, energy and context (the scales of a Green build, the dimensionless
+map of a scan) it was built for.  A call reuses it when the kind and the
+context object are the same (by identity) and the energy compares equal
+(so +0.0 and -0.0 share one build); any other call builds afresh and
+replaces it.  A green-grid request, or a library loop over abscissae at
+one energy with one family, so evaluates each decaying solution once
+per abscissa; the four base calls of a decorated well share that one
+build, and so do the two parity factors of a scan at one lattice point.
+A build that fails (a pole check, a domain error) is never kept, so
+every call at a pole raises.  The slot is one tuple, read and replaced
+whole, so racing threads at worst build twice.  Values are bit-identical
+with or without it.
 """
 
 from __future__ import annotations
@@ -64,7 +74,6 @@ __all__ = [
     "green_ho_plus_abs",
     "green_decorated",
     "to_tilde",
-    "linear_solution_pair",
 ]
 
 _HO_POLE_RADIUS = 1e-9
@@ -101,20 +110,27 @@ def to_tilde(g: GreenEval, scales: PhysicalScales) -> GreenEval:
     return GreenEval(-(scales.hbar ** 2 / (2.0 * scales.mass)) * g.value, "G_TILDE")
 
 
-# (kind, energy, scales, solution) of the latest successful build.
-# Holding the scales keeps that object alive, so no other object can
+# (kind, energy, context, object) of the latest successful build.
+# Holding the context keeps that object alive, so no other object can
 # take its identity.
 _latest = (None, None, None, None)
 
 
-def _green(kind, x, xp, energy, scales) -> GreenEval:
-    """G = num u(x>) v(x<) / den from the `kind` solutions at this energy,
-    reusing the latest build when kind, energy and scales match it."""
+def _kept(kind, energy, context):
+    """kind(energy, context): the latest build when kind and context are
+    the same objects and energy compares equal, else a fresh build that
+    replaces it."""
     global _latest
-    last_kind, last_energy, last_scales, sol = _latest
-    if not (kind is last_kind and scales is last_scales and energy == last_energy):
-        sol = kind(energy, scales)
-        _latest = (kind, energy, scales, sol)
+    last_kind, last_energy, last_context, obj = _latest
+    if not (kind is last_kind and context is last_context and energy == last_energy):
+        obj = kind(energy, context)
+        _latest = (kind, energy, context, obj)
+    return obj
+
+
+def _green(kind, x, xp, energy, scales) -> GreenEval:
+    """G = num u(x>) v(x<) / den from the `kind` solutions at this energy."""
+    sol = _kept(kind, energy, scales)
     # u(x>) v(x<), the solution product grouped first: IEEE multiplication
     # commutes, so the parity map (x, x') -> (-x', -x), which swaps the
     # two factors, reproduces the value bit-exactly
@@ -315,10 +331,20 @@ def green_ho_stark(x, xp, energy, scales) -> GreenEval:
 
 
 class _AirySolutions(dict):
-    """(u, u', v, v') of w'' = (|t| - rho) w at one rho, by t."""
+    """(u, u', v, v') of w'' = (|t| - rho) w at one rho, by t.
 
-    def __init__(self, rho):
-        a0, ap0, b0, bp0 = (r.value for r in sf.airy_all(-rho))
+    u decays as t -> +inf and v(t) = u(-t) as t -> -inf.  For t >= 0, u
+    is Ai(t - rho); for t < 0 it is continued as alpha Ai(-t - rho)
+    + beta Bi(-t - rho), with the matching coefficients fixed at t = 0.
+    a0 = Ai(-rho) and ap0 = Ai'(-rho) are the odd and the even factor of
+    the |x| well.  There is no pole check, so a scan can build it at a
+    root.  It depends on rho alone: the context _kept passes is unused.
+    """
+
+    def __init__(self, rho, context=None):
+        # unpacked without a generator: a scan builds one per lattice point
+        ai, aip, bi, bip = sf.airy_all(-rho)
+        a0, ap0, b0, bp0 = ai.value, aip.value, bi.value, bip.value
         self.rho, self.a0, self.ap0 = rho, a0, ap0
         self.alpha = math.pi * (a0 * bp0 + ap0 * b0)
         self.beta = -2.0 * math.pi * a0 * ap0
@@ -337,17 +363,6 @@ class _AirySolutions(dict):
             v, vp = ai, -aip
         pair = self[t] = (u, up, v, vp)
         return pair
-
-
-def linear_solution_pair(t, rho):
-    """Decaying solutions of w'' = (|t| - rho) w in the scaled variable t.
-
-    Returns (u, u', v, v') at t, where u decays as t -> +inf and
-    v(t) = u(-t) decays as t -> -inf.  For t >= 0, u is Ai(t - rho); for
-    t < 0 it is continued as alpha Ai(-t - rho) + beta Bi(-t - rho)
-    with the matching coefficients fixed at t = 0.
-    """
-    return _AirySolutions(rho)[t]
 
 
 class _LinearSolutions(_AirySolutions):
@@ -387,6 +402,27 @@ def green_linear(x, xp, energy, scales) -> GreenEval:
 # ----------------------------------------------------------------------
 
 
+class _HoAbsFactors:
+    """The parity factors of V = m w^2 x^2/2 + alpha^3 |x| at one eps.
+
+    With mu phi = dmap.mu * dmap.phi and sigma = eps + (mu phi / 2)^2,
+    d0 = D_{sigma-1/2}(mu phi), the odd factor, is computed when built;
+    d1 = D_{sigma+1/2}(mu phi), which only the even factor mu phi d0 - 2 d1
+    needs, the first time even() is called.  There is no pole check.
+    """
+
+    def __init__(self, eps, dmap):
+        self.mu_phi = mu_phi = dmap.mu * dmap.phi
+        self.sigma = sigma = eps + (0.5 * mu_phi) ** 2
+        self.d0 = sf.pcf_d(sigma - 0.5, mu_phi).value
+        self.d1 = None
+
+    def even(self):
+        if self.d1 is None:
+            self.d1 = sf.pcf_d(self.sigma + 0.5, self.mu_phi).value
+        return self.mu_phi * self.d0 - 2.0 * self.d1
+
+
 class _HoAbsSolutions(dict):
     """psi1 of V = m w^2 x^2/2 + alpha^3 |x| at one energy, by x.
 
@@ -401,16 +437,14 @@ class _HoAbsSolutions(dict):
         s = scales
         w = s.omega1
         self.mu = mu = math.sqrt(2.0 * s.mass * w / s.hbar)
-        self.phi = phi = s.alpha1 ** 3 / (s.mass * w * w)
-        eps = energy / (s.hbar * w)
-        sigma = eps + (0.5 * mu * phi) ** 2
-        self.nu = nu = sigma - 0.5
-        mu_phi = mu * phi
-        d0 = sf.pcf_d(nu, mu_phi).value
-        d1 = sf.pcf_d(nu + 1.0, mu_phi).value
+        self.phi = s.alpha1 ** 3 / (s.mass * w * w)
+        # self carries mu and phi, all _HoAbsFactors reads of a dimensionless map
+        f = _HoAbsFactors(energy / (s.hbar * w), self)
         # the denominator d0 * even vanishes on the odd (d0) and even states
-        even = mu_phi * d0 - 2.0 * d1
+        even = f.even()
+        d0, d1, mu_phi = f.d0, f.d1, f.mu_phi
         _check_pole(d0, even, "energy within the exclusion radius of a pole")
+        self.nu = nu = f.sigma - 0.5
         self.num = -(2.0 * s.mass / (mu * s.hbar ** 2))
         self.den = d0 * even
         # match A E + B O to (value, derivative/mu) of psi1 at x = 0,

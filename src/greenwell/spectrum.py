@@ -6,6 +6,12 @@ ones) whose zeros are exactly the bound states.  Poles of the Green
 functions are cleared with the entire reciprocal-Gamma, so every
 function here is finite and smooth across its scan window.
 
+The |x| and HO+|x| parity factors are the matching values at x = 0
+that the Green functions divide by, so they come from resolvent's
+solution objects (the Airy pair at one rho, _HoAbsFactors) through its
+one kept build: the two factors of a scan at one lattice point share a
+build, and this module keeps no state of its own.
+
 Root finding is deliberately simple and robust: scan at a fixed step,
 bracket every sign change, refine by bisection.  All factors of a
 family are scanned in lockstep, every factor evaluated at each lattice
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import oracle
 from . import specfun as sf
@@ -46,6 +52,7 @@ from .model import (
     potential_value,
     with_scales,
 )
+from .resolvent import _AirySolutions, _HoAbsFactors, _kept
 
 __all__ = [
     "CharacteristicFunction",
@@ -66,7 +73,6 @@ __all__ = [
     "chi_delta_linear",
     "build_chi",
     "find_roots",
-    "flag_missing",
     "sweep",
     "SWEEP_PARAMS",
 ]
@@ -103,30 +109,14 @@ def chi_asym_ho(eps: float, lam: float) -> float:
             + math.sqrt(lam) * sf.rgamma(0.25 - 0.5 * eps) * sf.rgamma(0.75 - 0.5 * lam * eps))
 
 
-# (rho, (Ai(-rho), Ai'(-rho))) of the latest _ai_pair call
-_ai_latest = (None, None)
-
-
-def _ai_pair(rho):
-    """(Ai(-rho), Ai'(-rho)), which both |x| factors need.  The latest
-    value is kept, so the second factor at a scan point reuses it."""
-    global _ai_latest
-    last_rho, pair = _ai_latest
-    if rho != last_rho:
-        ai, aip, _, _ = sf.airy_all(-rho)
-        pair = (ai.value, aip.value)
-        _ai_latest = (rho, pair)
-    return pair
-
-
 def chi_linear_even(rho: float) -> float:
     """Even states of the |x| well: zeros of Ai'(-rho)."""
-    return _ai_pair(rho)[1]
+    return _kept(_AirySolutions, rho, None).ap0
 
 
 def chi_linear_odd(rho: float) -> float:
     """Odd states of the |x| well: zeros of Ai(-rho)."""
-    return _ai_pair(rho)[0]
+    return _kept(_AirySolutions, rho, None).a0
 
 
 def chi_asym_linear(rho: float, beta: float) -> float:
@@ -145,50 +135,32 @@ def chi_asym_linear(rho: float, beta: float) -> float:
     return a1.value * a2p.value + beta * a2.value * a1p.value
 
 
-def chi_half_half(eps: float, xi: float, scales) -> float:
+def chi_half_half(eps: float, xi: float) -> float:
     """Composite half-oscillator/half-linear condition:
 
     Ai'(-xi^2 eps)/Gamma(3/4 - eps/2)
-        - sqrt(2) (hbar^2/2m)^(1/3) xi Ai(-xi^2 eps)/Gamma(1/4 - eps/2) = 0
+        - sqrt(2) xi Ai(-xi^2 eps)/Gamma(1/4 - eps/2) = 0
 
-    The (hbar^2/2m)^(1/3) factor is kept symbolic; at the family default
-    hbar^2 = 2m it equals one.  (Dimensional analysis of the matching
-    condition gives exactly one at any convention; see the ledger.)
+    The log-derivatives of the two decaying solutions match at x = 0:
+    mu sqrt(2) Gamma(3/4 - eps/2)/Gamma(1/4 - eps/2) = zeta Ai'(-rho)/Ai(-rho)
+    with rho = xi^2 eps and mu/zeta = xi, so no other scale enters, at
+    any hbar and mass.
     """
     if xi <= 0.0:
         raise ValueError("xi must be positive")
-    unit = (scales.hbar ** 2 / (2.0 * scales.mass)) ** (1.0 / 3.0)
     ai, aip, _, _ = sf.airy_all(-xi * xi * eps)
     return (aip.value * sf.rgamma(0.75 - 0.5 * eps)
-            - math.sqrt(2.0) * unit * xi * ai.value * sf.rgamma(0.25 - 0.5 * eps))
-
-
-# (eps, mu phi, D_{sigma-1/2}(mu phi)) of the latest _d_lower call
-_d_latest = (None, None, None)
-
-
-def _d_lower(eps, mu_phi):
-    """D_{sigma-1/2}(mu phi), sigma = eps + (mu phi / 2)^2: both HO+|x| factors
-    need it.  The latest value is kept, so the second factor at a scan
-    point reuses it."""
-    global _d_latest
-    last_eps, last_mu_phi, value = _d_latest
-    if not (eps == last_eps and mu_phi == last_mu_phi):
-        value = sf.pcf_d(eps + (0.5 * mu_phi) ** 2 - 0.5, mu_phi).value
-        _d_latest = (eps, mu_phi, value)
-    return value
+            - math.sqrt(2.0) * xi * ai.value * sf.rgamma(0.25 - 0.5 * eps))
 
 
 def chi_ho_plus_abs_odd(eps: float, dmap) -> float:
     """Odd factor D_{sigma-1/2}(mu phi) = 0, as a function of eps."""
-    return _d_lower(eps, dmap.mu * dmap.phi)
+    return _kept(_HoAbsFactors, eps, dmap).d0
 
 
 def chi_ho_plus_abs_even(eps: float, dmap) -> float:
     """Even factor mu phi D_{sigma-1/2}(mu phi) - 2 D_{sigma+1/2}(mu phi) = 0."""
-    mu_phi = dmap.mu * dmap.phi
-    sigma = eps + (0.5 * mu_phi) ** 2
-    return mu_phi * _d_lower(eps, mu_phi) - 2.0 * sf.pcf_d(sigma + 0.5, mu_phi).value
+    return _kept(_HoAbsFactors, eps, dmap).even()
 
 
 def chi_delta_ho(eps: float, tau: float, p: float) -> float:
@@ -238,7 +210,6 @@ class Root:
 class SpectrumResult:
     roots: list
     scan_window: tuple
-    suspected_missing: list = field(default_factory=list)
 
     def values(self):
         return [r.value for r in self.roots]
@@ -294,7 +265,7 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
     if tag == HALF_HO_HALF_LINEAR:
         top = min(12.0, 24.5 / (d.xi * d.xi))  # Airy argument is xi^2 eps
         return CharacteristicFunction(
-            (1e-6, top), ((None, lambda e: chi_half_half(e, d.xi, family.scales)),))
+            (1e-6, top), ((None, lambda e: chi_half_half(e, d.xi)),))
     if tag == HO_PLUS_ABS:
         # the factors never vanish together for mu phi > 0
         return CharacteristicFunction(
@@ -448,19 +419,6 @@ def find_roots(chi: CharacteristicFunction, window=None, step=0.005,
             break
         x_prev, f_prevs = x, fs
     return _result(found, lat.window, limit)
-
-
-def flag_missing(result: SpectrumResult, reference_values, tol=1e-3):
-    """Record reference levels inside the scan window that match no root."""
-    lo, hi = result.scan_window
-    missing = []
-    for ref in reference_values:
-        if not (lo <= ref <= hi):
-            continue
-        if not any(abs(r.value - ref) <= tol for r in result.roots):
-            missing.append(ref)
-    result.suspected_missing = missing
-    return missing
 
 
 # ----------------------------------------------------------------------

@@ -385,6 +385,16 @@ def test_table1_passes():
     assert _sha256(out) == "157ac0f4a1205425f3c347873628ed13a18f9a2da570ac778ef46788e2c4d357"
 
 
+def test_table1_levels_hold_where_hbar_squared_is_not_2m():
+    # xi = sqrt(2) from hbar = m = omega1 = 1 and alpha1 = 2^(-1/3); the
+    # matching condition has no other scale, so the table's levels follow
+    fam = model.default_family(model.HALF_HO_HALF_LINEAR, hbar=1.0, mass=1.0, omega1=1.0,
+                               alpha1=2.0 ** (-1.0 / 3.0))
+    assert model.dimensionless(fam, 0.0).xi == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    got = spectrum.find_roots(spectrum.build_chi(fam), limit=10).values()
+    assert got == pytest.approx(cli.TABLE1_REFERENCE, abs=5e-5)
+
+
 def test_verify_single_family_small_grid():
     code, out = run(["verify", "--family", "HO", "--n-oracle", "1000", "--k", "3"])
     assert code == 0
@@ -401,6 +411,16 @@ def test_verify_delta_family_small_grid():
 VERIFY_NAMES = ["HO", "HO_STARK", "HO_ASYM", "LINEAR_ABS", "LINEAR_ASYM",
                 "HALF_HO_HALF_LINEAR", "HO_PLUS_ABS", "DELTA_DECORATED(HO)",
                 "DELTA_DECORATED(LINEAR_ABS)"]
+
+
+@pytest.mark.parametrize("name", VERIFY_NAMES)
+def test_verify_passes_every_well_at_other_hbar_and_mass(name):
+    tag, _, base = name.rstrip(")").partition("(")
+    fd = {"tag": tag, "scales": {"mass": 1.7, "hbar": 0.8}}
+    if base:
+        fd["base"] = base
+    code, out = run(["verify", "--family", json.dumps(fd)])
+    assert code == 0 and out.endswith(" ok\n"), out
 
 
 # (exit code, sha256 of stdout) for delta wells whose ground state lies near

@@ -233,3 +233,33 @@ def test_sturm_row_trim_keeps_every_count(name):
         assert [eigenvalue_count_below(op, x) for x in xs] == [
             _count_before_the_row_trim(op, x) for x in xs]
         assert any(2.0 - x == 0.0 for x in xs)
+
+
+def _diag_with_a_node_call_per_point(family, grid):
+    """discretize's diagonal as it read before h was bound once (verbatim)."""
+    s = family.scales
+    L = grid.half_width
+    h = grid.h
+    c = s.hbar ** 2 / (s.mass * h * h)
+    n = grid.n_points
+    diag = [c + model.potential_value(family, grid.node(i)) for i in range(n)]
+    if family.tag == DELTA_DECORATED:
+        q = s.delta_position
+        i_q = int(round((q + L) / h)) - 1
+        diag[i_q] += s.delta_strength / h
+    return tuple(diag)
+
+
+@pytest.mark.parametrize("tag,base", [
+    ("HO", None), ("HO_STARK", None), ("HO_ASYM", None), ("LINEAR_ABS", None),
+    ("LINEAR_ASYM", None), ("HALF_HO_HALF_LINEAR", None), ("HO_PLUS_ABS", None),
+    ("DELTA_DECORATED", HO), ("DELTA_DECORATED", LINEAR_ABS)])
+def test_discretize_nodes_are_those_of_grid_node(tag, base):
+    fam = default_family(tag, base=base)
+    walls = oracle.auto_grid(fam, e_max=0.0, n_points=100).half_width
+    # verify's grid sizes, the sweep certificate's and half-widths off a 0.5 lattice
+    for wider, n in ((0.0, 4000), (0.0, 8000), (0.5, 1500), (math.pi, 1001), (7.3, 100)):
+        grid = GridSpec(walls + wider, n)
+        op = discretize(fam, grid)
+        want = _diag_with_a_node_call_per_point(fam, grid)
+        assert [d.hex() for d in op.diag] == [d.hex() for d in want]

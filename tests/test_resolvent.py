@@ -154,9 +154,9 @@ def test_pole_raises_on_every_call_inside_a_memo_scope(green, fam, pole, regular
     assert green(0.3, -0.8, regular, fam.scales).value.hex() == cold
 
 
-def test_linear_solution_pair_has_no_pole_check():
-    # a solution pair, not a Green function: finite at an Airy-zero rho
-    pair = rv.linear_solution_pair(0.3, 1.018792971647471)
+def test_airy_solutions_have_no_pole_check():
+    # the scan's matching object, not a Green function: finite at an Airy-zero rho
+    pair = rv._AirySolutions(1.018792971647471)[0.3]
     assert len(pair) == 4 and all(math.isfinite(v) for v in pair)
 
 
@@ -190,7 +190,7 @@ def test_linear_jump_bracket_independent_of_diagonal_point():
     rho = 1.7
     w_at = []
     for t in (0.0, 0.7):
-        u, up, v, vp = rv.linear_solution_pair(t, rho)
+        u, up, v, vp = rv._AirySolutions(rho)[t]
         w_at.append(u * vp - up * v)
     assert w_at[0] == pytest.approx(w_at[1], rel=1e-9)
 

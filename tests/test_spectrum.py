@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from greenwell import model, oracle, specfun as sf, spectrum as sp
+from greenwell import model, oracle, resolvent as rv, specfun as sf, spectrum as sp
 from greenwell.model import (
     DELTA_DECORATED,
     HALF_HO_HALF_LINEAR,
@@ -307,11 +307,11 @@ def test_parity_memo_keeps_every_bit(fam, first):
         assert sp.find_roots(chi, window=w) == sp.find_roots(plain_chi, window=w)
 
 
-@pytest.mark.parametrize("fam,shared_fn,latest", [
-    (default_family(LINEAR_ABS), "airy_all", "_ai_latest"),
-    (default_family(HO_PLUS_ABS), "pcf_d", "_d_latest"),
+@pytest.mark.parametrize("fam,shared_fn,kind", [
+    (default_family(LINEAR_ABS), "airy_all", "_AirySolutions"),
+    (default_family(HO_PLUS_ABS), "pcf_d", "_HoAbsFactors"),
 ], ids=["LINEAR_ABS", "HO_PLUS_ABS"])
-def test_parity_factors_share_one_call_per_lattice_point(monkeypatch, fam, shared_fn, latest):
+def test_parity_factors_share_one_call_per_lattice_point(monkeypatch, fam, shared_fn, kind):
     calls = []
     fn = getattr(sf, shared_fn)
     monkeypatch.setattr(sf, shared_fn, lambda *a: calls.append(a) or fn(*a))
@@ -324,22 +324,36 @@ def test_parity_factors_share_one_call_per_lattice_point(monkeypatch, fam, share
     # HO+|x| factor also calls pcf_d for D_{sigma+1/2}
     upper = sum(p == "even" for p, _ in evals) if fam.tag == HO_PLUS_ABS else 0
     assert len(calls) == len(evals) - points + upper
-    # one cached value, that of the energy evaluated last
-    assert getattr(sp, latest)[0] == evals[-1][1]
+    # resolvent's one kept build, that of the energy evaluated last
+    last_kind, last_energy, _, _ = rv._latest
+    assert last_kind is getattr(rv, kind) and last_energy == evals[-1][1]
 
 
 def test_failed_factor_call_leaves_the_cache_as_it_was():
     d = dimensionless(default_family(HO_PLUS_ABS), 0.0)
     sp.chi_linear_odd(2.0)
     sp.chi_ho_plus_abs_odd(2.0, d)
-    before = (sp._ai_latest, sp._d_latest)
+    before = rv._latest
     # -rho beyond the Airy domain, and an order beyond pcf_d's
     for call in (lambda: sp.chi_linear_even(30.0), lambda: sp.chi_linear_odd(30.0),
                  lambda: sp.chi_ho_plus_abs_odd(70.0, d),
                  lambda: sp.chi_ho_plus_abs_even(70.0, d)):
         with pytest.raises(sf.DomainError):
             call()
-        assert sp._ai_latest is before[0] and sp._d_latest is before[1]
+        assert rv._latest is before
+
+
+def test_scans_and_sweeps_leave_the_spectrum_module_as_it_was():
+    # the parity factors keep their builds in resolvent: spectrum holds no
+    # module-level state that a scan or a sweep replaces
+    before = dict(vars(sp))
+    for tag in (LINEAR_ABS, HO_PLUS_ABS):
+        assert roots_of(default_family(tag), window=(0.0, 4.0)).roots
+    assert sp.sweep(default_family(HO_PLUS_ABS), "muphi", [0.5, 0.6, 0.7],
+                    window=(0.0, 4.0)).rows
+    after = vars(sp)
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
 
 
 # ----------------------------------------------------------------------
@@ -559,13 +573,6 @@ def test_energy_floor_bounds_the_spectrum_and_keeps_every_bit(fam):
     assert _bits(from_floor.roots) == _bits(whole.roots)
     assert from_floor.scan_window == chi.window
     assert len(calls) < whole_calls
-
-
-def test_flag_missing_reports_reference_gaps():
-    res = roots_of(default_family(HO), window=(0.0, 4.0))
-    missing = sp.flag_missing(res, [0.5, 1.5, 2.0, 3.5])
-    assert missing == [2.0]
-    assert res.suspected_missing == [2.0]
 
 
 def test_validator_rejects_bad_windows():
