@@ -342,7 +342,8 @@ class _AirySolutions(dict):
     """
 
     def __init__(self, rho, context=None):
-        # unpacked without a generator: a scan builds one per lattice point
+        # unpacked without generators, here and below: a scan builds one
+        # per lattice point, a Green grid one per abscissa
         ai, aip, bi, bip = sf.airy_all(-rho)
         a0, ap0, b0, bp0 = ai.value, aip.value, bi.value, bip.value
         self.rho, self.a0, self.ap0 = rho, a0, ap0
@@ -352,12 +353,14 @@ class _AirySolutions(dict):
     def __missing__(self, t):
         alpha, beta = self.alpha, self.beta
         if t >= 0.0:
-            ai, aip, bi, bip = (r.value for r in sf.airy_all(t - self.rho))
+            ai, aip, bi, bip = sf.airy_all(t - self.rho)
+            ai, aip, bi, bip = ai.value, aip.value, bi.value, bip.value
             u, up = ai, aip
             v = alpha * ai + beta * bi
             vp = alpha * aip + beta * bip
         else:
-            ai, aip, bi, bip = (r.value for r in sf.airy_all(-t - self.rho))
+            ai, aip, bi, bip = sf.airy_all(-t - self.rho)
+            ai, aip, bi, bip = ai.value, aip.value, bi.value, bip.value
             u = alpha * ai + beta * bi
             up = -(alpha * aip + beta * bip)
             v, vp = ai, -aip

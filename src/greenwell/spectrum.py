@@ -17,10 +17,13 @@ bracket every sign change, refine by bisection.  All factors of a
 family are scanned in lockstep, every factor evaluated at each lattice
 point, so a caller that needs only the lowest k levels (`limit`) stops
 every factor at the lattice cell that holds the k-th level.  A sweep
-scans its first parameter value; later values find the same cells by
-certified continuation (see `sweep`): an FD Sturm count says how many
-levels the window holds, and the lattice is searched near the levels
-predicted from the values before until that many cells are found.  A
+finds each parameter value's cells on its own, with nothing carried
+over from other values (see `sweep`): an FD Sturm count says that N
+levels lie between two lattice points, and a walk over coarse cells of
+about half their mean spacing, (i_hi - i_lo) // (2N + 2) lattice cells,
+looks for sign changes.  A sign change holds an odd number of levels,
+so N of them hold one level each, and each leads to the cell the scan
+finds; any other number, and the value is scanned.  A
 default-window scan of a delta-decorated well starts at the well's
 energy floor, the free-delta bound E >= -m a^2 / (2 hbar^2) (E > 0 for
 a >= 0), not at the window's low edge: no level lies below it.  Tangential
@@ -186,8 +189,10 @@ def chi_delta_linear(rho: float, eta: float, zeta_q: float) -> float:
     """
     if zeta_q < 0.0:
         raise ValueError("zeta_q must be >= 0 (the condition is q-symmetric)")
-    a0, ap0, b0, bp0 = (r.value for r in sf.airy_all(-rho))
-    at, _, bt, _ = (r.value for r in sf.airy_all(zeta_q - rho))
+    a0, ap0, b0, bp0 = sf.airy_all(-rho)
+    a0, ap0, b0, bp0 = a0.value, ap0.value, b0.value, bp0.value
+    at, _, bt, _ = sf.airy_all(zeta_q - rho)
+    at, bt = at.value, bt.value
     v = math.pi * ((a0 * bp0 + ap0 * b0) * at - 2.0 * a0 * ap0 * bt)
     return eta * at * v - a0 * ap0
 
@@ -331,10 +336,6 @@ class _Lattice:
 
     def point(self, i):
         return min(self.lo + i * self.step, self.hi) if i else self.lo
-
-    def cell(self, e):
-        """The index of the cell that holds energy e, within start+1 .. n_steps."""
-        return min(max(int(math.ceil((e - self.lo) / self.step)), self.start + 1), self.n_steps)
 
 
 def _lattice(chi, window, step):
@@ -615,24 +616,29 @@ class _LevelCount:
 
 
 class _Rescan(Exception):
-    """The continuation met a point the scan treats specially: scan instead."""
+    """The walk met a point the scan treats specially: scan instead."""
 
 
-def _continued(chi, lat, cert, guesses):
-    """The find_roots result on lattice `lat`, found without a full scan,
-    or None when continuation does not find the certified cells.
+def _walked(chi, lat, cert):
+    """The find_roots result on lattice `lat`, found from the level count
+    without a full scan, or None when the count does not pin every cell.
 
     The strips outside the counted part are walked cell by cell, as the
-    scan walks them.  Inside it, for each predicted level of factor j in
-    guesses[j], the sign-change cell nearest to it is searched, out to
-    halfway to the neighbouring guesses; then the rest of the counted
-    part is walked in from both ends until `cert.count` distinct cells
-    are found.  Each cell holds a level, so `cert.count` cells are all
-    the cells the scan finds there, and bisecting them as find_roots
-    does gives the same roots.  A lattice point where a factor is
-    exactly 0 or not finite, which the scan handles on its own terms,
-    gives None, and so does an evaluation that fails: the scan then
-    fails or not as before.  Every lattice value is computed once.
+    scan walks them.  The counted part (point i_lo, point i_hi], which
+    holds N = cert.count levels, is cut into coarse cells of
+    (i_hi - i_lo) // (2N + 2) lattice cells (at least one), about half
+    its mean level spacing.  A factor whose values at a coarse cell's
+    ends differ in sign has an odd number of levels there, so when N
+    (factor, coarse cell) pairs change sign, each holds exactly one
+    level and no other pair holds any.  Then the one lattice cell of such
+    a pair that changes sign, found by bisecting on lattice indices, is
+    the cell the scan finds, and every other cell of the counted part
+    changes sign for no factor; each found cell is bisected as find_roots
+    does, so the roots are the scan's.  Any other number of sign changes
+    gives None.  A lattice point where a factor is exactly 0 or not
+    finite, which the scan handles on its own terms, gives None, and so
+    does an evaluation that fails: the scan then fails or not as before.
+    Every lattice value is computed once.
     """
     fns = [fn for _, fn in chi.factors]
     known = [{} for _ in fns]  # lattice index -> factor value, per factor
@@ -646,72 +652,32 @@ def _continued(chi, lat, cert, guesses):
             known[j][i] = f
         return f
 
-    def changes(j, i):
-        return (value(j, i - 1) < 0.0) != (value(j, i) < 0.0)
+    def changes(j, a, b):
+        return (value(j, a) < 0.0) != (value(j, b) < 0.0)
 
-    first, last = cert.i_lo + 1, cert.i_hi  # the counted cells
     factors = range(len(fns))
+    stride = max(1, (cert.i_hi - cert.i_lo) // (2 * cert.count + 2))
     try:
-        strips = itertools.chain(range(lat.start + 1, first), range(last + 1, lat.n_steps + 1))
-        outer = {(j, i) for i in strips for j in factors if changes(j, i)}
-        cells = set()  # (factor, index of the cell's upper end) in the counted part
-        for j, levels in enumerate(guesses):
-            levels = sorted(levels)
-            for k, e in enumerate(levels):
-                i0 = min(max(lat.cell(e), first), last)
-                a = max(first, min(i0, lat.cell(0.5 * (levels[k - 1] + e)) + 1)) if k else first
-                b = (min(last, max(i0, lat.cell(0.5 * (e + levels[k + 1]))))
-                     if k + 1 < len(levels) else last)
-                near = (i for d in range(max(i0 - a, b - i0) + 1) for i in (i0 - d, i0 + d)
-                        if a <= i <= b)
-                found = next((i for i in near if changes(j, i)), None)
-                if found is not None:
-                    cells.add((j, found))
-        # then the rest of the counted part, walked in from both ends
-        inward = (i for k in range((last - first) // 2 + 1) for i in (first + k, last - k))
-        for i in inward:
-            if len(cells) >= cert.count:
-                break
-            cells.update((j, i) for j in factors if (j, i) not in cells and changes(j, i))
+        strips = itertools.chain(range(lat.start + 1, cert.i_lo + 1),
+                                 range(cert.i_hi + 1, lat.n_steps + 1))
+        outer = [(j, i) for i in strips for j in factors if changes(j, i - 1, i)]
+        cells = []  # (factor, index of the cell's upper end) in the counted part
+        for a in range(cert.i_lo, cert.i_hi, stride):
+            b = min(a + stride, cert.i_hi)
+            for j in [j for j in factors if changes(j, a, b)]:
+                lo, hi = a, b
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if changes(j, lo, mid) else (mid, hi)
+                cells.append((j, hi))
         if len(cells) != cert.count:
             return None
         found = [_cell_root(chi.factors[j], lat.point(i - 1), lat.point(i), known[j][i - 1],
                             known[j][i])
-                 for j, i in sorted(cells | outer, key=lambda c: (c[1], c[0]))]
+                 for j, i in sorted(outer + cells, key=lambda c: (c[1], c[0]))]
     except (_Rescan, ValueError, ArithmeticError):
         return None
     return _result(found, lat.window)
-
-
-def _predict(history, v, n_factors):
-    """Each factor's levels at parameter value v, extrapolated linearly
-    from the last two values (the last value's levels when there is one).
-    Where a factor gained or lost levels between them, its two lists are
-    paired at the index shift that pairs the nearest levels, and an
-    unpaired level moves as its nearest paired one."""
-    guesses = []
-    for j in range(n_factors):
-        v1, now = history[-1][0], history[-1][1][j]
-        if len(history) < 2 or history[0][0] == v1:
-            guesses.append(now)
-            continue
-        v0, before = history[0][0], history[0][1][j]
-        gained = len(now) - len(before)
-
-        def moves(shift):  # now[i] - before[i - shift], None where unpaired
-            return [e1 - before[i - shift] if 0 <= i - shift < len(before) else None
-                    for i, e1 in enumerate(now)]
-        shift = min(range(min(gained, 0), max(gained, 0) + 1),
-                    key=lambda s: sum(abs(d) for d in moves(s) if d is not None))
-        moved = moves(shift)
-        paired = [i for i, d in enumerate(moved) if d is not None]
-        # an unpaired level moves as its nearest paired one
-        moved = [d if d is not None else
-                 (moved[min(paired, key=lambda p: abs(p - i))] if paired else 0.0)
-                 for i, d in enumerate(moved)]
-        t = (v - v1) / (v1 - v0)
-        guesses.append([e1 + d * t for e1, d in zip(now, moved)])
-    return guesses
 
 
 def sweep(family: PotentialFamily, param_name: str, values, window=None,
@@ -719,20 +685,24 @@ def sweep(family: PotentialFamily, param_name: str, values, window=None,
     """The roots at each parameter value as rows, with index-continuity assembly.
 
     Each value's roots are the ones find_roots(build_chi(...), window,
-    step) gives, bit for bit.  The first value is scanned in full.  Later
-    values are found by certified continuation.  FD Sturm counts with a
-    margin (_LevelCount) give the number N of levels between two lattice
-    points at or just inside the window edges; the strips outside them
-    are walked cell by cell, and between them the scan lattice is
-    searched for the sign-change cells nearest to the levels predicted
-    from the last two values, then walked in from both ends for levels
-    that entered.  N distinct cells there are the scan's cells, bisected
-    as the scan bisects them.  A value is scanned in full when it has no
-    certificate (FD levels near both window edges, or an FD grid that
-    cannot be built), when a lattice value is exactly 0, or when
-    continuation does not find N cells.  Where a scan finds another
-    number of roots than a certificate gives, levels are lost (roots
-    closer than `step`), and ArithmeticError names the parameter value.
+    step) gives, bit for bit, and every value, the first included, is
+    found the same way, independently of the others.  FD Sturm counts
+    with a margin (_LevelCount) give the number N of levels between two
+    lattice points at or just inside the window edges.  The strips
+    outside them are walked cell by cell; between them, coarse cells of
+    (i_hi - i_lo) // (2N + 2) lattice cells, about half the mean level
+    spacing, are checked for sign changes of each factor (_walked).  A
+    sign change holds an odd number of levels, so when there are N of
+    them each holds exactly one, and bisecting on lattice indices finds
+    the one lattice cell the scan finds; it is then bisected as the scan
+    bisects it.  A value is scanned in full when it has no count (FD
+    levels near both window edges, or an FD grid that cannot be built),
+    when a lattice value is exactly 0, when the walk finds another number
+    of sign changes than N (two levels of a factor in one coarse cell),
+    or when its lowest or highest root is not next to the FD level it
+    stands for.  Where a scan finds another number of roots than a count
+    gives, levels are lost (roots closer than `step`), and
+    ArithmeticError names the parameter value.
 
     Roots of adjacent parameter values are matched in sorted order
     (curves of these families do not cross); a change of the in-window
@@ -755,16 +725,13 @@ def sweep(family: PotentialFamily, param_name: str, values, window=None,
     rows = []
     breaks = []
     prev_count = None
-    history = []  # (value, levels of each factor) of the last two values
     for v, fam_v in points:
         chi = build_chi(fam_v)
         lat = _lattice(chi, window, step)
         cert = _LevelCount.build(fam_v, lat)
-        res = None
-        if history and cert is not None:
-            res = _continued(chi, lat, cert, _predict(history, v, len(chi.factors)))
-            if res is not None and not cert.agrees_at_ends(lat, res.roots):
-                res = None
+        res = _walked(chi, lat, cert) if cert is not None else None
+        if res is not None and not cert.agrees_at_ends(lat, res.roots):
+            res = None
         if res is None:
             res = find_roots(chi, window=window, step=step)
             if cert is not None:
@@ -776,9 +743,6 @@ def sweep(family: PotentialFamily, param_name: str, values, window=None,
         if prev_count is not None and len(res.roots) != prev_count:
             breaks.append(v)
         prev_count = len(res.roots)
-        parities = [parity for parity, _ in chi.factors]
-        levels = [[r.value for r in res.roots if r.parity == parity] for parity in parities]
-        history = (history + [(v, levels)])[-2:]
         for r in res.roots:
             rows.append((v, r.index, r.value))
     return SweepResult(rows, breaks)

@@ -150,10 +150,15 @@ def test_readme_tau_sweep_keeps_its_bytes_with_a_fifth_of_the_chi_calls(monkeypa
     assert 0 < len(calls) <= 142679 / 5
 
 
-def test_readme_lam_sweep_bytes_pinned():
+def test_readme_lam_sweep_bytes_pinned(monkeypatch):
+    calls = []
+    chi = spectrum.chi_asym_ho
+    monkeypatch.setattr(spectrum, "chi_asym_ho", lambda *a: calls.append(a) or chi(*a))
     code, out = run(README_LAM)
     assert (code, _sha256(out)) == (
         0, "ac0ebd1f8def0cea001ea07a6b7b56805af4aa808f6ebc71850480aad58e9514")
+    # each of the 57 values was a full rescan: 168,825 calls
+    assert 0 < len(calls) <= 168825 / 4
 
 
 def test_sweep_that_loses_levels_in_one_cell_exits_two(capsys):

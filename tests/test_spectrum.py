@@ -641,7 +641,7 @@ def test_sweep_rejects_mismatched_parameter():
 
 
 # ----------------------------------------------------------------------
-# sweeps by certified continuation
+# sweeps by the certified walk
 # ----------------------------------------------------------------------
 
 
@@ -666,28 +666,28 @@ def _steps(a, b, n):
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
-# (family, param, values, window, step, scans at most): every range moves
-# levels through an edge of its window, ascending or descending
+# (family, param, values, window, step, full scans at most): every range
+# moves levels through an edge of its window, ascending or descending
 SWEEP_CASES = {
-    "lam-default": (default_family(HO_ASYM), "lam", _steps(0.2, 3.0, 15), None, 0.005, 2),
-    "lam-down": (default_family(HO_ASYM), "lam", _steps(3.0, 0.4, 14), (0.0, 6.0), 0.005, 5),
-    "beta": (default_family(LINEAR_ASYM), "beta", _steps(0.3, 2.1, 7), (1e-6, 5.5), 0.01, 4),
-    "beta-default": (default_family(LINEAR_ASYM), "beta", _steps(0.4, 1.2, 9), None, 0.01, 2),
+    "lam-default": (default_family(HO_ASYM), "lam", _steps(0.2, 3.0, 15), None, 0.005, 0),
+    "lam-down": (default_family(HO_ASYM), "lam", _steps(3.0, 0.4, 14), (0.0, 6.0), 0.005, 3),
+    "beta": (default_family(LINEAR_ASYM), "beta", _steps(0.3, 2.1, 7), (1e-6, 5.5), 0.01, 2),
+    "beta-default": (default_family(LINEAR_ASYM), "beta", _steps(0.4, 1.2, 9), None, 0.01, 0),
     "xi": (default_family(HALF_HO_HALF_LINEAR), "xi", _steps(1.8, 0.6, 9), (1e-6, 7.5), 0.01,
-           2),
+           1),
     "xi-default": (default_family(HALF_HO_HALF_LINEAR), "xi", _steps(1.2, 1.7, 6), None,
-                   0.005, 4),
-    "muphi": (default_family(HO_PLUS_ABS), "muphi", _steps(0.0, 2.2, 12), (0.0, 9.0), 0.01, 3),
+                   0.005, 2),
+    "muphi": (default_family(HO_PLUS_ABS), "muphi", _steps(0.0, 2.2, 12), (0.0, 9.0), 0.01, 2),
     "muphi-down": (default_family(HO_PLUS_ABS), "muphi", _steps(1.95, 0.8, 6), (0.0, 6.0),
-                   0.005, 1),
+                   0.005, 0),
     # the ground state crosses eps = 0 as tau crosses 0, entering from below
     "tau-through-0": (_delta_fam(-1.0, 0.5), "tau", _steps(-1.2, 1.2, 13), (0.0, 3.0), 0.005,
-                      3),
-    "tau-down": (_delta_fam(1.0, 0.5), "tau", _steps(1.2, -1.2, 13), (0.0, 3.0), 0.005, 3),
+                      1),
+    "tau-down": (_delta_fam(1.0, 0.5), "tau", _steps(1.2, -1.2, 13), (0.0, 3.0), 0.005, 1),
     # default window: scanned from the energy floor, which moves with tau
-    "tau-default": (_delta_fam(-1.0, 0.5), "tau", _steps(-1.2, 1.2, 9), None, 0.01, 3),
-    "tau-workload": (_delta_fam(-1.0, 0.7), "tau", _steps(0.3, 0.45, 4), (-3.0, 6.0), 0.005, 1),
-    "p": (_delta_fam(-1.0, 0.5), "p", _steps(0.0, 4.0, 9), None, 0.01, 3),
+    "tau-default": (_delta_fam(-1.0, 0.5), "tau", _steps(-1.2, 1.2, 9), None, 0.01, 1),
+    "tau-workload": (_delta_fam(-1.0, 0.7), "tau", _steps(0.3, 0.45, 4), (-3.0, 6.0), 0.005, 0),
+    "p": (_delta_fam(-1.0, 0.5), "p", _steps(0.0, 4.0, 9), None, 0.01, 2),
     # p = 0: odd base levels are exact zeros on the lattice, so those
     # values are scanned in full
     "p-zero": (_delta_fam(1.0, 0.0), "p", _steps(0.0, 0.3, 4) + _steps(0.2, 0.0, 3),
@@ -705,12 +705,42 @@ def test_sweep_gives_the_rows_and_breaks_of_per_value_scans(case, monkeypatch):
     got = sp.sweep(family, param, values, window=window, step=step)
     assert _hex_rows(got.rows) == _hex_rows(want_rows)
     assert got.breaks == want_breaks
-    # the first value is always scanned; continuation finds most others.
-    # Values without a certificate (dense levels at both ends: beta, xi)
-    # and exact lattice zeros (lam = 1, tau = 0, p = 0) are scanned too
-    assert 1 <= len(scans) <= most
+    # the certified walk finds most values, the first one included.
+    # Values without a certificate (dense levels at both ends: beta, xi),
+    # exact lattice zeros (lam = 1, tau = 0, p = 0) and values whose walk
+    # comes up short are scanned
+    assert len(scans) <= most
     if case == "p-zero":
         assert len(scans) == 2  # p = 0 is scanned on the way back as well
+    # no value depends on the values before it
+    monkeypatch.undo()
+    alone = [row for v in values for row in sp.sweep(family, param, [v], window=window,
+                                                      step=step).rows]
+    assert _hex_rows(alone) == _hex_rows(got.rows)
+
+
+def test_levels_that_share_a_coarse_cell_are_scanned(monkeypatch):
+    # a strong spike next to the centre pushes each even level up towards
+    # the odd one above it: 3.23 and 3.55 lie in one coarse cell of the
+    # walk (45 lattice cells), though in two lattice cells
+    family, window, step = _delta_fam(4.0, 0.1), (0.0, 5.5), 0.01
+    chi = sp.build_chi(family)
+    lat = sp._lattice(chi, window, step)
+    cert = sp._LevelCount.build(family, lat)
+    inner = cert.inner(lat, sp.find_roots(chi, window=window, step=step).roots)
+    assert cert.count == len(inner) == 5
+    stride = (cert.i_hi - cert.i_lo) // (2 * cert.count + 2)
+    cells = [math.ceil((r.value - lat.lo) / step) for r in inner]
+    coarse = [(i - cert.i_lo - 1) // stride for i in cells]
+    assert len(set(cells)) == 5 and coarse[2] == coarse[3] and len(set(coarse)) == 4
+    # no sign change there, so the walk counts four of five levels
+    assert sp._walked(chi, lat, cert) is None
+    want_rows, _ = _per_value_scans(family, "tau", [4.0], window, step)
+    scans = []
+    find_roots = sp.find_roots
+    monkeypatch.setattr(sp, "find_roots", lambda *a, **k: scans.append(a) or find_roots(*a, **k))
+    got = sp.sweep(family, "tau", [4.0], window=window, step=step)
+    assert len(scans) == 1 and _hex_rows(got.rows) == _hex_rows(want_rows)
 
 
 def _node_centred_delta(family, top):
