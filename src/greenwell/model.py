@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 __all__ = [
     "HO",
@@ -142,6 +143,37 @@ class PotentialFamily:
         """Tag of the smooth part (base potential for delta decoration)."""
         return self.base if self.tag == DELTA_DECORATED else self.tag
 
+    @cached_property
+    def potential(self):
+        """The smooth part of V as a function of x alone, in energy units,
+        built once per family.  The scale factors 0.5 m w^2 and alpha^3
+        are formed first, as the left-to-right products of V's
+        expression form them, so every value is the float that
+        expression gives.  x must be finite (potential_value checks)."""
+        s = self.scales
+        tag = self.smooth_tag
+        if tag in (HO, HO_STARK, HALF_HO_HALF_LINEAR, HO_PLUS_ABS):
+            k = 0.5 * s.mass * s.omega1 ** 2
+        if tag in (HO_STARK, LINEAR_ABS, HALF_HO_HALF_LINEAR, HO_PLUS_ABS):
+            a3 = s.alpha1 ** 3
+        if tag == HO:
+            return lambda x: k * x * x
+        if tag == HO_STARK:
+            return lambda x: k * x * x + a3 * x
+        if tag == HO_ASYM:
+            k1 = 0.5 * s.mass * s.omega1 * s.omega1
+            k2 = 0.5 * s.mass * s.omega2 * s.omega2
+            return lambda x: k1 * x * x if x <= 0.0 else k2 * x * x
+        if tag == LINEAR_ABS:
+            return lambda x: a3 * abs(x)
+        if tag == LINEAR_ASYM:
+            m1 = -s.alpha1 ** 3
+            a2 = s.alpha2 ** 3
+            return lambda x: m1 * x if x <= 0.0 else a2 * x
+        if tag == HALF_HO_HALF_LINEAR:
+            return lambda x: k * x * x if x <= 0.0 else a3 * x
+        return lambda x: k * x * x + a3 * abs(x)  # HO_PLUS_ABS
+
 
 @dataclass(frozen=True)
 class DimensionlessMap:
@@ -201,26 +233,7 @@ def potential_value(family: PotentialFamily, x: float) -> float:
     """Smooth part of V(x) in energy units (delta spikes excluded)."""
     if not math.isfinite(x):
         raise FamilyError(f"x must be finite, got {x}")
-    s = family.scales
-    tag = family.smooth_tag
-    if tag == HO:
-        return 0.5 * s.mass * s.omega1 ** 2 * x * x
-    if tag == HO_STARK:
-        return 0.5 * s.mass * s.omega1 ** 2 * x * x + s.alpha1 ** 3 * x
-    if tag == HO_ASYM:
-        w = s.omega1 if x <= 0.0 else s.omega2
-        return 0.5 * s.mass * w * w * x * x
-    if tag == LINEAR_ABS:
-        return s.alpha1 ** 3 * abs(x)
-    if tag == LINEAR_ASYM:
-        return -s.alpha1 ** 3 * x if x <= 0.0 else s.alpha2 ** 3 * x
-    if tag == HALF_HO_HALF_LINEAR:
-        if x <= 0.0:
-            return 0.5 * s.mass * s.omega1 ** 2 * x * x
-        return s.alpha1 ** 3 * x
-    if tag == HO_PLUS_ABS:
-        return 0.5 * s.mass * s.omega1 ** 2 * x * x + s.alpha1 ** 3 * abs(x)
-    raise FamilyError(f"unhandled family tag {tag!r}")
+    return family.potential(x)
 
 
 # figure-convention defaults for each family; see module docstring

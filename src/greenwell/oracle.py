@@ -109,8 +109,9 @@ def discretize(family: PotentialFamily, grid: GridSpec, e_max: float = 0.0) -> T
     h = grid.h
     c = s.hbar ** 2 / (s.mass * h * h)
     n = grid.n_points
+    v = family.potential
     # GridSpec.node's expression, with h bound once
-    diag = [c + potential_value(family, -L + (i + 1) * h) for i in range(n)]
+    diag = [c + v(-L + (i + 1) * h) for i in range(n)]
     if family.tag == DELTA_DECORATED:
         q = s.delta_position
         i_q = int(round((q + L) / h)) - 1

@@ -24,8 +24,8 @@ polynomial part; the completed value is accurate to ~1e-10.
 One kernel builds every closed form, G = num u(x>) v(x<) / den: u and
 v decay at +inf and -inf, num and den depend on the energy alone, and
 den carries the Wronskian, whose zeros are the bound states.  A
-solution object per kind (HO Weber, |x| Airy, HO+|x| Weber) supplies
-them.  It does the energy-only work (Gamma prefactor, Airy values at
+solution object per kind (HO Weber, the same shifted for HO_STARK, |x|
+Airy, HO+|x| Weber) supplies them.  It does the energy-only work (Gamma prefactor, Airy values at
 -rho, the HO+|x| denominator and matching coefficients) and its pole
 check once, when it is built, and is a dict from (scaled) abscissa to
 solution values.  green(x, x', E, family) dispatches by family.
@@ -174,7 +174,10 @@ class _HoSolutions(dict):
         self.num = math.sqrt(s.mass / (math.pi * w * s.hbar ** 3)) / sf.rgamma(0.5 - eps)
 
     def __missing__(self, z):
-        d = self[z] = sf.pcf_d(self.nu, z).value
+        # D(z) and D(-z) from one Kummer pair, bit for bit two pcf_d calls
+        plus, minus = sf.pcf_d_pair(self.nu, z)
+        self[-z] = minus.value
+        d = self[z] = plus.value
         return d
 
     def u(self, x):
@@ -315,14 +318,26 @@ def green_ho_series(x, xp, energy, scales, n_terms=500, tail=False) -> GreenEval
     return GreenEval(val, "G")
 
 
+class _HoStarkSolutions(_HoSolutions):
+    """The oscillator solutions at E + hbar w (mu phi/2)^2, read at x + phi."""
+
+    def __init__(self, energy, scales):
+        s = scales
+        w = s.omega1
+        mu = math.sqrt(2.0 * s.mass * w / s.hbar)
+        self.phi = phi = s.alpha1 ** 3 / (s.mass * w * w)
+        super().__init__(energy + s.hbar * w * (0.5 * mu * phi) ** 2, scales)
+
+    def u(self, x):
+        return self[self.mu * (x + self.phi)]
+
+    def v(self, x):
+        return self[-self.mu * (x + self.phi)]
+
+
 def green_ho_stark(x, xp, energy, scales) -> GreenEval:
     """Uniform-field shift: G_{ho,a}(x,x';E) = G_ho(x+phi, x'+phi; E + hbar w (mu phi/2)^2)."""
-    s = scales
-    w = s.omega1
-    mu = math.sqrt(2.0 * s.mass * w / s.hbar)
-    phi = s.alpha1 ** 3 / (s.mass * w * w)
-    shift = s.hbar * w * (0.5 * mu * phi) ** 2
-    return green_ho(x + phi, xp + phi, energy + shift, scales)
+    return _green(_HoStarkSolutions, x, xp, energy, scales)
 
 
 # ----------------------------------------------------------------------

@@ -16,10 +16,10 @@ Design notes:
     returns D_nu(z) and D_nu(-z) from one pair of Kummer series and one
     pair of rgamma values, bit for bit what two pcf_d calls give.
   * Airy functions use the Maclaurin series for |x| <= 7 and asymptotic
-    expansions beyond.  Inside the series region a compensated
-    double-double accumulation is switched on for x > 4, where the
-    cancellation between the two series branches would otherwise destroy
-    the exponentially small Ai against the large Bi.
+    expansions beyond.  On 4 < x <= 7 the two series branches cancel in
+    the exponentially small Ai, so Ai and Ai' come from the integrals of
+    K_1/3 and K_2/3 by the trapezoid rule instead; Bi and Bi' still come
+    from the series, whose terms there are all positive.
   * Functions returning EvalResult report est_abs_error, an upper bound
     on the absolute error built from truncation plus rounding terms.
   * The hot loops (the Kummer series, the Lanczos sum, the Airy
@@ -378,86 +378,46 @@ def pcf_d_pair(nu: float, z: float):
 # Airy functions
 # ----------------------------------------------------------------------
 
-# Ai(0), Ai'(0) split into double-double (hi, lo) pairs.
-_AI0 = (0.3550280538878172, 2.05233632436212e-17)
-_AIP0 = (-0.2588194037928068, 2.522243111610832e-17)
-_SQRT3 = (1.7320508075688772, 1.0035084221806903e-16)
+_AI0 = 0.3550280538878172     # Ai(0)
+_AIP0 = -0.2588194037928068   # Ai'(0)
+_SQRT3 = 1.7320508075688772
 
 _AIRY_SERIES_CUT = 7.0   # Maclaurin series window
-_AIRY_DD_MIN = 4.0       # double-double accumulation for x above this
+_AIRY_K_MIN = 4.0        # Ai, Ai' from the K-integrals for x above this
+_AIRY_K_STEP = 0.15625   # trapezoid step in t, exact in binary
 _AIRY_DOMAIN = 25.0
 
 
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
-
-
-def _split(a):
-    t = 134217729.0 * a  # 2^27 + 1
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_prod(a, b):
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
-def _dd_add(x, y):
-    s, e = _two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    hi, lo = _two_sum(s, e)
-    return (hi, lo)
-
-
-def _dd_mul(x, y):
-    p, e = _two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    hi, lo = _two_sum(p, e)
-    return (hi, lo)
-
-
-def _dd_div_d(x, d):
-    q1 = x[0] / d
-    p, e = _two_prod(q1, d)
-    r = ((x[0] - p) - e) + x[1]
-    return _two_sum(q1, r / d)
-
-
-def _dd_scale(x, d):
-    p, e = _two_prod(x[0], d)
-    e += x[1] * d
-    hi, lo = _two_sum(p, e)
-    return (hi, lo)
-
-
-def _airy_series_dd(x):
-    """f, g branches and derivatives with double-double accumulation."""
-    x_dd = (x, 0.0)
-    x3 = _dd_mul(_dd_mul(x_dd, x_dd), x_dd)
-    tf = (1.0, 0.0)       # f term, power x^(3k)
-    tg = x_dd             # g term, power x^(3k+1)
-    f = tf
-    g = tg
-    fp = (0.0, 0.0)       # f' = sum 3k c_k x^(3k-1)
-    gp = (1.0, 0.0)       # g' = sum (3k+1) d_k x^(3k)
-    for k in range(1, 80):
-        tf = _dd_div_d(_dd_mul(tf, x3), (3.0 * k) * (3.0 * k - 1.0))
-        tg = _dd_div_d(_dd_mul(tg, x3), (3.0 * k) * (3.0 * k + 1.0))
-        f = _dd_add(f, tf)
-        g = _dd_add(g, tg)
-        # scale by the exact integer first, then dd-divide by x
-        fp = _dd_add(fp, _dd_div_d(_dd_scale(tf, 3.0 * k), x))
-        gp = _dd_add(gp, _dd_div_d(_dd_scale(tg, 3.0 * k + 1.0), x))
-        if abs(tf[0]) < 1e-32 * abs(f[0]) and abs(tg[0]) < 1e-32 * abs(g[0]):
+def _airy_ai_k(x):
+    """Ai and Ai' for x > 0 from Ai = sqrt(x/3) K_1/3(zeta) / pi and
+    Ai' = -x K_2/3(zeta) / (pi sqrt(3)), zeta = 2/3 x^1.5 (DLMF 9.6.1),
+    with K_nu(zeta) = int_0^inf exp(-zeta cosh t) cosh(nu t) dt (DLMF
+    10.32.9) by the trapezoid rule.  Every term is positive, so nothing
+    cancels; the rule converges exponentially on this integrand
+    (Trefethen and Weideman, SIAM Rev. 56, 2014): at this step its
+    error, about exp(zeta - pi^2 / h) relative, is below 1e-21 for
+    zeta <= 12.4, i.e. x <= 7.  Returns (Ai, Ai', rel).  rel bounds the
+    relative error: exp's argument carries a rounding that grows with
+    zeta, and the sum one per node.  It bounds the series Bi and Bi' up
+    to x = 7 too, whose largest terms, near k = zeta / 2, carry about 2k
+    roundings each.
+    """
+    zeta = 2.0 / 3.0 * x ** 1.5
+    h = _AIRY_K_STEP
+    k1 = k2 = 0.5 * math.exp(-zeta)
+    n = 1
+    while True:
+        t = n * h
+        e = math.exp(-zeta * math.cosh(t))
+        k1 += e * math.cosh(t / 3.0)
+        term = e * math.cosh(2.0 * t / 3.0)  # falls slower than K_1/3's
+        k2 += term
+        if term < 1e-18 * k2:
             break
-    return f, g, fp, gp
+        n += 1
+    ai = math.sqrt(x / 3.0) / math.pi * (h * k1)
+    aip = -x / (math.pi * _SQRT3) * (h * k2)
+    return ai, aip, (8.0 + 2.0 * zeta + n) * _EPS
 
 
 # (3k, (3k)(3k - 1), 3k + 1, (3k)(3k + 1)) for k = 1..79: small integers,
@@ -617,34 +577,28 @@ def airy_all(x: float):
             EvalResult(bi, amp * rel),
             EvalResult(bip, ampp * rel),
         )
+    c1, c2, r3 = _AI0, _AIP0, _SQRT3
     if x == 0.0:
         return (
-            EvalResult(_AI0[0], 2.0 * _EPS * _AI0[0]),
-            EvalResult(_AIP0[0], 2.0 * _EPS * abs(_AIP0[0])),
-            EvalResult(_SQRT3[0] * _AI0[0], 4.0 * _EPS * _AI0[0]),
-            EvalResult(-_SQRT3[0] * _AIP0[0], 4.0 * _EPS * abs(_AIP0[0])),
-        )
-    if x > _AIRY_DD_MIN:
-        f, g, fp, gp = _airy_series_dd(x)
-        c1, c2 = _AI0, _AIP0
-        ai = _dd_add(_dd_mul(c1, f), _dd_mul(c2, g))
-        aip = _dd_add(_dd_mul(c1, fp), _dd_mul(c2, gp))
-        nc2 = (-c2[0], -c2[1])
-        bi = _dd_mul(_SQRT3, _dd_add(_dd_mul(c1, f), _dd_mul(nc2, g)))
-        bip = _dd_mul(_SQRT3, _dd_add(_dd_mul(c1, fp), _dd_mul(nc2, gp)))
-        return (
-            EvalResult(ai[0], 8.0 * _EPS * abs(ai[0]) + 1e-26 * abs(f[0])),
-            EvalResult(aip[0], 8.0 * _EPS * abs(aip[0]) + 1e-26 * abs(fp[0])),
-            EvalResult(bi[0], 8.0 * _EPS * abs(bi[0])),
-            EvalResult(bip[0], 8.0 * _EPS * abs(bip[0])),
+            EvalResult(c1, 2.0 * _EPS * c1),
+            EvalResult(c2, 2.0 * _EPS * abs(c2)),
+            EvalResult(r3 * c1, 4.0 * _EPS * c1),
+            EvalResult(-r3 * c2, 4.0 * _EPS * abs(c2)),
         )
     f, g, fp, gp, sf, sg = _airy_series(x)
-    c1, c2 = _AI0[0], _AIP0[0]
-    r3 = _SQRT3[0]
-    ai = c1 * f + c2 * g
-    aip = c1 * fp + c2 * gp
     bi = r3 * (c1 * f - c2 * g)
     bip = r3 * (c1 * fp - c2 * gp)
+    if x > _AIRY_K_MIN:
+        # the series Ai cancels here; the Bi terms are all positive
+        ai, aip, rel = _airy_ai_k(x)
+        return (
+            EvalResult(ai, abs(ai) * rel),
+            EvalResult(aip, abs(aip) * rel),
+            EvalResult(bi, abs(bi) * rel),
+            EvalResult(bip, abs(bip) * rel),
+        )
+    ai = c1 * f + c2 * g
+    aip = c1 * fp + c2 * gp
     df = 4.0 * _EPS * (abs(c1) * sf + abs(c2) * sg)
     dfp = 4.0 * _EPS * (abs(c1) + abs(c2)) * (sf + sg) * max(1.0, abs(x))
     return (

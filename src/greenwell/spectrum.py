@@ -52,7 +52,6 @@ from .model import (
     LINEAR_ASYM,
     PotentialFamily,
     dimensionless,
-    potential_value,
     with_scales,
 )
 from .resolvent import _AirySolutions, _HoAbsFactors, _kept
@@ -521,9 +520,10 @@ def _cert_operator(family, top):
     V >= E + 10 in physical units, asks for more (energy unit < 1)."""
     unit = _energy_unit(family)
     target = (top + _CERT_WALL) * unit
+    v = family.potential
 
     def below(x):
-        return min(potential_value(family, -x), potential_value(family, x)) < target
+        return min(v(-x), v(x)) < target
 
     wall = 1.0
     while below(wall):

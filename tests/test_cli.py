@@ -288,7 +288,7 @@ def _count_calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize("family,name,per_abscissa,per_energy", [
-    ("HO", "pcf_d", 2, 0),
+    ("HO", "pcf_d_pair", 1, 0),  # one pair gives D(mu x) and D(-mu x)
     ("LINEAR_ABS", "airy_all", 1, 1),
     ("HO_PLUS_ABS", "pcf_d", 1, 2),
 ])
@@ -351,7 +351,7 @@ def test_green_grid_failure_repeats_and_leaves_no_solutions_behind(monkeypatch):
     # two identical failing requests make the same special-function calls
     argv = ["green-grid", "--family", _on_resonance_family(), "--energy", "2.3",
             "--grid=-1:1:5"]
-    calls = _count_calls(monkeypatch, "pcf_d")
+    calls = _count_calls(monkeypatch, "pcf_d_pair")
     made = []
     for _ in range(2):
         before = calls[0]
@@ -363,7 +363,7 @@ def test_green_grid_failure_repeats_and_leaves_no_solutions_behind(monkeypatch):
     q = scales.delta_position
     before = calls[0]
     resolvent.green_ho(q, q, 2.3, scales)
-    assert calls[0] - before == 2
+    assert calls[0] - before == 1
 
 
 def test_module_entry_point_runs_without_runtime_warning():

@@ -1,6 +1,7 @@
 """Family definitions, dimensionless maps, and the JSON schema."""
 
 import math
+import random
 
 import pytest
 
@@ -176,3 +177,42 @@ def test_json_errors_name_fields():
         family_from_dict({"tag": "HO", "scales": {"weird": 1.0}})
     with pytest.raises(FamilyError, match="finite"):
         family_from_dict({"tag": "HO", "scales": {"omega1": "x"}})
+
+
+def ref_potential_value(family, x):
+    """model.potential_value before the family built its V once: one
+    expression per family, evaluated whole at every call (verbatim)."""
+    s = family.scales
+    tag = family.smooth_tag
+    if tag == HO:
+        return 0.5 * s.mass * s.omega1 ** 2 * x * x
+    if tag == HO_STARK:
+        return 0.5 * s.mass * s.omega1 ** 2 * x * x + s.alpha1 ** 3 * x
+    if tag == HO_ASYM:
+        w = s.omega1 if x <= 0.0 else s.omega2
+        return 0.5 * s.mass * w * w * x * x
+    if tag == LINEAR_ABS:
+        return s.alpha1 ** 3 * abs(x)
+    if tag == LINEAR_ASYM:
+        return -s.alpha1 ** 3 * x if x <= 0.0 else s.alpha2 ** 3 * x
+    if tag == HALF_HO_HALF_LINEAR:
+        if x <= 0.0:
+            return 0.5 * s.mass * s.omega1 ** 2 * x * x
+        return s.alpha1 ** 3 * x
+    return 0.5 * s.mass * s.omega1 ** 2 * x * x + s.alpha1 ** 3 * abs(x)
+
+
+def test_potential_keeps_every_bit_of_the_expression():
+    # the default wells and scales off 1, where a regrouped product would
+    # round differently; x of both signs over several decades and 0
+    rng = random.Random(7)
+    families = list(ALL_DEFAULTS)
+    for fam in ALL_DEFAULTS[:7]:
+        changes = {name: rng.uniform(0.3, 3.0) for name in
+                   ("mass", "omega1", "omega2", "alpha1", "alpha2")
+                   if getattr(fam.scales, name) is not None}
+        families.append(model.with_scales(fam, **changes))
+    xs = [0.0, -0.0] + [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-3, 3) for _ in range(2000)]
+    for fam in families:
+        for x in xs:
+            assert potential_value(fam, x).hex() == ref_potential_value(fam, x).hex(), (fam, x)

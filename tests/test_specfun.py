@@ -6,6 +6,7 @@ script and frozen here as double literals.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -96,6 +97,40 @@ AIRY_REF = (
     (11.0, 4.2262758649603595e-12, -1.4111441246628517e-11, 11355782530.430477, 37400168196.92698),
     (15.0, 2.1649625207379925e-18, -8.420567954017772e-18, 1.8982099567493588e+16, 7.319749203407011e+16),
     (24.5, 9.813303797462995e-37, -4.867300156198382e-36, 3.276622891563338e+34, 1.6184846443432987e+35),
+)
+
+
+# (x, Ai, Ai', Bi, Bi') on the K-integral window 4 < x <= 7, at the
+# double nearest x, to 30 digits (mpmath at 40-digit precision, offline)
+AIRY_K_REF = (
+    (4.0000001, "9.51563655340725335215321444055e-4", "-1.95864056957867176582221057006e-3",
+     "8.38470876011382127347941958248e+1", "1.61926717043445717053056638263e+2"),
+    (4.001, "9.49607112235603814797573168296e-4", "-1.95483813441538118055315270078e-3",
+     "8.40091659081106834079429813537e+1", "1.62262437844881780805696587344e+2"),
+    (4.25, "5.64639835342501337781926793964e-4", "-1.19520513454491430440770813207e-3",
+     "1.37021345991334303983063373995e+2", "2.73698843474177624091551516851e+2"),
+    (4.5, "3.30250323514308983658732590099e-4", "-7.17866567557508888693554298467e-4",
+     "2.27588081835599718461410886054e+2", "4.69135077327966397950919677145e+2"),
+    (4.875, "1.43894369532053183220517060363e-4", "-3.24710548455274689346343197097e-4",
+     "5.01643260107325039959617715113e+2", "1.08010500043108591621505149e+3"),
+    (5.0, "1.08344428136074417349865025033e-4", "-2.47413890868462476000236172063e-4",
+     "6.57792044171171182441080578874e+2", "1.435819080217982518671721238e+3"),
+    (5.3, "5.40905310134005896714669234618e-5", "-1.26960123336596768223497254391e-4",
+     "1.27946559546844052818949271863e+3", "2.88162777214314504718804327782e+3"),
+    (5.75, "1.84212461977302458206321016737e-5", "-4.4940621222983480628743454436e-5",
+     "3.60604590665499942203858349353e+3", "8.48215920372264030033218682074e+3"),
+    (6.0, "9.94769436025288957023884766883e-6", "-2.4765200397034954754181825387e-5",
+     "6.53644610480986345375835002462e+3", "1.57256026219304768394203229573e+4"),
+    (6.2, "6.02246071968819551183805946963e-6", "-1.52296516969415600413933252854e-5",
+     "1.06203661136178557337858229298e+4", "2.59969166536126132175505422495e+4"),
+    (6.5, "2.79588234320491358545999574881e-6", "-7.23193146660179255981424883776e-6",
+     "2.234060771839699815794499069e+4", "5.60624958425228607482191003315e+4"),
+    (6.8, "1.27587941687666874760429567707e-6", "-3.37246477537639339355686792044e-6",
+     "4.78601855742919603955608910943e+4", "1.2297643030844541717265415621e+5"),
+    (6.999, "7.51223661758895410082366961905e-7", "-2.0134020443176957811209639263e-6",
+     "8.01185189281389687959162382824e+4", "2.08991149211908600027617062266e+5"),
+    (7.0, "7.4921288639971670807710402721e-7", "-2.00815089473879199116930531207e-6",
+     "8.03277907094302470053912113986e+4", "2.0955267087397131950596281237e+5"),
 )
 
 
@@ -302,6 +337,26 @@ def test_airy_reference_and_error_bound(x, ai, aip, bi, bip):
     if abs(x) <= 15.0:
         assert abs(got[0].value - ai) <= 1e-9
         assert abs(got[1].value - aip) <= 1e-9
+
+
+@pytest.mark.parametrize("x,ai,aip,bi,bip", AIRY_K_REF)
+def test_airy_k_window_within_its_estimate(x, ai, aip, bi, bip):
+    # exact rational comparison: the references carry 30 digits
+    for got, ref in zip(sf.airy_all(x), (ai, aip, bi, bip)):
+        assert abs(Fraction(got.value) - Fraction(ref)) <= Fraction(got.est_abs_error), (x, ref)
+        assert got.est_abs_error <= 50.0 * EPS * abs(got.value), (x, ref)
+
+
+@pytest.mark.parametrize("cut", [4.0, 7.0])
+def test_airy_continuous_across_the_k_window_cuts(cut):
+    # the last double of one route and the first of the next agree within
+    # their summed estimates plus the slope times the spacing
+    above = math.nextafter(cut, math.inf)
+    lo, hi = sf.airy_all(cut), sf.airy_all(above)
+    ai, aip, bi, bip = (r.value for r in hi)
+    for a, b, slope in zip(lo, hi, (aip, above * ai, bip, above * bi)):
+        gap = abs(a.value - b.value)
+        assert gap <= a.est_abs_error + b.est_abs_error + abs(slope) * (above - cut), (cut, gap)
 
 
 def test_airy_wronskian_constancy():
@@ -552,7 +607,7 @@ def test_lanczos_and_rgamma_keep_every_bit():
 
 
 def test_airy_series_keeps_every_bit():
-    # both sides of the double-double cut (4) and of the series cut (7)
+    # both sides of the K-integral cut (4) and of the series cut (7)
     xs = [x for x in grid(-8.0, 8.0, 3201) if x != 0.0]
     xs += [3.999, 4.0, 4.001, 6.999, 7.0, 7.001, -6.999, -7.0, -7.001, 1e-8, -1e-8]
     for x in xs:
