@@ -199,8 +199,8 @@ def _table(cfg, header, rows):
 
 def cmd_levels(cfg):
     fam = model.family_from_dict(cfg.family)
-    chi = spectrum.build_chi(fam)
-    res = spectrum.find_roots(chi, window=cfg.window, step=cfg.step)
+    res = spectrum.checked_scan(fam, spectrum.build_chi(fam), cfg.window, cfg.step,
+                                f"levels of {_well_name(fam)}")
     header = ("index", "parity", "eps", "residual", "bracket_lo", "bracket_hi")
     rows = [(r.index, r.parity or "", r.value, r.residual, r.bracket[0], r.bracket[1])
             for r in res.roots]
@@ -270,18 +270,6 @@ def _default_families():
         + [model.default_family(DELTA_DECORATED, base=base) for base in (HO, LINEAR_ABS)])
 
 
-def _to_dimensionless_energy(fam, energy):
-    dmap = model.dimensionless(fam, energy)
-    return dmap.eps if dmap.eps is not None else dmap.rho
-
-
-def _from_dimensionless_energy(fam, value):
-    s = fam.scales
-    if fam.smooth_tag in model.QUADRATIC_TAGS:
-        return value * s.hbar * s.omega1
-    return value * s.alpha1 ** 2 / (2.0 * s.mass / s.hbar ** 2) ** (1.0 / 3.0)
-
-
 def _well_name(fam):
     return fam.tag if fam.base is None else f"{fam.tag}({fam.base})"
 
@@ -295,11 +283,11 @@ def oracle_levels(fam, k, n_points):
     if len(res.roots) < k:
         raise ArithmeticError(
             f"only {len(res.roots)} closed-form roots in window for {_well_name(fam)}")
-    e_top = _from_dimensionless_energy(fam, res.values()[-1])
+    e_top = fam.energy(res.values()[-1])
     grid = oracle.auto_grid(fam, e_max=e_top, n_points=n_points)
     op = oracle.discretize(fam, grid, e_max=e_top)
     eigs = oracle.lowest_eigenvalues(op, k)
-    return [_to_dimensionless_energy(fam, e) for e in eigs], res
+    return [fam.natural_energy(e) for e in eigs], res
 
 
 def verify_family(fam, k=5, n_points=None):

@@ -1,6 +1,6 @@
 """Potential families, physical scales, and dimensionless parameter maps.
 
-Single source of truth for unit conventions.  Eight families are
+Single source of truth for unit conventions (NaturalUnits).  Eight families are
 supported; each is defined by a tag plus the physical scales it uses:
 
     HO                   V = (1/2) m w1^2 x^2
@@ -37,6 +37,7 @@ __all__ = [
     "QUADRATIC_TAGS",
     "PhysicalScales",
     "PotentialFamily",
+    "NaturalUnits",
     "DimensionlessMap",
     "dimensionless",
     "potential_value",
@@ -113,6 +114,11 @@ class PhysicalScales:
             if v is not None and not math.isfinite(v):
                 raise FamilyError(f"{name} must be finite")
 
+    @cached_property
+    def natural(self):
+        """The NaturalUnits of these scales, built once."""
+        return NaturalUnits(self)
+
 
 @dataclass(frozen=True)
 class PotentialFamily:
@@ -174,10 +180,64 @@ class PotentialFamily:
             return lambda x: k * x * x if x <= 0.0 else a3 * x
         return lambda x: k * x * x + a3 * abs(x)  # HO_PLUS_ABS
 
+    def natural_energy(self, energy):
+        """E in the family's natural energy variable, eps or rho."""
+        units = self.scales.natural
+        return units.eps(energy) if self.smooth_tag in QUADRATIC_TAGS else units.rho(energy)
+
+    def energy(self, value):
+        """The inverse of natural_energy."""
+        s = self.scales
+        if self.smooth_tag in QUADRATIC_TAGS:
+            return value * s.hbar * s.omega1
+        return value * s.alpha1 ** 2 / s.natural.k
+
+
+class NaturalUnits:
+    """The energy-independent natural units of one PhysicalScales, built
+    once per scales object (PhysicalScales.natural).  Each is computed
+    the first time it is read, so a family reads only what its scales
+    define.  Every other module reads its units here; each expression
+    keeps the float grouping its callers always used, so their values
+    keep every bit."""
+
+    def __init__(self, scales):
+        self.scales = scales
+
+    two_m = cached_property(lambda u: 2.0 * u.scales.mass / u.scales.hbar ** 2)
+    k = cached_property(lambda u: u.two_m ** (1.0 / 3.0))  # (2m / hbar^2)^(1/3)
+    hbar_omega = cached_property(lambda u: u.scales.hbar * u.scales.omega1)
+    mu = cached_property(  # 1 / length
+        lambda u: math.sqrt(2.0 * u.scales.mass * u.scales.omega1 / u.scales.hbar))
+    phi = cached_property(
+        lambda u: u.scales.alpha1 ** 3 / (u.scales.mass * u.scales.omega1 * u.scales.omega1))
+    shift = cached_property(lambda u: (0.5 * u.mu * u.phi) ** 2)  # sigma - eps
+    ho_norm = cached_property(  # sqrt(m / (pi w1 hbar^3))
+        lambda u: math.sqrt(u.scales.mass / (math.pi * u.scales.omega1 * u.scales.hbar ** 3)))
+    alpha_ho = cached_property(  # (2 m hbar w1^3)^(1/6), the alpha1 of xi = 1
+        lambda u: (2.0 * u.scales.mass * u.scales.hbar * u.scales.omega1 ** 3) ** (1.0 / 6.0))
+    xi = cached_property(lambda u: u.alpha_ho / u.scales.alpha1)
+    lam = cached_property(lambda u: u.scales.omega1 / u.scales.omega2)
+    zeta = cached_property(lambda u: u.scales.alpha1 * u.k)
+    beta = cached_property(lambda u: u.scales.alpha1 / u.scales.alpha2)
+    tau = cached_property(lambda u: u.scales.delta_strength * u.ho_norm)
+    p = cached_property(lambda u: u.mu * u.scales.delta_position)
+    eta = cached_property(
+        lambda u: (u.scales.delta_strength / (2.0 * u.scales.alpha1)) * u.two_m ** (2.0 / 3.0))
+
+    def eps(self, energy):
+        """E / (hbar w1), the quadratic families' energy variable."""
+        return energy / self.hbar_omega
+
+    def rho(self, energy):
+        """(E / alpha1^2) (2m/hbar^2)^(1/3), the linear families' one."""
+        return energy / self.scales.alpha1 ** 2 * self.k
+
 
 @dataclass(frozen=True)
 class DimensionlessMap:
-    """Derived dimensionless parameters; only family-relevant fields set."""
+    """The parameters of one family at one energy, a view on the
+    NaturalUnits of its scales: only the fields the family uses are set."""
 
     eps: float | None = None    # E / (hbar w1)
     mu: float | None = None     # sqrt(2 m w1 / hbar), 1/length
@@ -193,39 +253,27 @@ class DimensionlessMap:
     eta: float | None = None    # (a / 2 alpha1) (2m/hbar^2)^(2/3)
 
 
+# the energy-independent fields of each DimensionlessMap, by smooth tag
+# and, for a delta decoration, by base
+_FIELDS = {HO: ("mu",), HO_STARK: ("mu", "phi"), HO_ASYM: ("mu", "lam"),
+           LINEAR_ABS: ("zeta",), LINEAR_ASYM: ("zeta", "beta"),
+           HALF_HO_HALF_LINEAR: ("mu", "phi", "xi"), HO_PLUS_ABS: ("mu", "phi")}
+_DELTA_FIELDS = {HO: ("tau", "p"), LINEAR_ABS: ("eta",)}
+
+
 def dimensionless(family: PotentialFamily, energy: float) -> DimensionlessMap:
     """Compute the dimensionless parameters of `family` at `energy`."""
     if not math.isfinite(energy):
         raise FamilyError(f"energy must be finite, got {energy}")
-    s = family.scales
-    tag = family.tag
-    smooth = family.smooth_tag
-    out = {}
-    if smooth in QUADRATIC_TAGS:
-        w = s.omega1
-        out["eps"] = energy / (s.hbar * w)
-        out["mu"] = math.sqrt(2.0 * s.mass * w / s.hbar)
-        if smooth in (HO_STARK, HO_PLUS_ABS, HALF_HO_HALF_LINEAR):
-            out["phi"] = s.alpha1 ** 3 / (s.mass * w * w)
-        if smooth in (HO_STARK, HO_PLUS_ABS):
-            out["sigma"] = out["eps"] + (out["mu"] * out["phi"] / 2.0) ** 2
-        if smooth == HALF_HO_HALF_LINEAR:
-            out["xi"] = (2.0 * s.mass * s.hbar * w ** 3) ** (1.0 / 6.0) / s.alpha1
-        if smooth == HO_ASYM:
-            out["lam"] = s.omega1 / s.omega2
+    units = family.scales.natural
+    out = {f: getattr(units, f)
+           for f in _FIELDS[family.smooth_tag] + _DELTA_FIELDS.get(family.base, ())}
+    if family.smooth_tag in QUADRATIC_TAGS:
+        out["eps"] = units.eps(energy)
+        if family.smooth_tag in (HO_STARK, HO_PLUS_ABS):
+            out["sigma"] = out["eps"] + units.shift
     else:
-        k = (2.0 * s.mass / s.hbar ** 2) ** (1.0 / 3.0)
-        out["rho"] = energy / s.alpha1 ** 2 * k
-        out["zeta"] = s.alpha1 * k
-        if smooth == LINEAR_ASYM:
-            out["beta"] = s.alpha1 / s.alpha2
-    if tag == DELTA_DECORATED:
-        a = s.delta_strength
-        if family.base == HO:
-            out["tau"] = a * math.sqrt(s.mass / (math.pi * s.omega1 * s.hbar ** 3))
-            out["p"] = out["mu"] * s.delta_position
-        else:
-            out["eta"] = (a / (2.0 * s.alpha1)) * (2.0 * s.mass / s.hbar ** 2) ** (2.0 / 3.0)
+        out["rho"] = units.rho(energy)
     return DimensionlessMap(**out)
 
 

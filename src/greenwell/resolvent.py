@@ -25,10 +25,12 @@ One kernel builds every closed form, G = num u(x>) v(x<) / den: u and
 v decay at +inf and -inf, num and den depend on the energy alone, and
 den carries the Wronskian, whose zeros are the bound states.  A
 solution object per kind (HO Weber, the same shifted for HO_STARK, |x|
-Airy, HO+|x| Weber) supplies them.  It does the energy-only work (Gamma prefactor, Airy values at
+Airy, HO+|x| Weber) supplies them.  Built from the energy and the
+scales' model.NaturalUnits, which converts it and holds every unit
+factor, it does the energy-only work (Gamma prefactor, Airy values at
 -rho, the HO+|x| denominator and matching coefficients) and its pole
-check once, when it is built, and is a dict from (scaled) abscissa to
-solution values.  green(x, x', E, family) dispatches by family.
+check once, and is a dict from (scaled) abscissa to solution values.
+green(x, x', E, family) dispatches by family.
 
 The |x| and HO+|x| matching values at x = 0 are those wells' parity
 factors too, so spectrum's characteristic functions read them from the
@@ -39,18 +41,19 @@ D_{sigma+1/2}(mu phi) when the even factor is first asked for.  Each
 condition is written once, here.
 
 The module keeps the latest object it built through _kept, with the
-kind, energy and context (the scales of a Green build, the dimensionless
-map of a scan) it was built for.  A call reuses it when the kind and the
-context object are the same (by identity) and the energy compares equal
-(so +0.0 and -0.0 share one build); any other call builds afresh and
-replaces it.  A green-grid request, or a library loop over abscissae at
-one energy with one family, so evaluates each decaying solution once
-per abscissa; the four base calls of a decorated well share that one
-build, and so do the two parity factors of a scan at one lattice point.
-A build that fails (a pole check, a domain error) is never kept, so
-every call at a pole raises.  The slot is one tuple, read and replaced
-whole, so racing threads at worst build twice.  Values are bit-identical
-with or without it.
+kind, energy and context it was built for: the NaturalUnits
+(scales.natural) of a Green build or of a scan's HO+|x| factors, None
+for the Airy pair.  A call reuses it when kind and context are the
+same objects and the energy compares equal (so +0.0 and -0.0 share one
+build); any other call builds afresh and replaces it.  A green-grid
+request, or a library loop over abscissae at one energy with one
+family, so evaluates each decaying solution once per abscissa; the four
+base calls of a decorated well share that one build, and so do the two
+parity factors of a scan at one lattice point.  A build that fails (a
+pole check, a domain error) is never kept, so every call at a pole
+raises.  The slot is one tuple, read and replaced whole, so racing
+threads at worst build twice.  Values are bit-identical with or
+without it.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ def _kept(kind, energy, context):
 
 def _green(kind, x, xp, energy, scales) -> GreenEval:
     """G = num u(x>) v(x<) / den from the `kind` solutions at this energy."""
-    sol = _kept(kind, energy, scales)
+    sol = _kept(kind, energy, scales.natural)
     # u(x>) v(x<), the solution product grouped first: IEEE multiplication
     # commutes, so the parity map (x, x') -> (-x', -x), which swaps the
     # two factors, reproduces the value bit-exactly
@@ -159,19 +162,17 @@ class _HoSolutions(dict):
 
     den = 1.0
 
-    def __init__(self, energy, scales):
-        s = scales
-        w = s.omega1
-        eps = energy / (s.hbar * w)
+    def __init__(self, energy, units):
+        eps = units.eps(energy)
         if not math.isfinite(eps):
             raise sf.DomainError(f"HO resolvent needs a finite eps, got eps = {eps}")
         k = round(eps - 0.5)
         if k >= 0 and abs(eps - (k + 0.5)) < _HO_POLE_RADIUS:
             raise NearPoleError(
                 f"eps = {eps} within {_HO_POLE_RADIUS:g} of bound state n = {k}", index=k)
-        self.mu = math.sqrt(2.0 * s.mass * w / s.hbar)
+        self.mu = units.mu
         self.nu = eps - 0.5
-        self.num = math.sqrt(s.mass / (math.pi * w * s.hbar ** 3)) / sf.rgamma(0.5 - eps)
+        self.num = units.ho_norm / sf.rgamma(0.5 - eps)
 
     def __missing__(self, z):
         # D(z) and D(-z) from one Kummer pair, bit for bit two pcf_d calls
@@ -321,12 +322,9 @@ def green_ho_series(x, xp, energy, scales, n_terms=500, tail=False) -> GreenEval
 class _HoStarkSolutions(_HoSolutions):
     """The oscillator solutions at E + hbar w (mu phi/2)^2, read at x + phi."""
 
-    def __init__(self, energy, scales):
-        s = scales
-        w = s.omega1
-        mu = math.sqrt(2.0 * s.mass * w / s.hbar)
-        self.phi = phi = s.alpha1 ** 3 / (s.mass * w * w)
-        super().__init__(energy + s.hbar * w * (0.5 * mu * phi) ** 2, scales)
+    def __init__(self, energy, units):
+        self.phi = units.phi
+        super().__init__(energy + units.hbar_omega * units.shift, units)
 
     def u(self, x):
         return self[self.mu * (x + self.phi)]
@@ -387,13 +385,11 @@ class _LinearSolutions(_AirySolutions):
     """The |x| well at one energy: the Airy pair at t = zeta x, with
     G = -(2m/hbar^2) G~,  G~ = -u(x>) v(x<) / W,  W = -2 zeta Ai(-rho) Ai'(-rho)."""
 
-    def __init__(self, energy, scales):
-        s = scales
-        k = (2.0 * s.mass / s.hbar ** 2) ** (1.0 / 3.0)
-        super().__init__(energy / s.alpha1 ** 2 * k)
+    def __init__(self, energy, units):
+        super().__init__(units.rho(energy))
         _check_pole(self.a0, self.ap0, "rho within the exclusion radius of an Airy-zero pole")
-        self.zeta = s.alpha1 * k
-        self.num = -(2.0 * s.mass / s.hbar ** 2)
+        self.zeta = units.zeta
+        self.num = -units.two_m
         self.den = 2.0 * self.zeta * self.a0 * self.ap0
 
     def u(self, x):
@@ -423,9 +419,10 @@ def green_linear(x, xp, energy, scales) -> GreenEval:
 class _HoAbsFactors:
     """The parity factors of V = m w^2 x^2/2 + alpha^3 |x| at one eps.
 
-    With mu phi = dmap.mu * dmap.phi and sigma = eps + (mu phi / 2)^2,
-    d0 = D_{sigma-1/2}(mu phi), the odd factor, is computed when built;
-    d1 = D_{sigma+1/2}(mu phi), which only the even factor mu phi d0 - 2 d1
+    dmap is the scales' NaturalUnits, or any map with mu and phi.  With
+    mu phi = dmap.mu * dmap.phi and sigma = eps + (mu phi / 2)^2, d0 =
+    D_{sigma-1/2}(mu phi), the odd factor, is computed when built; d1 =
+    D_{sigma+1/2}(mu phi), which only the even factor mu phi d0 - 2 d1
     needs, the first time even() is called.  There is no pole check.
     """
 
@@ -451,18 +448,16 @@ class _HoAbsSolutions(dict):
     u = psi1 and v(x) = psi1(-x).
     """
 
-    def __init__(self, energy, scales):
-        s = scales
-        w = s.omega1
-        self.mu = mu = math.sqrt(2.0 * s.mass * w / s.hbar)
-        self.phi = s.alpha1 ** 3 / (s.mass * w * w)
-        # self carries mu and phi, all _HoAbsFactors reads of a dimensionless map
-        f = _HoAbsFactors(energy / (s.hbar * w), self)
+    def __init__(self, energy, units):
+        self.mu = mu = units.mu
+        self.phi = units.phi
+        f = _HoAbsFactors(units.eps(energy), units)
         # the denominator d0 * even vanishes on the odd (d0) and even states
         even = f.even()
         d0, d1, mu_phi = f.d0, f.d1, f.mu_phi
         _check_pole(d0, even, "energy within the exclusion radius of a pole")
         self.nu = nu = f.sigma - 0.5
+        s = units.scales
         self.num = -(2.0 * s.mass / (mu * s.hbar ** 2))
         self.den = d0 * even
         # match A E + B O to (value, derivative/mu) of psi1 at x = 0,

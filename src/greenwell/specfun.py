@@ -56,7 +56,6 @@ __all__ = [
     "airy_ai",
     "airy_ai_prime",
     "airy_bi",
-    "airy_bi_prime",
     "airy_all",
     "hermite_h",
 ]
@@ -347,11 +346,11 @@ def pcf_d(nu: float, z: float) -> EvalResult:
     which is entire in z.  For strongly negative nu with z > 0 the two
     terms cancel catastrophically (the value is exponentially small), so
     that regime switches to Miller-normalized upward recurrence in nu.
-    Accuracy is ~1e-10 relative over the figure window |z| <= 10 with
-    moderate nu; est_abs_error reports the cancellation honestly
-    everywhere else.  The domain is |z| <= 20, where the Kummer argument
-    z^2/2 stays within kummer_m's |z| <= 200, and |nu| <= 60; non-finite
-    arguments raise DomainError too.
+    Against 40-digit references with nu in [-5, 10], the relative error
+    is below 1e-8 for 0 <= z < 7, up to 5e-6 on [7, 8), 0.1 on [8, 9) and
+    160 on [9, 10]; est_abs_error bounds it throughout.  The domain is
+    |z| <= 20, where the Kummer argument z^2/2 stays within kummer_m's
+    |z| <= 200, and |nu| <= 60; non-finite arguments raise DomainError too.
     """
     _pcf_check(nu, z, "pcf_d")
     if _pcf_takes_miller(nu, z):
@@ -619,10 +618,6 @@ def airy_ai_prime(x: float) -> EvalResult:
 
 def airy_bi(x: float) -> EvalResult:
     return airy_all(x)[2]
-
-
-def airy_bi_prime(x: float) -> EvalResult:
-    return airy_all(x)[3]
 
 
 # ----------------------------------------------------------------------

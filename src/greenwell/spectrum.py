@@ -6,25 +6,15 @@ ones) whose zeros are exactly the bound states.  Poles of the Green
 functions are cleared with the entire reciprocal-Gamma, so every
 function here is finite and smooth across its scan window.
 
-The |x| and HO+|x| parity factors are the matching values at x = 0
-that the Green functions divide by, so they come from resolvent's
-solution objects (the Airy pair at one rho, _HoAbsFactors) through its
-one kept build: the two factors of a scan at one lattice point share a
-build, and this module keeps no state of its own.
+The |x| and HO+|x| parity factors come from resolvent's solution
+objects through its one kept build, so this module keeps no state.
 
 Root finding is deliberately simple and robust: scan at a fixed step,
-bracket every sign change, refine by bisection.  All factors of a
-family are scanned in lockstep, every factor evaluated at each lattice
-point, so a caller that needs only the lowest k levels (`limit`) stops
-every factor at the lattice cell that holds the k-th level.  A sweep
-finds each parameter value's cells on its own, with nothing carried
-over from other values (see `sweep`): an FD Sturm count says that N
-levels lie between two lattice points, and a walk over coarse cells of
-about half their mean spacing, (i_hi - i_lo) // (2N + 2) lattice cells,
-looks for sign changes.  A sign change holds an odd number of levels,
-so N of them hold one level each, and each leads to the cell the scan
-finds; any other number, and the value is scanned.  A
-default-window scan of a delta-decorated well starts at the well's
+bracket every sign change, refine by bisection (find_roots).  The CLI's
+levels and sweeps check their scans against an FD Sturm count of the
+levels between two lattice points (checked_scan), and a sweep finds
+the cells from that count without a scan where it can (see `sweep`).
+A default-window scan of a delta-decorated well starts at the well's
 energy floor, the free-delta bound E >= -m a^2 / (2 hbar^2) (E > 0 for
 a >= 0), not at the window's low edge: no level lies below it.  Tangential
 (non-sign-changing) roots are not detected; the only known candidates
@@ -51,7 +41,6 @@ from .model import (
     LINEAR_ABS,
     LINEAR_ASYM,
     PotentialFamily,
-    dimensionless,
     with_scales,
 )
 from .resolvent import _AirySolutions, _HoAbsFactors, _kept
@@ -247,46 +236,43 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
     (the free-delta bound state) and E > 0 otherwise.
     """
     tag = family.tag
-    d = dimensionless(family, 0.0)
+    u = family.scales.natural
     if tag == HO:
         return CharacteristicFunction((1e-6, 12.0), ((None, chi_ho),))
     if tag == HO_STARK:
         # the shifted oscillator: zero at eps = n + 1/2 - (mu phi/2)^2
-        shift = (0.5 * d.mu * d.phi) ** 2
         return CharacteristicFunction(
-            (-shift - 1.0, 12.0), ((None, lambda e: chi_ho(e + shift)),))
+            (-u.shift - 1.0, 12.0), ((None, lambda e: chi_ho(e + u.shift)),))
     if tag == HO_ASYM:
         return CharacteristicFunction(
-            (1e-6, 12.0), ((None, lambda e: chi_asym_ho(e, d.lam)),))
+            (1e-6, 12.0), ((None, lambda e: chi_asym_ho(e, u.lam)),))
     if tag == LINEAR_ABS:
         return CharacteristicFunction(
             (1e-6, 12.0), (("even", chi_linear_even), ("odd", chi_linear_odd)))
     if tag == LINEAR_ASYM:
         # both rho and rho beta^2 must stay inside the Airy domain
-        top = min(12.0, 24.5 / max(1.0, d.beta * d.beta))
+        top = min(12.0, 24.5 / max(1.0, u.beta * u.beta))
         return CharacteristicFunction(
-            (1e-6, top), ((None, lambda r: chi_asym_linear(r, d.beta)),))
+            (1e-6, top), ((None, lambda r: chi_asym_linear(r, u.beta)),))
     if tag == HALF_HO_HALF_LINEAR:
-        top = min(12.0, 24.5 / (d.xi * d.xi))  # Airy argument is xi^2 eps
+        top = min(12.0, 24.5 / (u.xi * u.xi))  # Airy argument is xi^2 eps
         return CharacteristicFunction(
-            (1e-6, top), ((None, lambda e: chi_half_half(e, d.xi)),))
+            (1e-6, top), ((None, lambda e: chi_half_half(e, u.xi)),))
     if tag == HO_PLUS_ABS:
         # the factors never vanish together for mu phi > 0
         return CharacteristicFunction(
-            (1e-6, 12.0), (("even", lambda e: chi_ho_plus_abs_even(e, d)),
-                           ("odd", lambda e: chi_ho_plus_abs_odd(e, d))))
+            (1e-6, 12.0), (("even", lambda e: chi_ho_plus_abs_even(e, u)),
+                           ("odd", lambda e: chi_ho_plus_abs_odd(e, u))))
     if tag == DELTA_DECORATED:
         s = family.scales
         a = s.delta_strength
-        lowest = dimensionless(family, -s.mass * a * a / (2.0 * s.hbar ** 2) if a < 0.0 else 0.0)
+        floor = family.natural_energy(-s.mass * a * a / (2.0 * s.hbar ** 2) if a < 0.0 else 0.0)
         if family.base == HO:
             return CharacteristicFunction(
-                (-50.0, 12.0), ((None, lambda e: chi_delta_ho(e, d.tau, d.p)),),
-                floor=lowest.eps)
-        zq = d.zeta * abs(s.delta_position)  # the |x| well is even in q
+                (-50.0, 12.0), ((None, lambda e: chi_delta_ho(e, u.tau, u.p)),), floor=floor)
+        zq = u.zeta * abs(s.delta_position)  # the |x| well is even in q
         return CharacteristicFunction(
-            (-24.0, 12.0), ((None, lambda r: chi_delta_linear(r, d.eta, zq)),),
-            floor=lowest.rho)
+            (-24.0, 12.0), ((None, lambda r: chi_delta_linear(r, u.eta, zq)),), floor=floor)
     raise ValueError(f"no characteristic function for family {tag!r}")
 
 
@@ -451,30 +437,23 @@ def _sweep_beta(fam, beta):
 
 def _sweep_xi(fam, xi):
     _positive("xi", xi)
-    s = fam.scales
-    a1 = (2.0 * s.mass * s.hbar * s.omega1 ** 3) ** (1.0 / 6.0) / xi
-    return with_scales(fam, alpha1=a1)
+    return with_scales(fam, alpha1=fam.scales.natural.alpha_ho / xi)
 
 
 def _sweep_muphi(fam, t):
     if not t >= 0.0:
         raise SweepError(f"sweep values of 'muphi' must be >= 0, got {t}")
     s = fam.scales
-    mu = math.sqrt(2.0 * s.mass * s.omega1 / s.hbar)
-    a1 = (t / mu * s.mass * s.omega1 ** 2) ** (1.0 / 3.0)
+    a1 = (t / s.natural.mu * s.mass * s.omega1 ** 2) ** (1.0 / 3.0)
     return with_scales(fam, alpha1=a1)
 
 
 def _sweep_tau(fam, tau):
-    s = fam.scales
-    a = tau / math.sqrt(s.mass / (math.pi * s.omega1 * s.hbar ** 3))
-    return with_scales(fam, delta_strength=a)
+    return with_scales(fam, delta_strength=tau / fam.scales.natural.ho_norm)
 
 
 def _sweep_p(fam, p):
-    s = fam.scales
-    mu = math.sqrt(2.0 * s.mass * s.omega1 / s.hbar)
-    return with_scales(fam, delta_position=p / mu)
+    return with_scales(fam, delta_position=p / fam.scales.natural.mu)
 
 
 SWEEP_PARAMS = {
@@ -506,20 +485,13 @@ _CERT_WALL = 10.0
 _CERT_TRIES = 4
 
 
-def _energy_unit(family):
-    """Physical energy per unit of the family's natural energy variable."""
-    d = dimensionless(family, 1.0)
-    return 1.0 / (d.eps if d.eps is not None else d.rho)
-
-
 def _cert_operator(family, top):
     """The certificate's FD operator for levels up to `top` (natural
     units).  The walls are found in natural units, so the grid is the
     same for every choice of scales with the same dimensionless
     parameters; oracle.WallError when the oracle's own wall rule,
     V >= E + 10 in physical units, asks for more (energy unit < 1)."""
-    unit = _energy_unit(family)
-    target = (top + _CERT_WALL) * unit
+    target = family.energy(top + _CERT_WALL)
     v = family.potential
 
     def below(x):
@@ -535,7 +507,7 @@ def _cert_operator(family, top):
             inside = mid
         else:
             wall = mid
-    return oracle.discretize(family, oracle.GridSpec(wall, _CERT_POINTS), e_max=top * unit)
+    return oracle.discretize(family, oracle.GridSpec(wall, _CERT_POINTS), e_max=family.energy(top))
 
 
 class _LevelCount:
@@ -547,8 +519,8 @@ class _LevelCount:
     that point.  The strips between the ends and the window edges hold
     what a scan of their cells finds."""
 
-    def __init__(self, op, unit, i_lo, i_hi, below_lo, count):
-        self.op, self.unit = op, unit
+    def __init__(self, op, energy, i_lo, i_hi, below_lo, count):
+        self.op, self.energy = op, energy  # natural energy variable -> E
         self.i_lo, self.i_hi = i_lo, i_hi
         self.below_lo = below_lo  # FD levels below point i_lo
         self.count = count  # levels in (point i_lo, point i_hi]
@@ -559,12 +531,11 @@ class _LevelCount:
         clear of FD levels or the FD grid cannot be built."""
         try:
             op = _cert_operator(family, lat.hi + _CERT_MARGIN)
-        except oracle.WallError:
+        except (oracle.WallError, OverflowError):  # walls too low, or V overflows
             return None
-        unit = _energy_unit(family)
 
         def below(i):  # FD levels below point i, or None when one lies within the margin
-            low, high = (oracle.eigenvalue_count_below(op, (lat.point(i) + d) * unit)
+            low, high = (oracle.eigenvalue_count_below(op, family.energy(lat.point(i) + d))
                          for d in (-_CERT_MARGIN, _CERT_MARGIN))
             return low if low == high else None
 
@@ -582,7 +553,7 @@ class _LevelCount:
         (i_lo, n_lo), (i_hi, n_hi) = ends
         if i_lo >= i_hi:
             return None
-        return cls(op, unit, i_lo, i_hi, n_lo, n_hi - n_lo)
+        return cls(op, family.energy, i_lo, i_hi, n_lo, n_hi - n_lo)
 
     def inner(self, lat, roots):
         """The roots that lie in the counted part of the lattice."""
@@ -593,7 +564,7 @@ class _LevelCount:
         """(FD levels below e - tol, below e + tol), tol = _CERT_MARGIN / 5:
         the FD error the tests bound."""
         tol = _CERT_MARGIN / 5
-        return tuple(oracle.eigenvalue_count_below(self.op, (e + d) * self.unit)
+        return tuple(oracle.eigenvalue_count_below(self.op, self.energy(e + d))
                      for d in (-tol, tol))
 
     def agrees_at_ends(self, lat, roots):
@@ -680,29 +651,36 @@ def _walked(chi, lat, cert):
     return _result(found, lat.window)
 
 
+def checked_scan(family, chi, window, step, where, lat=None, cert=None):
+    """find_roots(chi, window, step), checked against the FD level count
+    `cert` on its lattice `lat` (built here unless given; None: no
+    count).  A scan that finds another number of levels there while
+    every root lies next to an FD level has lost levels (roots closer
+    than `step`): ArithmeticError names `where`."""
+    if lat is None:
+        lat = _lattice(chi, window, step)
+        cert = _LevelCount.build(family, lat)
+    res = find_roots(chi, window=window, step=step)
+    if cert is not None:
+        got = len(cert.inner(lat, res.roots))
+        if got != cert.count and cert.agrees_with_each(res.roots):
+            raise ArithmeticError(f"{where}: the scan found {got} level(s) "
+                                  f"where the FD count certifies {cert.count}")
+    return res
+
+
 def sweep(family: PotentialFamily, param_name: str, values, window=None,
           step=0.005) -> SweepResult:
     """The roots at each parameter value as rows, with index-continuity assembly.
 
     Each value's roots are the ones find_roots(build_chi(...), window,
     step) gives, bit for bit, and every value, the first included, is
-    found the same way, independently of the others.  FD Sturm counts
-    with a margin (_LevelCount) give the number N of levels between two
-    lattice points at or just inside the window edges.  The strips
-    outside them are walked cell by cell; between them, coarse cells of
-    (i_hi - i_lo) // (2N + 2) lattice cells, about half the mean level
-    spacing, are checked for sign changes of each factor (_walked).  A
-    sign change holds an odd number of levels, so when there are N of
-    them each holds exactly one, and bisecting on lattice indices finds
-    the one lattice cell the scan finds; it is then bisected as the scan
-    bisects it.  A value is scanned in full when it has no count (FD
-    levels near both window edges, or an FD grid that cannot be built),
-    when a lattice value is exactly 0, when the walk finds another number
-    of sign changes than N (two levels of a factor in one coarse cell),
-    or when its lowest or highest root is not next to the FD level it
-    stands for.  Where a scan finds another number of roots than a count
-    gives, levels are lost (roots closer than `step`), and
-    ArithmeticError names the parameter value.
+    found the same way, independently of the others.  A walk over coarse
+    cells (_walked) finds them from an FD level count (_LevelCount); a
+    value is scanned instead when it has no count, when the walk finds
+    another number of sign changes, or when its lowest or highest root
+    is not next to its FD level.  checked_scan checks that scan against
+    the count, and its ArithmeticError names the parameter value.
 
     Roots of adjacent parameter values are matched in sorted order
     (curves of these families do not cross); a change of the in-window
@@ -733,13 +711,8 @@ def sweep(family: PotentialFamily, param_name: str, values, window=None,
         if res is not None and not cert.agrees_at_ends(lat, res.roots):
             res = None
         if res is None:
-            res = find_roots(chi, window=window, step=step)
-            if cert is not None:
-                got = len(cert.inner(lat, res.roots))
-                if got != cert.count and cert.agrees_with_each(res.roots):
-                    raise ArithmeticError(
-                        f"sweep at {param_name} = {v:.12g}: the scan found {got} level(s) "
-                        f"where the FD count certifies {cert.count}")
+            res = checked_scan(fam_v, chi, window, step, f"sweep at {param_name} = {v:.12g}",
+                               lat, cert)
         if prev_count is not None and len(res.roots) != prev_count:
             breaks.append(v)
         prev_count = len(res.roots)

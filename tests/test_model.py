@@ -111,6 +111,17 @@ def test_round_trip_scales_from_map():
     assert s3.alpha1 / d3.beta == pytest.approx(s3.alpha2, rel=1e-14)
 
 
+@pytest.mark.parametrize("scales", [{}, {"hbar": 0.8, "mass": 1.7}], ids=["default", "other"])
+@pytest.mark.parametrize("fam", ALL_DEFAULTS, ids=lambda f: f"{f.tag}-{f.base}")
+def test_energy_round_trips_through_the_natural_variable(fam, scales):
+    fam = model.with_scales(fam, **scales)
+    units = fam.scales.natural
+    assert units is fam.scales.natural  # built once per scales object
+    for e in (-3.7, -0.25, 0.0, 1e-6, 0.3, 1.0, 2.31, 7.9, 123.4):
+        back = fam.energy(fam.natural_energy(e))
+        assert abs(back - e) <= 2.0 * math.ulp(e), (e, back)
+
+
 def test_fields_populated_only_where_used():
     d = dimensionless(default_family(HO), 1.0)
     assert d.phi is None and d.rho is None and d.lam is None and d.tau is None

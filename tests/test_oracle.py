@@ -204,9 +204,8 @@ def _count_before_the_row_trim(op, x, cap=None):
 
 def _verify_operator(fam, k=6, n=1000):
     """The operator `greenwell verify --k k --n-oracle n` builds for fam."""
-    from greenwell import cli
     res = spectrum.find_roots(spectrum.build_chi(fam), step=0.005, limit=k)
-    e_top = cli._from_dimensionless_energy(fam, res.values()[-1])
+    e_top = fam.energy(res.values()[-1])
     return discretize(fam, oracle.auto_grid(fam, e_max=e_top, n_points=n), e_max=e_top)
 
 

@@ -506,7 +506,7 @@ def _green_before(kind, x, xp, energy, scales):
     """resolvent._green before it picked u(x>) and v(x<) by one branch:
     the same arithmetic verbatim, without the latest-build cache (which
     never changes a value, see test_solution_memo_never_changes_a_value)."""
-    sol = kind(energy, scales)
+    sol = kind(energy, scales.natural)
     lo, hi = (x, xp) if x <= xp else (xp, x)
     return rv.GreenEval(sol.num * (sol.u(hi) * sol.v(lo)) / sol.den, "G")
 

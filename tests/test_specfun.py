@@ -256,6 +256,30 @@ def test_pcf_reference_and_error_bound(nu, z, ref):
         assert r.value == pytest.approx(ref, rel=1e-10)
 
 
+# (nu, z, D_nu(z)) for z in [7, 10], 30 digits from 50-digit mpmath
+# pcfd in an offline script; both routes (Miller for nu < 1)
+PCF_TAIL_REF = (
+    (0.5, 7.0, "1.2691939623820819504216972736e-5"),
+    (4.25, 7.3, "6.66510365390363013534400584384e-3"),
+    (-2.5, 7.5, "4.71449745460333485454708634032e-9"),
+    (1.3, 7.9, "2.45178741671140992602887458326e-6"),
+    (3.0, 8.0, "5.49171652629984478827222873813e-5"),
+    (-4.0, 8.75, "7.3485316829842195447686133751e-13"),
+    (6.5, 9.0, "2.02172113634276147171768176932e-3"),
+    (1.8, 9.5, "9.07103636753136834462312078048e-9"),
+    (-1.25, 9.9, "1.28259689581255800821637569642e-12"),
+    (9.5, 10.0, "2.82587124225257850244046091004e-2"),
+)
+
+
+@pytest.mark.parametrize("nu,z,ref", PCF_TAIL_REF)
+def test_pcf_error_bound_holds_where_accuracy_is_lost(nu, z, ref):
+    # above z = 7 the Kummer terms cancel (pcf_d(1.8, 9.5) is 39 % off),
+    # so the estimate, not the value, carries the accuracy there
+    r = sf.pcf_d(nu, z)
+    assert abs(Fraction(r.value) - Fraction(ref)) <= Fraction(r.est_abs_error)
+
+
 def test_pcf_three_term_recurrence_grid():
     # D_{nu+1}(z) - z D_nu(z) + nu D_{nu-1}(z) = 0, mixed 1e-9 abs / 1e-8 rel
     nu = -5.0

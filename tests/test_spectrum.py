@@ -770,9 +770,28 @@ def _workload_families():
     return out
 
 
-@pytest.mark.parametrize("window_top", ["default", 6.0])
-@pytest.mark.parametrize("param,family", _workload_families(),
-                         ids=[f"{p}{i}" for i, (p, _) in enumerate(_workload_families())])
+def _level_families():
+    """The wells `levels` checks against the count and no sweep covers:
+    HO_STARK at mu phi 0.87, 1.84 (the default) and 3.4, and the decorated
+    |x| well over the benchmark's eta in [-0.8, 1.5], zeta q in [0, 1]."""
+    out = [("HO", default_family(HO)), ("LINEAR_ABS", default_family(LINEAR_ABS))]
+    for alpha1 in (0.85, 1.3 ** (1.0 / 3.0), 1.34):
+        out.append(("HO_STARK", default_family(HO_STARK, alpha1=alpha1)))
+    for a in (-1.6, 0.5, 3.0):
+        for q in (0.0, 0.5, 1.0):
+            out.append(("eta", default_family(DELTA_DECORATED, base=LINEAR_ABS,
+                                              delta_strength=a, delta_position=q)))
+    return out
+
+
+_CERT_FAMILIES = _workload_families() + _level_families()
+
+
+# the default windows, the sweep windows (top 6) and the widest level
+# windows of the benchmark (top 8.5)
+@pytest.mark.parametrize("window_top", ["default", 6.0, 8.5])
+@pytest.mark.parametrize("param,family", _CERT_FAMILIES,
+                         ids=[f"{p}{i}" for i, (p, _) in enumerate(_CERT_FAMILIES)])
 def test_certificate_fd_levels_lie_within_a_fifth_of_the_margin(param, family, window_top):
     chi = sp.build_chi(family)
     # a benchmark window, or the default one where that is lower (beta = 2.1)
@@ -782,15 +801,14 @@ def test_certificate_fd_levels_lie_within_a_fifth_of_the_margin(param, family, w
         chi = sp.build_chi(family)
     op = sp._cert_operator(family, top + sp._CERT_MARGIN)
     assert op.n == sp._CERT_POINTS
-    unit = sp._energy_unit(family)
     low = max(chi.window[0], chi.floor - 1.0)
     levels = sp.find_roots(chi, window=(low, top + sp._CERT_MARGIN)).values()
     assert len(levels) >= 3
     tol = sp._CERT_MARGIN / 5
     # the k-th FD level lies within tol of the k-th closed-form level
     for k, e in enumerate(levels):
-        assert oracle.eigenvalue_count_below(op, (e - tol) * unit) == k, (k, e)
-        assert oracle.eigenvalue_count_below(op, (e + tol) * unit) == k + 1, (k, e)
+        assert oracle.eigenvalue_count_below(op, family.energy(e - tol)) == k, (k, e)
+        assert oracle.eigenvalue_count_below(op, family.energy(e + tol)) == k + 1, (k, e)
 
 
 def test_certificate_grid_is_the_same_in_natural_units_at_any_scale():
@@ -798,10 +816,9 @@ def test_certificate_grid_is_the_same_in_natural_units_at_any_scale():
     one = sp._sweep_lam(default_family(HO_ASYM), lam)
     scaled = sp._sweep_lam(default_family(HO_ASYM, hbar=1.5, mass=2.0, omega1=3.0), lam)
     ops = [sp._cert_operator(f, 6.1) for f in (one, scaled)]
-    units = [sp._energy_unit(f) for f in (one, scaled)]
     xs = [0.25 * i for i in range(30)]
-    assert ([oracle.eigenvalue_count_below(ops[0], x * units[0]) for x in xs]
-            == [oracle.eigenvalue_count_below(ops[1], x * units[1]) for x in xs])
+    assert ([oracle.eigenvalue_count_below(ops[0], one.energy(x)) for x in xs]
+            == [oracle.eigenvalue_count_below(ops[1], scaled.energy(x)) for x in xs])
     # an energy unit below 1 would need walls wider than the natural ones
     small = sp._sweep_lam(default_family(HO_ASYM, omega1=0.5), lam)
     with pytest.raises(oracle.WallError):

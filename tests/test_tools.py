@@ -1,6 +1,8 @@
 """tools/request_hashes.py --dump and tools/drift.py: request dumps and
-the number-by-number report of what changed between two of them."""
+the number-by-number report of what changed between two of them; and
+the standard-library-only contract of the program and its tools."""
 
+import ast
 import hashlib
 import json
 import sys
@@ -209,3 +211,33 @@ def test_pinned_group_follows_the_workloads(one_round, monkeypatch, capsys):
     assert {line.split(" ")[0] for line in lines[:-2]} == {"green_grid"}
     assert [line.split(" ")[2] for line in lines[-2:]] == [
         "pin.00.levels.README-HO", "pin.01.levels.README-DEC_HO"]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# the repository's own top-level modules: the package, and the perfbench
+# modules that tools/ puts on its path
+OWN_MODULES = {"greenwell"} | {p.stem for p in (ROOT / "perfbench").glob("*.py")}
+
+
+def outside_imports(source):
+    """Top-level names of the modules `source` imports that are neither
+    in the standard library nor the repository's own."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [n for n in names if n.split(".")[0] not in sys.stdlib_module_names | OWN_MODULES]
+
+
+def test_outside_imports_finds_third_party_modules():
+    source = "import os, mpmath\nfrom numpy.linalg import eigh\nfrom . import model\n"
+    assert outside_imports(source) == ["mpmath", "numpy.linalg"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "greenwell").glob("*.py"))
+                         + sorted((ROOT / "tools").glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_program_and_tools_import_only_the_standard_library(path):
+    assert outside_imports(path.read_text(encoding="utf-8")) == []
