@@ -199,7 +199,10 @@ def _table(cfg, header, rows):
 
 def cmd_levels(cfg):
     fam = model.family_from_dict(cfg.family)
-    res = spectrum.checked_scan(fam, spectrum.build_chi(fam), cfg.window, cfg.step,
+    chi = spectrum.build_chi(fam)
+    lat = spectrum._lattice(chi, cfg.window, cfg.step)
+    cert = spectrum._LevelCount.build(fam, lat)
+    res = spectrum.checked_scan(chi, cfg.window, cfg.step, lat, cert,
                                 f"levels of {_well_name(fam)}")
     header = ("index", "parity", "eps", "residual", "bracket_lo", "bracket_hi")
     rows = [(r.index, r.parity or "", r.value, r.residual, r.bracket[0], r.bracket[1])

@@ -56,6 +56,7 @@ __all__ = [
     "airy_ai",
     "airy_ai_prime",
     "airy_bi",
+    "airy_bi_prime",
     "airy_all",
     "hermite_h",
 ]
@@ -618,6 +619,10 @@ def airy_ai_prime(x: float) -> EvalResult:
 
 def airy_bi(x: float) -> EvalResult:
     return airy_all(x)[2]
+
+
+def airy_bi_prime(x: float) -> EvalResult:
+    return airy_all(x)[3]
 
 
 # ----------------------------------------------------------------------

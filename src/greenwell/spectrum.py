@@ -487,11 +487,15 @@ _CERT_TRIES = 4
 
 def _cert_operator(family, top):
     """The certificate's FD operator for levels up to `top` (natural
-    units).  The walls are found in natural units, so the grid is the
-    same for every choice of scales with the same dimensionless
-    parameters; oracle.WallError when the oracle's own wall rule,
-    V >= E + 10 in physical units, asks for more (energy unit < 1)."""
-    target = family.energy(top + _CERT_WALL)
+    units).  The walls sit where V reaches _CERT_WALL natural units above
+    `top`, so the grid is the same for every choice of scales with the
+    same dimensionless parameters, unless the oracle's own wall rule,
+    V >= E + 10 in physical units, asks for more (energy unit < 1): then
+    they sit where that rule holds.  oracle.WallError when V stays above
+    that level at every point the search tries (the window lies below
+    the smooth well)."""
+    e_max = family.energy(top)
+    target = max(family.energy(top + _CERT_WALL), e_max + 10.0)
     v = family.potential
 
     def below(x):
@@ -507,7 +511,9 @@ def _cert_operator(family, top):
             inside = mid
         else:
             wall = mid
-    return oracle.discretize(family, oracle.GridSpec(wall, _CERT_POINTS), e_max=family.energy(top))
+    if wall == 0.0:
+        raise oracle.WallError(f"V stays above {target:g}: no walls")
+    return oracle.discretize(family, oracle.GridSpec(wall, _CERT_POINTS), e_max=e_max)
 
 
 class _LevelCount:
@@ -651,15 +657,12 @@ def _walked(chi, lat, cert):
     return _result(found, lat.window)
 
 
-def checked_scan(family, chi, window, step, where, lat=None, cert=None):
+def checked_scan(chi, window, step, lat, cert, where):
     """find_roots(chi, window, step), checked against the FD level count
-    `cert` on its lattice `lat` (built here unless given; None: no
-    count).  A scan that finds another number of levels there while
-    every root lies next to an FD level has lost levels (roots closer
-    than `step`): ArithmeticError names `where`."""
-    if lat is None:
-        lat = _lattice(chi, window, step)
-        cert = _LevelCount.build(family, lat)
+    `cert` on its lattice `lat` (None: no count).  A scan that finds
+    another number of levels there while every root lies next to an FD
+    level has lost levels (roots closer than `step`): ArithmeticError
+    names `where`."""
     res = find_roots(chi, window=window, step=step)
     if cert is not None:
         got = len(cert.inner(lat, res.roots))
@@ -711,8 +714,8 @@ def sweep(family: PotentialFamily, param_name: str, values, window=None,
         if res is not None and not cert.agrees_at_ends(lat, res.roots):
             res = None
         if res is None:
-            res = checked_scan(fam_v, chi, window, step, f"sweep at {param_name} = {v:.12g}",
-                               lat, cert)
+            res = checked_scan(chi, window, step, lat, cert,
+                               f"sweep at {param_name} = {v:.12g}")
         if prev_count is not None and len(res.roots) != prev_count:
             breaks.append(v)
         prev_count = len(res.roots)

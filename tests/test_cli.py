@@ -171,23 +171,34 @@ def test_sweep_that_loses_levels_in_one_cell_exits_two(capsys):
     assert capsys.readouterr().err.startswith(
         "numerical failure: sweep at lam = 1: the scan found 1 level(s) where the FD count "
         "certifies 3")
-    # levels checks its scan against the same count
-    code, out = run(["levels", "--family", "HO", "--window", "0:3", "--step", "5"])
-    assert (code, out) == (2, "")
-    assert capsys.readouterr().err.startswith(
-        "numerical failure: levels of HO: the scan found 1 level(s) where the FD count "
-        "certifies 3")
+    # levels checks its scan against the same count, also where the
+    # energy unit is below 1 and the count's walls follow V >= E + 10
+    for fd in ("HO", json.dumps({"tag": "HO", "scales": {"omega1": 0.8}})):
+        code, out = run(["levels", "--family", fd, "--window", "0:3", "--step", "5"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: levels of HO: the scan found 1 level(s) where the FD count "
+            "certifies 3")
 
 
 def test_levels_without_a_level_count_print_their_scan():
-    # at omega1 = 1e200 the count's FD potential overflows, and at
-    # omega1 = 0.5 its walls sit too low for V >= E + 10: no count, so
+    # at omega1 = 1e200 the count's FD potential overflows, and a window
+    # below the smooth well leaves the count no walls: no count, so
     # nothing checks the scan, and it prints as before
-    for omega1 in (1e200, 0.5):
-        fd = json.dumps({"tag": "HO", "scales": {"omega1": omega1}})
-        code, out = run(["levels", "--family", fd, "--window", "0:3"])
+    fd = json.dumps({"tag": "HO", "scales": {"omega1": 1e200}})
+    code, out = run(["levels", "--family", fd, "--window", "0:3"])
+    assert code == 0
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["0.5", "1.5", "2.5"]
+    assert run(["levels", "--family", "HO", "--window=-30:-20"]) == (
+        0, "index,parity,eps,residual,bracket_lo,bracket_hi\n")
+    # the deep bound state of an attractive delta lies below the smooth well
+    for base, a, window, eps in (("HO", -8.0, "-40:-20", "-31.9336144459"),
+                                 ("LINEAR_ABS", -8.0, "-24:-12", "-15.4987525552")):
+        fd = json.dumps({"tag": "DELTA_DECORATED", "base": base,
+                         "scales": {"delta_strength": a}})
+        code, out = run(["levels", "--family", fd, f"--window={window}"])
         assert code == 0
-        assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["0.5", "1.5", "2.5"]
+        assert [line.split(",")[2] for line in out.splitlines()[1:]] == [eps]
 
 
 # ----------------------------------------------------------------------

@@ -773,8 +773,15 @@ def _workload_families():
 def _level_families():
     """The wells `levels` checks against the count and no sweep covers:
     HO_STARK at mu phi 0.87, 1.84 (the default) and 3.4, and the decorated
-    |x| well over the benchmark's eta in [-0.8, 1.5], zeta q in [0, 1]."""
+    |x| well over the benchmark's eta in [-0.8, 1.5], zeta q in [0, 1].
+    Energy units below 1 widen the walls to V >= E + 10: the benchmark's
+    lowest (HO at omega1 0.7, HO_STARK at omega1 0.8 with its largest
+    alpha1, LINEAR_ABS at alpha1 0.8) and the lam sweep at omega1 0.5."""
     out = [("HO", default_family(HO)), ("LINEAR_ABS", default_family(LINEAR_ABS))]
+    out += [("HO", default_family(HO, omega1=0.7)),
+            ("HO_STARK", default_family(HO_STARK, omega1=0.8, alpha1=1.2)),
+            ("LINEAR_ABS", default_family(LINEAR_ABS, alpha1=0.8)),
+            ("lam", sp._sweep_lam(default_family(HO_ASYM, omega1=0.5), 0.7))]
     for alpha1 in (0.85, 1.3 ** (1.0 / 3.0), 1.34):
         out.append(("HO_STARK", default_family(HO_STARK, alpha1=alpha1)))
     for a in (-1.6, 0.5, 3.0):
@@ -819,12 +826,20 @@ def test_certificate_grid_is_the_same_in_natural_units_at_any_scale():
     xs = [0.25 * i for i in range(30)]
     assert ([oracle.eigenvalue_count_below(ops[0], one.energy(x)) for x in xs]
             == [oracle.eigenvalue_count_below(ops[1], scaled.energy(x)) for x in xs])
-    # an energy unit below 1 would need walls wider than the natural ones
+    # an energy unit below 1 puts the walls where the oracle's own rule,
+    # V >= E + 10 in energy units, holds: wider than the natural ones
     small = sp._sweep_lam(default_family(HO_ASYM, omega1=0.5), lam)
-    with pytest.raises(oracle.WallError):
-        sp._cert_operator(small, 6.1)
-    assert sp.sweep(small, "lam", [0.7, 0.75], window=(0.0, 3.0)).rows == sp.sweep(
-        small, "lam", [0.7, 0.75], window=(0.0, 3.0), step=0.005).rows
+    op = sp._cert_operator(small, 6.1)
+    wall = op.grid.half_width
+    assert wall * small.scales.natural.mu > ops[0].grid.half_width * one.scales.natural.mu
+    assert min(small.potential(-wall), small.potential(wall)) >= small.energy(6.1) + 10.0
+    want_rows, want_breaks = _per_value_scans(small, "lam", [0.7, 0.75], (0.0, 3.0), 0.005)
+    got = sp.sweep(small, "lam", [0.7, 0.75], window=(0.0, 3.0))
+    assert (_hex_rows(got.rows), got.breaks) == (_hex_rows(want_rows), want_breaks)
+    # and the count guards the scan there too
+    fam = default_family(HO_ASYM, omega1=0.5)
+    with pytest.raises(ArithmeticError, match=r"lam = 1: the scan found 1 level"):
+        sp.sweep(fam, "lam", [1.0, 1.05], window=(0.0, 3.0), step=5.0)
 
 
 def test_sweep_raises_where_the_scan_finds_fewer_levels_than_the_count():
