@@ -1,4 +1,4 @@
-"""Potential families, physical scales, and dimensionless parameter maps.
+"""Potential families, physical scales, and their natural units.
 
 Single source of truth for unit conventions (NaturalUnits).  Eight families are
 supported; each is defined by a tag plus the physical scales it uses:
@@ -38,8 +38,6 @@ __all__ = [
     "PhysicalScales",
     "PotentialFamily",
     "NaturalUnits",
-    "DimensionlessMap",
-    "dimensionless",
     "potential_value",
     "default_family",
     "family_from_dict",
@@ -180,6 +178,12 @@ class PotentialFamily:
             return lambda x: k * x * x if x <= 0.0 else a3 * x
         return lambda x: k * x * x + a3 * abs(x)  # HO_PLUS_ABS
 
+    @property
+    def bottom(self):
+        """x of the smooth potential's minimum: -phi for the Stark well,
+        0 for every other smooth tag."""
+        return -self.scales.natural.phi if self.smooth_tag == HO_STARK else 0.0
+
     def natural_energy(self, energy):
         """E in the family's natural energy variable, eps or rho."""
         units = self.scales.natural
@@ -232,49 +236,6 @@ class NaturalUnits:
     def rho(self, energy):
         """(E / alpha1^2) (2m/hbar^2)^(1/3), the linear families' one."""
         return energy / self.scales.alpha1 ** 2 * self.k
-
-
-@dataclass(frozen=True)
-class DimensionlessMap:
-    """The parameters of one family at one energy, a view on the
-    NaturalUnits of its scales: only the fields the family uses are set."""
-
-    eps: float | None = None    # E / (hbar w1)
-    mu: float | None = None     # sqrt(2 m w1 / hbar), 1/length
-    phi: float | None = None    # alpha1^3 / (m w1^2), length
-    sigma: float | None = None  # eps + (mu phi / 2)^2
-    rho: float | None = None    # (E/alpha1^2) (2m/hbar^2)^(1/3)
-    zeta: float | None = None   # alpha1 (2m/hbar^2)^(1/3), 1/length
-    lam: float | None = None    # w1 / w2
-    beta: float | None = None   # alpha1 / alpha2
-    xi: float | None = None     # (2 m hbar w1^3)^(1/6) / alpha1
-    tau: float | None = None    # a sqrt(m / (pi w1 hbar^3))
-    p: float | None = None      # mu q
-    eta: float | None = None    # (a / 2 alpha1) (2m/hbar^2)^(2/3)
-
-
-# the energy-independent fields of each DimensionlessMap, by smooth tag
-# and, for a delta decoration, by base
-_FIELDS = {HO: ("mu",), HO_STARK: ("mu", "phi"), HO_ASYM: ("mu", "lam"),
-           LINEAR_ABS: ("zeta",), LINEAR_ASYM: ("zeta", "beta"),
-           HALF_HO_HALF_LINEAR: ("mu", "phi", "xi"), HO_PLUS_ABS: ("mu", "phi")}
-_DELTA_FIELDS = {HO: ("tau", "p"), LINEAR_ABS: ("eta",)}
-
-
-def dimensionless(family: PotentialFamily, energy: float) -> DimensionlessMap:
-    """Compute the dimensionless parameters of `family` at `energy`."""
-    if not math.isfinite(energy):
-        raise FamilyError(f"energy must be finite, got {energy}")
-    units = family.scales.natural
-    out = {f: getattr(units, f)
-           for f in _FIELDS[family.smooth_tag] + _DELTA_FIELDS.get(family.base, ())}
-    if family.smooth_tag in QUADRATIC_TAGS:
-        out["eps"] = units.eps(energy)
-        if family.smooth_tag in (HO_STARK, HO_PLUS_ABS):
-            out["sigma"] = out["eps"] + units.shift
-    else:
-        out["rho"] = units.rho(energy)
-    return DimensionlessMap(**out)
 
 
 def potential_value(family: PotentialFamily, x: float) -> float:

@@ -82,8 +82,11 @@ class TridiagonalOperator:
 
 
 def auto_grid(family: PotentialFamily, e_max: float, n_points: int) -> GridSpec:
-    """Smallest half-width on a 0.5 lattice with V(+-L) >= e_max + 10."""
-    L = 1.0
+    """Smallest half-width on a 0.5 lattice with V(+-L) >= e_max + 10,
+    searched from the well bottom outward: L starts at the first lattice
+    point at or beyond |family.bottom|, and never below 1, so the box
+    holds the bottom of a shifted well."""
+    L = max(1.0, math.ceil(2.0 * abs(family.bottom)) / 2.0)
     while L < 4096.0:
         if (potential_value(family, -L) >= e_max + 10.0
                 and potential_value(family, L) >= e_max + 10.0):

@@ -110,7 +110,7 @@ def to_tilde(g: GreenEval, scales: PhysicalScales) -> GreenEval:
     """Convert a G-convention evaluation to G~ = -(hbar^2/2m) G."""
     if g.convention != "G":
         return g
-    return GreenEval(-(scales.hbar ** 2 / (2.0 * scales.mass)) * g.value, "G_TILDE")
+    return GreenEval(-g.value / scales.natural.two_m, "G_TILDE")
 
 
 # (kind, energy, context, object) of the latest successful build.
@@ -419,16 +419,16 @@ def green_linear(x, xp, energy, scales) -> GreenEval:
 class _HoAbsFactors:
     """The parity factors of V = m w^2 x^2/2 + alpha^3 |x| at one eps.
 
-    dmap is the scales' NaturalUnits, or any map with mu and phi.  With
-    mu phi = dmap.mu * dmap.phi and sigma = eps + (mu phi / 2)^2, d0 =
-    D_{sigma-1/2}(mu phi), the odd factor, is computed when built; d1 =
-    D_{sigma+1/2}(mu phi), which only the even factor mu phi d0 - 2 d1
-    needs, the first time even() is called.  There is no pole check.
+    units is the scales' NaturalUnits.  With sigma = eps + (mu phi / 2)^2,
+    d0 = D_{sigma-1/2}(mu phi), the odd factor, is computed when built;
+    d1 = D_{sigma+1/2}(mu phi), which only the even factor
+    mu phi d0 - 2 d1 needs, the first time even() is called.  There is
+    no pole check.
     """
 
-    def __init__(self, eps, dmap):
-        self.mu_phi = mu_phi = dmap.mu * dmap.phi
-        self.sigma = sigma = eps + (0.5 * mu_phi) ** 2
+    def __init__(self, eps, units):
+        self.mu_phi = mu_phi = units.mu * units.phi
+        self.sigma = sigma = eps + units.shift
         self.d0 = sf.pcf_d(sigma - 0.5, mu_phi).value
         self.d1 = None
 

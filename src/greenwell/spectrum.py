@@ -81,11 +81,12 @@ def chi_ho(eps: float) -> float:
     return sf.rgamma(0.5 - eps)
 
 
-def levels_ho_stark(n: int, dmap) -> float:
-    """Analytic Stark-shifted levels eps_n = n + 1/2 - (mu phi / 2)^2."""
+def levels_ho_stark(n: int, units) -> float:
+    """Analytic Stark-shifted levels eps_n = n + 1/2 - (mu phi / 2)^2,
+    with the NaturalUnits `units` of the well's scales."""
     if n < 0:
         raise ValueError("level index must be >= 0")
-    return n + 0.5 - (0.5 * dmap.mu * dmap.phi) ** 2
+    return n + 0.5 - units.shift
 
 
 def chi_asym_ho(eps: float, lam: float) -> float:
@@ -144,14 +145,14 @@ def chi_half_half(eps: float, xi: float) -> float:
             - math.sqrt(2.0) * xi * ai.value * sf.rgamma(0.25 - 0.5 * eps))
 
 
-def chi_ho_plus_abs_odd(eps: float, dmap) -> float:
+def chi_ho_plus_abs_odd(eps: float, units) -> float:
     """Odd factor D_{sigma-1/2}(mu phi) = 0, as a function of eps."""
-    return _kept(_HoAbsFactors, eps, dmap).d0
+    return _kept(_HoAbsFactors, eps, units).d0
 
 
-def chi_ho_plus_abs_even(eps: float, dmap) -> float:
+def chi_ho_plus_abs_even(eps: float, units) -> float:
     """Even factor mu phi D_{sigma-1/2}(mu phi) - 2 D_{sigma+1/2}(mu phi) = 0."""
-    return _kept(_HoAbsFactors, eps, dmap).even()
+    return _kept(_HoAbsFactors, eps, units).even()
 
 
 def chi_delta_ho(eps: float, tau: float, p: float) -> float:
@@ -491,9 +492,9 @@ def _cert_operator(family, top):
     `top`, so the grid is the same for every choice of scales with the
     same dimensionless parameters, unless the oracle's own wall rule,
     V >= E + 10 in physical units, asks for more (energy unit < 1): then
-    they sit where that rule holds.  oracle.WallError when V stays above
-    that level at every point the search tries (the window lies below
-    the smooth well)."""
+    they sit where that rule holds.  The search runs outward from the
+    well bottom, x = family.bottom.  oracle.WallError when V lies above
+    that level there (the window lies below the smooth well)."""
     e_max = family.energy(top)
     target = max(family.energy(top + _CERT_WALL), e_max + 10.0)
     v = family.potential
@@ -501,18 +502,19 @@ def _cert_operator(family, top):
     def below(x):
         return min(v(-x), v(x)) < target
 
-    wall = 1.0
-    while below(wall):
-        wall *= 2.0
-    inside = 0.0
+    inside = abs(family.bottom)
+    if not below(inside):
+        raise oracle.WallError(f"V stays above {target:g}: no walls")
+    step = 1.0
+    while below(inside + step):
+        step *= 2.0
+    wall = inside + step
     while wall - inside > 1e-9 * wall:
         mid = 0.5 * (inside + wall)
         if below(mid):
             inside = mid
         else:
             wall = mid
-    if wall == 0.0:
-        raise oracle.WallError(f"V stays above {target:g}: no walls")
     return oracle.discretize(family, oracle.GridSpec(wall, _CERT_POINTS), e_max=e_max)
 
 

@@ -21,7 +21,6 @@ from greenwell.model import (
     LINEAR_ABS,
     LINEAR_ASYM,
     default_family,
-    dimensionless,
 )
 
 TABLE_REF = (0.50501, 1.27615, 1.88901, 2.43392, 2.94119,
@@ -59,10 +58,10 @@ def test_criterion_2_stark_analytic():
     def body():
         for alpha3 in (0.5, 1.3, 2.0):
             fam = default_family(HO_STARK, alpha1=alpha3 ** (1.0 / 3.0))
-            dmap = dimensionless(fam, 0.0)
+            units = fam.scales.natural
             roots = sp.find_roots(sp.build_chi(fam), step=0.01).values()
             for n in range(6):
-                assert abs(roots[n] - sp.levels_ho_stark(n, dmap)) <= 1e-9
+                assert abs(roots[n] - sp.levels_ho_stark(n, units)) <= 1e-9
 
     _report(2, "Stark levels equal n + 1/2 - (mu phi/2)^2 within 1e-9", body)
 

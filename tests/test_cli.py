@@ -420,7 +420,7 @@ def test_table1_levels_hold_where_hbar_squared_is_not_2m():
     # matching condition has no other scale, so the table's levels follow
     fam = model.default_family(model.HALF_HO_HALF_LINEAR, hbar=1.0, mass=1.0, omega1=1.0,
                                alpha1=2.0 ** (-1.0 / 3.0))
-    assert model.dimensionless(fam, 0.0).xi == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    assert fam.scales.natural.xi == pytest.approx(math.sqrt(2.0), rel=1e-14)
     got = spectrum.find_roots(spectrum.build_chi(fam), limit=10).values()
     assert got == pytest.approx(cli.TABLE1_REFERENCE, abs=5e-5)
 
@@ -480,6 +480,40 @@ def test_floor_wells_bytes_pinned(fd, levels_pin, verify_pin):
                       (["verify", "--k", "6", "--n-oracle", "1000"], verify_pin)):
         code, out = run(argv + family)
         assert (code, _sha256(out)) == pin, argv
+
+
+# (exit code, sha256 of stdout) for a Stark well whose bottom lies at
+# x = -phi = -12.17, far outside [-1, 1], recorded when the FD wall
+# searches started from the well bottom: verify used to put its walls
+# at +-1 and report a false MISMATCH (exit 3), and levels at a wide step
+# printed no level with exit 0, where four lie in the window
+_SHIFTED_STARK = json.dumps({"tag": "HO_STARK", "scales": {"alpha1": 2.3}})
+SHIFTED_STARK_SHA256 = [
+    (["verify", "--family", _SHIFTED_STARK],
+     (0, "1f58852b7f4268b1c6e92d7aad5eeb8f9ff4c262f018907a52cddacc9d24c430")),
+    (["levels", "--family", _SHIFTED_STARK, "--window=-80:-70", "--step", "5"],
+     (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+]
+
+
+def test_verify_boxes_the_bottom_of_a_shifted_stark_well():
+    argv, pin = SHIFTED_STARK_SHA256[0]
+    code, out = run(argv)
+    assert (code, _sha256(out)) == pin
+    assert out == "HO_STARK: max level error 0.000103728288053 (tol 0.002, n=4000) ok\n"
+
+
+def test_levels_counts_a_shifted_stark_window_from_the_bottom(capsys):
+    argv, pin = SHIFTED_STARK_SHA256[1]
+    code, out = run(argv)
+    assert (code, _sha256(out)) == pin
+    err = capsys.readouterr().err
+    assert "the scan found 0 level(s) where the FD count certifies 4" in err
+    # at the default step the scan finds the four levels the count certifies
+    code, out = run(argv[:-2])
+    assert code == 0
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == [
+        "-73.5179445", "-72.5179445", "-71.5179445", "-70.5179445"]
 
 
 def test_verify_short_window_fails_before_the_oracle(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""Family definitions, dimensionless maps, and the JSON schema."""
+"""Family definitions, natural units, and the JSON schema."""
 
 import math
 import random
@@ -19,7 +19,6 @@ from greenwell.model import (
     PhysicalScales,
     PotentialFamily,
     default_family,
-    dimensionless,
     family_from_dict,
     family_to_dict,
     potential_value,
@@ -40,22 +39,20 @@ ALL_DEFAULTS = [
 
 def test_dimensionless_ho_direct_substitution():
     fam = default_family(HO)
-    d = dimensionless(fam, 2.0)
-    assert d.eps == 2.0
-    assert d.mu == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert fam.natural_energy(2.0) == 2.0
+    assert fam.scales.natural.mu == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_dimensionless_linear_figure_convention():
     # hbar^2 = 2m, alpha = 1: rho = E, zeta = 1
     fam = default_family(LINEAR_ABS)
-    d = dimensionless(fam, 3.2)
-    assert d.rho == pytest.approx(3.2, rel=1e-14)
-    assert d.zeta == pytest.approx(1.0, rel=1e-14)
+    assert fam.natural_energy(3.2) == pytest.approx(3.2, rel=1e-14)
+    assert fam.scales.natural.zeta == pytest.approx(1.0, rel=1e-14)
 
 
 def test_dimensionless_half_half_xi():
     fam = default_family(HALF_HO_HALF_LINEAR)
-    d = dimensionless(fam, 1.0)
+    d = fam.scales.natural
     assert d.xi == pytest.approx(math.sqrt(2.0), rel=1e-12)
     # xi = (2/(mu phi))^(1/3) equivalently
     assert d.xi == pytest.approx((2.0 / (d.mu * d.phi)) ** (1.0 / 3.0), rel=1e-12)
@@ -63,14 +60,14 @@ def test_dimensionless_half_half_xi():
 
 def test_dimensionless_delta_ho_defaults():
     fam = default_family(DELTA_DECORATED, base=HO)
-    d = dimensionless(fam, 0.0)
+    d = fam.scales.natural
     assert d.tau == pytest.approx(-1.0, rel=1e-14)
     assert d.p == pytest.approx(0.5, rel=1e-14)
 
 
 def test_dimensionless_delta_linear_defaults():
     fam = default_family(DELTA_DECORATED, base=LINEAR_ABS)
-    d = dimensionless(fam, 0.0)
+    d = fam.scales.natural
     assert d.eta == pytest.approx(1.0, rel=1e-14)
     assert d.zeta * fam.scales.delta_position == pytest.approx(0.5, rel=1e-14)
 
@@ -80,33 +77,33 @@ def test_eps_scaling_identity_all_quadratic():
         if fam.smooth_tag not in model.QUADRATIC_TAGS:
             continue
         for e in (-1.3, 0.0, 2.7):
-            d = dimensionless(fam, e)
-            assert d.eps == e / (fam.scales.hbar * fam.scales.omega1)
+            assert fam.natural_energy(e) == e / (fam.scales.hbar * fam.scales.omega1)
 
 
 def test_round_trip_scales_from_map():
     # invert the defining formulas and recover the input scales to 1e-14
     fam = default_family(HO_STARK, hbar=0.7, mass=1.9, omega1=1.4, alpha1=1.1)
     s = fam.scales
-    d = dimensionless(fam, 2.31)
-    assert d.eps * s.hbar * s.omega1 == pytest.approx(2.31, rel=1e-14)
+    d = s.natural
+    eps = fam.natural_energy(2.31)
+    assert eps * s.hbar * s.omega1 == pytest.approx(2.31, rel=1e-14)
     assert d.mu ** 2 * s.hbar / (2.0 * s.omega1) == pytest.approx(s.mass, rel=1e-14)
     assert (d.phi * s.mass * s.omega1 ** 2) ** (1 / 3) == pytest.approx(s.alpha1, rel=1e-14)
-    assert d.sigma - (0.5 * d.mu * d.phi) ** 2 == pytest.approx(d.eps, rel=1e-14)
+    assert (eps + d.shift) - (0.5 * d.mu * d.phi) ** 2 == pytest.approx(eps, rel=1e-14)
 
     fam2 = default_family(DELTA_DECORATED, base=HO, hbar=1.2, mass=0.8,
                           delta_strength=-0.9, delta_position=0.4)
     s2 = fam2.scales
-    d2 = dimensionless(fam2, 1.0)
+    d2 = s2.natural
     assert d2.tau / math.sqrt(s2.mass / (math.pi * s2.omega1 * s2.hbar ** 3)) \
         == pytest.approx(s2.delta_strength, rel=1e-14)
     assert d2.p / d2.mu == pytest.approx(s2.delta_position, rel=1e-14)
 
     fam3 = default_family(LINEAR_ASYM, hbar=1.3, mass=0.6, alpha1=0.9, alpha2=1.7)
     s3 = fam3.scales
-    d3 = dimensionless(fam3, -0.4)
+    d3 = s3.natural
     k = (2.0 * s3.mass / s3.hbar ** 2) ** (1.0 / 3.0)
-    assert d3.rho * s3.alpha1 ** 2 / k == pytest.approx(-0.4, rel=1e-14)
+    assert fam3.natural_energy(-0.4) * s3.alpha1 ** 2 / k == pytest.approx(-0.4, rel=1e-14)
     assert d3.zeta / k == pytest.approx(s3.alpha1, rel=1e-14)
     assert s3.alpha1 / d3.beta == pytest.approx(s3.alpha2, rel=1e-14)
 
@@ -120,15 +117,6 @@ def test_energy_round_trips_through_the_natural_variable(fam, scales):
     for e in (-3.7, -0.25, 0.0, 1e-6, 0.3, 1.0, 2.31, 7.9, 123.4):
         back = fam.energy(fam.natural_energy(e))
         assert abs(back - e) <= 2.0 * math.ulp(e), (e, back)
-
-
-def test_fields_populated_only_where_used():
-    d = dimensionless(default_family(HO), 1.0)
-    assert d.phi is None and d.rho is None and d.lam is None and d.tau is None
-    d = dimensionless(default_family(LINEAR_ABS), 1.0)
-    assert d.eps is None and d.mu is None and d.beta is None
-    d = dimensionless(default_family(HALF_HO_HALF_LINEAR), 1.0)
-    assert d.sigma is None and d.xi is not None
 
 
 def test_potential_values():
@@ -168,8 +156,6 @@ def test_family_validation():
         PhysicalScales(hbar=-1.0)
     with pytest.raises(FamilyError):
         PhysicalScales(alpha1=-0.5)
-    with pytest.raises(FamilyError):
-        dimensionless(default_family(HO), math.inf)
 
 
 def test_json_round_trip():

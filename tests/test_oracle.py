@@ -105,6 +105,16 @@ def test_auto_grid_sizes_walls():
     assert model.potential_value(fam, grid.half_width) >= 16.0
 
 
+def test_auto_grid_holds_the_bottom_of_a_shifted_well():
+    # bottom at x = -phi = -12.167; a walk from L = 1 stopped at L = 1,
+    # where V(+-1) is far above the shifted levels
+    fam = default_family(model.HO_STARK, alpha1=2.3)
+    grid = oracle.auto_grid(fam, e_max=-60.0, n_points=500)
+    assert grid.half_width == 19.5
+    assert min(fam.potential(-grid.half_width), fam.potential(grid.half_width)) >= -50.0
+    assert fam.bottom == -fam.scales.natural.phi
+
+
 def test_delta_discretization_shifts_spectrum():
     fam = default_family(DELTA_DECORATED, base=HO)  # attractive, tau = -1
     op = discretize(fam, GridSpec(12.0, 4000), e_max=6.0)

@@ -16,7 +16,6 @@ from greenwell.model import (
     LINEAR_ABS,
     LINEAR_ASYM,
     default_family,
-    dimensionless,
 )
 
 AIRY_EVEN = (1.018792971647471, 3.2481975821798366, 4.820099211178736)
@@ -34,11 +33,7 @@ def oracle_eps(family, k, n_points, e_max):
     grid = oracle.auto_grid(family, e_max=e_max, n_points=n_points)
     op = oracle.discretize(family, grid, e_max=e_max)
     eigs = oracle.lowest_eigenvalues(op, k)
-    out = []
-    for e in eigs:
-        d = dimensionless(family, e)
-        out.append(d.eps if d.eps is not None else d.rho)
-    return out
+    return [family.natural_energy(e) for e in eigs]
 
 
 # ----------------------------------------------------------------------
@@ -79,23 +74,23 @@ def test_root_invariants():
 @pytest.mark.parametrize("alpha3", [0.5, 1.3, 2.0])
 def test_stark_root_finding_matches_analytic(alpha3):
     fam = default_family(HO_STARK, alpha1=alpha3 ** (1.0 / 3.0))
-    dmap = dimensionless(fam, 0.0)
+    units = fam.scales.natural
     res = roots_of(fam, window=None, step=0.01)
     for n in range(6):
-        assert res.values()[n] == pytest.approx(sp.levels_ho_stark(n, dmap), abs=1e-9)
+        assert res.values()[n] == pytest.approx(sp.levels_ho_stark(n, units), abs=1e-9)
 
 
 def test_stark_zero_field():
     fam = default_family(HO_STARK, alpha1=0.0)
-    dmap = dimensionless(fam, 0.0)
-    assert sp.levels_ho_stark(2, dmap) == 2.5
+    units = fam.scales.natural
+    assert sp.levels_ho_stark(2, units) == 2.5
 
 
 def test_stark_unit_shift():
     # alpha^3 = 1: phi = 1, mu = sqrt 2, (mu phi / 2)^2 = 1/2 -> eps_0 = 0
     fam = default_family(HO_STARK, alpha1=1.0)
-    dmap = dimensionless(fam, 0.0)
-    assert sp.levels_ho_stark(0, dmap) == pytest.approx(0.0, abs=1e-14)
+    units = fam.scales.natural
+    assert sp.levels_ho_stark(0, units) == pytest.approx(0.0, abs=1e-14)
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +265,7 @@ def _plain_factors(fam):
     if fam.tag == LINEAR_ABS:
         return {"even": lambda r: sf.airy_ai_prime(-r).value,
                 "odd": lambda r: sf.airy_ai(-r).value}
-    d = dimensionless(fam, 0.0)
+    d = fam.scales.natural
 
     def odd(e):
         sigma = e + (0.5 * d.mu * d.phi) ** 2
@@ -330,7 +325,7 @@ def test_parity_factors_share_one_call_per_lattice_point(monkeypatch, fam, share
 
 
 def test_failed_factor_call_leaves_the_cache_as_it_was():
-    d = dimensionless(default_family(HO_PLUS_ABS), 0.0)
+    d = default_family(HO_PLUS_ABS).scales.natural
     sp.chi_linear_odd(2.0)
     sp.chi_ho_plus_abs_odd(2.0, d)
     before = rv._latest
@@ -547,7 +542,7 @@ FLOOR_FAMILIES = (
 
 
 def _floor_id(fam):
-    d = dimensionless(fam, 0.0)
+    d = fam.scales.natural
     if fam.base == HO:
         return f"HO-tau{d.tau:.3g}-p{d.p:.3g}"
     return f"LINEAR_ABS-eta{d.eta:.3g}-zq{d.zeta * fam.scales.delta_position:.3g}"
@@ -556,7 +551,7 @@ def _floor_id(fam):
 @pytest.mark.parametrize("fam", FLOOR_FAMILIES, ids=_floor_id)
 def test_energy_floor_bounds_the_spectrum_and_keeps_every_bit(fam):
     step = 0.05  # the start point lies on the scan lattice at any step
-    d = dimensionless(fam, 0.0)
+    d = fam.scales.natural
     chi, calls = _counted(sp.build_chi(fam))
     # E >= -m a^2 / (2 hbar^2) for a < 0, E > 0 otherwise, in the natural
     # variable: eps >= -pi tau^2 / 2, rho >= -eta^2

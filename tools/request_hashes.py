@@ -62,6 +62,8 @@ _FLOOR_WELLS = [
     ("LINEAR_ABS", {"tag": "DELTA_DECORATED", "base": "LINEAR_ABS",
                     "scales": {"delta_strength": -1.6}}),
 ]
+# a Stark well whose bottom lies at x = -phi = -12.17
+_SHIFTED_STARK = json.dumps({"tag": "HO_STARK", "scales": {"alpha1": 2.3}})
 # the config file that "CFG" stands for, as tests/test_cli.py writes it
 CONFIG = {"command": "sweep", "family": {"tag": "HO", "scales": {"omega1": 2.0}},
           "window": [0, 5], "step": 0.01, "format": "json"}
@@ -122,6 +124,9 @@ PINNED_ARGVS = [
         ["green-grid", "--family", '{"tag": "HO_ASYM", "scales": {"omega2": 2}}',
          "--set", "grid=[-1, 1, 5]", "--set", "energy=3"],
     ])),
+    ("STARK-shifted", ["verify", "--family", _SHIFTED_STARK]),
+    ("STARK-shifted", ["levels", "--family", _SHIFTED_STARK, "--window=-80:-70",
+                       "--step", "5"]),
 ]
 
 
