@@ -500,7 +500,7 @@ def test_verify_boxes_the_bottom_of_a_shifted_stark_well():
     argv, pin = SHIFTED_STARK_SHA256[0]
     code, out = run(argv)
     assert (code, _sha256(out)) == pin
-    assert out == "HO_STARK: max level error 0.000103728288053 (tol 0.002, n=4000) ok\n"
+    assert out.endswith(" ok\n")
 
 
 def test_levels_counts_a_shifted_stark_window_from_the_bottom(capsys):

@@ -89,7 +89,7 @@ def test_round_trip_scales_from_map():
     assert eps * s.hbar * s.omega1 == pytest.approx(2.31, rel=1e-14)
     assert d.mu ** 2 * s.hbar / (2.0 * s.omega1) == pytest.approx(s.mass, rel=1e-14)
     assert (d.phi * s.mass * s.omega1 ** 2) ** (1 / 3) == pytest.approx(s.alpha1, rel=1e-14)
-    assert (eps + d.shift) - (0.5 * d.mu * d.phi) ** 2 == pytest.approx(eps, rel=1e-14)
+    assert d.shift == pytest.approx((0.5 * d.mu * d.phi) ** 2, rel=1e-14)  # sigma - eps
 
     fam2 = default_family(DELTA_DECORATED, base=HO, hbar=1.2, mass=0.8,
                           delta_strength=-0.9, delta_position=0.4)
