@@ -15,11 +15,11 @@ Design notes:
     Its z-odd term changes sign exactly with z, so pcf_d_pair(nu, z)
     returns D_nu(z) and D_nu(-z) from one pair of Kummer series and one
     pair of rgamma values, bit for bit what two pcf_d calls give.
-  * Airy functions use the Maclaurin series for |x| <= 7 and asymptotic
-    expansions beyond.  On 4 < x <= 7 the two series branches cancel in
-    the exponentially small Ai, so Ai and Ai' come from the integrals of
-    K_1/3 and K_2/3 by the trapezoid rule instead; Bi and Bi' still come
-    from the series, whose terms there are all positive.
+  * Where a series cancels, the value comes from the trapezoid rule on
+    an integral whose terms are all positive (Trefethen and Weideman,
+    SIAM Rev. 56, 2014): D_nu(z) for z >= 7, or z > 0 and strongly
+    negative nu, and Ai, Ai' for x > 4.  Bi, Bi' for x > 0 come from the
+    Maclaurin series; only x < -7 uses an asymptotic expansion.
   * Functions returning EvalResult report est_abs_error, an upper bound
     on the absolute error built from truncation plus rounding terms.
   * The hot loops (the Kummer series, the Lanczos sum, the Airy
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 __all__ = [
     "EvalResult",
@@ -259,10 +260,12 @@ def _pcf_terms(nu, z):
     pref = 2.0 ** (0.5 * nu) * math.exp(-0.25 * z * z) * _SQRT_PI
     t1 = r1 * m1.value
     t2 = _SQRT2 * z * r2 * m2.value
+    # 0.5 z^2 eps: the rounding of z^2 in exp's argument and in the
+    # series argument w, as airy_all counts (4 + 2 zeta) eps
     est = pref * (
         abs(r1) * m1.est_abs_error
         + _SQRT2 * abs(z) * abs(r2) * m2.est_abs_error
-        + 16.0 * _EPS * (abs(t1) + abs(t2))
+        + (16.0 + 0.5 * z * z) * _EPS * (abs(t1) + abs(t2))
     )
     return pref, t1, t2, est
 
@@ -272,50 +275,69 @@ def _pcf_series(nu, z):
     return EvalResult(pref * (t1 - t2), est)
 
 
-def _pcf_miller(nu, z):
-    """D_nu(z) for strongly negative nu and z > 0 by upward recurrence.
+_PCF_CUT = 7.0    # D_nu(z) from the integral for every nu at z >= this
+_PCF_LOW = -4.0   # one integral below this order, two and a recurrence above
 
-    D_nu(z) is the minimal solution of D_{v+1} = z D_v - v D_{v-1} as
-    v -> -infinity (for z > 0), so an arbitrary seed far below nu,
-    recursed upward and normalized at an accurately-known anchor order,
-    converges onto it (Miller's algorithm).  The anchor is the chain
-    point in [0, 4) whose direct series evaluation reports the smallest
-    relative error estimate.
+
+def _pcf_laplace(nu, z):
+    """D_nu(z) / rgamma(-nu), D_(nu+1)(z) / rgamma(-nu-1) and a bound on
+    their relative error, for nu < -3 and z > 0, from DLMF 12.5.1,
+        D_nu(z) = e^(-z^2/4) / Gamma(-nu) int_0^inf t^(-nu-1) e^(-t^2/2 - z t) dt,
+    by the trapezoid rule in s = ln t.  e^(2s) limits the strip of
+    analyticity to |Im s| < pi/4, where a step of at most 0.1 keeps the
+    rule's error below 1e-21.  The nodes are centred on the peak t0, at
+    most 0.45 peak widths apart, and stop below 1e-18 of the peak; a
+    weight 1/t more gives order nu + 1.  exp's argument is summed
+    exactly, so the bound counts one rounding for it, rgamma (at most
+    6 eps here), the sums and each node's exponent, about |nu| h.
     """
-    m0 = int(math.ceil(-nu))
-    best = None
-    for extra in range(4):
-        na = nu + m0 + extra
-        r = _pcf_series(na, z)
-        q = r.est_abs_error / abs(r.value) if r.value != 0.0 else math.inf
-        if best is None or q < best[2]:
-            best = (na, r, q)
-    na, anchor, anchor_rel = best
-    # seed depth: contaminating solution suppressed by exp(2 z dsqrt) >= 1e20
-    dsqrt = 46.0 / (2.0 * z)
-    nus_target = -((math.sqrt(max(-nu, 1.0)) + dsqrt) ** 2)
-    length = max(int(math.ceil(na - nus_target)) + 2, m0 + 6)
-    j_nu = length - (m0 + int(round(na - (nu + m0))))  # index of nu on the chain
-    v = na - length
-    prev, cur = 0.0, 1e-280
-    val_nu = None
-    j = 0
-    while j < length:
-        nxt = z * cur - v * prev
-        prev, cur = cur, nxt
-        v += 1.0
-        j += 1
-        if j == j_nu:
-            val_nu = cur
-        if abs(cur) > 1e250:
-            prev *= 1e-250
-            cur *= 1e-250
-            if val_nu is not None:
-                val_nu *= 1e-250
-    scale = anchor.value / cur
-    value = val_nu * scale
-    est = abs(value) * (anchor_rel + 1e-18 + 8.0 * _EPS * length)
-    return EvalResult(value, est)
+    t0 = -2.0 * nu / (z + math.sqrt(z * z - 4.0 * nu))  # root of t^2 + z t + nu
+    a, b = t0 * t0, z * t0
+    h = min(0.1, 0.45 / math.sqrt(2.0 * a + b))  # 2a + b: the peak's curvature in s
+    w0, w1 = [1.0], [1.0]
+    for step in (h, -h):
+        k = 1
+        while True:
+            x = k * step
+            e = math.expm1(x)  # t / t0 - 1
+            w = math.exp(-nu * x - (0.5 * a) * (e * (e + 2.0)) - b * e)
+            w0.append(w)
+            w1.append(w / (1.0 + e))
+            if max(w, w1[-1]) < 1e-18:
+                break
+            k += 1
+    q = Fraction(t0) * (Fraction(t0) / 2 + Fraction(z)) + Fraction(z) ** 2 / 4
+    hi = float(q)
+    pref = h * t0 ** -nu * math.exp(-hi) * (1.0 - float(q - Fraction(hi)))
+    return pref * math.fsum(w0), pref * math.fsum(w1) / t0, (12.0 + abs(nu) * h) * _EPS
+
+
+def _pcf_integral(nu, z):
+    """D_nu(z) for z > 0 from _pcf_laplace: one integral below _PCF_LOW;
+    above it, the integrals at nu0 = nu - m in [_PCF_LOW - 1, _PCF_LOW)
+    and nu0 + 1, recurred upward by D_(v+1) = z D_v - v D_(v-1), which is
+    stable for z > 0, where D dominates.  The estimate carries every
+    rounding to the result through the recurrence's sensitivities
+    (y_m = al y_j + be y_(j-1), run backward), so it holds where the
+    terms cancel, beyond the turning point nu = z^2/4 - 1/2.
+    """
+    if nu < _PCF_LOW:
+        i0, _, rel = _pcf_laplace(nu, z)
+        d = rgamma(-nu) * i0
+        return EvalResult(d, abs(d) * rel)
+    m = int(nu - _PCF_LOW) + 1
+    nu0 = nu - m  # may round, by up to 2 eps of an order: 8 eps of the value
+    i0, i1, rel = _pcf_laplace(nu0, z)
+    ys = [rgamma(-nu0) * i0, rgamma(-nu0 - 1.0) * i1]
+    for j in range(1, m):
+        ys.append(z * ys[j] - (nu0 + j) * ys[j - 1])
+    al, be, est = 1.0, 0.0, 0.0
+    for j in range(m - 1, 0, -1):  # step j formed ys[j + 1] with three roundings
+        v = nu0 + j
+        est += abs(al) * (0.5 * _EPS) * (abs(z * ys[j]) + abs(v * ys[j - 1]) + abs(ys[j + 1]))
+        al, be = z * al + be, -v * al
+    est += (rel + 8.0 * _EPS) * (abs(al * ys[1]) + abs(be * ys[0]))
+    return EvalResult(ys[-1], est)
 
 
 def _pcf_check(nu, z, name):
@@ -328,47 +350,51 @@ def _pcf_check(nu, z, name):
         raise DomainError(f"{name} restricted to |nu| <= 60, got nu = {nu}")
 
 
-def _pcf_takes_miller(nu, z):
-    """True when pcf_d(nu, z) takes the Miller route."""
+def _pcf_takes_integral(nu, z):
+    """True when pcf_d(nu, z) takes the integral route: z >= 7, or z > 0
+    with the two Kummer terms cancelling for negative non-integer nu."""
+    if z >= _PCF_CUT:
+        return True
     if z > 0.0 and nu < 1.0 and not (nu >= 0.0 and nu == math.floor(nu)):
-        # nonneg integer orders terminate exactly; everything else below
-        # the anchor band goes through Miller once cancellation bites
-        cancel_exp = 0.5 * z * z + z * math.sqrt(max(0.0, -2.0 * nu))
-        return cancel_exp > 10.0
+        return 0.5 * z * z + z * math.sqrt(max(0.0, -2.0 * nu)) > 10.0
     return False
 
 
 def pcf_d(nu: float, z: float) -> EvalResult:
     """Parabolic cylinder D_nu(z).
 
-    Primary route is the two-term Kummer representation
+    Two routes, chosen from (nu, z) alone: the two-term Kummer form
     D_nu(z) = 2^(nu/2) e^(-z^2/4) sqrt(pi) [ rgamma((1-nu)/2) M(-nu/2, 1/2, z^2/2)
               - sqrt(2) z rgamma(-nu/2) M((1-nu)/2, 3/2, z^2/2) ],
-    which is entire in z.  For strongly negative nu with z > 0 the two
-    terms cancel catastrophically (the value is exponentially small), so
-    that regime switches to Miller-normalized upward recurrence in nu.
-    Against 40-digit references with nu in [-5, 10], the relative error
-    is below 1e-8 for 0 <= z < 7, up to 5e-6 on [7, 8), 0.1 on [8, 9) and
-    160 on [9, 10]; est_abs_error bounds it throughout.  The domain is
+    which is entire in z, and, where its terms cancel (z >= 7, or z > 0
+    with strongly negative nu), the integral route (_pcf_integral).
+    Against 40-digit references, in eps = 2.2e-16 of the value: Kummer
+    with |nu| <= 10, 50 eps for z < -6, 5e4 eps on [0, 6) and 2e7 eps
+    just below z = 7, as the terms cancel; the integral, at most 10 eps
+    below the turning point nu = z^2/4 - 1/2 (its estimate, about 1 eps
+    more per recurrence step, stays below 100 eps up to 0.8 of it for
+    nu <= 50), and hundreds of eps beyond, where the recurrence cancels,
+    more near a zero of D.
+    est_abs_error bounds the error on every route.  The domain is
     |z| <= 20, where the Kummer argument z^2/2 stays within kummer_m's
     |z| <= 200, and |nu| <= 60; non-finite arguments raise DomainError too.
     """
     _pcf_check(nu, z, "pcf_d")
-    if _pcf_takes_miller(nu, z):
-        return _pcf_miller(nu, z)
+    if _pcf_takes_integral(nu, z):
+        return _pcf_integral(nu, z)
     return _pcf_series(nu, z)
 
 
 def pcf_d_pair(nu: float, z: float):
     """(pcf_d(nu, z), pcf_d(nu, -z)), equal to those two calls bit for bit.
 
-    When neither sign takes the Miller route, both come from one Kummer
+    When neither sign takes the integral route, both come from one Kummer
     pair: the two series, the two rgamma values and the prefactor are
     shared, and only the sign of the z-odd term differs.  Otherwise this
     is the two pcf_d calls.  The domain is pcf_d's.
     """
     _pcf_check(nu, z, "pcf_d_pair")
-    if _pcf_takes_miller(nu, abs(z)):
+    if _pcf_takes_integral(nu, abs(z)):
         return pcf_d(nu, z), pcf_d(nu, -z)
     pref, t1, t2, est = _pcf_terms(nu, z)
     return EvalResult(pref * (t1 - t2), est), EvalResult(pref * (t1 - (-t2)), est)
@@ -382,9 +408,9 @@ _AI0 = 0.3550280538878172     # Ai(0)
 _AIP0 = -0.2588194037928068   # Ai'(0)
 _SQRT3 = 1.7320508075688772
 
-_AIRY_SERIES_CUT = 7.0   # Maclaurin series window
+_AIRY_SERIES_CUT = 7.0   # Maclaurin series window for x < 0
 _AIRY_K_MIN = 4.0        # Ai, Ai' from the K-integrals for x above this
-_AIRY_K_STEP = 0.15625   # trapezoid step in t, exact in binary
+_AIRY_K_STEP = 0.15625   # largest trapezoid step in t, exact in binary
 _AIRY_DOMAIN = 25.0
 
 
@@ -394,16 +420,17 @@ def _airy_ai_k(x):
     with K_nu(zeta) = int_0^inf exp(-zeta cosh t) cosh(nu t) dt (DLMF
     10.32.9) by the trapezoid rule.  Every term is positive, so nothing
     cancels; the rule converges exponentially on this integrand
-    (Trefethen and Weideman, SIAM Rev. 56, 2014): at this step its
-    error, about exp(zeta - pi^2 / h) relative, is below 1e-21 for
-    zeta <= 12.4, i.e. x <= 7.  Returns (Ai, Ai', rel).  rel bounds the
-    relative error: exp's argument carries a rounding that grows with
-    zeta, and the sum one per node.  It bounds the series Bi and Bi' up
-    to x = 7 too, whose largest terms, near k = zeta / 2, carry about 2k
-    roundings each.
+    (Trefethen and Weideman, SIAM Rev. 56, 2014): its relative error,
+    about exp(zeta - pi^2 / h), or exp(-2 pi^2 / (h^2 zeta)) once zeta
+    is large, stays below 1e-17 on (4, 25] at the step
+    min(0.15625, 0.7 / sqrt(zeta)), with at most 14 nodes.  Returns
+    (Ai, Ai', rel).  rel bounds the relative error: exp's argument
+    carries a rounding that grows with zeta, and the sum one per node.
+    It bounds the series Bi and Bi' there too, whose largest terms, near
+    k = zeta / 2, carry about 2k roundings each.
     """
     zeta = 2.0 / 3.0 * x ** 1.5
-    h = _AIRY_K_STEP
+    h = min(_AIRY_K_STEP, 0.7 / math.sqrt(zeta))
     k1 = k2 = 0.5 * math.exp(-zeta)
     n = 1
     while True:
@@ -420,10 +447,11 @@ def _airy_ai_k(x):
     return ai, aip, (8.0 + 2.0 * zeta + n) * _EPS
 
 
-# (3k, (3k)(3k - 1), 3k + 1, (3k)(3k + 1)) for k = 1..79: small integers,
-# so each entry is exact and equals the product the series would form
+# (3k, (3k)(3k - 1), 3k + 1, (3k)(3k + 1)) for k = 1..91: small integers,
+# so each entry is exact and equals the product the series would form;
+# x = 25 needs 88 terms
 _AIRY_K = tuple((3.0 * k, (3.0 * k) * (3.0 * k - 1.0), 3.0 * k + 1.0,
-                 (3.0 * k) * (3.0 * k + 1.0)) for k in range(1, 80))
+                 (3.0 * k) * (3.0 * k + 1.0)) for k in range(1, 92))
 
 
 def _airy_series(x):
@@ -472,49 +500,6 @@ _ASYM_NEG_K = tuple((_ASYM_U[k], s * _ASYM_V[k], s, k % 2 == 0)
                     for s in (-1.0 if (k // 2) & 1 else 1.0,))
 
 
-def _asym_sums(zeta, signed):
-    """sum u_k s^k / zeta^k and companion v-sum, with truncation estimate.
-
-    signed=True alternates the sign (the e^{-zeta} expansions); stops at
-    the smallest term.  Returns (Su, Sv, trunc_rel).
-    """
-    s = -1.0 if signed else 1.0
-    su = sv = 1.0
-    prev = 1.0
-    trunc = 0.0
-    p = 1.0
-    for k in range(1, len(_ASYM_U)):
-        p *= s / zeta
-        tu = _ASYM_U[k] * p
-        if abs(tu) >= prev:  # divergence point reached
-            trunc = abs(tu)
-            break
-        su += tu
-        sv += _ASYM_V[k] * p
-        prev = abs(tu)
-        trunc = abs(tu)
-        if abs(tu) < 1e-18:
-            break
-    return su, sv, trunc
-
-
-def _airy_asym_pos(x):
-    """Exponential-form expansions for x > series cut."""
-    zeta = 2.0 / 3.0 * x ** 1.5
-    q = x ** 0.25
-    su_m, sv_m, tr_m = _asym_sums(zeta, signed=True)
-    su_p, sv_p, tr_p = _asym_sums(zeta, signed=False)
-    em = math.exp(-zeta)
-    ep = math.exp(zeta)
-    ai = 0.5 * em / (_SQRT_PI * q) * su_m
-    aip = -0.5 * q * em / _SQRT_PI * sv_m
-    bi = ep / (_SQRT_PI * q) * su_p
-    bip = q * ep / _SQRT_PI * sv_p
-    # eps*zeta covers the rounding of the exponential's argument
-    rel = 2.0 * max(tr_m, tr_p) + (4.0 + 2.0 * zeta) * _EPS
-    return (ai, aip, bi, bip, rel)
-
-
 def _airy_asym_neg(x):
     """Oscillatory expansions for x < -series cut (t = -x).
 
@@ -556,17 +541,20 @@ def _airy_asym_neg(x):
 
 
 def airy_all(x: float):
-    """(Ai, Ai', Bi, Bi') at x, each an EvalResult."""
+    """(Ai, Ai', Bi, Bi') at x, each an EvalResult; the domain is |x| <= 25.
+
+    Routes, chosen from x alone, with the largest error against 40-digit
+    references in eps = 2.2e-16 of the value (x > 0) or of the amplitude
+    sqrt(Ai^2 + Bi^2) (x < 0): for x > 4, Ai and Ai' from the
+    K-integrals (12 eps up to x = 7, 90 eps above, as zeta grows) and Bi
+    and Bi' from the Maclaurin series (30 eps); on [-7, 4] the series for
+    all four, which cancels in Ai and Ai' above x = 1 (7e4 eps near 4)
+    and in all four on [-7, -4) (2e4 eps); below -7 the asymptotic
+    expansions (4e3 eps down to -12, 50 eps below).  est_abs_error
+    bounds the error on every route.
+    """
     if math.isnan(x) or abs(x) > _AIRY_DOMAIN:
         raise DomainError(f"airy functions restricted to |x| <= {_AIRY_DOMAIN}, got {x}")
-    if x > _AIRY_SERIES_CUT:
-        ai, aip, bi, bip, rel = _airy_asym_pos(x)
-        return (
-            EvalResult(ai, abs(ai) * rel),
-            EvalResult(aip, abs(aip) * rel),
-            EvalResult(bi, abs(bi) * rel),
-            EvalResult(bip, abs(bip) * rel),
-        )
     if x < -_AIRY_SERIES_CUT:
         ai, aip, bi, bip, rel = _airy_asym_neg(x)
         amp = 1.0 / (_SQRT_PI * (-x) ** 0.25)

@@ -297,12 +297,13 @@ def _bisect(fn, lo, hi, f_lo, f_hi):
 
 
 def _values(fns, x):
-    """Every function of `fns` at x, in order; ValueError when one is not finite."""
+    """Every function of `fns` at x, in order; ArithmeticError (a
+    numerical failure) when one is not finite."""
     values = []
     for fn in fns:
         f = fn(x)
         if not math.isfinite(f):
-            raise ValueError(f"characteristic function not finite at {x}")
+            raise ArithmeticError(f"characteristic function not finite at {x}")
         values.append(f)
     return values
 

@@ -516,6 +516,55 @@ def test_levels_counts_a_shifted_stark_window_from_the_bottom(capsys):
         "-73.5179445", "-72.5179445", "-71.5179445", "-70.5179445"]
 
 
+def test_levels_with_a_non_finite_chi_exit_two():
+    # the default window of this Stark well starts at -(mu phi/2)^2 - 1,
+    # where chi_ho overflows: a numerical failure, not a traceback
+    src = str(Path(model.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "greenwell.cli", "levels", "--family",
+         json.dumps({"tag": "HO_STARK", "scales": {"alpha1": 6}})],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("numerical failure: characteristic function not finite")
+    assert "Traceback" not in done.stderr
+
+
+# (argv, (exit code, sha256 of stdout), G at each grid point) for green
+# grids whose tails reach the integral routes: pcf_d at z >= 7 and
+# airy_all above x = 7.  G is to 30 digits from 50-digit mpmath
+# (offline): sqrt(1/pi) Gamma(1/2 - eps) D_nu(sqrt(2) x) D_nu(0) with
+# nu = eps - 1/2 for HO, and -Ai(x - rho) / (2 Ai'(-rho)) with rho = 1.5
+# for LINEAR_ABS.  The HO grid printed -4.49e-05, -0.092 and 924 at
+# x = 8, 9 and 10 with exit 0 while pcf_d took the Kummer form there
+GREEN_TAIL = [
+    (["green-grid", "--family", "HO", "--energy", "2.3", "--grid=0:10:11", "--xp", "0"],
+     (0, "3dddac983f37ef6574d30d8c80cc90282b13379cd11cffea1d06c6219f04d72d"),
+     ("1.4196372722271097060257489596", "-1.17133048437073000971364177823",
+      "-1.27963253835540143946483698327", "-0.229781163034721665819134030193",
+      "-0.0118571478538161813139521774238", "-1.98456969763641833261510291923e-4",
+      "-1.13110676996753545726660719569e-6", "-2.2503720707015498411474214711e-9",
+      "-1.5855616260922310650954913945e-12", "-3.9927254277832953272046678582e-16",
+      "-3.61579103986051118328583206441e-20")),
+    (["green-grid", "--family", "LINEAR_ABS", "--energy", "1.5", "--grid=0:20:5", "--xp", "0"],
+     (0, "ef4e3a11388cf199571f5b74150fe7a298cd3101fd0fefafb219021b465d1000"),
+     ("-0.750769966065455271178991872259", "-4.17886111172652515832993506331e-3",
+      "-1.77837537181770543001946450942e-8", "-1.03362601835631918988791890285e-15",
+      "-2.01129720671202391121966743308e-24")),
+]
+
+
+@pytest.mark.parametrize("argv,pin,refs", GREEN_TAIL, ids=["HO", "LINEAR_ABS"])
+def test_green_grid_tail_matches_its_references(argv, pin, refs):
+    code, out = run(argv)
+    assert (code, _sha256(out)) == pin
+    values = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+    assert len(values) == len(refs)
+    for value, ref in zip(values, refs):
+        # the CLI prints 12 significant digits
+        assert value == pytest.approx(float(ref), rel=1e-11, abs=0.0)
+
+
 def test_verify_short_window_fails_before_the_oracle(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(oracle, "lowest_eigenvalues", lambda *args: calls.append(args))

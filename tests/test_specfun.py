@@ -274,8 +274,109 @@ PCF_TAIL_REF = (
 
 @pytest.mark.parametrize("nu,z,ref", PCF_TAIL_REF)
 def test_pcf_error_bound_holds_where_accuracy_is_lost(nu, z, ref):
-    # above z = 7 the Kummer terms cancel (pcf_d(1.8, 9.5) is 39 % off),
-    # so the estimate, not the value, carries the accuracy there
+    # above z = 7 the Kummer terms cancel, so these points take the
+    # integral route; its estimate must cover the 30-digit reference
+    r = sf.pcf_d(nu, z)
+    assert abs(Fraction(r.value) - Fraction(ref)) <= Fraction(r.est_abs_error)
+
+
+# (nu, z, D_nu(z)) on the integral route, 30 digits from 50-digit mpmath
+# pcfd in an offline script: z > 0 with strongly negative nu below
+# z = 7, where the Kummer terms cancel, then z in [7, 20] below the
+# turning point nu = z^2/4 - 1/2, integer orders included.  The first
+# tail point is the oscillator Green function's D at x = 9 (HO,
+# E = 2.3), where the Kummer form gave 0.0
+PCF_INTEGRAL_REF = (
+    (-60.0, 1.25, "2.19555077325750044647557890747e-45"),
+    (-47.5, 2.0, "2.3175191616735717929751397511e-36"),
+    (-31.7, 3.5, "2.01562752527639332102568671454e-26"),
+    (-20.25, 1.6, "8.17231111642053242964373104184e-13"),
+    (-12.25, 6.0, "6.54972175681290788449178054708e-15"),
+    (-8.6, 2.75, "1.41481828188158114850677349139e-6"),
+    (-4.0, 4.4, "1.3920348356977214343890334456e-5"),
+    (-3.3, 5.1, "5.48619380600449075648881410635e-6"),
+    (-1.5, 4.75, "3.18464344405987224640399255714e-4"),
+    (-0.5, 6.0, "4.98857753526680957959395352443e-5"),
+    (0.25, 6.5, "4.13932787823655959067495000874e-5"),
+    (0.9, 6.9, "3.85637833119703741247313799381e-5"),
+    (1.8, 12.7, "2.97211175834418588609360624981e-16"),
+    (-60.0, 7.0, "1.91592978467396089901980681552e-65"),
+    (-60.0, 20.0, "5.85340672969657232203087699907e-124"),
+    (-45.0, 13.0, "2.38680947599687913618260573808e-71"),
+    (-33.3, 9.1, "7.08183242789475015419031799741e-44"),
+    (-17.0, 17.5, "2.5859774976637648516583506583e-55"),
+    (-9.5, 7.75, "5.2578547977183053519711506351e-16"),
+    (-4.0, 11.0, "4.59875489714009838129231641606e-18"),
+    (-2.5, 19.0, "4.00712507374440104213566432163e-43"),
+    (-1.0, 8.0, "1.38566769987568047035778464379e-8"),
+    (-0.25, 15.5, "4.14308966825626686024760650497e-27"),
+    (0.0, 7.0, "4.78511739212900908960977101943e-6"),
+    (0.0, 20.0, "3.72007597602083596295969580386e-44"),
+    (0.5, 10.0, "4.39719298311774584835123612464e-11"),
+    (1.0, 14.0, "7.34003992870884951204052742397e-21"),
+    (2.0, 7.5, "4.31584789808823116449883457328e-5"),
+    (3.0, 18.0, "3.83640548591774833672576309525e-32"),
+    (4.75, 9.25, "1.78778842994021915052119288846e-5"),
+    (7.0, 12.0, "7.14100267256589328703857166174e-9"),
+    (10.0, 7.0, "4.29921283794996454676571040566e+2"),
+    (12.5, 16.0, "1.34612236483418059552957169056e-13"),
+    (20.0, 11.0, "7.33968741252187317882277305239e+6"),
+    (25.0, 20.0, "5.61496732692475092299550799749e-12"),
+    (33.0, 14.5, "1.52679237573851073337777717921e+14"),
+    (40.0, 19.0, "7.83112846077013572171321163515e+10"),
+    (50.0, 16.0, "5.29640727372380559052884612133e+29"),
+    (57.5, 18.5, "1.44917823403008246138235334937e+33"),
+    (60.0, 20.0, "2.13429864097242418337580805574e+32"),
+)
+
+
+@pytest.mark.parametrize("nu,z,ref", PCF_INTEGRAL_REF)
+def test_pcf_integral_route_within_its_estimate(nu, z, ref):
+    assert sf._pcf_takes_integral(nu, z)
+    r = sf.pcf_d(nu, z)
+    assert abs(Fraction(r.value) - Fraction(ref)) <= Fraction(r.est_abs_error)
+    assert r.est_abs_error <= 100.0 * EPS * abs(r.value)
+
+
+# (nu, z, D_nu(z)) beyond the turning point, where D oscillates in nu and
+# the recurrence's terms cancel: the estimate follows that cancellation
+# (up to 2,200 eps of the value here), so only its honesty is checked
+PCF_BEYOND_TURNING_REF = (
+    (20.0, 7.5, "-2.56980388741204648936867808115e+8"),
+    (35.0, 9.0, "3.44283027013221815779239564983e+19"),
+    (45.0, 11.3, "-1.75549941167456140424434251707e+26"),
+    (52.0, 7.0, "-6.75217181958356449192447557301e+31"),
+    (60.0, 12.0, "8.93022663647595350226741304851e+39"),
+    (60.0, 15.0, "5.49751462299409963534193362068e+40"),
+)
+
+
+@pytest.mark.parametrize("nu,z,ref", PCF_BEYOND_TURNING_REF)
+def test_pcf_beyond_the_turning_point_within_its_estimate(nu, z, ref):
+    r = sf.pcf_d(nu, z)
+    assert abs(Fraction(r.value) - Fraction(ref)) <= Fraction(r.est_abs_error)
+
+
+# (nu, z, D_nu(z)) for z < 0 on the Kummer route, 30 digits from 50-digit
+# mpmath; the estimate left out the rounding of z^2 in exp's argument
+# and missed each of these by 1.4 to 2.0 times
+PCF_KUMMER_NEG_REF = (
+    (-16.144, -19.999, "2.24381648996736508995558176429e+51"),
+    (-18.765, -18.373, "1.52039010548802934556117326825e+44"),
+    (-26.994, -17.766, "9.3138096207017802879628362714e+40"),
+    (-29.741, -17.891, "1.22510093685249368992648463919e+41"),
+    (-22.243, -16.957, "1.01231166605807309282964727024e+38"),
+    (-28.017, -16.427, "9.90125741556033404332064771162e+34"),
+    (-8.767, -16.985, "8.39192598894275013761257901305e+36"),
+    (-18.815, -18.311, "8.1505857567974525465036756249e+43"),
+    (-23.822, -18.465, "2.81177793682636297701916852979e+44"),
+    (-11.116, -18.28, "6.69811526369879851782947652343e+42"),
+    (29.348, -18.879, "8.40512227470238090831937741896e+31"),
+)
+
+
+@pytest.mark.parametrize("nu,z,ref", PCF_KUMMER_NEG_REF)
+def test_pcf_kummer_estimate_holds_for_negative_z(nu, z, ref):
     r = sf.pcf_d(nu, z)
     assert abs(Fraction(r.value) - Fraction(ref)) <= Fraction(r.est_abs_error)
 
@@ -369,6 +470,43 @@ def test_airy_k_window_within_its_estimate(x, ai, aip, bi, bip):
     for got, ref in zip(sf.airy_all(x), (ai, aip, bi, bip)):
         assert abs(Fraction(got.value) - Fraction(ref)) <= Fraction(got.est_abs_error), (x, ref)
         assert got.est_abs_error <= 50.0 * EPS * abs(got.value), (x, ref)
+
+
+# (x, Ai, Ai', Bi, Bi') on (7, 25], where Ai and Ai' come from the
+# K-integrals at a step that shrinks with zeta and Bi and Bi' from the
+# Maclaurin series, 30 digits from 50-digit mpmath (offline)
+AIRY_POS_REF = (
+    (7.25, "3.81156301833737761079749256258e-7", "-1.03904629462802573522830746136e-6",
+     "1.55141432627503097583959884409e+5", "4.12195088243438151188321285184e+5"),
+    (8.0, "4.69220761609923162564908170349e-8", "-1.34143929790678657429115370793e-7",
+     "1.1995860041244599308816544996e+6", "3.35434231274453887650774649653e+6"),
+    (9.7, "2.85371593149310641670717444381e-10", "-8.95994584899317523556373239858e-10",
+     "1.79101064677735138054945665223e+8", "5.53090447234021877304716255621e+8"),
+    (10.5, "2.20227451928340164353030439636e-11", "-7.18769678145156709133785297834e-11",
+     "2.2305544411366952291506515527e+9", "7.17369224528329918014360087229e+9"),
+    (12.0, "1.3931846888753608390490345032e-13", "-4.8547365549853084629936539977e-13",
+     "3.29807225829074176184768111824e+11", "1.13550750244337074240432409046e+12"),
+    (14.25, "3.85982355834015300679213155625e-17", "-1.46374648858816640646694087779e-16",
+     "1.09236738943057766937666787403e+15", "4.1042029703345077929306949993e+15"),
+    (16.0, "4.15688882891702439474793761918e-20", "-1.66918867683818095591593412815e-19",
+     "9.5721239060491865258438081149e+17", "3.81374350712186265587714471244e+18"),
+    (18.5, "1.24373376697194045746786640574e-24", "-5.36617882341472770938368389722e-24",
+     "2.9752095911107223181334844633e+22", "1.27563328556779909374572867042e+23"),
+    (20.0, "1.69167286867054031355356021251e-27", "-7.58639162574835496051537170591e-27",
+     "2.1037650496511038144947890144e+25", "9.38183933613396434910621694547e+25"),
+    (22.75, "4.93973553110259112801226712084e-33", "-2.36150112211594589314901006012e-32",
+     "6.75509557746116242532921255552e+30", "3.2145086983350664955942303658e+31"),
+    (25.0, "8.11602682469138668375834329641e-38", "-4.06608933724328100532261429822e-37",
+     "3.92203077804138177380385011216e+35", "1.95707350832333089701326683187e+36"),
+)
+
+
+@pytest.mark.parametrize("x,ai,aip,bi,bip", AIRY_POS_REF)
+def test_airy_beyond_seven_within_tens_of_ulps(x, ai, aip, bi, bip):
+    for got, ref, ulps in zip(sf.airy_all(x), (ai, aip, bi, bip), (100, 100, 50, 50)):
+        err = abs(Fraction(got.value) - Fraction(ref))
+        assert err <= Fraction(got.est_abs_error), (x, ref)
+        assert err <= ulps * Fraction(EPS) * abs(Fraction(ref)), (x, ref)
 
 
 @pytest.mark.parametrize("cut", [4.0, 7.0])
@@ -523,7 +661,7 @@ def ref_pcf_series(nu, z):
     est = pref * (
         abs(r1) * m1.est_abs_error
         + math.sqrt(2.0) * abs(z) * abs(r2) * m2.est_abs_error
-        + 16.0 * EPS * (abs(t1) + abs(t2))
+        + (16.0 + 0.5 * z * z) * EPS * (abs(t1) + abs(t2))
     )
     return sf.EvalResult(value, est)
 
@@ -650,8 +788,7 @@ ZS = grid(-9.0, 9.0, 73) + [0.0, -0.0, 12.7, -12.7, 20.0, -20.0]
 
 
 def test_pcf_series_keeps_every_bit():
-    # integer and half-integer orders included; _pcf_series is also the
-    # Miller route's anchor
+    # integer and half-integer orders included
     for nu in NUS:
         for z in ZS:
             assert bits(sf._pcf_series(nu, z)) == bits(ref_pcf_series(nu, z)), (nu, z)
@@ -661,10 +798,10 @@ def test_pcf_d_pair_equals_two_calls_on_every_route():
     routes = set()
     for nu in NUS:
         for z in ZS:
-            routes.add((sf._pcf_takes_miller(nu, z), sf._pcf_takes_miller(nu, -z)))
+            routes.add((sf._pcf_takes_integral(nu, z), sf._pcf_takes_integral(nu, -z)))
             pair = sf.pcf_d_pair(nu, z)
             assert bits(pair) == bits((sf.pcf_d(nu, z), sf.pcf_d(nu, -z))), (nu, z)
-    # series on both sides, and Miller on the positive side of either order
+    # series on both sides, and the integral on the positive side of either order
     assert routes == {(False, False), (True, False), (False, True)}
 
 

@@ -190,6 +190,7 @@ def test_pinned_group_holds_every_pinned_cli_argv(tmp_path, capsys):
                                (["verify", "--k", "6", "--n-oracle", "1000"], verify_pin))]
     pins += [(argv + ["--dump-config"], sha) for argv, sha in test_cli.DUMP_CONFIG_SHA256]
     pins += [(argv, pin[1]) for argv, pin in test_cli.SHIFTED_STARK_SHA256]
+    pins += [(argv, pin[1]) for argv, pin, _ in test_cli.GREEN_TAIL]
     pins += [(test_cli.README_TAU, None), (test_cli.README_LAM, None)]
     assert request_hashes.main(["0", "--workload", "pinned", "--dump", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -127,6 +127,10 @@ PINNED_ARGVS = [
     ("STARK-shifted", ["verify", "--family", _SHIFTED_STARK]),
     ("STARK-shifted", ["levels", "--family", _SHIFTED_STARK, "--window=-80:-70",
                        "--step", "5"]),
+    ("HO-tail", ["green-grid", "--family", "HO", "--energy", "2.3", "--grid=0:10:11",
+                 "--xp", "0"]),
+    ("LINEAR_ABS-tail", ["green-grid", "--family", "LINEAR_ABS", "--energy", "1.5",
+                         "--grid=0:20:5", "--xp", "0"]),
 ]
 
 
