@@ -257,7 +257,7 @@ def test_pcf_reference_and_error_bound(nu, z, ref):
 
 
 # (nu, z, D_nu(z)) for z in [7, 10], 30 digits from 50-digit mpmath
-# pcfd in an offline script; both routes (Miller for nu < 1)
+# pcfd in an offline script
 PCF_TAIL_REF = (
     (0.5, 7.0, "1.2691939623820819504216972736e-5"),
     (4.25, 7.3, "6.66510365390363013534400584384e-3"),
