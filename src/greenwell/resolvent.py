@@ -19,31 +19,30 @@ The truncated Hermite-series resolvent is retained as an internal test
 oracle.  Its plain truncation tail decays like 1/sqrt(n_terms), far too
 slow for tight cross-checks, so `tail=True` completes the sum with a
 quadrature of the Mehler-kernel generating function minus the summed
-polynomial part; the completed value is accurate to ~1e-10.
+polynomial part.  The completed value is accurate to about 1e-12 of
+G's peak, absolutely: where G is exponentially small its relative
+error grows without bound (wrong in sign at x = 10, x' = 0, E = 2.3).
 
 One kernel builds every closed form, G = num u(x>) v(x<) / den: u and
 v decay at +inf and -inf, num and den depend on the energy alone, and
 den carries the Wronskian, whose zeros are the bound states.  A
-solution object per kind (HO Weber, the same shifted for HO_STARK, |x|
-Airy, HO+|x| Weber) supplies them.  Built from the energy and the
-scales' model.NaturalUnits, which converts it and holds every unit
-factor, it does the energy-only work (Gamma prefactor, Airy values at
--rho, the HO+|x| denominator and matching coefficients) and its pole
-check once, and is a dict from (scaled) abscissa to solution values.
+solution object per energy supplies them, built from the energy and
+the scales' model.NaturalUnits; it does the energy-only work and its
+pole check once, and is a dict from abscissa to solution values.  The
+oscillator (and its Stark shift) is one global Weber solution.  The
+piecewise wells are one Weber or Airy branch per side of x = 0 and one
+match there: W = u v' - u' v at 0 for two branches, the branch's value
+and slope at 0 (the parity factors) for a mirror pair, and the
+continuation of u through 0 for a Green function.  Each is written
+once, here, and spectrum's characteristic functions read them.  A
+scan's build has no pole check and forms no continuation coefficient;
+the HO+|x| slope D'(mu phi) is computed when first read.
 green(x, x', E, family) dispatches by family.
-
-The |x| and HO+|x| matching values at x = 0 are those wells' parity
-factors too, so spectrum's characteristic functions read them from the
-same objects: the Airy pair at one rho (Ai(-rho), Ai'(-rho)), which has
-no pole check because a scan evaluates it next to its roots, and
-_HoAbsFactors, which holds D_{sigma-1/2}(mu phi) and computes
-D_{sigma+1/2}(mu phi) when the even factor is first asked for.  Each
-condition is written once, here.
 
 The module keeps the latest object it built through _kept, with the
 kind, energy and context it was built for: the NaturalUnits
-(scales.natural) of a Green build or of a scan's HO+|x| factors, None
-for the Airy pair.  A call reuses it when kind and context are the
+(scales.natural) of a Green build or of a scan's HO+|x| branch, None
+for the Airy branch.  A call reuses it when kind and context are the
 same objects and the energy compares equal (so +0.0 and -0.0 share one
 build); any other call builds afresh and replaces it.  A green-grid
 request, or a library loop over abscissae at one energy with one
@@ -288,7 +287,10 @@ def green_ho_series(x, xp, energy, scales, n_terms=500, tail=False) -> GreenEval
           sum_n a_n / (n + 1/2 - eps),      a_n = H_n(y)H_n(y')/(2^n n!),
     whose remainder decays only like 1/sqrt(n_terms).  With tail=True
     the remainder is completed by Mehler-kernel quadrature, giving an
-    independent oracle accurate to ~1e-10 relative.
+    independent oracle whose absolute error is about 1e-12 of G's peak
+    (2.3e-13 of G(0, 0) at x' = 0, E = 2.3 for the default oscillator,
+    against 50-digit references).  It is no relative bound: at x = 10
+    there it returns +1.04e-19 for -3.62e-20.
     """
     if not (1 <= n_terms <= 2000):
         raise ValueError(f"n_terms must be in 1..2000, got {n_terms}")
@@ -339,64 +341,130 @@ def green_ho_stark(x, xp, energy, scales) -> GreenEval:
 
 
 # ----------------------------------------------------------------------
-# |x| well
+# Piecewise wells: one branch per side of x = 0, matched there
 # ----------------------------------------------------------------------
+# Each side's solution that decays away from 0 is a branch of the
+# outward distance y = |x|, with the side's scale k (mu or zeta): the
+# Weber branch D_{sigma-1/2}(mu y + mu phi), partnered by the even/odd
+# Weber pair about y = -phi, or the Airy branch Ai(zeta y - rho),
+# partnered by Bi.  Slopes are per unit k y, outward, so they do not
+# depend on the side.  u (right) and v (left) join at 0 with the
+# Wronskian W = u v' - u' v, zero on the bound states.  A mirror pair
+# (one branch on both sides, v(x) = u(-x)) has W = -2 k u0 u1: its
+# parity factors are the branch's value u0 (odd) and slope u1 (even).
+
+_SQRT2 = math.sqrt(2.0)
 
 
-class _AirySolutions(dict):
-    """(u, u', v, v') of w'' = (|t| - rho) w at one rho, by t.
-
-    u decays as t -> +inf and v(t) = u(-t) as t -> -inf.  For t >= 0, u
-    is Ai(t - rho); for t < 0 it is continued as alpha Ai(-t - rho)
-    + beta Bi(-t - rho), with the matching coefficients fixed at t = 0.
-    a0 = Ai(-rho) and ap0 = Ai'(-rho) are the odd and the even factor of
-    the |x| well.  There is no pole check, so a scan can build it at a
-    root.  It depends on rho alone: the context _kept passes is unused.
-    """
-
-    def __init__(self, rho, context=None):
-        # unpacked without generators, here and below: a scan builds one
-        # per lattice point, a Green grid one per abscissa
-        ai, aip, bi, bip = sf.airy_all(-rho)
-        a0, ap0, b0, bp0 = ai.value, aip.value, bi.value, bip.value
-        self.rho, self.a0, self.ap0 = rho, a0, ap0
-        self.alpha = math.pi * (a0 * bp0 + ap0 * b0)
-        self.beta = -2.0 * math.pi * a0 * ap0
-
-    def __missing__(self, t):
-        alpha, beta = self.alpha, self.beta
-        if t >= 0.0:
-            ai, aip, bi, bip = sf.airy_all(t - self.rho)
-            ai, aip, bi, bip = ai.value, aip.value, bi.value, bip.value
-            u, up = ai, aip
-            v = alpha * ai + beta * bi
-            vp = alpha * aip + beta * bip
-        else:
-            ai, aip, bi, bip = sf.airy_all(-t - self.rho)
-            ai, aip, bi, bip = ai.value, aip.value, bi.value, bip.value
-            u = alpha * ai + beta * bi
-            up = -(alpha * aip + beta * bip)
-            v, vp = ai, -aip
-        pair = self[t] = (u, up, v, vp)
-        return pair
+def _weber0(eps):
+    """(value, slope) at 0 of the Weber branch D_{eps-1/2}(mu y), from
+    rgamma: D_nu(0) and D_nu'(0) over their common factor 2^(nu/2)
+    sqrt(pi) are 1/Gamma((1-nu)/2) and -sqrt(2)/Gamma(-nu/2) (DLMF 12.2.6-7)."""
+    return sf.rgamma(0.75 - 0.5 * eps), -_SQRT2 * sf.rgamma(0.25 - 0.5 * eps)
 
 
-class _LinearSolutions(_AirySolutions):
-    """The |x| well at one energy: the Airy pair at t = zeta x, with
-    G = -(2m/hbar^2) G~,  G~ = -u(x>) v(x<) / W,  W = -2 zeta Ai(-rho) Ai'(-rho)."""
+def _airy0(rho):
+    """(value, slope) at 0 of the Airy branch Ai(zeta y - rho), then of
+    its partner Bi: (Ai, Ai', Bi, Bi') at -rho."""
+    # unpacked without generators: a scan calls it once per lattice point
+    ai, aip, bi, bip = sf.airy_all(-rho)
+    return ai.value, aip.value, bi.value, bip.value
 
-    def __init__(self, energy, units):
-        super().__init__(units.rho(energy))
-        _check_pole(self.a0, self.ap0, "rho within the exclusion radius of an Airy-zero pole")
-        self.zeta = units.zeta
-        self.num = -units.two_m
-        self.den = 2.0 * self.zeta * self.a0 * self.ap0
+
+def _wronskian(right, left, ratio):
+    """W / k_R at 0 of the branches u (right) and v (left), given as their
+    (value, slope, ...) at 0; ratio = k_L / k_R, and v'(0) = -k_L v[1]."""
+    return -(ratio * right[0] * left[1] + right[1] * left[0])
+
+
+class _Weber:
+    """The Weber branch of V = m w^2 x^2/2 + alpha^3 |x| at one eps:
+    D_{sigma-1/2}(mu y + mu phi), sigma = eps + (mu phi/2)^2.  value0 is
+    computed when built, slope0 = (mu phi/2) D(mu phi) - D_{sigma+1/2}(mu phi)
+    when first read; partners(y) is (E, E', O, O') at mu (y + phi)."""
+
+    def __init__(self, eps, units):
+        self.sigma = sigma = eps + units.shift
+        self.mu, self.phi, self.mu_phi = units.mu, units.phi, units.mu * units.phi
+        self.nu = sigma - 0.5
+        self.value0 = sf.pcf_d(self.nu, self.mu_phi).value
+        self._slope0 = None
+
+    @property
+    def slope0(self):
+        if self._slope0 is None:
+            self._slope0 = (0.5 * self.mu_phi * self.value0
+                            - sf.pcf_d(self.sigma + 0.5, self.mu_phi).value)
+        return self._slope0
+
+    def value(self, y):
+        return sf.pcf_d(self.nu, self.mu * y + self.mu_phi).value
+
+    def partners(self, y):
+        return sf.weber_even_odd(self.nu, self.mu * (y + self.phi))[:4]
+
+
+class _Airy(dict):
+    """The Airy branch Ai(zeta y - rho), by y: (Ai, Ai', Bi, Bi') at
+    zeta y - rho, so a mirror pair reads u at y and at -y from one call.
+    Without zeta (a scan's, whose _kept context is None) it is read in
+    t = zeta x and depends on rho alone."""
+
+    def __init__(self, rho, zeta=None):
+        at0 = self[0.0] = _airy0(rho)
+        self.rho, self.zeta = rho, 1.0 if zeta is None else zeta
+        self.value0, self.slope0 = at0[0], at0[1]
+
+    def __missing__(self, y):
+        ai, aip, bi, bip = sf.airy_all(self.zeta * y - self.rho)
+        vals = self[y] = (ai.value, aip.value, bi.value, bip.value)
+        return vals
+
+    def value(self, y):
+        return self[y][0]
+
+    def partners(self, y):
+        return self[y]
+
+
+class _Mirror(dict):
+    """u by x of the mirror pair of branch `br`: the branch for x >= 0,
+    its continuation through 0 for x < 0.  v(x) = u(-x); num and den
+    are a Green build's."""
+
+    def __init__(self, br, num=None, den=None):
+        self.br, self.num, self.den = br, num, den
+        self.coef = None
+
+    def __missing__(self, x):
+        u = self[x] = self.br.value(x) if x >= 0.0 else self.continued(-x)
+        return u
+
+    def continued(self, y):
+        """u(-y), y >= 0: A f(y) + B g(y) in the partner basis, with A and B
+        solved (Cramer) from u's value and slope at 0 when first needed."""
+        if self.coef is None:
+            # A f + B g has u's value and, mirrored, the opposite slope at 0
+            u0, u1 = self.br.value0, self.br.slope0
+            f0, f1, g0, g1 = self.br.partners(0.0)
+            det = f0 * g1 - g0 * f1
+            self.coef = (u0 * g1 + g0 * u1) / det, -(f0 * u1 + u0 * f1) / det
+        a, b = self.coef
+        f, _, g, _ = self.br.partners(y)
+        return a * f + b * g
 
     def u(self, x):
-        return self[self.zeta * x][0]
+        return self[x]
 
     def v(self, x):
-        return self[self.zeta * x][2]
+        return self[-x]
+
+
+def _linear(energy, units):
+    """The |x| well's mirror pair, G = -(2m/hbar^2) u v / (2 zeta Ai Ai'(-rho))."""
+    br = _Airy(units.rho(energy), units.zeta)
+    _check_pole(br.value0, br.slope0, "rho within the exclusion radius of an Airy-zero pole")
+    return _Mirror(br, -units.two_m, 2.0 * units.zeta * br.value0 * br.slope0)
 
 
 def green_linear(x, xp, energy, scales) -> GreenEval:
@@ -408,80 +476,17 @@ def green_linear(x, xp, energy, scales) -> GreenEval:
     when x and x' straddle the origin; same-side pairs use the properly
     continued left/right-decaying solutions.
     """
-    return _green(_LinearSolutions, x, xp, energy, scales)
+    return _green(_linear, x, xp, energy, scales)
 
 
-# ----------------------------------------------------------------------
-# Harmonic oscillator plus symmetric linear term
-# ----------------------------------------------------------------------
-
-
-class _HoAbsFactors:
-    """The parity factors of V = m w^2 x^2/2 + alpha^3 |x| at one eps.
-
-    units is the scales' NaturalUnits.  With sigma = eps + (mu phi / 2)^2,
-    d0 = D_{sigma-1/2}(mu phi), the odd factor, is computed when built;
-    d1 = D_{sigma+1/2}(mu phi), which only the even factor
-    mu phi d0 - 2 d1 needs, the first time even() is called.  There is
-    no pole check.
-    """
-
-    def __init__(self, eps, units):
-        self.mu_phi = mu_phi = units.mu * units.phi
-        self.sigma = sigma = eps + units.shift
-        self.d0 = sf.pcf_d(sigma - 0.5, mu_phi).value
-        self.d1 = None
-
-    def even(self):
-        if self.d1 is None:
-            self.d1 = sf.pcf_d(self.sigma + 0.5, self.mu_phi).value
-        return self.mu_phi * self.d0 - 2.0 * self.d1
-
-
-class _HoAbsSolutions(dict):
-    """psi1 of V = m w^2 x^2/2 + alpha^3 |x| at one energy, by x.
-
-    psi1 decays at +inf: D_{sigma-1/2}(mu x + mu phi) for x >= 0.  For
-    x < 0 the potential branch is the parabola centered at x = +phi, so
-    psi1 is continued there in the always-independent even/odd Weber
-    basis of z = mu (x - phi), as A E(z) + B O(z).  By parity
-    u = psi1 and v(x) = psi1(-x).
-    """
-
-    def __init__(self, energy, units):
-        self.mu = mu = units.mu
-        self.phi = units.phi
-        f = _HoAbsFactors(units.eps(energy), units)
-        # the denominator d0 * even vanishes on the odd (d0) and even states
-        even = f.even()
-        d0, d1, mu_phi = f.d0, f.d1, f.mu_phi
-        _check_pole(d0, even, "energy within the exclusion radius of a pole")
-        self.nu = nu = f.sigma - 0.5
-        s = units.scales
-        self.num = -(2.0 * s.mass / (mu * s.hbar ** 2))
-        self.den = d0 * even
-        # match A E + B O to (value, derivative/mu) of psi1 at x = 0,
-        # where D'(z) = (z/2) D(z) - D_{nu+1}(z)
-        dp0 = 0.5 * mu_phi * d0 - d1
-        e0, ep0, o0, op0, _ = sf.weber_even_odd(nu, -mu_phi)
-        det = e0 * op0 - o0 * ep0
-        self.A = (d0 * op0 - o0 * dp0) / det
-        self.B = (e0 * dp0 - d0 * ep0) / det
-
-    def __missing__(self, t):
-        mu = self.mu
-        if t >= 0.0:
-            psi = self[t] = sf.pcf_d(self.nu, mu * t + mu * self.phi).value
-            return psi
-        ev, _, ov, _, _ = sf.weber_even_odd(self.nu, mu * (t - self.phi))
-        psi = self[t] = self.A * ev + self.B * ov
-        return psi
-
-    def u(self, x):
-        return self[x]
-
-    def v(self, x):
-        return self[-x]
+def _ho_plus_abs(energy, units):
+    """The HO+|x| mirror pair; den = D(mu phi) 2 D'(mu phi) is zero on
+    the odd and the even states."""
+    br = _Weber(units.eps(energy), units)
+    even = 2.0 * br.slope0
+    _check_pole(br.value0, even, "energy within the exclusion radius of a pole")
+    s = units.scales
+    return _Mirror(br, -(2.0 * s.mass / (units.mu * s.hbar ** 2)), br.value0 * even)
 
 
 def green_ho_plus_abs(x, xp, energy, scales) -> GreenEval:
@@ -494,7 +499,7 @@ def green_ho_plus_abs(x, xp, energy, scales) -> GreenEval:
     pairs use the continued solutions.  Overall sign fixed by the
     defining equation (H - E) G = delta.
     """
-    return _green(_HoAbsSolutions, x, xp, energy, scales)
+    return _green(_ho_plus_abs, x, xp, energy, scales)
 
 
 # the closed forms by family tag, (x, x', E, scales) -> GreenEval

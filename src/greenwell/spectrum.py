@@ -6,8 +6,12 @@ ones) whose zeros are exactly the bound states.  Poles of the Green
 functions are cleared with the entire reciprocal-Gamma, so every
 function here is finite and smooth across its scan window.
 
-The |x| and HO+|x| parity factors come from resolvent's solution
-objects through its one kept build, so this module keeps no state.
+The conditions of the piecewise wells are resolvent's one match at
+x = 0 of the two sides' branches: the asymmetric wells' conditions are
+its Wronskian W, the |x| and HO+|x| parity factors the value and slope
+at 0 of their one branch, read through resolvent's kept build, and the
+decorated |x| condition reads that branch's continuation.  So no
+condition is written here, and this module keeps no state.
 
 Root finding is deliberately simple and robust: scan at a fixed step,
 bracket every sign change, refine by bisection (find_roots).  The CLI's
@@ -43,7 +47,7 @@ from .model import (
     PotentialFamily,
     with_scales,
 )
-from .resolvent import _AirySolutions, _HoAbsFactors, _kept
+from .resolvent import _Airy, _Mirror, _Weber, _airy0, _kept, _weber0, _wronskian
 
 __all__ = [
     "CharacteristicFunction",
@@ -90,69 +94,59 @@ def levels_ho_stark(n: int, units) -> float:
 
 
 def chi_asym_ho(eps: float, lam: float) -> float:
-    """Two-frequency matching condition, cleared of Gamma poles:
+    """Two-frequency condition, W of the Weber branches D(mu2 x), order
+    lam eps - 1/2, and D(-mu1 x), order eps - 1/2 (mu1 / mu2 = sqrt(lam)):
 
-    1/(G(1/4 - lam eps/2) G(3/4 - eps/2))
-        + sqrt(lam)/(G(1/4 - eps/2) G(3/4 - lam eps/2)) = 0.
+    sqrt(2) [1/(G(1/4 - lam eps/2) G(3/4 - eps/2))
+             + sqrt(lam)/(G(1/4 - eps/2) G(3/4 - lam eps/2))] = 0.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    return (sf.rgamma(0.25 - 0.5 * lam * eps) * sf.rgamma(0.75 - 0.5 * eps)
-            + math.sqrt(lam) * sf.rgamma(0.25 - 0.5 * eps) * sf.rgamma(0.75 - 0.5 * lam * eps))
+    return _wronskian(_weber0(lam * eps), _weber0(eps), math.sqrt(lam))
 
 
 def chi_linear_even(rho: float) -> float:
     """Even states of the |x| well: zeros of Ai'(-rho)."""
-    return _kept(_AirySolutions, rho, None).ap0
+    return _kept(_Airy, rho, None).slope0
 
 
 def chi_linear_odd(rho: float) -> float:
     """Odd states of the |x| well: zeros of Ai(-rho)."""
-    return _kept(_AirySolutions, rho, None).a0
+    return _kept(_Airy, rho, None).value0
 
 
 def chi_asym_linear(rho: float, beta: float) -> float:
-    """Two-slope matching condition with denominators cleared:
+    """Two-slope condition, W of the Airy branches Ai(zeta2 x - rho beta^2)
+    and Ai(-zeta1 x - rho) (zeta1 / zeta2 = beta), entire in rho:
 
-    Ai(-rho) Ai'(-rho beta^2) + beta Ai(-rho beta^2) Ai'(-rho) = 0.
-
-    Clearing is safe here: the expression equals the matching
-    determinant of the two decaying half-line solutions, whose zeros
-    are all genuine eigenvalues (coincident factor zeros included).
+    -[Ai(-rho) Ai'(-rho beta^2) + beta Ai(-rho beta^2) Ai'(-rho)] = 0.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    a1, a1p, _, _ = sf.airy_all(-rho)
-    a2, a2p, _, _ = sf.airy_all(-rho * beta * beta)
-    return a1.value * a2p.value + beta * a2.value * a1p.value
+    return _wronskian(_airy0(rho * beta * beta), _airy0(rho), beta)
 
 
 def chi_half_half(eps: float, xi: float) -> float:
-    """Composite half-oscillator/half-linear condition:
+    """Half-oscillator/half-linear condition, W of the Airy branch
+    Ai(zeta x - xi^2 eps) and the Weber branch D(-mu x), order eps - 1/2;
+    mu / zeta = xi, so no other scale enters, at any hbar and mass:
 
-    Ai'(-xi^2 eps)/Gamma(3/4 - eps/2)
-        - sqrt(2) xi Ai(-xi^2 eps)/Gamma(1/4 - eps/2) = 0
-
-    The log-derivatives of the two decaying solutions match at x = 0:
-    mu sqrt(2) Gamma(3/4 - eps/2)/Gamma(1/4 - eps/2) = zeta Ai'(-rho)/Ai(-rho)
-    with rho = xi^2 eps and mu/zeta = xi, so no other scale enters, at
-    any hbar and mass.
+    sqrt(2) xi Ai(-xi^2 eps)/Gamma(1/4 - eps/2)
+        - Ai'(-xi^2 eps)/Gamma(3/4 - eps/2) = 0.
     """
     if xi <= 0.0:
         raise ValueError("xi must be positive")
-    ai, aip, _, _ = sf.airy_all(-xi * xi * eps)
-    return (aip.value * sf.rgamma(0.75 - 0.5 * eps)
-            - math.sqrt(2.0) * xi * ai.value * sf.rgamma(0.25 - 0.5 * eps))
+    return _wronskian(_airy0(xi * xi * eps), _weber0(eps), xi)
 
 
 def chi_ho_plus_abs_odd(eps: float, units) -> float:
     """Odd factor D_{sigma-1/2}(mu phi) = 0, as a function of eps."""
-    return _kept(_HoAbsFactors, eps, units).d0
+    return _kept(_Weber, eps, units).value0
 
 
 def chi_ho_plus_abs_even(eps: float, units) -> float:
     """Even factor mu phi D_{sigma-1/2}(mu phi) - 2 D_{sigma+1/2}(mu phi) = 0."""
-    return _kept(_HoAbsFactors, eps, units).even()
+    return 2.0 * _kept(_Weber, eps, units).slope0
 
 
 def chi_delta_ho(eps: float, tau: float, p: float) -> float:
@@ -167,23 +161,18 @@ def chi_delta_ho(eps: float, tau: float, p: float) -> float:
 def chi_delta_linear(rho: float, eta: float, zeta_q: float) -> float:
     """Delta-decorated |x| well condition G(q,q;E) = -1/a, pole-cleared:
 
-    eta Ai(zq - rho) v(zq; rho) - Ai(-rho) Ai'(-rho) = 0,
-    v(t; rho) = pi (Ai Bi' + Ai' Bi)(-rho) Ai(t - rho)
-                - 2 pi (Ai Ai')(-rho) Bi(t - rho).
+    eta u(zq) v(zq) - Ai(-rho) Ai'(-rho) = 0,
 
-    v is the left-decaying solution continued to t = zeta q >= 0; the
+    with u and v(t) = u(-t) the |x| well's Airy mirror pair at t = zeta x:
+    v is the left-decaying solution continued to t = zeta q >= 0.  The
     widely quoted product form with Ai(-zq - rho) in place of v drops
     the Bi component the continuation generates and is exact only at
-    q = 0 (where v(0) = Ai(-rho) identically).  Entire in rho.
+    q = 0 (where v(0) = Ai(-rho)).  Entire in rho.
     """
     if zeta_q < 0.0:
         raise ValueError("zeta_q must be >= 0 (the condition is q-symmetric)")
-    a0, ap0, b0, bp0 = sf.airy_all(-rho)
-    a0, ap0, b0, bp0 = a0.value, ap0.value, b0.value, bp0.value
-    at, _, bt, _ = sf.airy_all(zeta_q - rho)
-    at, bt = at.value, bt.value
-    v = math.pi * ((a0 * bp0 + ap0 * b0) * at - 2.0 * a0 * ap0 * bt)
-    return eta * at * v - a0 * ap0
+    br = _Airy(rho)
+    return eta * br.value(zeta_q) * _Mirror(br).continued(zeta_q) - br.value0 * br.slope0
 
 
 # ----------------------------------------------------------------------

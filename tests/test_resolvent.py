@@ -108,6 +108,25 @@ def test_series_vs_closed_form_25_points():
     assert worst <= 1e-6, worst
 
 
+# G(x, 0; 2.3) of the default HO, the closed form in 50-digit mpmath at
+# the float E = 2.3 (the GREEN_TAIL references of tests/test_cli.py)
+SERIES_REF = (
+    (0.0, 1.4196372722271097060257489596),
+    (4.0, -0.0118571478538161813139521774238),
+    (8.0, -1.5855616260922310650954913945e-12),
+    (9.0, -3.9927254277832953272046678582e-16),
+    (10.0, -3.61579103986051118328583206441e-20),
+)
+
+
+@pytest.mark.parametrize("x,ref", SERIES_REF)
+def test_series_tail_error_is_absolute_against_the_peak(x, ref):
+    # the completed series is accurate to 1e-12 of G's peak G(0, 0), not
+    # relative to G: at x = 10 it has the wrong sign
+    series = rv.green_ho_series(x, 0.0, 2.3, HO_FAM.scales, tail=True).value
+    assert abs(series - ref) <= 1e-12 * SERIES_REF[0][1]
+
+
 def test_green_ho_spot_value_vs_series_oracle():
     closed = rv.green_ho(0.3, -0.7, 2.0, HO_FAM.scales).value
     series = rv.green_ho_series(0.3, -0.7, 2.0, HO_FAM.scales, 500, tail=True).value
@@ -155,9 +174,11 @@ def test_pole_raises_on_every_call_inside_a_memo_scope(green, fam, pole, regular
 
 
 def test_airy_solutions_have_no_pole_check():
-    # the scan's matching object, not a Green function: finite at an Airy-zero rho
-    pair = rv._AirySolutions(1.018792971647471)[0.3]
-    assert len(pair) == 4 and all(math.isfinite(v) for v in pair)
+    # the scan's Airy branch and its mirror pair, not a Green function:
+    # finite at an Airy-zero rho
+    pair = rv._Mirror(rv._Airy(1.018792971647471))
+    values = (pair.u(0.3), pair.v(0.3), pair.br.value0, pair.br.slope0)
+    assert len(values) == 4 and all(math.isfinite(v) for v in values)
 
 
 # ----------------------------------------------------------------------
@@ -189,8 +210,13 @@ def test_linear_jump_bracket_independent_of_diagonal_point():
     # u v' - u' v is a Wronskian of exact solutions: constant in x'
     rho = 1.7
     w_at = []
-    for t in (0.0, 0.7):
-        u, up, v, vp = rv._AirySolutions(rho)[t]
+    pair = rv._Mirror(rv._Airy(rho))
+    for t in (0.7, 0.0):  # v(0.7) forms the continuation's A and B
+        u, v = pair.u(t), pair.v(t)
+        # u' from the branch; v(t) = u(-t) = A Ai(t - rho) + B Bi(t - rho)
+        a, b = pair.coef
+        _, aip, _, bip = pair.br[t]
+        up, vp = aip, a * aip + b * bip
         w_at.append(u * vp - up * v)
     assert w_at[0] == pytest.approx(w_at[1], rel=1e-9)
 

@@ -408,6 +408,29 @@ def test_pcf_integer_order_hermite_reduction():
             z += 0.37
 
 
+def _hermite_he(n_max, z):
+    """He_0(z) .. He_{n_max}(z) exactly, for a Fraction z, from
+    He_{n+1} = z He_n - n He_{n-1}."""
+    he = [Fraction(1), z]
+    for n in range(1, n_max):
+        he.append(z * he[n] - n * he[n - 1])
+    return he
+
+
+def test_pcf_integer_orders_match_the_exact_hermite_form():
+    # D_n(z) = e^(-z^2/4) He_n(z) for n = 0..20 at z = i/2, |z| <= 20: He_n
+    # is exact, so the reference carries only the rounding of exp, which
+    # 4 eps |ref| covers; pcf_d must lie within its own estimate of it
+    for i in range(-40, 41):
+        z = i / 2
+        gauss = Fraction(math.exp(-z * z / 4.0))
+        for n, he in enumerate(_hermite_he(20, Fraction(z))):
+            ref = gauss * he
+            got = sf.pcf_d(float(n), z)
+            bound = Fraction(got.est_abs_error) + 4 * Fraction(EPS) * abs(ref)
+            assert abs(Fraction(got.value) - ref) <= bound, (n, z)
+
+
 def test_pcf_domain_errors():
     with pytest.raises(sf.DomainError):
         sf.pcf_d(0.5, 31.0)
