@@ -25,18 +25,19 @@ error grows without bound (wrong in sign at x = 10, x' = 0, E = 2.3).
 
 One kernel builds every closed form, G = num u(x>) v(x<) / den: u and
 v decay at +inf and -inf, num and den depend on the energy alone, and
-den carries the Wronskian, whose zeros are the bound states.  A
-solution object per energy supplies them, built from the energy and
-the scales' model.NaturalUnits; it does the energy-only work and its
-pole check once, and is a dict from abscissa to solution values.  The
-oscillator (and its Stark shift) is one global Weber solution.  The
-piecewise wells are one Weber or Airy branch per side of x = 0 and one
-match there: W = u v' - u' v at 0 for two branches, the branch's value
-and slope at 0 (the parity factors) for a mirror pair, and the
-continuation of u through 0 for a Green function.  Each is written
-once, here, and spectrum's characteristic functions read them.  A
-scan's build has no pole check and forms no continuation coefficient;
-the HO+|x| slope D'(mu phi) is computed when first read.
+den carries the Wronskian, whose zeros are the bound states.  Two
+solution kinds supply them, each a dict from abscissa to solution
+values built once per energy from the energy and the scales'
+model.NaturalUnits, pole check included: the oscillator's global Weber
+pair (the Stark well reads it at x + phi and a shifted energy) and the
+mirror pair of a piecewise well.  The piecewise wells are one Weber or
+Airy branch per side of x = 0 and one match there: W = u v' - u' v at
+0 for two branches, W = -2 k u0 u1 for a mirror pair from the branch's
+value and slope at 0 (its parity factors), and the branch's own
+continuation of u through 0.  Each is written once, here, and
+spectrum's characteristic functions read them.  Scans build branches
+only, with no pole check; the HO+|x| slope D'(mu phi) and the
+continuation's coefficients are computed when first read.
 green(x, x', E, family) dispatches by family.
 
 The module keeps the latest object it built through _kept, with the
@@ -79,7 +80,7 @@ __all__ = [
 ]
 
 _HO_POLE_RADIUS = 1e-9
-_LINEAR_POLE_RADIUS = 1e-10
+_MIRROR_POLE_RADIUS = 1e-10
 _RESONANCE_RADIUS = 1e-12
 
 
@@ -141,14 +142,6 @@ def _green(kind, x, xp, energy, scales) -> GreenEval:
     else:
         uv = sol.u(x) * sol.v(xp)
     return GreenEval(sol.num * uv / sol.den, "G")
-
-
-def _check_pole(odd, even, what):
-    """NearPoleError when odd * even, the factored Wronskian, is within
-    the exclusion radius; the smaller factor names the parity."""
-    if abs(odd * even) < _LINEAR_POLE_RADIUS:
-        parity = "odd" if abs(odd) < abs(even) else "even"
-        raise NearPoleError(f"{what} ({parity} state)", parity=parity)
 
 
 # ----------------------------------------------------------------------
@@ -321,23 +314,11 @@ def green_ho_series(x, xp, energy, scales, n_terms=500, tail=False) -> GreenEval
     return GreenEval(val, "G")
 
 
-class _HoStarkSolutions(_HoSolutions):
-    """The oscillator solutions at E + hbar w (mu phi/2)^2, read at x + phi."""
-
-    def __init__(self, energy, units):
-        self.phi = units.phi
-        super().__init__(energy + units.hbar_omega * units.shift, units)
-
-    def u(self, x):
-        return self[self.mu * (x + self.phi)]
-
-    def v(self, x):
-        return self[-self.mu * (x + self.phi)]
-
-
 def green_ho_stark(x, xp, energy, scales) -> GreenEval:
     """Uniform-field shift: G_{ho,a}(x,x';E) = G_ho(x+phi, x'+phi; E + hbar w (mu phi/2)^2)."""
-    return _green(_HoStarkSolutions, x, xp, energy, scales)
+    units = scales.natural
+    return _green(_HoSolutions, x + units.phi, xp + units.phi,
+                  energy + units.hbar_omega * units.shift, scales)
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +358,28 @@ def _wronskian(right, left, ratio):
     return -(ratio * right[0] * left[1] + right[1] * left[0])
 
 
-class _Weber:
+class _Branch:
+    """The continuation shared by both branch kinds, which supply value0,
+    slope0 and partners(y) = (f, f', g, g'), the partner basis at y."""
+
+    coef = None
+
+    def continued(self, y):
+        """u(-y), y >= 0, of the branch's mirror pair: A f(y) + B g(y), with
+        A and B solved (Cramer) from the value and slope at 0 when first
+        needed."""
+        if self.coef is None:
+            # A f + B g has u's value and, mirrored, the opposite slope at 0
+            u0, u1 = self.value0, self.slope0
+            f0, f1, g0, g1 = self.partners(0.0)
+            det = f0 * g1 - g0 * f1
+            self.coef = (u0 * g1 + g0 * u1) / det, -(f0 * u1 + u0 * f1) / det
+        a, b = self.coef
+        f, _, g, _ = self.partners(y)
+        return a * f + b * g
+
+
+class _Weber(_Branch):
     """The Weber branch of V = m w^2 x^2/2 + alpha^3 |x| at one eps:
     D_{sigma-1/2}(mu y + mu phi), sigma = eps + (mu phi/2)^2.  value0 is
     computed when built, slope0 = (mu phi/2) D(mu phi) - D_{sigma+1/2}(mu phi)
@@ -404,7 +406,7 @@ class _Weber:
         return sf.weber_even_odd(self.nu, self.mu * (y + self.phi))[:4]
 
 
-class _Airy(dict):
+class _Airy(_Branch, dict):
     """The Airy branch Ai(zeta y - rho), by y: (Ai, Ai', Bi, Bi') at
     zeta y - rho, so a mirror pair reads u at y and at -y from one call.
     Without zeta (a scan's, whose _kept context is None) it is read in
@@ -428,30 +430,23 @@ class _Airy(dict):
 
 
 class _Mirror(dict):
-    """u by x of the mirror pair of branch `br`: the branch for x >= 0,
-    its continuation through 0 for x < 0.  v(x) = u(-x); num and den
-    are a Green build's."""
+    """A Green build's mirror pair of branch `br`, whose scale is k: u by
+    x, the branch for x >= 0 and its continuation for x < 0, and
+    v(x) = u(-x).  W = -2 k u0 u1 from the branch's value and slope at 0,
+    so G = -(2m/hbar^2) u v / (2 k u0 u1).  NearPoleError when u0 u1 is
+    within the exclusion radius; the smaller factor names the parity."""
 
-    def __init__(self, br, num=None, den=None):
-        self.br, self.num, self.den = br, num, den
-        self.coef = None
+    def __init__(self, br, k, units):
+        u0, u1 = br.value0, br.slope0
+        if abs(u0 * u1) < _MIRROR_POLE_RADIUS:
+            parity = "odd" if abs(u0) < abs(u1) else "even"
+            raise NearPoleError(
+                f"energy within the exclusion radius of a pole ({parity} state)", parity=parity)
+        self.br, self.num, self.den = br, -units.two_m, 2.0 * k * u0 * u1
 
     def __missing__(self, x):
-        u = self[x] = self.br.value(x) if x >= 0.0 else self.continued(-x)
+        u = self[x] = self.br.value(x) if x >= 0.0 else self.br.continued(-x)
         return u
-
-    def continued(self, y):
-        """u(-y), y >= 0: A f(y) + B g(y) in the partner basis, with A and B
-        solved (Cramer) from u's value and slope at 0 when first needed."""
-        if self.coef is None:
-            # A f + B g has u's value and, mirrored, the opposite slope at 0
-            u0, u1 = self.br.value0, self.br.slope0
-            f0, f1, g0, g1 = self.br.partners(0.0)
-            det = f0 * g1 - g0 * f1
-            self.coef = (u0 * g1 + g0 * u1) / det, -(f0 * u1 + u0 * f1) / det
-        a, b = self.coef
-        f, _, g, _ = self.br.partners(y)
-        return a * f + b * g
 
     def u(self, x):
         return self[x]
@@ -461,10 +456,8 @@ class _Mirror(dict):
 
 
 def _linear(energy, units):
-    """The |x| well's mirror pair, G = -(2m/hbar^2) u v / (2 zeta Ai Ai'(-rho))."""
-    br = _Airy(units.rho(energy), units.zeta)
-    _check_pole(br.value0, br.slope0, "rho within the exclusion radius of an Airy-zero pole")
-    return _Mirror(br, -units.two_m, 2.0 * units.zeta * br.value0 * br.slope0)
+    """The |x| well's mirror pair: the Airy branch, k = zeta."""
+    return _Mirror(_Airy(units.rho(energy), units.zeta), units.zeta, units)
 
 
 def green_linear(x, xp, energy, scales) -> GreenEval:
@@ -480,13 +473,8 @@ def green_linear(x, xp, energy, scales) -> GreenEval:
 
 
 def _ho_plus_abs(energy, units):
-    """The HO+|x| mirror pair; den = D(mu phi) 2 D'(mu phi) is zero on
-    the odd and the even states."""
-    br = _Weber(units.eps(energy), units)
-    even = 2.0 * br.slope0
-    _check_pole(br.value0, even, "energy within the exclusion radius of a pole")
-    s = units.scales
-    return _Mirror(br, -(2.0 * s.mass / (units.mu * s.hbar ** 2)), br.value0 * even)
+    """The HO+|x| mirror pair: the Weber branch, k = mu."""
+    return _Mirror(_Weber(units.eps(energy), units), units.mu, units)
 
 
 def green_ho_plus_abs(x, xp, energy, scales) -> GreenEval:

@@ -47,7 +47,7 @@ from .model import (
     PotentialFamily,
     with_scales,
 )
-from .resolvent import _Airy, _Mirror, _Weber, _airy0, _kept, _weber0, _wronskian
+from .resolvent import _Airy, _Weber, _airy0, _kept, _weber0, _wronskian
 
 __all__ = [
     "CharacteristicFunction",
@@ -172,7 +172,7 @@ def chi_delta_linear(rho: float, eta: float, zeta_q: float) -> float:
     if zeta_q < 0.0:
         raise ValueError("zeta_q must be >= 0 (the condition is q-symmetric)")
     br = _Airy(rho)
-    return eta * br.value(zeta_q) * _Mirror(br).continued(zeta_q) - br.value0 * br.slope0
+    return eta * br.value(zeta_q) * br.continued(zeta_q) - br.value0 * br.slope0
 
 
 # ----------------------------------------------------------------------

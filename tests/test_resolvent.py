@@ -174,10 +174,10 @@ def test_pole_raises_on_every_call_inside_a_memo_scope(green, fam, pole, regular
 
 
 def test_airy_solutions_have_no_pole_check():
-    # the scan's Airy branch and its mirror pair, not a Green function:
-    # finite at an Airy-zero rho
-    pair = rv._Mirror(rv._Airy(1.018792971647471))
-    values = (pair.u(0.3), pair.v(0.3), pair.br.value0, pair.br.slope0)
+    # the scan's Airy branch, not a Green function's mirror pair: u and
+    # its continuation v(t) = u(-t) finite at an Airy-zero rho
+    br = rv._Airy(1.018792971647471)
+    values = (br.value(0.3), br.continued(0.3), br.value0, br.slope0)
     assert len(values) == 4 and all(math.isfinite(v) for v in values)
 
 
@@ -201,6 +201,11 @@ def _jump_probe(green, xdiag, energy, scales, h=1e-5):
     (rv.green_ho_plus_abs, HOABS_FAM, 0.6, 0.3),
     # E = V(0.2) kills the local curvature so the O(h) probe bias vanishes
     (rv.green_ho_stark, STARK_FAM, 0.2, 0.28),
+    # hbar^2 != 2m checks the mirror pairs' shared -(2m/hbar^2) / (2 k u0 u1);
+    # each at E = V(xdiag) again
+    (rv.green_linear, default_family(LINEAR_ABS, hbar=0.8, mass=1.7), 0.5, 0.5),
+    (rv.green_ho_plus_abs, default_family(HO_PLUS_ABS, hbar=0.8, mass=1.7), 0.6, 0.906),
+    (rv.green_ho_stark, default_family(HO_STARK, hbar=0.8, mass=1.7), 0.2, 0.294),
 ])
 def test_derivative_jump_is_one(green, fam, xdiag, energy):
     assert _jump_probe(green, xdiag, energy, fam.scales) == pytest.approx(1.0, abs=5e-6)
@@ -210,12 +215,12 @@ def test_linear_jump_bracket_independent_of_diagonal_point():
     # u v' - u' v is a Wronskian of exact solutions: constant in x'
     rho = 1.7
     w_at = []
-    pair = rv._Mirror(rv._Airy(rho))
+    br = rv._Airy(rho)
     for t in (0.7, 0.0):  # v(0.7) forms the continuation's A and B
-        u, v = pair.u(t), pair.v(t)
+        u, v = br.value(t), br.continued(t)
         # u' from the branch; v(t) = u(-t) = A Ai(t - rho) + B Bi(t - rho)
-        a, b = pair.coef
-        _, aip, _, bip = pair.br[t]
+        a, b = br.coef
+        _, aip, _, bip = br[t]
         up, vp = aip, a * aip + b * bip
         w_at.append(u * vp - up * v)
     assert w_at[0] == pytest.approx(w_at[1], rel=1e-9)
@@ -308,6 +313,20 @@ def test_stark_zero_field_reduces_to_ho():
     for (x, xp, e) in ((0.3, -0.7, 2.0), (1.2, 0.4, 0.2), (-1.5, -0.2, 1.1)):
         assert rv.green_ho_stark(x, xp, e, fam.scales).value == \
             pytest.approx(rv.green_ho(x, xp, e, fam.scales).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("scales", [{}, {"hbar": 0.8, "mass": 1.7}], ids=["default", "other"])
+def test_stark_is_the_shifted_oscillator_bit_for_bit(scales):
+    # G_{ho,a}(x, x'; E) = G_ho(x + phi, x' + phi; E + hbar w (mu phi/2)^2)
+    s = default_family(HO_STARK, **scales).scales
+    n = s.natural
+    grid = [-2.0 + 0.5 * i for i in range(9)]
+    for e in (0.3, 1.7, 2.9):
+        for x in grid:
+            for xp in grid:
+                a = rv.green_ho_stark(x, xp, e, s).value
+                b = rv.green_ho(x + n.phi, xp + n.phi, e + n.hbar_omega * n.shift, s).value
+                assert a.hex() == b.hex(), (x, xp, e)
 
 
 def test_hoabs_zero_slope_reduces_to_ho():
