@@ -17,7 +17,7 @@ Design notes:
     pair of rgamma values, bit for bit what two pcf_d calls give.
   * Where a series cancels, the value comes from the trapezoid rule on
     an integral whose terms are all positive (Trefethen and Weideman,
-    SIAM Rev. 56, 2014): D_nu(z) for z >= 7, or z > 0 and strongly
+    SIAM Rev. 56, 2014): D_nu(z) for z >= 6, or z > 0 and strongly
     negative nu, and Ai, Ai' for x > 4.  Bi, Bi' for x > 0 come from the
     Maclaurin series; only x < -7 uses an asymptotic expansion.
   * Functions returning EvalResult report est_abs_error, an upper bound
@@ -275,7 +275,7 @@ def _pcf_series(nu, z):
     return EvalResult(pref * (t1 - t2), est)
 
 
-_PCF_CUT = 7.0    # D_nu(z) from the integral for every nu at z >= this
+_PCF_CUT = 6.0    # D_nu(z) from the integral for every nu at z >= this
 _PCF_LOW = -4.0   # one integral below this order, two and a recurrence above
 
 
@@ -351,7 +351,7 @@ def _pcf_check(nu, z, name):
 
 
 def _pcf_takes_integral(nu, z):
-    """True when pcf_d(nu, z) takes the integral route: z >= 7, or z > 0
+    """True when pcf_d(nu, z) takes the integral route: z >= 6, or z > 0
     with the two Kummer terms cancelling for negative non-integer nu."""
     if z >= _PCF_CUT:
         return True
@@ -366,11 +366,11 @@ def pcf_d(nu: float, z: float) -> EvalResult:
     Two routes, chosen from (nu, z) alone: the two-term Kummer form
     D_nu(z) = 2^(nu/2) e^(-z^2/4) sqrt(pi) [ rgamma((1-nu)/2) M(-nu/2, 1/2, z^2/2)
               - sqrt(2) z rgamma(-nu/2) M((1-nu)/2, 3/2, z^2/2) ],
-    which is entire in z, and, where its terms cancel (z >= 7, or z > 0
+    which is entire in z, and, where its terms cancel (z >= 6, or z > 0
     with strongly negative nu), the integral route (_pcf_integral).
     Against 40-digit references, in eps = 2.2e-16 of the value: Kummer
-    with |nu| <= 10, 50 eps for z < -6, 5e4 eps on [0, 6) and 2e7 eps
-    just below z = 7, as the terms cancel; the integral, at most 10 eps
+    with |nu| <= 10, 50 eps for z < -6 and up to 1e5 eps on [0, 6), as
+    the terms cancel (2e7 eps just below 7); the integral, at most 10 eps
     below the turning point nu = z^2/4 - 1/2 (its estimate, about 1 eps
     more per recurrence step, stays below 100 eps up to 0.8 of it for
     nu <= 50), and hundreds of eps beyond, where the recurrence cancels,

@@ -537,7 +537,7 @@ def test_levels_with_a_non_finite_chi_exit_two():
 
 
 # (argv, (exit code, sha256 of stdout), G at each grid point) for green
-# grids whose tails reach the integral routes: pcf_d at z >= 7 and
+# grids whose tails reach the integral routes: pcf_d at z >= 6 and
 # airy_all above x = 7.  G is to 30 digits from 50-digit mpmath
 # (offline): sqrt(1/pi) Gamma(1/2 - eps) D_nu(sqrt(2) x) D_nu(0) with
 # nu = eps - 1/2 for HO, and -Ai(x - rho) / (2 Ai'(-rho)) with rho = 1.5
@@ -557,10 +557,16 @@ GREEN_TAIL = [
      ("-0.750769966065455271178991872259", "-4.17886111172652515832993506331e-3",
       "-1.77837537181770543001946450942e-8", "-1.03362601835631918988791890285e-15",
       "-2.01129720671202391121966743308e-24")),
+    # z = sqrt(2) x in [6.08, 6.93]: the Kummer form, which pcf_d took
+    # below z = 7, printed -0.000759207275165 at x = 4.7 with exit 0
+    (["green-grid", "--family", "HO", "--energy", "2.3", "--grid=4.3:4.9:4", "--xp", "0"],
+     (0, "27ac813e268d82a0af15222f7b8708af1a5f77814e6c4567905ed8ac9e29b4cb"),
+     ("-0.00390084269460483422773770014106", "-0.00175899745816663749394931196091",
+      "-0.000759207274865202973001157470753", "-0.000313753063544818304267115405674")),
 ]
 
 
-@pytest.mark.parametrize("argv,pin,refs", GREEN_TAIL, ids=["HO", "LINEAR_ABS"])
+@pytest.mark.parametrize("argv,pin,refs", GREEN_TAIL, ids=["HO", "LINEAR_ABS", "HO-cut"])
 def test_green_grid_tail_matches_its_references(argv, pin, refs):
     code, out = run(argv)
     assert (code, _sha256(out)) == pin

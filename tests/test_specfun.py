@@ -338,6 +338,51 @@ def test_pcf_integral_route_within_its_estimate(nu, z, ref):
     assert r.est_abs_error <= 100.0 * EPS * abs(r.value)
 
 
+# (nu, z, D_nu(z)) for z in [6, 7), where the Kummer terms lost up to
+# 2e7 eps before the integral route took over at z = 6; 30 digits from
+# 50-digit mpmath pcfd in an offline script.  (1.8, sqrt(2) x) at
+# x = 4.3 and 4.7 are the oscillator Green function's D (HO, E = 2.3);
+# the last three points lie beyond the turning point nu = z^2/4 - 1/2
+PCF_CUT_REF = (
+    (-10.0, 6.0, "6.13825158771618004386089265431e-13"),
+    (-9.5, 6.93, "2.65165455881141562575714456688e-14"),
+    (-7.25, 6.41, "2.65001402020062815243169532478e-11"),
+    (-6.0, 6.75, "7.99959500245162318414327843254e-11"),
+    (-4.0, 6.2, "3.60511316994545920231771141139e-8"),
+    (-3.5, 6.99, "4.73704836279673306136337875167e-9"),
+    (-2.2, 6.05, "1.85306831870219695089846360484e-6"),
+    (-1.0, 6.5, "3.89151910182409783280113967854e-6"),
+    (-0.5, 6.88, "2.74556726609290320347667910945e-6"),
+    (0.0, 6.3, "4.90583574562077232417842856354e-5"),
+    (0.5, 6.0, "3.03315118629607059399589308735e-4"),
+    (1.0, 6.62, "1.1552719166368544480071863518e-4"),
+    (1.5, 6.13, "1.25024711839804865966234164297e-3"),
+    (1.8, 6.081118318204309, "2.44113726744093688487069513195e-3"),
+    (1.8, 6.646803743153548, "4.75109948665454987268981732864e-4"),
+    (2.0, 6.95, "2.69467747048732872757481855268e-4"),
+    (3.0, 6.37, "9.40761293749897138976807360577e-3"),
+    (3.7, 6.58, "1.87819288626090933669460171258e-2"),
+    (4.5, 6.02, "2.95216167472922032391023074147e-1"),
+    (5.0, 6.82, "1.04134081558735054576748629287e-1"),
+    (6.25, 6.25, "3.33545028246805286349960416576"),
+    (7.0, 6.7, "4.72523210863463196813802166873"),
+    (8.0, 6.0, "7.77966766276141812464636863794e+1"),
+    (9.5, 6.45, "4.27365978770142150691040743521e+2"),
+    (10.0, 6.9, "5.04503147046707665212814800048e+2"),
+    (11.0, 6.66, "3.28880302410946116077008280416e+3"),
+    (12.0, 6.99, "1.08764961618027891379441313785e+4"),
+    (12.0, 6.1, "1.35626929607149613266642355404e+4"),
+)
+
+
+@pytest.mark.parametrize("nu,z,ref", PCF_CUT_REF)
+def test_pcf_below_z_seven_within_its_estimate(nu, z, ref):
+    r = sf.pcf_d(nu, z)
+    assert abs(Fraction(r.value) - Fraction(ref)) <= Fraction(r.est_abs_error)
+    if nu < z * z / 4.0 - 0.5:
+        assert r.est_abs_error <= 100.0 * EPS * abs(r.value)
+
+
 # (nu, z, D_nu(z)) beyond the turning point, where D oscillates in nu and
 # the recurrence's terms cancel: the estimate follows that cancellation
 # (up to 2,200 eps of the value here), so only its honesty is checked

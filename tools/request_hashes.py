@@ -131,6 +131,8 @@ PINNED_ARGVS = [
                  "--xp", "0"]),
     ("LINEAR_ABS-tail", ["green-grid", "--family", "LINEAR_ABS", "--energy", "1.5",
                          "--grid=0:20:5", "--xp", "0"]),
+    ("HO-cut", ["green-grid", "--family", "HO", "--energy", "2.3", "--grid=4.3:4.9:4",
+                "--xp", "0"]),
 ]
 
 
