@@ -203,7 +203,7 @@ def cmd_levels(cfg):
     lat = spectrum._lattice(chi, cfg.window, cfg.step)
     cert = spectrum._LevelCount.build(fam, lat)
     res = spectrum.checked_scan(chi, cfg.window, cfg.step, lat, cert,
-                                f"levels of {_well_name(fam)}")
+                                f"levels of {fam.name}")
     header = ("index", "parity", "eps", "residual", "bracket_lo", "bracket_hi")
     rows = [(r.index, r.parity or "", r.value, r.residual, r.bracket[0], r.bracket[1])
             for r in res.roots]
@@ -273,34 +273,20 @@ def _default_families():
         + [model.default_family(DELTA_DECORATED, base=base) for base in (HO, LINEAR_ABS)])
 
 
-def _well_name(fam):
-    return fam.tag if fam.base is None else f"{fam.tag}({fam.base})"
-
-
-def oracle_levels(fam, k, n_points):
-    """First k dimensionless levels from the finite-difference oracle,
-    and the first k closed-form roots; raises ArithmeticError, before
-    the oracle runs, when the default window holds fewer than k."""
-    chi = spectrum.build_chi(fam)
-    res = spectrum.find_roots(chi, step=0.005, limit=k)
-    if len(res.roots) < k:
+def verify_family(fam, k, n_points):
+    """(closed-form levels, oracle levels, max |diff|) for the first k
+    levels of one family, the oracle's on an FD grid of n_points points;
+    raises ArithmeticError, before the oracle runs, when the default
+    window holds fewer than k closed-form levels."""
+    closed = spectrum.find_roots(spectrum.build_chi(fam), step=0.005, limit=k).values()
+    if len(closed) < k:
         raise ArithmeticError(
-            f"only {len(res.roots)} closed-form roots in window for {_well_name(fam)}")
-    e_top = fam.energy(res.values()[-1])
+            f"only {len(closed)} closed-form roots in window for {fam.name}")
+    e_top = fam.energy(closed[-1])
     grid = oracle.auto_grid(fam, e_max=e_top, n_points=n_points)
     op = oracle.discretize(fam, grid, e_max=e_top)
-    eigs = oracle.lowest_eigenvalues(op, k)
-    return [fam.natural_energy(e) for e in eigs], res
-
-
-def verify_family(fam, k=5, n_points=None):
-    """(closed-form levels, oracle levels, max |diff|) for one family."""
-    if n_points is None:
-        n_points = _verify_rule(fam)[0]
-    orc, res = oracle_levels(fam, k, n_points)
-    closed = res.values()
-    diffs = [abs(c - o) for c, o in zip(closed, orc)]
-    return closed, orc, max(diffs)
+    orc = [fam.natural_energy(e) for e in oracle.lowest_eigenvalues(op, k)]
+    return closed, orc, max(abs(c - o) for c, o in zip(closed, orc))
 
 
 def cmd_verify(cfg):
@@ -314,7 +300,7 @@ def cmd_verify(cfg):
         closed, orc, worst = verify_family(fam, k=cfg.k_levels, n_points=n)
         ok = worst <= tol
         all_ok = all_ok and ok
-        lines.append(f"{_well_name(fam)}: max level error {_fmt(worst)} "
+        lines.append(f"{fam.name}: max level error {_fmt(worst)} "
                      f"(tol {_fmt(tol)}, n={n}) {'ok' if ok else 'MISMATCH'}\n")
     return (EXIT_OK if all_ok else EXIT_MISMATCH), "".join(lines)
 

@@ -89,6 +89,7 @@ class PhysicalScales:
     carry units of (energy/length)^(1/3) and must be non-negative:
     the Airy boundary argument requires confining slopes.  The delta
     strength a may take either sign (attractive a < 0, repulsive a > 0).
+    Every scale given must be finite.
     """
 
     hbar: float = 1.0
@@ -101,16 +102,16 @@ class PhysicalScales:
     delta_position: float | None = None
 
     def __post_init__(self):
+        for name in _SCALE_FIELDS:
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise FamilyError(f"{name} must be finite, got {v}")
         if not (self.hbar > 0.0) or not (self.mass > 0.0):
             raise FamilyError("hbar and mass must be positive")
         for name in ("omega1", "omega2", "alpha1", "alpha2"):
             v = getattr(self, name)
             if v is not None and v < 0.0:
                 raise FamilyError(f"{name} must be >= 0, got {v}")
-        for name in ("delta_strength", "delta_position"):
-            v = getattr(self, name)
-            if v is not None and not math.isfinite(v):
-                raise FamilyError(f"{name} must be finite")
 
     @cached_property
     def natural(self):
@@ -134,13 +135,17 @@ class PotentialFamily:
                 raise FamilyError("DELTA_DECORATED requires delta_strength and delta_position")
         elif self.base is not None:
             raise FamilyError("base is only meaningful for DELTA_DECORATED")
-        well = self.tag if self.base is None else f"{self.tag}({self.base})"
         for name in _REQUIRED[self.smooth_tag]:
             value = getattr(self.scales, name)
             if value is None:
-                raise FamilyError(f"{well} requires scale {name}")
+                raise FamilyError(f"{self.name} requires scale {name}")
             if value == 0.0 and (self.smooth_tag, name) not in _MAY_BE_ZERO:
-                raise FamilyError(f"{well} divides by scale {name}, so it must be > 0")
+                raise FamilyError(f"{self.name} divides by scale {name}, so it must be > 0")
+
+    @property
+    def name(self):
+        """The well's name in messages: the tag, or TAG(BASE)."""
+        return self.tag if self.base is None else f"{self.tag}({self.base})"
 
     @property
     def smooth_tag(self):

@@ -146,14 +146,9 @@ def eigenvalue_count_below(op: TridiagonalOperator, x: float, cap: int | None = 
     return min(count, limit)
 
 
-def _gershgorin(op):
-    lo = min(op.diag) - 2.0 * abs(op.off)
-    hi = max(op.diag) + 2.0 * abs(op.off)
-    return lo, hi
-
-
-def lowest_eigenvalues(op: TridiagonalOperator, k: int, tol: float = 1e-10):
-    """The k smallest eigenvalues, each bisected to absolute width `tol`.
+def lowest_eigenvalues(op: TridiagonalOperator, k: int):
+    """The k smallest eigenvalues, each bisected to absolute width 1e-10
+    from the Gershgorin bounds of the spectrum.
 
     Deterministic: pure bisection on the Sturm count, no iteration order
     dependence.  Each count for the j-th eigenvalue is capped at j, which
@@ -162,7 +157,9 @@ def lowest_eigenvalues(op: TridiagonalOperator, k: int, tol: float = 1e-10):
     """
     if not (1 <= k <= 50):
         raise ValueError(f"k must be in 1..50, got {k}")
-    lo0, hi0 = _gershgorin(op)
+    tol = 1e-10
+    lo0 = min(op.diag) - 2.0 * abs(op.off)
+    hi0 = max(op.diag) + 2.0 * abs(op.off)
     out = []
     for j in range(1, k + 1):
         lo, hi = lo0, hi0

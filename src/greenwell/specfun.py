@@ -370,7 +370,10 @@ def pcf_d(nu: float, z: float) -> EvalResult:
     with strongly negative nu), the integral route (_pcf_integral).
     Against 40-digit references, in eps = 2.2e-16 of the value: Kummer
     with |nu| <= 10, 50 eps for z < -6 and up to 1e5 eps on [0, 6), as
-    the terms cancel (2e7 eps just below 7); the integral, at most 10 eps
+    the terms cancel.  Kummer with larger orders, in eps of the local
+    amplitude sqrt(D^2 + D'^2 / (nu + 1/2 - z^2/4)) where D oscillates:
+    up to 2.6e5 eps for nu in [10, 30] and 5.2e12 eps for nu in [30, 60],
+    within est_abs_error.  The integral, at most 10 eps
     below the turning point nu = z^2/4 - 1/2 (its estimate, about 1 eps
     more per recurrence step, stays below 100 eps up to 0.8 of it for
     nu <= 50), and hundreds of eps beyond, where the recurrence cancels,
@@ -481,10 +484,10 @@ def _airy_series(x):
 
 # u_k, v_k asymptotic coefficients: u_0 = v_0 = 1,
 # u_k = u_{k-1} (6k-5)(6k-3)(6k-1) / (216 k (2k-1)),  v_k = -u_k (6k+1)/(6k-1).
-def _asym_uv(max_k=60):
+def _asym_uv():
     us, vs = [1.0], [1.0]
     u = 1.0
-    for k in range(1, max_k):
+    for k in range(1, 60):
         u *= (6.0 * k - 5.0) * (6.0 * k - 3.0) * (6.0 * k - 1.0) / (216.0 * k * (2.0 * k - 1.0))
         us.append(u)
         vs.append(-u * (6.0 * k + 1.0) / (6.0 * k - 1.0))

@@ -192,7 +192,6 @@ class Root:
 @dataclass
 class SpectrumResult:
     roots: list
-    scan_window: tuple
 
     def values(self):
         return [r.value for r in self.roots]
@@ -303,7 +302,6 @@ class _Lattice:
     min(lo + i*step, hi) otherwise, and the scan walks the cells
     (point i-1, point i] for i = start+1 .. n_steps."""
 
-    window: tuple
     lo: float
     hi: float
     step: float
@@ -317,10 +315,9 @@ class _Lattice:
 def _lattice(chi, window, step):
     if step <= 0.0:
         raise ValueError("step must be positive")
-    win = tuple(window) if window is not None else chi.window
-    lo, hi = win
+    lo, hi = window if window is not None else chi.window
     if not (lo < hi):
-        raise ValueError(f"empty window {win}")
+        raise ValueError(f"empty window {(lo, hi)}")
     floor = chi.floor if window is None else -math.inf
     n_steps = max(1, int(math.ceil((hi - lo) / step)))
     start = 0
@@ -331,7 +328,7 @@ def _lattice(chi, window, step):
             start -= 1
         while start < n_steps and min(lo + (start + 1) * step, hi) <= floor:
             start += 1
-    return _Lattice(win, lo, hi, step, start, n_steps)
+    return _Lattice(lo, hi, step, start, n_steps)
 
 
 def _cell_root(factor, x_prev, x, f_prev, f):
@@ -345,14 +342,14 @@ def _cell_root(factor, x_prev, x, f_prev, f):
     return root, (b_lo, b_hi), abs(fn(root)) / scale, parity
 
 
-def _result(found, win, limit=None):
+def _result(found, limit=None):
     """The SpectrumResult of (value, bracket, residual, parity) tuples
     listed cell by cell in factor order: one stable sort on value, so
     ties keep that order."""
     found.sort(key=lambda t: t[0])
     roots = [Root(i, val, bracket, residual, parity)
              for i, (val, bracket, residual, parity) in enumerate(found[:limit])]
-    return SpectrumResult(roots, win)
+    return SpectrumResult(roots)
 
 
 def find_roots(chi: CharacteristicFunction, window=None, step=0.005,
@@ -395,7 +392,7 @@ def find_roots(chi: CharacteristicFunction, window=None, step=0.005,
         if limit is not None and len(found) >= limit:
             break
         x_prev, f_prevs = x, fs
-    return _result(found, lat.window, limit)
+    return _result(found, limit)
 
 
 # ----------------------------------------------------------------------
@@ -584,10 +581,6 @@ class _LevelCount:
         return all(low < high for low, high in (self._near(r.value) for r in roots))
 
 
-class _Rescan(Exception):
-    """The walk met a point the scan treats specially: scan instead."""
-
-
 def _walked(chi, lat, cert):
     """The find_roots result on lattice `lat`, found from the level count
     without a full scan, or None when the count does not pin every cell.
@@ -616,8 +609,8 @@ def _walked(chi, lat, cert):
         f = known[j].get(i)
         if f is None:
             f = fns[j](lat.point(i))
-            if f == 0.0 or not math.isfinite(f):
-                raise _Rescan
+            if f == 0.0 or not math.isfinite(f):  # the scan's own cases
+                raise ArithmeticError
             known[j][i] = f
         return f
 
@@ -644,9 +637,9 @@ def _walked(chi, lat, cert):
         found = [_cell_root(chi.factors[j], lat.point(i - 1), lat.point(i), known[j][i - 1],
                             known[j][i])
                  for j, i in sorted(outer + cells, key=lambda c: (c[1], c[0]))]
-    except (_Rescan, ValueError, ArithmeticError):
+    except (ValueError, ArithmeticError):
         return None
-    return _result(found, lat.window)
+    return _result(found)
 
 
 def checked_scan(chi, window, step, lat, cert, where):

@@ -34,6 +34,13 @@ def test_levels_ho_rows():
     assert eps == [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
 
 
+def test_level_index_counts_from_the_lowest_level_in_the_window():
+    # index is the position in the window, not the quantum number n = 3
+    code, out = run(["levels", "--family", "HO", "--window", "3:6"])
+    assert code == 0
+    assert out.split("\n")[1] == "0,,3.5,0,3.5,3.5"
+
+
 def test_levels_parity_column():
     code, out = run(["levels", "--family", "LINEAR_ABS", "--window", "0:5"])
     assert code == 0
@@ -870,7 +877,7 @@ def test_verify_failing_on_a_later_well_leaves_stdout_empty(monkeypatch, capsys)
 
     def verify_family(fam, k, n_points):
         if len(passed) == 4:
-            raise ArithmeticError(f"no levels for {cli._well_name(fam)}")
+            raise ArithmeticError(f"no levels for {fam.name}")
         closed, orc, worst = original(fam, k=k, n_points=n_points)
         passed.append(worst)
         return closed, orc, worst
@@ -938,6 +945,19 @@ def test_config_and_usage_errors_exit_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,field", [
+    # omega2 = omega1 / lam and alpha1 = (2 m hbar w1^3)^(1/6) / xi overflow to inf
+    (["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "1e-310:1e-310:1",
+      "--window", "0:1"], "omega2"),
+    (["sweep", "--family", "HALF_HO_HALF_LINEAR", "--param", "xi",
+      "--range", "1e-310:1e-310:1", "--window", "0:1"], "alpha1"),
+], ids=["lam", "xi"])
+def test_sweep_to_an_infinite_scale_is_a_usage_error(capsys, argv, field):
+    code, out = run(argv)
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: {field} must be finite, got inf\n"
 
 
 def test_whole_number_grid_count_from_a_config_is_the_flag_grid():

@@ -156,6 +156,14 @@ def test_family_validation():
         PhysicalScales(hbar=-1.0)
     with pytest.raises(FamilyError):
         PhysicalScales(alpha1=-0.5)
+    # every scale must be finite, whether or not its family reads it
+    for name in ("hbar", "mass", "omega1", "omega2", "alpha1", "alpha2",
+                 "delta_strength", "delta_position"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(FamilyError, match=f"{name} must be finite"):
+                PhysicalScales(**{name: bad})
+    with pytest.raises(FamilyError):
+        default_family(HO, omega1=math.nan)
 
 
 def test_json_round_trip():

@@ -133,6 +133,7 @@ PINNED_ARGVS = [
                          "--grid=0:20:5", "--xp", "0"]),
     ("HO-cut", ["green-grid", "--family", "HO", "--energy", "2.3", "--grid=4.3:4.9:4",
                 "--xp", "0"]),
+    ("HO-index", ["levels", "--family", "HO", "--window", "3:6"]),
 ]
 
 
