@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
 from . import model, oracle, resolvent, spectrum
-from .model import DELTA_DECORATED, HO, LINEAR_ABS
+from .model import DELTA_DECORATED, HO, finite_number
 from .specfun import ConvergenceError, DomainError, PoleError
 
 __all__ = ["main", "RunConfig", "TABLE1_REFERENCE"]
@@ -67,8 +67,7 @@ def _admits(annotation, value):
 
 def _finite(values, n):
     """True when `values` holds n finite numbers."""
-    return len(values) == n and all(
-        _admits("float", v) and math.isfinite(v) for v in values)
+    return len(values) == n and all(map(finite_number, values))
 
 
 @dataclass
@@ -99,7 +98,7 @@ class RunConfig:
             raise UsageError(f"format must be csv or json, got {self.format!r}")
         if self.format == "json" and self.command in ("table1", "verify"):
             raise UsageError(f"{self.command} prints a text report; format json does not apply")
-        if not (self.step > 0.0 and math.isfinite(self.step)):
+        if not (finite_number(self.step) and self.step > 0.0):
             raise UsageError("step must be a positive finite number")
         if self.window is not None and not (
                 _finite(self.window, 2) and self.window[0] < self.window[1]):
@@ -112,9 +111,9 @@ class RunConfig:
                 and self.grid[2] == int(self.grid[2]) >= 2):
             raise UsageError(
                 f"grid must be xmin:xmax:n with a whole number n >= 2, got {self.grid}")
-        if not math.isfinite(self.energy):
+        if not finite_number(self.energy):
             raise UsageError("energy must be finite")
-        if self.xp is not None and not math.isfinite(self.xp):
+        if self.xp is not None and not finite_number(self.xp):
             raise UsageError("xp must be finite")
         if not (1 <= self.k_levels <= 20):
             raise UsageError("k must be in 1..20")
@@ -199,11 +198,7 @@ def _table(cfg, header, rows):
 
 def cmd_levels(cfg):
     fam = model.family_from_dict(cfg.family)
-    chi = spectrum.build_chi(fam)
-    lat = spectrum._lattice(chi, cfg.window, cfg.step)
-    cert = spectrum._LevelCount.build(fam, lat)
-    res = spectrum.checked_scan(chi, cfg.window, cfg.step, lat, cert,
-                                f"levels of {fam.name}")
+    res = spectrum.checked_roots(fam, cfg.window, cfg.step, f"levels of {fam.name}")
     header = ("index", "parity", "eps", "residual", "bracket_lo", "bracket_hi")
     rows = [(r.index, r.parity or "", r.value, r.residual, r.bracket[0], r.bracket[1])
             for r in res.roots]
@@ -266,11 +261,11 @@ def _verify_rule(fam):
 
 
 def _default_families():
-    """The nine wells `verify` checks when no family is given."""
-    return ([model.default_family(tag) for tag in (
-        HO, model.HO_STARK, model.HO_ASYM, LINEAR_ABS, model.LINEAR_ASYM,
-        model.HALF_HO_HALF_LINEAR, model.HO_PLUS_ABS)]
-        + [model.default_family(DELTA_DECORATED, base=base) for base in (HO, LINEAR_ABS)])
+    """The nine wells `verify` checks when no family is given: every
+    entry of the family table, then every base a delta decorates."""
+    return ([model.default_family(tag) for tag in model._DEFAULTS]
+            + [model.default_family(DELTA_DECORATED, base=base)
+               for base in model._DELTA_DEFAULTS])
 
 
 def verify_family(fam, k, n_points):

@@ -12,16 +12,18 @@ supported; each is defined by a tag plus the physical scales it uses:
     HO_PLUS_ABS          V = (1/2) m w1^2 x^2 + a1^3 |x|
     DELTA_DECORATED      base potential (HO or LINEAR_ABS) + a delta(x - q)
 
-Default scale conventions follow the reference figures: hbar = m = w = 1
-for the quadratic families and hbar^2 = 2m, alpha = 1 for the linear
-ones (so rho = E and zeta = 1).  The composite half/half family also
-uses hbar^2 = 2m.
+_DEFAULTS, the family table, holds each smooth family's scales at the
+figure-convention defaults and defines its required scales (the ones
+other than hbar and mass) and energy variable (eps = E/(hbar w1) when it
+lists omega1, rho otherwise).  The defaults follow the reference figures:
+hbar = m = w = 1 for the quadratic families, but hbar^2 = 2m for the
+half/half one, and hbar^2 = 2m, alpha = 1 for the linear ones (rho = E).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 __all__ = [
@@ -55,26 +57,37 @@ HALF_HO_HALF_LINEAR = "HALF_HO_HALF_LINEAR"
 HO_PLUS_ABS = "HO_PLUS_ABS"
 DELTA_DECORATED = "DELTA_DECORATED"
 
-FAMILY_TAGS = frozenset({
-    HO, HO_STARK, HO_ASYM, LINEAR_ABS, LINEAR_ASYM,
-    HALF_HO_HALF_LINEAR, HO_PLUS_ABS, DELTA_DECORATED,
-})
-# families whose natural energy variable is eps = E/(hbar w1)
-QUADRATIC_TAGS = frozenset({HO, HO_STARK, HO_ASYM, HALF_HO_HALF_LINEAR, HO_PLUS_ABS})
-
-# per-family required scale fields (beyond hbar, mass)
-_REQUIRED = {
-    HO: ("omega1",),
-    HO_STARK: ("omega1", "alpha1"),
-    HO_ASYM: ("omega1", "omega2"),
-    LINEAR_ABS: ("alpha1",),
-    LINEAR_ASYM: ("alpha1", "alpha2"),
-    HALF_HO_HALF_LINEAR: ("omega1", "alpha1"),
-    HO_PLUS_ABS: ("omega1", "alpha1"),
+# the family table; see module docstring
+_DEFAULTS = {
+    HO: dict(hbar=1.0, mass=1.0, omega1=1.0),
+    HO_STARK: dict(hbar=1.0, mass=1.0, omega1=1.0, alpha1=1.3 ** (1.0 / 3.0)),
+    HO_ASYM: dict(hbar=1.0, mass=1.0, omega1=1.0, omega2=2.0),
+    LINEAR_ABS: dict(hbar=1.0, mass=0.5, alpha1=1.0),
+    LINEAR_ASYM: dict(hbar=1.0, mass=0.5, alpha1=1.0, alpha2=2.0),
+    HALF_HO_HALF_LINEAR: dict(hbar=1.0, mass=0.5, omega1=1.0, alpha1=math.sqrt(0.5)),
+    HO_PLUS_ABS: dict(hbar=1.0, mass=1.0, omega1=1.0, alpha1=1.0),
 }
+# the bases a delta decorates, each with tau = -1, p = 0.5 or eta = 1, zeta q = 0.5
+_DELTA_DEFAULTS = {
+    HO: dict(delta_strength=-math.sqrt(math.pi), delta_position=0.5 / math.sqrt(2.0)),
+    LINEAR_ABS: dict(delta_strength=2.0, delta_position=0.5),
+}
+
+FAMILY_TAGS = frozenset(_DEFAULTS) | {DELTA_DECORATED}
+# families whose natural energy variable is eps = E/(hbar w1)
+QUADRATIC_TAGS = frozenset(tag for tag, d in _DEFAULTS.items() if "omega1" in d)
 # the required scales that may be 0; the family divides by every other one.
 # alpha1 = 0 is the plain oscillator, where the muphi sweep starts
 _MAY_BE_ZERO = {(HO_STARK, "alpha1"), (HO_PLUS_ABS, "alpha1")}
+
+
+def finite_number(value):
+    """Whether `value` is a JSON number with a finite float value: an int
+    or a float, never a bool, and no int beyond the float range."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class FamilyError(ValueError):
@@ -126,20 +139,17 @@ class PotentialFamily:
     base: str | None = None  # DELTA_DECORATED only: HO or LINEAR_ABS
 
     def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise FamilyError(f"unknown family tag {self.tag!r}")
-        if self.tag == DELTA_DECORATED:
-            if self.base not in (HO, LINEAR_ABS):
-                raise FamilyError("DELTA_DECORATED requires base HO or LINEAR_ABS")
-            if self.scales.delta_strength is None or self.scales.delta_position is None:
-                raise FamilyError("DELTA_DECORATED requires delta_strength and delta_position")
-        elif self.base is not None:
-            raise FamilyError("base is only meaningful for DELTA_DECORATED")
-        for name in _REQUIRED[self.smooth_tag]:
-            value = getattr(self.scales, name)
+        smooth = _smooth_tag(self.tag, self.base)
+        s = self.scales
+        if self.tag == DELTA_DECORATED and None in (s.delta_strength, s.delta_position):
+            raise FamilyError("DELTA_DECORATED requires delta_strength and delta_position")
+        for name in _DEFAULTS[smooth]:
+            if name in ("hbar", "mass"):
+                continue
+            value = getattr(s, name)
             if value is None:
                 raise FamilyError(f"{self.name} requires scale {name}")
-            if value == 0.0 and (self.smooth_tag, name) not in _MAY_BE_ZERO:
+            if value == 0.0 and (smooth, name) not in _MAY_BE_ZERO:
                 raise FamilyError(f"{self.name} divides by scale {name}, so it must be > 0")
 
     @property
@@ -250,48 +260,28 @@ def potential_value(family: PotentialFamily, x: float) -> float:
     return family.potential(x)
 
 
-# figure-convention defaults for each family; see module docstring
-_SQRT_HALF = math.sqrt(0.5)
-_DEFAULTS = {
-    HO: dict(hbar=1.0, mass=1.0, omega1=1.0),
-    HO_STARK: dict(hbar=1.0, mass=1.0, omega1=1.0, alpha1=1.3 ** (1.0 / 3.0)),
-    HO_ASYM: dict(hbar=1.0, mass=1.0, omega1=1.0, omega2=2.0),
-    LINEAR_ABS: dict(hbar=1.0, mass=0.5, alpha1=1.0),
-    LINEAR_ASYM: dict(hbar=1.0, mass=0.5, alpha1=1.0, alpha2=2.0),
-    HALF_HO_HALF_LINEAR: dict(hbar=1.0, mass=0.5, omega1=1.0, alpha1=_SQRT_HALF),
-    HO_PLUS_ABS: dict(hbar=1.0, mass=1.0, omega1=1.0, alpha1=1.0),
-}
+def _smooth_tag(tag, base):
+    """The tag of the family's smooth part, whose table entry describes
+    it: the base of a DELTA_DECORATED family, the tag itself otherwise.
+    FamilyError for an unknown tag or a base that does not fit it."""
+    if tag not in FAMILY_TAGS:
+        raise FamilyError(f"unknown family tag {tag!r}")
+    if tag == DELTA_DECORATED and not (isinstance(base, str) and base in _DELTA_DEFAULTS):
+        raise FamilyError("DELTA_DECORATED requires base HO or LINEAR_ABS")
+    if tag != DELTA_DECORATED and base is not None:
+        raise FamilyError("base is only meaningful for DELTA_DECORATED")
+    return base or tag
 
 
 def default_family(tag: str, base: str | None = None, **overrides) -> PotentialFamily:
-    """Family at the figure-convention defaults, with optional overrides.
-
-    For DELTA_DECORATED the defaults place a unit-strength attractive
-    delta near the well center: base HO gets tau = -1, p = 0.5; base
-    LINEAR_ABS gets eta = 1, zeta q = 0.5.
-    """
-    if tag == DELTA_DECORATED:
-        if base == HO:
-            d = dict(_DEFAULTS[HO])
-            d["delta_strength"] = -math.sqrt(math.pi)        # tau = -1
-            d["delta_position"] = 0.5 / math.sqrt(2.0)       # p = 0.5
-        elif base == LINEAR_ABS:
-            d = dict(_DEFAULTS[LINEAR_ABS])
-            d["delta_strength"] = 2.0                        # eta = 1
-            d["delta_position"] = 0.5                        # zeta q = 0.5
-        else:
-            raise FamilyError("DELTA_DECORATED requires base HO or LINEAR_ABS")
-        d.update(overrides)
-        return PotentialFamily(tag, PhysicalScales(**d), base=base)
-    if tag not in _DEFAULTS:
-        raise FamilyError(f"unknown family tag {tag!r}")
-    d = dict(_DEFAULTS[tag])
-    d.update(overrides)
-    return PotentialFamily(tag, PhysicalScales(**d))
+    """Family at the figure-convention defaults of the table, with
+    optional overrides; a DELTA_DECORATED family takes its base's entry
+    and the base's delta defaults (_DELTA_DEFAULTS)."""
+    d = {**_DEFAULTS[_smooth_tag(tag, base)], **_DELTA_DEFAULTS.get(base, {}), **overrides}
+    return PotentialFamily(tag, PhysicalScales(**d), base=base)
 
 
-_SCALE_FIELDS = ("hbar", "mass", "omega1", "omega2", "alpha1", "alpha2",
-                 "delta_strength", "delta_position")
+_SCALE_FIELDS = tuple(f.name for f in fields(PhysicalScales))
 
 
 def family_from_dict(obj) -> PotentialFamily:
@@ -319,7 +309,7 @@ def family_from_dict(obj) -> PotentialFamily:
     for k, v in raw.items():
         if v is None:
             continue
-        if not isinstance(v, (int, float)) or not math.isfinite(float(v)):
+        if not finite_number(v):
             raise FamilyError(f"scale field {k!r} must be a finite number, got {v!r}")
         clean[k] = float(v)
     return default_family(tag, base=base, **clean)

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 from . import specfun as sf
 from .model import DELTA_DECORATED, HO, HO_PLUS_ABS, HO_STARK, LINEAR_ABS
-from .model import FamilyError, PhysicalScales
+from .model import _DELTA_DEFAULTS, FamilyError, PhysicalScales
 
 __all__ = [
     "GreenEval",
@@ -508,7 +508,7 @@ def green_decorated(x, xp, energy, base_family, scales) -> GreenEval:
     whose denominator vanishes exactly on the decorated bound states
     G0(q,q) = -1/a.
     """
-    if base_family not in (HO, LINEAR_ABS):
+    if base_family not in _DELTA_DEFAULTS:
         raise ValueError(f"green_decorated base must be HO or LINEAR_ABS, got {base_family!r}")
     g0 = _BASE_GREEN[base_family]
     a = scales.delta_strength

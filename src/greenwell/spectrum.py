@@ -16,7 +16,7 @@ condition is written here, and this module keeps no state.
 Root finding is deliberately simple and robust: scan at a fixed step,
 bracket every sign change, refine by bisection (find_roots).  The CLI's
 levels and sweeps check their scans against an FD Sturm count of the
-levels between two lattice points (checked_scan), and a sweep finds
+levels between two lattice points (checked_roots), and a sweep finds
 the cells from that count without a scan where it can (see `sweep`).
 A default-window scan of a delta-decorated well starts at the well's
 energy floor, the free-delta bound E >= -m a^2 / (2 hbar^2) (E > 0 for
@@ -642,12 +642,20 @@ def _walked(chi, lat, cert):
     return _result(found)
 
 
-def checked_scan(chi, window, step, lat, cert, where):
-    """find_roots(chi, window, step), checked against the FD level count
-    `cert` on its lattice `lat` (None: no count).  A scan that finds
-    another number of levels there while every root lies next to an FD
-    level has lost levels (roots closer than `step`): ArithmeticError
-    names `where`."""
+def checked_roots(family, window, step, where, walk=False):
+    """The roots find_roots(build_chi(family), window, step) gives,
+    checked against the FD level count (_LevelCount) on that lattice
+    where one can be built; with `walk`, found from the count where it
+    pins them (see `sweep`).  A scan that finds another number of levels
+    in the counted part while every root lies next to an FD level has
+    lost levels (roots closer than `step`): ArithmeticError names `where`."""
+    chi = build_chi(family)
+    lat = _lattice(chi, window, step)
+    cert = _LevelCount.build(family, lat)
+    if walk and cert is not None:
+        res = _walked(chi, lat, cert)
+        if res is not None and cert.agrees_at_ends(lat, res.roots):
+            return res
     res = find_roots(chi, window=window, step=step)
     if cert is not None:
         got = len(cert.inner(lat, res.roots))
@@ -667,7 +675,7 @@ def sweep(family: PotentialFamily, param_name: str, values, window=None,
     cells (_walked) finds them from an FD level count (_LevelCount); a
     value is scanned instead when it has no count, when the walk finds
     another number of sign changes, or when its lowest or highest root
-    is not next to its FD level.  checked_scan checks that scan against
+    is not next to its FD level.  checked_roots checks that scan against
     the count, and its ArithmeticError names the parameter value.
 
     Roots of adjacent parameter values are matched in sorted order
@@ -692,15 +700,7 @@ def sweep(family: PotentialFamily, param_name: str, values, window=None,
     breaks = []
     prev_count = None
     for v, fam_v in points:
-        chi = build_chi(fam_v)
-        lat = _lattice(chi, window, step)
-        cert = _LevelCount.build(fam_v, lat)
-        res = _walked(chi, lat, cert) if cert is not None else None
-        if res is not None and not cert.agrees_at_ends(lat, res.roots):
-            res = None
-        if res is None:
-            res = checked_scan(chi, window, step, lat, cert,
-                               f"sweep at {param_name} = {v:.12g}")
+        res = checked_roots(fam_v, window, step, f"sweep at {param_name} = {v:.12g}", walk=True)
         if prev_count is not None and len(res.roots) != prev_count:
             breaks.append(v)
         prev_count = len(res.roots)

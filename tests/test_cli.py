@@ -960,6 +960,31 @@ def test_sweep_to_an_infinite_scale_is_a_usage_error(capsys, argv, field):
     assert capsys.readouterr().err == f"error: {field} must be finite, got inf\n"
 
 
+def test_a_json_boolean_is_not_a_family_scale(capsys):
+    # the config layer already refused --set step=true; a scale now does too
+    code, out = run(["levels", "--family", '{"tag":"HO","scales":{"omega1":true}}',
+                     "--window", "0:2"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: scale field 'omega1' must be a finite number, got True\n")
+
+
+HUGE = "1" + "0" * 400  # valid JSON, an integer beyond the float range
+
+
+@pytest.mark.parametrize("argv", [
+    ["levels", "--set", f"step={HUGE}"],
+    ["green-grid", "--set", f"energy={HUGE}", "--xp", "0"],
+    ["green-grid", "--set", f"grid=[0,1,{HUGE}]", "--xp", "0"],
+    ["levels", "--family", f'{{"tag":"HO","scales":{{"omega1":{HUGE}}}}}', "--window", "0:2"],
+], ids=["step", "energy", "grid", "scale"])
+def test_an_integer_beyond_the_float_range_is_a_usage_error(capsys, argv):
+    code, out = run(argv)
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_whole_number_grid_count_from_a_config_is_the_flag_grid():
     flag = run(["green-grid", "--grid=-1:1:3", "--xp", "0"])
     assert flag[0] == 0

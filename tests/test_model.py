@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from greenwell import model
+from greenwell import model, resolvent
 from greenwell.model import (
     DELTA_DECORATED,
     HALF_HO_HALF_LINEAR,
@@ -221,3 +221,121 @@ def test_potential_keeps_every_bit_of_the_expression():
     for fam in families:
         for x in xs:
             assert potential_value(fam, x).hex() == ref_potential_value(fam, x).hex(), (fam, x)
+
+
+# ----------------------------------------------------------------------
+# the family table: facts derived from it, against today's literals
+# ----------------------------------------------------------------------
+
+
+def test_tag_sets_are_the_literal_families():
+    assert model.FAMILY_TAGS == {"HO", "HO_STARK", "HO_ASYM", "LINEAR_ABS", "LINEAR_ASYM",
+                                 "HALF_HO_HALF_LINEAR", "HO_PLUS_ABS", "DELTA_DECORATED"}
+    assert model.QUADRATIC_TAGS == {"HO", "HO_STARK", "HO_ASYM", "HALF_HO_HALF_LINEAR",
+                                    "HO_PLUS_ABS"}
+    assert isinstance(model.FAMILY_TAGS, frozenset)
+    assert isinstance(model.QUADRATIC_TAGS, frozenset)
+
+
+# (tag, base) -> message for each scale that, set to None, stops the family
+MISSING_SCALE_ERRORS = {
+    ("HO", None): {"omega1": "HO requires scale omega1"},
+    ("HO_STARK", None): {"omega1": "HO_STARK requires scale omega1",
+                         "alpha1": "HO_STARK requires scale alpha1"},
+    ("HO_ASYM", None): {"omega1": "HO_ASYM requires scale omega1",
+                        "omega2": "HO_ASYM requires scale omega2"},
+    ("LINEAR_ABS", None): {"alpha1": "LINEAR_ABS requires scale alpha1"},
+    ("LINEAR_ASYM", None): {"alpha1": "LINEAR_ASYM requires scale alpha1",
+                            "alpha2": "LINEAR_ASYM requires scale alpha2"},
+    ("HALF_HO_HALF_LINEAR", None): {"omega1": "HALF_HO_HALF_LINEAR requires scale omega1",
+                                    "alpha1": "HALF_HO_HALF_LINEAR requires scale alpha1"},
+    ("HO_PLUS_ABS", None): {"omega1": "HO_PLUS_ABS requires scale omega1",
+                            "alpha1": "HO_PLUS_ABS requires scale alpha1"},
+    ("DELTA_DECORATED", "HO"): {
+        "omega1": "DELTA_DECORATED(HO) requires scale omega1",
+        "delta_strength": "DELTA_DECORATED requires delta_strength and delta_position",
+        "delta_position": "DELTA_DECORATED requires delta_strength and delta_position"},
+    ("DELTA_DECORATED", "LINEAR_ABS"): {
+        "alpha1": "DELTA_DECORATED(LINEAR_ABS) requires scale alpha1",
+        "delta_strength": "DELTA_DECORATED requires delta_strength and delta_position",
+        "delta_position": "DELTA_DECORATED requires delta_strength and delta_position"},
+}
+
+
+@pytest.mark.parametrize("tag,base", list(MISSING_SCALE_ERRORS), ids=str)
+def test_each_required_scale_is_named_when_it_is_missing(tag, base):
+    errors = MISSING_SCALE_ERRORS[tag, base]
+    for name in ("omega1", "omega2", "alpha1", "alpha2", "delta_strength", "delta_position"):
+        if name in errors:
+            with pytest.raises(FamilyError) as info:
+                default_family(tag, base=base, **{name: None})
+            assert str(info.value) == errors[name]
+        else:  # a scale the family does not read may be left out
+            assert getattr(default_family(tag, base=base, **{name: None}).scales, name) is None
+
+
+DEFAULT_DICTS = [
+    {"tag": "HO", "scales": {"hbar": 1.0, "mass": 1.0, "omega1": 1.0}},
+    {"tag": "HO_STARK",
+     "scales": {"hbar": 1.0, "mass": 1.0, "omega1": 1.0, "alpha1": 1.091392883061106}},
+    {"tag": "HO_ASYM", "scales": {"hbar": 1.0, "mass": 1.0, "omega1": 1.0, "omega2": 2.0}},
+    {"tag": "LINEAR_ABS", "scales": {"hbar": 1.0, "mass": 0.5, "alpha1": 1.0}},
+    {"tag": "LINEAR_ASYM", "scales": {"hbar": 1.0, "mass": 0.5, "alpha1": 1.0, "alpha2": 2.0}},
+    {"tag": "HALF_HO_HALF_LINEAR",
+     "scales": {"hbar": 1.0, "mass": 0.5, "omega1": 1.0, "alpha1": 0.7071067811865476}},
+    {"tag": "HO_PLUS_ABS", "scales": {"hbar": 1.0, "mass": 1.0, "omega1": 1.0, "alpha1": 1.0}},
+    {"tag": "DELTA_DECORATED", "base": "HO",
+     "scales": {"hbar": 1.0, "mass": 1.0, "omega1": 1.0,
+                "delta_strength": -1.7724538509055159, "delta_position": 0.35355339059327373}},
+    {"tag": "DELTA_DECORATED", "base": "LINEAR_ABS",
+     "scales": {"hbar": 1.0, "mass": 0.5, "alpha1": 1.0,
+                "delta_strength": 2.0, "delta_position": 0.5}},
+]
+
+
+@pytest.mark.parametrize("want", DEFAULT_DICTS, ids=lambda d: f"{d['tag']}-{d.get('base')}")
+def test_default_family_gives_the_literal_scales(want):
+    got = family_to_dict(default_family(want["tag"], base=want.get("base")))
+    assert got == want
+    assert list(got["scales"]) == list(want["scales"])  # in field order
+    assert [repr(v) for v in got["scales"].values()] == [repr(v) for v in want["scales"].values()]
+
+
+@pytest.mark.parametrize("base", [None, "HO_ASYM", "DELTA_DECORATED", "", ["HO"]], ids=repr)
+def test_a_base_a_delta_cannot_decorate_is_named(base):
+    message = "^DELTA_DECORATED requires base HO or LINEAR_ABS$"
+    with pytest.raises(FamilyError, match=message):
+        default_family(DELTA_DECORATED, base=base)
+    with pytest.raises(FamilyError, match=message):
+        family_from_dict({"tag": "DELTA_DECORATED", "base": base})
+    with pytest.raises(FamilyError, match=message):
+        PotentialFamily(DELTA_DECORATED, default_family(HO_ASYM).scales, base=base)
+
+
+def test_green_decorated_keeps_its_own_base_error():
+    scales = default_family(DELTA_DECORATED, base=HO).scales
+    with pytest.raises(ValueError) as info:
+        resolvent.green_decorated(0.1, 0.2, 1.3, HO_ASYM, scales)
+    assert not isinstance(info.value, FamilyError)
+    assert str(info.value) == "green_decorated base must be HO or LINEAR_ABS, got 'HO_ASYM'"
+
+
+@pytest.mark.parametrize("value,ok", [
+    (0, True), (-3, True), (2.5, True), (-0.0, True), (10 ** 308, True),
+    (1.7976931348623157e308, True),
+    (10 ** 309, False), (-(10 ** 400), False), (True, False), (False, False),
+    (math.nan, False), (math.inf, False), (-math.inf, False),
+    ("1", False), (None, False), ([1.0], False), ({"x": 1}, False),
+], ids=["0", "-3", "2.5", "-0.0", "int-1e308", "max-float", "int-1e309", "int--1e400",
+        "True", "False", "nan", "inf", "-inf", "str", "None", "list", "dict"])
+def test_finite_number_is_a_finite_json_number(value, ok):
+    assert model.finite_number(value) is ok
+
+
+def test_family_scales_are_finite_json_numbers():
+    for bad in (True, False, 10 ** 400, "1", [1.0]):
+        with pytest.raises(FamilyError) as info:
+            family_from_dict({"tag": "HO", "scales": {"omega1": bad}})
+        assert str(info.value) == f"scale field 'omega1' must be a finite number, got {bad!r}"
+    # an integer within the float range is a number
+    assert family_from_dict({"tag": "HO", "scales": {"omega1": 2}}).scales.omega1 == 2.0
