@@ -117,8 +117,8 @@ class RunConfig:
             raise UsageError("xp must be finite")
         if not (1 <= self.k_levels <= 20):
             raise UsageError("k must be in 1..20")
-        if self.n_oracle != 0 and self.n_oracle < 100:
-            raise UsageError("n-oracle must be 0 (the per-family default) or at least 100")
+        if self.n_oracle != 0 and not (100 <= self.n_oracle <= 1_000_000):
+            raise UsageError("n-oracle must be 0 (the per-family default) or in 100..1000000")
         if self.family is None and self.command != "verify":
             self.family = {"tag": HO}
         return self

@@ -13,11 +13,13 @@ at 0 of their one branch, read through resolvent's kept build, and the
 decorated |x| condition reads that branch's continuation.  So no
 condition is written here, and this module keeps no state.
 
-Root finding is deliberately simple and robust: scan at a fixed step,
-bracket every sign change, refine by bisection (find_roots).  The CLI's
-levels and sweeps check their scans against an FD Sturm count of the
-levels between two lattice points (checked_roots), and a sweep finds
-the cells from that count without a scan where it can (see `sweep`).
+Root finding is deliberately simple and robust: one walk over a
+fixed-step lattice brackets every sign change and refines it by
+bisection (_walked; find_roots is that walk with no level count).  The
+CLI's levels and sweeps check their scans against an FD Sturm count of
+the levels between two lattice points (checked_roots), and a sweep
+hands that count to the walk, which crosses the part it counts in
+coarse cells where the count pins them (see `sweep`).
 A default-window scan of a delta-decorated well starts at the well's
 energy floor, the free-delta bound E >= -m a^2 / (2 hbar^2) (E > 0 for
 a >= 0), not at the window's low edge: no level lies below it.  Tangential
@@ -29,9 +31,9 @@ family's characteristic function instead.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import oracle
 from . import specfun as sf
@@ -284,18 +286,6 @@ def _bisect(fn, lo, hi, f_lo, f_hi):
     return lo, hi, f_lo, f_hi
 
 
-def _values(fns, x):
-    """Every function of `fns` at x, in order; ArithmeticError (a
-    numerical failure) when one is not finite."""
-    values = []
-    for fn in fns:
-        f = fn(x)
-        if not math.isfinite(f):
-            raise ArithmeticError(f"characteristic function not finite at {x}")
-        values.append(f)
-    return values
-
-
 @dataclass(frozen=True)
 class _Lattice:
     """The scan lattice of a window: point i is lo for i = 0 and
@@ -319,16 +309,11 @@ def _lattice(chi, window, step):
     if not (lo < hi):
         raise ValueError(f"empty window {(lo, hi)}")
     floor = chi.floor if window is None else -math.inf
-    n_steps = max(1, int(math.ceil((hi - lo) / step)))
-    start = 0
-    if floor > lo:
-        # the same expression as the scan below, so every later point is too
-        start = min(int((floor - lo) / step), n_steps)
-        while start > 0 and min(lo + start * step, hi) > floor:
-            start -= 1
-        while start < n_steps and min(lo + (start + 1) * step, hi) <= floor:
-            start += 1
-    return _Lattice(lo, hi, step, start, n_steps)
+    lat = _Lattice(lo, hi, step, 0, max(1, int(math.ceil((hi - lo) / step))))
+    # the last point at or below the floor (point(i) never decreases), or
+    # the low edge when the floor lies below it
+    start = bisect.bisect_right(range(lat.n_steps + 1), floor, key=lat.point) - 1
+    return replace(lat, start=max(0, start))
 
 
 def _cell_root(factor, x_prev, x, f_prev, f):
@@ -342,16 +327,6 @@ def _cell_root(factor, x_prev, x, f_prev, f):
     return root, (b_lo, b_hi), abs(fn(root)) / scale, parity
 
 
-def _result(found, limit=None):
-    """The SpectrumResult of (value, bracket, residual, parity) tuples
-    listed cell by cell in factor order: one stable sort on value, so
-    ties keep that order."""
-    found.sort(key=lambda t: t[0])
-    roots = [Root(i, val, bracket, residual, parity)
-             for i, (val, bracket, residual, parity) in enumerate(found[:limit])]
-    return SpectrumResult(roots)
-
-
 def find_roots(chi: CharacteristicFunction, window=None, step=0.005,
                limit=None) -> SpectrumResult:
     """The sign-change roots of `chi`'s factors in the window at scan
@@ -361,38 +336,20 @@ def find_roots(chi: CharacteristicFunction, window=None, step=0.005,
     Brackets are refined by bisection to width <= 2.5e-13; the stored
     residual is |chi(root)| normalized by the detection-bracket scale.
     Tangential roots (no sign change at resolution `step`) are not
-    found.  One loop walks the lattice lo + i*step: at each point it
-    evaluates every factor in factor order, then bisects each factor's
-    sign change in the cell just closed, so the two parity factors of a
-    symmetric well are called one after the other at each point and
-    share the special-function value both need.  With `limit` the loop
-    stops after the cell that holds the `limit`-th root, since every
-    later root lies above it.  Roots are ordered by one stable sort on
-    value, so ties keep factor order.  Without `window` the scan covers
-    `chi.window` from the last lattice point at or below `chi.floor`;
-    every point, bracket and residual is the one a scan of the whole
-    window gives.  An explicit window is scanned from its low edge.
+    found.  This is the lattice walk (_walked) with no level count: it
+    evaluates every factor at each point of the lattice lo + i*step in
+    factor order, so the two parity factors of a symmetric well are
+    called one after the other at each point and share the
+    special-function value both need, and bisects each factor's sign
+    change in the cell just closed.  With `limit` it stops after the
+    cell that holds the `limit`-th root, since every later root lies
+    above it.  Roots are ordered by one stable sort on value, so ties
+    keep factor order.  Without `window` the scan covers `chi.window`
+    from the last lattice point at or below `chi.floor`; every point,
+    bracket and residual is the one a scan of the whole window gives.
+    An explicit window is scanned from its low edge.
     """
-    lat = _lattice(chi, window, step)
-    lo, hi, start, n_steps = lat.lo, lat.hi, lat.start, lat.n_steps
-    fns = [fn for _, fn in chi.factors]
-    x_prev = lat.point(start)
-    f_prevs = _values(fns, x_prev)
-    found = []  # (value, bracket, residual, parity), cell by cell in factor order
-    for i in range(start + 1, n_steps + 1):
-        x = min(lo + i * step, hi)
-        fs = _values(fns, x)
-        for j, f in enumerate(fs):
-            f_prev = f_prevs[j]
-            if f == 0.0:
-                found.append((x, (x - 0.5 * _BRACKET_WIDTH, x + 0.5 * _BRACKET_WIDTH), 0.0,
-                              chi.factors[j][0]))
-            elif f_prev != 0.0 and (f_prev < 0.0) != (f < 0.0):
-                found.append(_cell_root(chi.factors[j], x_prev, x, f_prev, f))
-        if limit is not None and len(found) >= limit:
-            break
-        x_prev, f_prevs = x, fs
-    return _result(found, limit)
+    return _walked(chi, _lattice(chi, window, step), limit=limit)
 
 
 # ----------------------------------------------------------------------
@@ -581,65 +538,93 @@ class _LevelCount:
         return all(low < high for low, high in (self._near(r.value) for r in roots))
 
 
-def _walked(chi, lat, cert):
-    """The find_roots result on lattice `lat`, found from the level count
-    without a full scan, or None when the count does not pin every cell.
+def _walked(chi, lat, cert=None, limit=None):
+    """The roots of `chi`'s factors on lattice `lat`, as find_roots gives
+    them, or None when the level count `cert` (a _LevelCount) does not
+    pin every cell of the part it counts.
 
-    The strips outside the counted part are walked cell by cell, as the
-    scan walks them.  The counted part (point i_lo, point i_hi], which
-    holds N = cert.count levels, is cut into coarse cells of
-    (i_hi - i_lo) // (2N + 2) lattice cells (at least one), about half
-    its mean level spacing.  A factor whose values at a coarse cell's
-    ends differ in sign has an odd number of levels there, so when N
-    (factor, coarse cell) pairs change sign, each holds exactly one
-    level and no other pair holds any.  Then the one lattice cell of such
-    a pair that changes sign, found by bisecting on lattice indices, is
-    the cell the scan finds, and every other cell of the counted part
-    changes sign for no factor; each found cell is bisected as find_roots
-    does, so the roots are the scan's.  Any other number of sign changes
-    gives None.  A lattice point where a factor is exactly 0 or not
-    finite, which the scan handles on its own terms, gives None, and so
-    does an evaluation that fails: the scan then fails or not as before.
-    Every lattice value is computed once.
+    The walk visits the cells (point i-1, point i] in lattice order.
+    Outside the counted part (point i_lo, point i_hi], which is empty
+    when there is no count, it evaluates every factor at each point in
+    factor order: a factor exactly 0 at a point has a root there, and a
+    sign change between nonzero ends is bisected (_cell_root).  With
+    `limit` it stops after the cell of the `limit`-th root.  A value
+    that is not finite raises ArithmeticError.
+
+    The counted part, which holds N = cert.count levels, is cut into
+    coarse cells of (i_hi - i_lo) // (2N + 2) lattice cells (at least
+    one), about half its mean level spacing.  A factor whose values at a
+    coarse cell's ends differ in sign has an odd number of levels there,
+    so when N (factor, coarse cell) pairs change sign, each holds exactly
+    one level and no other pair holds any.  Then the one lattice cell of
+    such a pair that changes sign, found by bisecting on lattice indices,
+    is the cell a scan finds, and every other cell of the counted part
+    changes sign for no factor; each found cell is bisected as the scan
+    bisects it, so the roots are the scan's.  Any other number of sign
+    changes gives None, and so does a factor exactly 0 at a point of the
+    counted part, which the scan handles on its own terms.  Every
+    lattice value is computed once.
     """
     fns = [fn for _, fn in chi.factors]
-    known = [{} for _ in fns]  # lattice index -> factor value, per factor
+    factors = range(len(fns))
+    known = [{} for _ in fns]  # lattice index -> value in the counted part, per factor
+
+    def at(x, fns=fns):
+        """The values of `fns` at x, in factor order."""
+        fs = []
+        for fn in fns:
+            f = fn(x)
+            if not math.isfinite(f):
+                raise ArithmeticError(f"characteristic function not finite at {x}")
+            fs.append(f)
+        return fs
 
     def value(j, i):
         f = known[j].get(i)
         if f is None:
-            f = fns[j](lat.point(i))
-            if f == 0.0 or not math.isfinite(f):  # the scan's own cases
-                raise ArithmeticError
-            known[j][i] = f
+            f = known[j][i] = at(lat.point(i), fns[j:j + 1])[0]
         return f
 
     def changes(j, a, b):
         return (value(j, a) < 0.0) != (value(j, b) < 0.0)
 
-    factors = range(len(fns))
-    stride = max(1, (cert.i_hi - cert.i_lo) // (2 * cert.count + 2))
-    try:
-        strips = itertools.chain(range(lat.start + 1, cert.i_lo + 1),
-                                 range(cert.i_hi + 1, lat.n_steps + 1))
-        outer = [(j, i) for i in strips for j in factors if changes(j, i - 1, i)]
-        cells = []  # (factor, index of the cell's upper end) in the counted part
-        for a in range(cert.i_lo, cert.i_hi, stride):
-            b = min(a + stride, cert.i_hi)
-            for j in [j for j in factors if changes(j, a, b)]:
-                lo, hi = a, b
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    lo, hi = (lo, mid) if changes(j, lo, mid) else (mid, hi)
-                cells.append((j, hi))
-        if len(cells) != cert.count:
-            return None
-        found = [_cell_root(chi.factors[j], lat.point(i - 1), lat.point(i), known[j][i - 1],
-                            known[j][i])
-                 for j, i in sorted(outer + cells, key=lambda c: (c[1], c[0]))]
-    except (ValueError, ArithmeticError):
-        return None
-    return _result(found)
+    i_lo, i_hi, count = (cert.i_lo, cert.i_hi, cert.count) if cert else (None, None, 0)
+    found = []  # (value, bracket, residual, parity), cell by cell in factor order
+    i, x_prev = lat.start, lat.point(lat.start)
+    f_prevs = at(x_prev)
+    while i < lat.n_steps and (limit is None or len(found) < limit):
+        if i == i_lo:  # the counted part, in coarse cells
+            for values, f in zip(known, f_prevs):
+                values[i] = f
+            stride = max(1, (i_hi - i_lo) // (2 * count + 2))
+            cells = []  # (index of the cell's upper end, factor)
+            for a in range(i_lo, i_hi, stride):
+                b = min(a + stride, i_hi)
+                for j in [j for j in factors if changes(j, a, b)]:
+                    lo, hi = a, b
+                    while hi - lo > 1:
+                        mid = (lo + hi) // 2
+                        lo, hi = (lo, mid) if changes(j, lo, mid) else (mid, hi)
+                    cells.append((hi, j))
+            if len(cells) != count or any(0.0 in values.values() for values in known):
+                return None
+            found += [_cell_root(chi.factors[j], lat.point(c - 1), lat.point(c),
+                                 known[j][c - 1], known[j][c]) for c, j in sorted(cells)]
+            i, x_prev = i_hi, lat.point(i_hi)
+            f_prevs = [values[i] for values in known]
+            continue
+        i += 1
+        x = lat.point(i)
+        fs = at(x)
+        for j, f in enumerate(fs):
+            if f == 0.0:
+                found.append((x, (x - 0.5 * _BRACKET_WIDTH, x + 0.5 * _BRACKET_WIDTH), 0.0,
+                              chi.factors[j][0]))
+            elif f_prevs[j] != 0.0 and (f_prevs[j] < 0.0) != (f < 0.0):
+                found.append(_cell_root(chi.factors[j], x_prev, x, f_prevs[j], f))
+        x_prev, f_prevs = x, fs
+    found.sort(key=lambda t: t[0])  # stable, so ties keep factor order
+    return SpectrumResult([Root(n, *t) for n, t in enumerate(found[:limit])])
 
 
 def checked_roots(family, window, step, where, walk=False):
@@ -653,7 +638,10 @@ def checked_roots(family, window, step, where, walk=False):
     lat = _lattice(chi, window, step)
     cert = _LevelCount.build(family, lat)
     if walk and cert is not None:
-        res = _walked(chi, lat, cert)
+        try:
+            res = _walked(chi, lat, cert)
+        except (ValueError, ArithmeticError):  # the scan fails or not as before
+            res = None
         if res is not None and cert.agrees_at_ends(lat, res.roots):
             return res
     res = find_roots(chi, window=window, step=step)
@@ -671,12 +659,14 @@ def sweep(family: PotentialFamily, param_name: str, values, window=None,
 
     Each value's roots are the ones find_roots(build_chi(...), window,
     step) gives, bit for bit, and every value, the first included, is
-    found the same way, independently of the others.  A walk over coarse
-    cells (_walked) finds them from an FD level count (_LevelCount); a
-    value is scanned instead when it has no count, when the walk finds
-    another number of sign changes, or when its lowest or highest root
-    is not next to its FD level.  checked_roots checks that scan against
-    the count, and its ArithmeticError names the parameter value.
+    found the same way, independently of the others.  The lattice walk
+    (_walked) crosses the part of the lattice an FD level count
+    (_LevelCount) covers in coarse cells; a value is scanned instead
+    when it has no count, when the walk finds another number of sign
+    changes or an exact zero in the counted part, when an evaluation
+    fails, or when its lowest or highest root is not next to its FD
+    level.  checked_roots checks that scan against the count, and its
+    ArithmeticError names the parameter value.
 
     Roots of adjacent parameter values are matched in sorted order
     (curves of these families do not cross); a change of the in-window

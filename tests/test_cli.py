@@ -917,6 +917,9 @@ def test_null_means_the_field_default():
     ["levels", "--set", "windw=[0,3]"],
     ["verify", "--family", "HO", "--n-oracle", "99"],
     ["verify", "--family", "HO", "--n-oracle", "-1"],
+    # an FD grid too large to build: the bound keeps it from being tried
+    ["verify", "--family", "HO", "--k", "3", "--set", "n_oracle=1" + "0" * 400],
+    ["verify", "--family", "HO", "--n-oracle", "1000000000", "--dump-config"],
     ["sweep", "--family", "HO", "--param", "lam", "--range", "0.5:1:0.5"],
     ["sweep", "--family", "HO_ASYM", "--param", "nope", "--range", "0.5:1:0.5"],
     ["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "0:0.1:0.05"],
@@ -945,6 +948,12 @@ def test_config_and_usage_errors_exit_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+def test_the_largest_oracle_grid_is_accepted():
+    # checked at dump time only: no grid of that size is built
+    code, out = run(["verify", "--family", "HO", "--n-oracle", "1000000", "--dump-config"])
+    assert code == 0 and json.loads(out)["n_oracle"] == 1_000_000
 
 
 @pytest.mark.parametrize("argv,field", [

@@ -705,8 +705,8 @@ def test_sweep_gives_the_rows_and_breaks_of_per_value_scans(case, monkeypatch):
     assert got.breaks == want_breaks
     # the certified walk finds most values, the first one included.
     # Values without a certificate (dense levels at both ends: beta, xi),
-    # exact lattice zeros (lam = 1, tau = 0, p = 0) and values whose walk
-    # comes up short are scanned
+    # exact lattice zeros in the counted part (lam = 1, tau = 0, p = 0)
+    # and values whose walk comes up short are scanned
     assert len(scans) <= most
     if case == "p-zero":
         assert len(scans) == 2  # p = 0 is scanned on the way back as well
@@ -739,6 +739,42 @@ def test_levels_that_share_a_coarse_cell_are_scanned(monkeypatch):
     monkeypatch.setattr(sp, "find_roots", lambda *a, **k: scans.append(a) or find_roots(*a, **k))
     got = sp.sweep(family, "tau", [4.0], window=window, step=step)
     assert len(scans) == 1 and _hex_rows(got.rows) == _hex_rows(want_rows)
+
+
+def test_an_exact_lattice_zero_outside_the_counted_part_is_walked(monkeypatch):
+    # at lam = 1 the condition is exactly 0 at eps = 0.5, lattice point
+    # 10, in the low strip; the count covers points 40..171 and holds no
+    # level.  The walk takes that zero as the scan does: no scan
+    family, window, step = default_family(HO_ASYM), (0.45, 1.3), 0.005
+    fam = sp._sweep_lam(family, 1.0)
+    chi = sp.build_chi(fam)
+    lat = sp._lattice(chi, window, step)
+    cert = sp._LevelCount.build(fam, lat)
+    assert (cert.i_lo, cert.i_hi, cert.count) == (40, 171, 0)
+    assert chi.factors[0][1](lat.point(10)) == 0.0 and lat.point(10) == 0.5
+    want_rows, _ = _per_value_scans(family, "lam", [1.0], window, step)
+    assert [e for _, _, e in want_rows] == [0.5]
+    scans = []
+    find_roots = sp.find_roots
+    monkeypatch.setattr(sp, "find_roots", lambda *a, **k: scans.append(a) or find_roots(*a, **k))
+    got = sp.sweep(family, "lam", [1.0], window=window, step=step)
+    assert len(scans) == 0 and _hex_rows(got.rows) == _hex_rows(want_rows)
+
+
+def test_a_value_that_is_not_finite_in_a_strip_fails_as_the_scan_does(monkeypatch):
+    # nan at lattice point 10, in the low strip of the count above: the
+    # walk gives up and the scan reports the point
+    family, window, step = default_family(HO_ASYM), (0.45, 1.3), 0.005
+    build_chi = sp.build_chi
+
+    def with_nan(fam):
+        chi = build_chi(fam)
+        (parity, fn), = chi.factors
+        return dataclasses.replace(
+            chi, factors=((parity, lambda e: math.nan if e == 0.5 else fn(e)),))
+    monkeypatch.setattr(sp, "build_chi", with_nan)
+    with pytest.raises(ArithmeticError, match=r"characteristic function not finite at 0\.5$"):
+        sp.sweep(family, "lam", [1.0], window=window, step=step)
 
 
 def _node_centred_delta(family, top):
