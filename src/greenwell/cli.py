@@ -43,6 +43,15 @@ TABLE1_REFERENCE = (
 )
 
 
+# the largest request, checked before any characteristic-function or
+# Green call: lattice points of one scan (above the 4,668,202 of the
+# default window of HO_STARK at alpha1 = 6), sweep values times the
+# lattice points of each, and green-grid rows
+MAX_SCAN_POINTS = 5_000_000
+MAX_SWEEP_POINTS = 10_000_000
+MAX_GRID_ROWS = 1_000_000
+
+
 class UsageError(ValueError):
     pass
 
@@ -196,8 +205,26 @@ def _table(cfg, header, rows):
 # ----------------------------------------------------------------------
 
 
+def _bounded(what, size, bound):
+    """UsageError when `size` (inf for one that overflows) exceeds `bound`."""
+    if size > bound:
+        raise UsageError(f"request too large: {size:.8g} {what}, above {bound:,}")
+
+
+def _scan_points(fam, cfg):
+    """The points of the scan lattice of `fam` over cfg.window, or over
+    the family's default window (a scan from the floor walks fewer);
+    UsageError above MAX_SCAN_POINTS."""
+    lo, hi = cfg.window if cfg.window is not None else spectrum.build_chi(fam).window
+    cells = (hi - lo) / cfg.step
+    points = max(1, math.ceil(cells)) + 1 if math.isfinite(cells) else math.inf
+    _bounded("lattice points per scan", points, MAX_SCAN_POINTS)
+    return points
+
+
 def cmd_levels(cfg):
     fam = model.family_from_dict(cfg.family)
+    _scan_points(fam, cfg)
     res = spectrum.checked_roots(fam, cfg.window, cfg.step, f"levels of {fam.name}")
     header = ("index", "parity", "eps", "residual", "bracket_lo", "bracket_hi")
     rows = [(r.index, r.parity or "", r.value, r.residual, r.bracket[0], r.bracket[1])
@@ -210,7 +237,11 @@ def cmd_sweep(cfg):
         raise UsageError("sweep requires --param and --range from:to:step")
     fam = model.family_from_dict(cfg.family)
     a, b, s = cfg.sweep_range
-    n = int(math.floor((b - a) / s + 1e-9)) + 1
+    span = (b - a) / s + 1e-9
+    n = math.floor(span) + 1 if math.isfinite(span) else math.inf
+    # sizes are floats, so a product past the float range is inf
+    _bounded("sweep values times lattice points", float(n) * _scan_points(fam, cfg),
+             MAX_SWEEP_POINTS)
     values = [a + i * s for i in range(n)]
     result = spectrum.sweep(fam, cfg.param, values, window=cfg.window, step=cfg.step)
     if result.breaks and not cfg.allow_breaks:
@@ -224,6 +255,7 @@ def cmd_green_grid(cfg):
     fam = model.family_from_dict(cfg.family)
     xmin, xmax, n = cfg.grid
     n = int(n)
+    _bounded("green-grid rows", n if cfg.xp is not None else float(n) * n, MAX_GRID_ROWS)
     # each grid abscissa is formatted once, by position, for all the rows
     # it appears in; a fixed xp is its own cell, which _table formats like
     # any value (-0.0 as -0, an integer from a config as a JSON number)
@@ -236,8 +268,7 @@ def cmd_green_grid(cfg):
 
 def cmd_table1(cfg):
     fam = model.default_family(model.HALF_HO_HALF_LINEAR)  # xi = sqrt(2)
-    chi = spectrum.build_chi(fam)
-    got = spectrum.find_roots(chi, window=(1e-6, 5.5), step=0.005, limit=10).values()
+    got = spectrum.checked_roots(fam, (1e-6, 5.5), 0.005, "table1", walk=True).values()[:10]
     if len(got) < 10:
         raise ArithmeticError(f"found only {len(got)} levels in the scan window")
     ok = True

@@ -25,20 +25,20 @@ error grows without bound (wrong in sign at x = 10, x' = 0, E = 2.3).
 
 One kernel builds every closed form, G = num u(x>) v(x<) / den: u and
 v decay at +inf and -inf, num and den depend on the energy alone, and
-den carries the Wronskian, whose zeros are the bound states.  Two
-solution kinds supply them, each a dict from abscissa to solution
-values built once per energy from the energy and the scales'
-model.NaturalUnits, pole check included: the oscillator's global Weber
-pair (the Stark well reads it at x + phi and a shifted energy) and the
-mirror pair of a piecewise well.  The piecewise wells are one Weber or
-Airy branch per side of x = 0 and one match there: W = u v' - u' v at
-0 for two branches, W = -2 k u0 u1 for a mirror pair from the branch's
-value and slope at 0 (its parity factors), and the branch's own
-continuation of u through 0.  Each is written once, here, and
-spectrum's characteristic functions read them.  Scans build branches
-only, with no pole check; the HO+|x| slope D'(mu phi) and the
-continuation's coefficients are computed when first read.
-green(x, x', E, family) dispatches by family.
+den carries the Wronskian, whose zeros are the bound states.  Every
+closed form here has v(x) = u(-x), so a build is one dict from
+abscissa x to u(x), made once per energy from the energy and the
+scales' model.NaturalUnits, pole check included: the oscillator's
+D(mu x) (the Stark well reads it at x + phi and a shifted energy) or a
+piecewise well's mirror pair, its branch continued through 0.  The
+piecewise wells are one Weber or Airy branch per side of x = 0 and one
+match there: W = u v' - u' v at 0 for two branches, W = -2 k u0 u1 for
+a mirror pair from the branch's value and slope at 0 (its parity
+factors), and the branch's own continuation of u through 0.  Each is
+written once, here, and spectrum's characteristic functions read them.
+Scans build branches only, with no pole check; the HO+|x| slope
+D'(mu phi) and the continuation's coefficients are computed when first
+read.  green(x, x', E, family) dispatches by family.
 
 The module keeps the latest object it built through _kept, with the
 kind, energy and context it was built for: the NaturalUnits
@@ -132,15 +132,15 @@ def _kept(kind, energy, context):
 
 
 def _green(kind, x, xp, energy, scales) -> GreenEval:
-    """G = num u(x>) v(x<) / den from the `kind` solutions at this energy."""
+    """G = num u(x>) u(-x<) / den from the `kind` map x -> u(x) at this energy."""
     sol = _kept(kind, energy, scales.natural)
     # u(x>) v(x<), the solution product grouped first: IEEE multiplication
     # commutes, so the parity map (x, x') -> (-x', -x), which swaps the
     # two factors, reproduces the value bit-exactly
     if x <= xp:
-        uv = sol.u(xp) * sol.v(x)
+        uv = sol[xp] * sol[-x]
     else:
-        uv = sol.u(x) * sol.v(xp)
+        uv = sol[x] * sol[-xp]
     return GreenEval(sol.num * uv / sol.den, "G")
 
 
@@ -150,7 +150,7 @@ def _green(kind, x, xp, energy, scales) -> GreenEval:
 
 
 class _HoSolutions(dict):
-    """D_{eps-1/2}(z) at one energy, by argument z: u(x) = D(mu x), v(x) = D(-mu x)."""
+    """u(x) = D_{eps-1/2}(mu x) at one energy, by abscissa x; v(x) = D(-mu x) = u(-x)."""
 
     den = 1.0
 
@@ -166,18 +166,13 @@ class _HoSolutions(dict):
         self.nu = eps - 0.5
         self.num = units.ho_norm / sf.rgamma(0.5 - eps)
 
-    def __missing__(self, z):
-        # D(z) and D(-z) from one Kummer pair, bit for bit two pcf_d calls
-        plus, minus = sf.pcf_d_pair(self.nu, z)
-        self[-z] = minus.value
-        d = self[z] = plus.value
-        return d
-
-    def u(self, x):
-        return self[self.mu * x]
-
-    def v(self, x):
-        return self[-self.mu * x]
+    def __missing__(self, x):
+        # u(x) and u(-x) from one Kummer pair, bit for bit two pcf_d calls:
+        # mu (-x) is exactly -(mu x)
+        plus, minus = sf.pcf_d_pair(self.nu, self.mu * x)
+        self[-x] = minus.value
+        u = self[x] = plus.value
+        return u
 
 
 def green_ho(x: float, xp: float, energy: float, scales: PhysicalScales) -> GreenEval:
@@ -447,12 +442,6 @@ class _Mirror(dict):
     def __missing__(self, x):
         u = self[x] = self.br.value(x) if x >= 0.0 else self.br.continued(-x)
         return u
-
-    def u(self, x):
-        return self[x]
-
-    def v(self, x):
-        return self[-x]
 
 
 def _linear(energy, units):

@@ -272,18 +272,19 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
 # ----------------------------------------------------------------------
 
 
-def _bisect(fn, lo, hi, f_lo, f_hi):
+def _bisect(fn, lo, hi, f_lo):
+    """The bracket of fn's sign change in (lo, hi), f_lo = fn(lo), halved to _BRACKET_WIDTH."""
     while hi - lo > _BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid)
         if f_mid == 0.0:
             half = 0.25 * _BRACKET_WIDTH
-            return mid - half, mid + half, f_lo, f_mid
+            return mid - half, mid + half
         if (f_lo < 0.0) != (f_mid < 0.0):
-            hi, f_hi = mid, f_mid
+            hi = mid
         else:
             lo, f_lo = mid, f_mid
-    return lo, hi, f_lo, f_hi
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -322,7 +323,7 @@ def _cell_root(factor, x_prev, x, f_prev, f):
     |chi(root)| normalized by the larger cell-end value."""
     parity, fn = factor
     scale = max(abs(f_prev), abs(f), 1e-300)
-    b_lo, b_hi, _, _ = _bisect(fn, x_prev, x, f_prev, f)
+    b_lo, b_hi = _bisect(fn, x_prev, x, f_prev)
     root = 0.5 * (b_lo + b_hi)
     return root, (b_lo, b_hi), abs(fn(root)) / scale, parity
 

@@ -890,13 +890,26 @@ def test_verify_failing_on_a_later_well_leaves_stdout_empty(monkeypatch, capsys)
 
 
 def test_table1_short_of_ten_levels_leaves_stdout_empty(monkeypatch, capsys):
-    original = cli.spectrum.find_roots
-    monkeypatch.setattr(cli.spectrum, "find_roots",
-                        lambda chi, **kw: original(chi, **{**kw, "window": (1e-6, 2.0)}))
+    original = cli.spectrum.checked_roots
+    monkeypatch.setattr(cli.spectrum, "checked_roots",
+                        lambda fam, window, *args, **kw: original(fam, (1e-6, 2.0), *args, **kw))
     code, out = run(["table1"])
     err = capsys.readouterr().err
     assert (code, out) == (2, "")
     assert err.startswith("numerical failure: found only 3 levels in the scan window")
+
+
+def test_table1_exits_two_when_its_scan_loses_a_level(monkeypatch, capsys):
+    # a step wider than the level spacing puts two levels in one cell; the
+    # FD count sees it, where a scan alone would shift the table
+    original = cli.spectrum.checked_roots
+    monkeypatch.setattr(cli.spectrum, "checked_roots",
+                        lambda fam, window, step, *args, **kw: original(fam, window, 1.0,
+                                                                        *args, **kw))
+    code, out = run(["table1"])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: table1: the scan found ")
 
 
 def test_null_means_the_field_default():
@@ -954,6 +967,89 @@ def test_the_largest_oracle_grid_is_accepted():
     # checked at dump time only: no grid of that size is built
     code, out = run(["verify", "--family", "HO", "--n-oracle", "1000000", "--dump-config"])
     assert code == 0 and json.loads(out)["n_oracle"] == 1_000_000
+
+
+# ----------------------------------------------------------------------
+# request-size bounds
+# ----------------------------------------------------------------------
+
+
+def _stub_work(monkeypatch):
+    """Scans, sweeps and Green calls replaced by stubs that do no work;
+    returns the list of the calls they receive."""
+    calls = []
+
+    def stub(name, result):
+        return lambda *args, **kwargs: calls.append(name) or result
+    monkeypatch.setattr(spectrum, "checked_roots", stub("levels", spectrum.SpectrumResult([])))
+    monkeypatch.setattr(spectrum, "sweep", stub("sweep", spectrum.SweepResult([], [])))
+    monkeypatch.setattr(resolvent, "green", stub("green", resolvent.GreenEval(0.0, "G")))
+    return calls
+
+
+def _rejected(monkeypatch, capsys, argv):
+    """The error line of a request that exits 1 with an empty stdout
+    before any scan, sweep or Green call."""
+    calls = _stub_work(monkeypatch)
+    code, out = run(argv)
+    assert (code, out, calls) == (1, "", [])
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["levels", "--family", "HO", "--window", "0:1", "--step", "1e-9"], "1e+09"),
+    # a default window counts too: (12 + 50) / 1e-5 cells
+    (["levels", "--family", "DELTA_DECORATED(HO)", "--step", "1e-5"], "6200001"),
+    (["levels", "--family", "HO", "--window", "0:5", "--step", "1e-6"], "5000001"),
+    (["levels", "--family", "HO", "--window=-1e308:1e308", "--step", "1"], "inf"),
+    # each value of a sweep is one scan
+    (["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "1:2:1",
+      "--window", "0:1", "--step", "1e-7"], "10000001"),
+], ids=["step", "default-window", "one-above", "overflow", "sweep"])
+def test_a_scan_above_five_million_lattice_points_exits_one(monkeypatch, capsys, argv, size):
+    err = _rejected(monkeypatch, capsys, argv)
+    assert err == f"error: request too large: {size} lattice points per scan, above 5,000,000\n"
+
+
+def test_a_scan_of_five_million_lattice_points_runs(monkeypatch):
+    calls = _stub_work(monkeypatch)
+    assert run(["levels", "--family", "HO", "--window", "0:4999999", "--step", "1"])[0] == 0
+    assert calls == ["levels"]
+
+
+@pytest.mark.parametrize("argv,size", [
+    # 10^6 + 1 values of 201 points; no list of the values is built
+    (["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "1:2:1e-6",
+      "--window", "0:1"], "2.010002e+08"),
+    # 2001 values of the default window's 12401 points
+    (["sweep", "--family", "DELTA_DECORATED(HO)", "--param", "tau", "--range=-1:1:0.001"],
+     "24814401"),
+    (["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "1:2:1e-320",
+      "--window", "0:1"], "inf"),
+], ids=["values", "default-window", "overflow"])
+def test_a_sweep_above_ten_million_lattice_points_exits_one(monkeypatch, capsys, argv, size):
+    err = _rejected(monkeypatch, capsys, argv)
+    assert err == (f"error: request too large: {size} sweep values times lattice points, "
+                   "above 10,000,000\n")
+
+
+def test_a_sweep_of_ten_million_lattice_points_runs(monkeypatch):
+    # 1000 values of 10000 points
+    calls = _stub_work(monkeypatch)
+    argv = ["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "1:1000:1",
+            "--window", "0:9999", "--step", "1"]
+    assert run(argv)[0] == 0
+    assert calls == ["sweep"]
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["green-grid", "--grid=0:1:100000"], "1e+10"),
+    (["green-grid", "--grid=0:1:1001"], "1002001"),
+    (["green-grid", "--grid=0:1:1000001", "--xp", "0"], "1000001"),
+], ids=["full", "one-above", "column"])
+def test_a_green_grid_above_a_million_rows_exits_one(monkeypatch, capsys, argv, size):
+    err = _rejected(monkeypatch, capsys, argv)
+    assert err == f"error: request too large: {size} green-grid rows, above 1,000,000\n"
 
 
 @pytest.mark.parametrize("argv,field", [

@@ -547,13 +547,55 @@ def test_non_finite_arguments_raise_domain_error():
 # ----------------------------------------------------------------------
 
 
+def _independent_uv(sol):
+    """(u, v) of one build, computed apart from its map: D_nu(mu x) and
+    D_nu(-mu x) by pcf_d for the oscillator; for a mirror pair, its
+    branch's value on the side where each decays and the branch's
+    continuation on the other."""
+    if isinstance(sol, rv._HoSolutions):
+        return (lambda x: sf.pcf_d(sol.nu, sol.mu * x).value,
+                lambda x: sf.pcf_d(sol.nu, -sol.mu * x).value)
+    br = sol.br
+    return (lambda x: br.value(x) if x >= 0.0 else br.continued(-x),
+            lambda x: br.value(-x) if x <= 0.0 else br.continued(x))
+
+
 def _green_before(kind, x, xp, energy, scales):
-    """resolvent._green before it picked u(x>) and v(x<) by one branch:
-    the same arithmetic verbatim, without the latest-build cache (which
-    never changes a value, see test_solution_memo_never_changes_a_value)."""
+    """resolvent._green before it picked u(x>) and v(x<) by one branch
+    and read both from one map: the same product grouping, with u and v
+    computed independently (_independent_uv) and without the
+    latest-build cache (which never changes a value, see
+    test_solution_memo_never_changes_a_value)."""
     sol = kind(energy, scales.natural)
+    u, v = _independent_uv(sol)
     lo, hi = (x, xp) if x <= xp else (xp, x)
-    return rv.GreenEval(sol.num * (sol.u(hi) * sol.v(lo)) / sol.den, "G")
+    return rv.GreenEval(sol.num * (u(hi) * v(lo)) / sol.den, "G")
+
+
+# each solution kind, at an energy between levels
+_KINDS = pytest.mark.parametrize("kind,fam,energy", [
+    (rv._HoSolutions, HO_FAM, 2.3),
+    (rv._HoSolutions, HO_FAM, 60.3),
+    (rv._linear, LIN_FAM, 1.7),
+    (rv._ho_plus_abs, HOABS_FAM, 2.3),
+], ids=["HO", "HO_eps60", "LINEAR_ABS", "HO_PLUS_ABS"])
+
+
+@_KINDS
+def test_one_map_gives_v_at_minus_x(kind, fam, energy):
+    # v(x) = u(-x) for every kind, so the kernel reads v from the u map
+    xs = (-4.0, -1.5, -0.5, -0.0, 0.0, 0.3, 0.5, 1.25, 4.0)
+    u, v = _independent_uv(kind(energy, fam.scales.natural))
+    want_u = [u(x).hex() for x in xs]
+    want_v = [v(x).hex() for x in xs]
+    # each map read in both orders: -x first (each read a miss), and x
+    # first (its pair filled -x already)
+    for first_v in (True, False):
+        sol = kind(energy, fam.scales.natural)
+        if first_v:
+            assert [sol[-x].hex() for x in xs] == want_v
+        assert [sol[x].hex() for x in xs] == want_u
+        assert [sol[-x].hex() for x in xs] == want_v
 
 
 def _green_decorated_before(x, xp, energy, base_family, scales):
