@@ -573,15 +573,12 @@ def _green_before(kind, x, xp, energy, scales):
 
 
 # each solution kind, at an energy between levels
-_KINDS = pytest.mark.parametrize("kind,fam,energy", [
+@pytest.mark.parametrize("kind,fam,energy", [
     (rv._HoSolutions, HO_FAM, 2.3),
     (rv._HoSolutions, HO_FAM, 60.3),
     (rv._linear, LIN_FAM, 1.7),
     (rv._ho_plus_abs, HOABS_FAM, 2.3),
 ], ids=["HO", "HO_eps60", "LINEAR_ABS", "HO_PLUS_ABS"])
-
-
-@_KINDS
 def test_one_map_gives_v_at_minus_x(kind, fam, energy):
     # v(x) = u(-x) for every kind, so the kernel reads v from the u map
     xs = (-4.0, -1.5, -0.5, -0.0, 0.0, 0.3, 0.5, 1.25, 4.0)
