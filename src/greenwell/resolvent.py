@@ -237,7 +237,6 @@ def _series_tail(y, yp, eps, a_terms):
     of the first len(a_terms) terms.  Together with the analytically
     integrated partial sum this completes the truncated series.
     """
-    n_terms = len(a_terms)
     dyp2 = (y - yp) ** 2
 
     def integrand(v):

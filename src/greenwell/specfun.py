@@ -97,7 +97,8 @@ class PoleError(ValueError):
 # ----------------------------------------------------------------------
 
 # Lanczos approximation, g = 607/128 with 15 coefficients.  Checked
-# against 40-digit references: relative error < 2e-14 for |x| <= 50.
+# against 40-digit references: relative error < 2e-14 for |x| <= 50,
+# and within 20 eps of 1/Gamma on [-170.5, -141] and [141, 171.5].
 _LANCZOS_G = 4.7421875
 _LANCZOS_C = (
     0.99999999999999709182,
@@ -129,7 +130,13 @@ def _gamma_lanczos(x):
            + c[10] / (xm + 10.0) + c[11] / (xm + 11.0) + c[12] / (xm + 12.0)
            + c[13] / (xm + 13.0) + c[14] / (xm + 14.0))
     t = x + _LANCZOS_G - 0.5
-    return _SQRT_2PI * t ** (x - 0.5) * math.exp(-t) * acc
+    if x <= 141.0:
+        return _SQRT_2PI * t ** (x - 0.5) * math.exp(-t) * acc
+    if x > 172.0:  # Gamma(x) > 1.8e308, where the half powers below would soon raise
+        return math.inf
+    # t ** (x - 0.5) alone overflows past x = 141.5: take it as two half powers
+    half = t ** (0.5 * (x - 0.5))
+    return _SQRT_2PI * half * math.exp(-t) * acc * half
 
 
 def _sinpi(x):
@@ -141,11 +148,19 @@ def _sinpi(x):
 
 
 def rgamma(x: float) -> float:
-    """Reciprocal Gamma 1/Gamma(x), entire; exactly 0 at 0, -1, -2, ..."""
+    """Reciprocal Gamma 1/Gamma(x), entire; exactly 0 at 0, -1, ..., -170.
+
+    Below x = -170.6, where the reflection's Gamma(1 - x) exceeds the
+    float range, it is +-inf (nan at the integers).  Above x = 171.6,
+    where Gamma(x) does, OverflowError: 1/Gamma there is not 0.0, and a
+    0.0 would read as a zero of every characteristic function built on it."""
     if not math.isfinite(x):
         raise DomainError(f"rgamma argument must be finite, got {x}")
     if x >= 0.5:
-        return 1.0 / _gamma_lanczos(x)
+        r = 1.0 / _gamma_lanczos(x)
+        if r == 0.0:  # Gamma(x) is inf
+            raise OverflowError(f"rgamma({x!r}) underflows: Gamma(x) exceeds the float range")
+        return r
     # reflection: 1/Gamma(x) = Gamma(1-x) sin(pi x)/pi
     return _gamma_lanczos(1.0 - x) * _sinpi(x) / math.pi
 

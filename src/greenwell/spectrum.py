@@ -273,9 +273,12 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
 
 
 def _bisect(fn, lo, hi, f_lo):
-    """The bracket of fn's sign change in (lo, hi), f_lo = fn(lo), halved to _BRACKET_WIDTH."""
+    """The bracket of fn's sign change in (lo, hi), f_lo = fn(lo), halved to
+    _BRACKET_WIDTH, or to adjacent floats where those lie farther apart (|x| >= 2048)."""
     while hi - lo > _BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: the bracket cannot shrink
+            break
         f_mid = fn(mid)
         if f_mid == 0.0:
             half = 0.25 * _BRACKET_WIDTH
@@ -444,22 +447,17 @@ def _cert_operator(family, top):
     target = max(family.energy(top + _CERT_WALL), e_max + 10.0)
     v = family.potential
 
-    def below(x):
-        return min(v(-x), v(x)) < target
+    def above(x):  # < 0 inside the walls
+        return min(v(-x), v(x)) - target
 
     inside = abs(family.bottom)
-    if not below(inside):
+    f_inside = above(inside)
+    if not f_inside < 0.0:
         raise oracle.WallError(f"V stays above {target:g}: no walls")
     step = 1.0
-    while below(inside + step):
+    while above(inside + step) < 0.0:
         step *= 2.0
-    wall = inside + step
-    while wall - inside > 1e-9 * wall:
-        mid = 0.5 * (inside + wall)
-        if below(mid):
-            inside = mid
-        else:
-            wall = mid
+    _, wall = _bisect(above, inside, inside + step, f_inside)
     return oracle.discretize(family, oracle.GridSpec(wall, _CERT_POINTS), e_max=e_max)
 
 
@@ -602,11 +600,9 @@ def _walked(chi, lat, cert=None, limit=None):
             for a in range(i_lo, i_hi, stride):
                 b = min(a + stride, i_hi)
                 for j in [j for j in factors if changes(j, a, b)]:
-                    lo, hi = a, b
-                    while hi - lo > 1:
-                        mid = (lo + hi) // 2
-                        lo, hi = (lo, mid) if changes(j, lo, mid) else (mid, hi)
-                    cells.append((hi, j))
+                    # a lattice cell (c - 1, c] of (a, b] where the factor changes sign
+                    cells.append((bisect.bisect_left(range(b + 1), True, a + 1,
+                                                     key=lambda i: changes(j, a, i)), j))
             if len(cells) != count or any(0.0 in values.values() for values in known):
                 return None
             found += [_cell_root(chi.factors[j], lat.point(c - 1), lat.point(c),

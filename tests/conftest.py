@@ -1,8 +1,6 @@
 """Shared helpers: finite-difference cross-checks used as the
 independent oracle for Green-function spot values."""
 
-import pytest
-
 from greenwell import oracle
 
 
@@ -27,9 +25,3 @@ def fd_green_probe(family, energy, x_src, probes, n_points, half_width, e_max):
 def rel_err(a, b):
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0 else 0.0
-
-
-@pytest.fixture(scope="session")
-def ho_family():
-    from greenwell import model
-    return model.default_family(model.HO)

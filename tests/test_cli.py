@@ -543,6 +543,41 @@ def test_levels_with_a_non_finite_chi_exit_two():
     assert "Traceback" not in done.stderr
 
 
+def test_levels_of_a_stark_window_past_gamma_order_141():
+    # n + 1/2 - (mu phi/2)^2 for n = 152 .. 161: chi_ho takes 1/Gamma at
+    # orders past 141.5, where t ** (x - 1/2) alone overflows
+    code, out = run(["levels", "--family", json.dumps({"tag": "HO_STARK",
+                                                       "scales": {"alpha1": 6}}),
+                     "--window=-23176:-23166"])
+    assert code == 0
+    eps = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+    assert eps == [n - 23175.5 for n in range(10)]
+
+
+def test_levels_where_rgamma_underflows_exit_two(capsys):
+    # 1/Gamma(1/2 - eps) lies below the float range here: a 0.0 would be
+    # a root at every lattice point
+    code, out = run(["levels", "--family", "HO", "--window=-200:-180"])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: rgamma(")
+    assert "Numerical result out of range" not in err
+
+
+def test_readme_library_example_runs():
+    # the ```python block under "## Library", run as a script
+    root = Path(__file__).resolve().parent.parent
+    code = (root / "README.md").read_text().split("## Library\n\n```python\n", 1)[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code.split("```", 1)[0]], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert done.returncode == 0, done.stderr
+    levels, g = done.stdout.splitlines()
+    fam = model.default_family(model.DELTA_DECORATED, base=model.HO)
+    want = spectrum.find_roots(spectrum.build_chi(fam), window=(-3, 6)).values()
+    assert (levels, g) == (str(want), str(resolvent.green(0.3, -0.7, 2.0, fam).value))
+
+
 # (argv, (exit code, sha256 of stdout), G at each grid point) for green
 # grids whose tails reach the integral routes: pcf_d at z >= 6 and
 # airy_all above x = 7.  G is to 30 digits from 50-digit mpmath

@@ -171,6 +171,55 @@ def test_rgamma_total_function():
         assert math.isfinite(sf.rgamma(x))
 
 
+# 1/Gamma(x) to 30 digits from 40-digit mpmath (offline), on both sides
+# of the reflection where t ** (x - 1/2) alone leaves the float range
+RGAMMA_FAR_REF = [
+    (-170.5, "-3.01864965083505375224191149309e+307"),
+    (-170.00000095367432, "-6.92124479452596105380441582451e+300"),
+    (-169.75, "4.5213227622491785725137806522e+305"),
+    (-163.3, "2.3821411695551879090808367979e+291"),
+    (-157.5, "4.68939839764575392255218812871e+278"),
+    (-150.01, "-6.00616815868882198311547967303e+260"),
+    (-145.3, "9.23602562074805514358967589899e+251"),
+    (-141.58, "1.03578815226297545012296728135e+244"),
+    (-141.001, "1.90756412349340442594615271093e+240"),
+    (141.0, "7.42830985934515744800244008536e-242"),
+    (141.25, "2.15711929228931741871715775115e-242"),
+    (145.3, "4.05124266017633391484939381612e-251"),
+    (150.0, "2.62541431038902279890883851905e-261"),
+    (155.5, "2.60170642808321035229468596989e-273"),
+    (162.7, "3.74402503503422350404890007548e-289"),
+    (168.125, "3.50623265079419756682087366405e-301"),
+    (171.5, "1.05447774005749926026926958214e-308"),
+]
+
+
+@pytest.mark.parametrize("x,ref", RGAMMA_FAR_REF)
+def test_rgamma_far_orders_reference(x, ref):
+    ref = float(ref)
+    assert abs(sf.rgamma(x) - ref) <= 20 * EPS * abs(ref)
+    assert abs(sf.gamma(x) - 1.0 / ref) <= 20 * EPS / abs(ref)
+
+
+def test_rgamma_past_the_float_range():
+    # |1/Gamma| above the float range: +-inf, nan at the integers, never an exception
+    for x in (-170.7, -171.5, -172.5, -300.5, -1e5 - 0.25):
+        assert math.isinf(sf.rgamma(x)), x
+    for x in (-171.0, -300.0, -1e300):
+        assert math.isnan(sf.rgamma(x)), x
+    # 1/Gamma below it: an error that names rgamma, never 0.0
+    for x in (171.63, 172.0, 200.5, 1e300):
+        with pytest.raises(OverflowError, match=r"^rgamma\("):
+            sf.rgamma(x)
+    for i in range(2001):
+        x = 140.0 + 40.0 * i / 2000
+        try:
+            assert sf.rgamma(x) > 0.0, x
+        except OverflowError:
+            assert x > 171.6
+        assert sf.rgamma(-x) != 0.0 or x == round(x), x
+
+
 def test_gamma_recurrence_200_point_grid():
     # |Gamma(x+1) - x Gamma(x)| / |Gamma(x+1)| <= 1e-11 away from poles
     worst = 0.0

@@ -876,6 +876,35 @@ def test_certificate_grid_is_the_same_in_natural_units_at_any_scale():
         sp.sweep(fam, "lam", [1.0, 1.05], window=(0.0, 3.0), step=5.0)
 
 
+def test_bisect_closes_on_adjacent_floats_where_they_lie_wider_than_the_bracket():
+    # above |x| = 2048 adjacent floats lie more than _BRACKET_WIDTH / 2 apart
+    root = 3000.123456789
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        assert len(calls) < 200, "the bisection does not stop"
+        return -1.0 if x < root else 1.0
+
+    assert sp._bisect(fn, 2999.0, 3001.0, fn(2999.0)) == (math.nextafter(root, 0.0), root)
+
+
+@pytest.mark.parametrize("alpha1", [0.01, 0.007])
+def test_certificate_wall_of_a_shallow_linear_well_is_the_first_float_past_the_target(alpha1):
+    # these put the wall near 1.0e7 and 2.9e7, where floats lie 1.9e-9
+    # and 3.7e-9 apart
+    fam = default_family(LINEAR_ABS, alpha1=alpha1)
+    top = 3.0 + sp._CERT_MARGIN
+    wall = sp._cert_operator(fam, top).grid.half_width
+    target = max(fam.energy(top + sp._CERT_WALL), fam.energy(top) + 10.0)
+
+    def v(x):
+        return min(fam.potential(-x), fam.potential(x))
+
+    assert 0.9e7 < wall < 3e7
+    assert v(wall) >= target > v(math.nextafter(wall, 0.0))
+
+
 def test_sweep_raises_where_the_scan_finds_fewer_levels_than_the_count():
     # HO levels 0.5, 1.5 and 2.5 share the one lattice cell of --step 5
     fam = default_family(HO_ASYM)
