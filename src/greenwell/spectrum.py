@@ -274,7 +274,8 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
 
 def _bisect(fn, lo, hi, f_lo):
     """The bracket of fn's sign change in (lo, hi), f_lo = fn(lo), halved to
-    _BRACKET_WIDTH, or to adjacent floats where those lie farther apart (|x| >= 2048)."""
+    _BRACKET_WIDTH, or to two adjacent floats at |x| >= 2048, where those lie
+    more than _BRACKET_WIDTH / 2 apart."""
     while hi - lo > _BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # adjacent floats: the bracket cannot shrink
