@@ -7,6 +7,10 @@ keeping this module genuinely independent of the closed forms it
 checks); fixed-energy resolvent columns come from a direct tridiagonal
 solve of (H - E) g = delta_h.
 
+_bisect is the package's one float halving, for these eigenvalues and
+spectrum's roots and certificate walls alike.  It lives here because
+spectrum imports this module, which imports none of the closed forms.
+
 Delta terms are represented as a/h added to the diagonal at the node
 nearest q.  That is the simplest O(h)-consistent scheme; tolerances of
 the comparisons against closed forms are sized for it, and a two-grid
@@ -85,7 +89,9 @@ def auto_grid(family: PotentialFamily, e_max: float, n_points: int) -> GridSpec:
     """Smallest half-width on a 0.5 lattice with V(+-L) >= e_max + 10,
     searched from the well bottom outward: L starts at the first lattice
     point at or beyond |family.bottom|, and never below 1, so the box
-    holds the bottom of a shifted well."""
+    holds the bottom of a shifted well; WallError past L = 4096.  L is a
+    physical length, so a stiff well needs more points (HO at omega1 = 2e6:
+    first level off by 0.0162 at 4000 points, 6.25e-6 at 200,000)."""
     L = max(1.0, math.ceil(2.0 * abs(family.bottom)) / 2.0)
     while L < 4096.0:
         if (potential_value(family, -L) >= e_max + 10.0
@@ -146,15 +152,32 @@ def eigenvalue_count_below(op: TridiagonalOperator, x: float, cap: int | None = 
     return min(count, limit)
 
 
-def lowest_eigenvalues(op: TridiagonalOperator, k: int):
-    """The k smallest eigenvalues, each bisected to absolute width 1e-10
-    from the Gershgorin bounds of the spectrum.
+def _bisect(fn, lo, hi, f_lo, width):
+    """The bracket of fn's sign change in (lo, hi), f_lo = fn(lo), halved to
+    `width`, or to two adjacent floats where those lie more than `width`
+    apart (|x| >= 2048 for width 2.5e-13, |x| >= 2^19 for width 1e-10).
+    An exact zero at a midpoint gives the bracket of width / 2 around it."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: the bracket cannot shrink
+            break
+        f_mid = fn(mid)
+        if f_mid == 0.0:
+            half = 0.25 * width
+            return mid - half, mid + half
+        if (f_lo < 0.0) != (f_mid < 0.0):
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return lo, hi
 
-    Deterministic: pure bisection on the Sturm count, no iteration order
-    dependence.  Each count for the j-th eigenvalue is capped at j, which
-    decides the same bisection step as the full count.  k is capped at
-    50 by contract.
-    """
+
+def lowest_eigenvalues(op: TridiagonalOperator, k: int):
+    """The k smallest eigenvalues (k in 1..50), each the midpoint of its
+    Sturm-count bracket, halved by _bisect from the Gershgorin bounds of
+    the spectrum to width 1e-10, or to adjacent floats at |eigenvalue| >=
+    2^19.  Each count for the j-th eigenvalue is capped at j, which
+    decides the same halving as the full count."""
     if not (1 <= k <= 50):
         raise ValueError(f"k must be in 1..50, got {k}")
     tol = 1e-10
@@ -162,16 +185,9 @@ def lowest_eigenvalues(op: TridiagonalOperator, k: int):
     hi0 = max(op.diag) + 2.0 * abs(op.off)
     out = []
     for j in range(1, k + 1):
-        lo, hi = lo0, hi0
-        # shrink: reuse the previous eigenvalue as a lower bound
-        if out:
-            lo = out[-1] - tol
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if eigenvalue_count_below(op, mid, cap=j) >= j:
-                hi = mid
-            else:
-                lo = mid
+        # -1 below the j-th eigenvalue, +1 at or above it, from above the (j-1)-th
+        lo, hi = _bisect(lambda x: 1.0 if eigenvalue_count_below(op, x, cap=j) >= j else -1.0,
+                         out[-1] - tol if out else lo0, hi0, -1.0, tol)
         out.append(0.5 * (lo + hi))
     return out
 

@@ -334,7 +334,12 @@ _SQRT2 = math.sqrt(2.0)
 def _weber0(eps):
     """(value, slope) at 0 of the Weber branch D_{eps-1/2}(mu y), from
     rgamma: D_nu(0) and D_nu'(0) over their common factor 2^(nu/2)
-    sqrt(pi) are 1/Gamma((1-nu)/2) and -sqrt(2)/Gamma(-nu/2) (DLMF 12.2.6-7)."""
+    sqrt(pi) are 1/Gamma((1-nu)/2) and -sqrt(2)/Gamma(-nu/2) (DLMF 12.2.6-7).
+    Both are finite up to eps = 342.64, where the slope leaves the float
+    range.  HO_ASYM's Wronskian multiplies two of them and overflows first,
+    at eps = 260.67 for lam = 1/2 (the default), 197.70 for 1, 130.10 for 2;
+    HALF_HO_HALF_LINEAR reaches 342.64 only at xi <= 0.27, where xi^2 eps
+    stays inside the Airy domain."""
     return sf.rgamma(0.75 - 0.5 * eps), -_SQRT2 * sf.rgamma(0.25 - 0.5 * eps)
 
 

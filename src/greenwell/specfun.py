@@ -119,9 +119,11 @@ _LANCZOS_C = (
 )
 
 
-def _gamma_lanczos(x):
-    # requires x >= 0.5; the sum C_0 + sum_i C_i / ((x - 1) + i), unrolled
-    # in its left-to-right order
+def _gamma_lanczos(x, fold=1.0):
+    # requires x >= 0.5; Gamma(x) * fold, with the sum C_0 + sum_i C_i /
+    # ((x - 1) + i) unrolled in its left-to-right order.  Above x = 141 the
+    # fold scales one of two half powers, so a small fold keeps a product
+    # whose Gamma(x) alone exceeds the float range
     c = _LANCZOS_C
     xm = x - 1.0
     acc = (c[0] + c[1] / (xm + 1.0) + c[2] / (xm + 2.0) + c[3] / (xm + 3.0)
@@ -131,12 +133,12 @@ def _gamma_lanczos(x):
            + c[13] / (xm + 13.0) + c[14] / (xm + 14.0))
     t = x + _LANCZOS_G - 0.5
     if x <= 141.0:
-        return _SQRT_2PI * t ** (x - 0.5) * math.exp(-t) * acc
-    if x > 172.0:  # Gamma(x) > 1.8e308, where the half powers below would soon raise
-        return math.inf
+        return _SQRT_2PI * t ** (x - 0.5) * math.exp(-t) * acc * fold
+    if x > 178.0:  # Gamma(x) > 3.5e322: past the float range even times a fold of 2^-45
+        return math.copysign(math.inf, fold)
     # t ** (x - 0.5) alone overflows past x = 141.5: take it as two half powers
     half = t ** (0.5 * (x - 0.5))
-    return _SQRT_2PI * half * math.exp(-t) * acc * half
+    return _SQRT_2PI * half * math.exp(-t) * acc * (half * fold)
 
 
 def _sinpi(x):
@@ -148,11 +150,13 @@ def _sinpi(x):
 
 
 def rgamma(x: float) -> float:
-    """Reciprocal Gamma 1/Gamma(x), entire; exactly 0 at 0, -1, ..., -170.
+    """Reciprocal Gamma 1/Gamma(x), entire; exactly 0 at 0, -1, -2, ....
 
     Below x = -170.6, where the reflection's Gamma(1 - x) exceeds the
-    float range, it is +-inf (nan at the integers).  Above x = 171.6,
-    where Gamma(x) does, OverflowError: 1/Gamma there is not 0.0, and a
+    float range, sin(pi x)/pi is folded into one of its half powers: the
+    float 1/Gamma where one exists (to about x = -171.1, and next to the
+    integers down to -176), +-inf elsewhere.  Above x = 171.6, where
+    Gamma(x) overflows, OverflowError: 1/Gamma there is not 0.0, and a
     0.0 would read as a zero of every characteristic function built on it."""
     if not math.isfinite(x):
         raise DomainError(f"rgamma argument must be finite, got {x}")
@@ -162,7 +166,12 @@ def rgamma(x: float) -> float:
             raise OverflowError(f"rgamma({x!r}) underflows: Gamma(x) exceeds the float range")
         return r
     # reflection: 1/Gamma(x) = Gamma(1-x) sin(pi x)/pi
-    return _gamma_lanczos(1.0 - x) * _sinpi(x) / math.pi
+    s = _sinpi(x)
+    r = _gamma_lanczos(1.0 - x) * s / math.pi
+    if math.isfinite(r):
+        return r
+    # Gamma(1 - x) overflows: 0 at the integers, else sin(pi x)/pi in a half power
+    return _gamma_lanczos(1.0 - x, s / math.pi) if s else 0.0
 
 
 def gamma(x: float) -> float:

@@ -15,7 +15,8 @@ condition is written here, and this module keeps no state.
 
 Root finding is deliberately simple and robust: one walk over a
 fixed-step lattice brackets every sign change and refines it by
-bisection (_walked; find_roots is that walk with no level count).  The
+bisection (_walked; find_roots is that walk with no level count), with
+oracle._bisect, the package's one float halving (see oracle).  The
 CLI's levels and sweeps check their scans against an FD Sturm count of
 the levels between two lattice points (checked_roots), and a sweep
 hands that count to the walk, which crosses the part it counts in
@@ -83,7 +84,8 @@ _BRACKET_WIDTH = 2.5e-13
 
 
 def chi_ho(eps: float) -> float:
-    """Zero exactly at eps = n + 1/2 (reciprocal-Gamma form)."""
+    """Zero exactly at eps = n + 1/2 (reciprocal-Gamma form); finite up to
+    eps = 171.59, past which 1/Gamma(1/2 - eps) leaves the float range."""
     return sf.rgamma(0.5 - eps)
 
 
@@ -272,25 +274,6 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
 # ----------------------------------------------------------------------
 
 
-def _bisect(fn, lo, hi, f_lo):
-    """The bracket of fn's sign change in (lo, hi), f_lo = fn(lo), halved to
-    _BRACKET_WIDTH, or to two adjacent floats at |x| >= 2048, where those lie
-    more than _BRACKET_WIDTH / 2 apart."""
-    while hi - lo > _BRACKET_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # adjacent floats: the bracket cannot shrink
-            break
-        f_mid = fn(mid)
-        if f_mid == 0.0:
-            half = 0.25 * _BRACKET_WIDTH
-            return mid - half, mid + half
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class _Lattice:
     """The scan lattice of a window: point i is lo for i = 0 and
@@ -327,7 +310,7 @@ def _cell_root(factor, x_prev, x, f_prev, f):
     |chi(root)| normalized by the larger cell-end value."""
     parity, fn = factor
     scale = max(abs(f_prev), abs(f), 1e-300)
-    b_lo, b_hi = _bisect(fn, x_prev, x, f_prev)
+    b_lo, b_hi = oracle._bisect(fn, x_prev, x, f_prev, _BRACKET_WIDTH)
     root = 0.5 * (b_lo + b_hi)
     return root, (b_lo, b_hi), abs(fn(root)) / scale, parity
 
@@ -458,7 +441,7 @@ def _cert_operator(family, top):
     step = 1.0
     while above(inside + step) < 0.0:
         step *= 2.0
-    _, wall = _bisect(above, inside, inside + step, f_inside)
+    _, wall = oracle._bisect(above, inside, inside + step, f_inside, _BRACKET_WIDTH)
     return oracle.discretize(family, oracle.GridSpec(wall, _CERT_POINTS), e_max=e_max)
 
 

@@ -448,6 +448,23 @@ def test_verify_delta_family_small_grid():
     assert code == 0
 
 
+@pytest.mark.parametrize("family,args,code,verdict", [
+    ('{"tag":"HO","scales":{"omega1":2000000}}', ["--n-oracle", "200000"], 0, "ok"),
+    # the default window (-50, 12] misses this well's deep level near eps = -2e6
+    ('{"tag":"DELTA_DECORATED","base":"HO","scales":{"delta_strength":-2000}}', [], 3,
+     "MISMATCH")], ids=["HO omega1=2e6", "DELTA_DECORATED(HO) a=-2000"])
+def test_verify_of_a_stiff_or_deep_well_returns(family, args, code, verdict):
+    # the lowest FD level lies past 2^19, where its bisection stops at
+    # adjacent floats 1.2e-10 or more apart instead of at width 1e-10
+    src = str(Path(model.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "greenwell.cli", "verify", "--family", family, "--k", "1"]
+        + args, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == code, done.stderr
+    assert done.stdout.count("\n") == 1 and done.stdout.endswith(f" {verdict}\n")
+
+
 VERIFY_NAMES = ["HO", "HO_STARK", "HO_ASYM", "LINEAR_ABS", "LINEAR_ASYM",
                 "HALF_HO_HALF_LINEAR", "HO_PLUS_ABS", "DELTA_DECORATED(HO)",
                 "DELTA_DECORATED(LINEAR_ABS)"]

@@ -272,3 +272,31 @@ def test_discretize_nodes_are_those_of_grid_node(tag, base):
         op = discretize(fam, grid)
         want = _diag_with_a_node_call_per_point(fam, grid)
         assert [d.hex() for d in op.diag] == [d.hex() for d in want]
+
+
+STIFF_HO = model.family_from_dict({"tag": "HO", "scales": {"omega1": 2e6}})
+DEEP_DELTA = model.family_from_dict(
+    {"tag": "DELTA_DECORATED", "base": "HO", "scales": {"delta_strength": -2000}})
+
+
+@pytest.mark.parametrize("fam,n", [(STIFF_HO, 200000), (DEEP_DELTA, 8000)],
+                         ids=["HO omega1=2e6", "DELTA_DECORATED(HO) a=-2000"])
+def test_lowest_eigenvalue_past_2_19_closes_on_adjacent_floats(fam, n, monkeypatch):
+    # verify's operator at its first closed-form level: its lowest FD level,
+    # about +1e6 and -2e6, lies where adjacent floats are wider than 1e-10
+    op = _verify_operator(fam, k=1, n=n)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        assert len(calls) < 200, "the bisection does not stop"
+        return eigenvalue_count_below(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigenvalue_count_below", counted)
+    (e,) = lowest_eigenvalues(op, 1)
+    monkeypatch.undo()
+    assert abs(e) >= 2.0 ** 19
+    down, up = math.nextafter(e, -math.inf), math.nextafter(e, math.inf)
+    # the count changes between e and one of its neighbours
+    assert ((eigenvalue_count_below(op, down), eigenvalue_count_below(op, e)) == (0, 1)
+            or (eigenvalue_count_below(op, e), eigenvalue_count_below(op, up)) == (0, 1))

@@ -201,12 +201,33 @@ def test_rgamma_far_orders_reference(x, ref):
     assert abs(sf.gamma(x) - 1.0 / ref) <= 20 * EPS / abs(ref)
 
 
+# 1/Gamma(x) to 30 digits from 50-digit mpmath (offline) below x = -170.62,
+# where the reflection's Gamma(1 - x) exceeds the float range but 1/Gamma
+# does not: down to -171.09, and next to the integers below it
+RGAMMA_PAST_GAMMA_REF = [
+    (-170.7, "-6.8299964229285652827471888974e+307"),
+    (-170.9, "-7.29788115606773257481688469606e+307"),
+    (-170.95, "-4.77804903724926438841026339872e+307"),
+    (-171.05, "7.99239751234701973510525702683e+307"),
+    (-171.9999999999991, "1.94136289861889041591371637345e+299"),
+    (-175.00000000000003, "3.19587767048091529821251381321e+304"),
+    (-175.99999999999997, "5.62474470004475776831950454963e+306"),
+]
+
+
+@pytest.mark.parametrize("x,ref", RGAMMA_PAST_GAMMA_REF)
+def test_rgamma_past_the_gamma_range_reference(x, ref):
+    ref = float(ref)
+    assert abs(sf.rgamma(x) - ref) <= 20 * EPS * abs(ref)
+
+
 def test_rgamma_past_the_float_range():
-    # |1/Gamma| above the float range: +-inf, nan at the integers, never an exception
-    for x in (-170.7, -171.5, -172.5, -300.5, -1e5 - 0.25):
+    # |1/Gamma| above the float range: +-inf, exactly 0 at the integers,
+    # never an exception (1/Gamma(-171.1) is 2.04e308)
+    for x in (-171.1, -171.5, -172.5, -300.5, -1e5 - 0.25):
         assert math.isinf(sf.rgamma(x)), x
     for x in (-171.0, -300.0, -1e300):
-        assert math.isnan(sf.rgamma(x)), x
+        assert sf.rgamma(x) == 0.0, x
     # 1/Gamma below it: an error that names rgamma, never 0.0
     for x in (171.63, 172.0, 200.5, 1e300):
         with pytest.raises(OverflowError, match=r"^rgamma\("):

@@ -886,7 +886,8 @@ def test_bisect_closes_on_adjacent_floats_where_they_lie_wider_than_the_bracket(
         assert len(calls) < 200, "the bisection does not stop"
         return -1.0 if x < root else 1.0
 
-    assert sp._bisect(fn, 2999.0, 3001.0, fn(2999.0)) == (math.nextafter(root, 0.0), root)
+    assert (oracle._bisect(fn, 2999.0, 3001.0, fn(2999.0), sp._BRACKET_WIDTH)
+            == (math.nextafter(root, 0.0), root))
 
 
 @pytest.mark.parametrize("alpha1", [0.01, 0.007])
