@@ -176,7 +176,14 @@ def _layout(template, parts):
 
 
 def _table(cfg, header, rows):
-    """A table as text in `cfg.format`.
+    """A table of row tuples as text in `cfg.format`: _columns_table of
+    their columns."""
+    return _columns_table(cfg, header, list(zip(*rows)))
+
+
+def _columns_table(cfg, header, columns):
+    """A table, given as one sequence of cells per header entry, as text
+    in `cfg.format`.
 
     CSV: the header line, then one line per row.  JSON: an array with one
     object per row, keys sorted, one-space indent, and `[]` for an empty
@@ -184,12 +191,15 @@ def _table(cfg, header, rows):
     other values print as str() in CSV and as JSON numbers or strings.
 
     Each row is laid out by one '%' template over its columns' cells,
-    so no row builds a dict or runs the pure-Python JSON indent encoder."""
-    columns = list(zip(*rows))
+    so no row builds a dict or runs the pure-Python JSON indent encoder,
+    and the text is joined once: the CSV header is the first line, the
+    JSON brackets sit on the first and last objects."""
     if cfg.format == "csv":
         parts = [_column(c, True) for c in columns]
         template = ",".join(f for f, _ in parts) + "\n"
-        return ",".join(header) + "\n" + "".join(_layout(template, parts))
+        lines = _layout(template, parts)
+        lines.insert(0, ",".join(header) + "\n")
+        return "".join(lines)
     # as in dict(zip(header, row)), a repeated key keeps its last column
     keyed = sorted({h: i for i, h in enumerate(header)}.items()) if columns else []
     parts = [_column(columns[i], False) for _, i in keyed]
@@ -197,7 +207,11 @@ def _table(cfg, header, rows):
         f"  {json.dumps(h).replace('%', '%%')}: {f}"
         for (h, _), (f, _) in zip(keyed, parts)) + "\n }"
     objects = _layout(template, parts)
-    return "[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n"
+    if not objects:
+        return "[]\n"
+    objects[0] = "[\n" + objects[0]
+    objects[-1] += "\n]\n"
+    return ",\n".join(objects)
 
 
 # ----------------------------------------------------------------------
@@ -256,14 +270,22 @@ def cmd_green_grid(cfg):
     xmin, xmax, n = cfg.grid
     n = int(n)
     _bounded("green-grid rows", n if cfg.xp is not None else float(n) * n, MAX_GRID_ROWS)
+    closed_form, args = resolvent._closed_form(fam)
+    energy = cfg.energy
+    xs = [xmin + (xmax - xmin) * i / (n - 1) for i in range(n)]
     # each grid abscissa is formatted once, by position, for all the rows
-    # it appears in; a fixed xp is its own cell, which _table formats like
-    # any value (-0.0 as -0, an integer from a config as a JSON number)
-    xs = [(x, _fmt(x)) for x in (xmin + (xmax - xmin) * i / (n - 1) for i in range(n))]
-    xps = xs if cfg.xp is None else [(cfg.xp, cfg.xp)]
-    rows = [(x_cell, xp_cell, resolvent.green(x, xp, cfg.energy, fam).value)
-            for x, x_cell in xs for xp, xp_cell in xps]
-    return EXIT_OK, _table(cfg, ("x", "xp", "value"), rows)
+    # it appears in; a fixed xp is its own cell, which _columns_table
+    # formats like any value (-0.0 as -0, an integer from a config as a
+    # JSON number)
+    cells = list(map(_fmt, xs))
+    if cfg.xp is None:
+        x_cells = [cell for cell in cells for _ in cells]
+        xp_cells = cells * n
+        values = [closed_form(x, xp, energy, *args).value for x in xs for xp in xs]
+    else:
+        x_cells, xp_cells = cells, [cfg.xp] * n
+        values = [closed_form(x, cfg.xp, energy, *args).value for x in xs]
+    return EXIT_OK, _columns_table(cfg, ("x", "xp", "value"), (x_cells, xp_cells, values))
 
 
 def cmd_table1(cfg):

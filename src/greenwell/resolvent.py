@@ -38,7 +38,9 @@ factors), and the branch's own continuation of u through 0.  Each is
 written once, here, and spectrum's characteristic functions read them.
 Scans build branches only, with no pole check; the HO+|x| slope
 D'(mu phi) and the continuation's coefficients are computed when first
-read.  green(x, x', E, family) dispatches by family.
+read.  green(x, x', E, family) is one call of the closed form that
+_closed_form(family) looks up by family tag; the CLI's green-grid looks
+it up once per request.
 
 The module keeps the latest object it built through _kept, with the
 kind, energy and context it was built for: the NaturalUnits
@@ -522,15 +524,24 @@ def green_decorated(x, xp, energy, base_family, scales) -> GreenEval:
     return GreenEval(val, "G")
 
 
-def green(x, xp, energy, family) -> GreenEval:
-    """G(x, x'; E) of a model.PotentialFamily by its closed form.
+def _closed_form(family):
+    """(fn, args) with G(x, x'; E) = fn(x, x', E, *args) for a
+    model.PotentialFamily: green_decorated with (base, scales) for a
+    decorated well, its _BASE_GREEN entry with (scales,) otherwise.
 
     Raises model.FamilyError for a family without one (HO_ASYM,
     LINEAR_ASYM, HALF_HO_HALF_LINEAR).
     """
     if family.tag == DELTA_DECORATED:
-        return green_decorated(x, xp, energy, family.base, family.scales)
+        return green_decorated, (family.base, family.scales)
     closed_form = _BASE_GREEN.get(family.tag)
     if closed_form is None:
         raise FamilyError(f"no closed-form Green function for family {family.tag!r}")
-    return closed_form(x, xp, energy, family.scales)
+    return closed_form, (family.scales,)
+
+
+def green(x, xp, energy, family) -> GreenEval:
+    """G(x, x'; E) of a model.PotentialFamily by its closed form
+    (_closed_form; model.FamilyError for a family without one)."""
+    closed_form, args = _closed_form(family)
+    return closed_form(x, xp, energy, *args)

@@ -226,7 +226,9 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
     domain |t| <= 25 binds (large beta or xi).  The delta-decorated
     wells carry their energy floor: H >= T + a delta + min V with
     min V = 0 for both bases, so E >= -m a^2 / (2 hbar^2) when a < 0
-    (the free-delta bound state) and E > 0 otherwise.
+    (the free-delta bound state) and E > 0 otherwise.  A floor below
+    the default low edge (eps = -50, rho = -24) becomes the low edge, so
+    a default-window scan reaches every level.
     """
     tag = family.tag
     u = family.scales.natural
@@ -262,10 +264,12 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
         floor = family.natural_energy(-s.mass * a * a / (2.0 * s.hbar ** 2) if a < 0.0 else 0.0)
         if family.base == HO:
             return CharacteristicFunction(
-                (-50.0, 12.0), ((None, lambda e: chi_delta_ho(e, u.tau, u.p)),), floor=floor)
+                (min(-50.0, floor), 12.0), ((None, lambda e: chi_delta_ho(e, u.tau, u.p)),),
+                floor=floor)
         zq = u.zeta * abs(s.delta_position)  # the |x| well is even in q
         return CharacteristicFunction(
-            (-24.0, 12.0), ((None, lambda r: chi_delta_linear(r, u.eta, zq)),), floor=floor)
+            (min(-24.0, floor), 12.0), ((None, lambda r: chi_delta_linear(r, u.eta, zq)),),
+            floor=floor)
     raise ValueError(f"no characteristic function for family {tag!r}")
 
 

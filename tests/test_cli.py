@@ -289,11 +289,16 @@ GRID_BYTES_SHA256 = [
     (["--family", "HO", "--energy", "2.3", "--grid=-2:2:9", "--xp=-0"],
      "19d4004f54215043eb9ba3509b4b86bf3340d5f6a06ef88949fb45b9ddf11540",
      "205445f7d5f9009e84865cb5b0b316d57137d3577a58968dc38e4d46a74b6e53"),
+    # the grid the CI console-script step writes with --out, recorded
+    # before green-grid filled value columns instead of row tuples
+    (["--family", "DELTA_DECORATED(HO)", "--energy", "2.3", "--grid=-2:2:81"],
+     "fcc48b9de4027e775adf72a6141c9bfed802f8a7fb4a6cfd596cb2c5700a68e7",
+     "8f290a62ae328bf642466326829758490a659c5cd92d1e48726c6a1c929e0f7a"),
 ]
 
 
 @pytest.mark.parametrize("argv,csv_sha,json_sha", GRID_BYTES_SHA256,
-                         ids=["LINEAR_ABS-81", "DEC_HO-81", "HO-xp-0"])
+                         ids=["LINEAR_ABS-81", "DEC_HO-81", "HO-xp-0", "DEC_HO-81-CI"])
 def test_green_grid_readme_size_and_negative_zero_bytes_pinned(argv, csv_sha, json_sha):
     for fmt, sha in (("csv", csv_sha), ("json", json_sha)):
         code, out = run(["green-grid", *argv, "--format", fmt])
@@ -302,6 +307,70 @@ def test_green_grid_readme_size_and_negative_zero_bytes_pinned(argv, csv_sha, js
     if "--xp=-0" in argv:
         # -0.0 == 0.0, so an abscissa keyed by value would print as 0
         assert {row["xp"] for row in json.loads(out)} == {"-0"}
+
+
+def _row_tuple_grid(argv):
+    """green-grid's text as it was built from row tuples: one
+    (x cell, xp cell, value) per point by resolvent.green, then _table."""
+    cfg, _ = cli.build_config(argv)
+    fam = model.family_from_dict(cfg.family)
+    xmin, xmax, n = cfg.grid
+    n = int(n)
+    xs = [(x, _fmt(x)) for x in (xmin + (xmax - xmin) * i / (n - 1) for i in range(n))]
+    xps = xs if cfg.xp is None else [(cfg.xp, cfg.xp)]
+    rows = [(x_cell, xp_cell, resolvent.green(x, xp, cfg.energy, fam).value)
+            for x, x_cell in xs for xp, xp_cell in xps]
+    return cli._table(cfg, ("x", "xp", "value"), rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["--family", "HO", "--energy", "2.3", "--grid=-2:2:9"],
+    ["--family", "HO_PLUS_ABS", "--energy", "2.3", "--grid=-2:2:9", "--xp", "0.3"],
+    ["--family", "HO", "--energy", "2.3", "--grid=-2:2:9", "--xp=-0"],
+    ["--family", "LINEAR_ABS", "--energy", "1.7", "--grid=-1:0:2"],
+    ["--family", "DELTA_DECORATED(LINEAR_ABS)", "--energy", "1.7", "--grid=0:1:2",
+     "--set", "xp=0"],
+    ["--family", "HO_STARK", "--energy", "2.3", "--grid=-2:2:5"],
+], ids=["HO", "xp", "xp-0", "n2", "n2-int-xp", "HO_STARK"])
+def test_green_grid_columns_give_the_row_tuple_bytes(tmp_path, argv, fmt):
+    argv = ["green-grid", *argv, "--format", fmt]
+    want = _row_tuple_grid(argv)
+    assert run(argv) == (0, want)
+    path = tmp_path / "grid.txt"
+    assert run(argv + ["--out", str(path)]) == (0, "")
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == want
+
+
+@pytest.mark.parametrize("family,energy", [
+    ("HO", "2.3"), ("HO_STARK", "2.3"), ("LINEAR_ABS", "1.7"), ("HO_PLUS_ABS", "2.3"),
+    ("DELTA_DECORATED(HO)", "2.3"), ("DELTA_DECORATED(LINEAR_ABS)", "1.7")])
+def test_green_grid_values_are_those_of_green(monkeypatch, family, energy):
+    # one closed-form call per point, looked up once per request, gives
+    # resolvent.green's value bit for bit
+    tables = []
+    columns_table = cli._columns_table
+    monkeypatch.setattr(cli, "_columns_table",
+                        lambda cfg, header, columns: tables.append(columns)
+                        or columns_table(cfg, header, columns))
+    assert run(["green-grid", "--family", family, "--energy", energy, "--grid=-2:2:9"])[0] == 0
+    ((x_cells, xp_cells, values),) = tables
+    fam = model.family_from_dict(cli._parse_family(family))
+    want = [resolvent.green(float(x), float(xp), float(energy), fam).value.hex()
+            for x, xp in zip(x_cells, xp_cells)]
+    assert [v.hex() for v in values] == want
+
+
+def test_closed_form_is_the_dispatch_of_green():
+    for tag, fn in resolvent._BASE_GREEN.items():
+        fam = model.default_family(tag)
+        assert resolvent._closed_form(fam) == (fn, (fam.scales,))
+    fam = model.default_family(model.DELTA_DECORATED, base=model.HO)
+    assert resolvent._closed_form(fam) == (resolvent.green_decorated, (model.HO, fam.scales))
+    for tag in (model.HO_ASYM, model.LINEAR_ASYM, model.HALF_HO_HALF_LINEAR):
+        with pytest.raises(model.FamilyError, match="no closed-form Green function"):
+            resolvent._closed_form(model.default_family(tag))
 
 
 def test_green_grid_integer_xp_stays_a_json_number():
@@ -450,9 +519,10 @@ def test_verify_delta_family_small_grid():
 
 @pytest.mark.parametrize("family,args,code,verdict", [
     ('{"tag":"HO","scales":{"omega1":2000000}}', ["--n-oracle", "200000"], 0, "ok"),
-    # the default window (-50, 12] misses this well's deep level near eps = -2e6
-    ('{"tag":"DELTA_DECORATED","base":"HO","scales":{"delta_strength":-2000}}', [], 3,
-     "MISMATCH")], ids=["HO omega1=2e6", "DELTA_DECORATED(HO) a=-2000"])
+    # the scan starts at this well's floor near eps = -2e6, outside pcf_d's
+    # |nu| <= 60; it used to start at -50 and report a MISMATCH (exit 3)
+    ('{"tag":"DELTA_DECORATED","base":"HO","scales":{"delta_strength":-2000}}', [], 1,
+     None)], ids=["HO omega1=2e6", "DELTA_DECORATED(HO) a=-2000"])
 def test_verify_of_a_stiff_or_deep_well_returns(family, args, code, verdict):
     # the lowest FD level lies past 2^19, where its bisection stops at
     # adjacent floats 1.2e-10 or more apart instead of at width 1e-10
@@ -462,7 +532,46 @@ def test_verify_of_a_stiff_or_deep_well_returns(family, args, code, verdict):
         + args, capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == code, done.stderr
-    assert done.stdout.count("\n") == 1 and done.stdout.endswith(f" {verdict}\n")
+    if verdict is None:
+        assert done.stdout == "" and "restricted to |nu| <= 60" in done.stderr
+    else:
+        assert done.stdout.count("\n") == 1 and done.stdout.endswith(f" {verdict}\n")
+
+
+def _deep_delta(base, strength):
+    return json.dumps({"tag": "DELTA_DECORATED", "base": base,
+                       "scales": {"delta_strength": strength}})
+
+
+def test_a_ground_state_below_the_default_low_edge_is_found_without_a_window():
+    # the free-delta floor eps = -55.125 lies below the default window's
+    # low edge -50; the scan used to start at -50, print index 0 at
+    # eps 1.18875326896 and exit 0
+    family = ["--family", _deep_delta("HO", -10.5)]
+    code, out = run(["levels", *family])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows[0][:3] == ["0", "", "-55.060239175"]
+    assert rows[1][:3] == ["1", "", "1.18875326896"]
+    code, windowed = run(["levels", *family, "--window=-56:-50"])
+    assert (code, windowed.splitlines()[1]) == (0, out.splitlines()[1])
+    code, out = run(["verify", *family, "--k", "2"])
+    assert code == 0 and out.endswith(" ok\n"), out
+
+
+@pytest.mark.parametrize("command", ["levels", "verify"])
+@pytest.mark.parametrize("base,strength,domain", [
+    ("HO", -20, "pcf_d_pair restricted to |nu| <= 60, got nu = -200.5"),
+    ("LINEAR_ABS", -10, "airy functions restricted to |x| <= 25.0, got 25.5")])
+def test_a_floor_outside_the_special_function_domain_exits_one(
+        capsys, command, base, strength, domain):
+    # the scan starts at the floor, eps = -200 or rho = -25, where the
+    # ground state may lie; it used to start at -50 or -24 and print the
+    # levels above the edge with exit 0
+    extra = ["--k", "1"] if command == "verify" else []
+    code, out = run([command, "--family", _deep_delta(base, strength), *extra])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: {domain}\n"
 
 
 VERIFY_NAMES = ["HO", "HO_STARK", "HO_ASYM", "LINEAR_ABS", "LINEAR_ASYM",

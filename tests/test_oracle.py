@@ -212,9 +212,10 @@ def _count_before_the_row_trim(op, x, cap=None):
     return min(count, limit)
 
 
-def _verify_operator(fam, k=6, n=1000):
-    """The operator `greenwell verify --k k --n-oracle n` builds for fam."""
-    res = spectrum.find_roots(spectrum.build_chi(fam), step=0.005, limit=k)
+def _verify_operator(fam, k=6, n=1000, window=None):
+    """The operator `greenwell verify --k k --n-oracle n` builds for fam,
+    its closed-form levels scanned over `window` (default: the family's)."""
+    res = spectrum.find_roots(spectrum.build_chi(fam), window, step=0.005, limit=k)
     e_top = fam.energy(res.values()[-1])
     return discretize(fam, oracle.auto_grid(fam, e_max=e_top, n_points=n), e_max=e_top)
 
@@ -279,12 +280,16 @@ DEEP_DELTA = model.family_from_dict(
     {"tag": "DELTA_DECORATED", "base": "HO", "scales": {"delta_strength": -2000}})
 
 
-@pytest.mark.parametrize("fam,n", [(STIFF_HO, 200000), (DEEP_DELTA, 8000)],
+# the deep delta's default scan now starts at its floor near eps = -2e6,
+# outside pcf_d's domain; over (-50, 12] it builds the operator verify
+# built before the scan started at floors below -50
+@pytest.mark.parametrize("fam,n,window", [(STIFF_HO, 200000, None),
+                                          (DEEP_DELTA, 8000, (-50.0, 12.0))],
                          ids=["HO omega1=2e6", "DELTA_DECORATED(HO) a=-2000"])
-def test_lowest_eigenvalue_past_2_19_closes_on_adjacent_floats(fam, n, monkeypatch):
+def test_lowest_eigenvalue_past_2_19_closes_on_adjacent_floats(fam, n, window, monkeypatch):
     # verify's operator at its first closed-form level: its lowest FD level,
     # about +1e6 and -2e6, lies where adjacent floats are wider than 1e-10
-    op = _verify_operator(fam, k=1, n=n)
+    op = _verify_operator(fam, k=1, n=n, window=window)
     calls = []
 
     def counted(*args, **kwargs):

@@ -134,6 +134,12 @@ PINNED_ARGVS = [
     ("HO-cut", ["green-grid", "--family", "HO", "--energy", "2.3", "--grid=4.3:4.9:4",
                 "--xp", "0"]),
     ("HO-index", ["levels", "--family", "HO", "--window", "3:6"]),
+    *((f"DEC_HO-81-CI-{fmt}", ["green-grid", "--family", "DELTA_DECORATED(HO)", "--energy",
+                               "2.3", "--grid=-2:2:81", "--format", fmt])
+      for fmt in ("csv", "json")),
+    # a ground state below the default window's low edge eps = -50
+    ("DEC_HO-deep", ["levels", "--family", json.dumps(
+        {"tag": "DELTA_DECORATED", "base": "HO", "scales": {"delta_strength": -10.5}})]),
 ]
 
 
