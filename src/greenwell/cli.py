@@ -225,12 +225,12 @@ def _bounded(what, size, bound):
         raise UsageError(f"request too large: {size:.8g} {what}, above {bound:,}")
 
 
-def _scan_points(fam, cfg):
-    """The points of the scan lattice of `fam` over cfg.window, or over
-    the family's default window (a scan from the floor walks fewer);
-    UsageError above MAX_SCAN_POINTS."""
-    lo, hi = cfg.window if cfg.window is not None else spectrum.build_chi(fam).window
-    cells = (hi - lo) / cfg.step
+def _scan_points(fam, window, step):
+    """The points of the scan lattice of `fam` over `window`, or over the
+    family's default window when it is None (a scan from the floor walks
+    fewer); UsageError above MAX_SCAN_POINTS."""
+    lo, hi = window if window is not None else spectrum.build_chi(fam).window
+    cells = (hi - lo) / step
     points = max(1, math.ceil(cells)) + 1 if math.isfinite(cells) else math.inf
     _bounded("lattice points per scan", points, MAX_SCAN_POINTS)
     return points
@@ -238,7 +238,7 @@ def _scan_points(fam, cfg):
 
 def cmd_levels(cfg):
     fam = model.family_from_dict(cfg.family)
-    _scan_points(fam, cfg)
+    _scan_points(fam, cfg.window, cfg.step)
     res = spectrum.checked_roots(fam, cfg.window, cfg.step, f"levels of {fam.name}")
     header = ("index", "parity", "eps", "residual", "bracket_lo", "bracket_hi")
     rows = [(r.index, r.parity or "", r.value, r.residual, r.bracket[0], r.bracket[1])
@@ -254,8 +254,8 @@ def cmd_sweep(cfg):
     span = (b - a) / s + 1e-9
     n = math.floor(span) + 1 if math.isfinite(span) else math.inf
     # sizes are floats, so a product past the float range is inf
-    _bounded("sweep values times lattice points", float(n) * _scan_points(fam, cfg),
-             MAX_SWEEP_POINTS)
+    _bounded("sweep values times lattice points",
+             float(n) * _scan_points(fam, cfg.window, cfg.step), MAX_SWEEP_POINTS)
     values = [a + i * s for i in range(n)]
     result = spectrum.sweep(fam, cfg.param, values, window=cfg.window, step=cfg.step)
     if result.breaks and not cfg.allow_breaks:
@@ -306,6 +306,10 @@ def cmd_table1(cfg):
     return (EXIT_OK if ok else EXIT_MISMATCH), text
 
 
+# verify scans each family's default window at this step
+VERIFY_STEP = 0.005
+
+
 def _verify_rule(fam):
     """(oracle grid points, level tolerance) for checking `fam`."""
     if fam.tag == DELTA_DECORATED:
@@ -326,7 +330,7 @@ def verify_family(fam, k, n_points):
     levels of one family, the oracle's on an FD grid of n_points points;
     raises ArithmeticError, before the oracle runs, when the default
     window holds fewer than k closed-form levels."""
-    closed = spectrum.find_roots(spectrum.build_chi(fam), step=0.005, limit=k).values()
+    closed = spectrum.find_roots(spectrum.build_chi(fam), step=VERIFY_STEP, limit=k).values()
     if len(closed) < k:
         raise ArithmeticError(
             f"only {len(closed)} closed-form roots in window for {fam.name}")
@@ -340,6 +344,8 @@ def verify_family(fam, k, n_points):
 def cmd_verify(cfg):
     families = (_default_families() if cfg.family is None
                 else [model.family_from_dict(cfg.family)])
+    for fam in families:  # every scan is bounded before any family's chi runs
+        _scan_points(fam, None, VERIFY_STEP)
     all_ok = True
     lines = []
     for fam in families:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -81,15 +82,19 @@ LEVELS_SHA256 = [
     # HO_ASYM, HALF_HO_HALF_LINEAR and DELTA_DECORATED(LINEAR_ABS) were
     # re-pinned when their conditions became resolvent's match at x = 0
     # (W of two branches; the continuation of the |x| mirror pair): only
-    # the last digits of the residual column moved (tools/drift.py)
+    # the last digits of the residual column moved (tools/drift.py).
+    # The four Airy wells (LINEAR_ABS, LINEAR_ASYM, HALF_HO_HALF_LINEAR and
+    # DELTA_DECORATED(LINEAR_ABS)) were re-pinned when airy_all became one
+    # anchor-table route, within 1 eps where its series lost up to 7e4 eps:
+    # again only residual cells moved (tools/drift.py)
     ("HO_ASYM", "80f72c07e33ea234f2e0b285f36933cab2517e2d7ef99f64d5da529df1302646"),
-    ("LINEAR_ABS", "1b7156306a3ec8354f447ccd51e4e38dcbf1374fbc3e73e349007c07b67098b9"),
-    ("LINEAR_ASYM", "809efc0d45c833ef4d1dc1aa961c206339da5f4cb1777af9fbc10ccf62402800"),
-    ("HALF_HO_HALF_LINEAR", "cd9f9dd21fa8772229bbd03bef4faee71d7dad8d963418133845b50c20fbd64b"),
+    ("LINEAR_ABS", "e801c02d56b0faf43551164fe49c1880b7fbae2cdb2058f9a8301711e82aee5f"),
+    ("LINEAR_ASYM", "ecc09074ebf1134bf91d954ae951d9b4d526055718350edaf87849182b77f84e"),
+    ("HALF_HO_HALF_LINEAR", "4bfe92f619e1ac3d2e37a89789fca12377c2fd023971bd55e5f197ed675832f5"),
     ("HO_PLUS_ABS", "3bc5ab28205b321ffecece15730dcb8383fe8b2b1c85586774c98f6a06a3b588"),
     ("DELTA_DECORATED(HO)", "917b2ebb2550f000f721875a364751bab880fcc57493d73be6b6aa78bd195703"),
     ("DELTA_DECORATED(LINEAR_ABS)",
-     "a8f424e7934d1116ada2ff6aa1ce74e0e6856239367ef3e01a0d2bfd129d4dd8"),
+     "48a282d5997e1fe617e365e201e2b6f614d19e5d613dc1c76453ac03cde3e703"),
 ]
 
 
@@ -98,6 +103,38 @@ def test_levels_bytes_pinned(family, sha):
     code, out = run(["levels", "--family", family])
     assert code == 0
     assert _sha256(out) == sha
+
+
+# the 18 levels of the |x| well in its default window (1e-6, 12]: rho with
+# Ai'(-rho) = 0 (even) and Ai(-rho) = 0 (odd), alternating, to 30 digits
+# from 40-digit mpmath airyaizero (offline)
+LINEAR_ABS_ZEROS = (
+    "1.0187929716474710890173247834", "2.33810741045976703848919725245",
+    "3.24819758217983653787542377078", "4.08794944413097061663698870146",
+    "4.82009921117873563940061626042", "5.52055982809555105912985551293",
+    "6.16330735563948654763784353309", "6.7867080900717589987802463845",
+    "7.37217725504777017709218227113", "7.9441335871208531231382805558",
+    "8.48848673401972213288099541573", "9.02265085334098038015819083988",
+    "9.535449052433547470702633427", "10.0401743415580859305945567374",
+    "10.5276603969574072819781424914", "11.0085243037332628932354396496",
+    "11.4750566334802452949372165224", "11.9360155632362625170063649029",
+)
+
+
+def test_linear_abs_level_brackets_contain_their_zeros():
+    # the bracket of the fourth even level (index 6) missed its zero by
+    # 2e-13 while airy_all's Maclaurin series lost 5e4 eps near x = -6
+    code, out = run(["levels", "--family", "LINEAR_ABS"])
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 0 and len(rows) == len(LINEAR_ABS_ZEROS)
+    # the roots cmd_levels prints, with their full-precision brackets
+    fam = model.default_family(model.LINEAR_ABS)
+    roots = spectrum.checked_roots(fam, None, cli.RunConfig("levels").step, "levels").roots
+    assert [row[2] for row in rows] == [cli._fmt(r.value) for r in roots]
+    for r, parity, zero in zip(roots, ("even", "odd") * 9, LINEAR_ABS_ZEROS):
+        lo, hi = r.bracket
+        assert r.parity == parity
+        assert Fraction(lo) <= Fraction(zero) <= Fraction(hi), (r.index, zero)
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +528,9 @@ def test_table1_passes():
     assert code == 0
     assert "PASS" in out
     assert out.count("\n") == 12  # header + 10 rows + verdict
-    assert _sha256(out) == "157ac0f4a1205425f3c347873628ed13a18f9a2da570ac778ef46788e2c4d357"
+    # re-pinned when airy_all became one anchor-table route: one abs_diff
+    # cell moved by 1.5e-13 (tools/drift.py)
+    assert _sha256(out) == "2d9ea3c045af3fd76bd51b8ac8801f01707e2e6b8bc1425d73cb80e941cd3e2a"
 
 
 def test_table1_levels_hold_where_hbar_squared_is_not_2m():
@@ -519,8 +558,10 @@ def test_verify_delta_family_small_grid():
 
 @pytest.mark.parametrize("family,args,code,verdict", [
     ('{"tag":"HO","scales":{"omega1":2000000}}', ["--n-oracle", "200000"], 0, "ok"),
-    # the scan starts at this well's floor near eps = -2e6, outside pcf_d's
-    # |nu| <= 60; it used to start at -50 and report a MISMATCH (exit 3)
+    # the scan would start at this well's floor near eps = -2e6: 4e8 lattice
+    # points, above the scan bound verify checks first.  It used to start
+    # at -50 and report a MISMATCH (exit 3), then to exit 1 on pcf_d's
+    # |nu| <= 60
     ('{"tag":"DELTA_DECORATED","base":"HO","scales":{"delta_strength":-2000}}', [], 1,
      None)], ids=["HO omega1=2e6", "DELTA_DECORATED(HO) a=-2000"])
 def test_verify_of_a_stiff_or_deep_well_returns(family, args, code, verdict):
@@ -533,7 +574,8 @@ def test_verify_of_a_stiff_or_deep_well_returns(family, args, code, verdict):
         env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == code, done.stderr
     if verdict is None:
-        assert done.stdout == "" and "restricted to |nu| <= 60" in done.stderr
+        assert done.stdout == "" and done.stderr == (
+            "error: request too large: 4.000024e+08 lattice points per scan, above 5,000,000\n")
     else:
         assert done.stdout.count("\n") == 1 and done.stdout.endswith(f" {verdict}\n")
 
@@ -593,8 +635,9 @@ def test_verify_passes_every_well_at_other_hbar_and_mass(name):
 # the free-delta energy floor, recorded before default-window scans started
 # at that floor: window-less levels, then verify --k 6 --n-oracle 1000.
 # The LINEAR_ABS levels were re-pinned when chi_delta_linear began to read
-# the continuation of resolvent's |x| mirror pair: only the residual
-# column moved (tools/drift.py)
+# the continuation of resolvent's |x| mirror pair, and again when airy_all
+# became one anchor-table route: only the residual column moved
+# (tools/drift.py)
 _TAU_1_2 = -1.2 * math.sqrt(math.pi)      # tau = -1.2
 FLOOR_WELLS_SHA256 = [
     ({"tag": "DELTA_DECORATED", "base": "HO",
@@ -606,7 +649,7 @@ FLOOR_WELLS_SHA256 = [
      (0, "eacf9bf54f2531bdcd16e9361658a185e955086b2c6c843b56bb5750a093f87c"),
      (0, "2d170188e216d31baf26433e33626287f2e1cb986bb5e17bebc9b08c6abbba1c")),
     ({"tag": "DELTA_DECORATED", "base": "LINEAR_ABS", "scales": {"delta_strength": -1.6}},
-     (0, "e0d279c5d34c9050a8aa011fda2bd8eab53a6d229b3810ef429bda21e0b1d0a9"),
+     (0, "e30367f26a6cb8d5745a36d4085700716e40a0a07c380b840919bf88df24d2d1"),
      (3, "0e408021a499874a24895509a0445e6b156f2051df14d43d0b296bf6e83437f4")),
 ]
 
@@ -710,7 +753,10 @@ def test_readme_library_example_runs():
 # (offline): sqrt(1/pi) Gamma(1/2 - eps) D_nu(sqrt(2) x) D_nu(0) with
 # nu = eps - 1/2 for HO, and -Ai(x - rho) / (2 Ai'(-rho)) with rho = 1.5
 # for LINEAR_ABS.  The HO grid printed -4.49e-05, -0.092 and 924 at
-# x = 8, 9 and 10 with exit 0 while pcf_d took the Kummer form there
+# x = 8, 9 and 10 with exit 0 while pcf_d took the Kummer form there.
+# The LINEAR_ABS grid was re-pinned when airy_all became one anchor-table
+# route: G(5, 0) now prints its reference's 12 digits, -0.00417886111173
+# (it printed ...172)
 GREEN_TAIL = [
     (["green-grid", "--family", "HO", "--energy", "2.3", "--grid=0:10:11", "--xp", "0"],
      (0, "3dddac983f37ef6574d30d8c80cc90282b13379cd11cffea1d06c6219f04d72d"),
@@ -721,7 +767,7 @@ GREEN_TAIL = [
       "-1.5855616260922310650954913945e-12", "-3.9927254277832953272046678582e-16",
       "-3.61579103986051118328583206441e-20")),
     (["green-grid", "--family", "LINEAR_ABS", "--energy", "1.5", "--grid=0:20:5", "--xp", "0"],
-     (0, "ef4e3a11388cf199571f5b74150fe7a298cd3101fd0fefafb219021b465d1000"),
+     (0, "906db4ee7a6be747b596dd5d4960f0e11943936aeab50c40dbb999e4bdd4402a"),
      ("-0.750769966065455271178991872259", "-4.17886111172652515832993506331e-3",
       "-1.77837537181770543001946450942e-8", "-1.03362601835631918988791890285e-15",
       "-2.01129720671202391121966743308e-24")),
@@ -760,12 +806,13 @@ def test_default_window_decorated_linear_well_beyond_unit_zeta_q():
     # Ai(zeta q - rho) at 25.5, outside |x| <= 25, and exited 1; the scan
     # now starts at the energy floor rho = -eta^2 = -0.64.  Re-pinned when
     # chi_delta_linear began to read the continuation of resolvent's |x|
-    # mirror pair: only the residual column moved (tools/drift.py)
+    # mirror pair, and when airy_all became one anchor-table route: only
+    # the residual column moved (tools/drift.py)
     fd = json.dumps({"tag": "DELTA_DECORATED", "base": "LINEAR_ABS",
                      "scales": {"delta_strength": -1.6, "delta_position": 1.5}})
     code, out = run(["levels", "--family", fd])
     assert (code, _sha256(out)) == (
-        0, "036b2ac7c40cecaab96ab1f0c0625c381b98e472a3782e2106f3eb5d1f3bf327")
+        0, "b0ca4b58aa2d1fc07204c36d8b68e8fe9479f6da32cbe94469c16a6415252cb4")
     assert out.splitlines()[1].startswith("0,,0.610718391829,")
     code, out = run(["verify", "--family", fd, "--k", "4", "--n-oracle", "2000"])
     assert code == 0 and out.endswith(" ok\n")
@@ -824,7 +871,9 @@ def test_verify_without_family_checks_every_family():
     code, out = run(["verify"])
     assert code == 0
     assert [line.split(":")[0] for line in out.splitlines()] == VERIFY_NAMES
-    assert _sha256(out) == "492e5e2b5dca72590a2c13f196fe58e2b3dfe6c24096f7b32b55f1d54c584476"
+    # re-pinned when airy_all became one anchor-table route: the LINEAR_ASYM
+    # error moved by 1.5e-13 (tools/drift.py)
+    assert _sha256(out) == "591acfe2d89e681e46304dea5cbd59ae725fe8b717e501f231665b713e03ce26"
 
 
 # ----------------------------------------------------------------------
@@ -1170,6 +1219,20 @@ def _rejected(monkeypatch, capsys, argv):
 def test_a_scan_above_five_million_lattice_points_exits_one(monkeypatch, capsys, argv, size):
     err = _rejected(monkeypatch, capsys, argv)
     assert err == f"error: request too large: {size} lattice points per scan, above 5,000,000\n"
+
+
+@pytest.mark.parametrize("base", ["HO", "LINEAR_ABS"])
+def test_verify_bounds_its_own_scan_before_any_chi_call(monkeypatch, capsys, base):
+    # a delta strength of -1e160 puts the floor, and the low edge of the
+    # default window verify scans, at -inf; verify used to exit 2 with a
+    # bare "cannot convert float infinity to integer"
+    calls = []
+    monkeypatch.setattr(spectrum, "find_roots", lambda *args, **kwargs: calls.append(args))
+    family = '{"tag":"DELTA_DECORATED","base":"%s","scales":{"delta_strength":-1e160}}' % base
+    code, out = run(["verify", "--family", family, "--k", "1"])
+    assert (code, out, calls) == (1, "", [])
+    assert capsys.readouterr().err == (
+        "error: request too large: inf lattice points per scan, above 5,000,000\n")
 
 
 def test_a_scan_of_five_million_lattice_points_runs(monkeypatch):
