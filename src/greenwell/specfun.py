@@ -439,7 +439,8 @@ _AIRY_DOMAIN = 25.0
 # (0.7 eps); the omitted Taylor terms, below 1e-18 of the scale (0.01 eps);
 # and the rounding of the step, half an eps of the value plus at most
 # 6 eps of the correction to the anchor, itself at most 0.17 scales
-# (1.6 eps).  The largest error seen against 40-digit references is 1 eps.
+# (1.6 eps).  Their sum, 2.3 eps, is rounded up; the largest error seen
+# against 40-digit references is 1 eps.
 _AIRY_REL = 3.0 * _EPS
 
 

@@ -123,7 +123,7 @@ LINEAR_ABS_ZEROS = (
 
 def test_linear_abs_level_brackets_contain_their_zeros():
     # the bracket of the fourth even level (index 6) missed its zero by
-    # 2e-13 while airy_all's Maclaurin series lost 5e4 eps near x = -6
+    # 2e-13 while airy_all's Maclaurin series lost up to 4e4 eps on [-7, -4)
     code, out = run(["levels", "--family", "LINEAR_ABS"])
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert code == 0 and len(rows) == len(LINEAR_ABS_ZEROS)
