@@ -225,11 +225,11 @@ def _bounded(what, size, bound):
         raise UsageError(f"request too large: {size:.8g} {what}, above {bound:,}")
 
 
-def _scan_points(fam, window, step):
-    """The points of the scan lattice of `fam` over `window`, or over the
-    family's default window when it is None (a scan from the floor walks
-    fewer); UsageError above MAX_SCAN_POINTS."""
-    lo, hi = window if window is not None else spectrum.build_chi(fam).window
+def _scan_points(window, step):
+    """The points of the scan lattice over `window` = (lo, hi), the
+    requested window or a characteristic function's default one (a scan
+    from its floor walks fewer); UsageError above MAX_SCAN_POINTS."""
+    lo, hi = window
     cells = (hi - lo) / step
     points = max(1, math.ceil(cells)) + 1 if math.isfinite(cells) else math.inf
     _bounded("lattice points per scan", points, MAX_SCAN_POINTS)
@@ -238,8 +238,9 @@ def _scan_points(fam, window, step):
 
 def cmd_levels(cfg):
     fam = model.family_from_dict(cfg.family)
-    _scan_points(fam, cfg.window, cfg.step)
-    res = spectrum.checked_roots(fam, cfg.window, cfg.step, f"levels of {fam.name}")
+    chi = spectrum.build_chi(fam)
+    _scan_points(cfg.window or chi.window, cfg.step)
+    res = spectrum.checked_roots(fam, cfg.window, cfg.step, f"levels of {fam.name}", chi=chi)
     header = ("index", "parity", "eps", "residual", "bracket_lo", "bracket_hi")
     rows = [(r.index, r.parity or "", r.value, r.residual, r.bracket[0], r.bracket[1])
             for r in res.roots]
@@ -255,7 +256,8 @@ def cmd_sweep(cfg):
     n = math.floor(span) + 1 if math.isfinite(span) else math.inf
     # sizes are floats, so a product past the float range is inf
     _bounded("sweep values times lattice points",
-             float(n) * _scan_points(fam, cfg.window, cfg.step), MAX_SWEEP_POINTS)
+             float(n) * _scan_points(cfg.window or spectrum.build_chi(fam).window, cfg.step),
+             MAX_SWEEP_POINTS)
     values = [a + i * s for i in range(n)]
     result = spectrum.sweep(fam, cfg.param, values, window=cfg.window, step=cfg.step)
     if result.breaks and not cfg.allow_breaks:
@@ -328,9 +330,12 @@ def _default_families():
 def verify_family(fam, k, n_points):
     """(closed-form levels, oracle levels, max |diff|) for the first k
     levels of one family, the oracle's on an FD grid of n_points points;
-    raises ArithmeticError, before the oracle runs, when the default
-    window holds fewer than k closed-form levels."""
-    closed = spectrum.find_roots(spectrum.build_chi(fam), step=VERIFY_STEP, limit=k).values()
+    raises UsageError, before any chi call, when the scan of the default
+    window exceeds MAX_SCAN_POINTS, and ArithmeticError, before the
+    oracle runs, when that window holds fewer than k closed-form levels."""
+    chi = spectrum.build_chi(fam)
+    _scan_points(chi.window, VERIFY_STEP)
+    closed = spectrum.find_roots(chi, step=VERIFY_STEP, limit=k).values()
     if len(closed) < k:
         raise ArithmeticError(
             f"only {len(closed)} closed-form roots in window for {fam.name}")
@@ -344,8 +349,6 @@ def verify_family(fam, k, n_points):
 def cmd_verify(cfg):
     families = (_default_families() if cfg.family is None
                 else [model.family_from_dict(cfg.family)])
-    for fam in families:  # every scan is bounded before any family's chi runs
-        _scan_points(fam, None, VERIFY_STEP)
     all_ok = True
     lines = []
     for fam in families:
@@ -426,29 +429,43 @@ _FLAG_PARSERS = {
 }
 
 
+# the argument parser, built by the first build_config call: parse_args
+# reads it and leaves it as it was, so every later request reuses it
+# (building it costs about half a millisecond; at import it would slow
+# every cold start)
+_PARSER = None
+
+
+def _parser():
+    global _PARSER
+    if _PARSER is None:
+        parser = _Parser(prog="greenwell",
+                         description="Bound states and Green functions of 1-d confining wells")
+        parser.add_argument("command", choices=list(_COMMANDS))
+        parser.add_argument("--config", help="JSON config file")
+        parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                            help="override a config field (dotted paths allowed)")
+        parser.add_argument("--family", help="family tag, TAG(BASE), or inline JSON")
+        parser.add_argument("--window", help="scan window lo:hi")
+        parser.add_argument("--step", type=float, help="scan step")
+        parser.add_argument("--param", help="sweep parameter (lam|beta|xi|muphi|tau|p)")
+        parser.add_argument("--range", dest="sweep_range", help="sweep range from:to:step")
+        parser.add_argument("--grid", help="green-grid xmin:xmax:n")
+        parser.add_argument("--energy", type=float, help="green-grid energy")
+        parser.add_argument("--xp", type=float, help="green-grid: fix x' instead of full grid")
+        parser.add_argument("--k", type=int, dest="k_levels", help="verify: number of levels")
+        parser.add_argument("--n-oracle", type=int, help="verify: oracle grid points")
+        parser.add_argument("--out", help="output path (default: stdout)")
+        parser.add_argument("--format", choices=["csv", "json"], help="output format")
+        parser.add_argument("--allow-breaks", action="store_true", default=None)
+        parser.add_argument("--dump-config", action="store_true",
+                            help="print the resolved config as JSON and exit")
+        _PARSER = parser
+    return _PARSER
+
+
 def build_config(argv):
-    parser = _Parser(prog="greenwell",
-                     description="Bound states and Green functions of 1-d confining wells")
-    parser.add_argument("command", choices=list(_COMMANDS))
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override a config field (dotted paths allowed)")
-    parser.add_argument("--family", help="family tag, TAG(BASE), or inline JSON")
-    parser.add_argument("--window", help="scan window lo:hi")
-    parser.add_argument("--step", type=float, help="scan step")
-    parser.add_argument("--param", help="sweep parameter (lam|beta|xi|muphi|tau|p)")
-    parser.add_argument("--range", dest="sweep_range", help="sweep range from:to:step")
-    parser.add_argument("--grid", help="green-grid xmin:xmax:n")
-    parser.add_argument("--energy", type=float, help="green-grid energy")
-    parser.add_argument("--xp", type=float, help="green-grid: fix x' instead of full grid")
-    parser.add_argument("--k", type=int, dest="k_levels", help="verify: number of levels")
-    parser.add_argument("--n-oracle", type=int, help="verify: oracle grid points")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], help="output format")
-    parser.add_argument("--allow-breaks", action="store_true", default=None)
-    parser.add_argument("--dump-config", action="store_true",
-                        help="print the resolved config as JSON and exit")
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
 
     cfg_dict = {}
     if ns.config:

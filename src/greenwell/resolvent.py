@@ -36,11 +36,10 @@ match there: W = u v' - u' v at 0 for two branches, W = -2 k u0 u1 for
 a mirror pair from the branch's value and slope at 0 (its parity
 factors), and the branch's own continuation of u through 0.  Each is
 written once, here, and spectrum's characteristic functions read them.
-Scans build branches only, with no pole check; the HO+|x| slope
-D'(mu phi) and the continuation's coefficients are computed when first
-read.  green(x, x', E, family) is one call of the closed form that
-_closed_form(family) looks up by family tag; the CLI's green-grid looks
-it up once per request.
+Scans build branches only, with no pole check; the continuation's
+coefficients are computed when first read.  green(x, x', E, family) is
+one call of the closed form that _closed_form(family) looks up by
+family tag; the CLI's green-grid looks it up once per request.
 
 The module keeps the latest object it built through _kept, with the
 kind, energy and context it was built for: the NaturalUnits
@@ -382,23 +381,15 @@ class _Branch:
 
 class _Weber(_Branch):
     """The Weber branch of V = m w^2 x^2/2 + alpha^3 |x| at one eps:
-    D_{sigma-1/2}(mu y + mu phi), sigma = eps + (mu phi/2)^2.  value0 is
-    computed when built, slope0 = (mu phi/2) D(mu phi) - D_{sigma+1/2}(mu phi)
-    when first read; partners(y) is (E, E', O, O') at mu (y + phi)."""
+    D_{sigma-1/2}(mu y + mu phi), sigma = eps + (mu phi/2)^2.  value0 and
+    slope0 = D'(mu phi) = (mu phi/2) D(mu phi) - D_{sigma+1/2}(mu phi) are
+    computed together when built, from one Kummer pass
+    (specfun.pcf_d_slope); partners(y) is (E, E', O, O') at mu (y + phi)."""
 
     def __init__(self, eps, units):
-        self.sigma = sigma = eps + units.shift
         self.mu, self.phi, self.mu_phi = units.mu, units.phi, units.mu * units.phi
-        self.nu = sigma - 0.5
-        self.value0 = sf.pcf_d(self.nu, self.mu_phi).value
-        self._slope0 = None
-
-    @property
-    def slope0(self):
-        if self._slope0 is None:
-            self._slope0 = (0.5 * self.mu_phi * self.value0
-                            - sf.pcf_d(self.sigma + 0.5, self.mu_phi).value)
-        return self._slope0
+        self.nu = eps + units.shift - 0.5
+        self.value0, self.slope0, _ = sf.pcf_d_slope(self.nu, self.mu_phi)
 
     def value(self, y):
         return sf.pcf_d(self.nu, self.mu * y + self.mu_phi).value

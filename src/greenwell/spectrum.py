@@ -158,8 +158,8 @@ def chi_delta_ho(eps: float, tau: float, p: float) -> float:
 
     tau D_{eps-1/2}(p) D_{eps-1/2}(-p) + 1/Gamma(1/2 - eps) = 0.
     """
-    d_plus, d_minus = sf.pcf_d_pair(eps - 0.5, p)
-    return tau * d_plus.value * d_minus.value + sf.rgamma(0.5 - eps)
+    d_plus, d_minus, rg, _ = sf.pcf_d_pair_rgamma(eps - 0.5, p)
+    return tau * d_plus * d_minus + rg
 
 
 def chi_delta_linear(rho: float, eta: float, zeta_q: float) -> float:
@@ -612,14 +612,16 @@ def _walked(chi, lat, cert=None, limit=None):
     return SpectrumResult([Root(n, *t) for n, t in enumerate(found[:limit])])
 
 
-def checked_roots(family, window, step, where, walk=False):
+def checked_roots(family, window, step, where, walk=False, chi=None):
     """The roots find_roots(build_chi(family), window, step) gives,
     checked against the FD level count (_LevelCount) on that lattice
     where one can be built; with `walk`, found from the count where it
     pins them (see `sweep`).  A scan that finds another number of levels
     in the counted part while every root lies next to an FD level has
-    lost levels (roots closer than `step`): ArithmeticError names `where`."""
-    chi = build_chi(family)
+    lost levels (roots closer than `step`): ArithmeticError names `where`.
+    `chi` is build_chi(family) when the caller has built it already."""
+    if chi is None:
+        chi = build_chi(family)
     lat = _lattice(chi, window, step)
     cert = _LevelCount.build(family, lat)
     if walk and cert is not None:

@@ -86,13 +86,18 @@ LEVELS_SHA256 = [
     # The four Airy wells (LINEAR_ABS, LINEAR_ASYM, HALF_HO_HALF_LINEAR and
     # DELTA_DECORATED(LINEAR_ABS)) were re-pinned when airy_all became one
     # anchor-table route, within 1 eps where its series lost up to 7e4 eps:
-    # again only residual cells moved (tools/drift.py)
+    # again only residual cells moved (tools/drift.py).
+    # HO_PLUS_ABS and DELTA_DECORATED(HO) were re-pinned when the HO+|x|
+    # slope D'(mu phi) came from the Kummer pass of its value, and the
+    # decorated oscillator's 1/Gamma(1/2 - eps) from Legendre's duplication
+    # of the pair's two rgamma values: only residual cells moved
+    # (tools/drift.py)
     ("HO_ASYM", "80f72c07e33ea234f2e0b285f36933cab2517e2d7ef99f64d5da529df1302646"),
     ("LINEAR_ABS", "e801c02d56b0faf43551164fe49c1880b7fbae2cdb2058f9a8301711e82aee5f"),
     ("LINEAR_ASYM", "ecc09074ebf1134bf91d954ae951d9b4d526055718350edaf87849182b77f84e"),
     ("HALF_HO_HALF_LINEAR", "4bfe92f619e1ac3d2e37a89789fca12377c2fd023971bd55e5f197ed675832f5"),
-    ("HO_PLUS_ABS", "3bc5ab28205b321ffecece15730dcb8383fe8b2b1c85586774c98f6a06a3b588"),
-    ("DELTA_DECORATED(HO)", "917b2ebb2550f000f721875a364751bab880fcc57493d73be6b6aa78bd195703"),
+    ("HO_PLUS_ABS", "d6a2b8cd5c71e346705e22b15052c04725a5faf196a26a3deaf1a66d5f349d0a"),
+    ("DELTA_DECORATED(HO)", "0afc3a1cc88abb4f831f5aafe500c7e2d5179447e68e4e57b7e2e9e6dddb3384"),
     ("DELTA_DECORATED(LINEAR_ABS)",
      "48a282d5997e1fe617e365e201e2b6f614d19e5d613dc1c76453ac03cde3e703"),
 ]
@@ -637,16 +642,19 @@ def test_verify_passes_every_well_at_other_hbar_and_mass(name):
 # The LINEAR_ABS levels were re-pinned when chi_delta_linear began to read
 # the continuation of resolvent's |x| mirror pair, and again when airy_all
 # became one anchor-table route: only the residual column moved
-# (tools/drift.py)
+# (tools/drift.py).  The two HO levels were re-pinned when chi_delta_ho
+# took 1/Gamma(1/2 - eps) from Legendre's duplication of the Kummer
+# pair's two rgamma values: again only the residual column moved, and
+# the verify bytes kept their pins
 _TAU_1_2 = -1.2 * math.sqrt(math.pi)      # tau = -1.2
 FLOOR_WELLS_SHA256 = [
     ({"tag": "DELTA_DECORATED", "base": "HO",
       "scales": {"delta_strength": _TAU_1_2, "delta_position": 0.0}},
-     (0, "97ded3ee85fbb1fedd065d1a8c0566c6c6a06c46e0eeaffd668e48d41e2edc01"),
+     (0, "b1a5ccdc9a6e57327b5dba1fa01ac911bf5360bb2b1f1ba9d0f2ecba211cec39"),
      (0, "90592148a826951b41854a4a0bede7cd746e7cc4d1a244339e60eb229866a9a3")),
     ({"tag": "DELTA_DECORATED", "base": "HO",
       "scales": {"delta_strength": _TAU_1_2, "delta_position": 0.7}},
-     (0, "eacf9bf54f2531bdcd16e9361658a185e955086b2c6c843b56bb5750a093f87c"),
+     (0, "9bb0a0d540f14fa9aa514ca47b3994d330805b3d6fe6963905f0c049374ce6f0"),
      (0, "2d170188e216d31baf26433e33626287f2e1cb986bb5e17bebc9b08c6abbba1c")),
     ({"tag": "DELTA_DECORATED", "base": "LINEAR_ABS", "scales": {"delta_strength": -1.6}},
      (0, "e30367f26a6cb8d5745a36d4085700716e40a0a07c380b840919bf88df24d2d1"),
@@ -1120,6 +1128,20 @@ def test_table1_exits_two_when_its_scan_loses_a_level(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert (code, out) == (2, "")
     assert err.startswith("numerical failure: table1: the scan found ")
+
+
+def test_a_request_after_one_with_flags_gets_the_defaults():
+    # one argument parser serves every request of a process: a request
+    # without --set, --window or --format reads the defaults, not the
+    # values an earlier request gave
+    code, out = run(["levels", "--family", "HO", "--set", "step=0.01",
+                     "--window", "0:3", "--format", "json"])
+    assert code == 0 and [row["eps"] for row in json.loads(out)] == ["0.5", "1.5", "2.5"]
+    code, out = run(["levels", "--family", "HO"])
+    assert code == 0 and out.splitlines()[0] == "index,parity,eps,residual,bracket_lo,bracket_hi"
+    assert len(out.splitlines()) == 13  # the default window (1e-6, 12]
+    code, out = run(["levels", "--dump-config"])
+    assert code == 0 and json.loads(out) == cli.RunConfig("levels").validate().to_dict()
 
 
 def test_null_means_the_field_default():

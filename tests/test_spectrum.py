@@ -272,10 +272,37 @@ def _plain_factors(fam):
         return sf.pcf_d(sigma - 0.5, d.mu * d.phi).value
 
     def even(e):
+        # 2 D'(mu phi), with D' from the Kummer pass that also gives D
+        # (test_ho_plus_abs_even_factor_matches_the_two_call_form checks it
+        # against mu phi D_{sigma-1/2} - 2 D_{sigma+1/2})
         mu_phi = d.mu * d.phi
         sigma = e + (0.5 * mu_phi) ** 2
-        return mu_phi * sf.pcf_d(sigma - 0.5, mu_phi).value - 2.0 * sf.pcf_d(sigma + 0.5, mu_phi).value
+        return 2.0 * sf.pcf_d_slope(sigma - 0.5, mu_phi)[1]
     return {"even": even, "odd": odd}
+
+
+@pytest.mark.parametrize("alpha1", [0.5, 1.0, 1.15, 1.5, 2.0])
+def test_ho_plus_abs_even_factor_matches_the_two_call_form(alpha1):
+    # the even factor 2 D'(mu phi) from one Kummer pass, against today's
+    # mu phi D_{sigma-1/2}(mu phi) - 2 D_{sigma+1/2}(mu phi) (DLMF 12.8.3)
+    # from two pcf_d calls: within both forms' estimates everywhere, and
+    # within 64 eps of |D| + |D'| up to mu phi = 2.2, where each lies
+    # within 31 eps of 40-digit references (mu phi = 2.15 at alpha1 =
+    # 1.15, 4.77 at 1.5, where both lose 800 eps as the Kummer terms
+    # cancel; 11.3 at 2, the integral route, which is the two-call form)
+    fam = default_family(HO_PLUS_ABS, alpha1=alpha1)
+    d = fam.scales.natural
+    even = dict(sp.build_chi(fam).factors)["even"]
+    mu_phi = d.mu * d.phi
+    for e in [0.013 + 0.37 * i for i in range(33)]:
+        sigma = e + (0.5 * mu_phi) ** 2
+        d0, d1 = sf.pcf_d(sigma - 0.5, mu_phi), sf.pcf_d(sigma + 0.5, mu_phi)
+        two_call = mu_phi * d0.value - 2.0 * d1.value
+        value, slope, est = sf.pcf_d_slope(sigma - 0.5, mu_phi)
+        gap = abs(even(e) - two_call)
+        assert gap <= 2.0 * (est + 0.5 * mu_phi * d0.est_abs_error + d1.est_abs_error), e
+        if mu_phi <= 2.2:
+            assert gap <= 64 * math.ulp(1.0) * (abs(2.0 * value) + abs(2.0 * slope)), e
 
 
 PARITY_FAMILIES = [default_family(LINEAR_ABS), default_family(HO_PLUS_ABS),
@@ -304,7 +331,7 @@ def test_parity_memo_keeps_every_bit(fam, first):
 
 @pytest.mark.parametrize("fam,shared_fn,kind", [
     (default_family(LINEAR_ABS), "airy_all", "_Airy"),
-    (default_family(HO_PLUS_ABS), "pcf_d", "_Weber"),
+    (default_family(HO_PLUS_ABS), "pcf_d_slope", "_Weber"),
 ], ids=["LINEAR_ABS", "HO_PLUS_ABS"])
 def test_parity_factors_share_one_call_per_lattice_point(monkeypatch, fam, shared_fn, kind):
     calls = []
@@ -315,10 +342,9 @@ def test_parity_factors_share_one_call_per_lattice_point(monkeypatch, fam, share
     assert sp.find_roots(chi, window=(lo, hi), step=step).roots
     points = math.ceil((hi - lo) / step) + 1
     # the second factor at a lattice point reuses the first one's value;
-    # every bisection and residual energy is computed once; the even
-    # HO+|x| factor also calls pcf_d for D_{sigma+1/2}
-    upper = sum(p == "even" for p, _ in evals) if fam.tag == HO_PLUS_ABS else 0
-    assert len(calls) == len(evals) - points + upper
+    # every bisection and residual energy is computed once, the HO+|x|
+    # value and slope by one pcf_d_slope call
+    assert len(calls) == len(evals) - points
     # resolvent's one kept build, that of the energy evaluated last
     last_kind, last_energy, _, _ = rv._latest
     assert last_kind is getattr(rv, kind) and last_energy == evals[-1][1]
@@ -354,6 +380,20 @@ def test_scans_and_sweeps_leave_the_spectrum_module_as_it_was():
 # ----------------------------------------------------------------------
 # delta-decorated oscillator
 # ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tau,p", [(-1.0, 0.5), (-1.2, 0.0), (-1.2, 0.7), (2.0, 1.5), (-0.5, 3.0)])
+def test_delta_ho_duplication_matches_the_rgamma_call(tau, p):
+    # 1/Gamma(1/2 - eps) by Legendre's duplication from the Kummer pair's
+    # two rgamma values, against the rgamma call it replaces: within 32
+    # eps of |tau D D| + |1/Gamma| over the default window and beyond
+    for i in range(621):
+        e = -50.0 + 0.1 * i + 0.0137
+        plus, minus = sf.pcf_d_pair(e - 0.5, p)
+        rg = sf.rgamma(0.5 - e)
+        scale = abs(tau * plus.value * minus.value) + abs(rg)
+        today = tau * plus.value * minus.value + rg
+        assert abs(sp.chi_delta_ho(e, tau, p) - today) <= 32 * math.ulp(1.0) * scale, e
 
 
 def test_delta_ho_origin_odd_states_exact():
