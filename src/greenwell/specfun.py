@@ -352,7 +352,7 @@ def _pcf_series(nu, z):
 
 
 # relative error bound of 1/Gamma(-nu) for |nu| <= 60: rgamma is within
-# 57 eps there (most of it on (-32, -31), from the rounding of 1 - x in
+# 59 eps there (most of it on (-32, -31), from the rounding of 1 - x in
 # its reflection), a product of two rgamma values on [-30, 30.5] within 50
 _RGAMMA_REL = 64.0 * _EPS
 

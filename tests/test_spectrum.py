@@ -283,9 +283,9 @@ def _plain_factors(fam):
 
 @pytest.mark.parametrize("alpha1", [0.5, 1.0, 1.15, 1.5, 2.0])
 def test_ho_plus_abs_even_factor_matches_the_two_call_form(alpha1):
-    # the even factor 2 D'(mu phi) from one Kummer pass, against today's
-    # mu phi D_{sigma-1/2}(mu phi) - 2 D_{sigma+1/2}(mu phi) (DLMF 12.8.3)
-    # from two pcf_d calls: within both forms' estimates everywhere, and
+    # the even factor 2 D'(mu phi) from one Kummer pass, against the
+    # two-call form mu phi D_{sigma-1/2}(mu phi) - 2 D_{sigma+1/2}(mu phi)
+    # (DLMF 12.8.3): within both forms' estimates everywhere, and
     # within 64 eps of |D| + |D'| up to mu phi = 2.2, where each lies
     # within 31 eps of 40-digit references (mu phi = 2.15 at alpha1 =
     # 1.15, 4.77 at 1.5, where both lose 800 eps as the Kummer terms
@@ -385,15 +385,15 @@ def test_scans_and_sweeps_leave_the_spectrum_module_as_it_was():
 @pytest.mark.parametrize("tau,p", [(-1.0, 0.5), (-1.2, 0.0), (-1.2, 0.7), (2.0, 1.5), (-0.5, 3.0)])
 def test_delta_ho_duplication_matches_the_rgamma_call(tau, p):
     # 1/Gamma(1/2 - eps) by Legendre's duplication from the Kummer pair's
-    # two rgamma values, against the rgamma call it replaces: within 32
-    # eps of |tau D D| + |1/Gamma| over the default window and beyond
+    # two rgamma values, against rgamma(1/2 - eps) called directly: within
+    # 32 eps of |tau D D| + |1/Gamma| over the default window and beyond
     for i in range(621):
         e = -50.0 + 0.1 * i + 0.0137
         plus, minus = sf.pcf_d_pair(e - 0.5, p)
         rg = sf.rgamma(0.5 - e)
         scale = abs(tau * plus.value * minus.value) + abs(rg)
-        today = tau * plus.value * minus.value + rg
-        assert abs(sp.chi_delta_ho(e, tau, p) - today) <= 32 * math.ulp(1.0) * scale, e
+        direct = tau * plus.value * minus.value + rg
+        assert abs(sp.chi_delta_ho(e, tau, p) - direct) <= 32 * math.ulp(1.0) * scale, e
 
 
 def test_delta_ho_origin_odd_states_exact():
