@@ -16,16 +16,23 @@ Design notes:
     returns D_nu(z) and D_nu(-z) from one pair of Kummer series and one
     pair of rgamma values, bit for bit what two pcf_d calls give.
   * One Kummer loop (_kummer_sums) sums each series and, alongside, its
-    term-by-term derivative.  kummer_m is its EvalResult; weber_even_odd
-    takes E' and O' from the derivative sums, so its four values cost
-    two series; pcf_d_slope returns D_nu and D_nu' from one Kummer pair
-    where the two-call form (z/2) D_nu - D_(nu+1) needs two; and
-    pcf_d_pair_rgamma adds 1/Gamma(-nu) to pcf_d_pair's values by
-    Legendre's duplication of the pair's two rgamma values.  Both return
-    plain tuples with one joint estimate, as weber_even_odd does.
+    term-by-term derivative.  kummer_m is its EvalResult, and
+    weber_even_odd takes E' and O' from the derivative sums, so its four
+    values cost two series.
+  * One evaluator (_pcf) is behind pcf_d, pcf_d_pair, pcf_d_slope and
+    pcf_d_pair_rgamma, each a projection of its tuple.  It checks the
+    domain and chooses the route (_pcf_takes_integral), both in that one
+    place, and sums the Kummer pair once: D_nu(z), D_nu(-z), 1/Gamma(-nu)
+    by Legendre's duplication of the pair's two rgamma values, and D_nu'
+    from the derivative sums only when pcf_d_slope asks for it.
+    pcf_d_slope and pcf_d_pair_rgamma return plain tuples with one joint
+    estimate, as weber_even_odd does.
   * Where a series cancels, D_nu(z) comes from the trapezoid rule on an
     integral whose terms are all positive (Trefethen and Weideman, SIAM
-    Rev. 56, 2014): for z >= 6, or z > 0 and strongly negative nu.
+    Rev. 56, 2014): for z >= 6, or z > 0 and strongly negative nu.  The
+    evaluator's one fallback takes D at +|z| from the integral and D at
+    -|z| from the Kummer form; there D_nu' is the two-call form
+    (z/2) D_nu - D_(nu+1), and 1/Gamma(-nu) is rgamma(-nu).
   * Ai, Ai', Bi and Bi' come from one route on their whole domain
     |x| <= 25: a table of correctly rounded values at the anchors m/16,
     and a short Taylor step of Airy's equation w'' = x w from the
@@ -41,8 +48,11 @@ Design notes:
     sum, fusing a product or changing a stopping test changes the last
     bits and fails those tests.
   * A non-finite argument raises DomainError at once in rgamma, gamma,
-    kummer_m, weber_even_odd, pcf_d, pcf_d_pair, pcf_d_slope,
-    pcf_d_pair_rgamma, airy_all and hermite_h.
+    kummer_m, weber_even_odd, airy_all and hermite_h, and in the D_nu
+    evaluator before it chooses a route: with pcf_d's message from pcf_d
+    and pcf_d_slope, with pcf_d_pair's from pcf_d_pair and
+    pcf_d_pair_rgamma.  The evaluator also raises DomainError outside
+    |z| <= 20 and |nu| <= 60.
 
 All functions are pure and hold no mutable state.
 """
@@ -68,7 +78,6 @@ __all__ = [
     "airy_ai",
     "airy_ai_prime",
     "airy_bi",
-    "airy_bi_prime",
     "airy_all",
     "hermite_h",
 ]
@@ -211,8 +220,8 @@ def _kummer_sums(a, b, z):
     sum(|terms|), which also tracks cancellation for z < 0; est_S does
     the same for the terms n t_n, with n times both parts, and n eps
     more for their plain sum.  The one Kummer loop of the module:
-    kummer_m, weber_even_odd and the Kummer routes of pcf_d_slope and
-    pcf_d_pair_rgamma read it.
+    kummer_m reads it, and weber_even_odd and the D_nu evaluator _pcf
+    read it through _weber_sums.
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
         raise DomainError(f"kummer_m arguments must be finite, got a = {a}, b = {b}, z = {z}")
@@ -290,17 +299,20 @@ def weber_even_odd(nu: float, z: float):
     return g * m1, g * ep, z * g * m2, g * op, est
 
 
-def _weber_sums(nu, z):
+def _weber_sums(nu, z, slope=True):
     """(M1, e1, M2, e2, E'/g, O'/g, est') at w = z^2/2, g = exp(-z^2/4):
     the two Kummer series of weber_even_odd with their estimates, and the
     slopes of E and O over g with a joint estimate est', from the series'
     term-by-term derivatives S = w dM/dw (dw/dz = z):
         E'/g = 2 S1 / z - z M1 / 2,    O'/g = (1 - w) M2 + 2 S2.
     est' counts the series' estimates and, since the two parts of each
-    slope may cancel, 4 eps of their magnitudes."""
+    slope may cancel, 4 eps of their magnitudes.  Without slope the last
+    three are 0.0, and the derivative sums go unread."""
     w = 0.5 * z * z
     m1, s1, e1, es1 = _kummer_sums(-0.5 * nu, 0.5, w)
     m2, s2, e2, es2 = _kummer_sums(0.5 * (1.0 - nu), 1.5, w)
+    if not slope:
+        return m1, e1, m2, e2, 0.0, 0.0, 0.0
     # z = 0: S1 = 0, and E' = 0 exactly
     zm1p, ezm1p = (2.0 * s1 / z, 2.0 * es1 / abs(z)) if z else (0.0, 0.0)
     hz = 0.5 * z * m1
@@ -308,47 +320,6 @@ def _weber_sums(nu, z):
     est = (ezm1p + 0.5 * abs(z) * e1 + abs(1.0 - w) * e2 + 2.0 * es2
            + 4.0 * _EPS * (abs(zm1p) + abs(hz) + abs(w2) + abs(2.0 * s2)))
     return m1, e1, m2, e2, zm1p - hz, w2 + 2.0 * s2, est
-
-
-def _pcf_form(nu, z, m1, e1, m2, e2):
-    """The two-term Kummer form of D_nu(z) from its two series
-    M1 = M(-nu/2, 1/2, z^2/2) and M2 = M((1-nu)/2, 3/2, z^2/2) with their
-    estimates, as (pref, r1, r2, t1, t2, est): D_nu(z) = pref * (t1 - t2)
-    with r1 = rgamma((1-nu)/2), r2 = rgamma(-nu/2), t1 = r1 M1 and
-    t2 = sqrt(2) z r2 M2.
-
-    Negating z leaves pref, r1, r2, t1 and est unchanged bit for bit
-    (they see z only through z*z and |z|) and negates t2 exactly, so
-    D_nu(-z) = pref * (t1 - (-t2)).
-    """
-    r1 = rgamma(0.5 * (1.0 - nu))
-    r2 = rgamma(-0.5 * nu)
-    pref = 2.0 ** (0.5 * nu) * math.exp(-0.25 * z * z) * _SQRT_PI
-    t1 = r1 * m1
-    t2 = _SQRT2 * z * r2 * m2
-    # 0.5 z^2 eps: the rounding of z^2 in exp's argument and in the
-    # series argument w, as airy_all counts (4 + 2 zeta) eps
-    est = pref * (
-        abs(r1) * e1
-        + _SQRT2 * abs(z) * abs(r2) * e2
-        + (16.0 + 0.5 * z * z) * _EPS * (abs(t1) + abs(t2))
-    )
-    return pref, r1, r2, t1, t2, est
-
-
-def _pcf_terms(nu, z):
-    """_pcf_form's (pref, t1, t2, est) from two kummer_m calls."""
-    w = 0.5 * z * z
-    m1 = kummer_m(-0.5 * nu, 0.5, w)
-    m2 = kummer_m(0.5 * (1.0 - nu), 1.5, w)
-    pref, _, _, t1, t2, est = _pcf_form(nu, z, m1.value, m1.est_abs_error,
-                                        m2.value, m2.est_abs_error)
-    return pref, t1, t2, est
-
-
-def _pcf_series(nu, z):
-    pref, t1, t2, est = _pcf_terms(nu, z)
-    return EvalResult(pref * (t1 - t2), est)
 
 
 # relative error bound of 1/Gamma(-nu) for |nu| <= 60: rgamma is within
@@ -436,8 +407,9 @@ def _pcf_check(nu, z, name):
 
 
 def _pcf_takes_integral(nu, z):
-    """True when pcf_d(nu, z) takes the integral route: z >= 6, or z > 0
-    with the two Kummer terms cancelling for negative non-integer nu."""
+    """True when D_nu(z) takes the integral route: z >= 6, or z > 0
+    with the two Kummer terms cancelling for negative non-integer nu.
+    Only the evaluator _pcf reads it."""
     if z >= _PCF_CUT:
         return True
     if z > 0.0 and nu < 1.0 and not (nu >= 0.0 and nu == math.floor(nu)):
@@ -445,14 +417,74 @@ def _pcf_takes_integral(nu, z):
     return False
 
 
+def _pcf(nu, z, name, pair=False, slope=False, rg=False):
+    """The one evaluator of D_nu; pcf_d, pcf_d_pair, pcf_d_slope and
+    pcf_d_pair_rgamma return its tuple, which is
+        (D(z), est)                         by default,
+        (D(z), est, D(-z), est')            with pair,
+        (D(z), D'(z), est)                  with slope,
+        (D(z), D(-z), 1/Gamma(-nu), est)    with pair and rg,
+    where an est that follows several values bounds their errors jointly.
+
+    It checks the domain, with name's DomainError messages, and chooses
+    the route, both once: at |z| with pair, else at z.  The Kummer form
+        D_nu(z) = 2^(nu/2) e^(-z^2/4) sqrt(pi) [ rgamma((1-nu)/2) M(-nu/2, 1/2, z^2/2)
+                  - sqrt(2) z rgamma(-nu/2) M((1-nu)/2, 3/2, z^2/2) ]
+                = pref (t1 - t2)
+    sums the two series once (_weber_sums).  Negating z leaves pref, t1
+    and est unchanged bit for bit and negates t2 exactly, so D(-z) =
+    pref (t1 + t2).  D'(z) comes from the series' term-by-term
+    derivatives, weber_even_odd's E' and O', and 1/Gamma(-nu) from
+    Legendre's duplication (DLMF 5.5.5) as 2^(nu+1) sqrt(pi)
+    rgamma((1-nu)/2) rgamma(-nu/2), exactly 0.0 at nu = 0, 1, 2, ....
+    On the integral route D at +|z| is _pcf_integral's and D at -|z| the
+    Kummer form's; the slope is (z/2) D_nu(z) - D_(nu+1)(z) (DLMF 12.8.3)
+    from a second call, and 1/Gamma(-nu) is rgamma(-nu).
+    """
+    _pcf_check(nu, z, name)
+    far = _pcf_takes_integral(nu, abs(z) if pair else z)
+    if far:  # D at +|z| from the integral
+        i = _pcf_integral(nu, abs(z))
+        hi = i.value, i.est_abs_error
+        if not pair:  # z > 0, and D(z) is all there is to sum
+            if not slope:
+                return hi
+            d1, est1 = _pcf(nu + 1.0, z, name)
+            return (i.value, 0.5 * z * i.value - d1,
+                    (1.0 + 0.5 * abs(z)) * i.est_abs_error + est1)
+    m1, e1, m2, e2, ep, op, est_p = _weber_sums(nu, z, slope)
+    r1 = rgamma(0.5 * (1.0 - nu))
+    r2 = rgamma(-0.5 * nu)
+    pref = 2.0 ** (0.5 * nu) * math.exp(-0.25 * z * z) * _SQRT_PI
+    t1 = r1 * m1
+    t2 = _SQRT2 * z * r2 * m2
+    # 0.5 z^2 eps: the rounding of z^2 in exp's argument and in the
+    # series argument w, as airy_all counts (4 + 2 zeta) eps
+    rnd = (16.0 + 0.5 * z * z) * _EPS
+    est = pref * (abs(r1) * e1 + _SQRT2 * abs(z) * abs(r2) * e2 + rnd * (abs(t1) + abs(t2)))
+    d = pref * (t1 - t2)
+    if slope:
+        u1, u2 = r1 * ep, _SQRT2 * r2 * op
+        est += pref * ((abs(r1) + _SQRT2 * abs(r2)) * est_p + rnd * (abs(u1) + abs(u2)))
+        return d, pref * (u1 - u2), est
+    if not pair:
+        return d, est
+    plus, minus = (d, est), (pref * (t1 + t2), est)
+    if far:  # the Kummer form keeps only the -|z| side
+        plus, minus = (hi, minus) if z > 0.0 else (plus, hi)
+    if not rg:
+        return plus + minus
+    g = rgamma(-nu) if far else 2.0 ** (nu + 1.0) * _SQRT_PI * r1 * r2
+    return plus[0], minus[0], g, plus[1] + minus[1] + _RGAMMA_REL * abs(g)
+
+
 def pcf_d(nu: float, z: float) -> EvalResult:
     """Parabolic cylinder D_nu(z).
 
-    Two routes, chosen from (nu, z) alone: the two-term Kummer form
-    D_nu(z) = 2^(nu/2) e^(-z^2/4) sqrt(pi) [ rgamma((1-nu)/2) M(-nu/2, 1/2, z^2/2)
-              - sqrt(2) z rgamma(-nu/2) M((1-nu)/2, 3/2, z^2/2) ],
-    which is entire in z, and, where its terms cancel (z >= 6, or z > 0
-    with strongly negative nu), the integral route (_pcf_integral).
+    Two routes, chosen from (nu, z) alone by the one evaluator _pcf: the
+    two-term Kummer form, which is entire in z, and, where its terms
+    cancel (z >= 6, or z > 0 with strongly negative nu), the integral
+    route (_pcf_integral).
     Against 40-digit references, in eps = 2.2e-16 of the value: Kummer
     with |nu| <= 10, 50 eps for z < -6 and up to 1e5 eps on [0, 6), as
     the terms cancel.  Kummer with larger orders, in eps of the local
@@ -467,10 +499,7 @@ def pcf_d(nu: float, z: float) -> EvalResult:
     |z| <= 20, where the Kummer argument z^2/2 stays within kummer_m's
     |z| <= 200, and |nu| <= 60; non-finite arguments raise DomainError too.
     """
-    _pcf_check(nu, z, "pcf_d")
-    if _pcf_takes_integral(nu, z):
-        return _pcf_integral(nu, z)
-    return _pcf_series(nu, z)
+    return EvalResult(*_pcf(nu, z, "pcf_d"))
 
 
 def pcf_d_pair(nu: float, z: float):
@@ -478,14 +507,12 @@ def pcf_d_pair(nu: float, z: float):
 
     When neither sign takes the integral route, both come from one Kummer
     pair: the two series, the two rgamma values and the prefactor are
-    shared, and only the sign of the z-odd term differs.  Otherwise this
-    is the two pcf_d calls.  The domain is pcf_d's.
+    shared, and only the sign of the z-odd term differs.  Otherwise the
+    Kummer pair gives the negative side, and the integral the positive.
+    The domain is pcf_d's, with pcf_d_pair's DomainError messages.
     """
-    _pcf_check(nu, z, "pcf_d_pair")
-    if _pcf_takes_integral(nu, abs(z)):
-        return pcf_d(nu, z), pcf_d(nu, -z)
-    pref, t1, t2, est = _pcf_terms(nu, z)
-    return EvalResult(pref * (t1 - t2), est), EvalResult(pref * (t1 - (-t2)), est)
+    d, e, dm, em = _pcf(nu, z, "pcf_d_pair", pair=True)
+    return EvalResult(d, e), EvalResult(dm, em)
 
 
 def pcf_d_slope(nu: float, z: float):
@@ -493,25 +520,14 @@ def pcf_d_slope(nu: float, z: float):
 
     The value is pcf_d(nu, z).value bit for bit.  On the Kummer route
     the slope comes from the term-by-term derivatives of the two series
-    the value sums (weber_even_odd's E' and O'), so both cost one Kummer
-    pair and one pair of rgamma values; on the integral route it is
-    (z/2) D_nu(z) - D_(nu+1)(z) (DLMF 12.8.3) from a second pcf_d call.
-    Against 30-digit references at 1,500 random points with nu in
-    [-1/2, 12] and z in [0.5, 2.2] the slope is within 39 eps of
-    |D| + |D'|, as the two-call form is.  The domain is pcf_d's,
-    checked before a route is chosen, with pcf_d's DomainError messages.
+    the value sums, so both cost one Kummer pair and one pair of rgamma
+    values; on the integral route it is the two-call form
+    (z/2) D_nu(z) - D_(nu+1)(z).  Against 30-digit references at 1,500
+    random points with nu in [-1/2, 12] and z in [0.5, 2.2] the slope is
+    within 39 eps of |D| + |D'|, as the two-call form is.  The domain is
+    pcf_d's, with pcf_d's DomainError messages.
     """
-    _pcf_check(nu, z, "pcf_d")
-    if _pcf_takes_integral(nu, z):
-        d0, d1 = pcf_d(nu, z), pcf_d(nu + 1.0, z)
-        return (d0.value, 0.5 * z * d0.value - d1.value,
-                (1.0 + 0.5 * abs(z)) * d0.est_abs_error + d1.est_abs_error)
-    m1, e1, m2, e2, ep, op, est_p = _weber_sums(nu, z)
-    pref, r1, r2, t1, t2, est = _pcf_form(nu, z, m1, e1, m2, e2)
-    u1, u2 = r1 * ep, _SQRT2 * r2 * op
-    est += pref * ((abs(r1) + _SQRT2 * abs(r2)) * est_p
-                   + (16.0 + 0.5 * z * z) * _EPS * (abs(u1) + abs(u2)))
-    return pref * (t1 - t2), pref * (u1 - u2), est
+    return _pcf(nu, z, "pcf_d", slope=True)
 
 
 def pcf_d_pair_rgamma(nu: float, z: float):
@@ -519,25 +535,12 @@ def pcf_d_pair_rgamma(nu: float, z: float):
     errors jointly.
 
     The two values are pcf_d_pair(nu, z)'s bit for bit.  On the Kummer
-    route 1/Gamma(-nu) comes from Legendre's duplication (DLMF 5.5.5) as
-    2^(nu+1) sqrt(pi) rgamma((1-nu)/2) rgamma(-nu/2), the two rgamma
-    values the pair already needs, so it is exactly 0.0 at nu = 0, 1, 2,
-    ...; on the integral route it is rgamma(-nu).  The domain is pcf_d's,
-    checked before a route is chosen, with pcf_d_pair's DomainError
-    messages.
+    route 1/Gamma(-nu) comes from Legendre's duplication of the pair's
+    two rgamma values, so it is exactly 0.0 at nu = 0, 1, 2, ...; on the
+    integral route it is rgamma(-nu).  The domain is pcf_d's, with
+    pcf_d_pair's DomainError messages.
     """
-    _pcf_check(nu, z, "pcf_d_pair")
-    if _pcf_takes_integral(nu, abs(z)):
-        plus, minus = pcf_d(nu, z), pcf_d(nu, -z)
-        rg = rgamma(-nu)
-        return (plus.value, minus.value, rg,
-                plus.est_abs_error + minus.est_abs_error + _RGAMMA_REL * abs(rg))
-    w = 0.5 * z * z
-    m1, _, e1, _ = _kummer_sums(-0.5 * nu, 0.5, w)
-    m2, _, e2, _ = _kummer_sums(0.5 * (1.0 - nu), 1.5, w)
-    pref, r1, r2, t1, t2, est = _pcf_form(nu, z, m1, e1, m2, e2)
-    rg = 2.0 ** (nu + 1.0) * _SQRT_PI * r1 * r2
-    return pref * (t1 - t2), pref * (t1 - (-t2)), rg, 2.0 * est + _RGAMMA_REL * abs(rg)
+    return _pcf(nu, z, "pcf_d_pair", pair=True, rg=True)
 
 
 # ----------------------------------------------------------------------
@@ -620,10 +623,6 @@ def airy_ai_prime(x: float) -> EvalResult:
 
 def airy_bi(x: float) -> EvalResult:
     return airy_all(x)[2]
-
-
-def airy_bi_prime(x: float) -> EvalResult:
-    return airy_all(x)[3]
 
 
 # ----------------------------------------------------------------------
