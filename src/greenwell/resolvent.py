@@ -168,11 +168,10 @@ class _HoSolutions(dict):
         self.num = units.ho_norm / sf.rgamma(0.5 - eps)
 
     def __missing__(self, x):
-        # u(x) and u(-x) from one Kummer pair, bit for bit two pcf_d calls:
-        # mu (-x) is exactly -(mu x)
-        plus, minus = sf.pcf_d_pair(self.nu, self.mu * x)
-        self[-x] = minus.value
-        u = self[x] = plus.value
+        # u(x) and u(-x) from one pcf_d_pair call, bit for bit two pcf_d
+        # calls: mu (-x) is exactly -(mu x); its 1/Gamma(-nu) goes unread
+        u, self[-x], _, _ = sf.pcf_d_pair(self.nu, self.mu * x)
+        self[x] = u
         return u
 
 
@@ -383,8 +382,8 @@ class _Weber(_Branch):
     """The Weber branch of V = m w^2 x^2/2 + alpha^3 |x| at one eps:
     D_{sigma-1/2}(mu y + mu phi), sigma = eps + (mu phi/2)^2.  value0 and
     slope0 = D'(mu phi) = (mu phi/2) D(mu phi) - D_{sigma+1/2}(mu phi) are
-    computed together when built, from one Kummer pass
-    (specfun.pcf_d_slope); partners(y) is (E, E', O, O') at mu (y + phi)."""
+    computed together when built, by one specfun.pcf_d_slope call;
+    partners(y) is (E, E', O, O') at mu (y + phi)."""
 
     def __init__(self, eps, units):
         self.mu, self.phi, self.mu_phi = units.mu, units.phi, units.mu * units.phi

@@ -13,26 +13,27 @@ Design notes:
     Weber's equation.  This representation is entire in z and avoids the
     connection formulas an asymptotic approach would need for z < 0.
     Its z-odd term changes sign exactly with z, so pcf_d_pair(nu, z)
-    returns D_nu(z) and D_nu(-z) from one pair of Kummer series and one
-    pair of rgamma values, bit for bit what two pcf_d calls give.
+    returns D_nu(z), D_nu(-z) and 1/Gamma(-nu) from one pair of Kummer
+    series and one pair of rgamma values, the two values bit for bit
+    what two pcf_d calls give.
   * One Kummer loop (_kummer_sums) sums each series and, alongside, its
     term-by-term derivative.  kummer_m is its EvalResult, and
     weber_even_odd takes E' and O' from the derivative sums, so its four
     values cost two series.
-  * One evaluator (_pcf) is behind pcf_d, pcf_d_pair, pcf_d_slope and
-    pcf_d_pair_rgamma, each a projection of its tuple.  It checks the
-    domain and chooses the route (_pcf_takes_integral), both in that one
-    place, and sums the Kummer pair once: D_nu(z), D_nu(-z), 1/Gamma(-nu)
-    by Legendre's duplication of the pair's two rgamma values, and D_nu'
-    from the derivative sums only when pcf_d_slope asks for it.
-    pcf_d_slope and pcf_d_pair_rgamma return plain tuples with one joint
-    estimate, as weber_even_odd does.
+  * One evaluator (_pcf) is behind the three entry points pcf_d,
+    pcf_d_pair and pcf_d_slope, one tuple shape each.  It checks the
+    domain and chooses the route (_pcf_takes_integral), both once and in
+    that one place, and sums the Kummer pair once: D_nu(z), D_nu(-z),
+    1/Gamma(-nu) by Legendre's duplication of the pair's two rgamma
+    values, and D_nu' from the derivative sums only when pcf_d_slope
+    asks for it.  pcf_d_pair and pcf_d_slope return plain tuples with
+    one joint estimate, as weber_even_odd does.
   * Where a series cancels, D_nu(z) comes from the trapezoid rule on an
     integral whose terms are all positive (Trefethen and Weideman, SIAM
     Rev. 56, 2014): for z >= 6, or z > 0 and strongly negative nu.  The
     evaluator's one fallback takes D at +|z| from the integral and D at
-    -|z| from the Kummer form; there D_nu' is the two-call form
-    (z/2) D_nu - D_(nu+1), and 1/Gamma(-nu) is rgamma(-nu).
+    -|z| from the Kummer form; there D_nu' is (z/2) D_nu - D_(nu+1),
+    with D_(nu+1) from the integral too, and 1/Gamma(-nu) is rgamma(-nu).
   * Ai, Ai', Bi and Bi' come from one route on their whole domain
     |x| <= 25: a table of correctly rounded values at the anchors m/16,
     and a short Taylor step of Airy's equation w'' = x w from the
@@ -50,9 +51,9 @@ Design notes:
   * A non-finite argument raises DomainError at once in rgamma, gamma,
     kummer_m, weber_even_odd, airy_all and hermite_h, and in the D_nu
     evaluator before it chooses a route: with pcf_d's message from pcf_d
-    and pcf_d_slope, with pcf_d_pair's from pcf_d_pair and
-    pcf_d_pair_rgamma.  The evaluator also raises DomainError outside
-    |z| <= 20 and |nu| <= 60.
+    and pcf_d_slope, with pcf_d_pair's from pcf_d_pair.  The evaluator
+    also raises DomainError outside |z| <= 20 and |nu| <= 60, naming
+    only the caller's own nu or z.
 
 All functions are pure and hold no mutable state.
 """
@@ -73,7 +74,6 @@ __all__ = [
     "pcf_d",
     "pcf_d_pair",
     "pcf_d_slope",
-    "pcf_d_pair_rgamma",
     "weber_even_odd",
     "airy_ai",
     "airy_ai_prime",
@@ -417,17 +417,17 @@ def _pcf_takes_integral(nu, z):
     return False
 
 
-def _pcf(nu, z, name, pair=False, slope=False, rg=False):
-    """The one evaluator of D_nu; pcf_d, pcf_d_pair, pcf_d_slope and
-    pcf_d_pair_rgamma return its tuple, which is
+def _pcf(nu, z, pair=False, slope=False):
+    """The one evaluator of D_nu; pcf_d, pcf_d_pair and pcf_d_slope
+    return its tuple, which is
         (D(z), est)                         by default,
-        (D(z), est, D(-z), est')            with pair,
+        (D(z), D(-z), 1/Gamma(-nu), est)    with pair,
         (D(z), D'(z), est)                  with slope,
-        (D(z), D(-z), 1/Gamma(-nu), est)    with pair and rg,
     where an est that follows several values bounds their errors jointly.
 
-    It checks the domain, with name's DomainError messages, and chooses
-    the route, both once: at |z| with pair, else at z.  The Kummer form
+    It checks the domain, with pcf_d_pair's DomainError messages for a
+    pair and pcf_d's otherwise, and chooses the route, both once: at |z|
+    with pair, else at z.  The Kummer form
         D_nu(z) = 2^(nu/2) e^(-z^2/4) sqrt(pi) [ rgamma((1-nu)/2) M(-nu/2, 1/2, z^2/2)
                   - sqrt(2) z rgamma(-nu/2) M((1-nu)/2, 3/2, z^2/2) ]
                 = pref (t1 - t2)
@@ -438,10 +438,12 @@ def _pcf(nu, z, name, pair=False, slope=False, rg=False):
     Legendre's duplication (DLMF 5.5.5) as 2^(nu+1) sqrt(pi)
     rgamma((1-nu)/2) rgamma(-nu/2), exactly 0.0 at nu = 0, 1, 2, ....
     On the integral route D at +|z| is _pcf_integral's and D at -|z| the
-    Kummer form's; the slope is (z/2) D_nu(z) - D_(nu+1)(z) (DLMF 12.8.3)
-    from a second call, and 1/Gamma(-nu) is rgamma(-nu).
+    Kummer form's, and 1/Gamma(-nu) is rgamma(-nu).  The slope there is
+    (z/2) D_nu(z) - D_(nu+1)(z) (DLMF 12.8.3), with D_(nu+1) from
+    _pcf_integral too: the evaluator never calls itself, so nu + 1 meets
+    no second domain check and no second choice of route.
     """
-    _pcf_check(nu, z, name)
+    _pcf_check(nu, z, "pcf_d_pair" if pair else "pcf_d")
     far = _pcf_takes_integral(nu, abs(z) if pair else z)
     if far:  # D at +|z| from the integral
         i = _pcf_integral(nu, abs(z))
@@ -449,9 +451,9 @@ def _pcf(nu, z, name, pair=False, slope=False, rg=False):
         if not pair:  # z > 0, and D(z) is all there is to sum
             if not slope:
                 return hi
-            d1, est1 = _pcf(nu + 1.0, z, name)
-            return (i.value, 0.5 * z * i.value - d1,
-                    (1.0 + 0.5 * abs(z)) * i.est_abs_error + est1)
+            i1 = _pcf_integral(nu + 1.0, z)
+            return (i.value, 0.5 * z * i.value - i1.value,
+                    (1.0 + 0.5 * abs(z)) * i.est_abs_error + i1.est_abs_error)
     m1, e1, m2, e2, ep, op, est_p = _weber_sums(nu, z, slope)
     r1 = rgamma(0.5 * (1.0 - nu))
     r2 = rgamma(-0.5 * nu)
@@ -472,8 +474,6 @@ def _pcf(nu, z, name, pair=False, slope=False, rg=False):
     plus, minus = (d, est), (pref * (t1 + t2), est)
     if far:  # the Kummer form keeps only the -|z| side
         plus, minus = (hi, minus) if z > 0.0 else (plus, hi)
-    if not rg:
-        return plus + minus
     g = rgamma(-nu) if far else 2.0 ** (nu + 1.0) * _SQRT_PI * r1 * r2
     return plus[0], minus[0], g, plus[1] + minus[1] + _RGAMMA_REL * abs(g)
 
@@ -499,20 +499,25 @@ def pcf_d(nu: float, z: float) -> EvalResult:
     |z| <= 20, where the Kummer argument z^2/2 stays within kummer_m's
     |z| <= 200, and |nu| <= 60; non-finite arguments raise DomainError too.
     """
-    return EvalResult(*_pcf(nu, z, "pcf_d"))
+    return EvalResult(*_pcf(nu, z))
 
 
 def pcf_d_pair(nu: float, z: float):
-    """(pcf_d(nu, z), pcf_d(nu, -z)), equal to those two calls bit for bit.
+    """(D_nu(z), D_nu(-z), 1/Gamma(-nu), est), with est bounding the three
+    errors jointly.
 
-    When neither sign takes the integral route, both come from one Kummer
-    pair: the two series, the two rgamma values and the prefactor are
-    shared, and only the sign of the z-odd term differs.  Otherwise the
-    Kummer pair gives the negative side, and the integral the positive.
-    The domain is pcf_d's, with pcf_d_pair's DomainError messages.
+    The two values are pcf_d(nu, z).value and pcf_d(nu, -z).value bit
+    for bit, and est is the sum of their two estimates plus 64 eps of
+    |1/Gamma(-nu)|.  When neither sign takes the integral route, all
+    three come from one Kummer pair: the two series, the two rgamma
+    values and the prefactor are shared, only the sign of the z-odd term
+    differs, and 1/Gamma(-nu) is Legendre's duplication of the two
+    rgamma values, so it is exactly 0.0 at nu = 0, 1, 2, ....
+    Otherwise the Kummer pair gives the negative side, the integral the
+    positive, and 1/Gamma(-nu) is rgamma(-nu).  The domain is pcf_d's,
+    with pcf_d_pair's DomainError messages.
     """
-    d, e, dm, em = _pcf(nu, z, "pcf_d_pair", pair=True)
-    return EvalResult(d, e), EvalResult(dm, em)
+    return _pcf(nu, z, pair=True)
 
 
 def pcf_d_slope(nu: float, z: float):
@@ -521,26 +526,14 @@ def pcf_d_slope(nu: float, z: float):
     The value is pcf_d(nu, z).value bit for bit.  On the Kummer route
     the slope comes from the term-by-term derivatives of the two series
     the value sums, so both cost one Kummer pair and one pair of rgamma
-    values; on the integral route it is the two-call form
-    (z/2) D_nu(z) - D_(nu+1)(z).  Against 30-digit references at 1,500
-    random points with nu in [-1/2, 12] and z in [0.5, 2.2] the slope is
-    within 39 eps of |D| + |D'|, as the two-call form is.  The domain is
-    pcf_d's, with pcf_d's DomainError messages.
+    values; on the integral route it is (z/2) D_nu(z) - D_(nu+1)(z) with
+    both values from the integral, for every nu up to 60.  Against
+    30-digit references at 1,500 random points with nu in [-1/2, 12] and
+    z in [0.5, 2.2] the slope is within 39 eps of |D| + |D'|, as the
+    two-call form is.  The domain is pcf_d's, with pcf_d's DomainError
+    messages.
     """
-    return _pcf(nu, z, "pcf_d", slope=True)
-
-
-def pcf_d_pair_rgamma(nu: float, z: float):
-    """(D_nu(z), D_nu(-z), 1/Gamma(-nu), est), with est bounding the three
-    errors jointly.
-
-    The two values are pcf_d_pair(nu, z)'s bit for bit.  On the Kummer
-    route 1/Gamma(-nu) comes from Legendre's duplication of the pair's
-    two rgamma values, so it is exactly 0.0 at nu = 0, 1, 2, ...; on the
-    integral route it is rgamma(-nu).  The domain is pcf_d's, with
-    pcf_d_pair's DomainError messages.
-    """
-    return _pcf(nu, z, "pcf_d_pair", pair=True, rg=True)
+    return _pcf(nu, z, slope=True)
 
 
 # ----------------------------------------------------------------------

@@ -158,7 +158,7 @@ def chi_delta_ho(eps: float, tau: float, p: float) -> float:
 
     tau D_{eps-1/2}(p) D_{eps-1/2}(-p) + 1/Gamma(1/2 - eps) = 0.
     """
-    d_plus, d_minus, rg, _ = sf.pcf_d_pair_rgamma(eps - 0.5, p)
+    d_plus, d_minus, rg, _ = sf.pcf_d_pair(eps - 0.5, p)
     return tau * d_plus * d_minus + rg
 
 

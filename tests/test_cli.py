@@ -621,6 +621,21 @@ def test_a_floor_outside_the_special_function_domain_exits_one(
     assert capsys.readouterr().err == f"error: {domain}\n"
 
 
+def test_ho_plus_abs_levels_read_the_slope_up_to_the_order_limit():
+    # the scan reads D' at orders nu = sigma - 1/2 up to 59.95, whose
+    # slope takes D_(nu+1) from the integral; when it read
+    # pcf_d(nu + 1, mu phi), it raised past |nu| <= 60 and exited 1.  The
+    # 40-digit root of D'_nu(mu phi), from mpmath (offline), is
+    # 50.13921342986287815631489260005541860589
+    family = '{"tag":"HO_PLUS_ABS","scales":{"alpha1":1.62}}'
+    code, out = run(["levels", "--family", family, "--window", "50:51.4"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[:3] for row in rows] == [["0", "even", "50.1392134299"]]
+    assert abs(Fraction(rows[0][2]) - Fraction("50.13921342986287815631489260005541860589")) \
+        <= Fraction("5e-11")
+
+
 VERIFY_NAMES = ["HO", "HO_STARK", "HO_ASYM", "LINEAR_ABS", "LINEAR_ASYM",
                 "HALF_HO_HALF_LINEAR", "HO_PLUS_ABS", "DELTA_DECORATED(HO)",
                 "DELTA_DECORATED(LINEAR_ABS)"]
