@@ -345,10 +345,8 @@ def _weber0(eps):
 
 def _airy0(rho):
     """(value, slope) at 0 of the Airy branch Ai(zeta y - rho), then of
-    its partner Bi: (Ai, Ai', Bi, Bi') at -rho."""
-    # unpacked without generators: a scan calls it once per lattice point
-    ai, aip, bi, bip = sf.airy_all(-rho)
-    return ai.value, aip.value, bi.value, bip.value
+    its partner Bi: (Ai, Ai', Bi, Bi') at -rho, as floats."""
+    return sf._airy(-rho)
 
 
 def _wronskian(right, left, ratio):
@@ -409,8 +407,7 @@ class _Airy(_Branch, dict):
         self.value0, self.slope0 = at0[0], at0[1]
 
     def __missing__(self, y):
-        ai, aip, bi, bip = sf.airy_all(self.zeta * y - self.rho)
-        vals = self[y] = (ai.value, aip.value, bi.value, bip.value)
+        vals = self[y] = sf._airy(self.zeta * y - self.rho)
         return vals
 
     def value(self, y):

@@ -16,10 +16,16 @@ Design notes:
     returns D_nu(z), D_nu(-z) and 1/Gamma(-nu) from one pair of Kummer
     series and one pair of rgamma values, the two values bit for bit
     what two pcf_d calls give.
-  * One Kummer loop (_kummer_sums) sums each series and, alongside, its
-    term-by-term derivative.  kummer_m is its EvalResult, and
+  * One Kummer loop (_kummer_sums) sums a pair of series at one
+    argument in one pass, each with, alongside, its term-by-term
+    derivative; each series stops on its own and does the operations of
+    a loop over it alone, in the same order.  The Weber pair
+    M(-nu/2, 1/2, w) and M((1-nu)/2, 3/2, w) is its one program use:
     weber_even_odd takes E' and O' from the derivative sums, so its four
-    values cost two series.
+    values cost one pass.  kummer_m, which no program path calls, runs
+    its series as both members of a pair and reads the first.  The loop
+    checks no argument: kummer_m and weber_even_odd check theirs, and
+    the D_nu evaluator's domain implies the loop's.
   * One evaluator (_pcf) is behind the three entry points pcf_d,
     pcf_d_pair and pcf_d_slope, one tuple shape each.  It checks the
     domain and chooses the route (_pcf_takes_integral), both once and in
@@ -37,7 +43,10 @@ Design notes:
   * Ai, Ai', Bi and Bi' come from one route on their whole domain
     |x| <= 25: a table of correctly rounded values at the anchors m/16,
     and a short Taylor step of Airy's equation w'' = x w from the
-    nearest one, within 1 eps of 40-digit references.
+    nearest one, within 1 eps of 40-digit references.  _airy returns
+    the four values as floats, which is all the scans and Green
+    functions read; airy_all is its projection that adds the estimates,
+    as pcf_d is of _pcf.
   * Functions returning EvalResult report est_abs_error, an upper bound
     on the absolute error built from truncation plus rounding terms.
   * The hot loops (the Kummer series, the Lanczos sum) are written for
@@ -49,11 +58,12 @@ Design notes:
     sum, fusing a product or changing a stopping test changes the last
     bits and fails those tests.
   * A non-finite argument raises DomainError at once in rgamma, gamma,
-    kummer_m, weber_even_odd, airy_all and hermite_h, and in the D_nu
-    evaluator before it chooses a route: with pcf_d's message from pcf_d
-    and pcf_d_slope, with pcf_d_pair's from pcf_d_pair.  The evaluator
-    also raises DomainError outside |z| <= 20 and |nu| <= 60, naming
-    only the caller's own nu or z.
+    kummer_m, weber_even_odd, _airy (so airy_all) and hermite_h, and in
+    the D_nu evaluator before it chooses a route: with pcf_d's message
+    from pcf_d and pcf_d_slope, with pcf_d_pair's from pcf_d_pair.  The
+    evaluator also raises DomainError outside |z| <= 20 and |nu| <= 60,
+    and weber_even_odd outside |z| <= 20, each naming only the caller's
+    own nu or z.
 
 All functions are pure and hold no mutable state.
 """
@@ -210,55 +220,76 @@ def gamma(x: float) -> float:
 _KUMMER_MAX_TERMS = 10000
 
 
-def _kummer_sums(a, b, z):
-    """(M, S, est, est_S): M(a,b,z) by direct series with compensated
-    (Kahan) summation, and S = z M'(a,b,z) = sum n t_n, the term-by-term
-    derivative of the same series times z, summed alongside.
+def _kummer_sums(a1, b1, a2, b2, z):
+    """(M1, S1, est1, est_S1, M2, S2, est2, est_S2): the two series
+    M(a1,b1,z) and M(a2,b2,z) at one argument, summed in one pass, each
+    with compensated (Kahan) summation, and S = z M'(a,b,z) = sum n t_n,
+    the term-by-term derivative of the same series times z, alongside.
 
-    Stops when two consecutive terms are below eps * |partial sum|.  est
-    combines the last-term magnitude with a rounding bound eps *
-    sum(|terms|), which also tracks cancellation for z < 0; est_S does
-    the same for the terms n t_n, with n times both parts, and n eps
-    more for their plain sum.  The one Kummer loop of the module:
-    kummer_m reads it, and weber_even_odd and the D_nu evaluator _pcf
-    read it through _weber_sums.
+    Each series stops on its own, when two of its consecutive terms are
+    below eps * |its partial sum|, and does the operations of a loop over
+    it alone, in the same order.  est combines the last-term magnitude
+    with a rounding bound eps * sum(|terms|), which also tracks
+    cancellation for z < 0; est_S does the same for the terms n t_n,
+    with n times both parts, and n eps more for their plain sum.  The
+    one Kummer loop of the module: kummer_m reads it, and weber_even_odd
+    and the D_nu evaluator _pcf read it through _weber_sums.  It checks
+    no argument; its callers do.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
-        raise DomainError(f"kummer_m arguments must be finite, got a = {a}, b = {b}, z = {z}")
-    if b <= 0.5 and abs(b - round(b)) <= 1e-12 and round(b) <= 0:
-        raise PoleError(f"kummer_m requires b not a non-positive integer, got b = {b}")
-    if abs(z) > 200.0:
-        raise DomainError(f"kummer_m series restricted to |z| <= 200, got z = {z}")
     eps = _EPS
-    term = total = abs_sum = 1.0
-    comp = 0.0  # Kahan compensation
-    d_sum = 0.0  # sum n t_n
-    small = False  # the previous term was already below eps * |partial sum|
+    term1 = total1 = abs1 = term2 = total2 = abs2 = 1.0
+    comp1 = comp2 = 0.0  # Kahan compensations
+    d1 = d2 = 0.0  # sums n t_n
+    small1 = small2 = False  # the previous term was already below eps * |partial sum|
+    k1 = k2 = 0.0  # the terms a series had summed when it stopped; 0.0 while it runs
     n = 0.0  # a float counter: a + n, b + n and n + 1.0 round as with an int n
     for _ in range(_KUMMER_MAX_TERMS):
         n1 = n + 1.0
-        term *= (a + n) * z / ((b + n) * n1)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        mag = term if term >= 0.0 else -term
-        abs_sum += mag
-        d_sum += n1 * term
+        if not k1:
+            term1 *= (a1 + n) * z / ((b1 + n) * n1)
+            y = term1 - comp1
+            t = total1 + y
+            comp1 = (t - total1) - y
+            total1 = t
+            mag = term1 if term1 >= 0.0 else -term1
+            abs1 += mag
+            d1 += n1 * term1
+            if mag <= eps * (t if t >= 0.0 else -t):
+                if small1:
+                    k1 = n1
+                    if k2:
+                        break
+                small1 = True
+            else:
+                small1 = False
+        if not k2:
+            term2 *= (a2 + n) * z / ((b2 + n) * n1)
+            y = term2 - comp2
+            t = total2 + y
+            comp2 = (t - total2) - y
+            total2 = t
+            mag = term2 if term2 >= 0.0 else -term2
+            abs2 += mag
+            d2 += n1 * term2
+            if mag <= eps * (t if t >= 0.0 else -t):
+                if small2:
+                    k2 = n1
+                    if k1:
+                        break
+                small2 = True
+            else:
+                small2 = False
         n = n1
-        if mag <= eps * (t if t >= 0.0 else -t):
-            if small:
-                break
-            small = True
-        else:
-            small = False
     else:
+        a, b = (a2, b2) if k1 else (a1, b1)
         raise ConvergenceError(
             f"kummer_m({a}, {b}, {z}) did not converge in {_KUMMER_MAX_TERMS} terms"
         )
-    mag = abs(term)  # and sum n |t_n| <= n abs_sum
-    return (total, d_sum, 2.0 * mag + 16.0 * _EPS * abs_sum,
-            n * (2.0 * mag + (16.0 + n) * _EPS * abs_sum))
+    mag1, mag2 = abs(term1), abs(term2)  # and sum n |t_n| <= n abs_sum
+    return (total1, d1, 2.0 * mag1 + 16.0 * _EPS * abs1,
+            k1 * (2.0 * mag1 + (16.0 + k1) * _EPS * abs1),
+            total2, d2, 2.0 * mag2 + 16.0 * _EPS * abs2,
+            k2 * (2.0 * mag2 + (16.0 + k2) * _EPS * abs2))
 
 
 def kummer_m(a: float, b: float, z: float) -> EvalResult:
@@ -267,9 +298,18 @@ def kummer_m(a: float, b: float, z: float) -> EvalResult:
     Stops when two consecutive terms are below eps * |partial sum|.
     est_abs_error combines the last-term magnitude with a rounding bound
     eps * sum(|terms|), which also tracks cancellation for z < 0.
-    Non-finite arguments raise DomainError.
+    The domain is |z| <= 200 and b not a non-positive integer;
+    non-finite arguments raise DomainError.  No program path calls it:
+    it runs its series as both members of _kummer_sums' pair and reads
+    the first.
     """
-    m, _, est, _ = _kummer_sums(a, b, z)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
+        raise DomainError(f"kummer_m arguments must be finite, got a = {a}, b = {b}, z = {z}")
+    if b <= 0.5 and abs(b - round(b)) <= 1e-12 and round(b) <= 0:
+        raise PoleError(f"kummer_m requires b not a non-positive integer, got b = {b}")
+    if abs(z) > 200.0:
+        raise DomainError(f"kummer_m series restricted to |z| <= 200, got z = {z}")
+    m, _, est, _, _, _, _, _ = _kummer_sums(a, b, a, b, z)
     return EvalResult(m, est)
 
 
@@ -286,13 +326,18 @@ def weber_even_odd(nu: float, z: float):
         O(z) = z exp(-z^2/4) M((1-nu)/2, 3/2, z^2/2)
     and est bounds the absolute error of the four values jointly.  E'
     and O' come from the term-by-term derivatives of the same two series
-    (DLMF 13.3.15), so the four values cost two Kummer series.
+    (DLMF 13.3.15), so the four values cost two Kummer series, summed in
+    one pass.
     These two solutions are independent for every nu, which makes them
     the safe basis for continuing piecewise-parabolic problems.
-    Non-finite arguments raise DomainError.
+    The domain is |z| <= 20, where the series argument z^2/2 stays
+    within kummer_m's |z| <= 200; non-finite arguments raise
+    DomainError too.
     """
     if not (math.isfinite(nu) and math.isfinite(z)):
         raise DomainError(f"weber_even_odd arguments must be finite, got nu = {nu}, z = {z}")
+    if abs(z) > 20.0:
+        raise DomainError(f"weber_even_odd restricted to |z| <= 20, got z = {z}")
     g = math.exp(-0.25 * z * z)
     m1, e1, m2, e2, ep, op, est_p = _weber_sums(nu, z)
     est = g * (e1 + abs(z) * e2 + est_p)
@@ -307,10 +352,11 @@ def _weber_sums(nu, z, slope=True):
         E'/g = 2 S1 / z - z M1 / 2,    O'/g = (1 - w) M2 + 2 S2.
     est' counts the series' estimates and, since the two parts of each
     slope may cancel, 4 eps of their magnitudes.  Without slope the last
-    three are 0.0, and the derivative sums go unread."""
+    three are 0.0, and the derivative sums go unread.  Both series come
+    from one pass of the Kummer loop; the callers have checked that
+    |z| <= 20."""
     w = 0.5 * z * z
-    m1, s1, e1, es1 = _kummer_sums(-0.5 * nu, 0.5, w)
-    m2, s2, e2, es2 = _kummer_sums(0.5 * (1.0 - nu), 1.5, w)
+    m1, s1, e1, es1, m2, s2, e2, es2 = _kummer_sums(-0.5 * nu, 0.5, 0.5 * (1.0 - nu), 1.5, w)
     if not slope:
         return m1, e1, m2, e2, 0.0, 0.0, 0.0
     # z = 0: S1 = 0, and E' = 0 exactly
@@ -552,8 +598,10 @@ _AIRY_DOMAIN = 25.0
 _AIRY_REL = 3.0 * _EPS
 
 
-def airy_all(x: float):
-    """(Ai, Ai', Bi, Bi') at x, each an EvalResult; the domain is |x| <= 25.
+def _airy(x):
+    """(Ai, Ai', Bi, Bi') at x as four floats, |x| <= 25: airy_all's
+    values without their estimates, for the scans and Green functions
+    that read only the values.
 
     One route: (Ai, Ai', Bi, Bi') at the anchor x0 = m/16 nearest x, from
     _AIRY_ANCHORS (40-digit values rounded to double), and a Taylor step of
@@ -562,12 +610,7 @@ def airy_all(x: float):
     q' w'(x0), where p and q are the solutions with (w, w') = (1, 0) and
     (0, 1) at x0.  Their Taylor series in h, up to h^11, are grouped below
     in powers of c = x0 h^2 and d = h^3, |c| <= 0.025 and |d| <= 3.1e-5,
-    keeping every term above 1e-18 of the value.  Against 40-digit
-    references the error is at most 1 eps = 2.2e-16 of the value (x >= 0)
-    or of the amplitude sqrt(Ai^2 + Bi^2) (x < 0, sqrt(Ai'^2 + Bi'^2) for
-    the derivatives).  est_abs_error is 3 eps of the value for x >= 0 and
-    of |Ai| + |Bi| (at most 4.3 eps of the amplitude) for x < 0.  A call
-    takes 2.6-4.6 us on a shared 2-CPU VM with Python 3.11.
+    keeping every term above 1e-18 of the value.
     """
     if not -_AIRY_DOMAIN <= x <= _AIRY_DOMAIN:
         raise DomainError(f"airy functions restricted to |x| <= {_AIRY_DOMAIN}, got {x}")
@@ -593,10 +636,23 @@ def airy_all(x: float):
           + f * (1 / 2 + d * (1 / 30 + d * (1 / 1440))))
     qdm = ch + d * (1 / 3 + c * (1 / 20 + c * (1 / 420 + c * (1 / 18144 + c * (1 / 1330560))))
                    + d * (1 / 72 + c * (13 / 10080 + c * (1 / 22680)) + d * (1 / 4536)))
-    ai = a0 + (pm * a0 + q * a1)
-    aip = a1 + (pd * a0 + qdm * a1)
-    bi = b0 + (pm * b0 + q * b1)
-    bip = b1 + (pd * b0 + qdm * b1)
+    return (a0 + (pm * a0 + q * a1), a1 + (pd * a0 + qdm * a1),
+            b0 + (pm * b0 + q * b1), b1 + (pd * b0 + qdm * b1))
+
+
+def airy_all(x: float):
+    """(Ai, Ai', Bi, Bi') at x, each an EvalResult; the domain is |x| <= 25.
+
+    The values are _airy's, one Taylor step from the nearest of the
+    anchors m/16, and this adds their estimates.  Against 40-digit
+    references the error is at most 1 eps = 2.2e-16 of the value (x >= 0)
+    or of the amplitude sqrt(Ai^2 + Bi^2) (x < 0, sqrt(Ai'^2 + Bi'^2) for
+    the derivatives).  est_abs_error is 3 eps of the value for x >= 0 and
+    of |Ai| + |Bi| (at most 4.3 eps of the amplitude) for x < 0.  A call
+    takes 2.1-2.2 us, and one of _airy 1.3 us, on a shared 2-CPU VM with
+    Python 3.11.
+    """
+    ai, aip, bi, bip = _airy(x)
     r = _AIRY_REL
     if x >= 0.0:  # Ai > 0, Ai' < 0, Bi > 0 and Bi' > 0
         return (EvalResult(ai, r * ai), EvalResult(aip, -r * aip),

@@ -436,7 +436,7 @@ def _count_calls(monkeypatch, name):
 
 @pytest.mark.parametrize("family,name,per_abscissa,per_energy", [
     ("HO", "pcf_d_pair", 1, 0),  # one pair gives D(mu x) and D(-mu x)
-    ("LINEAR_ABS", "airy_all", 1, 1),
+    ("LINEAR_ABS", "_airy", 1, 1),
     ("HO_PLUS_ABS", "pcf_d", 1, 2),
 ])
 def test_green_grid_evaluates_each_solution_once_per_abscissa(

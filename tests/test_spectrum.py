@@ -330,7 +330,7 @@ def test_parity_memo_keeps_every_bit(fam, first):
 
 
 @pytest.mark.parametrize("fam,shared_fn,kind", [
-    (default_family(LINEAR_ABS), "airy_all", "_Airy"),
+    (default_family(LINEAR_ABS), "_airy", "_Airy"),
     (default_family(HO_PLUS_ABS), "pcf_d_slope", "_Weber"),
 ], ids=["LINEAR_ABS", "HO_PLUS_ABS"])
 def test_parity_factors_share_one_call_per_lattice_point(monkeypatch, fam, shared_fn, kind):
