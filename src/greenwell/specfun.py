@@ -649,7 +649,7 @@ def airy_all(x: float):
     or of the amplitude sqrt(Ai^2 + Bi^2) (x < 0, sqrt(Ai'^2 + Bi'^2) for
     the derivatives).  est_abs_error is 3 eps of the value for x >= 0 and
     of |Ai| + |Bi| (at most 4.3 eps of the amplitude) for x < 0.  A call
-    takes 2.1-2.2 us, and one of _airy 1.3 us, on a shared 2-CPU VM with
+    takes 1.9-2.2 us, and one of _airy 1.3 us, on a shared 2-CPU VM with
     Python 3.11.
     """
     ai, aip, bi, bip = _airy(x)
