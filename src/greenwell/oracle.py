@@ -7,9 +7,11 @@ keeping this module genuinely independent of the closed forms it
 checks); fixed-energy resolvent columns come from a direct tridiagonal
 solve of (H - E) g = delta_h.
 
-_bisect is the package's one float halving, for these eigenvalues and
-spectrum's roots and certificate walls alike.  It lives here because
-spectrum imports this module, which imports none of the closed forms.
+_bisect is the package's one float halving, for these eigenvalues, the
+walls and spectrum's roots alike, and auto_grid the one rule for the
+walls: verify's box and spectrum's level-count certificate both take
+it.  Both live here because spectrum imports this module, which
+imports none of the closed forms.
 
 Delta terms are represented as a/h added to the diagonal at the node
 nearest q.  That is the simplest O(h)-consistent scheme; tolerances of
@@ -86,19 +88,28 @@ class TridiagonalOperator:
 
 
 def auto_grid(family: PotentialFamily, e_max: float, n_points: int) -> GridSpec:
-    """Smallest half-width on a 0.5 lattice with V(+-L) >= e_max + 10,
-    searched from the well bottom outward: L starts at the first lattice
-    point at or beyond |family.bottom|, and never below 1, so the box
-    holds the bottom of a shifted well; WallError past L = 4096.  L is a
-    physical length, so a stiff well needs more points (HO at omega1 = 2e6:
-    first level off by 0.0162 at 4000 points, 6.25e-6 at 200,000)."""
-    L = max(1.0, math.ceil(2.0 * abs(family.bottom)) / 2.0)
-    while L < 4096.0:
-        if (potential_value(family, -L) >= e_max + 10.0
-                and potential_value(family, L) >= e_max + 10.0):
-            return GridSpec(L, n_points)
-        L += 0.5
-    raise WallError("could not satisfy V(+-L) >= e_max + 10 within L <= 4096")
+    """The package's one FD box: walls at the first float L where V(+-L)
+    reaches 10 natural energy units above top = max(e_max, V(bottom)),
+    or top + 10 energy units where that lies higher, so discretize's
+    check V(+-L) >= e_max + 10 always holds.  The box scales with the
+    well: it is the same in natural units at any scale with the same
+    dimensionless parameters.  The search doubles L from the well bottom,
+    |family.bottom|, and _bisect halves the last doubling to adjacent
+    floats.  WallError when no finite L reaches that level."""
+    v = family.potential
+    target = max(e_max, v(family.bottom)) + max(family.energy(10.0), 10.0)
+
+    def above(x):  # < 0 inside the walls
+        return min(v(-x), v(x)) - target
+
+    inside = abs(family.bottom)
+    step = 1.0
+    while above(inside + step) < 0.0:
+        step *= 2.0
+    _, wall = _bisect(above, inside, inside + step, above(inside), 0.0)
+    if not (math.isfinite(wall) and above(wall) >= 0.0):
+        raise WallError(f"no finite L with V(+-L) >= {target:g}")
+    return GridSpec(wall, n_points)
 
 
 def discretize(family: PotentialFamily, grid: GridSpec, e_max: float = 0.0) -> TridiagonalOperator:

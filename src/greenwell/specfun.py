@@ -39,7 +39,8 @@ Design notes:
     Rev. 56, 2014): for z >= 6, or z > 0 and strongly negative nu.  The
     evaluator's one fallback takes D at +|z| from the integral and D at
     -|z| from the Kummer form; there D_nu' is (z/2) D_nu - D_(nu+1),
-    with D_(nu+1) from the integral too, and 1/Gamma(-nu) is rgamma(-nu).
+    with D_(nu+1) from the integral too, and 1/Gamma(-nu) is the Kummer
+    side's duplication, as on the Kummer route.
   * Ai, Ai', Bi and Bi' come from one route on their whole domain
     |x| <= 25: a table of correctly rounded values at the anchors m/16,
     and a short Taylor step of Airy's equation w'' = x w from the
@@ -61,9 +62,9 @@ Design notes:
     kummer_m, weber_even_odd, _airy (so airy_all) and hermite_h, and in
     the D_nu evaluator before it chooses a route: with pcf_d's message
     from pcf_d and pcf_d_slope, with pcf_d_pair's from pcf_d_pair.  The
-    evaluator also raises DomainError outside |z| <= 20 and |nu| <= 60,
-    and weber_even_odd outside |z| <= 20, each naming only the caller's
-    own nu or z.
+    evaluator and weber_even_odd also raise DomainError outside
+    |z| <= 20 and |nu| <= 60, each naming only the caller's own nu or z,
+    so no public entry point reaches the Kummer loop's ConvergenceError.
 
 All functions are pure and hold no mutable state.
 """
@@ -330,14 +331,16 @@ def weber_even_odd(nu: float, z: float):
     one pass.
     These two solutions are independent for every nu, which makes them
     the safe basis for continuing piecewise-parabolic problems.
-    The domain is |z| <= 20, where the series argument z^2/2 stays
-    within kummer_m's |z| <= 200; non-finite arguments raise
-    DomainError too.
+    The domain is the D_nu evaluator's, |z| <= 20 and |nu| <= 60, on
+    which the series converge; non-finite arguments raise DomainError
+    too.
     """
     if not (math.isfinite(nu) and math.isfinite(z)):
         raise DomainError(f"weber_even_odd arguments must be finite, got nu = {nu}, z = {z}")
     if abs(z) > 20.0:
         raise DomainError(f"weber_even_odd restricted to |z| <= 20, got z = {z}")
+    if abs(nu) > 60.0:
+        raise DomainError(f"weber_even_odd restricted to |nu| <= 60, got nu = {nu}")
     g = math.exp(-0.25 * z * z)
     m1, e1, m2, e2, ep, op, est_p = _weber_sums(nu, z)
     est = g * (e1 + abs(z) * e2 + est_p)
@@ -368,9 +371,8 @@ def _weber_sums(nu, z, slope=True):
     return m1, e1, m2, e2, zm1p - hz, w2 + 2.0 * s2, est
 
 
-# relative error bound of 1/Gamma(-nu) for |nu| <= 60: rgamma is within
-# 59 eps there (most of it on (-32, -31), from the rounding of 1 - x in
-# its reflection), a product of two rgamma values on [-30, 30.5] within 50
+# relative error bound of 1/Gamma(-nu) for |nu| <= 60, Legendre's
+# duplication of two rgamma values on [-30, 30.5]: within 50 eps there
 _RGAMMA_REL = 64.0 * _EPS
 
 _PCF_CUT = 6.0    # D_nu(z) from the integral for every nu at z >= this
@@ -484,10 +486,11 @@ def _pcf(nu, z, pair=False, slope=False):
     Legendre's duplication (DLMF 5.5.5) as 2^(nu+1) sqrt(pi)
     rgamma((1-nu)/2) rgamma(-nu/2), exactly 0.0 at nu = 0, 1, 2, ....
     On the integral route D at +|z| is _pcf_integral's and D at -|z| the
-    Kummer form's, and 1/Gamma(-nu) is rgamma(-nu).  The slope there is
-    (z/2) D_nu(z) - D_(nu+1)(z) (DLMF 12.8.3), with D_(nu+1) from
-    _pcf_integral too: the evaluator never calls itself, so nu + 1 meets
-    no second domain check and no second choice of route.
+    Kummer form's, whose two rgamma values give 1/Gamma(-nu) as above.
+    The slope there is (z/2) D_nu(z) - D_(nu+1)(z) (DLMF 12.8.3), with
+    D_(nu+1) from _pcf_integral too: the evaluator never calls itself,
+    so nu + 1 meets no second domain check and no second choice of
+    route.
     """
     _pcf_check(nu, z, "pcf_d_pair" if pair else "pcf_d")
     far = _pcf_takes_integral(nu, abs(z) if pair else z)
@@ -520,7 +523,7 @@ def _pcf(nu, z, pair=False, slope=False):
     plus, minus = (d, est), (pref * (t1 + t2), est)
     if far:  # the Kummer form keeps only the -|z| side
         plus, minus = (hi, minus) if z > 0.0 else (plus, hi)
-    g = rgamma(-nu) if far else 2.0 ** (nu + 1.0) * _SQRT_PI * r1 * r2
+    g = 2.0 ** (nu + 1.0) * _SQRT_PI * r1 * r2
     return plus[0], minus[0], g, plus[1] + minus[1] + _RGAMMA_REL * abs(g)
 
 
@@ -557,10 +560,10 @@ def pcf_d_pair(nu: float, z: float):
     |1/Gamma(-nu)|.  When neither sign takes the integral route, all
     three come from one Kummer pair: the two series, the two rgamma
     values and the prefactor are shared, only the sign of the z-odd term
-    differs, and 1/Gamma(-nu) is Legendre's duplication of the two
-    rgamma values, so it is exactly 0.0 at nu = 0, 1, 2, ....
-    Otherwise the Kummer pair gives the negative side, the integral the
-    positive, and 1/Gamma(-nu) is rgamma(-nu).  The domain is pcf_d's,
+    differs.  Otherwise the Kummer pair gives the negative side and the
+    integral the positive.  On both routes 1/Gamma(-nu) is Legendre's
+    duplication of the Kummer pair's two rgamma values, so it is exactly
+    0.0 at nu = 0, 1, 2, ....  The domain is pcf_d's,
     with pcf_d_pair's DomainError messages.
     """
     return _pcf(nu, z, pair=True)

@@ -409,44 +409,25 @@ class SweepResult:
     breaks: list        # parameter values where the in-window root count changed
 
 
-# The level-count certificate: an FD operator of _CERT_POINTS points
-# whose walls sit where V reaches _CERT_WALL natural energy units above
-# the window top, and a margin of _CERT_MARGIN natural units around each
-# window edge.  tests/test_spectrum.py checks that every FD level of
-# each sweep family lies within _CERT_MARGIN / 5 of its closed-form
-# level on this grid, at the default and the benchmark windows.
+# The level-count certificate: an FD operator of _CERT_POINTS points in
+# oracle.auto_grid's box, and a margin of _CERT_MARGIN natural units
+# around each window edge.  tests/test_spectrum.py checks that every FD
+# level of each sweep family lies within _CERT_MARGIN / 5 of its
+# closed-form level on this grid, at the default and the benchmark
+# windows.
 _CERT_POINTS = 1500
 _CERT_MARGIN = 0.1
-_CERT_WALL = 10.0
 # inward strides of _CERT_MARGIN tried for each end of the counted part
 _CERT_TRIES = 4
 
 
 def _cert_operator(family, top):
     """The certificate's FD operator for levels up to `top` (natural
-    units).  The walls sit where V reaches _CERT_WALL natural units above
-    `top`, so the grid is the same for every choice of scales with the
-    same dimensionless parameters, unless the oracle's own wall rule,
-    V >= E + 10 in physical units, asks for more (energy unit < 1): then
-    they sit where that rule holds.  The search runs outward from the
-    well bottom, x = family.bottom.  oracle.WallError when V lies above
-    that level there (the window lies below the smooth well)."""
+    units), in oracle.auto_grid's box: the same grid for every choice of
+    scales with the same dimensionless parameters, unless the energy
+    unit is below 1."""
     e_max = family.energy(top)
-    target = max(family.energy(top + _CERT_WALL), e_max + 10.0)
-    v = family.potential
-
-    def above(x):  # < 0 inside the walls
-        return min(v(-x), v(x)) - target
-
-    inside = abs(family.bottom)
-    f_inside = above(inside)
-    if not f_inside < 0.0:
-        raise oracle.WallError(f"V stays above {target:g}: no walls")
-    step = 1.0
-    while above(inside + step) < 0.0:
-        step *= 2.0
-    _, wall = oracle._bisect(above, inside, inside + step, f_inside, _BRACKET_WIDTH)
-    return oracle.discretize(family, oracle.GridSpec(wall, _CERT_POINTS), e_max=e_max)
+    return oracle.discretize(family, oracle.auto_grid(family, e_max, _CERT_POINTS), e_max=e_max)
 
 
 class _LevelCount:
@@ -470,7 +451,7 @@ class _LevelCount:
         clear of FD levels or the FD grid cannot be built."""
         try:
             op = _cert_operator(family, lat.hi + _CERT_MARGIN)
-        except (oracle.WallError, OverflowError):  # walls too low, or V overflows
+        except (oracle.WallError, OverflowError):  # no finite walls, or V overflows
             return None
 
         def below(i):  # FD levels below point i, or None when one lies within the margin

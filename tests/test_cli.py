@@ -563,12 +563,15 @@ def test_verify_delta_family_small_grid():
 
 @pytest.mark.parametrize("family,args,code,verdict", [
     ('{"tag":"HO","scales":{"omega1":2000000}}', ["--n-oracle", "200000"], 0, "ok"),
+    # at the default 4000 points: the box scales with the well, where walls
+    # at L >= 1 physical length left it a MISMATCH of 0.0162 (exit 3)
+    ('{"tag":"HO","scales":{"omega1":2000000}}', [], 0, "ok"),
     # the scan would start at this well's floor near eps = -2e6: 4e8 lattice
     # points, above the scan bound verify checks first.  It used to start
     # at -50 and report a MISMATCH (exit 3), then to exit 1 on pcf_d's
     # |nu| <= 60
     ('{"tag":"DELTA_DECORATED","base":"HO","scales":{"delta_strength":-2000}}', [], 1,
-     None)], ids=["HO omega1=2e6", "DELTA_DECORATED(HO) a=-2000"])
+     None)], ids=["HO omega1=2e6", "HO omega1=2e6 n=4000", "DELTA_DECORATED(HO) a=-2000"])
 def test_verify_of_a_stiff_or_deep_well_returns(family, args, code, verdict):
     # the lowest FD level lies past 2^19, where its bisection stops at
     # adjacent floats 1.2e-10 or more apart instead of at width 1e-10
@@ -583,6 +586,25 @@ def test_verify_of_a_stiff_or_deep_well_returns(family, args, code, verdict):
             "error: request too large: 4.000024e+08 lattice points per scan, above 5,000,000\n")
     else:
         assert done.stdout.count("\n") == 1 and done.stdout.endswith(f" {verdict}\n")
+
+
+@pytest.mark.parametrize("tag,argv,rows", [
+    ("LINEAR_ABS", ["levels", "--window", "0:3"], 2),
+    ("LINEAR_ASYM", ["sweep", "--param", "beta", "--range", "1:1.5:0.5", "--window", "0:3",
+                     "--allow-breaks"], 7)], ids=["levels", "sweep"])
+def test_walls_past_the_float_range_leave_the_scan_uncounted(capsys, tag, argv, rows):
+    # alpha1^3 = 1e-330 underflows to 0, so V = 0 at every finite x: the
+    # wall search ran to x = inf and exited 1 ("x must be finite, got
+    # -inf").  Now it raises WallError, and the scan prints what it prints
+    # at alpha1 = 1, uncounted
+    tiny = json.dumps({"tag": tag, "scales": {"alpha1": 1e-110}})
+    code, out = run([argv[0], "--family", tiny, *argv[1:]])
+    assert (code, out) == run([argv[0], "--family", tag, *argv[1:]])
+    assert code == 0 and out.count("\n") == rows + 1
+    # verify has no scan to fall back on: exit 2, naming the wall rule
+    code, out = run(["verify", "--family", tiny, "--k", "1"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "numerical failure: no finite L with V(+-L) >= 10\n"
 
 
 def _deep_delta(base, strength):
@@ -604,6 +626,13 @@ def test_a_ground_state_below_the_default_low_edge_is_found_without_a_window():
     assert (code, windowed.splitlines()[1]) == (0, out.splitlines()[1])
     code, out = run(["verify", *family, "--k", "2"])
     assert code == 0 and out.endswith(" ok\n"), out
+    # a ground state alone, below the smooth well's bottom V = 0: the box
+    # rule reads the bottom, not the level, so the walls stay 10 natural
+    # units above it (errors 0.0020 and 0.0013; the level alone put them
+    # below the bottom or too near it)
+    for base, strength in (("HO", -10.5), ("LINEAR_ABS", -6)):
+        code, out = run(["verify", "--family", _deep_delta(base, strength), "--k", "1"])
+        assert code == 0 and out.endswith(" ok\n"), out
 
 
 @pytest.mark.parametrize("command", ["levels", "verify"])
@@ -660,20 +689,25 @@ def test_verify_passes_every_well_at_other_hbar_and_mass(name):
 # (tools/drift.py).  The two HO levels were re-pinned when chi_delta_ho
 # took 1/Gamma(1/2 - eps) from Legendre's duplication of the Kummer
 # pair's two rgamma values: again only the residual column moved, and
-# the verify bytes kept their pins
+# the verify bytes kept their pins.  The three verify pins were re-pinned
+# when verify's walls came from oracle.auto_grid's one rule, 10 natural
+# energy units above the levels, in place of a 0.5 lattice of physical
+# lengths: only the max level error moved (tools/drift.py), 0.000436 ->
+# 0.000374 and 0.00139 -> 0.00142 for HO, and 0.00565 -> 0.00396 for
+# LINEAR_ABS, whose exit code went from 3 (MISMATCH) to 0
 _TAU_1_2 = -1.2 * math.sqrt(math.pi)      # tau = -1.2
 FLOOR_WELLS_SHA256 = [
     ({"tag": "DELTA_DECORATED", "base": "HO",
       "scales": {"delta_strength": _TAU_1_2, "delta_position": 0.0}},
      (0, "b1a5ccdc9a6e57327b5dba1fa01ac911bf5360bb2b1f1ba9d0f2ecba211cec39"),
-     (0, "90592148a826951b41854a4a0bede7cd746e7cc4d1a244339e60eb229866a9a3")),
+     (0, "a115ae79e2cdcabf15bb05f71b7be95263e5250dc78b751ba388d1d3929f54fe")),
     ({"tag": "DELTA_DECORATED", "base": "HO",
       "scales": {"delta_strength": _TAU_1_2, "delta_position": 0.7}},
      (0, "9bb0a0d540f14fa9aa514ca47b3994d330805b3d6fe6963905f0c049374ce6f0"),
-     (0, "2d170188e216d31baf26433e33626287f2e1cb986bb5e17bebc9b08c6abbba1c")),
+     (0, "2f6877c04b0df76cdda4c332515edbeadba12d6c9301575d1842b6aab6ed9012")),
     ({"tag": "DELTA_DECORATED", "base": "LINEAR_ABS", "scales": {"delta_strength": -1.6}},
      (0, "e30367f26a6cb8d5745a36d4085700716e40a0a07c380b840919bf88df24d2d1"),
-     (3, "0e408021a499874a24895509a0445e6b156f2051df14d43d0b296bf6e83437f4")),
+     (0, "4990a0f74d1cad8a371fecab3217df7632697180945212e4016b85499c566e40")),
 ]
 
 
@@ -691,11 +725,14 @@ def test_floor_wells_bytes_pinned(fd, levels_pin, verify_pin):
 # x = -phi = -12.17, far outside [-1, 1], recorded when the FD wall
 # searches started from the well bottom: verify used to put its walls
 # at +-1 and report a false MISMATCH (exit 3), and levels at a wide step
-# printed no level with exit 0, where four lie in the window
+# printed no level with exit 0, where four lie in the window.  The verify
+# pin was re-pinned when its walls came from oracle.auto_grid's one rule
+# in place of a 0.5 lattice: the max level error went from 0.000104 to
+# 9.84e-05 (tools/drift.py)
 _SHIFTED_STARK = json.dumps({"tag": "HO_STARK", "scales": {"alpha1": 2.3}})
 SHIFTED_STARK_SHA256 = [
     (["verify", "--family", _SHIFTED_STARK],
-     (0, "1f58852b7f4268b1c6e92d7aad5eeb8f9ff4c262f018907a52cddacc9d24c430")),
+     (0, "c7de96d60d1fff9eb39f8f62b927cd1271ebe0e2855f9044523d3eb18cae52be")),
     (["levels", "--family", _SHIFTED_STARK, "--window=-80:-70", "--step", "5"],
      (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
 ]
@@ -895,8 +932,10 @@ def test_verify_without_family_checks_every_family():
     assert code == 0
     assert [line.split(":")[0] for line in out.splitlines()] == VERIFY_NAMES
     # re-pinned when airy_all became one anchor-table route: the LINEAR_ASYM
-    # error moved by 1.5e-13 (tools/drift.py)
-    assert _sha256(out) == "591acfe2d89e681e46304dea5cbd59ae725fe8b717e501f231665b713e03ce26"
+    # error moved by 1.5e-13 (tools/drift.py); and again when verify's
+    # walls came from oracle.auto_grid's one rule: each max level error
+    # moved, the largest from 0.000441 to 6.85e-05 (DELTA_DECORATED(HO))
+    assert _sha256(out) == "7537c454006f034223acb55b3480febd8bdf1b299a75bedd0553d806d88002f2"
 
 
 # ----------------------------------------------------------------------
@@ -1091,7 +1130,8 @@ _DEC_LINEAR_ABS = json.dumps(FLOOR_WELLS_SHA256[2][0])
     (["green-grid", "--family", "LINEAR_ABS", "--energy", "1.7", "--grid=-2:2:9"], 0),
     (["table1"], 0),
     (["verify", "--family", "HO", "--k", "1", "--n-oracle", "1000"], 0),
-    (["verify", "--family", _DEC_LINEAR_ABS, "--k", "6", "--n-oracle", "1000"], 3),
+    # max level error 0.00628 against a tolerance of 0.005
+    (["verify", "--family", _DEC_LINEAR_ABS, "--k", "3", "--n-oracle", "1000"], 3),
 ], ids=["levels", "sweep", "green-grid", "table1", "verify", "verify-mismatch"])
 def test_out_gets_exactly_the_bytes_stdout_would(tmp_path, argv, exit_code):
     code, want = run(argv)

@@ -105,14 +105,62 @@ def test_auto_grid_sizes_walls():
     assert model.potential_value(fam, grid.half_width) >= 16.0
 
 
+def _wall_level(fam, e_max):
+    """The level auto_grid's walls reach: 10 natural energy units above
+    max(e_max, V(bottom)), or 10 energy units where that lies higher."""
+    return max(e_max, fam.potential(fam.bottom)) + max(fam.energy(10.0), 10.0)
+
+
+def _first_float_past(fam, wall, level):
+    def v(x):
+        return min(fam.potential(-x), fam.potential(x))
+    return v(wall) >= level > v(math.nextafter(wall, 0.0))
+
+
 def test_auto_grid_holds_the_bottom_of_a_shifted_well():
-    # bottom at x = -phi = -12.167; a walk from L = 1 stopped at L = 1,
-    # where V(+-1) is far above the shifted levels
+    # bottom at x = -phi = -12.167, where V = -74.0; a walk from L = 1
+    # stopped at L = 1, where V(+-1) is far above the shifted levels
     fam = default_family(model.HO_STARK, alpha1=2.3)
     grid = oracle.auto_grid(fam, e_max=-60.0, n_points=500)
-    assert grid.half_width == 19.5
-    assert min(fam.potential(-grid.half_width), fam.potential(grid.half_width)) >= -50.0
+    assert _wall_level(fam, -60.0) == -50.0
+    assert _first_float_past(fam, grid.half_width, -50.0)
+    assert fam.scales.natural.phi < grid.half_width < 19.5
     assert fam.bottom == -fam.scales.natural.phi
+
+
+@pytest.mark.parametrize("fam,e_max", [
+    # levels below the smooth well's bottom V = 0 (a deep delta's ground
+    # state): the walls stand 10 units above the bottom, not the level
+    (default_family(DELTA_DECORATED, base=HO, delta_strength=-10.5), -45.06),
+    (default_family(DELTA_DECORATED, base=LINEAR_ABS, delta_strength=-6.0), -8.9),
+    # an energy unit of 2e6 and of 0.5: 10 natural units, and 10 energy units
+    (model.family_from_dict({"tag": "HO", "scales": {"omega1": 2e6}}), 1e6),
+    (default_family(HO, omega1=0.5), 3.0),
+], ids=["deep HO delta", "deep |x| delta", "stiff HO", "soft HO"])
+def test_auto_grid_walls_are_the_first_float_past_the_rule(fam, e_max):
+    grid = oracle.auto_grid(fam, e_max=e_max, n_points=500)
+    assert _first_float_past(fam, grid.half_width, _wall_level(fam, e_max))
+    discretize(fam, grid, e_max=e_max)  # and discretize's own check holds
+
+
+def test_auto_grid_scales_with_the_well():
+    # the stiff oscillator's box is the unit oscillator's in natural
+    # lengths z = mu x, where V = (z^2 / 4) hbar omega reaches 16 at z = 8;
+    # walls at L >= 1 left its 4000-point grid 0.0162 off
+    one, stiff = default_family(HO), model.family_from_dict(
+        {"tag": "HO", "scales": {"omega1": 2e6}})
+    walls = [f.scales.natural.mu * oracle.auto_grid(f, f.energy(6.0), 4000).half_width
+             for f in (one, stiff)]
+    assert walls[0] == pytest.approx(8.0, rel=1e-12)
+    assert walls[1] == pytest.approx(walls[0], rel=1e-12)
+
+
+def test_auto_grid_raises_where_no_finite_wall_reaches_the_rule():
+    # alpha^3 underflows to 0: V = 0 everywhere.  The certificate's
+    # doubling search ran to L = inf, where discretize raised FamilyError
+    fam = model.family_from_dict({"tag": "LINEAR_ABS", "scales": {"alpha1": 1e-110}})
+    with pytest.raises(WallError, match=r"^no finite L with V\(\+-L\) >= 10$"):
+        oracle.auto_grid(fam, e_max=fam.energy(3.0), n_points=500)
 
 
 def test_delta_discretization_shifts_spectrum():

@@ -937,7 +937,11 @@ def test_certificate_wall_of_a_shallow_linear_well_is_the_first_float_past_the_t
     fam = default_family(LINEAR_ABS, alpha1=alpha1)
     top = 3.0 + sp._CERT_MARGIN
     wall = sp._cert_operator(fam, top).grid.half_width
-    target = max(fam.energy(top + sp._CERT_WALL), fam.energy(top) + 10.0)
+    # the certificate's box is oracle.auto_grid's, whose rule puts the
+    # walls 10 natural units above the top (V(bottom) = 0 lies below it),
+    # or 10 energy units where that is more
+    assert wall == oracle.auto_grid(fam, fam.energy(top), sp._CERT_POINTS).half_width
+    target = fam.energy(top) + max(fam.energy(10.0), 10.0)
 
     def v(x):
         return min(fam.potential(-x), fam.potential(x))
