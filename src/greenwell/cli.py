@@ -226,12 +226,8 @@ def _bounded(what, size, bound):
 
 
 def _scan_points(window, step):
-    """The points of the scan lattice over `window` = (lo, hi), the
-    requested window or a characteristic function's default one (a scan
-    from its floor walks fewer); UsageError above MAX_SCAN_POINTS."""
-    lo, hi = window
-    cells = (hi - lo) / step
-    points = max(1, math.ceil(cells)) + 1 if math.isfinite(cells) else math.inf
+    """spectrum._lattice_points(window, step); UsageError above MAX_SCAN_POINTS."""
+    points = spectrum._lattice_points(window, step)
     _bounded("lattice points per scan", points, MAX_SCAN_POINTS)
     return points
 
@@ -254,10 +250,13 @@ def cmd_sweep(cfg):
     a, b, s = cfg.sweep_range
     span = (b - a) / s + 1e-9
     n = math.floor(span) + 1 if math.isfinite(span) else math.inf
+    # a swept default window is monotone in its parameter: the wider end's is the widest
+    ends = (a, a + (n - 1) * s) if n < math.inf else (a,)
+    windows = [cfg.window] if cfg.window else [
+        spectrum.build_chi(f).window for _, f in spectrum._swept(fam, cfg.param, ends)]
     # sizes are floats, so a product past the float range is inf
     _bounded("sweep values times lattice points",
-             float(n) * _scan_points(cfg.window or spectrum.build_chi(fam).window, cfg.step),
-             MAX_SWEEP_POINTS)
+             float(n) * max(_scan_points(w, cfg.step) for w in windows), MAX_SWEEP_POINTS)
     values = [a + i * s for i in range(n)]
     result = spectrum.sweep(fam, cfg.param, values, window=cfg.window, step=cfg.step)
     if result.breaks and not cfg.allow_breaks:

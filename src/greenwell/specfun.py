@@ -59,12 +59,10 @@ Design notes:
     sum, fusing a product or changing a stopping test changes the last
     bits and fails those tests.
   * A non-finite argument raises DomainError at once in rgamma, gamma,
-    kummer_m, weber_even_odd, _airy (so airy_all) and hermite_h, and in
-    the D_nu evaluator before it chooses a route: with pcf_d's message
-    from pcf_d and pcf_d_slope, with pcf_d_pair's from pcf_d_pair.  The
-    evaluator and weber_even_odd also raise DomainError outside
-    |z| <= 20 and |nu| <= 60, each naming only the caller's own nu or z,
-    so no public entry point reaches the Kummer loop's ConvergenceError.
+    kummer_m, _airy (so airy_all) and hermite_h.  The D_nu evaluator and
+    weber_even_odd share one check, _pcf_check, which also bounds
+    |z| <= 20 and |nu| <= 60 and names the public function called: no
+    public entry point reaches the Kummer loop's ConvergenceError.
 
 All functions are pure and hold no mutable state.
 """
@@ -331,16 +329,10 @@ def weber_even_odd(nu: float, z: float):
     one pass.
     These two solutions are independent for every nu, which makes them
     the safe basis for continuing piecewise-parabolic problems.
-    The domain is the D_nu evaluator's, |z| <= 20 and |nu| <= 60, on
-    which the series converge; non-finite arguments raise DomainError
-    too.
+    The domain is the D_nu evaluator's, on which the series converge:
+    _pcf_check checks it, under this function's name.
     """
-    if not (math.isfinite(nu) and math.isfinite(z)):
-        raise DomainError(f"weber_even_odd arguments must be finite, got nu = {nu}, z = {z}")
-    if abs(z) > 20.0:
-        raise DomainError(f"weber_even_odd restricted to |z| <= 20, got z = {z}")
-    if abs(nu) > 60.0:
-        raise DomainError(f"weber_even_odd restricted to |nu| <= 60, got nu = {nu}")
+    _pcf_check(nu, z, "weber_even_odd")
     g = math.exp(-0.25 * z * z)
     m1, e1, m2, e2, ep, op, est_p = _weber_sums(nu, z)
     est = g * (e1 + abs(z) * e2 + est_p)
@@ -545,8 +537,7 @@ def pcf_d(nu: float, z: float) -> EvalResult:
     nu <= 50), and hundreds of eps beyond, where the recurrence cancels,
     more near a zero of D.
     est_abs_error bounds the error on every route.  The domain is
-    |z| <= 20, where the Kummer argument z^2/2 stays within kummer_m's
-    |z| <= 200, and |nu| <= 60; non-finite arguments raise DomainError too.
+    _pcf_check's: finite nu and z, |z| <= 20 and |nu| <= 60.
     """
     return EvalResult(*_pcf(nu, z))
 
@@ -563,8 +554,7 @@ def pcf_d_pair(nu: float, z: float):
     differs.  Otherwise the Kummer pair gives the negative side and the
     integral the positive.  On both routes 1/Gamma(-nu) is Legendre's
     duplication of the Kummer pair's two rgamma values, so it is exactly
-    0.0 at nu = 0, 1, 2, ....  The domain is pcf_d's,
-    with pcf_d_pair's DomainError messages.
+    0.0 at nu = 0, 1, 2, ....  The domain is pcf_d's, with pcf_d_pair's DomainError messages.
     """
     return _pcf(nu, z, pair=True)
 

@@ -222,8 +222,8 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
 
     Default windows span (0, 12] in the natural energy variable, widened
     downward for families whose spectrum can start below zero (Stark
-    shift, attractive delta) and capped wherever the Airy-argument
-    domain |t| <= 25 binds (large beta or xi).  The delta-decorated
+    shift, attractive delta) and capped where the largest Airy argument
+    reaches specfun._AIRY_DOMAIN - 0.5 (large beta or xi).  Delta-decorated
     wells carry their energy floor: H >= T + a delta + min V with
     min V = 0 for both bases, so E >= -m a^2 / (2 hbar^2) when a < 0
     (the free-delta bound state) and E > 0 otherwise.  A floor below
@@ -246,11 +246,11 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
             (1e-6, 12.0), (("even", chi_linear_even), ("odd", chi_linear_odd)))
     if tag == LINEAR_ASYM:
         # both rho and rho beta^2 must stay inside the Airy domain
-        top = min(12.0, 24.5 / max(1.0, u.beta * u.beta))
+        top = min(12.0, (sf._AIRY_DOMAIN - 0.5) / max(1.0, u.beta * u.beta))
         return CharacteristicFunction(
             (1e-6, top), ((None, lambda r: chi_asym_linear(r, u.beta)),))
     if tag == HALF_HO_HALF_LINEAR:
-        top = min(12.0, 24.5 / (u.xi * u.xi))  # Airy argument is xi^2 eps
+        top = min(12.0, (sf._AIRY_DOMAIN - 0.5) / (u.xi * u.xi))  # Airy argument is xi^2 eps
         return CharacteristicFunction(
             (1e-6, top), ((None, lambda e: chi_half_half(e, u.xi)),))
     if tag == HO_PLUS_ABS:
@@ -294,14 +294,21 @@ class _Lattice:
         return min(self.lo + i * self.step, self.hi) if i else self.lo
 
 
+def _lattice_points(window, step):
+    """The points of the lattice over `window` = (lo, hi): (hi - lo) / step
+    cells rounded up, at least one, plus one; inf when the cells overflow."""
+    cells = (window[1] - window[0]) / step
+    return max(1, math.ceil(cells)) + 1 if math.isfinite(cells) else math.inf
+
+
 def _lattice(chi, window, step):
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError("step must be positive")
     lo, hi = window if window is not None else chi.window
     if not (lo < hi):
         raise ValueError(f"empty window {(lo, hi)}")
     floor = chi.floor if window is None else -math.inf
-    lat = _Lattice(lo, hi, step, 0, max(1, int(math.ceil((hi - lo) / step))))
+    lat = _Lattice(lo, hi, step, 0, int(_lattice_points((lo, hi), step)) - 1)
     # the last point at or below the floor (point(i) never decreases), or
     # the low edge when the floor lies below it
     start = bisect.bisect_right(range(lat.n_steps + 1), floor, key=lat.point) - 1
@@ -621,6 +628,20 @@ def checked_roots(family, window, step, where, walk=False, chi=None):
     return res
 
 
+def _swept(family, param_name, values):
+    """(value, family at that value) for each of `values`, or sweep's SweepError."""
+    try:
+        tag_req, base_req, apply = SWEEP_PARAMS[param_name]
+    except KeyError:
+        raise SweepError(f"unknown sweep parameter {param_name!r}; "
+                         f"one of {sorted(SWEEP_PARAMS)}") from None
+    if family.tag != tag_req or (base_req is not None and family.base != base_req):
+        raise SweepError(
+            f"sweep parameter {param_name!r} applies to {tag_req}"
+            + (f"({base_req})" if base_req else "") + f", not {family.tag}")
+    return [(v, apply(family, v)) for v in values]
+
+
 def sweep(family: PotentialFamily, param_name: str, values, window=None,
           step=0.005) -> SweepResult:
     """The roots at each parameter value as rows, with index-continuity assembly.
@@ -644,20 +665,10 @@ def sweep(family: PotentialFamily, param_name: str, values, window=None,
     any scan, when the parameter does not fit the family or a value lies
     outside its domain.
     """
-    try:
-        tag_req, base_req, apply = SWEEP_PARAMS[param_name]
-    except KeyError:
-        raise SweepError(f"unknown sweep parameter {param_name!r}; "
-                         f"one of {sorted(SWEEP_PARAMS)}") from None
-    if family.tag != tag_req or (base_req is not None and family.base != base_req):
-        raise SweepError(
-            f"sweep parameter {param_name!r} applies to {tag_req}"
-            + (f"({base_req})" if base_req else "") + f", not {family.tag}")
-    points = [(v, apply(family, v)) for v in values]
     rows = []
     breaks = []
     prev_count = None
-    for v, fam_v in points:
+    for v, fam_v in _swept(family, param_name, values):
         res = checked_roots(fam_v, window, step, f"sweep at {param_name} = {v:.12g}", walk=True)
         if prev_count is not None and len(res.roots) != prev_count:
             breaks.append(v)

@@ -1327,7 +1327,15 @@ def test_a_scan_of_five_million_lattice_points_runs(monkeypatch):
      "24814401"),
     (["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "1:2:1e-320",
       "--window", "0:1"], "inf"),
-], ids=["values", "default-window", "overflow"])
+    # a window-less sweep counts the wider of its end values' default
+    # windows: 30,001 values of the 2,401 points at xi = 0.5, where the
+    # unswept family's window holds 308 (a bound of 9,240,308 let it run)
+    (["sweep", "--family", '{"tag":"HALF_HO_HALF_LINEAR","scales":{"alpha1":0.25}}',
+      "--param", "xi", "--range", "0.5:0.59:0.000003"], "72032401"),
+    # 50,001 values of 2,401 points at beta = 0.5, not 197 (9,850,197)
+    (["sweep", "--family", '{"tag":"LINEAR_ASYM","scales":{"alpha2":0.2}}',
+      "--param", "beta", "--range", "0.5:0.55:0.000001"], "1.200524e+08"),
+], ids=["values", "default-window", "overflow", "xi-ends", "beta-ends"])
 def test_a_sweep_above_ten_million_lattice_points_exits_one(monkeypatch, capsys, argv, size):
     err = _rejected(monkeypatch, capsys, argv)
     assert err == (f"error: request too large: {size} sweep values times lattice points, "

@@ -868,6 +868,30 @@ def _level_families():
 _CERT_FAMILIES = _workload_families() + _level_families()
 
 
+# the workload ranges, widened: tau = -20 puts the floor at eps = -628,
+# below the default low edge -50, and beta and xi cross the Airy cap
+@pytest.mark.parametrize("param,family,lo,hi", [
+    ("lam", default_family(HO_ASYM), 0.05, 20.0),
+    ("beta", default_family(LINEAR_ASYM), 0.1, 10.0),
+    ("xi", default_family(HALF_HO_HALF_LINEAR), 0.1, 10.0),
+    ("muphi", default_family(HO_PLUS_ABS), 0.0, 5.0),
+    ("tau", default_family(DELTA_DECORATED, base=HO), -20.0, 5.0),
+    ("p", default_family(DELTA_DECORATED, base=HO), 0.0, 5.0)],
+    ids=["lam", "beta", "xi", "muphi", "tau", "p"])
+def test_no_sweep_value_has_a_wider_default_window_than_both_range_ends(param, family, lo, hi):
+    # the CLI bounds a window-less sweep by its value count times the
+    # larger of its first and last values' default-window point counts
+    def points(families):
+        return [sp._lattice_points(sp.build_chi(f).window, 0.005) for f in families]
+    workload = points(f for p, f in _workload_families() if p == param)
+    assert max(workload) == max(workload[0], workload[-1])
+    walked = points(f for _, f in sp._swept(family, param, [lo + (hi - lo) * i / 200
+                                                            for i in range(201)]))
+    assert max(walked) == max(walked[0], walked[-1])
+    # beta, xi and tau move the window over these ranges; the rest leave it fixed
+    assert (len(set(walked)) > 1) == (param in ("beta", "xi", "tau"))
+
+
 # the default windows, the sweep windows (top 6) and the widest level
 # windows of the benchmark (top 8.5)
 @pytest.mark.parametrize("window_top", ["default", 6.0, 8.5])
