@@ -84,7 +84,7 @@ class RunConfig:
     command: str
     family: dict | None = None         # None: HO; for verify, every family
     window: tuple | None = None
-    step: float = 0.005
+    step: float = spectrum._STEP
     param: str | None = None           # sweep parameter name
     sweep_range: tuple | None = None   # (from, to, step)
     grid: tuple = (-3.0, 3.0, 61)      # green-grid (xmin, xmax, n)
@@ -220,9 +220,11 @@ def _columns_table(cfg, header, columns):
 
 
 def _bounded(what, size, bound):
-    """UsageError when `size` (inf for one that overflows) exceeds `bound`."""
+    """UsageError when `size` (inf for one that overflows) exceeds `bound`;
+    the message gives a finite size as its whole number."""
     if size > bound:
-        raise UsageError(f"request too large: {size:.8g} {what}, above {bound:,}")
+        size = size if math.isinf(size) else int(size)
+        raise UsageError(f"request too large: {size} {what}, above {bound:,}")
 
 
 def _scan_points(window, step):
@@ -234,9 +236,8 @@ def _scan_points(window, step):
 
 def cmd_levels(cfg):
     fam = model.family_from_dict(cfg.family)
-    chi = spectrum.build_chi(fam)
-    _scan_points(cfg.window or chi.window, cfg.step)
-    res = spectrum.checked_roots(fam, cfg.window, cfg.step, f"levels of {fam.name}", chi=chi)
+    _scan_points(cfg.window or spectrum.build_chi(fam).window, cfg.step)
+    res = spectrum.checked_roots(fam, cfg.window, cfg.step, f"levels of {fam.name}")
     header = ("index", "parity", "eps", "residual", "bracket_lo", "bracket_hi")
     rows = [(r.index, r.parity or "", r.value, r.residual, r.bracket[0], r.bracket[1])
             for r in res.roots]
@@ -291,7 +292,8 @@ def cmd_green_grid(cfg):
 
 def cmd_table1(cfg):
     fam = model.default_family(model.HALF_HO_HALF_LINEAR)  # xi = sqrt(2)
-    got = spectrum.checked_roots(fam, (1e-6, 5.5), 0.005, "table1", walk=True).values()[:10]
+    got = spectrum.checked_roots(fam, (1e-6, 5.5), spectrum._STEP, "table1",
+                                 walk=True).values()[:10]
     if len(got) < 10:
         raise ArithmeticError(f"found only {len(got)} levels in the scan window")
     ok = True
@@ -305,10 +307,6 @@ def cmd_table1(cfg):
                    for r in lines)
     text += "table check: " + ("PASS" if ok else "FAIL") + "\n"
     return (EXIT_OK if ok else EXIT_MISMATCH), text
-
-
-# verify scans each family's default window at this step
-VERIFY_STEP = 0.005
 
 
 def _verify_rule(fam):
@@ -333,8 +331,8 @@ def verify_family(fam, k, n_points):
     window exceeds MAX_SCAN_POINTS, and ArithmeticError, before the
     oracle runs, when that window holds fewer than k closed-form levels."""
     chi = spectrum.build_chi(fam)
-    _scan_points(chi.window, VERIFY_STEP)
-    closed = spectrum.find_roots(chi, step=VERIFY_STEP, limit=k).values()
+    _scan_points(chi.window, spectrum._STEP)
+    closed = spectrum.find_roots(chi, limit=k).values()
     if len(closed) < k:
         raise ArithmeticError(
             f"only {len(closed)} closed-form roots in window for {fam.name}")

@@ -76,6 +76,8 @@ __all__ = [
 ]
 
 _BRACKET_WIDTH = 2.5e-13
+# the default scan step: find_roots, sweep and every CLI scan
+_STEP = 0.005
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +328,7 @@ def _cell_root(factor, x_prev, x, f_prev, f):
     return root, (b_lo, b_hi), abs(fn(root)) / scale, parity
 
 
-def find_roots(chi: CharacteristicFunction, window=None, step=0.005,
+def find_roots(chi: CharacteristicFunction, window=None, step=_STEP,
                limit=None) -> SpectrumResult:
     """The sign-change roots of `chi`'s factors in the window at scan
     resolution `step`, in increasing order: all of them, or the lowest
@@ -600,16 +602,14 @@ def _walked(chi, lat, cert=None, limit=None):
     return SpectrumResult([Root(n, *t) for n, t in enumerate(found[:limit])])
 
 
-def checked_roots(family, window, step, where, walk=False, chi=None):
+def checked_roots(family, window, step, where, walk=False):
     """The roots find_roots(build_chi(family), window, step) gives,
     checked against the FD level count (_LevelCount) on that lattice
     where one can be built; with `walk`, found from the count where it
     pins them (see `sweep`).  A scan that finds another number of levels
     in the counted part while every root lies next to an FD level has
-    lost levels (roots closer than `step`): ArithmeticError names `where`.
-    `chi` is build_chi(family) when the caller has built it already."""
-    if chi is None:
-        chi = build_chi(family)
+    lost levels (roots closer than `step`): ArithmeticError names `where`."""
+    chi = build_chi(family)
     lat = _lattice(chi, window, step)
     cert = _LevelCount.build(family, lat)
     if walk and cert is not None:
@@ -643,7 +643,7 @@ def _swept(family, param_name, values):
 
 
 def sweep(family: PotentialFamily, param_name: str, values, window=None,
-          step=0.005) -> SweepResult:
+          step=_STEP) -> SweepResult:
     """The roots at each parameter value as rows, with index-continuity assembly.
 
     Each value's roots are the ones find_roots(build_chi(...), window,

@@ -14,11 +14,51 @@ import pytest
 
 from greenwell import cli, model, oracle, resolvent, specfun, spectrum
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import pinned  # noqa: E402
+
 
 def run(argv):
     out = io.StringIO()
     code = cli.main(argv, stream=out)
     return code, out.getvalue()
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _row(label, command=None):
+    """(argv, exit code, stdout sha256) of the row of tools/pinned.py with
+    this label and, where two rows share a label, this command."""
+    (row,) = [(argv, code, sha) for name, argv, code, sha in pinned.PINNED
+              if name == label and command in (None, argv[0])]
+    return row
+
+
+def run_pinned(label, command=None, config=None):
+    """The stdout of a pinned request, whose exit code and sha256 are
+    asserted to be its row's; "CFG" in its argv becomes `config`."""
+    argv, code, sha = _row(label, command)
+    got, out = run(pinned.with_config(argv, config))
+    assert (got, _sha256(out)) == (code, sha), argv
+    _CHECKED.add(tuple(argv))
+    return out
+
+
+# the argvs of the rows whose exit code and stdout a test has checked in
+# this pytest run; test_pinned_request_keeps_its_exit_code_and_stdout, the
+# last test of this file, runs the others
+_CHECKED = set()
+
+
+@pytest.fixture
+def config(tmp_path):
+    """The config file that "CFG" stands for in a pinned argv."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(pinned.CONFIG))
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -27,9 +67,7 @@ def run(argv):
 
 
 def test_levels_ho_rows():
-    code, out = run(["levels", "--family", "HO", "--window", "0:6"])
-    assert code == 0
-    lines = out.strip().split("\n")
+    lines = run_pinned("README-HO").strip().split("\n")
     assert lines[0] == "index,parity,eps,residual,bracket_lo,bracket_hi"
     eps = [float(l.split(",")[2]) for l in lines[1:]]
     assert eps == [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
@@ -37,9 +75,7 @@ def test_levels_ho_rows():
 
 def test_level_index_counts_from_the_lowest_level_in_the_window():
     # index is the position in the window, not the quantum number n = 3
-    code, out = run(["levels", "--family", "HO", "--window", "3:6"])
-    assert code == 0
-    assert out.split("\n")[1] == "0,,3.5,0,3.5,3.5"
+    assert run_pinned("HO-index").split("\n")[1] == "0,,3.5,0,3.5,3.5"
 
 
 def test_levels_parity_column():
@@ -70,44 +106,15 @@ def test_family_json_inline():
     assert eps == [0.5, 1.5, 2.5]
 
 
-def _sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-# sha256 of the CLI bytes, recorded before the config fields, the verify
-# rule and the root-finding scan were each stated once
-LEVELS_SHA256 = [
-    ("HO", "d4af82dd609d0282324f7111ddb79b95ccd6daf01a9ae4d0145ed4b21bc84bbc"),
-    ("HO_STARK", "4fe5e9abc652745af943f4615f6d6341fc8bf7e21ec83e4fa036ba9104d02f03"),
-    # HO_ASYM, HALF_HO_HALF_LINEAR and DELTA_DECORATED(LINEAR_ABS) were
-    # re-pinned when their conditions became resolvent's match at x = 0
-    # (W of two branches; the continuation of the |x| mirror pair): only
-    # the last digits of the residual column moved (tools/drift.py).
-    # The four Airy wells (LINEAR_ABS, LINEAR_ASYM, HALF_HO_HALF_LINEAR and
-    # DELTA_DECORATED(LINEAR_ABS)) were re-pinned when airy_all became one
-    # anchor-table route, within 1 eps where its series lost up to 7e4 eps:
-    # again only residual cells moved (tools/drift.py).
-    # HO_PLUS_ABS and DELTA_DECORATED(HO) were re-pinned when the HO+|x|
-    # slope D'(mu phi) came from the Kummer pass of its value, and the
-    # decorated oscillator's 1/Gamma(1/2 - eps) from Legendre's duplication
-    # of the pair's two rgamma values: only residual cells moved
-    # (tools/drift.py)
-    ("HO_ASYM", "80f72c07e33ea234f2e0b285f36933cab2517e2d7ef99f64d5da529df1302646"),
-    ("LINEAR_ABS", "e801c02d56b0faf43551164fe49c1880b7fbae2cdb2058f9a8301711e82aee5f"),
-    ("LINEAR_ASYM", "ecc09074ebf1134bf91d954ae951d9b4d526055718350edaf87849182b77f84e"),
-    ("HALF_HO_HALF_LINEAR", "4bfe92f619e1ac3d2e37a89789fca12377c2fd023971bd55e5f197ed675832f5"),
-    ("HO_PLUS_ABS", "d6a2b8cd5c71e346705e22b15052c04725a5faf196a26a3deaf1a66d5f349d0a"),
-    ("DELTA_DECORATED(HO)", "0afc3a1cc88abb4f831f5aafe500c7e2d5179447e68e4e57b7e2e9e6dddb3384"),
-    ("DELTA_DECORATED(LINEAR_ABS)",
-     "48a282d5997e1fe617e365e201e2b6f614d19e5d613dc1c76453ac03cde3e703"),
-]
-
-
-@pytest.mark.parametrize("family,sha", LEVELS_SHA256)
+# every well's default window: each level once, in increasing order
+@pytest.mark.parametrize("family,sha", [(label, sha) for label, argv, _, sha in pinned.PINNED
+                                        if argv == ["levels", "--family", label]])
 def test_levels_bytes_pinned(family, sha):
-    code, out = run(["levels", "--family", family])
-    assert code == 0
-    assert _sha256(out) == sha
+    out = run_pinned(family)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(len(rows))) and rows
+    eps = [float(row[2]) for row in rows]
+    assert eps == sorted(set(eps))
 
 
 # the 18 levels of the |x| well in its default window (1e-6, 12]: rho with
@@ -178,27 +185,18 @@ def test_sweep_requires_param():
 
 
 def test_sweep_bytes_pinned():
-    code, out = run(["sweep", "--family", "HO_PLUS_ABS", "--param", "muphi",
-                     "--range", "0.5:1.5:0.25", "--window", "0:5", "--allow-breaks"])
-    assert code == 0
-    assert _sha256(out) == "126209fea027f3d39b9e5105ed8d8818cde1c5aca883dff91153af475f77807f"
+    # rows come ordered by (param_value, root_index), for each of five values
+    rows = [tuple(map(float, line.split(","))) for line in run_pinned("muphi").splitlines()[1:]]
+    assert rows == sorted(rows) and sorted({row[0] for row in rows}) == [0.5, 0.75, 1, 1.25, 1.5]
 
 
-# sha256 of the README sweeps, recorded before sweeps found levels by
+# the README sweeps' bytes were pinned before sweeps found levels by
 # certified continuation
-README_TAU = ["sweep", "--family", "DELTA_DECORATED(HO)", "--param", "tau",
-              "--range=-1.2:1.2:0.05"]
-README_LAM = ["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "0.2:3.0:0.05",
-              "--allow-breaks"]
-
-
 def test_readme_tau_sweep_keeps_its_bytes_with_a_fifth_of_the_chi_calls(monkeypatch):
     calls = []
     chi = spectrum.chi_delta_ho
     monkeypatch.setattr(spectrum, "chi_delta_ho", lambda *a: calls.append(a) or chi(*a))
-    code, out = run(README_TAU)
-    assert (code, _sha256(out)) == (
-        0, "dc3fe8a330751d0f175be05b5ecb0bc5aa780c696f208a7775cf50ed7cce4059")
+    run_pinned("README-tau")
     # each of the 49 values was a full rescan: 142,679 calls
     assert 0 < len(calls) <= 142679 / 5
 
@@ -207,9 +205,7 @@ def test_readme_lam_sweep_bytes_pinned(monkeypatch):
     calls = []
     chi = spectrum.chi_asym_ho
     monkeypatch.setattr(spectrum, "chi_asym_ho", lambda *a: calls.append(a) or chi(*a))
-    code, out = run(README_LAM)
-    assert (code, _sha256(out)) == (
-        0, "ac0ebd1f8def0cea001ea07a6b7b56805af4aa808f6ebc71850480aad58e9514")
+    run_pinned("README-lam")
     # each of the 57 values was a full rescan: 168,825 calls
     assert 0 < len(calls) <= 168825 / 4
 
@@ -218,9 +214,7 @@ def test_sweep_that_loses_levels_in_one_cell_exits_two(capsys):
     # HO levels 0.5, 1.5 and 2.5 share the one lattice cell of --step 5;
     # the FD count certifies three, so the sweep stops instead of
     # printing one level per value
-    code, out = run(["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "1:1.05:0.05",
-                     "--window", "0:3", "--step", "5"])
-    assert (code, out) == (2, "")
+    run_pinned("step5")
     assert capsys.readouterr().err.startswith(
         "numerical failure: sweep at lam = 1: the scan found 1 level(s) where the FD count "
         "certifies 3")
@@ -286,69 +280,36 @@ def test_green_grid_fixed_xp():
     assert all(l.split(",")[1] == "0.3" for l in lines)
 
 
-# sha256 of the green-grid bytes on -2:2:9 (x = 0 and q = +-0.5 on the grid),
-# recorded before the per-request solution memo existed
-GRID_SHA256 = [
-    ("HO", "2.3",
-     "4c7fc06ed176885f5a5be49734055e9163635f326e46e9126dc2255040cafcef",
-     "fafb29321df963915e1e5088d3bfeebb26ef81cbed7e1681c53e1d6543ab9bbd"),
-    ("HO_STARK", "2.3",
-     "0ee166d0b07745b7947e2b5902fe1c9ff9b6ce97c7054d168de3753f960547ca",
-     "a8bd65817ab84cdb02c92a864803c89f1776c43cfb700f6ef1061a30b198ca45"),
-    ("LINEAR_ABS", "1.7",
-     "ac1cb88dd48ef644200acce8867afc620fe83ab464734f982233d1fd851d8bb7",
-     "14ad5ae10fc2ac804882f6ee2f23112935ff64d7032db29df4091d896ab3b45e"),
-    ("HO_PLUS_ABS", "2.3",
-     "5dd2b97827e3508c982d6e27737c000810e51a12296acd5e1ddeb954b2775c7a",
-     "1b48b754c594a226ae94eb95bcb0190d7f1fecd4d61786e1bb5f8e8cfab65348"),
-    ('{"tag": "DELTA_DECORATED", "base": "HO", "scales": {"delta_position": -0.5}}', "2.3",
-     "1abf2d461b0184b5922505efb73cb0c8716f4eaf07c694ef58b908f5b5d7b57d",
-     "6edc13205cc27d9715c6cbe522a02f74717d25ad5c8095edb822a3aa403ae7ad"),
-    ("DELTA_DECORATED(LINEAR_ABS)", "1.7",
-     "146e0cf4b304593eeb1eeb8e4cafd5b0baf2a14fbde6bb55e02714b02873adf3",
-     "c2898a38612f2adcbaf8cc39230396b16b7781df5029a0a2aa812004e4ab8e36"),
-]
+def _grid_formats(label):
+    """The csv and json stdout of the pinned green-grid rows `label`-csv
+    and `label`-json, asserted to carry the same cells."""
+    csv, js = (run_pinned(f"{label}-{fmt}") for fmt in ("csv", "json"))
+    assert [[row["x"], row["xp"], row["value"]] for row in json.loads(js)] == [
+        line.split(",") for line in csv.splitlines()[1:]]
+    return csv, js
 
 
-@pytest.mark.parametrize("family,energy,csv_sha,json_sha", GRID_SHA256)
-def test_green_grid_bytes_pinned(family, energy, csv_sha, json_sha):
-    for fmt, sha in (("csv", csv_sha), ("json", json_sha)):
-        code, out = run(["green-grid", "--family", family, "--energy", energy,
-                         "--grid=-2:2:9", "--format", fmt])
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == sha, fmt
+def _grid_9_id(label):
+    """The test id of a -2:2:9 grid pair: family, energy, then both pins."""
+    (argv, _, csv_sha), (_, _, json_sha) = _row(f"{label}-csv"), _row(f"{label}-json")
+    return "-".join([argv[2], argv[4], csv_sha, json_sha])
 
 
-# sha256 of README-size grids and of an xp = -0 column, recorded before
-# the row templates replaced the JSON indent encoder
-GRID_BYTES_SHA256 = [
-    (["--family", "LINEAR_ABS", "--energy", "2.3", "--grid=-4:4:81"],
-     "84aba58c7a123b916255fbfdba102d99942eea4e704b5352ef9bd6b835bbbe50",
-     "586426593f91dc7fa47994f3ad011c3ee81f54eab5014c6129f76d5b3099696e"),
-    (["--family", "DELTA_DECORATED(HO)", "--energy", "2.3", "--grid=-4:4:81"],
-     "378a5ab79ded61506d17a980fe076fb0a5bd838f1dae3b5b34ddd11021f37540",
-     "0bd4b8dc80b9cd8930d101e655036abe8618f00b344e4788868370b3546e595b"),
-    (["--family", "HO", "--energy", "2.3", "--grid=-2:2:9", "--xp=-0"],
-     "19d4004f54215043eb9ba3509b4b86bf3340d5f6a06ef88949fb45b9ddf11540",
-     "205445f7d5f9009e84865cb5b0b316d57137d3577a58968dc38e4d46a74b6e53"),
-    # the grid the CI console-script step writes with --out, recorded
-    # before green-grid filled value columns instead of row tuples
-    (["--family", "DELTA_DECORATED(HO)", "--energy", "2.3", "--grid=-2:2:81"],
-     "fcc48b9de4027e775adf72a6141c9bfed802f8a7fb4a6cfd596cb2c5700a68e7",
-     "8f290a62ae328bf642466326829758490a659c5cd92d1e48726c6a1c929e0f7a"),
-]
+# -2:2:9 holds x = 0 and q = +-0.5
+GRID_9 = ["HO", "HO_STARK", "LINEAR_ABS", "HO_PLUS_ABS", "DEC_HO", "DEC_LINEAR_ABS"]
 
 
-@pytest.mark.parametrize("argv,csv_sha,json_sha", GRID_BYTES_SHA256,
-                         ids=["LINEAR_ABS-81", "DEC_HO-81", "HO-xp-0", "DEC_HO-81-CI"])
-def test_green_grid_readme_size_and_negative_zero_bytes_pinned(argv, csv_sha, json_sha):
-    for fmt, sha in (("csv", csv_sha), ("json", json_sha)):
-        code, out = run(["green-grid", *argv, "--format", fmt])
-        assert code == 0
-        assert _sha256(out) == sha, fmt
-    if "--xp=-0" in argv:
+@pytest.mark.parametrize("label", GRID_9, ids=map(_grid_9_id, GRID_9))
+def test_green_grid_bytes_pinned(label):
+    _grid_formats(label)
+
+
+@pytest.mark.parametrize("label", ["LINEAR_ABS-81", "DEC_HO-81", "HO-xp-0", "DEC_HO-81-CI"])
+def test_green_grid_readme_size_and_negative_zero_bytes_pinned(label):
+    _, js = _grid_formats(label)
+    if label == "HO-xp-0":
         # -0.0 == 0.0, so an abscissa keyed by value would print as 0
-        assert {row["xp"] for row in json.loads(out)} == {"-0"}
+        assert {row["xp"] for row in json.loads(js)} == {"-0"}
 
 
 def _row_tuple_grid(argv):
@@ -529,13 +490,9 @@ def test_module_entry_point_runs_without_runtime_warning():
 
 
 def test_table1_passes():
-    code, out = run(["table1"])
-    assert code == 0
+    out = run_pinned("table1")
     assert "PASS" in out
     assert out.count("\n") == 12  # header + 10 rows + verdict
-    # re-pinned when airy_all became one anchor-table route: one abs_diff
-    # cell moved by 1.5e-13 (tools/drift.py)
-    assert _sha256(out) == "2d9ea3c045af3fd76bd51b8ac8801f01707e2e6b8bc1425d73cb80e941cd3e2a"
 
 
 def test_table1_levels_hold_where_hbar_squared_is_not_2m():
@@ -561,31 +518,33 @@ def test_verify_delta_family_small_grid():
     assert code == 0
 
 
-@pytest.mark.parametrize("family,args,code,verdict", [
-    ('{"tag":"HO","scales":{"omega1":2000000}}', ["--n-oracle", "200000"], 0, "ok"),
+@pytest.mark.parametrize("argv,code,sha", [
+    _row("HO-stiff-n200000"),
     # at the default 4000 points: the box scales with the well, where walls
     # at L >= 1 physical length left it a MISMATCH of 0.0162 (exit 3)
-    ('{"tag":"HO","scales":{"omega1":2000000}}', [], 0, "ok"),
+    _row("HO-stiff"),
     # the scan would start at this well's floor near eps = -2e6: 4e8 lattice
     # points, above the scan bound verify checks first.  It used to start
     # at -50 and report a MISMATCH (exit 3), then to exit 1 on pcf_d's
     # |nu| <= 60
-    ('{"tag":"DELTA_DECORATED","base":"HO","scales":{"delta_strength":-2000}}', [], 1,
-     None)], ids=["HO omega1=2e6", "HO omega1=2e6 n=4000", "DELTA_DECORATED(HO) a=-2000"])
-def test_verify_of_a_stiff_or_deep_well_returns(family, args, code, verdict):
+    (["verify", "--family",
+      '{"tag":"DELTA_DECORATED","base":"HO","scales":{"delta_strength":-2000}}', "--k", "1"],
+     1, pinned.EMPTY),
+], ids=["HO omega1=2e6", "HO omega1=2e6 n=4000", "DELTA_DECORATED(HO) a=-2000"])
+def test_verify_of_a_stiff_or_deep_well_returns(argv, code, sha):
     # the lowest FD level lies past 2^19, where its bisection stops at
     # adjacent floats 1.2e-10 or more apart instead of at width 1e-10
     src = str(Path(model.__file__).resolve().parent.parent)
     done = subprocess.run(
-        [sys.executable, "-m", "greenwell.cli", "verify", "--family", family, "--k", "1"]
-        + args, capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src})
-    assert done.returncode == code, done.stderr
-    if verdict is None:
-        assert done.stdout == "" and done.stderr == (
-            "error: request too large: 4.000024e+08 lattice points per scan, above 5,000,000\n")
+        [sys.executable, "-m", "greenwell.cli", *argv], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, _sha256(done.stdout)) == (code, sha), done.stderr
+    _CHECKED.add(tuple(argv))
+    if code:
+        assert done.stderr == (
+            "error: request too large: 400002401 lattice points per scan, above 5,000,000\n")
     else:
-        assert done.stdout.count("\n") == 1 and done.stdout.endswith(f" {verdict}\n")
+        assert done.stdout.endswith(" ok\n")
 
 
 @pytest.mark.parametrize("tag,argv,rows", [
@@ -616,9 +575,8 @@ def test_a_ground_state_below_the_default_low_edge_is_found_without_a_window():
     # the free-delta floor eps = -55.125 lies below the default window's
     # low edge -50; the scan used to start at -50, print index 0 at
     # eps 1.18875326896 and exit 0
-    family = ["--family", _deep_delta("HO", -10.5)]
-    code, out = run(["levels", *family])
-    assert code == 0
+    out = run_pinned("DEC_HO-deep")
+    family = _row("DEC_HO-deep")[0][1:]
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert rows[0][:3] == ["0", "", "-55.060239175"]
     assert rows[1][:3] == ["1", "", "1.18875326896"]
@@ -656,10 +614,7 @@ def test_ho_plus_abs_levels_read_the_slope_up_to_the_order_limit():
     # pcf_d(nu + 1, mu phi), it raised past |nu| <= 60 and exited 1.  The
     # 40-digit root of D'_nu(mu phi), from mpmath (offline), is
     # 50.13921342986287815631489260005541860589
-    family = '{"tag":"HO_PLUS_ABS","scales":{"alpha1":1.62}}'
-    code, out = run(["levels", "--family", family, "--window", "50:51.4"])
-    assert code == 0
-    rows = [line.split(",") for line in out.splitlines()[1:]]
+    rows = [line.split(",") for line in run_pinned("HO_PLUS_ABS-nu60").splitlines()[1:]]
     assert [row[:3] for row in rows] == [["0", "even", "50.1392134299"]]
     assert abs(Fraction(rows[0][2]) - Fraction("50.13921342986287815631489260005541860589")) \
         <= Fraction("5e-11")
@@ -680,79 +635,32 @@ def test_verify_passes_every_well_at_other_hbar_and_mass(name):
     assert code == 0 and out.endswith(" ok\n"), out
 
 
-# (exit code, sha256 of stdout) for delta wells whose ground state lies near
-# the free-delta energy floor, recorded before default-window scans started
-# at that floor: window-less levels, then verify --k 6 --n-oracle 1000.
-# The LINEAR_ABS levels were re-pinned when chi_delta_linear began to read
-# the continuation of resolvent's |x| mirror pair, and again when airy_all
-# became one anchor-table route: only the residual column moved
-# (tools/drift.py).  The two HO levels were re-pinned when chi_delta_ho
-# took 1/Gamma(1/2 - eps) from Legendre's duplication of the Kummer
-# pair's two rgamma values: again only the residual column moved, and
-# the verify bytes kept their pins.  The three verify pins were re-pinned
-# when verify's walls came from oracle.auto_grid's one rule, 10 natural
-# energy units above the levels, in place of a 0.5 lattice of physical
-# lengths: only the max level error moved (tools/drift.py), 0.000436 ->
-# 0.000374 and 0.00139 -> 0.00142 for HO, and 0.00565 -> 0.00396 for
-# LINEAR_ABS, whose exit code went from 3 (MISMATCH) to 0
-_TAU_1_2 = -1.2 * math.sqrt(math.pi)      # tau = -1.2
-FLOOR_WELLS_SHA256 = [
-    ({"tag": "DELTA_DECORATED", "base": "HO",
-      "scales": {"delta_strength": _TAU_1_2, "delta_position": 0.0}},
-     (0, "b1a5ccdc9a6e57327b5dba1fa01ac911bf5360bb2b1f1ba9d0f2ecba211cec39"),
-     (0, "a115ae79e2cdcabf15bb05f71b7be95263e5250dc78b751ba388d1d3929f54fe")),
-    ({"tag": "DELTA_DECORATED", "base": "HO",
-      "scales": {"delta_strength": _TAU_1_2, "delta_position": 0.7}},
-     (0, "9bb0a0d540f14fa9aa514ca47b3994d330805b3d6fe6963905f0c049374ce6f0"),
-     (0, "2f6877c04b0df76cdda4c332515edbeadba12d6c9301575d1842b6aab6ed9012")),
-    ({"tag": "DELTA_DECORATED", "base": "LINEAR_ABS", "scales": {"delta_strength": -1.6}},
-     (0, "e30367f26a6cb8d5745a36d4085700716e40a0a07c380b840919bf88df24d2d1"),
-     (0, "4990a0f74d1cad8a371fecab3217df7632697180945212e4016b85499c566e40")),
-]
-
-
-@pytest.mark.parametrize("fd,levels_pin,verify_pin", FLOOR_WELLS_SHA256,
+# delta wells whose ground state lies near the free-delta energy floor:
+# window-less levels, then verify --k 6 --n-oracle 1000.  The LINEAR_ABS
+# verify went from 3 (MISMATCH) to 0 when verify's walls came from
+# oracle.auto_grid's one rule
+@pytest.mark.parametrize("label", ["floor-HO-p0", "floor-HO-q0.7", "floor-LINEAR_ABS"],
                          ids=["HO p=0", "HO q=0.7", "LINEAR_ABS"])
-def test_floor_wells_bytes_pinned(fd, levels_pin, verify_pin):
-    family = ["--family", json.dumps(fd)]
-    for argv, pin in ((["levels"], levels_pin),
-                      (["verify", "--k", "6", "--n-oracle", "1000"], verify_pin)):
-        code, out = run(argv + family)
-        assert (code, _sha256(out)) == pin, argv
+def test_floor_wells_bytes_pinned(label):
+    # the window holds the six levels verify compares, and a header
+    assert run_pinned(label, "levels").count("\n") > 6
+    assert run_pinned(label, "verify").endswith(" ok\n")
 
 
-# (exit code, sha256 of stdout) for a Stark well whose bottom lies at
-# x = -phi = -12.17, far outside [-1, 1], recorded when the FD wall
-# searches started from the well bottom: verify used to put its walls
-# at +-1 and report a false MISMATCH (exit 3), and levels at a wide step
-# printed no level with exit 0, where four lie in the window.  The verify
-# pin was re-pinned when its walls came from oracle.auto_grid's one rule
-# in place of a 0.5 lattice: the max level error went from 0.000104 to
-# 9.84e-05 (tools/drift.py)
-_SHIFTED_STARK = json.dumps({"tag": "HO_STARK", "scales": {"alpha1": 2.3}})
-SHIFTED_STARK_SHA256 = [
-    (["verify", "--family", _SHIFTED_STARK],
-     (0, "c7de96d60d1fff9eb39f8f62b927cd1271ebe0e2855f9044523d3eb18cae52be")),
-    (["levels", "--family", _SHIFTED_STARK, "--window=-80:-70", "--step", "5"],
-     (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
-]
-
-
+# a Stark well whose bottom lies at x = -phi = -12.17, far outside
+# [-1, 1]: verify used to put its walls at +-1 and report a false
+# MISMATCH (exit 3), and levels at a wide step printed no level with
+# exit 0, where four lie in the window
 def test_verify_boxes_the_bottom_of_a_shifted_stark_well():
-    argv, pin = SHIFTED_STARK_SHA256[0]
-    code, out = run(argv)
-    assert (code, _sha256(out)) == pin
-    assert out.endswith(" ok\n")
+    assert run_pinned("STARK-shifted", "verify").endswith(" ok\n")
 
 
 def test_levels_counts_a_shifted_stark_window_from_the_bottom(capsys):
-    argv, pin = SHIFTED_STARK_SHA256[1]
-    code, out = run(argv)
-    assert (code, _sha256(out)) == pin
+    run_pinned("STARK-shifted", "levels")
     err = capsys.readouterr().err
     assert "the scan found 0 level(s) where the FD count certifies 4" in err
     # at the default step the scan finds the four levels the count certifies
-    code, out = run(argv[:-2])
+    code, out = run(_row("STARK-shifted", "levels")[0][:-2])
     assert code == 0
     assert [line.split(",")[2] for line in out.splitlines()[1:]] == [
         "-73.5179445", "-72.5179445", "-71.5179445", "-70.5179445"]
@@ -775,10 +683,7 @@ def test_levels_with_a_non_finite_chi_exit_two():
 def test_levels_of_a_stark_window_past_gamma_order_141():
     # n + 1/2 - (mu phi/2)^2 for n = 152 .. 161: chi_ho takes 1/Gamma at
     # orders past 141.5, where t ** (x - 1/2) alone overflows
-    code, out = run(["levels", "--family", json.dumps({"tag": "HO_STARK",
-                                                       "scales": {"alpha1": 6}}),
-                     "--window=-23176:-23166"])
-    assert code == 0
+    out = run_pinned("HO_STARK-gamma141")
     eps = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
     assert eps == [n - 23175.5 for n in range(10)]
 
@@ -786,9 +691,8 @@ def test_levels_of_a_stark_window_past_gamma_order_141():
 def test_levels_where_rgamma_underflows_exit_two(capsys):
     # 1/Gamma(1/2 - eps) lies below the float range here: a 0.0 would be
     # a root at every lattice point
-    code, out = run(["levels", "--family", "HO", "--window=-200:-180"])
+    run_pinned("HO-rgamma-underflow")
     err = capsys.readouterr().err
-    assert (code, out) == (2, "")
     assert err.startswith("numerical failure: rgamma(")
     assert "Numerical result out of range" not in err
 
@@ -807,44 +711,38 @@ def test_readme_library_example_runs():
     assert (levels, g) == (str(want), str(resolvent.green(0.3, -0.7, 2.0, fam).value))
 
 
-# (argv, (exit code, sha256 of stdout), G at each grid point) for green
-# grids whose tails reach the integral routes: pcf_d at z >= 6 and
-# airy_all above x = 7.  G is to 30 digits from 50-digit mpmath
-# (offline): sqrt(1/pi) Gamma(1/2 - eps) D_nu(sqrt(2) x) D_nu(0) with
-# nu = eps - 1/2 for HO, and -Ai(x - rho) / (2 Ai'(-rho)) with rho = 1.5
-# for LINEAR_ABS.  The HO grid printed -4.49e-05, -0.092 and 924 at
-# x = 8, 9 and 10 with exit 0 while pcf_d took the Kummer form there.
-# The LINEAR_ABS grid was re-pinned when airy_all became one anchor-table
-# route: G(5, 0) now prints its reference's 12 digits, -0.00417886111173
-# (it printed ...172)
+# (label, G at each grid point) for the pinned green grids whose tails
+# reach the integral routes: pcf_d at z >= 6 and airy_all above x = 7.
+# G is to 30 digits from 50-digit mpmath (offline): sqrt(1/pi)
+# Gamma(1/2 - eps) D_nu(sqrt(2) x) D_nu(0) with nu = eps - 1/2 for HO,
+# and -Ai(x - rho) / (2 Ai'(-rho)) with rho = 1.5 for LINEAR_ABS.  The
+# HO grid printed -4.49e-05, -0.092 and 924 at x = 8, 9 and 10 with
+# exit 0 while pcf_d took the Kummer form there.  The LINEAR_ABS grid
+# prints G(5, 0) to its reference's 12 digits, -0.00417886111173 (it
+# printed ...172 before airy_all became one anchor-table route)
 GREEN_TAIL = [
-    (["green-grid", "--family", "HO", "--energy", "2.3", "--grid=0:10:11", "--xp", "0"],
-     (0, "3dddac983f37ef6574d30d8c80cc90282b13379cd11cffea1d06c6219f04d72d"),
+    ("HO-tail",
      ("1.4196372722271097060257489596", "-1.17133048437073000971364177823",
       "-1.27963253835540143946483698327", "-0.229781163034721665819134030193",
       "-0.0118571478538161813139521774238", "-1.98456969763641833261510291923e-4",
       "-1.13110676996753545726660719569e-6", "-2.2503720707015498411474214711e-9",
       "-1.5855616260922310650954913945e-12", "-3.9927254277832953272046678582e-16",
       "-3.61579103986051118328583206441e-20")),
-    (["green-grid", "--family", "LINEAR_ABS", "--energy", "1.5", "--grid=0:20:5", "--xp", "0"],
-     (0, "906db4ee7a6be747b596dd5d4960f0e11943936aeab50c40dbb999e4bdd4402a"),
+    ("LINEAR_ABS-tail",
      ("-0.750769966065455271178991872259", "-4.17886111172652515832993506331e-3",
       "-1.77837537181770543001946450942e-8", "-1.03362601835631918988791890285e-15",
       "-2.01129720671202391121966743308e-24")),
     # z = sqrt(2) x in [6.08, 6.93]: the Kummer form, which pcf_d took
     # below z = 7, printed -0.000759207275165 at x = 4.7 with exit 0
-    (["green-grid", "--family", "HO", "--energy", "2.3", "--grid=4.3:4.9:4", "--xp", "0"],
-     (0, "27ac813e268d82a0af15222f7b8708af1a5f77814e6c4567905ed8ac9e29b4cb"),
+    ("HO-cut",
      ("-0.00390084269460483422773770014106", "-0.00175899745816663749394931196091",
       "-0.000759207274865202973001157470753", "-0.000313753063544818304267115405674")),
 ]
 
 
-@pytest.mark.parametrize("argv,pin,refs", GREEN_TAIL, ids=["HO", "LINEAR_ABS", "HO-cut"])
-def test_green_grid_tail_matches_its_references(argv, pin, refs):
-    code, out = run(argv)
-    assert (code, _sha256(out)) == pin
-    values = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+@pytest.mark.parametrize("label,refs", GREEN_TAIL, ids=["HO", "LINEAR_ABS", "HO-cut"])
+def test_green_grid_tail_matches_its_references(label, refs):
+    values = [float(line.split(",")[2]) for line in run_pinned(label).splitlines()[1:]]
     assert len(values) == len(refs)
     for value, ref in zip(values, refs):
         # the CLI prints 12 significant digits
@@ -868,11 +766,8 @@ def test_default_window_decorated_linear_well_beyond_unit_zeta_q():
     # chi_delta_linear began to read the continuation of resolvent's |x|
     # mirror pair, and when airy_all became one anchor-table route: only
     # the residual column moved (tools/drift.py)
-    fd = json.dumps({"tag": "DELTA_DECORATED", "base": "LINEAR_ABS",
-                     "scales": {"delta_strength": -1.6, "delta_position": 1.5}})
-    code, out = run(["levels", "--family", fd])
-    assert (code, _sha256(out)) == (
-        0, "b0ca4b58aa2d1fc07204c36d8b68e8fe9479f6da32cbe94469c16a6415252cb4")
+    out = run_pinned("DEC_LINEAR_ABS-q1.5")
+    fd = _row("DEC_LINEAR_ABS-q1.5")[0][2]
     assert out.splitlines()[1].startswith("0,,0.610718391829,")
     code, out = run(["verify", "--family", fd, "--k", "4", "--n-oracle", "2000"])
     assert code == 0 and out.endswith(" ok\n")
@@ -928,14 +823,8 @@ def test_verify_dump_config_omits_family_only_without_family():
 
 
 def test_verify_without_family_checks_every_family():
-    code, out = run(["verify"])
-    assert code == 0
+    out = run_pinned("all")
     assert [line.split(":")[0] for line in out.splitlines()] == VERIFY_NAMES
-    # re-pinned when airy_all became one anchor-table route: the LINEAR_ASYM
-    # error moved by 1.5e-13 (tools/drift.py); and again when verify's
-    # walls came from oracle.auto_grid's one rule: each max level error
-    # moved, the largest from 0.000441 to 6.85e-05 (DELTA_DECORATED(HO))
-    assert _sha256(out) == "7537c454006f034223acb55b3480febd8bdf1b299a75bedd0553d806d88002f2"
 
 
 # ----------------------------------------------------------------------
@@ -961,46 +850,16 @@ def test_dump_config_round_trip(tmp_path):
     assert direct == via_config
 
 
-# --dump-config bytes for every flag, --config and --set; "CFG" stands for
-# a config file written by the test
-DUMP_CONFIG_SHA256 = [
-    (["levels"], "6badfb52df1a77bb608837f8c24566d691ee484a79febe5f25c7ab0b719aa683"),
-    (["levels", "--family", "LINEAR_ABS", "--window=-1:5", "--step", "0.01",
-      "--format", "json", "--out", "rows.json"],
-     "e295886451ffe238e5df50d938b285233c12ffaee3b08702a8fe724758f3fd0d"),
-    (["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "0.2:3:0.05",
-      "--allow-breaks"],
-     "81933f54adf2a9cf4803fb03cf9a94e84f62104cbe00c041be35c76af855eb65"),
-    (["green-grid", "--family", "DELTA_DECORATED(HO)", "--energy", "2.3",
-      "--grid=-4:4:81", "--xp", "0.3"],
-     "5924cf18ee2a89346a092dc327f6365caa84a2f3d4978d7fa1dac242c85b4226"),
-    (["verify", "--family", "HO", "--k", "3", "--n-oracle", "1000"],
-     "e51ecf4170872bbb0c145e19bb2b73508ce2e88e3c003fe43d8a87516fa09d48"),
-    (["verify", "--family", "DELTA_DECORATED(LINEAR_ABS)"],
-     "993bc121910fbc4c3d0f66876030370f5e1711f6b5f24cd9d4b24409398cd8d8"),
-    (["table1"], "f6ad54c642a2d071dab374eb403a084adf577aef49de6cfd1f4153a83171f591"),
-    (["levels", "--config", "CFG"],
-     "b652f8a66d7e5df924c94fbe5b77c4c907fc0d945af7d02c2fe69a730908f68a"),
-    (["levels", "--config", "CFG", "--family", "HO_STARK",
-      "--set", "family.scales.alpha1=0.5", "--set", "k_levels=4"],
-     "a8ae35b6fdee8b0c9fd1989c561addcfd94396c424b590389ce03123bec45cec"),
-    (["green-grid", "--family", '{"tag": "HO_ASYM", "scales": {"omega2": 2}}',
-      "--set", "grid=[-1, 1, 5]", "--set", "energy=3"],
-     "146d017e79d547fbf0832c534d3f803f3d125fbdf9f25b7c3883307df9437c67"),
-]
+# --dump-config for every flag, --config and --set: each echoed config
+# reads back as itself
+DUMP_CONFIG = [f"{k:02d}" for k in range(10)]
 
 
-@pytest.mark.parametrize("argv,sha", DUMP_CONFIG_SHA256,
-                         ids=[" ".join(argv)[:40] for argv, _ in DUMP_CONFIG_SHA256])
-def test_dump_config_bytes_pinned(tmp_path, argv, sha):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({
-        "command": "sweep", "family": {"tag": "HO", "scales": {"omega1": 2.0}},
-        "window": [0, 5], "step": 0.01, "format": "json"}))
-    argv = [str(cfg_path) if a == "CFG" else a for a in argv]
-    code, out = run(argv + ["--dump-config"])
-    assert code == 0
-    assert _sha256(out) == sha
+@pytest.mark.parametrize("label", DUMP_CONFIG,
+                         ids=[" ".join(_row(k)[0][:-1])[:40] for k in DUMP_CONFIG])
+def test_dump_config_bytes_pinned(config, label):
+    dumped = json.loads(run_pinned(label, config=config))
+    assert cli.RunConfig.from_dict(dumped).to_dict() == dumped
 
 
 def test_set_overrides():
@@ -1120,7 +979,7 @@ def test_emit_matches_the_dict_and_json_encoder_reference(fmt, table):
         assert got == ("x,xp,value\n" if fmt == "csv" else "[]\n")
 
 
-_DEC_LINEAR_ABS = json.dumps(FLOOR_WELLS_SHA256[2][0])
+_DEC_LINEAR_ABS = _row("floor-LINEAR_ABS", "levels")[0][2]
 
 
 @pytest.mark.parametrize("argv,exit_code", [
@@ -1234,7 +1093,7 @@ def test_null_means_the_field_default():
     ["table1", "--format", "json"],
     ["verify", "--family", "HO", "--format", "json"],
     # values outside a documented special-function domain
-    ["levels", "--family", "LINEAR_ABS", "--window", "0:30"],
+    _row("LINEAR_ABS-30")[0],
     ["levels", "--family", "DELTA_DECORATED(HO)", "--window=-60:0"],
     ["green-grid", "--family", "HO", "--energy", "2.3", "--grid=0:20:3", "--xp", "0"],
     # families without a closed-form Green function
@@ -1284,7 +1143,7 @@ def _rejected(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("argv,size", [
-    (["levels", "--family", "HO", "--window", "0:1", "--step", "1e-9"], "1e+09"),
+    (_row("HO-step-1e-9")[0], "1000000001"),
     # a default window counts too: (12 + 50) / 1e-5 cells
     (["levels", "--family", "DELTA_DECORATED(HO)", "--step", "1e-5"], "6200001"),
     (["levels", "--family", "HO", "--window", "0:5", "--step", "1e-6"], "5000001"),
@@ -1321,7 +1180,7 @@ def test_a_scan_of_five_million_lattice_points_runs(monkeypatch):
 @pytest.mark.parametrize("argv,size", [
     # 10^6 + 1 values of 201 points; no list of the values is built
     (["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "1:2:1e-6",
-      "--window", "0:1"], "2.010002e+08"),
+      "--window", "0:1"], "201000201"),
     # 2001 values of the default window's 12401 points
     (["sweep", "--family", "DELTA_DECORATED(HO)", "--param", "tau", "--range=-1:1:0.001"],
      "24814401"),
@@ -1330,11 +1189,10 @@ def test_a_scan_of_five_million_lattice_points_runs(monkeypatch):
     # a window-less sweep counts the wider of its end values' default
     # windows: 30,001 values of the 2,401 points at xi = 0.5, where the
     # unswept family's window holds 308 (a bound of 9,240,308 let it run)
-    (["sweep", "--family", '{"tag":"HALF_HO_HALF_LINEAR","scales":{"alpha1":0.25}}',
-      "--param", "xi", "--range", "0.5:0.59:0.000003"], "72032401"),
+    (_row("xi-ends")[0], "72032401"),
     # 50,001 values of 2,401 points at beta = 0.5, not 197 (9,850,197)
     (["sweep", "--family", '{"tag":"LINEAR_ASYM","scales":{"alpha2":0.2}}',
-      "--param", "beta", "--range", "0.5:0.55:0.000001"], "1.200524e+08"),
+      "--param", "beta", "--range", "0.5:0.55:0.000001"], "120052401"),
 ], ids=["values", "default-window", "overflow", "xi-ends", "beta-ends"])
 def test_a_sweep_above_ten_million_lattice_points_exits_one(monkeypatch, capsys, argv, size):
     err = _rejected(monkeypatch, capsys, argv)
@@ -1352,7 +1210,7 @@ def test_a_sweep_of_ten_million_lattice_points_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("argv,size", [
-    (["green-grid", "--grid=0:1:100000"], "1e+10"),
+    (["green-grid", "--grid=0:1:100000"], "10000000000"),
     (["green-grid", "--grid=0:1:1001"], "1002001"),
     (["green-grid", "--grid=0:1:1000001", "--xp", "0"], "1000001"),
 ], ids=["full", "one-above", "column"])
@@ -1411,3 +1269,22 @@ def test_usage_error_paths():
     assert run(["sweep", "--family", "HO_ASYM", "--param", "lam",
                 "--range", "1:0.5:0.1"])[0] == 1
     assert run(["green-grid", "--grid", "0:1:1"])[0] == 1
+
+
+# ----------------------------------------------------------------------
+# the pinned requests
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,code,sha", [row[1:] for row in pinned.PINNED],
+                         ids=pinned.request_ids())
+def test_pinned_request_keeps_its_exit_code_and_stdout(config, argv, code, sha):
+    if tuple(argv) not in _CHECKED:
+        got, out = run(pinned.with_config(argv, config))
+        assert (got, _sha256(out)) == (code, sha)
+
+
+def test_a_pinned_request_that_fails_prints_nothing():
+    # a run's output holds its complete result or nothing (cli's contract)
+    failing = [sha for _, _, code, sha in pinned.PINNED if code != 0]
+    assert failing and set(failing) == {hashlib.sha256(b"").hexdigest()}

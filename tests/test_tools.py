@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 
 import drift  # noqa: E402
+import pinned  # noqa: E402
 import request_hashes  # noqa: E402
 import run  # noqa: E402  (perfbench/run.py, on the path request_hashes sets)
 
@@ -149,18 +151,8 @@ def test_ulps_count_adjacent_doubles_across_zero():
 
 
 # ----------------------------------------------------------------------
-# the pinned group: README examples and the argvs tests/test_cli.py pins
+# the pinned group: one request per row of tools/pinned.py
 # ----------------------------------------------------------------------
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-import test_cli  # noqa: E402
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _pinned_argvs():
-    return [argv for _, argv in request_hashes.PINNED_ARGVS]
 
 
 def test_pinned_group_holds_every_readme_example():
@@ -172,41 +164,18 @@ def test_pinned_group_holds_every_readme_example():
                 and "--config" not in line]
     assert len(examples) == 5
     for argv in examples:
-        assert argv in _pinned_argvs(), argv
+        assert argv in [argv for _, argv, _, _ in pinned.PINNED], argv
 
 
-def test_pinned_group_holds_every_pinned_cli_argv(tmp_path, capsys):
-    pins = [(["levels", "--family", family], sha) for family, sha in test_cli.LEVELS_SHA256]
-    pins += [(["green-grid", "--family", family, "--energy", energy, "--grid=-2:2:9",
-               "--format", fmt], sha)
-             for family, energy, csv_sha, json_sha in test_cli.GRID_SHA256
-             for fmt, sha in (("csv", csv_sha), ("json", json_sha))]
-    pins += [(["green-grid", *argv, "--format", fmt], sha)
-             for argv, csv_sha, json_sha in test_cli.GRID_BYTES_SHA256
-             for fmt, sha in (("csv", csv_sha), ("json", json_sha))]
-    pins += [(argv + ["--family", json.dumps(fd)], pin[1])
-             for fd, levels_pin, verify_pin in test_cli.FLOOR_WELLS_SHA256
-             for argv, pin in ((["levels"], levels_pin),
-                               (["verify", "--k", "6", "--n-oracle", "1000"], verify_pin))]
-    pins += [(argv + ["--dump-config"], sha) for argv, sha in test_cli.DUMP_CONFIG_SHA256]
-    pins += [(argv, pin[1]) for argv, pin in test_cli.SHIFTED_STARK_SHA256]
-    pins += [(argv, pin[1]) for argv, pin, _ in test_cli.GREEN_TAIL]
-    pins += [(test_cli.README_TAU, None), (test_cli.README_LAM, None)]
-    assert request_hashes.main(["0", "--workload", "pinned", "--dump", str(tmp_path)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(" ")[:2] for line in lines] == [["pinned", "-"]] * len(lines)
-    rids = {tuple(argv): rid for rid, argv in zip(
-        (line.split(" ")[2] for line in lines), _pinned_argvs())}
-    for argv, sha in pins:
-        rid = rids[tuple(argv)]
-        _, _, out = (tmp_path / "pinned" / "-" / rid).read_text().partition("\n")
-        if sha is not None:
-            # the dumped output is the one the test pins
-            assert hashlib.sha256(out.encode()).hexdigest() == sha, argv
+def test_pinned_group_holds_every_pinned_cli_argv():
+    reqs = request_hashes.pinned_requests("run.json")
+    assert [req.rid for req in reqs] == pinned.request_ids()
+    assert [req.argv for req in reqs] == [
+        pinned.with_config(argv, "run.json") for _, argv, _, _ in pinned.PINNED]
 
 
 def test_pinned_group_follows_the_workloads(one_round, monkeypatch, capsys):
-    monkeypatch.setattr(request_hashes, "PINNED_ARGVS", request_hashes.PINNED_ARGVS[:2])
+    monkeypatch.setattr(pinned, "PINNED", pinned.PINNED[:2])
     assert request_hashes.main(["11", "--workload", "pinned", "--workload", "green_grid"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" ")[:2] for line in lines[-2:]] == [["pinned", "-"]] * 2
@@ -215,10 +184,10 @@ def test_pinned_group_follows_the_workloads(one_round, monkeypatch, capsys):
         "pin.00.levels.README-HO", "pin.01.levels.README-DEC_HO"]
 
 
-ROOT = Path(__file__).resolve().parent.parent
-# the repository's own top-level modules: the package, and the perfbench
-# modules that tools/ puts on its path
-OWN_MODULES = {"greenwell"} | {p.stem for p in (ROOT / "perfbench").glob("*.py")}
+# the repository's own top-level modules: the package, the tools, and the
+# perfbench modules that tools/ puts on its path
+OWN_MODULES = {"greenwell"} | {p.stem for d in ("tools", "perfbench")
+                               for p in (ROOT / d).glob("*.py")}
 
 
 def outside_imports(source):

@@ -18,13 +18,15 @@ bytes, so `diff` of two runs checks a "same bytes" claim.  The
 program's error messages still go to stderr.
 
 After the workloads comes one more group, `pinned`, which does not
-depend on the seed (its seed column is `-`): the `levels`, `sweep` and
-`green-grid` examples of the README and every argv whose bytes
-`tests/test_cli.py` pins with a sha256, so a deliberate change of
-those bytes, the window-less sweeps the benchmark never runs included,
-has hash and drift lines too.  `--workload` (repeatable) restricts the
-run to the named workloads or `pinned`; the default is all of them, and
-the lines of a workload do not depend on which others run.
+depend on the seed (its seed column is `-`): one request per row of the
+table in `tools/pinned.py`, which holds the README's `levels`, `sweep`
+and `green-grid` examples and every request whose exit code and stdout
+sha256 the tests pin, with the same request ids in the same order.  So a
+deliberate change of pinned bytes, the window-less sweeps the benchmark
+never runs included, has hash and drift lines too.  `--workload`
+(repeatable) restricts the run to the named workloads or `pinned`; the
+default is all of them, and the lines of a workload do not depend on
+which others run.
 
 `--dump DIR` also writes the hashed bytes of each request, its exit
 code on the first line and its output after it, to `DIR/<workload>/<seed>/<request
@@ -38,7 +40,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import tempfile
 from pathlib import Path
@@ -47,110 +48,19 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import pinned  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
 
 
 PINNED = "pinned"
-_DEC_HO = '{"tag": "DELTA_DECORATED", "base": "HO", "scales": {"delta_position": -0.5}}'
-_TAU_1_2 = -1.2 * math.sqrt(math.pi)  # tau = -1.2
-_FLOOR_WELLS = [
-    ("HO-p0", {"tag": "DELTA_DECORATED", "base": "HO",
-               "scales": {"delta_strength": _TAU_1_2, "delta_position": 0.0}}),
-    ("HO-q0.7", {"tag": "DELTA_DECORATED", "base": "HO",
-                 "scales": {"delta_strength": _TAU_1_2, "delta_position": 0.7}}),
-    ("LINEAR_ABS", {"tag": "DELTA_DECORATED", "base": "LINEAR_ABS",
-                    "scales": {"delta_strength": -1.6}}),
-]
-# a Stark well whose bottom lies at x = -phi = -12.17
-_SHIFTED_STARK = json.dumps({"tag": "HO_STARK", "scales": {"alpha1": 2.3}})
-# the config file that "CFG" stands for, as tests/test_cli.py writes it
-CONFIG = {"command": "sweep", "family": {"tag": "HO", "scales": {"omega1": 2.0}},
-          "window": [0, 5], "step": 0.01, "format": "json"}
-# (label, argv): the README examples, then the argvs tests/test_cli.py pins
-PINNED_ARGVS = [
-    ("README-HO", ["levels", "--family", "HO", "--window", "0:6"]),
-    ("README-DEC_HO", ["levels", "--family", "DELTA_DECORATED(HO)", "--window=-3:6"]),
-    ("README-lam", ["sweep", "--family", "HO_ASYM", "--param", "lam", "--range",
-                    "0.2:3.0:0.05", "--allow-breaks"]),
-    ("README-tau", ["sweep", "--family", "DELTA_DECORATED(HO)", "--param", "tau",
-                    "--range=-1.2:1.2:0.05"]),
-    ("README-LINEAR_ABS", ["green-grid", "--family", "LINEAR_ABS", "--energy", "2.3",
-                           "--grid=-4:4:81"]),
-    *((tag, ["levels", "--family", tag]) for tag in (
-        "HO", "HO_STARK", "HO_ASYM", "LINEAR_ABS", "LINEAR_ASYM", "HALF_HO_HALF_LINEAR",
-        "HO_PLUS_ABS", "DELTA_DECORATED(HO)", "DELTA_DECORATED(LINEAR_ABS)")),
-    ("muphi", ["sweep", "--family", "HO_PLUS_ABS", "--param", "muphi", "--range",
-               "0.5:1.5:0.25", "--window", "0:5", "--allow-breaks"]),
-    ("step5", ["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "1:1.05:0.05",
-               "--window", "0:3", "--step", "5"]),
-    *((f"{label}-{fmt}", ["green-grid", "--family", family, "--energy", energy,
-                          "--grid=-2:2:9", "--format", fmt])
-      for label, family, energy in (
-          ("HO", "HO", "2.3"), ("HO_STARK", "HO_STARK", "2.3"),
-          ("LINEAR_ABS", "LINEAR_ABS", "1.7"), ("HO_PLUS_ABS", "HO_PLUS_ABS", "2.3"),
-          ("DEC_HO", _DEC_HO, "2.3"), ("DEC_LINEAR_ABS", "DELTA_DECORATED(LINEAR_ABS)", "1.7"))
-      for fmt in ("csv", "json")),
-    *((f"{label}-{fmt}", ["green-grid", *argv, "--format", fmt])
-      for label, argv in (
-          ("LINEAR_ABS-81", ["--family", "LINEAR_ABS", "--energy", "2.3", "--grid=-4:4:81"]),
-          ("DEC_HO-81", ["--family", "DELTA_DECORATED(HO)", "--energy", "2.3",
-                         "--grid=-4:4:81"]),
-          ("HO-xp-0", ["--family", "HO", "--energy", "2.3", "--grid=-2:2:9", "--xp=-0"]))
-      for fmt in ("csv", "json")),
-    ("table1", ["table1"]),
-    *(argv for label, fd in _FLOOR_WELLS
-      for argv in ((f"floor-{label}", ["levels", "--family", json.dumps(fd)]),
-                   (f"floor-{label}", ["verify", "--k", "6", "--n-oracle", "1000",
-                                       "--family", json.dumps(fd)]))),
-    ("DEC_LINEAR_ABS-q1.5", ["levels", "--family", json.dumps(
-        {"tag": "DELTA_DECORATED", "base": "LINEAR_ABS",
-         "scales": {"delta_strength": -1.6, "delta_position": 1.5}})]),
-    ("all", ["verify"]),
-    *((f"{k:02d}", [*argv, "--dump-config"]) for k, argv in enumerate([
-        ["levels"],
-        ["levels", "--family", "LINEAR_ABS", "--window=-1:5", "--step", "0.01",
-         "--format", "json", "--out", "rows.json"],
-        ["sweep", "--family", "HO_ASYM", "--param", "lam", "--range", "0.2:3:0.05",
-         "--allow-breaks"],
-        ["green-grid", "--family", "DELTA_DECORATED(HO)", "--energy", "2.3",
-         "--grid=-4:4:81", "--xp", "0.3"],
-        ["verify", "--family", "HO", "--k", "3", "--n-oracle", "1000"],
-        ["verify", "--family", "DELTA_DECORATED(LINEAR_ABS)"],
-        ["table1"],
-        ["levels", "--config", "CFG"],
-        ["levels", "--config", "CFG", "--family", "HO_STARK",
-         "--set", "family.scales.alpha1=0.5", "--set", "k_levels=4"],
-        ["green-grid", "--family", '{"tag": "HO_ASYM", "scales": {"omega2": 2}}',
-         "--set", "grid=[-1, 1, 5]", "--set", "energy=3"],
-    ])),
-    ("STARK-shifted", ["verify", "--family", _SHIFTED_STARK]),
-    ("STARK-shifted", ["levels", "--family", _SHIFTED_STARK, "--window=-80:-70",
-                       "--step", "5"]),
-    ("HO-tail", ["green-grid", "--family", "HO", "--energy", "2.3", "--grid=0:10:11",
-                 "--xp", "0"]),
-    ("LINEAR_ABS-tail", ["green-grid", "--family", "LINEAR_ABS", "--energy", "1.5",
-                         "--grid=0:20:5", "--xp", "0"]),
-    ("HO-cut", ["green-grid", "--family", "HO", "--energy", "2.3", "--grid=4.3:4.9:4",
-                "--xp", "0"]),
-    ("HO-index", ["levels", "--family", "HO", "--window", "3:6"]),
-    *((f"DEC_HO-81-CI-{fmt}", ["green-grid", "--family", "DELTA_DECORATED(HO)", "--energy",
-                               "2.3", "--grid=-2:2:81", "--format", fmt])
-      for fmt in ("csv", "json")),
-    # a ground state below the default window's low edge eps = -50
-    ("DEC_HO-deep", ["levels", "--family", json.dumps(
-        {"tag": "DELTA_DECORATED", "base": "HO", "scales": {"delta_strength": -10.5}})]),
-]
 
 
 def pinned_requests(config_path):
-    """The `pinned` group as requests; "CFG" in an argv becomes config_path."""
-    reqs = []
-    for i, (label, argv) in enumerate(PINNED_ARGVS):
-        kind = "dump-config" if "--dump-config" in argv else argv[0]
-        argv = [str(config_path) if a == "CFG" else a for a in argv]
-        reqs.append(workloads.Request(f"pin.{i:02d}.{kind}.{label}", kind, argv=argv))
-    return reqs
+    """The `pinned` group as requests, one per row of pinned.PINNED; "CFG"
+    in an argv becomes config_path."""
+    return [workloads.Request(rid, rid.split(".")[2], argv=pinned.with_config(argv, config_path))
+            for rid, (_, argv, _, _) in zip(pinned.request_ids(), pinned.PINNED)]
 
 
 def request_bytes(code, output):
@@ -195,7 +105,7 @@ def main(argv=None):
     if PINNED in chosen:
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "run.json"
-            config.write_text(json.dumps(CONFIG))
+            config.write_text(json.dumps(pinned.CONFIG))
             for req in pinned_requests(config):
                 report(PINNED, "-", req)
     return 0
