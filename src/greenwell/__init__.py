@@ -2,8 +2,9 @@
 confining potentials: harmonic, linear, Stark-shifted, asymmetric,
 hybrid, and Dirac-delta-decorated wells.
 
-Closed-form resolvents are built on from-scratch special functions
-(Gamma, Kummer M, parabolic cylinder D, Airy), bound states come from
+Closed-form resolvents are built on special functions from the standard
+library alone (Gamma from math.gamma, Kummer M, parabolic cylinder D,
+Airy), bound states come from
 bisection on pole-free characteristic functions, and everything is
 cross-checked against an independent finite-difference Sturm-bisection
 eigensolver.

@@ -1,4 +1,5 @@
-"""Scalar special functions evaluated from scratch (no external libraries).
+"""Scalar special functions from the standard library alone (no external
+libraries).
 
 Everything the closed-form resolvents need: Gamma and its reciprocal,
 the Kummer confluent hypergeometric series M(a,b,z), the parabolic
@@ -8,7 +9,9 @@ Hermite polynomials.
 Design notes:
   * rgamma is the primary primitive.  It is entire, exactly zero at
     non-positive integers, and lets characteristic functions stay
-    pole-free by construction.  gamma() is derived from it.
+    pole-free by construction.  gamma() is derived from it.  Gamma
+    itself is the standard library's math.gamma; rgamma adds the
+    reflection, with an exact argument, and the range past -170.
   * D_nu is evaluated through the even/odd Kummer fundamental system of
     Weber's equation.  This representation is entire in z and avoids the
     connection formulas an asymptotic approach would need for z < 0.
@@ -50,14 +53,14 @@ Design notes:
     as pcf_d is of _pcf.
   * Functions returning EvalResult report est_abs_error, an upper bound
     on the absolute error built from truncation plus rounding terms.
-  * The hot loops (the Kummer series, the Lanczos sum) are written for
-    the interpreter: constants bound to locals, abs() spelled as a
-    comparison, the Lanczos sum unrolled.  They do the same
-    floating-point operations in the same order as the plain series, so
-    every value and estimate is bit-identical to it; tests/test_specfun.py
-    pins them against verbatim copies of the plain loops.  Reordering a
-    sum, fusing a product or changing a stopping test changes the last
-    bits and fails those tests.
+  * The hot loop (the Kummer series) is written for the interpreter:
+    constants bound to locals, abs() spelled as a comparison.  It does
+    the same floating-point operations in the same order as the plain
+    series, so every value and estimate is bit-identical to it;
+    tests/test_specfun.py pins it against a verbatim copy of the plain
+    loop, and rgamma against its plain formula.  Reordering a sum,
+    fusing a product or changing a stopping test changes the last bits
+    and fails those tests.
   * A non-finite argument raises DomainError at once in rgamma, gamma,
     kummer_m, _airy (so airy_all) and hermite_h.  The D_nu evaluator and
     weber_even_odd share one check, _pcf_check, which also bounds
@@ -93,7 +96,6 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 _SQRT_PI = 1.7724538509055160273
-_SQRT_2PI = 2.5066282746310005024
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -125,51 +127,6 @@ class PoleError(ValueError):
 # Gamma / reciprocal Gamma
 # ----------------------------------------------------------------------
 
-# Lanczos approximation, g = 607/128 with 15 coefficients.  Checked
-# against 40-digit references: relative error < 2e-14 for |x| <= 50,
-# and within 20 eps of 1/Gamma on [-170.5, -141] and [141, 171.5].
-_LANCZOS_G = 4.7421875
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    3.3994649984811888699e-5,
-    4.6523628927048575665e-5,
-    -9.8374475304879564677e-5,
-    1.5808870322491248884e-4,
-    -2.1026444172410488319e-4,
-    2.1743961811521264320e-4,
-    -1.6431810653676389022e-4,
-    8.4418223983852743293e-5,
-    -2.6190838401581408670e-5,
-    3.6899182659531622704e-6,
-)
-
-
-def _gamma_lanczos(x, fold=1.0):
-    # requires x >= 0.5; Gamma(x) * fold, with the sum C_0 + sum_i C_i /
-    # ((x - 1) + i) unrolled in its left-to-right order.  Above x = 141 the
-    # fold scales one of two half powers, so a small fold keeps a product
-    # whose Gamma(x) alone exceeds the float range
-    c = _LANCZOS_C
-    xm = x - 1.0
-    acc = (c[0] + c[1] / (xm + 1.0) + c[2] / (xm + 2.0) + c[3] / (xm + 3.0)
-           + c[4] / (xm + 4.0) + c[5] / (xm + 5.0) + c[6] / (xm + 6.0)
-           + c[7] / (xm + 7.0) + c[8] / (xm + 8.0) + c[9] / (xm + 9.0)
-           + c[10] / (xm + 10.0) + c[11] / (xm + 11.0) + c[12] / (xm + 12.0)
-           + c[13] / (xm + 13.0) + c[14] / (xm + 14.0))
-    t = x + _LANCZOS_G - 0.5
-    if x <= 141.0:
-        return _SQRT_2PI * t ** (x - 0.5) * math.exp(-t) * acc * fold
-    if x > 178.0:  # Gamma(x) > 3.5e322: past the float range even times a fold of 2^-45
-        return math.copysign(math.inf, fold)
-    # t ** (x - 0.5) alone overflows past x = 141.5: take it as two half powers
-    half = t ** (0.5 * (x - 0.5))
-    return _SQRT_2PI * half * math.exp(-t) * acc * (half * fold)
-
-
 def _sinpi(x):
     # sin(pi x) with exact zeros at integers (r below is computed exactly)
     n = round(x)
@@ -181,26 +138,39 @@ def _sinpi(x):
 def rgamma(x: float) -> float:
     """Reciprocal Gamma 1/Gamma(x), entire; exactly 0 at 0, -1, -2, ....
 
-    Below x = -170.6, where the reflection's Gamma(1 - x) exceeds the
-    float range, sin(pi x)/pi is folded into one of its half powers: the
-    float 1/Gamma where one exists (to about x = -171.1, and next to the
-    integers down to -176), +-inf elsewhere.  Above x = 171.6, where
-    Gamma(x) overflows, OverflowError: 1/Gamma there is not 0.0, and a
-    0.0 would read as a zero of every characteristic function built on it."""
+    Gamma is the standard library's math.gamma.  Below x = 0.5 the
+    reflection 1/Gamma(x) = Gamma(1 - x) sin(pi x)/pi takes Gamma(1 - x)
+    as (-x) Gamma(-x) from x = -1 on, so its argument is exact and no
+    rounding of 1 - x enters: within 4 eps of 40-digit references on
+    [-171.09, 171.6].  Below x = -170, where Gamma(1 - x) may exceed the
+    float range, sin(pi x)/pi comes first and multiplies Gamma(-x - 7)
+    and then the eight factors -x, -x - 1, ..., -x - 7: the float 1/Gamma
+    where one exists (to about x = -171.1, and next to the integers down
+    to -176), +-inf elsewhere.  Above x = 171.6, where Gamma(x)
+    overflows, OverflowError: 1/Gamma there is not 0.0, and a 0.0 would
+    read as a zero of every characteristic function built on it."""
     if not math.isfinite(x):
         raise DomainError(f"rgamma argument must be finite, got {x}")
     if x >= 0.5:
-        r = 1.0 / _gamma_lanczos(x)
-        if r == 0.0:  # Gamma(x) is inf
-            raise OverflowError(f"rgamma({x!r}) underflows: Gamma(x) exceeds the float range")
-        return r
-    # reflection: 1/Gamma(x) = Gamma(1-x) sin(pi x)/pi
-    s = _sinpi(x)
-    r = _gamma_lanczos(1.0 - x) * s / math.pi
-    if math.isfinite(r):
-        return r
-    # Gamma(1 - x) overflows: 0 at the integers, else sin(pi x)/pi in a half power
-    return _gamma_lanczos(1.0 - x, s / math.pi) if s else 0.0
+        try:
+            return 1.0 / math.gamma(x)
+        except OverflowError:
+            raise OverflowError(
+                f"rgamma({x!r}) underflows: Gamma(x) exceeds the float range") from None
+    if x > -1.0:
+        return math.gamma(1.0 - x) * _sinpi(x) / math.pi
+    if x > -170.0:
+        return -x * math.gamma(-x) * _sinpi(x) / math.pi
+    s = _sinpi(x) / math.pi
+    if not s:  # an integer
+        return 0.0
+    try:
+        r = s * math.gamma(-x - 7.0)
+    except OverflowError:  # x < -178.6, off the integers by an ulp or more: |1/Gamma| > 1e312
+        return math.copysign(math.inf, s)
+    for k in range(8):
+        r *= -x - k
+    return r
 
 
 def gamma(x: float) -> float:
@@ -364,7 +334,9 @@ def _weber_sums(nu, z, slope=True):
 
 
 # relative error bound of 1/Gamma(-nu) for |nu| <= 60, Legendre's
-# duplication of two rgamma values on [-30, 30.5]: within 50 eps there
+# duplication of two rgamma values on [-30, 30.5]: within 25 eps there
+# against 40-digit references, most of it from rounding (1 - nu)/2 where
+# 1 - nu crosses 32
 _RGAMMA_REL = 64.0 * _EPS
 
 _PCF_CUT = 6.0    # D_nu(z) from the integral for every nu at z >= this

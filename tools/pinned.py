@@ -51,7 +51,7 @@ PINNED = [
     ("README-HO", ["levels", "--family", "HO", "--window", "0:6"],
      0, "86b8fff5e87dcf7d72927fe864ed4b8c9bd2b2692ae14789af153022f72932de"),
     ("README-DEC_HO", ["levels", "--family", "DELTA_DECORATED(HO)", "--window=-3:6"],
-     0, "be143eb9d6400bd79ad37f2489efdcf271f363f3c03d8c7eec65a9ad2f31d936"),
+     0, "d8dcf2f81769a8d0a6d99bf089230c145de6e17342ae0201d08fb85b9db3f7f1"),
     ("README-lam", ["sweep", "--family", "HO_ASYM", "--param", "lam", "--range",
                     "0.2:3.0:0.05", "--allow-breaks"],
      0, "ac0ebd1f8def0cea001ea07a6b7b56805af4aa808f6ebc71850480aad58e9514"),
@@ -63,16 +63,16 @@ PINNED = [
      0, _LINEAR_ABS_81),
     # every well's default window
     *((tag, ["levels", "--family", tag], 0, sha) for tag, sha in (
-        ("HO", "d4af82dd609d0282324f7111ddb79b95ccd6daf01a9ae4d0145ed4b21bc84bbc"),
+        ("HO", "bb36703b7355c79d14218e33377ae9d1029ec40a53044b5deb706b3f2ea23188"),
         ("HO_STARK", "4fe5e9abc652745af943f4615f6d6341fc8bf7e21ec83e4fa036ba9104d02f03"),
-        ("HO_ASYM", "80f72c07e33ea234f2e0b285f36933cab2517e2d7ef99f64d5da529df1302646"),
+        ("HO_ASYM", "2b9217dfca62c176d5c243d2cea8187ac9ca6d8d42ab4c36e324b27768628e89"),
         ("LINEAR_ABS", "e801c02d56b0faf43551164fe49c1880b7fbae2cdb2058f9a8301711e82aee5f"),
         ("LINEAR_ASYM", "ecc09074ebf1134bf91d954ae951d9b4d526055718350edaf87849182b77f84e"),
         ("HALF_HO_HALF_LINEAR",
-         "4bfe92f619e1ac3d2e37a89789fca12377c2fd023971bd55e5f197ed675832f5"),
-        ("HO_PLUS_ABS", "d6a2b8cd5c71e346705e22b15052c04725a5faf196a26a3deaf1a66d5f349d0a"),
+         "a2e3f18bd6e353aa176a437d439b2fc9625b873b8c68d8b189dc3c9d7a6fdb5b"),
+        ("HO_PLUS_ABS", "8e8559598c18284f852f3b9c1887818e15ce06da28b6afdff7ee000bb829f7d2"),
         ("DELTA_DECORATED(HO)",
-         "0afc3a1cc88abb4f831f5aafe500c7e2d5179447e68e4e57b7e2e9e6dddb3384"),
+         "1d9d3716b560712c9f1e1beb4b1d31db5223d4be7fec22138fe792c3ef48f995"),
         (_DEC_LINEAR_ABS, "48a282d5997e1fe617e365e201e2b6f614d19e5d613dc1c76453ac03cde3e703"))),
     ("muphi", ["sweep", "--family", "HO_PLUS_ABS", "--param", "muphi", "--range",
                "0.5:1.5:0.25", "--window", "0:5", "--allow-breaks"],
@@ -108,8 +108,8 @@ PINNED = [
             "586426593f91dc7fa47994f3ad011c3ee81f54eab5014c6129f76d5b3099696e")),
           ("DEC_HO-81", ["--family", "DELTA_DECORATED(HO)", "--energy", "2.3",
                          "--grid=-4:4:81"],
-           ("378a5ab79ded61506d17a980fe076fb0a5bd838f1dae3b5b34ddd11021f37540",
-            "0bd4b8dc80b9cd8930d101e655036abe8618f00b344e4788868370b3546e595b")),
+           ("45aca006a0c14d8889fbde89286579666dcda100a3c92398179ac83b72ee2c15",
+            "9564749cd77f9d4e1d63ee0346e3cecb588ef609089af9f3c4a60b379c1c5671")),
           ("HO-xp-0", ["--family", "HO", "--energy", "2.3", "--grid=-2:2:9", "--xp=-0"],
            ("19d4004f54215043eb9ba3509b4b86bf3340d5f6a06ef88949fb45b9ddf11540",
             "205445f7d5f9009e84865cb5b0b316d57137d3577a58968dc38e4d46a74b6e53")))
@@ -122,11 +122,11 @@ PINNED = [
       for label, fd, shas in (
           ("HO-p0", {"tag": "DELTA_DECORATED", "base": "HO",
                      "scales": {"delta_strength": _TAU_1_2, "delta_position": 0.0}},
-           ("b1a5ccdc9a6e57327b5dba1fa01ac911bf5360bb2b1f1ba9d0f2ecba211cec39",
+           ("65062ff838a072aa37bc9b17555491576133d0a76cb271a49f7a2311f1328fc2",
             "a115ae79e2cdcabf15bb05f71b7be95263e5250dc78b751ba388d1d3929f54fe")),
           ("HO-q0.7", {"tag": "DELTA_DECORATED", "base": "HO",
                        "scales": {"delta_strength": _TAU_1_2, "delta_position": 0.7}},
-           ("9bb0a0d540f14fa9aa514ca47b3994d330805b3d6fe6963905f0c049374ce6f0",
+           ("830dc6a5c6bb52c4e45abf12308850bc6d6f2d90e88a74e899008d7760bf8b72",
             "2f6877c04b0df76cdda4c332515edbeadba12d6c9301575d1842b6aab6ed9012")),
           ("LINEAR_ABS", {"tag": "DELTA_DECORATED", "base": "LINEAR_ABS",
                           "scales": {"delta_strength": -1.6}},
@@ -184,14 +184,14 @@ PINNED = [
      0, "386737fa0d89b5e6872d0395bc1bb7ef09db5b76fe0492173af1b25974a2f285"),
     ("DEC_HO-81-CI-csv", ["green-grid", "--family", "DELTA_DECORATED(HO)", "--energy", "2.3",
                           "--grid=-2:2:81", "--format", "csv"],
-     0, "fcc48b9de4027e775adf72a6141c9bfed802f8a7fb4a6cfd596cb2c5700a68e7"),
+     0, "9255d754ca0f9bf96316abfcdfe746040ea16144c3adf4b69c1b93c5c00c920f"),
     ("DEC_HO-81-CI-json", ["green-grid", "--family", "DELTA_DECORATED(HO)", "--energy",
                            "2.3", "--grid=-2:2:81", "--format", "json"],
-     0, "8f290a62ae328bf642466326829758490a659c5cd92d1e48726c6a1c929e0f7a"),
+     0, "ab3415a23c601a1f06327b452d5f02860852147f6537d961cf7c42e74be80d51"),
     # a ground state below the default window's low edge eps = -50
     ("DEC_HO-deep", ["levels", "--family", json.dumps(
         {"tag": "DELTA_DECORATED", "base": "HO", "scales": {"delta_strength": -10.5}})],
-     0, "bfed02e8c3c6bb52c5c4b826964625f8678c3edcd11c4c379bd336c1a74d3e73"),
+     0, "537a70f149d9d7a7de718110e1ee1d3e618176e57777cc4ba9e273b74699a512"),
     # the console-script check's requests
     ("HO-k3", ["verify", "--family", "HO", "--k", "3"],
      0, "b23f9eeaa12c62aade63731ecdc2e98d0516fd70e0acb3b6161c7976d34ab171"),
@@ -215,14 +215,14 @@ PINNED = [
      1, EMPTY),
     # D and D' from one Kummer pass: 35 HO+|x| levels up to eps = 40
     ("HO_PLUS_ABS-40", ["levels", "--family", "HO_PLUS_ABS", "--window=0.000001:40"],
-     0, "b9360d01b3c89079cb3e788fe528495e07ba07d0b595717322d1b86bdbdea581"),
+     0, "6ff81eef96c12f600280e4abcc435e2ab6dd8f0529956bf97bbf67de86e102b2"),
     ("muphi-0.8", ["sweep", "--family", "HO_PLUS_ABS", "--param", "muphi", "--range",
                    "0.8:1.1:0.1", "--window", "0:6"],
      0, "a82a216ef6b1b31e713e81f12aade2c155ca7570c32002379c74921f75ef904f"),
     # D' at orders up to 59.95, past which the slope's D_(nu+1) lies
     ("HO_PLUS_ABS-nu60", ["levels", "--family", '{"tag":"HO_PLUS_ABS","scales":{"alpha1":1.62}}',
                           "--window", "50:51.4"],
-     0, "2a0f9f2b130f50c5805cdde2622399f721f30c97ec247728969c159a31003d01"),
+     0, "66c095cc79f457155a243347e86efe09ed8fbae5fdeffb2da9e3477196ab0235"),
     # ten Stark levels whose chi takes 1/Gamma past order 141.5
     ("HO_STARK-gamma141", ["levels", "--family", '{"tag":"HO_STARK","scales":{"alpha1":6}}',
                            "--window=-23176:-23166"],
@@ -247,16 +247,16 @@ PINNED = [
      0, _LINEAR_ABS_3),
     # 13 x 13 grids out to mu x = 8.5-9.9, on both routes of D_nu
     ("HO-13", ["green-grid", "--family", "HO", "--energy", "2.3", "--grid=-6:6:13"],
-     0, "690b8f554f6b7430060abc7c08dfb342cbba28b4e8526db53d1f988beee22a3a"),
+     0, "ca735814f0ce329f19d256f3ca1f4b284ab3c8ab9173470b5cb1d69bc571dc5d"),
     ("HO_STARK-13", ["green-grid", "--family", "HO_STARK", "--energy", "2.3",
                      "--grid=-6:6:13"],
      0, "30159ac1d7789f6587dee74d7df10839acb34cc95bc159e7548ca58ae7e190d2"),
     ("HO_PLUS_ABS-13", ["green-grid", "--family", "HO_PLUS_ABS", "--energy", "2.3",
                         "--grid=-6:6:13"],
-     0, "ea4144615b22424fc866dff71c09fc4da10f41000d056b764c934f6c498494eb"),
+     0, "79ede66d474802ee6f2bdadefa05189d1d7084b00dffbe8257c219d4f055a122"),
     ("DEC_HO-13", ["green-grid", "--family", "DELTA_DECORATED(HO)", "--energy", "2.3",
                    "--grid=-6:6:13"],
-     0, "522e5a2a3386d5c92a32e606251143ab379f7515a4c464e78d4b2caf56df374a"),
+     0, "3f7752221ae36871413f1af90043fbcbdb6d5312efeda4cd6aad8ea94f58f4bb"),
 ]
 
 
