@@ -21,8 +21,11 @@ Richardson check in the test-suite guards the systematic error.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import DELTA_DECORATED, PotentialFamily, potential_value
 
@@ -66,6 +69,12 @@ class GridSpec:
         return -self.half_width + (i + 1) * self.h
 
 
+# rows per block of TridiagonalOperator._floors: the minimum of every
+# suffix would cost more to build (about 190 us at 1,500 rows) than the
+# few counts a level-count certificate makes of one operator save
+_FLOOR_ROWS = 64
+
+
 @dataclass(frozen=True)
 class TridiagonalOperator:
     """Symmetric tridiagonal H: diag entries hbar^2/(m h^2) + V(x_i) (+ delta),
@@ -85,6 +94,13 @@ class TridiagonalOperator:
     def nearest_index(self, x):
         i = int(round((x + self.grid.half_width) / self.grid.h)) - 1
         return min(max(i, 0), self.n - 1)
+
+    @cached_property
+    def _floors(self):
+        """min(diag[k:]) at each k that is a multiple of _FLOOR_ROWS,
+        computed once per operator (see eigenvalue_count_below)."""
+        mins = [min(self.diag[k:k + _FLOOR_ROWS]) for k in range(0, self.n, _FLOOR_ROWS)]
+        return list(itertools.accumulate(reversed(mins), min))[::-1]
 
 
 def auto_grid(family: PotentialFamily, e_max: float, n_points: int) -> GridSpec:
@@ -147,19 +163,34 @@ def eigenvalue_count_below(op: TridiagonalOperator, x: float, cap: int | None = 
     With a cap (>= 0) the count stops at the cap-th negative pivot and
     returns min(number, cap): enough to decide whether the number
     reaches the cap, without walking the remaining rows.
+
+    The count also stops, at a multiple of _FLOOR_ROWS rows, once every
+    remaining row has diag - x > 2 b, b = |off| (1 + 1e-9), and the last
+    pivot d walked is above b: then offsq / d < |off|, so the next pivot
+    is above b again, and no later pivot is negative.  Rounding lies far
+    inside the 1e-9.  The rows where diag - x > 2 b holds are found by
+    bisection on the operator's block minima (_floors).
     """
     limit = op.n if cap is None else cap
     offsq = op.off * op.off
+    big = abs(op.off) * (1.0 + 1e-9)
+    # every row from `stop` on has diag - x > 2 big
+    stop = _FLOOR_ROWS * bisect.bisect_right(op._floors, 2.0 * big, key=lambda m: m - x)
     count = 0
     d = math.inf  # offsq / d is 0 on the first row
-    for a in op.diag:
-        d = (a - x) - offsq / d
-        if d <= 0.0:
-            if d == 0.0:  # counted as negative; the next row divides by it
-                d = -1e-300
-            count += 1
-            if count >= limit:
-                break
+    i = 0
+    while count < limit:
+        for a in op.diag[i:stop]:
+            d = (a - x) - offsq / d
+            if d <= 0.0:
+                if d == 0.0:  # counted as negative; the next row divides by it
+                    d = -1e-300
+                count += 1
+                if count >= limit:
+                    break
+        if d > big or stop >= op.n:
+            break
+        i, stop = stop, stop + _FLOOR_ROWS  # a pivot at most b: one block more
     return min(count, limit)
 
 

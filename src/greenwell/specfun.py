@@ -21,12 +21,16 @@ Design notes:
     what two pcf_d calls give.
   * One Kummer loop (_kummer_sums) sums a pair of series at one
     argument in one pass, each with, alongside, its term-by-term
-    derivative; each series stops on its own and does the operations of
-    a loop over it alone, in the same order.  The Weber pair
-    M(-nu/2, 1/2, w) and M((1-nu)/2, 3/2, w) is its one program use:
-    weber_even_odd takes E' and O' from the derivative sums, so its four
-    values cost one pass.  kummer_m, which no program path calls, runs
-    its series as both members of a pair and reads the first.  The loop
+    derivative when the caller reads it; each series stops on its own
+    and does the operations of a loop over it alone, in the same order.
+    The Weber pair M(-nu/2, 1/2, w) and M((1-nu)/2, 3/2, w) is its one
+    program use, with its denominators (b+n)(n+1) from a table (the
+    same products of the same floats): weber_even_odd and pcf_d_slope
+    take E' and O' from the derivative sums, so their values cost one
+    pass, while pcf_d and pcf_d_pair (the decorated oscillator's
+    condition, the oscillator Green builds) skip those sums.  kummer_m,
+    which no program path calls, runs its series as both members of a
+    pair, without the derivative sums, and reads the first.  The loop
     checks no argument: kummer_m and weber_even_odd check theirs, and
     the D_nu evaluator's domain implies the loop's.
   * One evaluator (_pcf) is behind the three entry points pcf_d,
@@ -72,6 +76,7 @@ All functions are pure and hold no mutable state.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -189,11 +194,29 @@ def gamma(x: float) -> float:
 _KUMMER_MAX_TERMS = 10000
 
 
-def _kummer_sums(a1, b1, a2, b2, z):
+def _kummer_rows(b1, b2, start):
+    """(n, n + 1, (b1 + n)(n + 1), (b2 + n)(n + 1)) for the terms start,
+    start + 1, ... below _KUMMER_MAX_TERMS: the values of the counter and
+    the denominators of two Kummer series' term ratios, with n a float
+    (a + n, b + n and n + 1.0 round as with an int n)."""
+    for k in range(start, _KUMMER_MAX_TERMS):
+        n = float(k)
+        n1 = n + 1.0
+        yield n, n1, (b1 + n) * n1, (b2 + n) * n1
+
+
+# the rows of the Weber pair, b = 1/2 and 3/2: at most 352 terms on the
+# D_nu domain (nu = -60, z = 20), so a pass of the pair reads only these
+_WEBER_ROWS = tuple(itertools.islice(_kummer_rows(0.5, 1.5, 0), 400))
+
+
+def _kummer_sums(a1, b1, a2, b2, z, slope=True):
     """(M1, S1, est1, est_S1, M2, S2, est2, est_S2): the two series
     M(a1,b1,z) and M(a2,b2,z) at one argument, summed in one pass, each
-    with compensated (Kahan) summation, and S = z M'(a,b,z) = sum n t_n,
-    the term-by-term derivative of the same series times z, alongside.
+    with compensated (Kahan) summation, and with slope S = z M'(a,b,z) =
+    sum n t_n, the term-by-term derivative of the same series times z,
+    alongside; without it S and est_S are 0.0, and the loop does not sum
+    them.
 
     Each series stops on its own, when two of its consecutive terms are
     below eps * |its partial sum|, and does the operations of a loop over
@@ -201,9 +224,12 @@ def _kummer_sums(a1, b1, a2, b2, z):
     with a rounding bound eps * sum(|terms|), which also tracks
     cancellation for z < 0; est_S does the same for the terms n t_n,
     with n times both parts, and n eps more for their plain sum.  The
-    one Kummer loop of the module: kummer_m reads it, and weber_even_odd
-    and the D_nu evaluator _pcf read it through _weber_sums.  It checks
-    no argument; its callers do.
+    denominators (b + n)(n + 1) of the Weber pair come from _WEBER_ROWS,
+    the same products of the same floats, while it lasts.  The one
+    Kummer loop of the module: kummer_m reads it without slope, and the
+    D_nu evaluator _pcf and weber_even_odd read it through _weber_sums,
+    with slope only for pcf_d_slope and weber_even_odd.  It checks no
+    argument; its callers do.
     """
     eps = _EPS
     term1 = total1 = abs1 = term2 = total2 = abs2 = 1.0
@@ -211,54 +237,64 @@ def _kummer_sums(a1, b1, a2, b2, z):
     d1 = d2 = 0.0  # sums n t_n
     small1 = small2 = False  # the previous term was already below eps * |partial sum|
     k1 = k2 = 0.0  # the terms a series had summed when it stopped; 0.0 while it runs
-    n = 0.0  # a float counter: a + n, b + n and n + 1.0 round as with an int n
-    for _ in range(_KUMMER_MAX_TERMS):
-        n1 = n + 1.0
-        if not k1:
-            term1 *= (a1 + n) * z / ((b1 + n) * n1)
-            y = term1 - comp1
-            t = total1 + y
-            comp1 = (t - total1) - y
-            total1 = t
-            mag = term1 if term1 >= 0.0 else -term1
-            abs1 += mag
-            d1 += n1 * term1
-            if mag <= eps * (t if t >= 0.0 else -t):
-                if small1:
-                    k1 = n1
-                    if k2:
-                        break
-                small1 = True
-            else:
-                small1 = False
-        if not k2:
-            term2 *= (a2 + n) * z / ((b2 + n) * n1)
-            y = term2 - comp2
-            t = total2 + y
-            comp2 = (t - total2) - y
-            total2 = t
-            mag = term2 if term2 >= 0.0 else -term2
-            abs2 += mag
-            d2 += n1 * term2
-            if mag <= eps * (t if t >= 0.0 else -t):
-                if small2:
-                    k2 = n1
-                    if k1:
-                        break
-                small2 = True
-            else:
-                small2 = False
-        n = n1
+    # the rows from the table while it lasts, then from the generator: a
+    # generator made for every pass, even one the table covers, cost
+    # about 0.5 us of a 6-7 us pass
+    table = _WEBER_ROWS if b1 == 0.5 and b2 == 1.5 else ()
+    for rows in (table, None):
+        if rows is None:
+            rows = _kummer_rows(b1, b2, len(table))
+        for n, n1, q1, q2 in rows:
+            if not k1:
+                term1 *= (a1 + n) * z / q1
+                y = term1 - comp1
+                t = total1 + y
+                comp1 = (t - total1) - y
+                total1 = t
+                mag = term1 if term1 >= 0.0 else -term1
+                abs1 += mag
+                if slope:
+                    d1 += n1 * term1
+                if mag <= eps * (t if t >= 0.0 else -t):
+                    if small1:
+                        k1 = n1
+                        if k2:
+                            break
+                    small1 = True
+                else:
+                    small1 = False
+            if not k2:
+                term2 *= (a2 + n) * z / q2
+                y = term2 - comp2
+                t = total2 + y
+                comp2 = (t - total2) - y
+                total2 = t
+                mag = term2 if term2 >= 0.0 else -term2
+                abs2 += mag
+                if slope:
+                    d2 += n1 * term2
+                if mag <= eps * (t if t >= 0.0 else -t):
+                    if small2:
+                        k2 = n1
+                        if k1:
+                            break
+                    small2 = True
+                else:
+                    small2 = False
+        else:
+            continue
+        break
     else:
         a, b = (a2, b2) if k1 else (a1, b1)
         raise ConvergenceError(
             f"kummer_m({a}, {b}, {z}) did not converge in {_KUMMER_MAX_TERMS} terms"
         )
     mag1, mag2 = abs(term1), abs(term2)  # and sum n |t_n| <= n abs_sum
-    return (total1, d1, 2.0 * mag1 + 16.0 * _EPS * abs1,
-            k1 * (2.0 * mag1 + (16.0 + k1) * _EPS * abs1),
-            total2, d2, 2.0 * mag2 + 16.0 * _EPS * abs2,
-            k2 * (2.0 * mag2 + (16.0 + k2) * _EPS * abs2))
+    est1, est2 = 2.0 * mag1 + 16.0 * _EPS * abs1, 2.0 * mag2 + 16.0 * _EPS * abs2
+    if not slope:
+        return total1, 0.0, est1, 0.0, total2, 0.0, est2, 0.0
+    return (total1, d1, est1, k1 * (2.0 * mag1 + (16.0 + k1) * _EPS * abs1),
+            total2, d2, est2, k2 * (2.0 * mag2 + (16.0 + k2) * _EPS * abs2))
 
 
 def kummer_m(a: float, b: float, z: float) -> EvalResult:
@@ -278,7 +314,7 @@ def kummer_m(a: float, b: float, z: float) -> EvalResult:
         raise PoleError(f"kummer_m requires b not a non-positive integer, got b = {b}")
     if abs(z) > 200.0:
         raise DomainError(f"kummer_m series restricted to |z| <= 200, got z = {z}")
-    m, _, est, _, _, _, _, _ = _kummer_sums(a, b, a, b, z)
+    m, _, est, _, _, _, _, _ = _kummer_sums(a, b, a, b, z, False)
     return EvalResult(m, est)
 
 
@@ -321,7 +357,8 @@ def _weber_sums(nu, z, slope=True):
     from one pass of the Kummer loop; the callers have checked that
     |z| <= 20."""
     w = 0.5 * z * z
-    m1, s1, e1, es1, m2, s2, e2, es2 = _kummer_sums(-0.5 * nu, 0.5, 0.5 * (1.0 - nu), 1.5, w)
+    m1, s1, e1, es1, m2, s2, e2, es2 = _kummer_sums(-0.5 * nu, 0.5, 0.5 * (1.0 - nu), 1.5, w,
+                                                    slope)
     if not slope:
         return m1, e1, m2, e2, 0.0, 0.0, 0.0
     # z = 0: S1 = 0, and E' = 0 exactly

@@ -515,6 +515,94 @@ class _LevelCount:
         return all(low < high for low, high in (self._near(r.value) for r in roots))
 
 
+def _not_finite(x):
+    return ArithmeticError(f"characteristic function not finite at {x}")
+
+
+def _finite(fn, x):
+    """fn(x), or ArithmeticError when it is not finite."""
+    f = fn(x)
+    if not math.isfinite(f):
+        raise _not_finite(x)
+    return f
+
+
+def _scan(chi, lat, start, end, fs, found, stop):
+    """Walk the plain cells (point start, point start+1], ..., (point
+    end - 1, point end] of `lat`, with `fs` the factors' values at point
+    start: every factor at each point in factor order, then, in the same
+    order, a value exactly 0 is a root at that point and a sign change
+    between nonzero ends is bisected (_cell_root), the roots appended to
+    `found`.  The walk stops after the point where `found` reaches
+    `stop` roots; fs is left with the values at the last point walked.
+
+    Every lattice value outside a counted part goes through this loop,
+    so it keeps to the values: the point min(lo + i*step, hi) written
+    out, the values updated in place, and the root and limit tests
+    behind one product test, f * f_prev <= 0.0, which every zero and
+    sign change passes (so does a product that underflows to 0; the
+    exact test then sorts it out)."""
+    fns = [fn for _, fn in chi.factors]
+    factors = range(len(fns))
+    lo, hi, step, inf = lat.lo, lat.hi, lat.step, math.inf
+    x_prev = lat.point(start)
+    ends = []  # (factor, value at x_prev, value at x) of the cells to look at
+    for i in range(start + 1, end + 1):
+        x = lo + i * step
+        if hi < x:
+            x = hi
+        for j in factors:
+            f = fns[j](x)
+            if not -inf < f < inf:
+                raise _not_finite(x)
+            if f * fs[j] <= 0.0:
+                ends.append((j, fs[j], f))
+            fs[j] = f
+        if ends:  # once every factor has its value at x: a bisection replaces their shared build
+            for j, f_prev, f in ends:
+                if f == 0.0:
+                    found.append((x, (x - 0.5 * _BRACKET_WIDTH, x + 0.5 * _BRACKET_WIDTH), 0.0,
+                                  chi.factors[j][0]))
+                elif f_prev != 0.0 and (f_prev < 0.0) != (f < 0.0):
+                    found.append(_cell_root(chi.factors[j], x_prev, x, f_prev, f))
+            ends.clear()
+            if len(found) >= stop:
+                break
+        x_prev = x
+
+
+def _counted(chi, lat, cert, fs):
+    """(roots, values at point i_hi) of the part (point i_lo, point i_hi]
+    that the level count `cert` covers, with `fs` the factors' values at
+    point i_lo, or None when the count does not pin every cell (see
+    _walked)."""
+    i_lo, i_hi, count = cert.i_lo, cert.i_hi, cert.count
+    known = [{i_lo: f} for f in fs]  # lattice index -> value, per factor
+
+    def value(j, i):
+        f = known[j].get(i)
+        if f is None:
+            f = known[j][i] = _finite(chi.factors[j][1], lat.point(i))
+        return f
+
+    def changes(j, a, b):
+        return (value(j, a) < 0.0) != (value(j, b) < 0.0)
+
+    stride = max(1, (i_hi - i_lo) // (2 * count + 2))
+    cells = []  # (index of the cell's upper end, factor)
+    for a in range(i_lo, i_hi, stride):
+        b = min(a + stride, i_hi)
+        for j in [j for j in range(len(fs)) if changes(j, a, b)]:
+            # a lattice cell (c - 1, c] of (a, b] where the factor changes sign
+            cells.append((bisect.bisect_left(range(b + 1), True, a + 1,
+                                             key=lambda i: changes(j, a, i)), j))
+    if len(cells) != count or any(0.0 in values.values() for values in known):
+        return None
+    return ([_cell_root(chi.factors[j], lat.point(c - 1), lat.point(c),
+                        known[j][c - 1], known[j][c]) for c, j in sorted(cells)],
+            [values[i_hi] for values in known])
+
+
 def _walked(chi, lat, cert=None, limit=None):
     """The roots of `chi`'s factors on lattice `lat`, as find_roots gives
     them, or None when the level count `cert` (a _LevelCount) does not
@@ -524,9 +612,9 @@ def _walked(chi, lat, cert=None, limit=None):
     Outside the counted part (point i_lo, point i_hi], which is empty
     when there is no count, it evaluates every factor at each point in
     factor order: a factor exactly 0 at a point has a root there, and a
-    sign change between nonzero ends is bisected (_cell_root).  With
-    `limit` it stops after the cell of the `limit`-th root.  A value
-    that is not finite raises ArithmeticError.
+    sign change between nonzero ends is bisected (_cell_root; the loop
+    is _scan).  With `limit` it stops after the cell of the `limit`-th
+    root.  A value that is not finite raises ArithmeticError.
 
     The counted part, which holds N = cert.count levels, is cut into
     coarse cells of (i_hi - i_lo) // (2N + 2) lattice cells (at least
@@ -539,65 +627,23 @@ def _walked(chi, lat, cert=None, limit=None):
     changes sign for no factor; each found cell is bisected as the scan
     bisects it, so the roots are the scan's.  Any other number of sign
     changes gives None, and so does a factor exactly 0 at a point of the
-    counted part, which the scan handles on its own terms.  Every
-    lattice value is computed once.
+    counted part, which the scan handles on its own terms (_counted).
+    Every lattice value is computed once.
     """
-    fns = [fn for _, fn in chi.factors]
-    factors = range(len(fns))
-    known = [{} for _ in fns]  # lattice index -> value in the counted part, per factor
-
-    def at(x, fns=fns):
-        """The values of `fns` at x, in factor order."""
-        fs = []
-        for fn in fns:
-            f = fn(x)
-            if not math.isfinite(f):
-                raise ArithmeticError(f"characteristic function not finite at {x}")
-            fs.append(f)
-        return fs
-
-    def value(j, i):
-        f = known[j].get(i)
-        if f is None:
-            f = known[j][i] = at(lat.point(i), fns[j:j + 1])[0]
-        return f
-
-    def changes(j, a, b):
-        return (value(j, a) < 0.0) != (value(j, b) < 0.0)
-
-    i_lo, i_hi, count = (cert.i_lo, cert.i_hi, cert.count) if cert else (None, None, 0)
     found = []  # (value, bracket, residual, parity), cell by cell in factor order
-    i, x_prev = lat.start, lat.point(lat.start)
-    f_prevs = at(x_prev)
-    while i < lat.n_steps and (limit is None or len(found) < limit):
-        if i == i_lo:  # the counted part, in coarse cells
-            for values, f in zip(known, f_prevs):
-                values[i] = f
-            stride = max(1, (i_hi - i_lo) // (2 * count + 2))
-            cells = []  # (index of the cell's upper end, factor)
-            for a in range(i_lo, i_hi, stride):
-                b = min(a + stride, i_hi)
-                for j in [j for j in factors if changes(j, a, b)]:
-                    # a lattice cell (c - 1, c] of (a, b] where the factor changes sign
-                    cells.append((bisect.bisect_left(range(b + 1), True, a + 1,
-                                                     key=lambda i: changes(j, a, i)), j))
-            if len(cells) != count or any(0.0 in values.values() for values in known):
-                return None
-            found += [_cell_root(chi.factors[j], lat.point(c - 1), lat.point(c),
-                                 known[j][c - 1], known[j][c]) for c, j in sorted(cells)]
-            i, x_prev = i_hi, lat.point(i_hi)
-            f_prevs = [values[i] for values in known]
-            continue
-        i += 1
-        x = lat.point(i)
-        fs = at(x)
-        for j, f in enumerate(fs):
-            if f == 0.0:
-                found.append((x, (x - 0.5 * _BRACKET_WIDTH, x + 0.5 * _BRACKET_WIDTH), 0.0,
-                              chi.factors[j][0]))
-            elif f_prevs[j] != 0.0 and (f_prevs[j] < 0.0) != (f < 0.0):
-                found.append(_cell_root(chi.factors[j], x_prev, x, f_prevs[j], f))
-        x_prev, f_prevs = x, fs
+    stop = math.inf if limit is None else limit
+    x = lat.point(lat.start)
+    fs = [_finite(fn, x) for _, fn in chi.factors]
+    if stop > 0:
+        _scan(chi, lat, lat.start, lat.n_steps if cert is None else cert.i_lo, fs, found, stop)
+    if cert is not None and len(found) < stop:
+        counted = _counted(chi, lat, cert, fs)
+        if counted is None:
+            return None
+        roots, fs = counted
+        found += roots
+        if len(found) < stop:
+            _scan(chi, lat, cert.i_hi, lat.n_steps, fs, found, stop)
     found.sort(key=lambda t: t[0])  # stable, so ties keep factor order
     return SpectrumResult([Root(n, *t) for n, t in enumerate(found[:limit])])
 

@@ -1,10 +1,12 @@
 """Finite-difference oracle: discretization, Sturm bisection, resolvent solve."""
 
+import functools
+import io
 import math
 
 import pytest
 
-from greenwell import model, oracle, spectrum
+from greenwell import cli, model, oracle, spectrum
 from greenwell.model import DELTA_DECORATED, HO, LINEAR_ABS, default_family
 from greenwell.oracle import (
     GridSpec,
@@ -353,3 +355,82 @@ def test_lowest_eigenvalue_past_2_19_closes_on_adjacent_floats(fam, n, window, m
     # the count changes between e and one of its neighbours
     assert ((eigenvalue_count_below(op, down), eigenvalue_count_below(op, e)) == (0, 1)
             or (eigenvalue_count_below(op, e), eigenvalue_count_below(op, up)) == (0, 1))
+
+
+# ----------------------------------------------------------------------
+# the count's stop past the last row whose pivot can turn negative
+# ----------------------------------------------------------------------
+
+
+@functools.cache
+def _verify_operators():
+    """{well name: operator} of every operator `greenwell verify` builds
+    for the nine default wells."""
+    ops = {}
+    discretize = oracle.discretize
+
+    def keep(fam, grid, e_max=0.0):
+        op = ops[fam.name] = discretize(fam, grid, e_max)
+        return op
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "discretize", keep)
+        assert cli.main(["verify"], io.StringIO()) == cli.EXIT_OK
+    return ops
+
+
+def _bisected(op, k=5):
+    """(energy, cap) of every Sturm count lowest_eigenvalues(op, k) makes."""
+    counts = []
+    count = oracle.eigenvalue_count_below
+
+    def record(op, x, cap=None):
+        counts.append((x, cap))
+        return count(op, x, cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "eigenvalue_count_below", record)
+        lowest_eigenvalues(op, k)
+    return counts
+
+
+def _spiked_operator(strength):
+    return _verify_operator(default_family(DELTA_DECORATED, base=HO, delta_strength=strength),
+                            k=5, n=8000)
+
+
+# at x = 2 the first pivot is exactly 0, and every row past the first
+# block has diag - x = 8 > 2 |off| (1 + 1e-9): a count that stops after
+# a zero pivot
+ZERO_PIVOT = TridiagonalOperator((2.0,) + (10.0,) * 199, -1.0, GridSpec(1.0, 200))
+
+STOP_OPERATORS = {
+    **{fam.name: (lambda name=fam.name: _verify_operators()[name])
+       for fam in cli._default_families()},
+    "attractive spike": lambda: _spiked_operator(-2.5),
+    "repulsive spike": lambda: _spiked_operator(2.5),
+    "zero pivot": lambda: ZERO_PIVOT,
+}
+
+
+@pytest.mark.parametrize("name", STOP_OPERATORS)
+def test_sturm_stop_keeps_every_count(name):
+    op = STOP_OPERATORS[name]()
+    lo, hi = min(op.diag) - 2.0 * abs(op.off), max(op.diag) + 2.0 * abs(op.off)
+    # 200 energies across the Gershgorin range, 50 more across its lowest
+    # 1 %, where the stop saves the most rows, each with caps 1 and 3;
+    # then every energy the bisection of the lowest eigenvalues counts
+    # at, with its cap
+    xs = [(lo + (hi - lo) * i / 199, (1, 3)) for i in range(200)]
+    xs += [(lo + (hi - lo) * 0.01 * i / 49, (1, 3)) for i in range(50)]
+    xs += [(x, (cap,)) for x, cap in _bisected(op, 1 if op is ZERO_PIVOT else 5)]
+    xs += [(2.0, (1,))]
+    big = abs(op.off) * (1.0 + 1e-9)
+    floors = [min(op.diag[k:]) for k in range(0, op.n, oracle._FLOOR_ROWS)]
+    stopped = 0
+    for x, caps in xs:
+        full = _count_before_the_row_trim(op, x)
+        assert eigenvalue_count_below(op, x) == full, x
+        for cap in caps:
+            assert eigenvalue_count_below(op, x, cap) == min(full, cap), (x, cap)
+        stopped += any(m - x > 2.0 * big for m in floors)
+    # many of those counts stop before the last block
+    assert stopped >= 100

@@ -1,5 +1,6 @@
 """Characteristic functions, root scanning, sweeps, and their oracle checks."""
 
+import bisect
 import dataclasses
 import math
 
@@ -1010,3 +1011,158 @@ def test_roots_that_do_not_pair_with_the_counted_fd_levels_are_rejected():
         assert cert.agrees_with_each(fewer)
     shifted = [dataclasses.replace(r, value=r.value + 0.05) for r in roots]
     assert not cert.agrees_with_each(shifted)
+
+
+# ----------------------------------------------------------------------
+# the lean walk of the plain cells against the point-by-point walk
+# ----------------------------------------------------------------------
+
+
+def _walked_point_by_point(chi, lat, cert=None, limit=None):
+    """spectrum._walked as it read before its plain cells got a loop of
+    their own (_scan): the factors' values at each point as one list,
+    the point from _Lattice.point, and the limit and counted-part tests
+    at every point.  Verbatim."""
+    fns = [fn for _, fn in chi.factors]
+    factors = range(len(fns))
+    known = [{} for _ in fns]  # lattice index -> value in the counted part, per factor
+
+    def at(x, fns=fns):
+        """The values of `fns` at x, in factor order."""
+        fs = []
+        for fn in fns:
+            f = fn(x)
+            if not math.isfinite(f):
+                raise ArithmeticError(f"characteristic function not finite at {x}")
+            fs.append(f)
+        return fs
+
+    def value(j, i):
+        f = known[j].get(i)
+        if f is None:
+            f = known[j][i] = at(lat.point(i), fns[j:j + 1])[0]
+        return f
+
+    def changes(j, a, b):
+        return (value(j, a) < 0.0) != (value(j, b) < 0.0)
+
+    i_lo, i_hi, count = (cert.i_lo, cert.i_hi, cert.count) if cert else (None, None, 0)
+    found = []  # (value, bracket, residual, parity), cell by cell in factor order
+    i, x_prev = lat.start, lat.point(lat.start)
+    f_prevs = at(x_prev)
+    while i < lat.n_steps and (limit is None or len(found) < limit):
+        if i == i_lo:  # the counted part, in coarse cells
+            for values, f in zip(known, f_prevs):
+                values[i] = f
+            stride = max(1, (i_hi - i_lo) // (2 * count + 2))
+            cells = []  # (index of the cell's upper end, factor)
+            for a in range(i_lo, i_hi, stride):
+                b = min(a + stride, i_hi)
+                for j in [j for j in factors if changes(j, a, b)]:
+                    # a lattice cell (c - 1, c] of (a, b] where the factor changes sign
+                    cells.append((bisect.bisect_left(range(b + 1), True, a + 1,
+                                                     key=lambda i: changes(j, a, i)), j))
+            if len(cells) != count or any(0.0 in values.values() for values in known):
+                return None
+            found += [sp._cell_root(chi.factors[j], lat.point(c - 1), lat.point(c),
+                                    known[j][c - 1], known[j][c]) for c, j in sorted(cells)]
+            i, x_prev = i_hi, lat.point(i_hi)
+            f_prevs = [values[i] for values in known]
+            continue
+        i += 1
+        x = lat.point(i)
+        fs = at(x)
+        for j, f in enumerate(fs):
+            if f == 0.0:
+                found.append((x, (x - 0.5 * sp._BRACKET_WIDTH, x + 0.5 * sp._BRACKET_WIDTH), 0.0,
+                              chi.factors[j][0]))
+            elif f_prevs[j] != 0.0 and (f_prevs[j] < 0.0) != (f < 0.0):
+                found.append(sp._cell_root(chi.factors[j], x_prev, x, f_prevs[j], f))
+        x_prev, f_prevs = x, fs
+    found.sort(key=lambda t: t[0])  # stable, so ties keep factor order
+    return sp.SpectrumResult([sp.Root(n, *t) for n, t in enumerate(found[:limit])])
+
+
+def _each_walk(monkeypatch, calls, scan):
+    """[(outcome, factor calls)] of scan() with spectrum's walk, then with
+    _walked_point_by_point: the outcome is the roots' _bits, or the text
+    of the ArithmeticError raised; `calls` is the list a _counted chi
+    records its calls in."""
+    lean = sp._walked
+    out = []
+    for walk in (lean, _walked_point_by_point):
+        monkeypatch.setattr(sp, "_walked", walk)
+        calls.clear()
+        try:
+            outcome = _bits(scan().roots)
+        except ArithmeticError as exc:
+            outcome = str(exc)
+        out.append((outcome, list(calls)))
+    monkeypatch.setattr(sp, "_walked", lean)
+    return out
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.tag + (f".{f.base}" if f.base else ""))
+def test_lean_walk_gives_the_roots_and_calls_of_the_point_by_point_walk(fam, monkeypatch):
+    # every family's default window, scanned (find_roots) and walked with
+    # its level count (checked_roots, as a sweep value): the same roots,
+    # bit for bit, from the same factor calls in the same order
+    chi, calls = _counted(sp.build_chi(fam))
+    lean, before = _each_walk(monkeypatch, calls, lambda: sp.find_roots(chi))
+    assert lean == before and lean[0]
+    monkeypatch.setattr(sp, "build_chi", lambda family: chi)
+    lean, before = _each_walk(monkeypatch, calls,
+                              lambda: sp.checked_roots(fam, None, sp._STEP, "here", walk=True))
+    assert lean == before and lean[0]
+
+
+def _lattice_root_then_sign_change(x):
+    # 0 at x = 1, on the lattice of step 1/64, then negative up to the
+    # root 1 + 1.5/64 inside the next cell but one
+    return (x - 1.0) * (x - 1.0 - 1.5 / 64)
+
+
+def _nan_from_1(x):
+    return math.nan if x >= 1.0 else x - 0.5
+
+
+# (factors, window, floor): built factors whose zeros, sign changes and
+# values hit each branch of the walk
+WALK_CASES = {
+    "zero on the lattice": (((None, lambda x: x - 1.0),), (0.0, 3.0), -math.inf),
+    "zero then a sign change": (((None, _lattice_root_then_sign_change),), (0.0, 3.0),
+                                -math.inf),
+    # the second factor's root lies below the first's, in the same cell
+    "two roots in one cell": ((("even", lambda x: x - 0.51), ("odd", lambda x: 0.505 - x)),
+                              (0.0, 3.0), -math.inf),
+    # values near 1e-200, whose products with their neighbours underflow to 0
+    "underflowing products": ((("even", lambda x: 1e-200 * (x - 1.3)),
+                               ("odd", lambda x: 1e-200 * (x + 1.0))), (0.0, 3.0), -math.inf),
+    "many sign changes": ((("even", lambda x: math.sin(8.0 * x)),
+                           ("odd", lambda x: math.cos(8.0 * x))), (0.0, 3.0), -math.inf),
+    "floor start": (((None, lambda x: math.sin(5.0 * x)),), (0.0, 3.0), 1.3),
+    "nan in the first of two factors": ((("even", _nan_from_1), ("odd", lambda x: 0.7 - x)),
+                                        (0.0, 3.0), -math.inf),
+    "nan at the start": ((("even", lambda x: math.nan if x <= 0.0 else x),
+                          ("odd", lambda x: 1.0)), (0.0, 3.0), -math.inf),
+}
+
+
+@pytest.mark.parametrize("case", WALK_CASES)
+def test_lean_walk_takes_each_branch_as_the_point_by_point_walk(case, monkeypatch):
+    factors, window, floor = WALK_CASES[case]
+    chi, calls = _counted(sp.CharacteristicFunction(window, factors, floor))
+    for limit in (None, 1, 2, 5):
+        lean, before = _each_walk(monkeypatch, calls,
+                                  lambda: sp.find_roots(chi, step=1 / 64, limit=limit))
+        assert lean == before, limit
+    outcome, seen = lean
+    if case.startswith("nan"):
+        # raised at the first factor's value, before the second's call there
+        x = 0.0 if case == "nan at the start" else 1.0
+        assert outcome == f"characteristic function not finite at {x}"
+        assert seen[-1] == ("even", x)
+    elif case == "floor start":
+        assert min(x for _, x in seen) == 1.296875  # the last lattice point below 1.3
+    else:
+        assert outcome

@@ -5,6 +5,8 @@ the standard-library-only contract of the program and its tools."""
 import ast
 import hashlib
 import json
+import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
+import ab  # noqa: E402
 import drift  # noqa: E402
 import pinned  # noqa: E402
 import request_hashes  # noqa: E402
@@ -182,6 +185,41 @@ def test_pinned_group_follows_the_workloads(one_round, monkeypatch, capsys):
     assert {line.split(" ")[0] for line in lines[:-2]} == {"green_grid"}
     assert [line.split(" ")[2] for line in lines[-2:]] == [
         "pin.00.levels.README-HO", "pin.01.levels.README-DEC_HO"]
+
+
+def test_ab_compares_one_round_of_a_checkout_with_itself(one_round, capsys):
+    # round 0 of spectrum_mix, one run per side: every request kind gets a
+    # ratio, and both workers are gone when it returns
+    started = []
+    enter = ab.Workers.__enter__
+
+    def keep(self):
+        started.append(self)
+        return enter(self)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ab.Workers, "__enter__", keep)
+        assert ab.main([str(ROOT), str(ROOT), "spectrum_mix", "--reps", "1"]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].split() == ["kind", "n", "parent_ms", "change_ms", "ratio"]
+    rows = {line.split()[0]: line.split()[1:] for line in table[1:]}
+    assert list(rows) == ["levels", "sweep", "table1", "total"]
+    assert [int(rows[k][0]) for k in rows] == [9, 6, 1, 16]
+    assert all(float(rows[k][3]) > 0.0 for k in rows)
+    (workers,) = started
+    assert not any(proc.is_alive() for proc in workers.procs)
+
+
+def test_ab_names_the_first_request_whose_output_differs(tmp_path):
+    # a checkout whose scan step differs: the levels bytes change
+    for d in ("src", "perfbench"):
+        shutil.copytree(ROOT / d, tmp_path / d, ignore=shutil.ignore_patterns("__pycache__", "out"))
+    path = tmp_path / "src" / "greenwell" / "spectrum.py"
+    path.write_text(path.read_text().replace("_STEP = 0.005\n", "_STEP = 0.0051\n"))
+    with ab.Workers(ROOT, tmp_path, "spectrum_mix", 11) as workers:
+        levels = [req for req in workers.requests([0]) if req["kind"] == "levels"]
+        with pytest.raises(ValueError, match=f"^{re.escape(levels[0]['rid'])}: parent gave"):
+            workers.measure(levels[:2], 1)
+    assert not any(proc.is_alive() for proc in workers.procs)
 
 
 # the repository's own top-level modules: the package, the tools, and the
