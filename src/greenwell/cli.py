@@ -272,7 +272,7 @@ def cmd_green_grid(cfg):
     xmin, xmax, n = cfg.grid
     n = int(n)
     _bounded("green-grid rows", n if cfg.xp is not None else float(n) * n, MAX_GRID_ROWS)
-    closed_form, args = resolvent._closed_form(fam)
+    closed_form = resolvent._closed_form(fam)
     energy = cfg.energy
     xs = [xmin + (xmax - xmin) * i / (n - 1) for i in range(n)]
     # each grid abscissa is formatted once, by position, for all the rows
@@ -283,10 +283,10 @@ def cmd_green_grid(cfg):
     if cfg.xp is None:
         x_cells = [cell for cell in cells for _ in cells]
         xp_cells = cells * n
-        values = [closed_form(x, xp, energy, *args).value for x in xs for xp in xs]
+        values = [closed_form(x, xp, energy).value for x in xs for xp in xs]
     else:
         x_cells, xp_cells = cells, [cfg.xp] * n
-        values = [closed_form(x, cfg.xp, energy, *args).value for x in xs]
+        values = [closed_form(x, cfg.xp, energy).value for x in xs]
     return EXIT_OK, _columns_table(cfg, ("x", "xp", "value"), (x_cells, xp_cells, values))
 
 

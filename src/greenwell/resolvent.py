@@ -421,12 +421,16 @@ class _Mirror(dict):
     """A Green build's mirror pair of branch `br`, whose scale is k: u by
     x, the branch for x >= 0 and its continuation for x < 0, and
     v(x) = u(-x).  W = -2 k u0 u1 from the branch's value and slope at 0,
-    so G = -(2m/hbar^2) u v / (2 k u0 u1).  NearPoleError when u0 u1 is
-    within the exclusion radius; the smaller factor names the parity."""
+    so G = -(2m/hbar^2) u v / (2 k u0 u1).  NearPoleError when
+    |u0 u1| < 1e-10 (u0^2 + u1^2), when the smaller factor, which names
+    the parity, is below 1e-10 of the larger.  The test is relative
+    because the factors' scale falls by orders of magnitude from level
+    to level and below the spectrum; the exclusion half-width is 1.6e-11
+    to 2.3e-10 in rho or eps at each of the first 8 levels of both wells."""
 
     def __init__(self, br, k, units):
         u0, u1 = br.value0, br.slope0
-        if abs(u0 * u1) < _MIRROR_POLE_RADIUS:
+        if abs(u0 * u1) < _MIRROR_POLE_RADIUS * (u0 * u0 + u1 * u1):
             parity = "odd" if abs(u0) < abs(u1) else "even"
             raise NearPoleError(
                 f"energy within the exclusion radius of a pole ({parity} state)", parity=parity)
@@ -512,23 +516,24 @@ def green_decorated(x, xp, energy, base_family, scales) -> GreenEval:
 
 
 def _closed_form(family):
-    """(fn, args) with G(x, x'; E) = fn(x, x', E, *args) for a
-    model.PotentialFamily: green_decorated with (base, scales) for a
-    decorated well, its _BASE_GREEN entry with (scales,) otherwise.
+    """G(x, x', E) -> GreenEval of a model.PotentialFamily, one plain call:
+    green_decorated with the family's base and scales for a decorated
+    well, its _BASE_GREEN entry with its scales otherwise.
 
     Raises model.FamilyError for a family without one (HO_ASYM,
     LINEAR_ASYM, HALF_HO_HALF_LINEAR).
     """
+    scales = family.scales
     if family.tag == DELTA_DECORATED:
-        return green_decorated, (family.base, family.scales)
+        base = family.base
+        return lambda x, xp, energy: green_decorated(x, xp, energy, base, scales)
     closed_form = _BASE_GREEN.get(family.tag)
     if closed_form is None:
         raise FamilyError(f"no closed-form Green function for family {family.tag!r}")
-    return closed_form, (family.scales,)
+    return lambda x, xp, energy: closed_form(x, xp, energy, scales)
 
 
 def green(x, xp, energy, family) -> GreenEval:
     """G(x, x'; E) of a model.PotentialFamily by its closed form
     (_closed_form; model.FamilyError for a family without one)."""
-    closed_form, args = _closed_form(family)
-    return closed_form(x, xp, energy, *args)
+    return _closed_form(family)(x, xp, energy)

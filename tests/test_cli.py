@@ -56,9 +56,7 @@ _CHECKED = set()
 @pytest.fixture
 def config(tmp_path):
     """The config file that "CFG" stands for in a pinned argv."""
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(pinned.CONFIG))
-    return path
+    return pinned.write_config(tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -107,9 +105,9 @@ def test_family_json_inline():
 
 
 # every well's default window: each level once, in increasing order
-@pytest.mark.parametrize("family,sha", [(label, sha) for label, argv, _, sha in pinned.PINNED
-                                        if argv == ["levels", "--family", label]])
-def test_levels_bytes_pinned(family, sha):
+@pytest.mark.parametrize("family", [label for label, argv, _, _ in pinned.PINNED
+                                    if argv == ["levels", "--family", label]])
+def test_levels_bytes_pinned(family):
     out = run_pinned(family)
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [int(row[0]) for row in rows] == list(range(len(rows))) and rows
@@ -289,17 +287,11 @@ def _grid_formats(label):
     return csv, js
 
 
-def _grid_9_id(label):
-    """The test id of a -2:2:9 grid pair: family, energy, then both pins."""
-    (argv, _, csv_sha), (_, _, json_sha) = _row(f"{label}-csv"), _row(f"{label}-json")
-    return "-".join([argv[2], argv[4], csv_sha, json_sha])
-
-
 # -2:2:9 holds x = 0 and q = +-0.5
 GRID_9 = ["HO", "HO_STARK", "LINEAR_ABS", "HO_PLUS_ABS", "DEC_HO", "DEC_LINEAR_ABS"]
 
 
-@pytest.mark.parametrize("label", GRID_9, ids=map(_grid_9_id, GRID_9))
+@pytest.mark.parametrize("label", GRID_9)
 def test_green_grid_bytes_pinned(label):
     _grid_formats(label)
 
@@ -365,12 +357,15 @@ def test_green_grid_values_are_those_of_green(monkeypatch, family, energy):
     assert [v.hex() for v in values] == want
 
 
-def test_closed_form_is_the_dispatch_of_green():
-    for tag, fn in resolvent._BASE_GREEN.items():
+def test_closed_form_is_the_dispatch_of_green(monkeypatch):
+    # one plain call of the family's _BASE_GREEN entry or of green_decorated
+    for tag in resolvent._BASE_GREEN:
+        monkeypatch.setitem(resolvent._BASE_GREEN, tag, lambda *args: args)
         fam = model.default_family(tag)
-        assert resolvent._closed_form(fam) == (fn, (fam.scales,))
+        assert resolvent._closed_form(fam)(0.3, -0.7, 2.0) == (0.3, -0.7, 2.0, fam.scales)
+    monkeypatch.setattr(resolvent, "green_decorated", lambda *args: args)
     fam = model.default_family(model.DELTA_DECORATED, base=model.HO)
-    assert resolvent._closed_form(fam) == (resolvent.green_decorated, (model.HO, fam.scales))
+    assert resolvent._closed_form(fam)(0.3, -0.7, 2.0) == (0.3, -0.7, 2.0, model.HO, fam.scales)
     for tag in (model.HO_ASYM, model.LINEAR_ASYM, model.HALF_HO_HALF_LINEAR):
         with pytest.raises(model.FamilyError, match="no closed-form Green function"):
             resolvent._closed_form(model.default_family(tag))

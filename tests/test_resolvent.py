@@ -10,7 +10,7 @@ import math
 import pytest
 
 from conftest import fd_green_probe, rel_err
-from greenwell import model, resolvent as rv, specfun as sf
+from greenwell import model, resolvent as rv, specfun as sf, spectrum
 from greenwell.model import (
     DELTA_DECORATED,
     HO,
@@ -171,6 +171,53 @@ def test_pole_raises_on_every_call_inside_a_memo_scope(green, fam, pole, regular
             green(x, xp, pole, fam.scales)
         assert getattr(exc.value, attr) == expected
     assert green(0.3, -0.8, regular, fam.scales).value.hex() == cold
+
+
+def _pole_parity(fam, natural):
+    """The parity NearPoleError names at natural energy `natural` (eps
+    or rho), or None where the mirror well's Green function has a value."""
+    try:
+        rv.green(0.1, 0.4, fam.energy(natural), fam)
+    except NearPoleError as exc:
+        return exc.parity
+    return None
+
+
+def _lowest_levels(fam, k):
+    return spectrum.find_roots(spectrum.build_chi(fam), window=(1e-6, 20.0), limit=k).roots
+
+
+@pytest.mark.parametrize("fam", [LIN_FAM, HOABS_FAM], ids=[LINEAR_ABS, HO_PLUS_ABS])
+def test_mirror_pole_check_names_the_parity_at_each_of_the_first_12_levels(fam):
+    # the parity factors fall by orders of magnitude from level to level:
+    # an absolute test on u0 u1 let HO+|x| levels 5 to 11 through
+    roots = _lowest_levels(fam, 12)
+    assert [root.index for root in roots] == list(range(12))
+    for root in roots:
+        # the root and both ends of its 2.5e-13 bracket
+        assert {_pole_parity(fam, e) for e in (root.value, *root.bracket)} == {root.parity}
+
+
+@pytest.mark.parametrize("fam", [LIN_FAM, HOABS_FAM], ids=[LINEAR_ABS, HO_PLUS_ABS])
+def test_mirror_pole_exclusion_half_width(fam):
+    # 1.6e-11 to 2.3e-10 in eps or rho on each side of each of the first 8 levels
+    for root in _lowest_levels(fam, 8):
+        for sign in (-1.0, 1.0):
+            assert _pole_parity(fam, root.value + sign * 1.5e-11) == root.parity
+            assert _pole_parity(fam, root.value + sign * 2.5e-10) is None
+
+
+# below the spectrum both parity factors are far from zero, but small:
+# an absolute test on u0 u1 called each of these energies a pole
+@pytest.mark.parametrize("fam,energy", [
+    (LIN_FAM, -8.0), (LIN_FAM, -12.0), (default_family(DELTA_DECORATED, base=LINEAR_ABS), -8.0),
+    (HOABS_FAM, -12.0), (HOABS_FAM, -20.0)],
+    ids=["LINEAR_ABS-8", "LINEAR_ABS-12", "DEC_LINEAR_ABS-8", "HO_PLUS_ABS-12", "HO_PLUS_ABS-20"])
+def test_mirror_wells_below_the_spectrum_match_richardson_fd_columns(fam, energy):
+    coarse, fine = (fd_green_probe(fam, energy, 0.3, (-1.0, 0.0, 1.0), n, 8.0, energy)
+                    for n in (1599, 3199))  # h = 0.01 and 0.005
+    for (x, x_src, g_h), (_, _, g_half) in zip(coarse, fine):
+        assert rel_err(rv.green(x, x_src, energy, fam).value, (4.0 * g_half - g_h) / 3.0) < 1e-7
 
 
 def test_airy_solutions_have_no_pole_check():

@@ -4,9 +4,9 @@ the standard-library-only contract of the program and its tools."""
 
 import ast
 import hashlib
-import json
 import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -187,6 +187,38 @@ def test_pinned_group_follows_the_workloads(one_round, monkeypatch, capsys):
         "pin.00.levels.README-HO", "pin.01.levels.README-DEC_HO"]
 
 
+def test_every_pinned_request_has_its_own_id():
+    ids = pinned.request_ids()
+    assert len(set(ids)) == len(ids) == len(pinned.PINNED)
+
+
+def test_no_test_id_carries_a_pinned_sha256():
+    # a re-pin edits one row's sha256 and renames no test
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "--collect-only",
+                           "-p", "no:cacheprovider", str(ROOT)],
+                          capture_output=True, text=True, cwd=ROOT)
+    ids = [line for line in done.stdout.splitlines() if "::" in line]
+    assert len(ids) > 1000, done.stdout[-2000:]
+    shas = {sha for _, _, _, sha in pinned.PINNED}
+    assert [i for i in ids if any(sha in i for sha in shas)] == []
+
+
+def test_ab_and_request_hashes_hash_a_request_through_one_request_bytes(one_round, capsys):
+    # one definition, in a module that imports the standard library only
+    defs = [path.name for path in (ROOT / "tools").glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef) and node.name == "request_bytes"]
+    assert defs == ["pinned.py"]
+    source = (ROOT / "tools" / "pinned.py").read_text(encoding="utf-8")
+    assert all(n.split(".")[0] in sys.stdlib_module_names for n in imported_modules(source))
+    assert request_hashes.main(["11", "--workload", "green_grid"]) == 0
+    _, _, rid, digest = capsys.readouterr().out.splitlines()[0].split(" ")
+    with ab.Workers(ROOT, ROOT, "green_grid", 11) as workers:
+        (req,) = [req for req in workers.requests([0]) if req["rid"] == rid]
+        _, code, ab_digest = workers.ask(0, ("run", req))
+    assert (code, ab_digest) == (0, digest)
+
+
 def test_ab_compares_one_round_of_a_checkout_with_itself(one_round, capsys):
     # round 0 of spectrum_mix, one run per side: every request kind gets a
     # ratio, and both workers are gone when it returns
@@ -228,16 +260,22 @@ OWN_MODULES = {"greenwell"} | {p.stem for d in ("tools", "perfbench")
                                for p in (ROOT / d).glob("*.py")}
 
 
-def outside_imports(source):
-    """Top-level names of the modules `source` imports that are neither
-    in the standard library nor the repository's own."""
+def imported_modules(source):
+    """The names of the modules `source` imports by absolute name."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module)
-    return [n for n in names if n.split(".")[0] not in sys.stdlib_module_names | OWN_MODULES]
+    return names
+
+
+def outside_imports(source):
+    """Top-level names of the modules `source` imports that are neither
+    in the standard library nor the repository's own."""
+    return [n for n in imported_modules(source)
+            if n.split(".")[0] not in sys.stdlib_module_names | OWN_MODULES]
 
 
 def test_outside_imports_finds_third_party_modules():

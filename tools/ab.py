@@ -13,9 +13,9 @@ run those same requests, one request at a time, alternately: K runs on
 each side, the side that goes first flipped from one request to the
 next.  A worker times each run of a request (one `run.call`, the
 benchmark's own entry) and keeps the minimum of its K runs.  Both sides
-must give the same exit code and the same output sha256 (the bytes
-`tools/request_hashes.py` hashes); the first request where they do not
-is named on stderr, and the tool exits 1.
+must give the same exit code and the same output sha256, of the bytes
+`pinned.request_bytes` forms and `tools/request_hashes.py` hashes; the
+first request where they do not is named on stderr, and the tool exits 1.
 
 It prints, per request kind and in total, the number of requests, the
 sum of each side's minima in ms and their ratio, change / parent.  Both
@@ -37,13 +37,7 @@ import sys
 import time
 from pathlib import Path
 
-
-def _digest(code, output):
-    """The sha256 of an exit code and a CLI text or an FD column, of the
-    bytes tools/request_hashes.py hashes."""
-    if not isinstance(output, str):
-        output = "\n".join(float(v).hex() for v in output)
-    return hashlib.sha256(f"{code}\n{output}".encode()).hexdigest()
+import pinned  # stdlib-only, so imported before a worker moves its path
 
 
 def _serve(checkout, workload, seed, conn):
@@ -67,7 +61,8 @@ def _serve(checkout, workload, seed, conn):
             req = workloads.Request(**arg)
             t0 = time.perf_counter()
             code, output = run.call(gw, req)
-            conn.send((time.perf_counter() - t0, code, _digest(code, output)))
+            conn.send((time.perf_counter() - t0, code,
+                       hashlib.sha256(pinned.request_bytes(code, output)).hexdigest()))
 
 
 class Workers:

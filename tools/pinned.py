@@ -13,9 +13,9 @@ console script), compares exit code and stdout sha256 with the row's,
 prints one line per mismatch and exits 1 if there is one.
 
 A request that exits with a code other than 0 prints nothing, so its
-row pins EMPTY.  "CFG" in an argv stands for a file that holds CONFIG.
-To change pinned bytes on purpose, edit the row, and cite the
-`tools/drift.py` report of the change (see README, "Install and test").
+row pins EMPTY.  "CFG" in an argv stands for the file write_config
+writes.  To re-pin, edit the row (no test id carries its sha256) and
+cite the `tools/drift.py` report of the change (see README, "Install and test").
 """
 
 from __future__ import annotations
@@ -271,12 +271,26 @@ def with_config(argv, config_path):
     return [str(config_path) if a == "CFG" else a for a in argv]
 
 
+def write_config(folder):
+    """Write CONFIG to `folder`/run.json, the file "CFG" stands for; returns its path."""
+    path = Path(folder) / "run.json"
+    path.write_text(json.dumps(CONFIG))
+    return path
+
+
+def request_bytes(code, output):
+    """An exit code and a CLI text or an FD column, as the bytes that
+    tools/request_hashes.py and tools/ab.py hash."""
+    if not isinstance(output, str):
+        output = "\n".join(float(v).hex() for v in output)
+    return f"{code}\n{output}".encode()
+
+
 def main(argv=None):
     command = (sys.argv[1:] if argv is None else argv) or ["greenwell"]
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "run.json"
-        config.write_text(json.dumps(CONFIG))
+        config = write_config(tmp)
         for rid, (_, args, code, sha) in zip(request_ids(), PINNED):
             done = subprocess.run([*command, *with_config(args, config)],
                                   capture_output=True, timeout=120)

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -63,13 +62,6 @@ def pinned_requests(config_path):
             for rid, (_, argv, _, _) in zip(pinned.request_ids(), pinned.PINNED)]
 
 
-def request_bytes(code, output):
-    """An exit code and a CLI text or an FD column, as the bytes hashed."""
-    if not isinstance(output, str):
-        output = "\n".join(float(v).hex() for v in output)
-    return f"{code}\n{output}".encode()
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seeds", nargs="+", type=int, metavar="SEED")
@@ -88,7 +80,7 @@ def main(argv=None):
     gw = run.load_program()
 
     def report(workload, seed, req):
-        data = request_bytes(*run.call(gw, req))
+        data = pinned.request_bytes(*run.call(gw, req))
         print(workload, seed, req.rid, hashlib.sha256(data).hexdigest(), flush=True)
         if args.dump is not None:
             path = args.dump / workload / seed / req.rid
@@ -104,9 +96,7 @@ def main(argv=None):
                     report(workload, str(seed), req)
     if PINNED in chosen:
         with tempfile.TemporaryDirectory() as tmp:
-            config = Path(tmp) / "run.json"
-            config.write_text(json.dumps(pinned.CONFIG))
-            for req in pinned_requests(config):
+            for req in pinned_requests(pinned.write_config(tmp)):
                 report(PINNED, "-", req)
     return 0
 
