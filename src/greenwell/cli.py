@@ -337,8 +337,7 @@ def verify_family(fam, k, n_points):
         raise ArithmeticError(
             f"only {len(closed)} closed-form roots in window for {fam.name}")
     e_top = fam.energy(closed[-1])
-    grid = oracle.auto_grid(fam, e_max=e_top, n_points=n_points)
-    op = oracle.discretize(fam, grid, e_max=e_top)
+    op = oracle.operator_for(fam, e_top, n_points)
     orc = [fam.natural_energy(e) for e in oracle.lowest_eigenvalues(op, k)]
     return closed, orc, max(abs(c - o) for c, o in zip(closed, orc))
 

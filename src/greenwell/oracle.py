@@ -8,10 +8,10 @@ checks); fixed-energy resolvent columns come from a direct tridiagonal
 solve of (H - E) g = delta_h.
 
 _bisect is the package's one float halving, for these eigenvalues, the
-walls and spectrum's roots alike, and auto_grid the one rule for the
-walls: verify's box and spectrum's level-count certificate both take
-it.  Both live here because spectrum imports this module, which
-imports none of the closed forms.
+walls and spectrum's roots alike, and operator_for the one box and
+operator: verify and spectrum's level-count certificate both take it.
+Both live here because spectrum imports this module, which imports
+none of the closed forms.
 
 Delta terms are represented as a/h added to the diagonal at the node
 nearest q.  That is the simplest O(h)-consistent scheme; tolerances of
@@ -36,6 +36,7 @@ __all__ = [
     "NearEigenvalueError",
     "discretize",
     "auto_grid",
+    "operator_for",
     "lowest_eigenvalues",
     "eigenvalue_count_below",
     "resolvent_solve",
@@ -68,6 +69,9 @@ class GridSpec:
     def node(self, i):
         return -self.half_width + (i + 1) * self.h
 
+    def nearest_index(self, x):  # outside 0..n_points-1 for x outside the grid
+        return int(round((x + self.half_width) / self.h)) - 1
+
 
 # rows per block of TridiagonalOperator._floors: the minimum of every
 # suffix would cost more to build (about 190 us at 1,500 rows) than the
@@ -92,8 +96,7 @@ class TridiagonalOperator:
         return self.grid.node(i)
 
     def nearest_index(self, x):
-        i = int(round((x + self.grid.half_width) / self.grid.h)) - 1
-        return min(max(i, 0), self.n - 1)
+        return min(max(self.grid.nearest_index(x), 0), self.n - 1)
 
     @cached_property
     def _floors(self):
@@ -104,14 +107,10 @@ class TridiagonalOperator:
 
 
 def auto_grid(family: PotentialFamily, e_max: float, n_points: int) -> GridSpec:
-    """The package's one FD box: walls at the first float L where V(+-L)
-    reaches 10 natural energy units above top = max(e_max, V(bottom)),
-    or top + 10 energy units where that lies higher, so discretize's
-    check V(+-L) >= e_max + 10 always holds.  The box scales with the
-    well: it is the same in natural units at any scale with the same
-    dimensionless parameters.  The search doubles L from the well bottom,
-    |family.bottom|, and _bisect halves the last doubling to adjacent
-    floats.  WallError when no finite L reaches that level."""
+    """The grid of operator_for's box (see there for the rule).  The
+    search doubles L from the well bottom, |family.bottom|, and _bisect
+    halves the last doubling to adjacent floats.  WallError when no
+    finite L reaches the rule's level."""
     v = family.potential
     target = max(e_max, v(family.bottom)) + max(family.energy(10.0), 10.0)
 
@@ -150,11 +149,23 @@ def discretize(family: PotentialFamily, grid: GridSpec, e_max: float = 0.0) -> T
     diag = [c + v(-L + (i + 1) * h) for i in range(n)]
     if family.tag == DELTA_DECORATED:
         q = s.delta_position
-        i_q = int(round((q + L) / h)) - 1
+        i_q = grid.nearest_index(q)
         if not (0 <= i_q < n):
             raise WallError(f"delta position {q} outside the grid")
         diag[i_q] += s.delta_strength / h
     return TridiagonalOperator(tuple(diag), -0.5 * c, grid)
+
+
+def operator_for(family: PotentialFamily, e_max: float, n_points: int) -> TridiagonalOperator:
+    """The package's one FD box and operator, for eigenvalues up to e_max
+    (energy units) on n_points interior points.  The walls sit at the
+    first float L where V(+-L) reaches 10 natural energy units above
+    max(e_max, V(bottom)), or 10 energy units where the energy unit is
+    below 1 (discretize's check V(+-L) >= e_max + 10); otherwise the box
+    is the same in natural units at any scale with the same
+    dimensionless parameters.  WallError where no finite L reaches that
+    level, or where a decorated well's delta lies outside the box."""
+    return discretize(family, auto_grid(family, e_max, n_points), e_max=e_max)
 
 
 def eigenvalue_count_below(op: TridiagonalOperator, x: float, cap: int | None = None) -> int:

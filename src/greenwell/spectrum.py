@@ -418,8 +418,8 @@ class SweepResult:
     breaks: list        # parameter values where the in-window root count changed
 
 
-# The level-count certificate: an FD operator of _CERT_POINTS points in
-# oracle.auto_grid's box, and a margin of _CERT_MARGIN natural units
+# The level-count certificate: oracle.operator_for's FD operator of
+# _CERT_POINTS points, and a margin of _CERT_MARGIN natural units
 # around each window edge.  tests/test_spectrum.py checks that every FD
 # level of each sweep family lies within _CERT_MARGIN / 5 of its
 # closed-form level on this grid, at the default and the benchmark
@@ -430,13 +430,10 @@ _CERT_MARGIN = 0.1
 _CERT_TRIES = 4
 
 
-def _cert_operator(family, top):
-    """The certificate's FD operator for levels up to `top` (natural
-    units), in oracle.auto_grid's box: the same grid for every choice of
-    scales with the same dimensionless parameters, unless the energy
-    unit is below 1."""
-    e_max = family.energy(top)
-    return oracle.discretize(family, oracle.auto_grid(family, e_max, _CERT_POINTS), e_max=e_max)
+def _fd_counts(op, energy, x, tol=_CERT_MARGIN / 5):
+    """(FD levels below x - tol, below x + tol) in natural units, `energy`
+    the map to E; tol defaults to the FD error the tests bound."""
+    return tuple(oracle.eigenvalue_count_below(op, energy(x + d)) for d in (-tol, tol))
 
 
 class _LevelCount:
@@ -459,24 +456,19 @@ class _LevelCount:
         """The count for `family` on lattice `lat`, or None when no end is
         clear of FD levels or the FD grid cannot be built."""
         try:
-            op = _cert_operator(family, lat.hi + _CERT_MARGIN)
+            op = oracle.operator_for(family, family.energy(lat.hi + _CERT_MARGIN), _CERT_POINTS)
         except (oracle.WallError, OverflowError):  # no finite walls, or V overflows
             return None
-
-        def below(i):  # FD levels below point i, or None when one lies within the margin
-            low, high = (oracle.eigenvalue_count_below(op, family.energy(lat.point(i) + d))
-                         for d in (-_CERT_MARGIN, _CERT_MARGIN))
-            return low if low == high else None
-
         stride = max(1, round(_CERT_MARGIN / lat.step))
         ends = []
         for edge, inward in ((lat.start, stride), (lat.n_steps, -stride)):
             for k in range(_CERT_TRIES):
                 i = edge + k * inward
-                n = below(i) if lat.start <= i <= lat.n_steps else None
-                if n is not None:
-                    ends.append((i, n))
-                    break
+                if lat.start <= i <= lat.n_steps:
+                    low, high = _fd_counts(op, family.energy, lat.point(i), _CERT_MARGIN)
+                    if low == high:  # no FD level within the margin of point i
+                        ends.append((i, low))
+                        break
             else:
                 return None
         (i_lo, n_lo), (i_hi, n_hi) = ends
@@ -489,13 +481,6 @@ class _LevelCount:
         x_lo, x_hi = lat.point(self.i_lo), lat.point(self.i_hi)
         return [r for r in roots if x_lo < r.value <= x_hi]
 
-    def _near(self, e):
-        """(FD levels below e - tol, below e + tol), tol = _CERT_MARGIN / 5:
-        the FD error the tests bound."""
-        tol = _CERT_MARGIN / 5
-        return tuple(oracle.eigenvalue_count_below(self.op, self.energy(e + d))
-                     for d in (-tol, tol))
-
     def agrees_at_ends(self, lat, roots):
         """Whether the lowest and the highest root of the counted part lie
         within the tested FD error of the first and the last FD level
@@ -503,16 +488,16 @@ class _LevelCount:
         where a miscount would show first, so that outside the tested
         families, scales and windows a count is not trusted blindly."""
         inner = self.inner(lat, roots)
-        first = self.below_lo
-        return not inner or (self._near(inner[0].value) == (first, first + 1)
-                             and self._near(inner[-1].value) == (first + self.count - 1,
-                                                                 first + self.count))
+        first, last = self.below_lo + 1, self.below_lo + self.count
+        return not inner or all(_fd_counts(self.op, self.energy, r.value) == (n - 1, n)
+                                for r, n in ((inner[0], first), (inner[-1], last)))
 
     def agrees_with_each(self, roots):
         """Whether every root lies within the tested FD error of some FD
         level: then a count that differs from the roots' does not come
         from an FD grid too coarse for its margin."""
-        return all(low < high for low, high in (self._near(r.value) for r in roots))
+        return all(low < high for low, high in
+                   (_fd_counts(self.op, self.energy, r.value) for r in roots))
 
 
 def _not_finite(x):

@@ -633,7 +633,7 @@ def test_verify_passes_every_well_at_other_hbar_and_mass(name):
 # delta wells whose ground state lies near the free-delta energy floor:
 # window-less levels, then verify --k 6 --n-oracle 1000.  The LINEAR_ABS
 # verify went from 3 (MISMATCH) to 0 when verify's walls came from
-# oracle.auto_grid's one rule
+# the one box rule, now oracle.operator_for's
 @pytest.mark.parametrize("label", ["floor-HO-p0", "floor-HO-q0.7", "floor-LINEAR_ABS"],
                          ids=["HO p=0", "HO q=0.7", "LINEAR_ABS"])
 def test_floor_wells_bytes_pinned(label):

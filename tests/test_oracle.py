@@ -165,6 +165,73 @@ def test_auto_grid_raises_where_no_finite_wall_reaches_the_rule():
         oracle.auto_grid(fam, e_max=fam.energy(3.0), n_points=500)
 
 
+@pytest.mark.parametrize("top", [6.1, 12.1])
+@pytest.mark.parametrize("n", [1500, 4000])
+def test_operator_for_is_discretize_on_auto_grid(n, top):
+    # the nine wells verify checks, at verify's and the certificate's
+    # grid sizes, field by field
+    for fam in cli._default_families():
+        e_max = fam.energy(top)
+        op = oracle.operator_for(fam, e_max, n)
+        want = discretize(fam, oracle.auto_grid(fam, e_max, n), e_max=e_max)
+        assert [d.hex() for d in op.diag] == [d.hex() for d in want.diag], fam.name
+        assert (op.off.hex(), op.grid) == (want.off.hex(), want.grid), fam.name
+
+
+def _wall_message(build):
+    with pytest.raises(WallError) as err:
+        build()
+    return str(err.value)
+
+
+def test_operator_for_raises_the_wall_errors_of_its_two_steps(monkeypatch):
+    # no finite wall: auto_grid's error
+    flat = model.family_from_dict({"tag": "LINEAR_ABS", "scales": {"alpha1": 1e-110}})
+    e_max = flat.energy(3.0)
+    assert (_wall_message(lambda: oracle.operator_for(flat, e_max, 500))
+            == _wall_message(lambda: oracle.auto_grid(flat, e_max, 500)))
+    # a delta outside the box: discretize's spike range
+    far = default_family(DELTA_DECORATED, base=HO, delta_position=40.0)
+    grid = oracle.auto_grid(far, 6.0, 500)
+    assert (_wall_message(lambda: oracle.operator_for(far, 6.0, 500))
+            == _wall_message(lambda: discretize(far, grid, e_max=6.0))
+            == "delta position 40.0 outside the grid")
+    # walls too low for e_max: discretize's wall check, on a box narrower
+    # than auto_grid's rule gives
+    fam = default_family(HO)
+    monkeypatch.setattr(oracle, "auto_grid", lambda family, e_max, n_points: GridSpec(3.0, 500))
+    assert (_wall_message(lambda: oracle.operator_for(fam, 10.0, 500))
+            == _wall_message(lambda: discretize(fam, GridSpec(3.0, 500), e_max=10.0)))
+
+
+def _spike_rows(fam, grid):
+    """The rows where the decorated well's diagonal differs from its
+    base's on `grid`."""
+    base = discretize(model.PotentialFamily(fam.base, fam.scales), grid).diag
+    return [i for i, (a, b) in enumerate(zip(discretize(fam, grid).diag, base)) if a != b]
+
+
+def test_the_spike_row_is_the_grids_nearest_node():
+    grid = GridSpec(7.0, 1200)
+    h, i = grid.h, 700
+    op = None
+    # on a node, and half a node off on either side
+    for q in (grid.node(i), grid.node(i) - 0.5 * h, grid.node(i) + 0.5 * h):
+        fam = default_family(DELTA_DECORATED, base=HO, delta_position=q)
+        assert _spike_rows(fam, grid) == [grid.nearest_index(q)], q
+        op = discretize(fam, grid)
+        assert op.nearest_index(q) == grid.nearest_index(q)
+    assert grid.nearest_index(grid.node(i)) == i
+    assert {grid.nearest_index(grid.node(i) + d * h) for d in (-0.5, 0.5)} <= {i - 1, i, i + 1}
+    # outside the box: no row, and the operator clamps the same index
+    for q, row in ((-7.5, 0), (8.0, 1199)):
+        fam = default_family(DELTA_DECORATED, base=HO, delta_position=q)
+        with pytest.raises(WallError, match=r"^delta position .* outside the grid$"):
+            discretize(fam, grid)
+        assert not (0 <= grid.nearest_index(q) < grid.n_points)
+        assert op.nearest_index(q) == min(max(grid.nearest_index(q), 0), op.n - 1) == row
+
+
 def test_delta_discretization_shifts_spectrum():
     fam = default_family(DELTA_DECORATED, base=HO)  # attractive, tau = -1
     op = discretize(fam, GridSpec(12.0, 4000), e_max=6.0)
@@ -266,8 +333,7 @@ def _verify_operator(fam, k=6, n=1000, window=None):
     """The operator `greenwell verify --k k --n-oracle n` builds for fam,
     its closed-form levels scanned over `window` (default: the family's)."""
     res = spectrum.find_roots(spectrum.build_chi(fam), window, step=0.005, limit=k)
-    e_top = fam.energy(res.values()[-1])
-    return discretize(fam, oracle.auto_grid(fam, e_max=e_top, n_points=n), e_max=e_top)
+    return oracle.operator_for(fam, fam.energy(res.values()[-1]), n)
 
 
 @pytest.mark.parametrize("name", ["HO", "HO_ASYM", "LINEAR_ASYM", "HO_PLUS_ABS",

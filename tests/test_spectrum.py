@@ -31,9 +31,7 @@ def roots_of(family, window=None, step=0.005):
 
 
 def oracle_eps(family, k, n_points, e_max):
-    grid = oracle.auto_grid(family, e_max=e_max, n_points=n_points)
-    op = oracle.discretize(family, grid, e_max=e_max)
-    eigs = oracle.lowest_eigenvalues(op, k)
+    eigs = oracle.lowest_eigenvalues(oracle.operator_for(family, e_max, n_points), k)
     return [family.natural_energy(e) for e in eigs]
 
 
@@ -818,10 +816,16 @@ def test_a_value_that_is_not_finite_in_a_strip_fails_as_the_scan_does(monkeypatc
         sp.sweep(family, "lam", [1.0], window=window, step=step)
 
 
+def _cert_operator(family, top):
+    """The level-count certificate's FD operator for levels up to `top`
+    (natural units)."""
+    return oracle.operator_for(family, family.energy(top), sp._CERT_POINTS)
+
+
 def _node_centred_delta(family, top):
     """`family` with its delta moved halfway between two nodes of the
     certificate's FD grid, nearest to where it was."""
-    op = sp._cert_operator(family, top)
+    op = _cert_operator(family, top)
     h, wall = op.grid.h, op.grid.half_width
     i = int((family.scales.delta_position + wall) / h) - 1
     return model.with_scales(family, delta_position=op.node(i) + 0.5 * h)
@@ -905,7 +909,7 @@ def test_certificate_fd_levels_lie_within_a_fifth_of_the_margin(param, family, w
     if family.tag == DELTA_DECORATED:
         family = _node_centred_delta(family, top + sp._CERT_MARGIN)
         chi = sp.build_chi(family)
-    op = sp._cert_operator(family, top + sp._CERT_MARGIN)
+    op = _cert_operator(family, top + sp._CERT_MARGIN)
     assert op.n == sp._CERT_POINTS
     low = max(chi.window[0], chi.floor - 1.0)
     levels = sp.find_roots(chi, window=(low, top + sp._CERT_MARGIN)).values()
@@ -921,14 +925,14 @@ def test_certificate_grid_is_the_same_in_natural_units_at_any_scale():
     lam = 0.7
     one = sp._sweep_lam(default_family(HO_ASYM), lam)
     scaled = sp._sweep_lam(default_family(HO_ASYM, hbar=1.5, mass=2.0, omega1=3.0), lam)
-    ops = [sp._cert_operator(f, 6.1) for f in (one, scaled)]
+    ops = [_cert_operator(f, 6.1) for f in (one, scaled)]
     xs = [0.25 * i for i in range(30)]
     assert ([oracle.eigenvalue_count_below(ops[0], one.energy(x)) for x in xs]
             == [oracle.eigenvalue_count_below(ops[1], scaled.energy(x)) for x in xs])
     # an energy unit below 1 puts the walls where the oracle's own rule,
     # V >= E + 10 in energy units, holds: wider than the natural ones
     small = sp._sweep_lam(default_family(HO_ASYM, omega1=0.5), lam)
-    op = sp._cert_operator(small, 6.1)
+    op = _cert_operator(small, 6.1)
     wall = op.grid.half_width
     assert wall * small.scales.natural.mu > ops[0].grid.half_width * one.scales.natural.mu
     assert min(small.potential(-wall), small.potential(wall)) >= small.energy(6.1) + 10.0
@@ -961,7 +965,7 @@ def test_certificate_wall_of_a_shallow_linear_well_is_the_first_float_past_the_t
     # and 3.7e-9 apart
     fam = default_family(LINEAR_ABS, alpha1=alpha1)
     top = 3.0 + sp._CERT_MARGIN
-    wall = sp._cert_operator(fam, top).grid.half_width
+    wall = _cert_operator(fam, top).grid.half_width
     # the certificate's box is oracle.auto_grid's, whose rule puts the
     # walls 10 natural units above the top (V(bottom) = 0 lies below it),
     # or 10 energy units where that is more
