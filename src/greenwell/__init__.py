@@ -3,9 +3,9 @@ confining potentials: harmonic, linear, Stark-shifted, asymmetric,
 hybrid, and Dirac-delta-decorated wells.
 
 Closed-form resolvents are built on special functions from the standard
-library alone (Gamma from math.gamma, Kummer M, parabolic cylinder D,
-Airy), bound states come from
-bisection on pole-free characteristic functions, and everything is
+library alone (Gamma from math.gamma, parabolic cylinder D from the
+Weber pair of Kummer series, Airy), bound states come from bisection
+on pole-free characteristic functions, and everything is
 cross-checked against an independent finite-difference Sturm-bisection
 eigensolver.
 """

@@ -2,9 +2,9 @@
 libraries).
 
 Everything the closed-form resolvents need: Gamma and its reciprocal,
-the Kummer confluent hypergeometric series M(a,b,z), the parabolic
-cylinder function D_nu(z), Airy Ai/Bi with derivatives, and physicists'
-Hermite polynomials.
+the parabolic cylinder function D_nu(z) through the Weber pair of Kummer
+series M(-nu/2, 1/2, z^2/2) and M((1-nu)/2, 3/2, z^2/2), Airy Ai/Bi
+with derivatives, and physicists' Hermite polynomials.
 
 Design notes:
   * rgamma is the primary primitive.  It is entire, exactly zero at
@@ -19,20 +19,17 @@ Design notes:
     returns D_nu(z), D_nu(-z) and 1/Gamma(-nu) from one pair of Kummer
     series and one pair of rgamma values, the two values bit for bit
     what two pcf_d calls give.
-  * One Kummer loop (_kummer_sums) sums a pair of series at one
-    argument in one pass, each with, alongside, its term-by-term
-    derivative when the caller reads it; each series stops on its own
-    and does the operations of a loop over it alone, in the same order.
-    The Weber pair M(-nu/2, 1/2, w) and M((1-nu)/2, 3/2, w) is its one
-    program use, with its denominators (b+n)(n+1) from a table (the
-    same products of the same floats): weber_even_odd and pcf_d_slope
-    take E' and O' from the derivative sums, so their values cost one
-    pass, while pcf_d and pcf_d_pair (the decorated oscillator's
-    condition, the oscillator Green builds) skip those sums.  kummer_m,
-    which no program path calls, runs its series as both members of a
-    pair, without the derivative sums, and reads the first.  The loop
-    checks no argument: kummer_m and weber_even_odd check theirs, and
-    the D_nu evaluator's domain implies the loop's.
+  * One Kummer loop (_weber_sums) sums the Weber pair M(-nu/2, 1/2, w)
+    and M((1-nu)/2, 3/2, w) at w = z^2/2 in one pass, each with,
+    alongside, its term-by-term derivative when the caller reads it;
+    each series stops on its own and does the operations of a loop over
+    it alone, in the same order.  Its denominators (b+n)(n+1) come from
+    a table of 400 rows, which covers the D_nu domain.  weber_even_odd
+    and pcf_d_slope take E' and O' from the derivative sums, so their
+    values cost one pass, while pcf_d and pcf_d_pair (the decorated
+    oscillator's condition, the oscillator Green builds) skip those
+    sums.  The loop checks no argument: weber_even_odd and the D_nu
+    evaluator check theirs, and their domain implies the loop's.
   * One evaluator (_pcf) is behind the three entry points pcf_d,
     pcf_d_pair and pcf_d_slope, one tuple shape each.  It checks the
     domain and chooses the route (_pcf_takes_integral), both once and in
@@ -66,7 +63,7 @@ Design notes:
     fusing a product or changing a stopping test changes the last bits
     and fails those tests.
   * A non-finite argument raises DomainError at once in rgamma, gamma,
-    kummer_m, _airy (so airy_all) and hermite_h.  The D_nu evaluator and
+    _airy (so airy_all) and hermite_h.  The D_nu evaluator and
     weber_even_odd share one check, _pcf_check, which also bounds
     |z| <= 20 and |nu| <= 60 and names the public function called: no
     public entry point reaches the Kummer loop's ConvergenceError.
@@ -76,7 +73,6 @@ All functions are pure and hold no mutable state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,7 +83,6 @@ __all__ = [
     "PoleError",
     "gamma",
     "rgamma",
-    "kummer_m",
     "pcf_d",
     "pcf_d_pair",
     "pcf_d_slope",
@@ -188,137 +183,6 @@ def gamma(x: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Kummer confluent hypergeometric M(a, b, z)
-# ----------------------------------------------------------------------
-
-_KUMMER_MAX_TERMS = 10000
-
-
-def _kummer_rows(b1, b2, start):
-    """(n, n + 1, (b1 + n)(n + 1), (b2 + n)(n + 1)) for the terms start,
-    start + 1, ... below _KUMMER_MAX_TERMS: the values of the counter and
-    the denominators of two Kummer series' term ratios, with n a float
-    (a + n, b + n and n + 1.0 round as with an int n)."""
-    for k in range(start, _KUMMER_MAX_TERMS):
-        n = float(k)
-        n1 = n + 1.0
-        yield n, n1, (b1 + n) * n1, (b2 + n) * n1
-
-
-# the rows of the Weber pair, b = 1/2 and 3/2: at most 352 terms on the
-# D_nu domain (nu = -60, z = 20), so a pass of the pair reads only these
-_WEBER_ROWS = tuple(itertools.islice(_kummer_rows(0.5, 1.5, 0), 400))
-
-
-def _kummer_sums(a1, b1, a2, b2, z, slope=True):
-    """(M1, S1, est1, est_S1, M2, S2, est2, est_S2): the two series
-    M(a1,b1,z) and M(a2,b2,z) at one argument, summed in one pass, each
-    with compensated (Kahan) summation, and with slope S = z M'(a,b,z) =
-    sum n t_n, the term-by-term derivative of the same series times z,
-    alongside; without it S and est_S are 0.0, and the loop does not sum
-    them.
-
-    Each series stops on its own, when two of its consecutive terms are
-    below eps * |its partial sum|, and does the operations of a loop over
-    it alone, in the same order.  est combines the last-term magnitude
-    with a rounding bound eps * sum(|terms|), which also tracks
-    cancellation for z < 0; est_S does the same for the terms n t_n,
-    with n times both parts, and n eps more for their plain sum.  The
-    denominators (b + n)(n + 1) of the Weber pair come from _WEBER_ROWS,
-    the same products of the same floats, while it lasts.  The one
-    Kummer loop of the module: kummer_m reads it without slope, and the
-    D_nu evaluator _pcf and weber_even_odd read it through _weber_sums,
-    with slope only for pcf_d_slope and weber_even_odd.  It checks no
-    argument; its callers do.
-    """
-    eps = _EPS
-    term1 = total1 = abs1 = term2 = total2 = abs2 = 1.0
-    comp1 = comp2 = 0.0  # Kahan compensations
-    d1 = d2 = 0.0  # sums n t_n
-    small1 = small2 = False  # the previous term was already below eps * |partial sum|
-    k1 = k2 = 0.0  # the terms a series had summed when it stopped; 0.0 while it runs
-    # the rows from the table while it lasts, then from the generator: a
-    # generator made for every pass, even one the table covers, cost
-    # about 0.5 us of a 6-7 us pass
-    table = _WEBER_ROWS if b1 == 0.5 and b2 == 1.5 else ()
-    for rows in (table, None):
-        if rows is None:
-            rows = _kummer_rows(b1, b2, len(table))
-        for n, n1, q1, q2 in rows:
-            if not k1:
-                term1 *= (a1 + n) * z / q1
-                y = term1 - comp1
-                t = total1 + y
-                comp1 = (t - total1) - y
-                total1 = t
-                mag = term1 if term1 >= 0.0 else -term1
-                abs1 += mag
-                if slope:
-                    d1 += n1 * term1
-                if mag <= eps * (t if t >= 0.0 else -t):
-                    if small1:
-                        k1 = n1
-                        if k2:
-                            break
-                    small1 = True
-                else:
-                    small1 = False
-            if not k2:
-                term2 *= (a2 + n) * z / q2
-                y = term2 - comp2
-                t = total2 + y
-                comp2 = (t - total2) - y
-                total2 = t
-                mag = term2 if term2 >= 0.0 else -term2
-                abs2 += mag
-                if slope:
-                    d2 += n1 * term2
-                if mag <= eps * (t if t >= 0.0 else -t):
-                    if small2:
-                        k2 = n1
-                        if k1:
-                            break
-                    small2 = True
-                else:
-                    small2 = False
-        else:
-            continue
-        break
-    else:
-        a, b = (a2, b2) if k1 else (a1, b1)
-        raise ConvergenceError(
-            f"kummer_m({a}, {b}, {z}) did not converge in {_KUMMER_MAX_TERMS} terms"
-        )
-    mag1, mag2 = abs(term1), abs(term2)  # and sum n |t_n| <= n abs_sum
-    est1, est2 = 2.0 * mag1 + 16.0 * _EPS * abs1, 2.0 * mag2 + 16.0 * _EPS * abs2
-    if not slope:
-        return total1, 0.0, est1, 0.0, total2, 0.0, est2, 0.0
-    return (total1, d1, est1, k1 * (2.0 * mag1 + (16.0 + k1) * _EPS * abs1),
-            total2, d2, est2, k2 * (2.0 * mag2 + (16.0 + k2) * _EPS * abs2))
-
-
-def kummer_m(a: float, b: float, z: float) -> EvalResult:
-    """M(a,b,z) by direct series with compensated (Kahan) summation.
-
-    Stops when two consecutive terms are below eps * |partial sum|.
-    est_abs_error combines the last-term magnitude with a rounding bound
-    eps * sum(|terms|), which also tracks cancellation for z < 0.
-    The domain is |z| <= 200 and b not a non-positive integer;
-    non-finite arguments raise DomainError.  No program path calls it:
-    it runs its series as both members of _kummer_sums' pair and reads
-    the first.
-    """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
-        raise DomainError(f"kummer_m arguments must be finite, got a = {a}, b = {b}, z = {z}")
-    if b <= 0.5 and abs(b - round(b)) <= 1e-12 and round(b) <= 0:
-        raise PoleError(f"kummer_m requires b not a non-positive integer, got b = {b}")
-    if abs(z) > 200.0:
-        raise DomainError(f"kummer_m series restricted to |z| <= 200, got z = {z}")
-    m, _, est, _, _, _, _, _ = _kummer_sums(a, b, a, b, z, False)
-    return EvalResult(m, est)
-
-
-# ----------------------------------------------------------------------
 # Weber / parabolic cylinder functions
 # ----------------------------------------------------------------------
 
@@ -345,22 +209,88 @@ def weber_even_odd(nu: float, z: float):
     return g * m1, g * ep, z * g * m2, g * op, est
 
 
+# the rows (n, n + 1, (1/2 + n)(n + 1), (3/2 + n)(n + 1)) of the Weber
+# pair's term ratios, with n a float (a + n and n + 1.0 round as with an
+# int n): at most 352 terms on the D_nu domain (nu = -60, z = 20)
+_WEBER_ROWS = tuple((n, n + 1.0, (0.5 + n) * (n + 1.0), (1.5 + n) * (n + 1.0))
+                    for n in map(float, range(400)))
+
+
 def _weber_sums(nu, z, slope=True):
     """(M1, e1, M2, e2, E'/g, O'/g, est') at w = z^2/2, g = exp(-z^2/4):
-    the two Kummer series of weber_even_odd with their estimates, and the
-    slopes of E and O over g with a joint estimate est', from the series'
-    term-by-term derivatives S = w dM/dw (dw/dz = z):
+    the two Kummer series M1 = M(-nu/2, 1/2, w) and M2 = M((1-nu)/2, 3/2, w)
+    of weber_even_odd with their estimates, and the slopes of E and O
+    over g with a joint estimate est', from the series' term-by-term
+    derivatives S = w dM/dw = sum n t_n (dw/dz = z):
         E'/g = 2 S1 / z - z M1 / 2,    O'/g = (1 - w) M2 + 2 S2.
     est' counts the series' estimates and, since the two parts of each
     slope may cancel, 4 eps of their magnitudes.  Without slope the last
-    three are 0.0, and the derivative sums go unread.  Both series come
-    from one pass of the Kummer loop; the callers have checked that
-    |z| <= 20."""
+    three are 0.0, and the loop does not sum S.
+
+    The one Kummer loop of the module: both series in one pass over
+    _WEBER_ROWS, each with compensated (Kahan) summation.  Each series
+    stops on its own, when two of its consecutive terms are below
+    eps * |its partial sum|, and does the operations of a loop over it
+    alone, in the same order.  e combines the last-term magnitude with a
+    rounding bound eps * sum(|terms|), which also tracks cancellation;
+    the estimate of S does the same for the terms n t_n, with n times
+    both parts, and n eps more for their plain sum.  The callers have
+    checked the D_nu domain (_pcf_check), on which the table suffices;
+    a pair that runs past it raises ConvergenceError."""
+    eps = _EPS
     w = 0.5 * z * z
-    m1, s1, e1, es1, m2, s2, e2, es2 = _kummer_sums(-0.5 * nu, 0.5, 0.5 * (1.0 - nu), 1.5, w,
-                                                    slope)
+    a1, a2 = -0.5 * nu, 0.5 * (1.0 - nu)
+    term1 = m1 = abs1 = term2 = m2 = abs2 = 1.0
+    comp1 = comp2 = 0.0  # Kahan compensations
+    s1 = s2 = 0.0  # sums n t_n
+    small1 = small2 = False  # the previous term was already below eps * |partial sum|
+    k1 = k2 = 0.0  # the terms a series had summed when it stopped; 0.0 while it runs
+    for n, n1, q1, q2 in _WEBER_ROWS:
+        if not k1:
+            term1 *= (a1 + n) * w / q1
+            y = term1 - comp1
+            t = m1 + y
+            comp1 = (t - m1) - y
+            m1 = t
+            mag = term1 if term1 >= 0.0 else -term1
+            abs1 += mag
+            if slope:
+                s1 += n1 * term1
+            if mag <= eps * (t if t >= 0.0 else -t):
+                if small1:
+                    k1 = n1
+                    if k2:
+                        break
+                small1 = True
+            else:
+                small1 = False
+        if not k2:
+            term2 *= (a2 + n) * w / q2
+            y = term2 - comp2
+            t = m2 + y
+            comp2 = (t - m2) - y
+            m2 = t
+            mag = term2 if term2 >= 0.0 else -term2
+            abs2 += mag
+            if slope:
+                s2 += n1 * term2
+            if mag <= eps * (t if t >= 0.0 else -t):
+                if small2:
+                    k2 = n1
+                    if k1:
+                        break
+                small2 = True
+            else:
+                small2 = False
+    else:
+        raise ConvergenceError(f"the Weber series at nu = {nu}, z = {z} did not converge "
+                               f"in {len(_WEBER_ROWS)} terms")
+    mag1, mag2 = abs(term1), abs(term2)  # and sum n |t_n| <= n abs_sum
+    e1, e2 = 2.0 * mag1 + 16.0 * _EPS * abs1, 2.0 * mag2 + 16.0 * _EPS * abs2
     if not slope:
         return m1, e1, m2, e2, 0.0, 0.0, 0.0
+    es1 = k1 * (2.0 * mag1 + (16.0 + k1) * _EPS * abs1)
+    es2 = k2 * (2.0 * mag2 + (16.0 + k2) * _EPS * abs2)
     # z = 0: S1 = 0, and E' = 0 exactly
     zm1p, ezm1p = (2.0 * s1 / z, 2.0 * es1 / abs(z)) if z else (0.0, 0.0)
     hz = 0.5 * z * m1

@@ -1091,6 +1091,14 @@ def test_null_means_the_field_default():
     _row("LINEAR_ABS-30")[0],
     ["levels", "--family", "DELTA_DECORATED(HO)", "--window=-60:0"],
     ["green-grid", "--family", "HO", "--energy", "2.3", "--grid=0:20:3", "--xp", "0"],
+    # default windows the Airy cap empties (beta or xi above about 4950,
+    # and beta^2 past the float range, where the cap is 0)
+    ["levels", "--family", "LINEAR_ASYM", "--set", "family.scales.alpha2=1e-4"],
+    ["levels", "--family", "LINEAR_ASYM", "--set", "family.scales.alpha2=1e-200"],
+    ["levels", "--family", "HALF_HO_HALF_LINEAR", "--set", "family.scales.alpha1=1e-4"],
+    ["verify", "--family", "HALF_HO_HALF_LINEAR", "--set", "family.scales.alpha1=1e-4"],
+    ["sweep", "--family", "LINEAR_ASYM", "--param", "beta", "--range", "1:10001:10000",
+     "--allow-breaks"],
     # families without a closed-form Green function
     ["green-grid", "--family", "HO_ASYM", "--grid=-1:1:3"],
     ["green-grid", "--family", "LINEAR_ASYM", "--grid=-1:1:3"],
@@ -1102,6 +1110,17 @@ def test_config_and_usage_errors_exit_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+def test_an_empty_default_window_names_its_family_and_cap(capsys):
+    argv = ["levels", "--family", "LINEAR_ASYM", "--set", "family.scales.alpha2=1e-4"]
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: LINEAR_ASYM: the Airy domain caps the default window at 2.45e-07, "
+        "below its low edge 1e-06; give an explicit --window\n")
+    # an explicit window below the cap is scanned as before
+    assert run(argv + ["--window", "0:1e-7"]) == (
+        0, "index,parity,eps,residual,bracket_lo,bracket_hi\n")
 
 
 def test_the_largest_oracle_grid_is_accepted():
