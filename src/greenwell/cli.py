@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import model, oracle, resolvent, spectrum
 from .model import DELTA_DECORATED, HO, finite_number
-from .specfun import ConvergenceError, DomainError, PoleError
+from .specfun import DomainError, PoleError
 
 __all__ = ["main", "RunConfig", "TABLE1_REFERENCE"]
 
@@ -234,21 +234,9 @@ def _scan_points(window, step):
     return points
 
 
-def _default_chi(fam):
-    """spectrum.build_chi(fam), or DomainError when its default window is
-    empty: the Airy cap of LINEAR_ASYM (large beta) or HALF_HO_HALF_LINEAR
-    (large xi) below the window's low edge."""
-    chi = spectrum.build_chi(fam)
-    lo, hi = chi.window
-    if not lo < hi:
-        raise DomainError(f"{fam.name}: the Airy domain caps the default window at {hi:.6g}, "
-                          f"below its low edge {lo:g}; give an explicit --window")
-    return chi
-
-
 def cmd_levels(cfg):
     fam = model.family_from_dict(cfg.family)
-    _scan_points(cfg.window or _default_chi(fam).window, cfg.step)
+    _scan_points(cfg.window or spectrum._default_chi(fam).window, cfg.step)
     res = spectrum.checked_roots(fam, cfg.window, cfg.step, f"levels of {fam.name}")
     header = ("index", "parity", "eps", "residual", "bracket_lo", "bracket_hi")
     rows = [(r.index, r.parity or "", r.value, r.residual, r.bracket[0], r.bracket[1])
@@ -266,7 +254,7 @@ def cmd_sweep(cfg):
     # a swept default window is monotone in its parameter: the wider end's is the widest
     ends = (a, a + (n - 1) * s) if n < math.inf else (a,)
     windows = [cfg.window] if cfg.window else [
-        _default_chi(f).window for _, f in spectrum._swept(fam, cfg.param, ends)]
+        spectrum._default_chi(f).window for _, f in spectrum._swept(fam, cfg.param, ends)]
     # sizes are floats, so a product past the float range is inf
     _bounded("sweep values times lattice points",
              float(n) * max(_scan_points(w, cfg.step) for w in windows), MAX_SWEEP_POINTS)
@@ -343,7 +331,7 @@ def verify_family(fam, k, n_points):
     window exceeds MAX_SCAN_POINTS, DomainError when it is empty, and
     ArithmeticError, before the oracle runs, when that window holds
     fewer than k closed-form levels."""
-    chi = _default_chi(fam)
+    chi = spectrum._default_chi(fam)
     _scan_points(chi.window, spectrum._STEP)
     closed = spectrum.find_roots(chi, limit=k).values()
     if len(closed) < k:
@@ -543,9 +531,8 @@ def main(argv=None, stream=None):
     except (UsageError, model.FamilyError, spectrum.SweepError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (resolvent.NearPoleError, resolvent.OnResonanceError,
-            oracle.NearEigenvalueError, oracle.WallError,
-            PoleError, ConvergenceError, ArithmeticError) as exc:
+    # ArithmeticError: the near-pole and resonance errors, ConvergenceError, OverflowError
+    except (oracle.WallError, PoleError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

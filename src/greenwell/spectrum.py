@@ -275,6 +275,17 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
     raise ValueError(f"no characteristic function for family {tag!r}")
 
 
+def _default_chi(family):
+    """build_chi(family), or DomainError when its default window is empty: the
+    Airy cap of LINEAR_ASYM (large beta) or HALF_HO_HALF_LINEAR (large xi) below its low edge."""
+    chi = build_chi(family)
+    lo, hi = chi.window
+    if not lo < hi:
+        raise sf.DomainError(f"{family.name}: the Airy domain caps the default window at "
+                             f"{hi:.6g}, below its low edge {lo:g}; give an explicit --window")
+    return chi
+
+
 # ----------------------------------------------------------------------
 # scanning and refinement
 # ----------------------------------------------------------------------
@@ -304,13 +315,13 @@ def _lattice_points(window, step):
 
 
 def _lattice(chi, window, step):
-    if not step > 0.0:
-        raise ValueError("step must be positive")
     lo, hi = window if window is not None else chi.window
-    if not (lo < hi):
-        raise ValueError(f"empty window {(lo, hi)}")
+    points = _lattice_points((lo, hi), step) if step > 0.0 and lo < hi else math.inf
+    if points == math.inf:
+        raise sf.DomainError(f"window {(lo, hi)} at step {step!r} has no finite lattice: "
+                             "it needs lo < hi, step > 0 and a finite (hi - lo) / step")
     floor = chi.floor if window is None else -math.inf
-    lat = _Lattice(lo, hi, step, 0, int(_lattice_points((lo, hi), step)) - 1)
+    lat = _Lattice(lo, hi, step, 0, points - 1)
     # the last point at or below the floor (point(i) never decreases), or
     # the low edge when the floor lies below it
     start = bisect.bisect_right(range(lat.n_steps + 1), floor, key=lat.point) - 1
@@ -339,16 +350,17 @@ def find_roots(chi: CharacteristicFunction, window=None, step=_STEP,
     Tangential roots (no sign change at resolution `step`) are not
     found.  This is the lattice walk (_walked) with no level count: it
     evaluates every factor at each point of the lattice lo + i*step in
-    factor order, so the two parity factors of a symmetric well are
-    called one after the other at each point and share the
+    factor order, so the parity factors of a symmetric well share the
     special-function value both need, and bisects each factor's sign
     change in the cell just closed.  With `limit` it stops after the
-    cell that holds the `limit`-th root, since every later root lies
-    above it.  Roots are ordered by one stable sort on value, so ties
-    keep factor order.  Without `window` the scan covers `chi.window`
-    from the last lattice point at or below `chi.floor`; every point,
-    bracket and residual is the one a scan of the whole window gives.
-    An explicit window is scanned from its low edge.
+    cell that holds the `limit`-th root.  Roots are ordered by one
+    stable sort on value, so ties keep factor order.  Without `window`
+    the scan covers `chi.window` from the last lattice point at or below
+    `chi.floor`; every point, bracket and residual is the one a scan of
+    the whole window gives.  An explicit window is scanned from its low
+    edge.  An empty window, a step that is not positive and a lattice
+    whose point count is not finite (an infinite edge or floor) raise
+    specfun.DomainError naming the window and the step.
     """
     return _walked(chi, _lattice(chi, window, step), limit=limit)
 
@@ -639,8 +651,9 @@ def checked_roots(family, window, step, where, walk=False):
     where one can be built; with `walk`, found from the count where it
     pins them (see `sweep`).  A scan that finds another number of levels
     in the counted part while every root lies next to an FD level has
-    lost levels (roots closer than `step`): ArithmeticError names `where`."""
-    chi = build_chi(family)
+    lost levels (roots closer than `step`): ArithmeticError names `where`.
+    An empty default window raises _default_chi's DomainError first."""
+    chi = _default_chi(family) if window is None else build_chi(family)
     lat = _lattice(chi, window, step)
     cert = _LevelCount.build(family, lat)
     if walk and cert is not None:
@@ -678,8 +691,7 @@ def sweep(family: PotentialFamily, param_name: str, values, window=None,
     """The roots at each parameter value as rows, with index-continuity assembly.
 
     Each value's roots are the ones find_roots(build_chi(...), window,
-    step) gives, bit for bit, and every value, the first included, is
-    found the same way, independently of the others.  The lattice walk
+    step) gives, bit for bit, each found independently.  The lattice walk
     (_walked) crosses the part of the lattice an FD level count
     (_LevelCount) covers in coarse cells; a value is scanned instead
     when it has no count, when the walk finds another number of sign
@@ -694,7 +706,8 @@ def sweep(family: PotentialFamily, param_name: str, values, window=None,
     the new count.  Rows come back ordered by (param_value, root_index)
     regardless of internal evaluation order.  Raises SweepError, before
     any scan, when the parameter does not fit the family or a value lies
-    outside its domain.
+    outside its domain, and DomainError (checked_roots) when a value's
+    default window is empty.
     """
     rows = []
     breaks = []

@@ -1123,6 +1123,41 @@ def test_an_empty_default_window_names_its_family_and_cap(capsys):
         0, "index,parity,eps,residual,bracket_lo,bracket_hi\n")
 
 
+@pytest.mark.parametrize("argv,library", [
+    (["levels", "--family", "LINEAR_ASYM", "--set", "family.scales.alpha2=1e-4"],
+     lambda: spectrum.checked_roots(model.family_from_dict(
+         {"tag": "LINEAR_ASYM", "scales": {"alpha2": 1e-4}}), None, 0.005, "levels")),
+    (["sweep", "--family", "LINEAR_ASYM", "--param", "beta", "--range", "1e5:1e5:1"],
+     lambda: spectrum.sweep(model.default_family(model.LINEAR_ASYM), "beta", [1e5])),
+    (["levels", "--family", "HALF_HO_HALF_LINEAR", "--set", "family.scales.alpha1=1e-4"],
+     lambda: spectrum.checked_roots(model.family_from_dict(
+         {"tag": "HALF_HO_HALF_LINEAR", "scales": {"alpha1": 1e-4}}), None, 0.005, "levels"))],
+    ids=["levels", "sweep", "half-half"])
+def test_library_scans_of_an_empty_default_window_raise_the_cli_error(capsys, argv, library):
+    assert run(argv) == (1, "")
+    line = capsys.readouterr().err
+    with pytest.raises(specfun.DomainError) as caught:
+        library()
+    assert line == f"error: {caught.value}\n"
+    assert "the Airy domain caps the default window" in line
+
+
+@pytest.mark.parametrize("error,code", [
+    (cli.UsageError, 1), (model.FamilyError, 1), (spectrum.SweepError, 1),
+    (specfun.DomainError, 1),
+    (resolvent.NearPoleError, 2), (resolvent.OnResonanceError, 2),
+    (oracle.NearEigenvalueError, 2), (oracle.WallError, 2), (specfun.PoleError, 2),
+    (specfun.ConvergenceError, 2), (OverflowError, 2)],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_main_maps_each_error_class_to_its_exit_code(monkeypatch, capsys, error, code):
+    def command(cfg):
+        raise error("raised by the command")
+    monkeypatch.setitem(cli._COMMANDS, "levels", command)
+    assert run(["levels"]) == (code, "")
+    prefix = "error: " if code == 1 else "numerical failure: "
+    assert capsys.readouterr().err == prefix + "raised by the command\n"
+
+
 def test_the_largest_oracle_grid_is_accepted():
     # checked at dump time only: no grid of that size is built
     code, out = run(["verify", "--family", "HO", "--n-oracle", "1000000", "--dump-config"])

@@ -620,6 +620,29 @@ def test_validator_rejects_bad_windows():
         sp.find_roots(chi, step=-0.1)
 
 
+@pytest.mark.parametrize("chi,window,step", [
+    (sp.build_chi(default_family(HO)), (-1e308, 1e308), 1.0),
+    # the floor of an attractive spike of -1e160 overflows to -inf
+    (sp.build_chi(model.family_from_dict({"tag": "DELTA_DECORATED", "base": "HO",
+                                          "scales": {"delta_strength": -1e160}})), None, 0.005),
+    (sp.build_chi(default_family(HO)), (3.0, 1.0), 0.005),
+    (sp.build_chi(default_family(HO)), None, -0.1),
+    (sp.build_chi(default_family(HO)), (0.0, 1.0), math.nan)],
+    ids=["inf-cells", "inf-floor", "empty", "negative-step", "nan-step"])
+def test_a_window_with_no_finite_lattice_is_a_domain_error(chi, window, step):
+    lo, hi = window or chi.window
+    with pytest.raises(sf.DomainError) as caught:
+        sp.find_roots(chi, window=window, step=step)
+    assert str(caught.value).startswith(f"window {(lo, hi)} at step {step!r} ")
+
+
+def test_an_infinite_default_floor_is_a_domain_error_of_the_library_scan():
+    fam = model.family_from_dict({"tag": "DELTA_DECORATED", "base": "HO",
+                                  "scales": {"delta_strength": -1e160}})
+    with pytest.raises(sf.DomainError, match=r"^window \(-inf, 12\.0\) at step 0\.005 "):
+        sp.checked_roots(fam, None, 0.005, "levels")
+
+
 # ----------------------------------------------------------------------
 # sweeps
 # ----------------------------------------------------------------------
@@ -873,26 +896,30 @@ def _level_families():
 _CERT_FAMILIES = _workload_families() + _level_families()
 
 
-# the workload ranges, widened: tau = -20 puts the floor at eps = -628,
-# below the default low edge -50, and beta and xi cross the Airy cap
+# the workload ranges, widened: tau = -40 puts the floor at eps = -2513,
+# below the default low edge -50, and beta and xi cross the Airy cap,
+# which lies at 2.45e-5 at 1e3; positive-only ranges are walked in
+# geometric steps
 @pytest.mark.parametrize("param,family,lo,hi", [
-    ("lam", default_family(HO_ASYM), 0.05, 20.0),
-    ("beta", default_family(LINEAR_ASYM), 0.1, 10.0),
-    ("xi", default_family(HALF_HO_HALF_LINEAR), 0.1, 10.0),
-    ("muphi", default_family(HO_PLUS_ABS), 0.0, 5.0),
-    ("tau", default_family(DELTA_DECORATED, base=HO), -20.0, 5.0),
-    ("p", default_family(DELTA_DECORATED, base=HO), 0.0, 5.0)],
+    ("lam", default_family(HO_ASYM), 0.01, 400.0),
+    ("beta", default_family(LINEAR_ASYM), 0.01, 1e3),
+    ("xi", default_family(HALF_HO_HALF_LINEAR), 0.01, 1e3),
+    ("muphi", default_family(HO_PLUS_ABS), 0.0, 6.0),
+    ("tau", default_family(DELTA_DECORATED, base=HO), -40.0, 40.0),
+    ("p", default_family(DELTA_DECORATED, base=HO), -5.0, 5.0)],
     ids=["lam", "beta", "xi", "muphi", "tau", "p"])
 def test_no_sweep_value_has_a_wider_default_window_than_both_range_ends(param, family, lo, hi):
     # the CLI bounds a window-less sweep by its value count times the
-    # larger of its first and last values' default-window point counts
+    # larger of its first and last values' default-window point counts,
+    # which holds because the point count is monotone in the parameter
     def points(families):
         return [sp._lattice_points(sp.build_chi(f).window, 0.005) for f in families]
     workload = points(f for p, f in _workload_families() if p == param)
     assert max(workload) == max(workload[0], workload[-1])
-    walked = points(f for _, f in sp._swept(family, param, [lo + (hi - lo) * i / 200
-                                                            for i in range(201)]))
-    assert max(walked) == max(walked[0], walked[-1])
+    values = [lo * (hi / lo) ** (i / 400) if lo > 0.0 else lo + (hi - lo) * i / 400
+              for i in range(401)]
+    walked = points(f for _, f in sp._swept(family, param, values))
+    assert walked in (sorted(walked), sorted(walked, reverse=True))
     # beta, xi and tau move the window over these ranges; the rest leave it fixed
     assert (len(set(walked)) > 1) == (param in ("beta", "xi", "tau"))
 

@@ -257,6 +257,17 @@ PINNED = [
     ("DEC_HO-13", ["green-grid", "--family", "DELTA_DECORATED(HO)", "--energy", "2.3",
                    "--grid=-6:6:13"],
      0, "3f7752221ae36871413f1af90043fbcbdb6d5312efeda4cd6aad8ea94f58f4bb"),
+    # default windows the Airy cap empties exit 1 before any chi call, on
+    # levels, verify and the wider end of a sweep
+    ("LINEAR_ASYM-capped", ["levels", "--family", "LINEAR_ASYM", "--set",
+                            "family.scales.alpha2=1e-4"],
+     1, EMPTY),
+    ("HALF_HO_HALF_LINEAR-capped", ["verify", "--family", "HALF_HO_HALF_LINEAR", "--set",
+                                    "family.scales.alpha1=1e-4"],
+     1, EMPTY),
+    ("beta-capped", ["sweep", "--family", "LINEAR_ASYM", "--param", "beta", "--range",
+                     "1:10001:10000", "--allow-breaks"],
+     1, EMPTY),
 ]
 
 
