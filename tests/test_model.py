@@ -108,6 +108,60 @@ def test_round_trip_scales_from_map():
     assert s3.alpha1 / d3.beta == pytest.approx(s3.alpha2, rel=1e-14)
 
 
+# each natural unit and energy variable as a function of the scales s,
+# written out in the float grouping of its one definition in model
+UNIT_EXPRESSIONS = {
+    "two_m": lambda s: 2.0 * s.mass / s.hbar ** 2,
+    "k": lambda s: (2.0 * s.mass / s.hbar ** 2) ** (1.0 / 3.0),
+    "hbar_omega": lambda s: s.hbar * s.omega1,
+    "mu": lambda s: math.sqrt(2.0 * s.mass * s.omega1 / s.hbar),
+    "phi": lambda s: s.alpha1 ** 3 / (s.mass * s.omega1 * s.omega1),
+    "shift": lambda s: (0.5 * math.sqrt(2.0 * s.mass * s.omega1 / s.hbar)
+                        * (s.alpha1 ** 3 / (s.mass * s.omega1 * s.omega1))) ** 2,
+    "ho_norm": lambda s: math.sqrt(s.mass / (math.pi * s.omega1 * s.hbar ** 3)),
+    "alpha_ho": lambda s: (2.0 * s.mass * s.hbar * s.omega1 ** 3) ** (1.0 / 6.0),
+    "xi": lambda s: (2.0 * s.mass * s.hbar * s.omega1 ** 3) ** (1.0 / 6.0) / s.alpha1,
+    "lam": lambda s: s.omega1 / s.omega2,
+    "zeta": lambda s: s.alpha1 * (2.0 * s.mass / s.hbar ** 2) ** (1.0 / 3.0),
+    "beta": lambda s: s.alpha1 / s.alpha2,
+    "tau": lambda s: s.delta_strength * math.sqrt(s.mass / (math.pi * s.omega1 * s.hbar ** 3)),
+    "p": lambda s: math.sqrt(2.0 * s.mass * s.omega1 / s.hbar) * s.delta_position,
+    "eta": lambda s: ((s.delta_strength / (2.0 * s.alpha1))
+                      * (2.0 * s.mass / s.hbar ** 2) ** (2.0 / 3.0)),
+}
+ENERGY_EXPRESSIONS = {
+    "eps": lambda s, e: e / (s.hbar * s.omega1),
+    "rho": lambda s, e: e / s.alpha1 ** 2 * (2.0 * s.mass / s.hbar ** 2) ** (1.0 / 3.0),
+}
+
+
+@pytest.mark.parametrize("scales", [
+    default_family(HO_PLUS_ABS).scales,
+    PhysicalScales(hbar=0.8, mass=1.7, omega1=1.3, omega2=0.7, alpha1=1.1, alpha2=2.9,
+                   delta_strength=-0.6, delta_position=0.45),
+    default_family(DELTA_DECORATED, base=LINEAR_ABS, hbar=0.9, mass=1.4, alpha1=1.6,
+                   delta_strength=-1.3, delta_position=0.7).scales,
+], ids=["HO_PLUS_ABS", "every-scale", "DELTA_DECORATED-LINEAR_ABS"])
+def test_natural_units_keep_every_bit_of_their_expressions(scales):
+    units = scales.natural
+    for name, expression in UNIT_EXPRESSIONS.items():
+        try:
+            want = expression(scales)
+        except TypeError:  # a scale the unit reads is not set
+            with pytest.raises(TypeError):
+                getattr(units, name)
+            continue
+        got = getattr(units, name)
+        assert got.hex() == want.hex(), name
+        assert vars(units)[name] is got  # computed once per scales object
+    for name, expression in ENERGY_EXPRESSIONS.items():
+        try:
+            want = expression(scales, 2.31)
+        except TypeError:
+            continue
+        assert getattr(units, name)(2.31).hex() == want.hex(), name
+
+
 @pytest.mark.parametrize("scales", [{}, {"hbar": 0.8, "mass": 1.7}], ids=["default", "other"])
 @pytest.mark.parametrize("fam", ALL_DEFAULTS, ids=lambda f: f"{f.tag}-{f.base}")
 def test_energy_round_trips_through_the_natural_variable(fam, scales):
