@@ -445,7 +445,8 @@ def _parser():
         parser.add_argument("--family", help="family tag, TAG(BASE), or inline JSON")
         parser.add_argument("--window", help="scan window lo:hi")
         parser.add_argument("--step", type=float, help="scan step")
-        parser.add_argument("--param", help="sweep parameter (lam|beta|xi|muphi|tau|p)")
+        parser.add_argument("--param",
+                            help=f"sweep parameter ({'|'.join(spectrum.SWEEP_PARAMS)})")
         parser.add_argument("--range", dest="sweep_range", help="sweep range from:to:step")
         parser.add_argument("--grid", help="green-grid xmin:xmax:n")
         parser.add_argument("--energy", type=float, help="green-grid energy")

@@ -1,6 +1,7 @@
 """Potential families, physical scales, and their natural units.
 
-Single source of truth for unit conventions (NaturalUnits).  Eight families are
+Single source of truth for unit conventions: a PhysicalScales record
+carries its natural units as cached properties.  Eight families are
 supported; each is defined by a tag plus the physical scales it uses:
 
     HO                   V = (1/2) m w1^2 x^2
@@ -39,7 +40,6 @@ __all__ = [
     "QUADRATIC_TAGS",
     "PhysicalScales",
     "PotentialFamily",
-    "NaturalUnits",
     "potential_value",
     "default_family",
     "family_from_dict",
@@ -126,10 +126,36 @@ class PhysicalScales:
             if v is not None and v < 0.0:
                 raise FamilyError(f"{name} must be >= 0, got {v}")
 
-    @cached_property
-    def natural(self):
-        """The NaturalUnits of these scales, built once."""
-        return NaturalUnits(self)
+    # The energy-independent natural units, each computed the first time
+    # it is read and kept on the record, so a family reads only what its
+    # scales define.  Every other module reads its units here; each
+    # expression keeps the float grouping its callers always used, so
+    # their values keep every bit.
+    two_m = cached_property(lambda s: 2.0 * s.mass / s.hbar ** 2)
+    k = cached_property(lambda s: s.two_m ** (1.0 / 3.0))  # (2m / hbar^2)^(1/3)
+    hbar_omega = cached_property(lambda s: s.hbar * s.omega1)
+    mu = cached_property(lambda s: math.sqrt(2.0 * s.mass * s.omega1 / s.hbar))  # 1 / length
+    phi = cached_property(lambda s: s.alpha1 ** 3 / (s.mass * s.omega1 * s.omega1))
+    shift = cached_property(lambda s: (0.5 * s.mu * s.phi) ** 2)  # sigma - eps
+    ho_norm = cached_property(  # sqrt(m / (pi w1 hbar^3))
+        lambda s: math.sqrt(s.mass / (math.pi * s.omega1 * s.hbar ** 3)))
+    alpha_ho = cached_property(  # (2 m hbar w1^3)^(1/6), the alpha1 of xi = 1
+        lambda s: (2.0 * s.mass * s.hbar * s.omega1 ** 3) ** (1.0 / 6.0))
+    xi = cached_property(lambda s: s.alpha_ho / s.alpha1)
+    lam = cached_property(lambda s: s.omega1 / s.omega2)
+    zeta = cached_property(lambda s: s.alpha1 * s.k)
+    beta = cached_property(lambda s: s.alpha1 / s.alpha2)
+    tau = cached_property(lambda s: s.delta_strength * s.ho_norm)
+    p = cached_property(lambda s: s.mu * s.delta_position)
+    eta = cached_property(lambda s: (s.delta_strength / (2.0 * s.alpha1)) * s.two_m ** (2.0 / 3.0))
+
+    def eps(self, energy):
+        """E / (hbar w1), the quadratic families' energy variable."""
+        return energy / self.hbar_omega
+
+    def rho(self, energy):
+        """(E / alpha1^2) (2m/hbar^2)^(1/3), the linear families' one."""
+        return energy / self.alpha1 ** 2 * self.k
 
 
 @dataclass(frozen=True)
@@ -197,60 +223,19 @@ class PotentialFamily:
     def bottom(self):
         """x of the smooth potential's minimum: -phi for the Stark well,
         0 for every other smooth tag."""
-        return -self.scales.natural.phi if self.smooth_tag == HO_STARK else 0.0
+        return -self.scales.phi if self.smooth_tag == HO_STARK else 0.0
 
     def natural_energy(self, energy):
         """E in the family's natural energy variable, eps or rho."""
-        units = self.scales.natural
-        return units.eps(energy) if self.smooth_tag in QUADRATIC_TAGS else units.rho(energy)
+        s = self.scales
+        return s.eps(energy) if self.smooth_tag in QUADRATIC_TAGS else s.rho(energy)
 
     def energy(self, value):
         """The inverse of natural_energy."""
         s = self.scales
         if self.smooth_tag in QUADRATIC_TAGS:
             return value * s.hbar * s.omega1
-        return value * s.alpha1 ** 2 / s.natural.k
-
-
-class NaturalUnits:
-    """The energy-independent natural units of one PhysicalScales, built
-    once per scales object (PhysicalScales.natural).  Each is computed
-    the first time it is read, so a family reads only what its scales
-    define.  Every other module reads its units here; each expression
-    keeps the float grouping its callers always used, so their values
-    keep every bit."""
-
-    def __init__(self, scales):
-        self.scales = scales
-
-    two_m = cached_property(lambda u: 2.0 * u.scales.mass / u.scales.hbar ** 2)
-    k = cached_property(lambda u: u.two_m ** (1.0 / 3.0))  # (2m / hbar^2)^(1/3)
-    hbar_omega = cached_property(lambda u: u.scales.hbar * u.scales.omega1)
-    mu = cached_property(  # 1 / length
-        lambda u: math.sqrt(2.0 * u.scales.mass * u.scales.omega1 / u.scales.hbar))
-    phi = cached_property(
-        lambda u: u.scales.alpha1 ** 3 / (u.scales.mass * u.scales.omega1 * u.scales.omega1))
-    shift = cached_property(lambda u: (0.5 * u.mu * u.phi) ** 2)  # sigma - eps
-    ho_norm = cached_property(  # sqrt(m / (pi w1 hbar^3))
-        lambda u: math.sqrt(u.scales.mass / (math.pi * u.scales.omega1 * u.scales.hbar ** 3)))
-    alpha_ho = cached_property(  # (2 m hbar w1^3)^(1/6), the alpha1 of xi = 1
-        lambda u: (2.0 * u.scales.mass * u.scales.hbar * u.scales.omega1 ** 3) ** (1.0 / 6.0))
-    xi = cached_property(lambda u: u.alpha_ho / u.scales.alpha1)
-    lam = cached_property(lambda u: u.scales.omega1 / u.scales.omega2)
-    zeta = cached_property(lambda u: u.scales.alpha1 * u.k)
-    beta = cached_property(lambda u: u.scales.alpha1 / u.scales.alpha2)
-    tau = cached_property(lambda u: u.scales.delta_strength * u.ho_norm)
-    p = cached_property(lambda u: u.mu * u.scales.delta_position)
-    eta = cached_property(
-        lambda u: (u.scales.delta_strength / (2.0 * u.scales.alpha1)) * u.two_m ** (2.0 / 3.0))
-
-    def eps(self, energy):
-        """E / (hbar w1), the quadratic families' energy variable."""
-        return energy / self.hbar_omega
-
-    def rho(self, energy):
-        """(E / alpha1^2) (2m/hbar^2)^(1/3), the linear families' one."""
-        return energy / self.scales.alpha1 ** 2 * self.k
+        return value * s.alpha1 ** 2 / s.k
 
 
 def potential_value(family: PotentialFamily, x: float) -> float:

@@ -28,7 +28,7 @@ v decay at +inf and -inf, num and den depend on the energy alone, and
 den carries the Wronskian, whose zeros are the bound states.  Every
 closed form here has v(x) = u(-x), so a build is one dict from
 abscissa x to u(x), made once per energy from the energy and the
-scales' model.NaturalUnits, pole check included: the oscillator's
+scales' natural units, pole check included: the oscillator's
 D(mu x) (the Stark well reads it at x + phi and a shifted energy) or a
 piecewise well's mirror pair, its branch continued through 0.  The
 piecewise wells are one Weber or Airy branch per side of x = 0 and one
@@ -42,9 +42,9 @@ one call of the closed form that _closed_form(family) looks up by
 family tag; the CLI's green-grid looks it up once per request.
 
 The module keeps the latest object it built through _kept, with the
-kind, energy and context it was built for: the NaturalUnits
-(scales.natural) of a Green build or of a scan's HO+|x| branch, None
-for the Airy branch.  A call reuses it when kind and context are the
+kind, energy and context it was built for: the PhysicalScales of a
+Green build or of a scan's HO+|x| branch, None for the Airy branch.
+A call reuses it when kind and context are the
 same objects and the energy compares equal (so +0.0 and -0.0 share one
 build); any other call builds afresh and replaces it.  A green-grid
 request, or a library loop over abscissae at one energy with one
@@ -111,7 +111,7 @@ def to_tilde(g: GreenEval, scales: PhysicalScales) -> GreenEval:
     """Convert a G-convention evaluation to G~ = -(hbar^2/2m) G."""
     if g.convention != "G":
         return g
-    return GreenEval(-g.value / scales.natural.two_m, "G_TILDE")
+    return GreenEval(-g.value / scales.two_m, "G_TILDE")
 
 
 # (kind, energy, context, object) of the latest successful build.
@@ -134,7 +134,7 @@ def _kept(kind, energy, context):
 
 def _green(kind, x, xp, energy, scales) -> GreenEval:
     """G = num u(x>) u(-x<) / den from the `kind` map x -> u(x) at this energy."""
-    sol = _kept(kind, energy, scales.natural)
+    sol = _kept(kind, energy, scales)
     # u(x>) v(x<), the solution product grouped first: IEEE multiplication
     # commutes, so the parity map (x, x') -> (-x', -x), which swaps the
     # two factors, reproduces the value bit-exactly
@@ -155,17 +155,17 @@ class _HoSolutions(dict):
 
     den = 1.0
 
-    def __init__(self, energy, units):
-        eps = units.eps(energy)
+    def __init__(self, energy, scales):
+        eps = scales.eps(energy)
         if not math.isfinite(eps):
             raise sf.DomainError(f"HO resolvent needs a finite eps, got eps = {eps}")
         k = round(eps - 0.5)
         if k >= 0 and abs(eps - (k + 0.5)) < _HO_POLE_RADIUS:
             raise NearPoleError(
                 f"eps = {eps} within {_HO_POLE_RADIUS:g} of bound state n = {k}", index=k)
-        self.mu = units.mu
+        self.mu = scales.mu
         self.nu = eps - 0.5
-        self.num = units.ho_norm / sf.rgamma(0.5 - eps)
+        self.num = scales.ho_norm / sf.rgamma(0.5 - eps)
 
     def __missing__(self, x):
         # u(x) and u(-x) from one pcf_d_pair call, bit for bit two pcf_d
@@ -310,9 +310,8 @@ def green_ho_series(x, xp, energy, scales, n_terms=500, tail=False) -> GreenEval
 
 def green_ho_stark(x, xp, energy, scales) -> GreenEval:
     """Uniform-field shift: G_{ho,a}(x,x';E) = G_ho(x+phi, x'+phi; E + hbar w (mu phi/2)^2)."""
-    units = scales.natural
-    return _green(_HoSolutions, x + units.phi, xp + units.phi,
-                  energy + units.hbar_omega * units.shift, scales)
+    return _green(_HoSolutions, x + scales.phi, xp + scales.phi,
+                  energy + scales.hbar_omega * scales.shift, scales)
 
 
 # ----------------------------------------------------------------------
@@ -383,9 +382,9 @@ class _Weber(_Branch):
     computed together when built, by one specfun.pcf_d_slope call;
     partners(y) is (E, E', O, O') at mu (y + phi)."""
 
-    def __init__(self, eps, units):
-        self.mu, self.phi, self.mu_phi = units.mu, units.phi, units.mu * units.phi
-        self.nu = eps + units.shift - 0.5
+    def __init__(self, eps, scales):
+        self.mu, self.phi, self.mu_phi = scales.mu, scales.phi, scales.mu * scales.phi
+        self.nu = eps + scales.shift - 0.5
         self.value0, self.slope0, _ = sf.pcf_d_slope(self.nu, self.mu_phi)
 
     def value(self, y):
@@ -428,22 +427,22 @@ class _Mirror(dict):
     to level and below the spectrum; the exclusion half-width is 1.6e-11
     to 2.3e-10 in rho or eps at each of the first 8 levels of both wells."""
 
-    def __init__(self, br, k, units):
+    def __init__(self, br, k, scales):
         u0, u1 = br.value0, br.slope0
         if abs(u0 * u1) < _MIRROR_POLE_RADIUS * (u0 * u0 + u1 * u1):
             parity = "odd" if abs(u0) < abs(u1) else "even"
             raise NearPoleError(
                 f"energy within the exclusion radius of a pole ({parity} state)", parity=parity)
-        self.br, self.num, self.den = br, -units.two_m, 2.0 * k * u0 * u1
+        self.br, self.num, self.den = br, -scales.two_m, 2.0 * k * u0 * u1
 
     def __missing__(self, x):
         u = self[x] = self.br.value(x) if x >= 0.0 else self.br.continued(-x)
         return u
 
 
-def _linear(energy, units):
+def _linear(energy, scales):
     """The |x| well's mirror pair: the Airy branch, k = zeta."""
-    return _Mirror(_Airy(units.rho(energy), units.zeta), units.zeta, units)
+    return _Mirror(_Airy(scales.rho(energy), scales.zeta), scales.zeta, scales)
 
 
 def green_linear(x, xp, energy, scales) -> GreenEval:
@@ -458,9 +457,9 @@ def green_linear(x, xp, energy, scales) -> GreenEval:
     return _green(_linear, x, xp, energy, scales)
 
 
-def _ho_plus_abs(energy, units):
+def _ho_plus_abs(energy, scales):
     """The HO+|x| mirror pair: the Weber branch, k = mu."""
-    return _Mirror(_Weber(units.eps(energy), units), units.mu, units)
+    return _Mirror(_Weber(scales.eps(energy), scales), scales.mu, scales)
 
 
 def green_ho_plus_abs(x, xp, energy, scales) -> GreenEval:

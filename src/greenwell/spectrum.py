@@ -87,16 +87,18 @@ _STEP = 0.005
 
 def chi_ho(eps: float) -> float:
     """Zero exactly at eps = n + 1/2 (reciprocal-Gamma form); finite up to
-    eps = 171.59, past which 1/Gamma(1/2 - eps) leaves the float range."""
-    return sf.rgamma(0.5 - eps)
+    eps = 171.59, past which 1/Gamma(1/2 - eps) leaves the float range.
+    For eps <= -1/2, where 1/Gamma(1/2 - eps) is positive (1 at -1/2) and
+    underflows past eps = -171, it is 1.0: no level lies there."""
+    return sf.rgamma(0.5 - eps) if eps > -0.5 else 1.0
 
 
-def levels_ho_stark(n: int, units) -> float:
-    """Analytic Stark-shifted levels eps_n = n + 1/2 - (mu phi / 2)^2,
-    with the NaturalUnits `units` of the well's scales."""
+def levels_ho_stark(n: int, scales) -> float:
+    """Analytic Stark-shifted levels eps_n = n + 1/2 - (mu phi / 2)^2 of
+    the well's model.PhysicalScales."""
     if n < 0:
         raise ValueError("level index must be >= 0")
-    return n + 0.5 - units.shift
+    return n + 0.5 - scales.shift
 
 
 def chi_asym_ho(eps: float, lam: float) -> float:
@@ -145,14 +147,14 @@ def chi_half_half(eps: float, xi: float) -> float:
     return _wronskian(_airy0(xi * xi * eps), _weber0(eps), xi)
 
 
-def chi_ho_plus_abs_odd(eps: float, units) -> float:
+def chi_ho_plus_abs_odd(eps: float, scales) -> float:
     """Odd factor D_{sigma-1/2}(mu phi) = 0, as a function of eps."""
-    return _kept(_Weber, eps, units).value0
+    return _kept(_Weber, eps, scales).value0
 
 
-def chi_ho_plus_abs_even(eps: float, units) -> float:
+def chi_ho_plus_abs_even(eps: float, scales) -> float:
     """Even factor mu phi D_{sigma-1/2}(mu phi) - 2 D_{sigma+1/2}(mu phi) = 0."""
-    return 2.0 * _kept(_Weber, eps, units).slope0
+    return 2.0 * _kept(_Weber, eps, scales).slope0
 
 
 def chi_delta_ho(eps: float, tau: float, p: float) -> float:
@@ -233,44 +235,43 @@ def build_chi(family: PotentialFamily) -> CharacteristicFunction:
     a default-window scan reaches every level.
     """
     tag = family.tag
-    u = family.scales.natural
+    s = family.scales
     if tag == HO:
         return CharacteristicFunction((1e-6, 12.0), ((None, chi_ho),))
     if tag == HO_STARK:
         # the shifted oscillator: zero at eps = n + 1/2 - (mu phi/2)^2
         return CharacteristicFunction(
-            (-u.shift - 1.0, 12.0), ((None, lambda e: chi_ho(e + u.shift)),))
+            (-s.shift - 1.0, 12.0), ((None, lambda e: chi_ho(e + s.shift)),))
     if tag == HO_ASYM:
         return CharacteristicFunction(
-            (1e-6, 12.0), ((None, lambda e: chi_asym_ho(e, u.lam)),))
+            (1e-6, 12.0), ((None, lambda e: chi_asym_ho(e, s.lam)),))
     if tag == LINEAR_ABS:
         return CharacteristicFunction(
             (1e-6, 12.0), (("even", chi_linear_even), ("odd", chi_linear_odd)))
     if tag == LINEAR_ASYM:
         # both rho and rho beta^2 must stay inside the Airy domain
-        top = min(12.0, (sf._AIRY_DOMAIN - 0.5) / max(1.0, u.beta * u.beta))
+        top = min(12.0, (sf._AIRY_DOMAIN - 0.5) / max(1.0, s.beta * s.beta))
         return CharacteristicFunction(
-            (1e-6, top), ((None, lambda r: chi_asym_linear(r, u.beta)),))
+            (1e-6, top), ((None, lambda r: chi_asym_linear(r, s.beta)),))
     if tag == HALF_HO_HALF_LINEAR:
-        top = min(12.0, (sf._AIRY_DOMAIN - 0.5) / (u.xi * u.xi))  # Airy argument is xi^2 eps
+        top = min(12.0, (sf._AIRY_DOMAIN - 0.5) / (s.xi * s.xi))  # Airy argument is xi^2 eps
         return CharacteristicFunction(
-            (1e-6, top), ((None, lambda e: chi_half_half(e, u.xi)),))
+            (1e-6, top), ((None, lambda e: chi_half_half(e, s.xi)),))
     if tag == HO_PLUS_ABS:
         # the factors never vanish together for mu phi > 0
         return CharacteristicFunction(
-            (1e-6, 12.0), (("even", lambda e: chi_ho_plus_abs_even(e, u)),
-                           ("odd", lambda e: chi_ho_plus_abs_odd(e, u))))
+            (1e-6, 12.0), (("even", lambda e: chi_ho_plus_abs_even(e, s)),
+                           ("odd", lambda e: chi_ho_plus_abs_odd(e, s))))
     if tag == DELTA_DECORATED:
-        s = family.scales
         a = s.delta_strength
         floor = family.natural_energy(-s.mass * a * a / (2.0 * s.hbar ** 2) if a < 0.0 else 0.0)
         if family.base == HO:
             return CharacteristicFunction(
-                (min(-50.0, floor), 12.0), ((None, lambda e: chi_delta_ho(e, u.tau, u.p)),),
+                (min(-50.0, floor), 12.0), ((None, lambda e: chi_delta_ho(e, s.tau, s.p)),),
                 floor=floor)
-        zq = u.zeta * abs(s.delta_position)  # the |x| well is even in q
+        zq = s.zeta * abs(s.delta_position)  # the |x| well is even in q
         return CharacteristicFunction(
-            (min(-24.0, floor), 12.0), ((None, lambda r: chi_delta_linear(r, u.eta, zq)),),
+            (min(-24.0, floor), 12.0), ((None, lambda r: chi_delta_linear(r, s.eta, zq)),),
             floor=floor)
     raise ValueError(f"no characteristic function for family {tag!r}")
 
@@ -395,23 +396,23 @@ def _sweep_beta(fam, beta):
 
 def _sweep_xi(fam, xi):
     _positive("xi", xi)
-    return with_scales(fam, alpha1=fam.scales.natural.alpha_ho / xi)
+    return with_scales(fam, alpha1=fam.scales.alpha_ho / xi)
 
 
 def _sweep_muphi(fam, t):
     if not t >= 0.0:
         raise SweepError(f"sweep values of 'muphi' must be >= 0, got {t}")
     s = fam.scales
-    a1 = (t / s.natural.mu * s.mass * s.omega1 ** 2) ** (1.0 / 3.0)
+    a1 = (t / s.mu * s.mass * s.omega1 ** 2) ** (1.0 / 3.0)
     return with_scales(fam, alpha1=a1)
 
 
 def _sweep_tau(fam, tau):
-    return with_scales(fam, delta_strength=tau / fam.scales.natural.ho_norm)
+    return with_scales(fam, delta_strength=tau / fam.scales.ho_norm)
 
 
 def _sweep_p(fam, p):
-    return with_scales(fam, delta_position=p / fam.scales.natural.mu)
+    return with_scales(fam, delta_position=p / fam.scales.mu)
 
 
 SWEEP_PARAMS = {

@@ -182,6 +182,16 @@ def test_sweep_requires_param():
     assert code == 1
 
 
+def test_help_names_every_sweep_parameter(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal
+    assert f"sweep parameter ({'|'.join(spectrum.SWEEP_PARAMS)})" in out
+    # in the order the help text always gave
+    assert list(spectrum.SWEEP_PARAMS) == ["lam", "beta", "xi", "muphi", "tau", "p"]
+
+
 def test_sweep_bytes_pinned():
     # rows come ordered by (param_value, root_index), for each of five values
     rows = [tuple(map(float, line.split(","))) for line in run_pinned("muphi").splitlines()[1:]]
@@ -495,7 +505,7 @@ def test_table1_levels_hold_where_hbar_squared_is_not_2m():
     # matching condition has no other scale, so the table's levels follow
     fam = model.default_family(model.HALF_HO_HALF_LINEAR, hbar=1.0, mass=1.0, omega1=1.0,
                                alpha1=2.0 ** (-1.0 / 3.0))
-    assert fam.scales.natural.xi == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    assert fam.scales.xi == pytest.approx(math.sqrt(2.0), rel=1e-14)
     got = spectrum.find_roots(spectrum.build_chi(fam), limit=10).values()
     assert got == pytest.approx(cli.TABLE1_REFERENCE, abs=5e-5)
 
@@ -683,13 +693,12 @@ def test_levels_of_a_stark_window_past_gamma_order_141():
     assert eps == [n - 23175.5 for n in range(10)]
 
 
-def test_levels_where_rgamma_underflows_exit_two(capsys):
-    # 1/Gamma(1/2 - eps) lies below the float range here: a 0.0 would be
-    # a root at every lattice point
-    run_pinned("HO-rgamma-underflow")
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: rgamma(")
-    assert "Numerical result out of range" not in err
+def test_levels_where_rgamma_underflows_print_the_header_alone(capsys):
+    # 1/Gamma(1/2 - eps) lies below the float range here, but no level
+    # lies below eps = -1/2, so chi_ho is 1.0 there: no root, no failure
+    out = run_pinned("HO-rgamma-underflow")
+    assert out == "index,parity,eps,residual,bracket_lo,bracket_hi\n"
+    assert capsys.readouterr().err == ""
 
 
 def test_readme_library_example_runs():

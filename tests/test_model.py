@@ -40,19 +40,19 @@ ALL_DEFAULTS = [
 def test_dimensionless_ho_direct_substitution():
     fam = default_family(HO)
     assert fam.natural_energy(2.0) == 2.0
-    assert fam.scales.natural.mu == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert fam.scales.mu == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_dimensionless_linear_figure_convention():
     # hbar^2 = 2m, alpha = 1: rho = E, zeta = 1
     fam = default_family(LINEAR_ABS)
     assert fam.natural_energy(3.2) == pytest.approx(3.2, rel=1e-14)
-    assert fam.scales.natural.zeta == pytest.approx(1.0, rel=1e-14)
+    assert fam.scales.zeta == pytest.approx(1.0, rel=1e-14)
 
 
 def test_dimensionless_half_half_xi():
     fam = default_family(HALF_HO_HALF_LINEAR)
-    d = fam.scales.natural
+    d = fam.scales
     assert d.xi == pytest.approx(math.sqrt(2.0), rel=1e-12)
     # xi = (2/(mu phi))^(1/3) equivalently
     assert d.xi == pytest.approx((2.0 / (d.mu * d.phi)) ** (1.0 / 3.0), rel=1e-12)
@@ -60,14 +60,14 @@ def test_dimensionless_half_half_xi():
 
 def test_dimensionless_delta_ho_defaults():
     fam = default_family(DELTA_DECORATED, base=HO)
-    d = fam.scales.natural
+    d = fam.scales
     assert d.tau == pytest.approx(-1.0, rel=1e-14)
     assert d.p == pytest.approx(0.5, rel=1e-14)
 
 
 def test_dimensionless_delta_linear_defaults():
     fam = default_family(DELTA_DECORATED, base=LINEAR_ABS)
-    d = fam.scales.natural
+    d = fam.scales
     assert d.eta == pytest.approx(1.0, rel=1e-14)
     assert d.zeta * fam.scales.delta_position == pytest.approx(0.5, rel=1e-14)
 
@@ -84,28 +84,25 @@ def test_round_trip_scales_from_map():
     # invert the defining formulas and recover the input scales to 1e-14
     fam = default_family(HO_STARK, hbar=0.7, mass=1.9, omega1=1.4, alpha1=1.1)
     s = fam.scales
-    d = s.natural
     eps = fam.natural_energy(2.31)
     assert eps * s.hbar * s.omega1 == pytest.approx(2.31, rel=1e-14)
-    assert d.mu ** 2 * s.hbar / (2.0 * s.omega1) == pytest.approx(s.mass, rel=1e-14)
-    assert (d.phi * s.mass * s.omega1 ** 2) ** (1 / 3) == pytest.approx(s.alpha1, rel=1e-14)
-    assert d.shift == pytest.approx((0.5 * d.mu * d.phi) ** 2, rel=1e-14)  # sigma - eps
+    assert s.mu ** 2 * s.hbar / (2.0 * s.omega1) == pytest.approx(s.mass, rel=1e-14)
+    assert (s.phi * s.mass * s.omega1 ** 2) ** (1 / 3) == pytest.approx(s.alpha1, rel=1e-14)
+    assert s.shift == pytest.approx((0.5 * s.mu * s.phi) ** 2, rel=1e-14)  # sigma - eps
 
     fam2 = default_family(DELTA_DECORATED, base=HO, hbar=1.2, mass=0.8,
                           delta_strength=-0.9, delta_position=0.4)
     s2 = fam2.scales
-    d2 = s2.natural
-    assert d2.tau / math.sqrt(s2.mass / (math.pi * s2.omega1 * s2.hbar ** 3)) \
+    assert s2.tau / math.sqrt(s2.mass / (math.pi * s2.omega1 * s2.hbar ** 3)) \
         == pytest.approx(s2.delta_strength, rel=1e-14)
-    assert d2.p / d2.mu == pytest.approx(s2.delta_position, rel=1e-14)
+    assert s2.p / s2.mu == pytest.approx(s2.delta_position, rel=1e-14)
 
     fam3 = default_family(LINEAR_ASYM, hbar=1.3, mass=0.6, alpha1=0.9, alpha2=1.7)
     s3 = fam3.scales
-    d3 = s3.natural
     k = (2.0 * s3.mass / s3.hbar ** 2) ** (1.0 / 3.0)
     assert fam3.natural_energy(-0.4) * s3.alpha1 ** 2 / k == pytest.approx(-0.4, rel=1e-14)
-    assert d3.zeta / k == pytest.approx(s3.alpha1, rel=1e-14)
-    assert s3.alpha1 / d3.beta == pytest.approx(s3.alpha2, rel=1e-14)
+    assert s3.zeta / k == pytest.approx(s3.alpha1, rel=1e-14)
+    assert s3.alpha1 / s3.beta == pytest.approx(s3.alpha2, rel=1e-14)
 
 
 # each natural unit and energy variable as a function of the scales s,
@@ -143,34 +140,33 @@ ENERGY_EXPRESSIONS = {
                    delta_strength=-1.3, delta_position=0.7).scales,
 ], ids=["HO_PLUS_ABS", "every-scale", "DELTA_DECORATED-LINEAR_ABS"])
 def test_natural_units_keep_every_bit_of_their_expressions(scales):
-    units = scales.natural
     for name, expression in UNIT_EXPRESSIONS.items():
         try:
             want = expression(scales)
         except TypeError:  # a scale the unit reads is not set
             with pytest.raises(TypeError):
-                getattr(units, name)
+                getattr(scales, name)
             continue
-        got = getattr(units, name)
+        got = getattr(scales, name)
         assert got.hex() == want.hex(), name
-        assert vars(units)[name] is got  # computed once per scales object
+        assert vars(scales)[name] is got  # computed once per scales object
     for name, expression in ENERGY_EXPRESSIONS.items():
         try:
             want = expression(scales, 2.31)
         except TypeError:
             continue
-        assert getattr(units, name)(2.31).hex() == want.hex(), name
+        assert getattr(scales, name)(2.31).hex() == want.hex(), name
 
 
 @pytest.mark.parametrize("scales", [{}, {"hbar": 0.8, "mass": 1.7}], ids=["default", "other"])
 @pytest.mark.parametrize("fam", ALL_DEFAULTS, ids=lambda f: f"{f.tag}-{f.base}")
 def test_energy_round_trips_through_the_natural_variable(fam, scales):
     fam = model.with_scales(fam, **scales)
-    units = fam.scales.natural
-    assert units is fam.scales.natural  # built once per scales object
     for e in (-3.7, -0.25, 0.0, 1e-6, 0.3, 1.0, 2.31, 7.9, 123.4):
         back = fam.energy(fam.natural_energy(e))
         assert abs(back - e) <= 2.0 * math.ulp(e), (e, back)
+    unit = "hbar_omega" if fam.smooth_tag in model.QUADRATIC_TAGS else "k"
+    assert vars(fam.scales)[unit] is getattr(fam.scales, unit)  # computed once per scales object
 
 
 def test_potential_values():

@@ -126,8 +126,8 @@ def test_auto_grid_holds_the_bottom_of_a_shifted_well():
     grid = oracle.auto_grid(fam, e_max=-60.0, n_points=500)
     assert _wall_level(fam, -60.0) == -50.0
     assert _first_float_past(fam, grid.half_width, -50.0)
-    assert fam.scales.natural.phi < grid.half_width < 19.5
-    assert fam.bottom == -fam.scales.natural.phi
+    assert fam.scales.phi < grid.half_width < 19.5
+    assert fam.bottom == -fam.scales.phi
 
 
 @pytest.mark.parametrize("fam,e_max", [
@@ -151,7 +151,7 @@ def test_auto_grid_scales_with_the_well():
     # walls at L >= 1 left its 4000-point grid 0.0162 off
     one, stiff = default_family(HO), model.family_from_dict(
         {"tag": "HO", "scales": {"omega1": 2e6}})
-    walls = [f.scales.natural.mu * oracle.auto_grid(f, f.energy(6.0), 4000).half_width
+    walls = [f.scales.mu * oracle.auto_grid(f, f.energy(6.0), 4000).half_width
              for f in (one, stiff)]
     assert walls[0] == pytest.approx(8.0, rel=1e-12)
     assert walls[1] == pytest.approx(walls[0], rel=1e-12)

@@ -366,13 +366,12 @@ def test_stark_zero_field_reduces_to_ho():
 def test_stark_is_the_shifted_oscillator_bit_for_bit(scales):
     # G_{ho,a}(x, x'; E) = G_ho(x + phi, x' + phi; E + hbar w (mu phi/2)^2)
     s = default_family(HO_STARK, **scales).scales
-    n = s.natural
     grid = [-2.0 + 0.5 * i for i in range(9)]
     for e in (0.3, 1.7, 2.9):
         for x in grid:
             for xp in grid:
                 a = rv.green_ho_stark(x, xp, e, s).value
-                b = rv.green_ho(x + n.phi, xp + n.phi, e + n.hbar_omega * n.shift, s).value
+                b = rv.green_ho(x + s.phi, xp + s.phi, e + s.hbar_omega * s.shift, s).value
                 assert a.hex() == b.hex(), (x, xp, e)
 
 
@@ -613,7 +612,7 @@ def _green_before(kind, x, xp, energy, scales):
     computed independently (_independent_uv) and without the
     latest-build cache (which never changes a value, see
     test_solution_memo_never_changes_a_value)."""
-    sol = kind(energy, scales.natural)
+    sol = kind(energy, scales)
     u, v = _independent_uv(sol)
     lo, hi = (x, xp) if x <= xp else (xp, x)
     return rv.GreenEval(sol.num * (u(hi) * v(lo)) / sol.den, "G")
@@ -629,13 +628,13 @@ def _green_before(kind, x, xp, energy, scales):
 def test_one_map_gives_v_at_minus_x(kind, fam, energy):
     # v(x) = u(-x) for every kind, so the kernel reads v from the u map
     xs = (-4.0, -1.5, -0.5, -0.0, 0.0, 0.3, 0.5, 1.25, 4.0)
-    u, v = _independent_uv(kind(energy, fam.scales.natural))
+    u, v = _independent_uv(kind(energy, fam.scales))
     want_u = [u(x).hex() for x in xs]
     want_v = [v(x).hex() for x in xs]
     # each map read in both orders: -x first (each read a miss), and x
     # first (its pair filled -x already)
     for first_v in (True, False):
-        sol = kind(energy, fam.scales.natural)
+        sol = kind(energy, fam.scales)
         if first_v:
             assert [sol[-x].hex() for x in xs] == want_v
         assert [sol[x].hex() for x in xs] == want_u

@@ -46,6 +46,15 @@ def test_chi_ho_values():
     assert sp.chi_ho(1.0) == pytest.approx(-1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-12)
 
 
+def test_chi_ho_is_one_below_the_spectrum():
+    # 1/Gamma(1/2 - eps) is positive for eps <= -1/2 and 1 at -1/2, where
+    # the constant takes over; past eps = -171 it underflows
+    assert sp.chi_ho(-0.5) == 1.0 == sf.rgamma(1.0)
+    assert sp.chi_ho(math.nextafter(-0.5, 0.0)) == sf.rgamma(0.5 - math.nextafter(-0.5, 0.0))
+    for eps in (-0.75, -3.0, -171.5, -200.0, -1e300):
+        assert sp.chi_ho(eps) == 1.0
+
+
 def test_find_roots_ho():
     res = roots_of(default_family(HO), window=(0.0, 6.0), step=0.01)
     assert [round(v, 9) for v in res.values()] == [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
@@ -73,23 +82,20 @@ def test_root_invariants():
 @pytest.mark.parametrize("alpha3", [0.5, 1.3, 2.0])
 def test_stark_root_finding_matches_analytic(alpha3):
     fam = default_family(HO_STARK, alpha1=alpha3 ** (1.0 / 3.0))
-    units = fam.scales.natural
     res = roots_of(fam, window=None, step=0.01)
     for n in range(6):
-        assert res.values()[n] == pytest.approx(sp.levels_ho_stark(n, units), abs=1e-9)
+        assert res.values()[n] == pytest.approx(sp.levels_ho_stark(n, fam.scales), abs=1e-9)
 
 
 def test_stark_zero_field():
     fam = default_family(HO_STARK, alpha1=0.0)
-    units = fam.scales.natural
-    assert sp.levels_ho_stark(2, units) == 2.5
+    assert sp.levels_ho_stark(2, fam.scales) == 2.5
 
 
 def test_stark_unit_shift():
     # alpha^3 = 1: phi = 1, mu = sqrt 2, (mu phi / 2)^2 = 1/2 -> eps_0 = 0
     fam = default_family(HO_STARK, alpha1=1.0)
-    units = fam.scales.natural
-    assert sp.levels_ho_stark(0, units) == pytest.approx(0.0, abs=1e-14)
+    assert sp.levels_ho_stark(0, fam.scales) == pytest.approx(0.0, abs=1e-14)
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +270,7 @@ def _plain_factors(fam):
     if fam.tag == LINEAR_ABS:
         return {"even": lambda r: sf.airy_ai_prime(-r).value,
                 "odd": lambda r: sf.airy_ai(-r).value}
-    d = fam.scales.natural
+    d = fam.scales
 
     def odd(e):
         sigma = e + (0.5 * d.mu * d.phi) ** 2
@@ -290,7 +296,7 @@ def test_ho_plus_abs_even_factor_matches_the_two_call_form(alpha1):
     # 1.15, 4.77 at 1.5, where both lose 800 eps as the Kummer terms
     # cancel; 11.3 at 2, the integral route, which is the two-call form)
     fam = default_family(HO_PLUS_ABS, alpha1=alpha1)
-    d = fam.scales.natural
+    d = fam.scales
     even = dict(sp.build_chi(fam).factors)["even"]
     mu_phi = d.mu * d.phi
     for e in [0.013 + 0.37 * i for i in range(33)]:
@@ -350,7 +356,7 @@ def test_parity_factors_share_one_call_per_lattice_point(monkeypatch, fam, share
 
 
 def test_failed_factor_call_leaves_the_cache_as_it_was():
-    d = default_family(HO_PLUS_ABS).scales.natural
+    d = default_family(HO_PLUS_ABS).scales
     sp.chi_linear_odd(2.0)
     sp.chi_ho_plus_abs_odd(2.0, d)
     before = rv._latest
@@ -585,7 +591,7 @@ FLOOR_FAMILIES = (
 
 
 def _floor_id(fam):
-    d = fam.scales.natural
+    d = fam.scales
     if fam.base == HO:
         return f"HO-tau{d.tau:.3g}-p{d.p:.3g}"
     return f"LINEAR_ABS-eta{d.eta:.3g}-zq{d.zeta * fam.scales.delta_position:.3g}"
@@ -594,7 +600,7 @@ def _floor_id(fam):
 @pytest.mark.parametrize("fam", FLOOR_FAMILIES, ids=_floor_id)
 def test_energy_floor_bounds_the_spectrum_and_keeps_every_bit(fam):
     step = 0.05  # the start point lies on the scan lattice at any step
-    d = fam.scales.natural
+    d = fam.scales
     chi, calls = _counted(sp.build_chi(fam))
     # E >= -m a^2 / (2 hbar^2) for a < 0, E > 0 otherwise, in the natural
     # variable: eps >= -pi tau^2 / 2, rho >= -eta^2
@@ -961,7 +967,7 @@ def test_certificate_grid_is_the_same_in_natural_units_at_any_scale():
     small = sp._sweep_lam(default_family(HO_ASYM, omega1=0.5), lam)
     op = _cert_operator(small, 6.1)
     wall = op.grid.half_width
-    assert wall * small.scales.natural.mu > ops[0].grid.half_width * one.scales.natural.mu
+    assert wall * small.scales.mu > ops[0].grid.half_width * one.scales.mu
     assert min(small.potential(-wall), small.potential(wall)) >= small.energy(6.1) + 10.0
     want_rows, want_breaks = _per_value_scans(small, "lam", [0.7, 0.75], (0.0, 3.0), 0.005)
     got = sp.sweep(small, "lam", [0.7, 0.75], window=(0.0, 3.0))
